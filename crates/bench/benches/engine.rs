@@ -1,6 +1,6 @@
 //! Raw throughput of the virtual-time engine — message rate of
-//! ping-pong chains and fan-in patterns, repeated-run rate through the
-//! persistent thread pool vs fresh-spawn, and cluster spawn cost. These
+//! ping-pong chains and fan-in patterns, repeated-run rate of the engine
+//! and of the thread-per-rank reference, and bare run cost. These
 //! numbers bound how large a simulated experiment can be.
 //!
 //! `cargo bench -p hcs-experiments --bench engine`. The tracked JSON
@@ -8,35 +8,8 @@
 //! EXPERIMENTS.md), which shares these workloads.
 
 use hcs_bench::microbench::Runner;
-use hcs_sim::machines;
-
-/// One rank-0↔1 ping-pong run of `msgs` round trips at cluster size `p`.
-fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool) {
-    let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4)).cluster(seed);
-    let body = move |ctx: &mut hcs_sim::RankCtx| {
-        match ctx.rank() {
-            0 => {
-                for i in 0..msgs {
-                    ctx.send_t(1, i & 0xFF, 1.0f64);
-                    let _: f64 = ctx.recv_t(1, i & 0xFF);
-                }
-            }
-            1 => {
-                for i in 0..msgs {
-                    let v: f64 = ctx.recv_t(0, i & 0xFF);
-                    ctx.send_t(0, i & 0xFF, v);
-                }
-            }
-            _ => {}
-        }
-        ctx.now()
-    };
-    if pooled {
-        cluster.run(body);
-    } else {
-        cluster.run_unpooled(body);
-    }
-}
+use hcs_experiments::pingpong_run;
+use hcs_sim::{machines, EngineMode};
 
 fn main() {
     let mut r = Runner::from_env();
@@ -48,21 +21,25 @@ fn main() {
             &msgs.to_string(),
             msgs as f64 * 2.0,
             "msgs",
-            || pingpong_run(2, msgs, 1, true),
+            || pingpong_run(2, msgs, 1, None),
         );
     }
 
-    // Repeated-run rate at the ISSUE's tracked cluster sizes: the pool
-    // keeps rank threads parked between runs, so runs/sec is dominated
-    // by simulation work, not thread spawn/teardown.
+    // Repeated-run rate at the tracked cluster sizes: the engine, then
+    // the reference (which spawns and joins p OS threads per run).
     for p in [32usize, 256, 2048] {
-        let case = format!("p{p}");
-        r.case_throughput("engine_runs_pooled", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true)
+        r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
+            pingpong_run(p, 100, 2, Some(EngineMode::Events))
         });
-        r.case_throughput("engine_runs_fresh_spawn", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, false)
-        });
+    }
+    for p in [32usize, 256] {
+        r.case_throughput(
+            "engine_runs_reference",
+            &format!("p{p}"),
+            1.0,
+            "runs",
+            || pingpong_run(p, 100, 2, Some(EngineMode::Threads)),
+        );
     }
 
     // Fan-in: all ranks send one small message to rank 0.
@@ -86,7 +63,7 @@ fn main() {
         );
     }
 
-    // Bare run cost (no communication): pool checkout + latch overhead.
+    // Bare run cost (no communication): seed, claim and retire p ranks.
     for ranks in [64usize, 512] {
         r.case("engine_spawn_teardown", &ranks.to_string(), || {
             machines::testbed(ranks / 8, 8)

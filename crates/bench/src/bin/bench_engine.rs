@@ -1,8 +1,8 @@
 //! Tracked perf baseline of the virtual-time engine.
 //!
 //! Runs the engine throughput workloads (message rate, repeated-run
-//! rate through the persistent thread pool vs fresh-spawn, fan-in) and
-//! writes the results to `BENCH_engine.json` so the perf trajectory of
+//! rate of the engine and of the thread-per-rank reference, sweep
+//! rate, fan-in/fan-out) and writes the results to `BENCH_engine.json` so the perf trajectory of
 //! the simulator is recorded in-repo, PR over PR.
 //!
 //! ```text
@@ -19,8 +19,8 @@
 
 use hcs_bench::microbench::Runner;
 use hcs_bench::sweep::{run_seed, SweepExecutor};
-use hcs_experiments::Args;
-use hcs_sim::{machines, ClusterPool, EngineMode, RankCtx};
+use hcs_experiments::{pingpong_run, Args};
+use hcs_sim::{machines, EngineMode};
 
 /// Repetitions per sweep in the `sweep_runs` groups.
 const SWEEP_RUNS: usize = 8;
@@ -29,39 +29,6 @@ const SWEEP_RUNS: usize = 8;
 /// per run in the fan groups. Matches the engine's staging-segment
 /// capacity so every burst is one batched mailbox mutation.
 const FAN_ROUNDS: usize = 32;
-
-/// One ping-pong run of `msgs` round trips between ranks 0 and 1 on a
-/// `p`-rank cluster (the ISSUE's tracked repeated-run workload).
-fn pingpong_run(p: usize, msgs: u32, seed: u64, pooled: bool, engine: EngineMode) {
-    let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4))
-        .cluster(seed)
-        .to_builder()
-        .engine(engine)
-        .build();
-    let body = move |ctx: &mut RankCtx| {
-        match ctx.rank() {
-            0 => {
-                for i in 0..msgs {
-                    ctx.send_t(1, i & 0xFF, 1.0f64);
-                    let _: f64 = ctx.recv_t(1, i & 0xFF);
-                }
-            }
-            1 => {
-                for i in 0..msgs {
-                    let v: f64 = ctx.recv_t(0, i & 0xFF);
-                    ctx.send_t(0, i & 0xFF, v);
-                }
-            }
-            _ => {}
-        }
-        ctx.now()
-    };
-    if pooled {
-        cluster.run(body);
-    } else {
-        cluster.run_unpooled(body);
-    }
-}
 
 fn main() {
     let args = Args::parse(&["out", "group"]);
@@ -80,44 +47,36 @@ fn main() {
             &msgs.to_string(),
             msgs as f64 * 2.0,
             "msgs",
-            || pingpong_run(2, msgs, 1, true, EngineMode::Threads),
+            || pingpong_run(2, msgs, 1, None),
         );
     }
 
-    // Repeated-run rate: pooled vs fresh-spawn at the tracked sizes,
-    // plus the event-driven executor at the same sizes (`p*_events`).
-    // The events engine has no pooled/fresh distinction — one row.
-    for p in [32usize, 256, 2048] {
-        let case = format!("p{p}");
-        r.case_throughput("engine_runs_pooled", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true, EngineMode::Threads)
+    // Repeated-run rate of the engine, from bench sizes up to the scale
+    // wall: rank bodies are continuations multiplexed on a few workers,
+    // so p is bounded by memory, not by the host scheduler.
+    for p in [32usize, 256, 2048, 16_384, 131_072] {
+        r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
+            pingpong_run(p, 100, 2, Some(EngineMode::Events))
         });
+    }
+
+    // The same workload on the thread-per-rank reference engine, which
+    // spawns and joins p OS threads per run.
+    for p in [32usize, 256] {
         r.case_throughput(
-            "engine_runs_pooled",
-            &format!("{case}_events"),
+            "engine_runs_reference",
+            &format!("p{p}"),
             1.0,
             "runs",
-            || pingpong_run(p, 100, 2, true, EngineMode::Events),
+            || pingpong_run(p, 100, 2, Some(EngineMode::Threads)),
         );
-        r.case_throughput("engine_runs_fresh_spawn", &case, 1.0, "runs", || {
-            pingpong_run(p, 100, 2, false, EngineMode::Threads)
-        });
-    }
-
-    // The scale wall: repeated-run rate at rank counts a thread-per-rank
-    // engine cannot schedule on one host (16Ki and 128Ki OS threads).
-    // Events engine only — rank bodies are continuations multiplexed on
-    // a few workers, so p is bounded by memory, not by the scheduler.
-    for p in [16_384usize, 131_072] {
-        r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
-            pingpong_run(p, 100, 2, true, EngineMode::Events)
-        });
     }
 
     // Sweep throughput: SWEEP_RUNS independent repetitions through the
     // SweepExecutor, sequential vs concurrent. On a multi-core host the
     // jobs=4 rows should show the run-level speedup; jobs=1 tracks the
-    // executor's sequential overhead against the plain pooled rate.
+    // executor's sequential overhead against the plain `engine_runs`
+    // rate.
     for p in [32usize, 256] {
         for jobs in [1usize, 4] {
             let exec = SweepExecutor::new(jobs);
@@ -128,7 +87,7 @@ fn main() {
                 "runs",
                 || {
                     exec.run(SWEEP_RUNS, p, |i| {
-                        pingpong_run(p, 100, run_seed(3, i as u64), true, EngineMode::Threads)
+                        pingpong_run(p, 100, run_seed(3, i as u64), None)
                     });
                 },
             );
@@ -167,9 +126,10 @@ fn main() {
 
     // Fan-out message rate: rank 0 streams FAN_ROUNDS messages to every
     // other rank, destination-major so consecutive sends coalesce into
-    // staged batches. Rank 0 runs first (caller-runs dispatch), so the
-    // receivers find their bursts already delivered — the row isolates
-    // sender-side staging plus receiver-side batch draining.
+    // staged batches. Rank 0 is claimed first (ranks seed in rank
+    // order), so the receivers find their bursts already delivered —
+    // the row isolates sender-side staging plus receiver-side batch
+    // draining.
     for ranks in [16usize, 64, 256, 1024] {
         r.case_throughput(
             "engine_fan_out",
@@ -193,12 +153,6 @@ fn main() {
             },
         );
     }
-
-    println!(
-        "\npool: {} threads spawned over the whole session, {} parked",
-        ClusterPool::global().threads_spawned(),
-        ClusterPool::global().idle_workers()
-    );
 
     std::fs::write(&out_path, r.to_json("engine")).expect("write bench baseline");
     println!("wrote {out_path}");

@@ -1,15 +1,14 @@
 //! The sweep executor must be invisible in the artifacts: the rows (and
 //! the CSV bytes derived from them) of a hierarchical-sync experiment
-//! are identical whatever `jobs` setting executed it, through both the
-//! pooled and the fresh-spawn engine paths.
+//! are identical whatever `jobs` setting executed it, and identical to
+//! a direct run on the reference engine.
 
 use hcs_bench::sweep::SweepExecutor;
 use hcs_clock::Span;
 use hcs_experiments::hier_experiment::{
     fig4_configs, run_hier_experiment, write_hier_csv, HierRow,
 };
-use hcs_sim::machines;
-use hcs_sim::secs;
+use hcs_sim::{machines, secs, EngineMode};
 
 const SEED: u64 = 20_260_806;
 
@@ -51,11 +50,11 @@ fn rows_and_csv_are_byte_identical_across_jobs_settings() {
 }
 
 #[test]
-fn concurrent_pooled_rows_match_fresh_spawn_rows() {
-    // The executor leases pool workers; a fresh-spawn cluster run of the
-    // same (config, repetition) point must produce the same row. This
-    // pins that neither pooling nor run-level concurrency leaks into
-    // virtual time.
+fn concurrent_rows_match_reference_engine_rows() {
+    // A direct reference-engine cluster run of the same (config,
+    // repetition) point must produce the same row as the concurrent
+    // sweep. This pins that neither the engine nor run-level
+    // concurrency leaks into virtual time.
     use hcs_clock::{LocalClock, TimeSource};
     use hcs_core::prelude::*;
     use hcs_mpi::Comm;
@@ -64,11 +63,15 @@ fn concurrent_pooled_rows_match_fresh_spawn_rows() {
     let configs = fig4_configs(12, 6, 4);
     let concurrent = rows_with_jobs(2);
 
-    // Recompute row (config 1, run 1) unpooled, straight from the
-    // cluster, using the same per-run seed stream.
+    // Recompute row (config 1, run 1) on the reference engine, straight
+    // from the cluster, using the same per-run seed stream.
     let (label, make) = &configs[1];
-    let cluster = machine.cluster(hcs_bench::sweep::run_seed(SEED, 1));
-    let out = cluster.run_unpooled(|ctx| {
+    let cluster = machine
+        .cluster(hcs_bench::sweep::run_seed(SEED, 1))
+        .to_builder()
+        .engine(EngineMode::Threads)
+        .build();
+    let out = cluster.run(|ctx| {
         let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
         let mut alg = make();
@@ -85,51 +88,31 @@ fn concurrent_pooled_rows_match_fresh_spawn_rows() {
     // so (config 1, run 1) lands at index 3.
     let row = &concurrent[3];
     assert_eq!(&row.label, label);
-    assert_eq!(row.duration, duration, "pooled sweep vs fresh spawn");
+    assert_eq!(row.duration, duration, "sweep vs reference engine");
     assert_eq!(row.max_at0, report.max_abs_at_sync());
     assert_eq!(row.max_at_wait, report.max_abs_after_wait());
 }
 
 #[test]
 fn concurrent_jobs_are_not_slower_than_sequential() {
-    // The PR-4 sweep executor made jobs=4 *slower* than jobs=1 at
-    // p=256 (shared pool state thrashed under the 4×256-thread
-    // footprint). This pins the fix: with sharded dispatch, lazy
-    // workers and the host-core clamp, a concurrent sweep must never
-    // lose to the sequential loop by more than measurement noise. The
-    // tolerance is deliberately generous (1.5×, best-of-interleaved
-    // trials) so a loaded CI host cannot flake it; a real regression of
-    // the old kind was a 2×+ slowdown.
+    // An early sweep executor made jobs=4 *slower* than jobs=1 at
+    // p=256 (oversubscription: more in-flight runs than host cores).
+    // This pins the fix: with the host-core clamp, a concurrent sweep
+    // must never lose to the sequential loop by more than measurement
+    // noise. The tolerance is deliberately generous (1.5×,
+    // best-of-interleaved trials) so a loaded CI host cannot flake it;
+    // a real regression of the old kind was a 2×+ slowdown.
     use hcs_bench::sweep::run_seed;
-    use hcs_sim::{machines, RankCtx};
+    use hcs_experiments::pingpong_run;
     use std::time::Instant;
-
-    fn pingpong_run(p: usize, msgs: u32, seed: u64) {
-        let cluster = machines::testbed(p.div_ceil(4).max(1), p.min(4)).cluster(seed);
-        cluster.run(move |ctx: &mut RankCtx| match ctx.rank() {
-            0 => {
-                for i in 0..msgs {
-                    ctx.send_t(1, i & 0xFF, 1.0f64);
-                    let _: f64 = ctx.recv_t(1, i & 0xFF);
-                }
-            }
-            1 => {
-                for i in 0..msgs {
-                    let v: f64 = ctx.recv_t(0, i & 0xFF);
-                    ctx.send_t(0, i & 0xFF, v);
-                }
-            }
-            _ => {}
-        });
-    }
 
     for p in [32usize, 256] {
         let e1 = SweepExecutor::new(1);
         let e4 = SweepExecutor::new(4);
         let sweep = |exec: &SweepExecutor| {
-            exec.run(8, p, |i| pingpong_run(p, 50, run_seed(7, i as u64)));
+            exec.run(8, p, |i| pingpong_run(p, 50, run_seed(7, i as u64), None));
         };
-        // Warm both paths (pool spawn-up, page faults).
+        // Warm both paths (stack pool fill, page faults).
         sweep(&e1);
         sweep(&e4);
         let mut best1 = f64::INFINITY;

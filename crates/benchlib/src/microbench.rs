@@ -225,9 +225,9 @@ mod tests {
         assert!(!ran, "filtered case must not execute its body");
         assert!(skipped.is_nan());
         r.case("engine_runs", "p16384", || 1);
-        r.case("engine_runs_pooled", "p32", || 1);
+        r.case("engine_runs_reference", "p32", || 1);
         let groups: Vec<&str> = r.results().iter().map(|c| c.group.as_str()).collect();
-        assert_eq!(groups, ["engine_runs", "engine_runs_pooled"]);
+        assert_eq!(groups, ["engine_runs", "engine_runs_reference"]);
         assert!(!r.to_json("engine").contains("engine_pingpong"));
     }
 

@@ -3,7 +3,7 @@
 //! Every paper figure is produced from a sweep of *independent*
 //! simulated mpiruns — `nmpiruns` repetitions × message sizes ×
 //! algorithm configurations. The engine parallelizes *within* one run
-//! (one OS thread per rank), but a `p`-rank run keeps at most a couple
+//! (a few event workers), but a `p`-rank run keeps at most a couple
 //! of ranks runnable at a time for the algorithms under study, so
 //! sequential drivers leave most host cores idle. [`SweepExecutor`]
 //! runs the sweep's points concurrently across a bounded number of
@@ -24,18 +24,12 @@
 //!   scheduling — concurrency adds no nondeterminism *inside* a run
 //!   either.
 //!
-//! Concurrency is oversubscription-aware: the default budget is
-//! `max(1, available_parallelism / p_per_run)` (each in-flight run
-//! already owns `p` rank threads), overridable with `--jobs` on the
-//! experiment binaries or the `HCS_JOBS` environment variable. The
-//! executor coordinates with the global [`ClusterPool`]: each executor
-//! thread pins itself to its own pool shard via
-//! [`ClusterPool::with_shard`], so concurrent jobs dispatch through
-//! independent queue locks and worker sets instead of contending on
-//! shared pool state, and the pool is trimmed back down when the sweep
-//! finishes. The in-flight degree is additionally clamped to the host
-//! core count — beyond that, extra executor threads only interleave
-//! run working sets on the same cores (cache evictions, no speedup).
+//! The default budget is `max(1, available_parallelism / p_per_run)`,
+//! overridable with `--jobs` on the experiment binaries or the
+//! `HCS_JOBS` environment variable. The in-flight degree is
+//! additionally clamped to the host core count — beyond that, extra
+//! executor threads only interleave run working sets on the same cores
+//! (cache evictions, no speedup).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,7 +37,7 @@ use std::sync::Mutex;
 
 use hcs_sim::lockutil::lock_ignore_poison;
 use hcs_sim::rngx::Pcg64;
-use hcs_sim::{ClusterPool, MachineSpec, RankCtx};
+use hcs_sim::{MachineSpec, RankCtx};
 
 /// Master seed of run `index` within a sweep seeded `seed0`: the first
 /// output of [`Pcg64::stream`]`(seed0, index)`. A pure function of the
@@ -54,8 +48,8 @@ pub fn run_seed(seed0: u64, index: u64) -> u64 {
 
 /// Default concurrency budget for runs of `p_per_run` ranks:
 /// `max(1, available_parallelism / p_per_run)`. Conservative by
-/// design — it assumes every rank thread of an in-flight run is
-/// runnable, which holds for communication-dense workloads.
+/// design — it budgets as if every rank of an in-flight run could
+/// occupy a core, although a run executes on a few event workers.
 pub fn auto_jobs(p_per_run: usize) -> usize {
     // This is the blessed host-introspection site of the workspace
     // (xtask lint `determinism/host-parallelism`): host parallelism
@@ -87,7 +81,7 @@ pub struct SweepExecutor {
 impl SweepExecutor {
     /// An executor with a fixed concurrency budget (clamped to ≥ 1).
     /// `new(1)` is the sequential path: a plain ordered loop on the
-    /// calling thread, no executor threads, no pool reservation.
+    /// calling thread, no executor threads.
     pub fn new(jobs: usize) -> Self {
         Self { jobs: jobs.max(1) }
     }
@@ -107,8 +101,10 @@ impl SweepExecutor {
         self.jobs
     }
 
-    /// Executes runs `0..n_runs` (each of `p_per_run` simulated ranks)
-    /// and returns their results **in submission order**.
+    /// Executes runs `0..n_runs` and returns their results **in
+    /// submission order**. `p_per_run` (the simulated ranks of one run)
+    /// is not consulted here — [`SweepExecutor::from_env`] already used
+    /// it to size the budget.
     ///
     /// `f` must derive everything run-dependent from its index (point
     /// parameters, and seeds via [`run_seed`]); then the result vector
@@ -116,10 +112,10 @@ impl SweepExecutor {
     /// determinism tests pin.
     ///
     /// A panicking run does not poison its siblings: remaining runs
-    /// still execute, every lease returns to the pool, and the first
-    /// panic *by submission order* is re-thrown after the sweep drains
-    /// — again matching what the sequential path would have reported.
-    pub fn run<T, F>(&self, n_runs: usize, p_per_run: usize, f: F) -> Vec<T>
+    /// still execute, and the first panic *by submission order* is
+    /// re-thrown after the sweep drains — again matching what the
+    /// sequential path would have reported.
+    pub fn run<T, F>(&self, n_runs: usize, _p_per_run: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -141,46 +137,32 @@ impl SweepExecutor {
             .unwrap_or(1);
         let in_flight = jobs.min(cores);
 
-        let pool = ClusterPool::global();
         let next = AtomicUsize::new(0);
         let slots: Vec<Slot<T>> = (0..n_runs).map(|_| Mutex::new(None)).collect();
-        let job_loop = |shard: usize| {
-            // Pin each executor thread to its own pool shard:
-            // concurrent jobs then dispatch through independent queue
-            // locks and worker sets, so they never contend on (or
-            // false-share) each other's pool state. The shard choice is
-            // pure scheduling — run `i` still derives all randomness
-            // from its submission index.
-            ClusterPool::with_shard(shard, || loop {
-                // atomics: work-stealing ticket counter. fetch_add is a
-                // full RMW, so every run index is claimed exactly once;
-                // the slot write it guards is published by the slot's
-                // own mutex, not by this counter's ordering.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_runs {
-                    break;
-                }
-                let out = catch_unwind(AssertUnwindSafe(|| f(i)));
-                *lock_ignore_poison(&slots[i]) = Some(out);
-            })
+        let job_loop = || loop {
+            // atomics: work-stealing ticket counter. fetch_add is a
+            // full RMW, so every run index is claimed exactly once;
+            // the slot write it guards is published by the slot's
+            // own mutex, not by this counter's ordering.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_runs {
+                break;
+            }
+            let out = catch_unwind(AssertUnwindSafe(|| f(i)));
+            *lock_ignore_poison(&slots[i]) = Some(out);
         };
         if in_flight <= 1 {
             // Single-core host: same slot-and-drain semantics (a
             // panicking run still lets its siblings complete), no
             // executor threads.
-            job_loop(0);
+            job_loop();
         } else {
             std::thread::scope(|scope| {
-                for job in 0..in_flight {
-                    let job_loop = &job_loop;
-                    scope.spawn(move || job_loop(job));
+                for _ in 0..in_flight {
+                    scope.spawn(job_loop);
                 }
             });
         }
-        // The sweep is over: release surplus workers, keeping at most
-        // this sweep's worst-case footprint parked for whatever runs
-        // next (the lazy pool usually has far fewer idle anyway).
-        pool.trim(jobs * p_per_run);
 
         let mut out = Vec::with_capacity(n_runs);
         let mut first_panic = None;
@@ -267,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_run_does_not_poison_siblings_or_leak_leases() {
+    fn panicking_run_does_not_poison_siblings() {
         let exec = SweepExecutor::new(3);
         let completed = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -286,8 +268,7 @@ mod tests {
         assert!(msg.contains("deliberate failure in run 2"), "{msg}");
         // Every sibling still ran to completion.
         assert_eq!(completed.load(Ordering::Relaxed), 5);
-        // The pool still serves a follow-up sweep (no leaked leases,
-        // no dead workers).
+        // The executor still serves a follow-up sweep.
         let again = exec.run(4, 2, |i| pingpong_times(2, run_seed(13, i as u64)));
         assert_eq!(again.len(), 4);
     }

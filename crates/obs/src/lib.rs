@@ -18,7 +18,7 @@
 //! - **Determinism.** Event timestamps are virtual-time seconds (the
 //!   simulator oracle), never host clocks; buffers are appended in rank
 //!   program order and merged in rank order, so the same master seed
-//!   yields byte-identical sink output — pooled or unpooled.
+//!   yields byte-identical sink output under either engine.
 //! - **Non-perturbing.** Recording must never advance the simulated
 //!   timeline: timestamps reuse readings the instrumented code already
 //!   takes. Clock readings (which *do* charge virtual read cost) are

@@ -2,7 +2,7 @@
 //!
 //! All three sinks are pure functions of the log, and the log is a pure
 //! function of the master seed, so their output is byte-identical
-//! across runs (and across pooled/unpooled execution). Floating-point
+//! across runs (and across execution engines). Floating-point
 //! values are printed with Rust's shortest-round-trip `Display`, which
 //! is deterministic.
 

@@ -46,9 +46,14 @@ use std::cell::Cell;
 use std::sync::{Arc, Condvar};
 
 use crate::lockutil::OrderedMutex;
-use crate::pool::RANK_STACK_BYTES;
 
-/// The closure a continuation runs; same shape as a pool job.
+/// Stack size of every rank body's host stack: fiber stacks,
+/// thread-backed continuations and the reference engine's rank threads.
+/// The clock-sync code is iterative, so a small stack keeps 128Ki-rank
+/// runs affordable.
+pub(crate) const RANK_STACK_BYTES: usize = 256 * 1024;
+
+/// The closure a continuation runs.
 pub(crate) type Entry = Box<dyn FnOnce() + Send + 'static>;
 
 /// Which suspend/resume mechanism to use (decided once per run by the
@@ -378,9 +383,8 @@ mod fiber {
     use std::any::Any;
     use std::arch::naked_asm;
 
-    use super::{Current, Entry, Resume, CURRENT};
+    use super::{Current, Entry, Resume, CURRENT, RANK_STACK_BYTES};
     use crate::lockutil::OrderedMutex;
-    use crate::pool::RANK_STACK_BYTES;
 
     /// Shared switch state of one fiber. Boxed so its address is stable
     /// while both sides hold raw pointers to it.

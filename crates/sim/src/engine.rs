@@ -1,19 +1,19 @@
 //! The virtual-time execution engine.
 //!
-//! [`Cluster::run`] executes one closure per simulated rank, each on its
-//! own OS thread, and hands each a [`RankCtx`]. Virtual time is *per
-//! rank*: it only moves when the rank computes ([`RankCtx::compute`]),
-//! reads a clock (the clock layer charges read cost), or receives a
-//! message whose arrival lies in its future. Message arrival times are
-//! fixed at send time from the *sender's* deterministic RNG stream, so
-//! the simulated timeline does not depend on host scheduling — runs are
-//! bit-reproducible.
+//! [`Cluster::run`] executes one closure per simulated rank and hands
+//! each a [`RankCtx`]. Virtual time is *per rank*: it only moves when
+//! the rank computes ([`RankCtx::compute`]), reads a clock (the clock
+//! layer charges read cost), or receives a message whose arrival lies
+//! in its future. Message arrival times are fixed at send time from the
+//! *sender's* deterministic RNG stream, so the simulated timeline does
+//! not depend on host scheduling — runs are bit-reproducible.
 //!
-//! Rank threads come from the process-wide [`ClusterPool`]: they are
-//! spawned once and parked between runs, so repeated experiment runs
-//! (`nmpiruns` sweeps) pay the thread-spawn cost only on the first run.
-//! [`Cluster::run_unpooled`] keeps the original spawn-per-run path for
-//! comparison and for determinism cross-checks.
+//! Rank bodies run as stackful continuations on a virtual-time event
+//! queue ([`EngineMode::Events`], the default): a blocked receive parks
+//! the continuation, never an OS thread. [`EngineMode::Threads`] is the
+//! reference implementation the differential tests compare against: one
+//! freshly spawned scoped OS thread per rank, parking on the mailbox
+//! condvar.
 //!
 //! The small-message send path performs **zero heap allocations per
 //! message**: payloads up to [`crate::msg::INLINE_PAYLOAD`] bytes are
@@ -27,13 +27,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use hcs_obs::{ClockReadings, ObsSpec, RankRecorder, Recorder, TraceLog};
 
-use crate::cont;
+use crate::cont::{self, RANK_STACK_BYTES};
 use crate::events::{self, EventSched};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
 use crate::lockutil::{lock_ignore_poison, OrderedMutex};
 use crate::msg::{Envelope, Payload, PendingBuf, ACK_BIT};
 use crate::net::NetworkModel;
-use crate::pool::{self, ClusterPool, Job, Latch, RANK_STACK_BYTES};
 use crate::rngx::{self, label, Pcg64};
 use crate::timebase::Span;
 use crate::topology::Topology;
@@ -55,66 +54,6 @@ const POISON_TAG: Tag = u32::MAX;
 /// messages.
 const DIRECT_CLAMP_MAX_RANKS: usize = 4096;
 
-/// Initial/probe spin budget of the mailbox receive fast path, in
-/// `spin_loop()` iterations. Deliberately small: on an oversubscribed
-/// host every missed spin iteration is time stolen from the very sender
-/// the receiver is waiting on, so the cheap probe only *samples* whether
-/// messages arrive within the window and lets hits grow the budget.
-const SPIN_BUDGET_PROBE: u32 = 1 << 8;
-
-/// Upper bound the budget can grow to when spins keep hitting.
-const SPIN_BUDGET_MAX: u32 = 1 << 14;
-
-/// After this many consecutive parks the budget is re-armed to
-/// [`SPIN_BUDGET_PROBE`], so a rank that collapsed to
-/// park-immediately mode can still discover a phase change back to
-/// tight message exchange (amortized cost: ~4 iterations per park).
-const SPIN_REARM_PARKS: u32 = 64;
-
-/// Adaptive spin budget for one rank's receive fast path.
-///
-/// Hits (the partner's message arrived within the spin window) double
-/// the budget up to [`SPIN_BUDGET_MAX`]; misses (the rank truly parked)
-/// halve it. On hosts where the sender cannot run concurrently — e.g.
-/// more runnable rank threads than cores — spins nearly always miss,
-/// the budget collapses to zero within a handful of receives, and the
-/// path degrades to park-immediately with only a single atomic load of
-/// overhead. Purely host-side state: it never influences virtual time.
-struct SpinWait {
-    budget: u32,
-    parks: u32,
-}
-
-impl SpinWait {
-    fn new() -> Self {
-        Self {
-            budget: SPIN_BUDGET_PROBE,
-            parks: 0,
-        }
-    }
-
-    #[inline]
-    fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    #[inline]
-    fn hit(&mut self) {
-        self.parks = 0;
-        self.budget = (self.budget.max(64)).saturating_mul(2).min(SPIN_BUDGET_MAX);
-    }
-
-    #[inline]
-    fn miss(&mut self) {
-        self.budget /= 2;
-        self.parks += 1;
-        if self.parks >= SPIN_REARM_PARKS {
-            self.parks = 0;
-            self.budget = SPIN_BUDGET_PROBE;
-        }
-    }
-}
-
 /// How many consecutive same-destination sends a rank stages locally
 /// before flushing them to the destination mailbox in one lock
 /// acquisition. Staged messages are also flushed whenever the sender
@@ -127,10 +66,6 @@ const STAGE_MAX: usize = 32;
 /// channel, pushing a message allocates nothing once the buffer has
 /// reached its high-water capacity.
 ///
-/// `len` mirrors `q.len()` (every store happens under the lock) so a
-/// receiver can watch for arrivals lock-free during the adaptive spin
-/// fast path of [`RunNet::recv_batch`].
-///
 /// Aligned to two cache lines so adjacent ranks' mailboxes in the
 /// `RunNet::boxes` vector never false-share a line between one rank's
 /// consumer loads and its neighbour's producer stores.
@@ -138,7 +73,6 @@ const STAGE_MAX: usize = 32;
 struct Mailbox {
     q: OrderedMutex<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
     cv: Condvar,                         // lock-order: engine.mailbox
-    len: AtomicUsize,
 }
 
 /// Per-run communication state shared by all rank contexts: one mailbox
@@ -190,7 +124,6 @@ impl RunNet {
                 .map(|_| Mailbox {
                     q: OrderedMutex::new("engine.mailbox", 10, VecDeque::new()),
                     cv: Condvar::new(),
-                    len: AtomicUsize::new(0),
                 })
                 .collect(),
             alive: AtomicUsize::new(size),
@@ -294,10 +227,6 @@ impl RunNet {
         let mb = &self.boxes[dst];
         let mut q = mb.q.acquire();
         q.push_back(env);
-        // Publish the new length while still holding the lock so the
-        // mirror never runs ahead of (or behind) the queue for longer
-        // than a critical section.
-        mb.len.store(q.len(), Ordering::Release);
         drop(q);
         mb.cv.notify_one();
         self.wake_events(dst);
@@ -311,7 +240,6 @@ impl RunNet {
         let mb = &self.boxes[dst];
         let mut q = mb.q.acquire();
         q.extend(stage.drain(..));
-        mb.len.store(q.len(), Ordering::Release);
         drop(q);
         mb.cv.notify_one();
         self.wake_events(dst);
@@ -321,30 +249,22 @@ impl RunNet {
     /// mailbox into the receiver-local `ring` under one lock
     /// acquisition and returns [`BatchWait::Got`]. Returns
     /// [`BatchWait::PeersGone`] when every other rank has finished and
-    /// nothing is queued, so no message can ever arrive (the pooled
-    /// analogue of "all senders disconnected"). Deadline receives
-    /// (`deadline = true`, with `wait_gen` from `begin_wait`) observe
-    /// two additional resolutions — the awaited sender finished
+    /// nothing is queued, so no message can ever arrive. Deadline
+    /// receives (`deadline = true`, with `wait_gen` from `begin_wait`)
+    /// observe two additional resolutions — the awaited sender finished
     /// ([`BatchWait::SenderDone`]) or a confirmed wait cycle fired this
     /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
     /// `deadline` so plain receives keep the legacy behavior exactly.
     ///
-    /// Fast path: before touching the mutex/condvar, spin on the
-    /// lock-free length mirror for an adaptive, bounded number of
-    /// iterations. This rank is the only consumer of its own mailbox,
-    /// so a non-zero mirror guarantees the locked drain below succeeds
-    /// — a spin hit skips the park entirely, including the deadlock
-    /// probe (the rank never blocked). The wait edge published by the
-    /// caller stays registered while spinning — a spinning rank
-    /// genuinely *is* blocked on its `(src, tag)`, which is what lets
-    /// *other* ranks' probes still see a cycle through it; if its
-    /// budget runs out it parks below and runs detection itself, so a
-    /// cycle of pure spinners is always diagnosed.
+    /// An empty mailbox parks the rank — its continuation under the
+    /// events engine, its OS thread on the mailbox condvar under the
+    /// reference engine — after one cycle-detection probe. The wait
+    /// edge published by the caller stays registered while parked,
+    /// which is what lets *other* ranks' probes see a cycle through it.
     ///
-    /// The spin and the batching are host-side only: whether messages
-    /// are found by spinning, one per lock or many per lock changes
-    /// nothing about virtual time (arrivals were fixed at send time).
-    #[allow(clippy::too_many_arguments)] // one call site; the args are one receive's state
+    /// The batching is host-side only: whether messages are found one
+    /// per lock or many per lock changes nothing about virtual time
+    /// (arrivals were fixed at send time).
     fn recv_batch(
         &self,
         me: Rank,
@@ -352,44 +272,10 @@ impl RunNet {
         wait_gen: u64,
         deadline: bool,
         now: SimTime,
-        spin: &mut SpinWait,
         ring: &mut VecDeque<Envelope>,
     ) -> BatchWait {
         let mb = &self.boxes[me];
-        // In events mode the spin fast path would burn a worker that
-        // could be running another rank's continuation instead, and a
-        // continuation park is two lock acquisitions — so the spin is
-        // gated off entirely there.
-        let mut budget = if self.events.get().is_some() {
-            0
-        } else {
-            spin.budget()
-        };
-        if budget > 0
-            && mb.len.load(Ordering::Acquire) == 0
-            && self.alive.load(Ordering::Acquire) > 1
-        {
-            loop {
-                std::hint::spin_loop();
-                budget -= 1;
-                if mb.len.load(Ordering::Acquire) > 0 {
-                    spin.hit();
-                    break;
-                }
-                if budget == 0 {
-                    spin.miss();
-                    break;
-                }
-                if self.alive.load(Ordering::Acquire) <= 1 {
-                    break;
-                }
-            }
-        }
         let mut q = mb.q.acquire();
-        // Pool liveness marker, armed only if this rank truly parks
-        // (see `pool::blocking_section`); created lazily so spin hits
-        // and ready mailboxes stay off the bookkeeping path.
-        let mut block = None;
         // Whether this park attempt already ran cycle detection. Reset
         // on every real wakeup, so each park is preceded by exactly one
         // probe — as before — without the probe window losing wakeups.
@@ -397,7 +283,6 @@ impl RunNet {
         loop {
             if !q.is_empty() {
                 ring.extend(q.drain(..));
-                mb.len.store(0, Ordering::Release);
                 // Clear the wait edge while still holding the mailbox
                 // lock: confirmation probes take this same lock, so a
                 // probe can never observe "edge registered + queue
@@ -446,7 +331,7 @@ impl RunNet {
                 // notification delivered while we held no lock and were
                 // not yet parked would be lost for good, so every
                 // resolution must be re-checked under the re-acquired
-                // lock (`probed` keeps this from spinning).
+                // lock (`probed` keeps this from looping).
                 drop(q);
                 self.detect_deadlock(me);
                 q = mb.q.acquire();
@@ -462,16 +347,13 @@ impl RunNet {
                 // is latched as `wake_pending` and converted into an
                 // immediate requeue (see [`EventSched::wake`]), so no
                 // wakeup is lost — the same guarantee the condvar gives
-                // the thread engine. On resume, re-acquire and re-check
+                // the reference engine. On resume, re-acquire and re-check
                 // every resolution, exactly like a condvar wakeup.
                 drop(q);
                 cont::suspend_current(events::time_key(now.seconds()));
                 q = mb.q.acquire();
                 probed = false;
                 continue;
-            }
-            if block.is_none() {
-                block = Some(pool::blocking_section());
             }
             q = q.wait(&mb.cv);
             probed = false;
@@ -542,7 +424,7 @@ struct OutSlot<T>(std::cell::UnsafeCell<Option<T>>);
 
 // SAFETY: see the type docs — disjoint single-writer slots, with every
 // read ordered strictly after the writers by the engine's completion
-// barrier (latch / scope join / `events::drive`).
+// barrier (scope join / `events::drive`).
 unsafe impl<T: Send> Sync for OutSlot<T> {}
 
 impl<T> OutSlot<T> {
@@ -812,18 +694,39 @@ impl DstClamp {
 }
 
 /// How a run's rank bodies are executed on the host. Host-side only:
-/// both engines produce bit-identical virtual timelines, CSV rows and
+/// both modes produce bit-identical virtual timelines, CSV rows and
 /// traces for the same cluster and seed (enforced by the differential
 /// oracle in `tests/engine_equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One OS thread per rank (pooled across runs). The original
-    /// engine; practical up to p≈2048.
+    /// The reference implementation: one scoped OS thread per rank,
+    /// spawned for the run and joined at its end, parking on the
+    /// mailbox condvar. Kept as the differential oracle for
+    /// [`EngineMode::Events`]; practical up to a few thousand ranks.
     Threads,
-    /// Ranks are stackful continuations driven by a virtual-time event
-    /// queue on a small worker pool; a blocked `recv` parks the
-    /// continuation instead of an OS thread. Scales to p≥131072.
+    /// The engine (default): ranks are stackful continuations driven
+    /// by a virtual-time event queue on a small worker pool; a blocked
+    /// `recv` parks the continuation instead of an OS thread. Scales to
+    /// p≥131072.
     Events,
+}
+
+impl EngineMode {
+    /// Resolves the `HCS_ENGINE` setting: unset or empty selects the
+    /// default ([`EngineMode::Events`]); otherwise exactly `events` or
+    /// `threads`, ASCII case-insensitive.
+    ///
+    /// # Panics
+    /// Panics on any other value, so a typo never selects an engine
+    /// silently.
+    fn from_env_value(value: Option<&str>) -> EngineMode {
+        match value {
+            None | Some("") => EngineMode::Events,
+            Some(v) if v.eq_ignore_ascii_case("events") => EngineMode::Events,
+            Some(v) if v.eq_ignore_ascii_case("threads") => EngineMode::Threads,
+            Some(v) => panic!("HCS_ENGINE={v:?} is not an engine: expected `events` or `threads`"),
+        }
+    }
 }
 
 /// A simulated cluster: topology, network model, clock parameters and a
@@ -979,10 +882,10 @@ impl ClusterBuilder {
 
     /// Pins the execution engine (see [`EngineMode`]). When not set,
     /// runs consult the `HCS_ENGINE` environment variable at run time
-    /// (`events` / `threads`, default threads), so whole test suites
-    /// can be re-executed under the event engine without code changes.
-    /// Engine choice is host-side only — the virtual timeline is
-    /// bit-identical either way.
+    /// (`events` / `threads`, default events), so whole test suites
+    /// can be re-executed under the reference engine without code
+    /// changes. Engine choice is host-side only — the virtual timeline
+    /// is bit-identical either way.
     #[must_use]
     pub fn engine(mut self, mode: EngineMode) -> Self {
         self.engine = Some(mode);
@@ -1046,17 +949,16 @@ impl Cluster {
 
     /// The execution engine this run will use: the builder's explicit
     /// choice if one was made, otherwise the `HCS_ENGINE` environment
-    /// variable (`events` selects the event engine; anything else —
-    /// including unset — selects threads). Read fresh on every call so
-    /// a test harness can flip the variable between runs.
+    /// variable (`events` or `threads`, ASCII case-insensitive; unset
+    /// selects events). Read fresh on every call so a test harness can
+    /// flip the variable between runs.
+    ///
+    /// # Panics
+    /// Panics if `HCS_ENGINE` is set to anything else.
     pub fn engine_mode(&self) -> EngineMode {
-        match self.engine {
-            Some(mode) => mode,
-            None => match std::env::var("HCS_ENGINE") {
-                Ok(v) if v.eq_ignore_ascii_case("events") => EngineMode::Events,
-                _ => EngineMode::Threads,
-            },
-        }
+        self.engine.unwrap_or_else(|| {
+            EngineMode::from_env_value(std::env::var("HCS_ENGINE").ok().as_deref())
+        })
     }
 
     /// The observability configuration of this cluster.
@@ -1089,24 +991,14 @@ impl Cluster {
         self.seed
     }
 
-    /// Returns a copy with a different master seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use cluster.to_builder().seed(s).build() instead"
-    )]
-    pub fn with_seed(&self, seed: u64) -> Self {
-        self.to_builder().seed(seed).build()
-    }
-
-    /// Runs `f` on every rank (one pooled OS thread each) and returns
-    /// the per-rank results in rank order.
+    /// Runs `f` on every rank and returns the per-rank results in rank
+    /// order.
     ///
     /// `f` is called as `f(&mut ctx)`; it may freely block in
     /// [`RankCtx::recv`], which is serviced by the matching sends of the
-    /// other rank threads. Threads are leased from the process-wide
-    /// [`ClusterPool`] and parked again afterwards, so repeated runs pay
-    /// the spawn cost only once; the simulated timeline is identical to
-    /// [`Cluster::run_unpooled`] bit for bit.
+    /// other ranks. How rank bodies are scheduled on the host is decided
+    /// by [`Cluster::engine_mode`]; the simulated timeline is identical
+    /// bit for bit either way.
     ///
     /// # Panics
     /// Panics if any rank closure panics (the payload is propagated).
@@ -1115,7 +1007,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (results, _log) = self.run_inner(&f, true);
+        let (results, _log) = self.run_inner(&f);
         results
     }
 
@@ -1128,29 +1020,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        self.run_inner(&f, true)
-    }
-
-    /// Like [`Cluster::run`], but spawns (and joins) a fresh OS thread
-    /// per rank instead of leasing from the pool — the pre-pool
-    /// behavior. Kept for determinism cross-checks and for callers that
-    /// do not want run state parked in a process-wide pool.
-    pub fn run_unpooled<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        let (results, _log) = self.run_inner(&f, false);
-        results
-    }
-
-    /// Unpooled variant of [`Cluster::run_observed`].
-    pub fn run_unpooled_observed<R, F>(&self, f: F) -> (Vec<R>, TraceLog)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        self.run_inner(&f, false)
+        self.run_inner(&f)
     }
 
     /// Fault-tolerant variant of [`Cluster::run`]: a rank whose receive
@@ -1165,7 +1035,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (outcome, _log) = self.run_outcome_inner(&f, true);
+        let (outcome, _log) = self.run_outcome_inner(&f);
         outcome
     }
 
@@ -1176,21 +1046,10 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        self.run_outcome_inner(&f, true)
+        self.run_outcome_inner(&f)
     }
 
-    /// Unpooled variant of [`Cluster::run_outcome`] (determinism
-    /// cross-checks).
-    pub fn run_outcome_unpooled<R, F>(&self, f: F) -> RunOutcome<R>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        let (outcome, _log) = self.run_outcome_inner(&f, false);
-        outcome
-    }
-
-    fn run_outcome_inner<R, F>(&self, f: &F, pooled: bool) -> (RunOutcome<R>, TraceLog)
+    fn run_outcome_inner<R, F>(&self, f: &F) -> (RunOutcome<R>, TraceLog)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
@@ -1210,11 +1069,11 @@ impl Cluster {
                 },
             }
         };
-        let (ranks, log) = self.run_inner(&g, pooled);
+        let (ranks, log) = self.run_inner(&g);
         (RunOutcome { ranks }, log)
     }
 
-    fn run_inner<R, F>(&self, f: &F, pooled: bool) -> (Vec<R>, TraceLog)
+    fn run_inner<R, F>(&self, f: &F) -> (Vec<R>, TraceLog)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
@@ -1267,7 +1126,7 @@ impl Cluster {
                     // SAFETY: this body is rank `rank`'s unique
                     // execution; nothing else writes these slots, and
                     // the caller reads them only after the completion
-                    // barrier (latch / scope join / `events::drive`).
+                    // barrier (scope join / `events::drive`).
                     unsafe { results[rank].put(out) };
                     if let Some(rec) = ctx.obs.take() {
                         // SAFETY: as above (single writer, read after
@@ -1284,59 +1143,30 @@ impl Cluster {
             net.rank_done(rank);
         };
 
-        if self.engine_mode() == EngineMode::Events {
-            // Events engine: the scheduler drives `body(rank)` once per
-            // rank as a virtual-time continuation — one shared closure
-            // for the whole run, so seeding allocates nothing per rank.
-            // `pooled` is a thread-engine distinction and is ignored.
-            let shared: Box<dyn Fn(Rank) + Send + Sync + '_> = Box::new(&body);
-            // SAFETY: same argument as the pooled transmute below, with
-            // `events::drive` as the completion barrier — it returns
-            // only after every continuation has run to completion, so
-            // the borrows of `body` (and through it `f`, `net`,
-            // `results`, `panics`) never outlive this frame. The
-            // transmute only widens the trait object's lifetime
-            // parameter.
-            let shared: events::RankBody = unsafe {
-                std::mem::transmute::<Box<dyn Fn(Rank) + Send + Sync + '_>, events::RankBody>(
-                    shared,
-                )
-            };
-            let sched = Arc::new(EventSched::new(size, shared, events::backend_from_env()));
-            if net.events.set(Arc::clone(&sched)).is_err() {
-                unreachable!("run_inner sets the events slot exactly once per RunNet");
+        match self.engine_mode() {
+            EngineMode::Events => {
+                // The scheduler drives `body(rank)` once per rank as a
+                // virtual-time continuation — one shared closure for
+                // the whole run, so seeding allocates nothing per rank.
+                let shared: Box<dyn Fn(Rank) + Send + Sync + '_> = Box::new(&body);
+                // SAFETY: `events::drive` is the completion barrier —
+                // it returns only after every continuation has run to
+                // completion, so the borrows of `body` (and through it
+                // `f`, `net`, `results`, `panics`) never outlive this
+                // frame. The transmute only widens the trait object's
+                // lifetime parameter.
+                let shared: events::RankBody = unsafe {
+                    std::mem::transmute::<Box<dyn Fn(Rank) + Send + Sync + '_>, events::RankBody>(
+                        shared,
+                    )
+                };
+                let sched = Arc::new(EventSched::new(size, shared, events::backend_from_env()));
+                if net.events.set(Arc::clone(&sched)).is_err() {
+                    unreachable!("run_inner sets the events slot exactly once per RunNet");
+                }
+                events::drive(&sched);
             }
-            events::drive(&sched);
-        } else if pooled {
-            let latch = Latch::new(size);
-            let body = &body;
-            let latch_ref = &latch;
-            let jobs: Vec<Job> = (0..size)
-                .map(|rank| {
-                    // `move` is essential: it copies `rank` (and the two
-                    // references) into the closure. A by-reference
-                    // capture of the per-iteration `rank` would dangle
-                    // once this map closure returns — and the transmute
-                    // below would hide the borrow error.
-                    let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        body(rank);
-                        latch_ref.count_down();
-                    });
-                    // SAFETY: the job holds `rank` by value plus
-                    // references to `body` (which borrows `f`, `net`,
-                    // `results`, `panics`) and `latch`, all owned by
-                    // this stack frame. `run_jobs` blocks on `latch`
-                    // until every job has counted down, and each job
-                    // counts down strictly after its last use of the
-                    // borrows, so nothing outlives this frame. The
-                    // transmute only widens the trait object's lifetime
-                    // parameter.
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
-                })
-                .collect();
-            ClusterPool::global().run_jobs(jobs, &latch);
-        } else {
-            std::thread::scope(|scope| {
+            EngineMode::Threads => std::thread::scope(|scope| {
                 let body = &body;
                 for rank in 0..size {
                     std::thread::Builder::new()
@@ -1345,7 +1175,7 @@ impl Cluster {
                         .spawn_scoped(scope, move || body(rank))
                         .expect("failed to spawn rank thread");
                 }
-            });
+            }),
         }
 
         let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
@@ -1452,9 +1282,6 @@ pub struct RankCtx {
     /// behaves as `recv_deadline(now + span)` and unwinds with
     /// [`RecvTimeout`] on failure (see [`RankCtx::set_recv_timeout`]).
     recv_timeout: Option<Span>,
-    /// Adaptive spin budget for the mailbox receive fast path
-    /// (host-side only; see [`SpinWait`]).
-    spin: SpinWait,
     /// FIFO clamp: last arrival time scheduled to each destination.
     last_arrival_to: DstClamp,
     counters: TrafficCounters,
@@ -1532,7 +1359,6 @@ impl RankCtx {
             faults: FaultState::new(fault_plan, master_seed, rank),
             reorder_hold: Vec::new(),
             recv_timeout: None,
-            spin: SpinWait::new(),
             last_arrival_to: DstClamp::new(size),
             counters: TrafficCounters::default(),
             noise,
@@ -2255,7 +2081,6 @@ impl RankCtx {
                 wait_gen,
                 deadline.is_some(),
                 self.now,
-                &mut self.spin,
                 &mut self.ring,
             ) {
                 BatchWait::Got => {}
@@ -2386,23 +2211,29 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_runs_are_bit_identical() {
-        let workload = |ctx: &mut RankCtx| {
-            let peer = ctx.rank() ^ 1;
-            for i in 0..20u32 {
-                if ctx.rank() < peer {
-                    ctx.send_t(peer, i, i as f64);
-                    let _: f64 = ctx.recv_t(peer, i);
-                } else {
-                    let v: f64 = ctx.recv_t(peer, i);
-                    ctx.send_t(peer, i, v * 0.5);
-                }
-            }
-            ctx.now()
-        };
-        let pooled = small_cluster(true, 77).run(workload);
-        let fresh = small_cluster(true, 77).run_unpooled(workload);
-        assert_eq!(pooled, fresh);
+    fn hcs_engine_accepts_exactly_two_spellings_case_insensitively() {
+        assert_eq!(EngineMode::from_env_value(None), EngineMode::Events);
+        assert_eq!(EngineMode::from_env_value(Some("")), EngineMode::Events);
+        for v in ["events", "Events", "EVENTS"] {
+            assert_eq!(EngineMode::from_env_value(Some(v)), EngineMode::Events);
+        }
+        for v in ["threads", "Threads", "THREADS"] {
+            assert_eq!(EngineMode::from_env_value(Some(v)), EngineMode::Threads);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "HCS_ENGINE=\"event\" is not an engine: expected `events` or `threads`"
+    )]
+    fn hcs_engine_typo_panics_instead_of_selecting_an_engine() {
+        EngineMode::from_env_value(Some("event"));
+    }
+
+    #[test]
+    #[should_panic(expected = "HCS_ENGINE=\"Events \"")]
+    fn hcs_engine_trailing_space_panics() {
+        EngineMode::from_env_value(Some("Events "));
     }
 
     #[test]
@@ -2626,22 +2457,6 @@ mod tests {
             .network(test_network(false))
             .clock(ClockSpec::ideal())
             .build();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_seed_shim_still_builds_the_same_cluster() {
-        let via_shim = small_cluster(true, 13).with_seed(14); // xtask-allow: deprecated-api
-        let via_builder = small_cluster(true, 14);
-        assert_eq!(via_shim.seed(), via_builder.seed());
-        assert_eq!(
-            via_shim.deadlock_detection(),
-            via_builder.deadlock_detection()
-        );
-        assert_eq!(
-            via_shim.topology().total_cores(),
-            via_builder.topology().total_cores()
-        );
     }
 
     #[test]

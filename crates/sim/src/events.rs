@@ -15,14 +15,15 @@
 //!
 //! # Why this preserves determinism
 //!
-//! The thread engine's determinism argument (DESIGN.md §2) never relied
-//! on OS scheduling: arrival times are fixed at send time from the
+//! The determinism argument (DESIGN.md §2) never relied on OS
+//! scheduling: arrival times are fixed at send time from the
 //! sender's seeded RNG streams, and a receiver only proceeds once the
 //! specific `(src, tag)` message it waits for is in hand. This executor
 //! changes *when on the host* a rank body runs, which is exactly the
 //! freedom the argument already grants — so timelines, CSV rows and
-//! traces are byte-identical across both engines and any worker count
-//! (`tests/engine_equivalence.rs` enforces this differentially). The
+//! traces are byte-identical to the thread-per-rank reference engine
+//! at any worker count (`tests/engine_equivalence.rs` enforces this
+//! differentially). The
 //! virtual-time ordering of the ready queue is a host-side *policy*
 //! (it keeps memory low by letting non-blocked ranks drain before
 //! long-running conversations continue), not a correctness input.
@@ -332,8 +333,8 @@ impl EventSched {
                 }
                 // NOTE: if every rank is parked and none can be woken
                 // (a receive cycle with deadlock detection disabled),
-                // this waits forever — exactly like the thread engine's
-                // parked mailbox condvars. Parity is deliberate.
+                // this waits forever — exactly like the reference
+                // engine's parked mailbox condvars. Parity is deliberate.
                 st.idle += 1;
                 st = st.wait(&self.cv);
                 st.idle -= 1;
@@ -428,8 +429,10 @@ pub(crate) fn backend_from_env() -> Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Job;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// One rank's test body.
+    type Job = Box<dyn FnOnce() + Send + 'static>;
 
     /// Adapts a per-rank job list to the shared-body interface: each
     /// rank takes and runs its own job exactly once.

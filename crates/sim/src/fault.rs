@@ -24,7 +24,7 @@
 //!   the timeline bit-unchanged — fault draws are consumed from the
 //!   dedicated streams only,
 //! - the same `(seed, plan)` replays the same faulted timeline on any
-//!   host, pooled or unpooled,
+//!   host, run or re-run,
 //! - the interpreter is engine-agnostic: it runs at the delivery
 //!   boundary, below the rank-scheduling layer, so
 //!   `EngineMode::Threads` and `EngineMode::Events` produce

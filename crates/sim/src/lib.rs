@@ -14,14 +14,14 @@
 //!
 //! ## Execution model
 //!
-//! Every simulated MPI rank is an independent execution — an OS thread
-//! in [`engine::EngineMode::Threads`], a stackful continuation on a
-//! virtual-time event queue in [`engine::EngineMode::Events`] — and
-//! carries its own
-//! *virtual true time* (`RankCtx::now`). Local computation advances that
+//! Every simulated MPI rank is an independent execution — a stackful
+//! continuation on a virtual-time event queue
+//! ([`engine::EngineMode::Events`], the default), or an OS thread in the
+//! reference implementation ([`engine::EngineMode::Threads`]) — and
+//! carries its own *virtual true time* (`RankCtx::now`). Local computation advances that
 //! time explicitly ([`RankCtx::compute`]). A send stamps the message with
 //! an arrival time computed from the sender's current time plus a modeled
-//! latency sample; a receive blocks (on a real channel) until a matching
+//! latency sample; a receive blocks (parks the rank) until a matching
 //! message exists and then fast-forwards the receiver to
 //! `max(local_now, arrival)`.
 //!
@@ -40,7 +40,7 @@
 //! - [`clockspec`] — numeric parameters of the per-node oscillators
 //!   (interpreted by the `hcs-clock` crate),
 //! - [`machines`] — the three machine profiles of the paper's Table I,
-//! - [`engine`] — the rank threads, mailboxes and the [`engine::Cluster`]
+//! - [`engine`] — the run driver, mailboxes and the [`engine::Cluster`]
 //!   entry point (built via [`engine::ClusterBuilder`]),
 //! - [`fault`] — seeded fault injection: a pure-data [`FaultPlan`]
 //!   (drops, duplication, reordering, latency scaling, partitions, rank
@@ -70,7 +70,6 @@ pub mod machines;
 pub mod msg;
 pub mod net;
 pub mod noise;
-pub mod pool;
 #[cfg(debug_assertions)]
 pub mod protomon;
 pub mod rngx;
@@ -91,7 +90,6 @@ pub use lockutil::{lock_ignore_poison, OrderedGuard, OrderedMutex};
 pub use machines::MachineSpec;
 pub use net::{Jitter, LevelLatency, NetworkModel};
 pub use noise::NoiseSpec;
-pub use pool::{ClusterPool, PoolReservation};
 pub use timebase::{secs, SimTime, Span};
 pub use topology::{Level, Topology};
 pub use wire::Wire;

@@ -1,6 +1,6 @@
 //! Poison-transparent mutex locking and the runtime half of the lock
-//! hierarchy, shared by the engine, the rank pool and the sweep
-//! executor in `hcs-bench`.
+//! hierarchy, shared by the engine and the sweep executor in
+//! `hcs-bench`.
 //!
 //! A rank-body panic is always caught, diagnosed and re-thrown by the
 //! engine's own panic plumbing, so a poisoned mutex carries no
@@ -20,10 +20,10 @@
 //! held levels, and an out-of-order acquisition panics naming both
 //! locks. Release builds compile the bookkeeping out entirely.
 //!
-//! The registry spans both engine cores: the event executor's ready
+//! The registry spans the whole engine: the event executor's ready
 //! queue (`events.sched`, level 15), continuation handshake
 //! (`events.cont`, 5) and fiber stack pool (`events.stacks`, 6) are
-//! `OrderedMutex`es like the mailbox and shard locks. Continuation
+//! `OrderedMutex`es like the mailbox lock. Continuation
 //! suspension points add a second rule the static walk enforces — no
 //! guard may be held across `cont::suspend_current`, since a migrating
 //! continuation would release it on the wrong OS thread (DESIGN.md

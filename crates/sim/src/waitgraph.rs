@@ -16,10 +16,10 @@
 //!   envelope did not match. Probes take that same lock, so a probe
 //!   that sees a registered edge and an empty mailbox is never looking
 //!   at a rank that has a just-popped envelope in hand.
-//! - Each time a rank is about to park — on its mailbox condvar under
-//!   the thread engine, or by suspending its continuation under the
-//!   event engine (`cont::suspend_current`; the probe runs before each
-//!   park in both) — it runs
+//! - Each time a rank is about to park — by suspending its
+//!   continuation (`cont::suspend_current`), or on its mailbox condvar
+//!   under the reference engine; the probe runs before each park in
+//!   both — it runs
 //!   [`WaitGraph::find_candidate`]. A candidate cycle is **not** proof:
 //!   edges are registered before messages in flight are drained, so two
 //!   ranks mid-ping-pong transiently form a 2-cycle.

@@ -1,13 +1,18 @@
-//! Differential oracle: the thread engine and the event engine must be
+//! Differential oracle: the engine (`EngineMode::Events`) and the
+//! thread-per-rank reference (`EngineMode::Threads`) must be
 //! indistinguishable in every artifact — results, `RunOutcome`s, chrome
-//! traces, summary JSON — for the same cluster and seed. The thread
-//! engine is the reference implementation; any divergence here means
-//! the event executor leaked host scheduling into virtual time.
+//! traces, summary JSON — for the same cluster and seed. Any divergence
+//! here means the event executor leaked host scheduling into virtual
+//! time.
 //!
 //! Matrix: p ∈ {2, 8, 32, 256} × seeds, with observability on and off,
-//! plus a chaotic fault-plan run and a timeout run (the two paths where
-//! the wait-graph/deadline machinery interacts with parking).
+//! plus a collective-heavy run, a chaotic fault-plan run and a timeout
+//! run (the two paths where the wait-graph/deadline machinery interacts
+//! with parking), panic propagation under both engines, and the
+//! engine-selection rules themselves.
 
+use hcs_clock::{Clock, LocalClock, TimeSource};
+use hcs_mpi::{BarrierAlgorithm, Comm, ReduceOp};
 use hcs_obs::{chrome_trace, summary_json, ObsSpec};
 use hcs_sim::{
     machines, secs, Cluster, EngineMode, FaultPlan, LinkSel, RankCtx, RankOutcome, Window,
@@ -86,12 +91,94 @@ fn traces_and_results_are_identical_with_obs_on_and_off() {
     }
 }
 
+/// A communication-heavy workload touching collectives, point-to-point
+/// traffic, jittered latencies and drifting clocks.
+fn collectives(ctx: &mut RankCtx) -> (u64, u64) {
+    let mut clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+    let mut comm = Comm::world(ctx);
+    let mut acc = 0.0f64;
+    for i in 0..10u32 {
+        acc += comm.allreduce_f64(ctx, ctx.rank() as f64 + i as f64, ReduceOp::F64Sum);
+        comm.barrier(ctx, BarrierAlgorithm::Tree);
+    }
+    let reading = clk.get_time(ctx);
+    let mix = ctx.now().seconds() + reading.raw_seconds();
+    (acc.to_bits(), mix.to_bits())
+}
+
 #[test]
-fn unpooled_threads_match_events() {
-    // The events engine ignores the pooled/unpooled distinction; both
-    // thread variants must still agree with it.
-    let (threads, events) = pair(2, 4, SEEDS[1]);
-    assert_eq!(threads.run_unpooled(ring), events.run(ring));
+fn collective_workload_matches_reference_and_rerun() {
+    let (threads, events) = pair(4, 2, 20_240_806);
+    let want = threads.run(collectives);
+    let first = events.run(collectives);
+    let again = events.run(collectives);
+    assert_eq!(want, first, "events run differs from the reference");
+    assert_eq!(first, again, "re-run is not reproducible");
+}
+
+#[test]
+fn panicking_rank_poisons_peers_and_cluster_stays_usable() {
+    let (threads, events) = pair(2, 2, 6);
+    for cluster in [threads, events] {
+        let mode = cluster.engine_mode();
+        let caught = std::panic::catch_unwind(|| {
+            cluster.run(|ctx| {
+                if ctx.rank() == 1 {
+                    ctx.compute(secs(1e-6));
+                    panic!("deliberate failure at rank 1");
+                }
+                // Everyone else blocks on a message rank 1 will never
+                // send; the poison broadcast must wake them instead of
+                // deadlocking.
+                let _ = ctx.recv(1, 99);
+            })
+        });
+        let payload = caught.expect_err("run must propagate the panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(
+            msg.contains("deliberate failure at rank 1"),
+            "{mode:?}: expected the root-cause panic, got {msg:?}"
+        );
+        // The same cluster serves a clean run afterwards.
+        assert_eq!(cluster.run(|ctx| ctx.rank()), vec![0, 1, 2, 3], "{mode:?}");
+    }
+}
+
+#[test]
+fn default_engine_is_events_and_env_selects_reference() {
+    // The only test in this binary that reads or writes `HCS_ENGINE`:
+    // every other cluster here pins its engine, so flipping the
+    // variable cannot leak into a sibling test.
+    let ambient = std::env::var_os("HCS_ENGINE");
+    let cluster = machines::testbed(1, 2).cluster(1);
+
+    std::env::remove_var("HCS_ENGINE");
+    assert_eq!(cluster.engine_mode(), EngineMode::Events, "unset");
+    std::env::set_var("HCS_ENGINE", "threads");
+    assert_eq!(cluster.engine_mode(), EngineMode::Threads);
+    let pinned = cluster.to_builder().engine(EngineMode::Events).build();
+    assert_eq!(pinned.engine_mode(), EngineMode::Events, "builder wins");
+    std::env::set_var("HCS_ENGINE", "EVENTS");
+    assert_eq!(cluster.engine_mode(), EngineMode::Events);
+    std::env::set_var("HCS_ENGINE", "bogus");
+    let err = std::panic::catch_unwind(|| cluster.engine_mode())
+        .expect_err("an unknown engine name must not select an engine");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("HCS_ENGINE")
+            && msg.contains("bogus")
+            && msg.contains("`events` or `threads`"),
+        "{msg}"
+    );
+
+    match ambient {
+        Some(v) => std::env::set_var("HCS_ENGINE", v),
+        None => std::env::remove_var("HCS_ENGINE"),
+    }
 }
 
 /// Lossy-link workload: deadline receives degrade losses into per-rank

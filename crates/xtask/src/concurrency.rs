@@ -740,8 +740,8 @@ mod tests {
             Some(("engine.mailbox".to_string(), Some(10)))
         );
         assert_eq!(
-            parse_annotation("pool.shard"),
-            Some(("pool.shard".to_string(), None))
+            parse_annotation("events.sched"),
+            Some(("events.sched".to_string(), None))
         );
         assert_eq!(parse_annotation("name level=ten"), None);
         assert_eq!(parse_annotation("two words here"), None);
@@ -803,7 +803,7 @@ impl Pair {
     }
 }
 ";
-        let hits = lock_findings(&[("crates/sim/src/pool.rs", src)]);
+        let hits = lock_findings(&[("crates/sim/src/events.rs", src)]);
         assert_eq!(hits, vec![("concurrency/lock-order".to_string(), 12)]);
     }
 
@@ -883,7 +883,7 @@ fn mk() -> OrderedMutex<u32> {
     OrderedMutex::new(\"fix.m\", 11, 0)
 }
 ";
-        let hits = lock_findings(&[("crates/sim/src/pool.rs", src)]);
+        let hits = lock_findings(&[("crates/sim/src/events.rs", src)]);
         assert_eq!(hits, vec![("concurrency/conflicting-level".to_string(), 5)]);
     }
 
@@ -893,7 +893,7 @@ fn mk() -> OrderedMutex<u32> {
         let b = "struct B { m: Mutex<u8>, } // lock-order: shared.lock level=20\n";
         let hits = lock_findings(&[
             ("crates/sim/src/engine.rs", a),
-            ("crates/sim/src/pool.rs", b),
+            ("crates/sim/src/events.rs", b),
         ]);
         assert!(hits
             .iter()
@@ -912,7 +912,7 @@ fn bad(p: &Pair) {
     let a = lock_ignore_poison(&p.first); // xtask-allow: concurrency
 }
 ";
-        assert!(lock_findings(&[("crates/sim/src/pool.rs", src)]).is_empty());
+        assert!(lock_findings(&[("crates/sim/src/events.rs", src)]).is_empty());
     }
 
     #[test]
@@ -924,6 +924,6 @@ mod tests {
     fn t(s: &S) { let g = lock_ignore_poison(&s.m); std::thread::park(); }
 }
 ";
-        assert!(lock_findings(&[("crates/sim/src/pool.rs", src)]).is_empty());
+        assert!(lock_findings(&[("crates/sim/src/events.rs", src)]).is_empty());
     }
 }

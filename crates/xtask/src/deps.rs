@@ -2,7 +2,7 @@
 //!
 //! The workspace is intentionally std-only: it must build in
 //! offline/air-gapped environments with no crate registry reachable
-//! (RNG, thread pool and bench harness are hand-rolled in-tree). Any
+//! (RNG and bench harness are hand-rolled in-tree). Any
 //! `[dependencies]` entry that is not another workspace member is
 //! therefore a hard lint failure — adding a crates.io dependency is a
 //! deliberate decision that must be made here, not in a Cargo.toml.

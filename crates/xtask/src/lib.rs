@@ -23,9 +23,6 @@
 //!   dynamic collective-tag range reserved by `Comm::next_coll_tag`;
 //! - **dependency freeze** — every `Cargo.toml` dependency is another
 //!   workspace member (the workspace builds offline, std-only);
-//! - **deprecation freeze** — the `#[deprecated]` pre-builder cluster
-//!   surface and `*_f64` wire helpers may be *defined* but never
-//!   *called*, in any file including tests; see [`deprecation`];
 //! - **concurrency discipline** — every `Mutex`/`Condvar` in
 //!   `crates/sim` is registered in the lock hierarchy
 //!   (`// lock-order: <name> level=<N>`); a guard-scope walk flags
@@ -50,7 +47,6 @@
 
 pub mod clockdomain;
 pub mod concurrency;
-pub mod deprecation;
 pub mod deps;
 pub mod lints;
 pub mod scanner;
@@ -111,7 +107,6 @@ impl fmt::Display for Finding {
 pub const PASS_FAMILIES: &[&str] = &[
     "clockdomain",
     "concurrency",
-    "deprecated-api",
     "deps",
     "determinism",
     "skeleton",

@@ -7,7 +7,6 @@
 
 use crate::clockdomain::clockdomain;
 use crate::concurrency;
-use crate::deprecation::deprecation;
 use crate::scanner::{has_word, FileScan};
 use crate::{Finding, Level, PassFilter};
 
@@ -81,9 +80,6 @@ pub fn lint_file_filtered(path: &str, scan: &FileScan, filter: &PassFilter) -> V
     }
     if filter.runs("unsafe") {
         unsafe_hygiene(path, scan, &mut out);
-    }
-    if filter.runs("deprecated-api") {
-        deprecation(path, scan, &mut out);
     }
     if filter.runs("style") && class.in_crate_src(UNWRAP_CRATES) {
         unwrap_warning(path, scan, &mut out);
@@ -289,7 +285,7 @@ mod tests {
             .iter()
             .all(|(l, _)| l != "determinism/host-parallelism"));
         // Any other sim module stays banned.
-        assert!(lints_of("crates/sim/src/pool.rs", src)
+        assert!(lints_of("crates/sim/src/cont.rs", src)
             .iter()
             .any(|(l, _)| l == "determinism/host-parallelism"));
         // Mentions in comments and tests never fire.
@@ -306,7 +302,6 @@ mod tests {
         for path in [
             "crates/sim/src/engine.rs",
             "crates/sim/src/msg.rs",
-            "crates/sim/src/pool.rs",
             "crates/sim/src/net.rs",
             "crates/sim/src/fault.rs",
         ] {

@@ -71,16 +71,16 @@ fn two_rank_mutual_receive_is_diagnosed() {
 
 #[test]
 fn cycle_after_hot_spin_budget_is_still_diagnosed() {
-    // The adaptive mailbox fast path spins before parking, and the
-    // detector only runs at a true park. Grow each rank's spin budget
-    // to its maximum with a burst of successful receives, then enter a
-    // genuine cycle: every rank must exhaust its (maximal) budget, park,
-    // and the cycle must still be named — not spun on forever.
+    // The detector only runs when a rank is about to park. Warm both
+    // ranks with a burst of successful receives (wait edges registered
+    // and cleared 64 times over), then enter a genuine cycle: both must
+    // park and the cycle must still be named — not missed because of
+    // stale edge state.
     let cluster = machines::testbed(2, 1).cluster(13);
     let payload = catch_unwind(AssertUnwindSafe(|| {
         cluster.run(|ctx| {
             let peer = 1 - ctx.rank();
-            // Ping-pong long enough that every receive is a spin hit.
+            // A ping-pong phase in which every receive succeeds.
             for i in 0..64u32 {
                 if ctx.rank() == 0 {
                     ctx.send_t(peer, 7, i);
@@ -94,7 +94,7 @@ fn cycle_after_hot_spin_budget_is_still_diagnosed() {
             let _ = ctx.recv(peer, 77);
         });
     }))
-    .expect_err("cycle after a hot spin phase must panic, not hang");
+    .expect_err("cycle after a hot ping-pong phase must panic, not hang");
     let msg = panic_message(payload);
     assert!(msg.contains("deadlock detected"), "{msg}");
     assert!(

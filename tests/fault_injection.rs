@@ -8,13 +8,13 @@
 //!    every run here must still reproduce them exactly.
 //! 2. **Failure replay** — the same `(seed, FaultPlan)` yields
 //!    byte-identical outcomes, timelines and chrome traces across
-//!    pooled, unpooled and repeated runs.
+//!    repeated runs and on the reference engine.
 //! 3. **Degradation semantics** — each fault kind resolves receives
 //!    the way the `TimeoutReason` contract says it does, with no hangs.
 
 use hierarchical_clock_sync::prelude::*;
 use hierarchical_clock_sync::sim::obs::chrome_trace;
-use hierarchical_clock_sync::sim::Wire;
+use hierarchical_clock_sync::sim::{EngineMode, Wire};
 
 /// The pre-fault-layer golden workload: one HCA3 synchronization on a
 /// Jupiter-like 2x2x2 machine, returning (oracle eval at t=1s, final
@@ -226,16 +226,17 @@ fn chaos_cluster() -> Cluster {
         .build()
 }
 
-/// Same (seed, FaultPlan) => byte-identical outcomes across pooled,
-/// unpooled and repeated runs, and byte-identical chrome traces.
+/// Same (seed, FaultPlan) => byte-identical outcomes across repeated
+/// runs and the reference engine, and byte-identical chrome traces.
 #[test]
 fn chaotic_replay_is_byte_identical() {
     let cluster = chaos_cluster();
-    let pooled = cluster.run_outcome(chaos_body);
+    let reference_engine = cluster.to_builder().engine(EngineMode::Threads).build();
+    let first = cluster.run_outcome(chaos_body);
     let again = cluster.run_outcome(chaos_body);
-    let unpooled = cluster.run_outcome_unpooled(chaos_body);
-    assert_eq!(pooled, again, "pooled rerun diverged under faults");
-    assert_eq!(pooled, unpooled, "unpooled run diverged under faults");
+    let reference = reference_engine.run_outcome(chaos_body);
+    assert_eq!(first, again, "rerun diverged under faults");
+    assert_eq!(first, reference, "reference engine diverged under faults");
 
     let observed = chaos_cluster()
         .to_builder()
@@ -244,7 +245,7 @@ fn chaotic_replay_is_byte_identical() {
     let (o1, log1) = observed.run_outcome_observed(chaos_body);
     let (o2, log2) = observed.run_outcome_observed(chaos_body);
     assert_eq!(o1, o2);
-    assert_eq!(pooled, o1, "observability changed fault outcomes");
+    assert_eq!(first, o1, "observability changed fault outcomes");
     assert_eq!(
         chrome_trace(&log1),
         chrome_trace(&log2),

@@ -1,12 +1,13 @@
 //! End-to-end observability: a fully-instrumented HCA3 + Round-Time run
-//! must produce the same Chrome trace bytes pooled, re-run, and
-//! fresh-spawned (the recorder is part of the deterministic surface),
-//! and the `trace_event` JSON schema is pinned by a golden file.
+//! must produce the same Chrome trace bytes run, re-run, and on the
+//! fresh-spawn reference engine (the recorder is part of the
+//! deterministic surface), and the `trace_event` JSON schema is pinned by a golden file.
 
 use hierarchical_clock_sync::bench::prelude::*;
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
 use hierarchical_clock_sync::sim::obs::{chrome_trace, summary_json, ClockReadings, RankRecorder};
+use hierarchical_clock_sync::sim::EngineMode;
 
 fn observed_cluster() -> Cluster {
     machines::testbed(2, 2)
@@ -36,23 +37,24 @@ fn workload(ctx: &mut RankCtx) {
 #[test]
 fn chrome_trace_is_byte_identical_pooled_rerun_and_fresh() {
     let cluster = observed_cluster();
-    let (_, pooled) = cluster.run_observed(workload);
+    let reference_engine = cluster.to_builder().engine(EngineMode::Threads).build();
+    let (_, first) = cluster.run_observed(workload);
     let (_, again) = cluster.run_observed(workload);
-    let (_, fresh) = cluster.run_unpooled_observed(workload);
+    let (_, fresh) = reference_engine.run_observed(workload);
 
-    let reference = chrome_trace(&pooled);
-    assert!(!pooled.is_empty(), "observed run recorded nothing");
+    let bytes = chrome_trace(&first);
+    assert!(!first.is_empty(), "observed run recorded nothing");
     assert_eq!(
-        reference,
+        bytes,
         chrome_trace(&again),
-        "pooled re-run produced different trace bytes"
+        "re-run produced different trace bytes"
     );
     assert_eq!(
-        reference,
+        bytes,
         chrome_trace(&fresh),
-        "fresh-spawn run produced different trace bytes"
+        "reference-engine run produced different trace bytes"
     );
-    assert_eq!(summary_json(&pooled), summary_json(&fresh));
+    assert_eq!(summary_json(&first), summary_json(&fresh));
 }
 
 #[test]

@@ -233,43 +233,6 @@ fn xtask_allow_comment_silences_clockdomain() {
 }
 
 #[test]
-fn deprecated_call_is_an_error_even_in_tests() {
-    // The deprecation freeze bans calling the frozen shim anywhere —
-    // library, test, bench or example code. (`with_seed` is the only
-    // remaining frozen name; the other shims completed their freeze
-    // window and were deleted outright.)
-    let findings = lint_sources(&[(
-        "tests/something.rs",
-        "#[test]\nfn t() {\n    let c = machines::testbed(2, 1).cluster(1).with_seed(2);\n    c.run(|ctx| ctx.now());\n}\n",
-    )]);
-    let ids = lint_ids(&findings);
-    assert_eq!(
-        ids.iter()
-            .filter(|l| **l == "deprecated-api/frozen")
-            .count(),
-        1,
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-}
-
-#[test]
-fn deprecated_definition_and_allowed_call_pass() {
-    // Shim definitions need no marker; a deliberate call opts out per
-    // line with the xtask-allow comment.
-    let ok = lint_sources(&[(
-        "crates/sim/src/engine.rs",
-        "#[deprecated(since = \"0.2.0\", note = \"use Cluster::to_builder().seed(..)\")]\npub fn with_seed(&self, seed: u64) -> Cluster {\n    self.to_builder().seed(seed).build()\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-    let ok = lint_sources(&[(
-        "crates/sim/src/engine.rs",
-        "#[cfg(test)]\nmod tests {\n    fn t(c: &Cluster) {\n        let via = c.with_seed(3); // xtask-allow: deprecated-api (shim regression test)\n    }\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
 fn inverted_lock_acquisition_is_an_error() {
     // Two registered locks acquired against their declared levels: the
     // lock-order walk flags the inverted pair at the second acquisition.
@@ -289,7 +252,7 @@ impl Pair {
     }
 }
 ";
-    let findings = lint_sources(&[("crates/sim/src/pool.rs", src)]);
+    let findings = lint_sources(&[("crates/sim/src/events.rs", src)]);
     assert_eq!(lint_ids(&findings), vec!["concurrency/lock-order"]);
     assert_eq!(findings[0].line, 12, "{findings:?}");
     assert!(findings.iter().all(|f| f.level == Level::Error));
@@ -544,7 +507,7 @@ fn skeleton_findings_render_in_json_and_matcher_shape() {
 fn pass_filter_selects_and_skips_families() {
     // One wall-clock violation plus one skeleton violation in a single
     // fixture: `--only skeleton` sees only the latter, `--skip
-    // skeleton` only the former, and an unknown family is rejected.
+    // skeleton` only the former, and unknown families are rejected.
     let fixture: &[(&str, &str)] = &[(
         "crates/core/src/proto.rs",
         "use std::time::Instant;\nfn f(ctx: &mut RankCtx) {\n    let _t = Instant::now();\n    ctx.send(1, 0x0777, &buf);\n}\n",
@@ -567,8 +530,11 @@ fn pass_filter_selects_and_skips_families() {
         "{findings:?}"
     );
 
-    let err = PassFilter::new(Some(vec!["skelton".into()]), vec![]).expect_err("typo rejected");
-    assert!(err.contains("unknown pass family"), "{err}");
+    // A typo and a retired family are both unknown names.
+    for name in ["skelton", "deprecated-api"] {
+        let err = PassFilter::new(Some(vec![name.into()]), vec![]).expect_err("rejected");
+        assert!(err.contains("unknown pass family"), "{err}");
+    }
 }
 
 #[test]
