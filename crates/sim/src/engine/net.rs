@@ -1,0 +1,443 @@
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, OnceLock};
+
+use crate::cont;
+use crate::events::{self, EventSched};
+use crate::lockutil::OrderedMutex;
+use crate::msg::{Envelope, Payload};
+use crate::timebase::Span;
+use crate::waitgraph::WaitGraph;
+use crate::{Rank, SimTime, Tag};
+
+/// Minimal spacing enforced between consecutive arrivals on the same
+/// (src → dst) channel, to model MPI's non-overtaking guarantee.
+const FIFO_EPS: Span = Span::from_secs(1e-12);
+
+/// Tag of the poison message broadcast by a panicking rank so that
+/// peers blocked in receives fail fast instead of deadlocking.
+pub(super) const POISON_TAG: Tag = u32::MAX;
+
+/// Above this cluster size the per-destination FIFO clamp switches from
+/// a direct-indexed table (`8 B × p` per rank — O(p²) cluster-wide) to
+/// an association list over the O(log p) partners a rank actually
+/// messages.
+const DIRECT_CLAMP_MAX_RANKS: usize = 4096;
+
+/// One rank's incoming-message queue: a reusable ring buffer under a
+/// mutex, with a condvar for blocking receives. Unlike a linked-list
+/// channel, pushing a message allocates nothing once the buffer has
+/// reached its high-water capacity.
+///
+/// Aligned to two cache lines so adjacent ranks' mailboxes in the
+/// `RunNet::boxes` vector never false-share a line between one rank's
+/// consumer loads and its neighbour's producer stores.
+#[repr(align(128))]
+struct Mailbox {
+    q: OrderedMutex<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
+    cv: Condvar,                         // lock-order: engine.mailbox
+}
+
+/// Per-run communication state shared by all rank contexts: one mailbox
+/// per rank plus a live-rank count used to detect "everyone else
+/// finished" instead of relying on channel disconnection.
+pub(super) struct RunNet {
+    boxes: Vec<Mailbox>,
+    alive: AtomicUsize,
+    /// Per-rank "this rank's closure returned (or aborted)" flags. A
+    /// finished rank can never send again — its body flushed every
+    /// staged message *before* the flag was set — so "mailbox empty +
+    /// sender done + no buffered match" is deterministic proof that a
+    /// deadline receive can only resolve as a timeout.
+    done: Vec<AtomicBool>,
+    /// Whether `rank_done` must notify *every* mailbox (not just when
+    /// the run collapses to one live rank): armed when the fault plan is
+    /// non-empty or any rank registers a deadline receive, so parked
+    /// deadline waiters observe sender completion. Benign runs keep the
+    /// legacy single notify-all.
+    wake_done: AtomicBool,
+    /// Wait-for-graph deadlock detector; `None` when opted out via
+    /// [`ClusterBuilder::deadlock_detection`].
+    waits: Option<WaitGraph>,
+    /// Event scheduler of this run, set (once, before any rank starts)
+    /// only in [`EngineMode::Events`]. Every notification path pairs
+    /// its condvar notify with a continuation wake through this handle;
+    /// in thread mode the single relaxed-free `get()` is the only cost.
+    pub(super) events: OnceLock<Arc<EventSched>>,
+}
+
+/// Outcome of one [`RunNet::recv_batch`] park/drain cycle.
+pub(super) enum BatchWait {
+    /// The mailbox had (or received) envelopes; they are in the ring.
+    Got,
+    /// Every other rank finished and nothing is queued.
+    PeersGone,
+    /// The awaited sender finished without a matching send (deadline
+    /// receives only).
+    SenderDone,
+    /// A confirmed wait cycle fired this deadline wait (see
+    /// [`WaitGraph::fire_deadline_members`]).
+    DeadlineFired,
+}
+
+impl RunNet {
+    pub(super) fn new(size: usize, detect_deadlocks: bool, wake_on_done: bool) -> Self {
+        Self {
+            boxes: (0..size)
+                .map(|_| Mailbox {
+                    q: OrderedMutex::new("engine.mailbox", 10, VecDeque::new()),
+                    cv: Condvar::new(),
+                })
+                .collect(),
+            alive: AtomicUsize::new(size),
+            done: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            wake_done: AtomicBool::new(wake_on_done),
+            waits: detect_deadlocks.then(|| WaitGraph::new(size)),
+            events: OnceLock::new(),
+        }
+    }
+
+    /// Requeues `rank`'s continuation if it is parked (no-op in thread
+    /// mode). Callers pair this with their condvar notify; taking the
+    /// scheduler lock (level 15) inside a held mailbox lock (level 10)
+    /// is a legal nesting, and the scheduler never acquires a mailbox,
+    /// so the edge is one-directional.
+    #[inline]
+    fn wake_events(&self, rank: Rank) {
+        if let Some(sched) = self.events.get() {
+            sched.wake(rank);
+        }
+    }
+
+    /// Arms per-rank completion wakeups (idempotent). Called the first
+    /// time any rank registers a deadline receive; SeqCst pairs with the
+    /// `done`-flag handshake in [`RunNet::rank_done`] (Dekker-style: a
+    /// deadline waiter stores this flag before checking `done[src]`, a
+    /// finishing rank stores `done` before loading this flag — at least
+    /// one side always observes the other, so the wakeup is never lost).
+    pub(super) fn enable_done_wakeups(&self) {
+        if !self.wake_done.load(Ordering::SeqCst) {
+            self.wake_done.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Registers the wait edge of one logical receive (no-op when
+    /// detection is off). Returns the wait's registration generation
+    /// (0 when detection is off).
+    #[inline]
+    pub(super) fn begin_wait(&self, me: Rank, src: Rank, tag: Tag, deadline: bool) -> u64 {
+        match &self.waits {
+            Some(wg) => wg.begin_wait(me, src, tag, deadline),
+            None => 0,
+        }
+    }
+
+    /// Clears the wait edge once the receive matched.
+    #[inline]
+    fn end_wait(&self, me: Rank) {
+        if let Some(wg) = &self.waits {
+            wg.end_wait(me);
+        }
+    }
+
+    /// Runs cycle detection from `me`'s wait edge; called each time a
+    /// rank is about to park on its mailbox condvar. A candidate cycle
+    /// is confirmed by probing every member under its mailbox lock —
+    /// the edge must still be registered and the mailbox empty. Edges
+    /// are cleared under that same lock when an envelope is popped, so
+    /// a passing probe means the member is genuinely parked; the
+    /// double verification walk inside [`WaitGraph::confirm`] then
+    /// proves all probed edges coexisted (see `waitgraph` module
+    /// docs). The caller must hold no mailbox lock.
+    fn detect_deadlock(&self, me: Rank) {
+        let Some(wg) = &self.waits else { return };
+        let Some(anchor) = wg.find_candidate(me) else {
+            return;
+        };
+        let confirmed = wg.confirm(anchor, |e| {
+            let q = self.boxes[e.waiter].q.acquire();
+            let still_blocked = wg.waiting_on(e.waiter) == Some((e.src, e.tag));
+            still_blocked && q.is_empty()
+        });
+        if let Some(cycle) = confirmed {
+            // A confirmed cycle with deadline members is not a bug: it
+            // is message loss showing up as mutual waits. Fire every
+            // deadline member (each resolves as a timeout at its own
+            // deadline) and wake them under their mailbox locks so the
+            // wakeup cannot be lost. The cycle is frozen, so which rank
+            // runs this is host-dependent but the fired set — and hence
+            // the virtual timeline — is not. A cycle with *zero*
+            // deadline members keeps the exact legacy diagnosis.
+            if wg.fire_deadline_members(&cycle) > 0 {
+                for e in cycle.iter().filter(|e| e.deadline) {
+                    {
+                        let _guard = self.boxes[e.waiter].q.acquire();
+                        self.boxes[e.waiter].cv.notify_all();
+                    }
+                    self.wake_events(e.waiter);
+                }
+                return;
+            }
+            panic!(
+                "deadlock detected: {} (diagnosed by rank {me}; benches can opt out via ClusterBuilder::deadlock_detection(false))",
+                WaitGraph::describe(&cycle)
+            );
+        }
+    }
+
+    #[inline]
+    pub(super) fn send(&self, dst: Rank, env: Envelope) {
+        let mb = &self.boxes[dst];
+        let mut q = mb.q.acquire();
+        q.push_back(env);
+        drop(q);
+        mb.cv.notify_one();
+        self.wake_events(dst);
+    }
+
+    /// Delivers a sender's staged batch to `dst` in one lock
+    /// acquisition and one wakeup. The staging buffer is drained in
+    /// push order, so per-`(src, dst)` FIFO delivery order is exactly
+    /// what a sequence of [`RunNet::send`] calls would have produced.
+    pub(super) fn send_batch(&self, dst: Rank, stage: &mut Vec<Envelope>) {
+        let mb = &self.boxes[dst];
+        let mut q = mb.q.acquire();
+        q.extend(stage.drain(..));
+        drop(q);
+        mb.cv.notify_one();
+        self.wake_events(dst);
+    }
+
+    /// Blocking receive of *everything* queued: drains the whole
+    /// mailbox into the receiver-local `ring` under one lock
+    /// acquisition and returns [`BatchWait::Got`]. Returns
+    /// [`BatchWait::PeersGone`] when every other rank has finished and
+    /// nothing is queued, so no message can ever arrive. Deadline
+    /// receives (`deadline = true`, with `wait_gen` from `begin_wait`)
+    /// observe two additional resolutions — the awaited sender finished
+    /// ([`BatchWait::SenderDone`]) or a confirmed wait cycle fired this
+    /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
+    /// `deadline` so plain receives keep the legacy behavior exactly.
+    ///
+    /// An empty mailbox parks the rank — its continuation under the
+    /// events engine, its OS thread on the mailbox condvar under the
+    /// reference engine — after one cycle-detection probe. The wait
+    /// edge published by the caller stays registered while parked,
+    /// which is what lets *other* ranks' probes see a cycle through it.
+    ///
+    /// The batching is host-side only: whether messages are found one
+    /// per lock or many per lock changes nothing about virtual time
+    /// (arrivals were fixed at send time).
+    pub(super) fn recv_batch(
+        &self,
+        me: Rank,
+        src: Rank,
+        wait_gen: u64,
+        deadline: bool,
+        now: SimTime,
+        ring: &mut VecDeque<Envelope>,
+    ) -> BatchWait {
+        let mb = &self.boxes[me];
+        let mut q = mb.q.acquire();
+        // Whether this park attempt already ran cycle detection. Reset
+        // on every real wakeup, so each park is preceded by exactly one
+        // probe — as before — without the probe window losing wakeups.
+        let mut probed = false;
+        loop {
+            if !q.is_empty() {
+                ring.extend(q.drain(..));
+                // Clear the wait edge while still holding the mailbox
+                // lock: confirmation probes take this same lock, so a
+                // probe can never observe "edge registered + queue
+                // empty" while the just-drained (possibly matching)
+                // envelopes are in this rank's hand. The caller
+                // re-registers when its ring runs dry without a match.
+                self.end_wait(me);
+                return BatchWait::Got;
+            }
+            if deadline {
+                // Fired-cycle check FIRST: every member of a confirmed
+                // cycle is stamped before any member is notified, while
+                // `alive` and `done[src]` only change after a fired
+                // peer resumed and *finished its body*. Consulting
+                // those first would let host timing pick between
+                // WaitCycle and SenderFinished for the same simulated
+                // state.
+                if let Some(wg) = &self.waits {
+                    if wg.deadline_fired(me, wait_gen) {
+                        self.end_wait(me);
+                        return BatchWait::DeadlineFired;
+                    }
+                }
+            }
+            if self.alive.load(Ordering::Acquire) <= 1 {
+                return BatchWait::PeersGone;
+            }
+            if deadline {
+                // SeqCst: the `done` store / `wake_done` load handshake
+                // in `rank_done` (see `enable_done_wakeups`) guarantees
+                // we either see the flag here or get the notify below.
+                // Sound because the sender's body flushed every staged
+                // message before setting `done`: seeing the flag with an
+                // empty queue (held lock) proves no match is coming.
+                if self.done[src].load(Ordering::SeqCst) {
+                    self.end_wait(me);
+                    return BatchWait::SenderDone;
+                }
+            }
+            if self.waits.is_some() && !probed {
+                // About to park: check whether this wait closes a
+                // cycle. Detection probes other mailboxes, so release
+                // our own lock first (probes take one lock at a time —
+                // no ordering deadlock). Then loop back instead of
+                // parking directly: a fire / completion / last-rank
+                // notification delivered while we held no lock and were
+                // not yet parked would be lost for good, so every
+                // resolution must be re-checked under the re-acquired
+                // lock (`probed` keeps this from looping).
+                drop(q);
+                self.detect_deadlock(me);
+                q = mb.q.acquire();
+                probed = true;
+                continue;
+            }
+            if self.events.get().is_some() {
+                // Events mode: park the *continuation*, not the OS
+                // thread. Release the mailbox lock, then yield back to
+                // the event executor keyed on this rank's current
+                // virtual time. A notification arriving between the
+                // release and the executor publishing the parked slot
+                // is latched as `wake_pending` and converted into an
+                // immediate requeue (see [`EventSched::wake`]), so no
+                // wakeup is lost — the same guarantee the condvar gives
+                // the reference engine. On resume, re-acquire and re-check
+                // every resolution, exactly like a condvar wakeup.
+                drop(q);
+                cont::suspend_current(events::time_key(now.seconds()));
+                q = mb.q.acquire();
+                probed = false;
+                continue;
+            }
+            q = q.wait(&mb.cv);
+            probed = false;
+        }
+    }
+
+    /// Marks one rank as finished. When only one rank remains — or when
+    /// completion wakeups are armed (fault injection / deadline
+    /// receives) — every mailbox is notified (under its lock, to avoid
+    /// lost wakeups) so a blocked receiver can observe that its peer is
+    /// gone. The `done` store uses SeqCst to close the Dekker handshake
+    /// with [`RunNet::enable_done_wakeups`].
+    pub(super) fn rank_done(&self, rank: Rank) {
+        self.done[rank].store(true, Ordering::SeqCst);
+        let last_pair = self.alive.fetch_sub(1, Ordering::AcqRel) == 2;
+        if last_pair || self.wake_done.load(Ordering::SeqCst) {
+            for (dst, mb) in self.boxes.iter().enumerate() {
+                // A done rank's body has returned — it can never be
+                // blocked in a receive again, so its notification would
+                // be pure overhead. Skipping it turns the common
+                // "everyone finishes about together" case from p
+                // lock+notify cycles into p flag loads plus a handful
+                // of real notifications. (`done` is only ever set
+                // *after* a rank's last receive, so a skipped rank
+                // provably has no waiter to lose.)
+                if dst == rank || self.done[dst].load(Ordering::SeqCst) {
+                    continue;
+                }
+                {
+                    let _guard = mb.q.acquire();
+                    mb.cv.notify_all();
+                }
+                self.wake_events(dst);
+            }
+        }
+    }
+
+    /// Unblocks peers waiting for messages from a panicking rank (or
+    /// anyone): poisons every mailbox so their receives fail fast
+    /// instead of deadlocking the run.
+    pub(super) fn poison_from(&self, src: Rank) {
+        for dst in 0..self.boxes.len() {
+            if dst != src {
+                self.send(
+                    dst,
+                    Envelope {
+                        src,
+                        tag: POISON_TAG,
+                        send_time: SimTime::ZERO,
+                        arrival: SimTime::ZERO,
+                        needs_ack: false,
+                        dropped: false,
+                        payload: Payload::empty(),
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Per-destination FIFO clamp table (last scheduled arrival per dst).
+/// Direct-indexed at bench scale; an association list at Titan scale,
+/// where `p` slots per rank would cost O(p²) memory cluster-wide while
+/// the algorithms under study only message O(log p) partners.
+pub(super) enum DstClamp {
+    /// Direct-indexed table, materialized on first use: at p=2048 the
+    /// table is 16 KiB per rank (32 MiB per run), which dominated run
+    /// setup for benchmarks where most ranks message O(1) partners.
+    /// Allocating lazily keeps the common "this rank never sends"
+    /// and "run torn down before first send" paths allocation-free.
+    Direct {
+        size: usize,
+        table: Vec<SimTime>,
+    },
+    Sparse(Vec<(Rank, SimTime)>),
+}
+
+impl DstClamp {
+    pub(super) fn new(size: usize) -> Self {
+        if size <= DIRECT_CLAMP_MAX_RANKS {
+            DstClamp::Direct {
+                size,
+                table: Vec::new(),
+            }
+        } else {
+            DstClamp::Sparse(Vec::new())
+        }
+    }
+
+    /// Applies the non-overtaking clamp for `dst` and records the
+    /// resulting arrival as the channel's new high-water mark.
+    #[inline]
+    pub(super) fn clamp_and_update(&mut self, dst: Rank, arrival: SimTime) -> SimTime {
+        match self {
+            DstClamp::Direct { size, table } => {
+                if table.is_empty() {
+                    table.resize(*size, SimTime::NEG_INFINITY);
+                }
+                let last = &mut table[dst];
+                let a = if arrival <= *last {
+                    *last + FIFO_EPS
+                } else {
+                    arrival
+                };
+                *last = a;
+                a
+            }
+            DstClamp::Sparse(list) => {
+                if let Some((_, last)) = list.iter_mut().find(|(r, _)| *r == dst) {
+                    let a = if arrival <= *last {
+                        *last + FIFO_EPS
+                    } else {
+                        arrival
+                    };
+                    *last = a;
+                    a
+                } else {
+                    list.push((dst, arrival));
+                    arrival
+                }
+            }
+        }
+    }
+}
