@@ -2,8 +2,9 @@
 //!
 //! Runs the engine throughput workloads (message rate, repeated-run
 //! rate of the engine and of the thread-per-rank reference, sweep
-//! rate, fan-in/fan-out) and writes the results to `BENCH_engine.json` so the perf trajectory of
-//! the simulator is recorded in-repo, PR over PR.
+//! rate, fan-in/fan-out) and writes the results to `BENCH_engine.json`
+//! so the perf trajectory of the simulator is recorded in-repo, PR over
+//! PR.
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin bench_engine \

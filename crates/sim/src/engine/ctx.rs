@@ -1,3 +1,7 @@
+//! [`RankCtx`]: what a rank body sees — its virtual clock, the
+//! send/receive paths (staging, fault interpretation, matching,
+//! deadline receives) and the observability hooks.
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -20,6 +20,11 @@
 //! stored inline in the envelope, mailboxes are reusable ring buffers,
 //! and the per-send FIFO clamp is a flat per-destination table instead
 //! of a hash map.
+//!
+//! The code follows its seams: `net` (mailboxes and the per-run
+//! park/wake protocol), `ctx` ([`RankCtx`]), `run` ([`Cluster`], its
+//! builder and the run driver) and `outcome` (timeout and per-rank
+//! outcome types).
 
 mod ctx;
 mod net;

@@ -1,3 +1,7 @@
+//! Per-run communication state: one [`Mailbox`] per rank behind
+//! [`RunNet`], the park/wake and completion-notification protocol both
+//! engines share, and the per-destination FIFO clamp.
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};

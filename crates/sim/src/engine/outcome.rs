@@ -1,3 +1,6 @@
+//! What a fault-tolerant run returns: per-rank outcomes and the typed
+//! receive-timeout record.
+
 #[cfg(doc)]
 use super::{ctx::RankCtx, run::Cluster};
 use crate::{Rank, SimTime, Tag};

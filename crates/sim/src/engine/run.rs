@@ -1,3 +1,7 @@
+//! [`Cluster`] and its builder, engine selection, and the run driver
+//! that executes one body per rank and collects results, traces and
+//! panics.
+
 use std::sync::{Arc, Mutex};
 
 use hcs_obs::{ObsSpec, RankRecorder, TraceLog};

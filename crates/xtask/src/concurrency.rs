@@ -817,7 +817,7 @@ fn f(s: &S) {
     let g = lock_ignore_poison(&s.mystery);
 }
 ";
-        let hits = lock_findings(&[("crates/sim/src/engine.rs", src)]);
+        let hits = lock_findings(&[("crates/sim/src/engine/net.rs", src)]);
         assert!(hits.contains(&("concurrency/unregistered-lock".to_string(), 2)));
         assert!(hits.contains(&("concurrency/unknown-lock".to_string(), 5)));
     }
@@ -840,7 +840,7 @@ fn good(s: &S) {
     std::thread::park();
 }
 ";
-        let hits = lock_findings(&[("crates/sim/src/engine.rs", src)]);
+        let hits = lock_findings(&[("crates/sim/src/engine/net.rs", src)]);
         assert_eq!(
             hits,
             vec![("concurrency/guard-across-blocking".to_string(), 7)]
@@ -866,7 +866,7 @@ fn good(s: &S) {
     crate::cont::suspend_current(0);
 }
 ";
-        let hits = lock_findings(&[("crates/sim/src/engine.rs", src)]);
+        let hits = lock_findings(&[("crates/sim/src/engine/net.rs", src)]);
         assert_eq!(
             hits,
             vec![("concurrency/guard-across-blocking".to_string(), 6)]
@@ -892,7 +892,7 @@ fn mk() -> OrderedMutex<u32> {
         let a = "struct A { m: Mutex<u8>, } // lock-order: shared.lock level=10\n";
         let b = "struct B { m: Mutex<u8>, } // lock-order: shared.lock level=20\n";
         let hits = lock_findings(&[
-            ("crates/sim/src/engine.rs", a),
+            ("crates/sim/src/engine/net.rs", a),
             ("crates/sim/src/events.rs", b),
         ]);
         assert!(hits

@@ -300,7 +300,8 @@ mod tests {
         // set would let wall clocks / ambient RNG creep into the hot
         // path unnoticed.
         for path in [
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/engine/net.rs",
+            "crates/sim/src/engine/ctx.rs",
             "crates/sim/src/msg.rs",
             "crates/sim/src/net.rs",
             "crates/sim/src/fault.rs",

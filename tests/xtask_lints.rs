@@ -12,7 +12,7 @@ fn lint_ids(findings: &[xtask::Finding]) -> Vec<&'static str> {
 #[test]
 fn wall_clock_read_in_sim_is_an_error() {
     let findings = lint_sources(&[(
-        "crates/sim/src/engine.rs",
+        "crates/sim/src/engine/net.rs",
         "use std::time::Instant;\nfn now() -> Instant { Instant::now() }\n",
     )]);
     assert!(
@@ -201,7 +201,7 @@ fn raw_domain_extraction_is_an_error() {
         "{findings:?}"
     );
     let findings = lint_sources(&[(
-        "crates/sim/src/engine.rs",
+        "crates/sim/src/engine/net.rs",
         "pub fn cast(x: Span) -> usize { x as f64 as usize }\n",
     )]);
     assert!(
@@ -263,7 +263,7 @@ fn unregistered_mutex_in_sim_is_an_error() {
     // Every Mutex/Condvar in crates/sim must carry a lock-order
     // registration; an anonymous one is flagged at its declaration.
     let findings = lint_sources(&[(
-        "crates/sim/src/engine.rs",
+        "crates/sim/src/engine/net.rs",
         "struct S {\n    m: Mutex<u32>,\n}\n",
     )]);
     assert_eq!(lint_ids(&findings), vec!["concurrency/unregistered-lock"]);
@@ -296,7 +296,7 @@ fn good(s: &S) {
     std::thread::park();
 }
 ";
-    let findings = lint_sources(&[("crates/sim/src/engine.rs", src)]);
+    let findings = lint_sources(&[("crates/sim/src/engine/net.rs", src)]);
     assert_eq!(
         lint_ids(&findings),
         vec!["concurrency/guard-across-blocking"]
@@ -351,7 +351,7 @@ fn concurrency_findings_render_in_json_and_matcher_shape() {
     // The JSON feed and the CI problem matcher both consume the same
     // findings stream; a concurrency finding must appear in each shape.
     let findings = lint_sources(&[(
-        "crates/sim/src/engine.rs",
+        "crates/sim/src/engine/net.rs",
         "struct S {\n    m: Mutex<u32>,\n}\n",
     )]);
     assert_eq!(findings.len(), 1);
@@ -361,7 +361,7 @@ fn concurrency_findings_render_in_json_and_matcher_shape() {
         "{json}"
     );
     assert!(
-        json.contains("\"path\": \"crates/sim/src/engine.rs\""),
+        json.contains("\"path\": \"crates/sim/src/engine/net.rs\""),
         "{json}"
     );
     assert!(json.contains("\"errors\": 1"), "{json}");
@@ -369,7 +369,7 @@ fn concurrency_findings_render_in_json_and_matcher_shape() {
     // .github/problem-matchers/xtask.json parses into PR annotations.
     let row = findings[0].to_string();
     assert!(
-        row.starts_with("crates/sim/src/engine.rs:2: error [concurrency/unregistered-lock] "),
+        row.starts_with("crates/sim/src/engine/net.rs:2: error [concurrency/unregistered-lock] "),
         "{row}"
     );
 }
