@@ -53,8 +53,8 @@ fn main() {
     }
 
     // Repeated-run rate of the engine, from bench sizes up to the scale
-    // wall: rank bodies are continuations multiplexed on a few workers,
-    // so p is bounded by memory, not by the host scheduler.
+    // wall: rank bodies are continuations multiplexed on one thread, so
+    // p is bounded by memory, not by the host scheduler.
     for p in [32usize, 256, 2048, 16_384, 131_072] {
         r.case_throughput("engine_runs", &format!("p{p}"), 1.0, "runs", || {
             pingpong_run(p, 100, 2, Some(EngineMode::Events))
@@ -127,7 +127,7 @@ fn main() {
 
     // Fan-out message rate: rank 0 streams FAN_ROUNDS messages to every
     // other rank, destination-major so consecutive sends coalesce into
-    // staged batches. Rank 0 is claimed first (ranks seed in rank
+    // staged batches. Rank 0 runs first (ranks seed in rank
     // order), so the receivers find their bursts already delivered —
     // the row isolates sender-side staging plus receiver-side batch
     // draining.

@@ -11,9 +11,11 @@
 //! ```text
 //! cargo run --release -p hcs-experiments --bin fig3 \
 //!     [--nodes 16] [--ppn 8] [--runs 10] [--fitpoints 100] \
-//!     [--pingpongs 10] [--wait 10] [--seed 1] [--csv out/fig3.csv]
+//!     [--pingpongs 10] [--wait 10] [--seed 1] [--jobs N] \
+//!     [--csv out/fig3.csv]
 //! ```
 
+use hcs_bench::sweep::{run_cluster_sweep, SweepExecutor};
 use hcs_clock::{LocalClock, TimeSource};
 use hcs_core::prelude::*;
 use hcs_core::SyncFactory;
@@ -37,6 +39,7 @@ fn main() {
         "pingpongs",
         "wait",
         "seed",
+        "jobs",
         "csv",
     ]);
     let nodes = args.get_usize("nodes", 16);
@@ -80,34 +83,45 @@ fn main() {
         }),
     ];
 
-    let mut rows: Vec<Row> = Vec::new();
-    for (label, make) in &makers {
-        for run in 0..runs {
-            let cluster = machine.cluster(seed0 + 1000 * run as u64);
-            let out = cluster.run(|ctx| {
-                let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-                let mut comm = Comm::world(ctx);
-                let mut alg = make();
-                let outcome = run_sync(alg.as_mut(), ctx, &mut comm, Box::new(clk));
-                let mut g = outcome.clock;
-                let mut probe = SkampiOffset::new(10);
-                let report =
-                    check_clock_accuracy(ctx, &mut comm, g.as_mut(), &mut probe, wait, 1.0);
-                (outcome.duration, report)
-            });
-            let duration = out
-                .iter()
-                .map(|o| o.0)
-                .fold(hcs_clock::Span::ZERO, hcs_clock::Span::max);
+    // One sweep point per (algorithm, mpirun); run `r` of every
+    // algorithm shares a cluster seed, so the algorithms are compared
+    // on the same machine realizations.
+    let points: Vec<(usize, usize)> = (0..makers.len())
+        .flat_map(|alg| (0..runs).map(move |run| (alg, run)))
+        .collect();
+    let exec = SweepExecutor::from_env(args.get_jobs(), p);
+    let results = run_cluster_sweep(
+        &exec,
+        &machine,
+        &points,
+        |&(_, run), _| seed0 + 1000 * run as u64,
+        |&(alg, _), ctx| {
+            let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+            let mut comm = Comm::world(ctx);
+            let mut alg = makers[alg].1();
+            let outcome = run_sync(alg.as_mut(), ctx, &mut comm, Box::new(clk));
+            let mut g = outcome.clock;
+            let mut probe = SkampiOffset::new(10);
+            let report = check_clock_accuracy(ctx, &mut comm, g.as_mut(), &mut probe, wait, 1.0);
+            (outcome.duration, report)
+        },
+    );
+    let rows: Vec<Row> = points
+        .iter()
+        .zip(&results)
+        .map(|(&(alg, _), out)| {
             let report = out[0].1.as_ref().expect("root reports");
-            rows.push(Row {
-                label: label.clone(),
-                duration,
+            Row {
+                label: makers[alg].0.clone(),
+                duration: out
+                    .iter()
+                    .map(|o| o.0)
+                    .fold(hcs_clock::Span::ZERO, hcs_clock::Span::max),
                 max_at0: report.max_abs_at_sync(),
                 max_at10: report.max_abs_after_wait(),
-            });
-        }
-    }
+            }
+        })
+        .collect();
 
     println!(
         "{:<55} {:>10} {:>14} {:>14}",

@@ -3,8 +3,12 @@
 //! 10 % sample of the clients).
 //!
 //! The default shape is 128 × 16 = 2048 ranks so the sweep completes in
-//! minutes; `--full` selects the paper's 1024 × 16 (expect a long run
-//! and ~16k OS threads).
+//! minutes; `--full` selects the paper's 1024 × 16 (expect a long
+//! run). Every in-flight run executes on one host thread and holds
+//! ≈ 0.12–0.3 MB per simulated rank (peak RSS at `--jobs 1`: 256 MB at
+//! 2048 ranks, 848 MB at 4096; flat HCA3 is the largest configuration),
+//! and the default budget is one run per host core — so on a many-core
+//! host pick `--jobs` for `--full` by memory, not by cores.
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin fig6 \

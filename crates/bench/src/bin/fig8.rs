@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release -p hcs-experiments --bin fig8 \
 //!     [--nodes 16] [--ppn 8] [--calls 500] [--runs 5] [--seed 1] \
-//!     [--csv out/fig8.csv]
+//!     [--jobs N] [--csv out/fig8.csv]
 //! ```
 
 use hcs_bench::prelude::*;
@@ -20,7 +20,7 @@ use hcs_mpi::{BarrierAlgorithm, Comm};
 use hcs_sim::{machines, secs};
 
 fn main() {
-    let args = Args::parse(&["nodes", "ppn", "calls", "runs", "seed", "csv"]);
+    let args = Args::parse(&["nodes", "ppn", "calls", "runs", "seed", "jobs", "csv"]);
     let nodes = args.get_usize("nodes", 16);
     let ppn = args.get_usize("ppn", 8);
     let calls = args.get_usize("calls", 500);
@@ -57,22 +57,35 @@ fn main() {
         )
     };
 
+    // One sweep point per (algorithm, mpirun); run `r` of every
+    // algorithm shares a cluster seed.
+    let points: Vec<(BarrierAlgorithm, usize)> = algorithms
+        .iter()
+        .flat_map(|&alg| (0..runs).map(move |run| (alg, run)))
+        .collect();
+    let exec = SweepExecutor::from_env(args.get_jobs(), machine.topology.total_cores());
+    let results = run_cluster_sweep(
+        &exec,
+        &machine,
+        &points,
+        |&(_, run), _| seed + run as u64 * 31,
+        |&(alg, _), ctx| {
+            let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+            let mut comm = Comm::world(ctx);
+            let mut sync = Hca3::skampi(60, 10);
+            let mut g = sync.sync_clocks(ctx, &mut comm, Box::new(clk));
+            measure_barrier_imbalance(ctx, &mut comm, g.as_mut(), alg, calls, secs(300e-6))
+        },
+    );
+
     println!(
         "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "algorithm", "n", "mean[us]", "med[us]", "p90[us]", "min[us]", "max[us]"
     );
     let mut histograms: Vec<(&str, Vec<f64>)> = Vec::new();
-    for alg in algorithms {
+    for (alg, of_alg) in algorithms.iter().zip(results.chunks(runs)) {
         let mut all = Vec::with_capacity(calls * runs);
-        for run in 0..runs {
-            let cluster = machine.cluster(seed + run as u64 * 31);
-            let res = cluster.run(|ctx| {
-                let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-                let mut comm = Comm::world(ctx);
-                let mut sync = Hca3::skampi(60, 10);
-                let mut g = sync.sync_clocks(ctx, &mut comm, Box::new(clk));
-                measure_barrier_imbalance(ctx, &mut comm, g.as_mut(), alg, calls, secs(300e-6))
-            });
+        for (run, res) in of_alg.iter().enumerate() {
             let xs = res[0].clone().expect("root reports");
             if let Some(w) = csv.as_mut() {
                 for &x in &xs {

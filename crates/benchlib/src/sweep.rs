@@ -2,13 +2,11 @@
 //!
 //! Every paper figure is produced from a sweep of *independent*
 //! simulated mpiruns — `nmpiruns` repetitions × message sizes ×
-//! algorithm configurations. The engine parallelizes *within* one run
-//! (a few event workers), but a `p`-rank run keeps at most a couple
-//! of ranks runnable at a time for the algorithms under study, so
-//! sequential drivers leave most host cores idle. [`SweepExecutor`]
-//! runs the sweep's points concurrently across a bounded number of
-//! in-flight clusters while keeping every artifact *byte-identical* to
-//! the sequential path:
+//! algorithm configurations. One run executes on one host thread (the
+//! engine's run loop), so this is the only layer that uses more than
+//! one host core: [`SweepExecutor`] runs the sweep's points
+//! concurrently across a bounded number of in-flight clusters while
+//! keeping every artifact *byte-identical* to the sequential path:
 //!
 //! - **Per-run seed streams.** A repetition's master seed is derived
 //!   from the sweep seed and its submission index via
@@ -24,12 +22,14 @@
 //!   scheduling — concurrency adds no nondeterminism *inside* a run
 //!   either.
 //!
-//! The default budget is `max(1, available_parallelism / p_per_run)`,
-//! overridable with `--jobs` on the experiment binaries or the
-//! `HCS_JOBS` environment variable. The in-flight degree is
-//! additionally clamped to the host core count — beyond that, extra
-//! executor threads only interleave run working sets on the same cores
-//! (cache evictions, no speedup).
+//! The default budget is one run per host core
+//! (`available_parallelism`), overridable with `--jobs` on the
+//! experiment binaries or the `HCS_JOBS` environment variable. The
+//! in-flight degree is additionally clamped to the host core count —
+//! beyond that, extra executor threads only interleave run working
+//! sets on the same cores (cache evictions, no speedup). Memory, not
+//! cores, bounds the budget at paper scale: an in-flight run holds
+//! ≈ 0.12–0.3 MB per simulated rank.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,27 +46,42 @@ pub fn run_seed(seed0: u64, index: u64) -> u64 {
     Pcg64::stream(seed0, index).next_u64()
 }
 
-/// Default concurrency budget for runs of `p_per_run` ranks:
-/// `max(1, available_parallelism / p_per_run)`. Conservative by
-/// design — it budgets as if every rank of an in-flight run could
-/// occupy a core, although a run executes on a few event workers.
-pub fn auto_jobs(p_per_run: usize) -> usize {
+/// Host cores available to this process.
+fn host_cores() -> usize {
     // This is the blessed host-introspection site of the workspace
     // (xtask lint `determinism/host-parallelism`): host parallelism
     // may inform *scheduling* here, never simulated results.
-    let cores = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / p_per_run.max(1)).max(1)
+        .unwrap_or(1)
 }
 
-/// The `HCS_JOBS` environment override, if set to a positive integer.
+/// Default concurrency budget: one in-flight run per host core, since
+/// a run executes on exactly one thread. The rank count of a run does
+/// not enter (the parameter is kept for the callers that pass it).
+pub fn auto_jobs(_p_per_run: usize) -> usize {
+    host_cores()
+}
+
+/// The `HCS_JOBS` environment override: unset or empty is `None`,
+/// otherwise exactly a positive integer.
+///
+/// # Panics
+/// Panics on any other value, so a typo never selects a budget
+/// silently.
 pub fn env_jobs() -> Option<usize> {
-    std::env::var("HCS_JOBS")
-        .ok()?
-        .parse()
-        .ok()
-        .filter(|&j| j > 0)
+    jobs_from_env_value(std::env::var("HCS_JOBS").ok().as_deref())
+}
+
+/// [`env_jobs`] on an explicit value (the testable half).
+fn jobs_from_env_value(value: Option<&str>) -> Option<usize> {
+    match value {
+        None | Some("") => None,
+        Some(v) => match v.parse() {
+            Ok(jobs) if jobs > 0 => Some(jobs),
+            _ => panic!("HCS_JOBS={v:?} is not a job count: expected a positive integer"),
+        },
+    }
 }
 
 /// Result slot of one submitted run (filled by whichever worker
@@ -86,9 +101,9 @@ impl SweepExecutor {
         Self { jobs: jobs.max(1) }
     }
 
-    /// Resolves the budget for `p_per_run`-rank runs from, in order of
-    /// precedence: an explicit `--jobs` flag value, the `HCS_JOBS`
-    /// environment variable, then [`auto_jobs`].
+    /// Resolves the budget from, in order of precedence: an explicit
+    /// `--jobs` flag value, the `HCS_JOBS` environment variable, then
+    /// [`auto_jobs`] (which ignores `p_per_run`).
     pub fn from_env(flag: Option<usize>, p_per_run: usize) -> Self {
         let jobs = flag
             .or_else(env_jobs)
@@ -103,8 +118,7 @@ impl SweepExecutor {
 
     /// Executes runs `0..n_runs` and returns their results **in
     /// submission order**. `p_per_run` (the simulated ranks of one run)
-    /// is not consulted here — [`SweepExecutor::from_env`] already used
-    /// it to size the budget.
+    /// is not consulted: a run occupies one thread whatever its size.
     ///
     /// `f` must derive everything run-dependent from its index (point
     /// parameters, and seeds via [`run_seed`]); then the result vector
@@ -124,18 +138,14 @@ impl SweepExecutor {
         if jobs <= 1 {
             return (0..n_runs).map(f).collect();
         }
-        // Oversubscription clamp (with `auto_jobs`, a blessed
-        // host-introspection site — lint `determinism/host-parallelism`):
-        // more in-flight runs than host cores buys no parallelism, it
-        // only interleaves the runs' working sets on the same silicon —
-        // context switches plus cache evictions, the p256_jobs4
-        // regression in miniature. The `jobs` knob is a budget; the
-        // host caps the in-flight degree. Results are unaffected: run
-        // `i`'s output is a pure function of its submission index.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let in_flight = jobs.min(cores);
+        // Oversubscription clamp: more in-flight runs than host cores
+        // buys no parallelism, it only interleaves the runs' working
+        // sets on the same silicon — context switches plus cache
+        // evictions, the p256_jobs4 regression in miniature. The `jobs`
+        // knob is a budget; the host caps the in-flight degree. Results
+        // are unaffected: run `i`'s output is a pure function of its
+        // submission index.
+        let in_flight = jobs.min(host_cores());
 
         let next = AtomicUsize::new(0);
         let slots: Vec<Slot<T>> = (0..n_runs).map(|_| Mutex::new(None)).collect();
@@ -278,6 +288,36 @@ mod tests {
         assert_eq!(run_seed(1, 0), run_seed(1, 0));
         assert_ne!(run_seed(1, 0), run_seed(1, 1));
         assert_ne!(run_seed(1, 0), run_seed(2, 0));
+    }
+
+    #[test]
+    fn default_budget_is_one_run_per_core_whatever_the_rank_count() {
+        assert_eq!(auto_jobs(288), auto_jobs(1));
+        // The only test in this binary that touches `HCS_JOBS`.
+        let ambient = std::env::var_os("HCS_JOBS");
+        std::env::remove_var("HCS_JOBS");
+        assert_eq!(SweepExecutor::from_env(None, 288).jobs(), auto_jobs(1));
+        if let Some(v) = ambient {
+            std::env::set_var("HCS_JOBS", v);
+        }
+    }
+
+    #[test]
+    fn hcs_jobs_accepts_a_positive_integer_only() {
+        assert_eq!(jobs_from_env_value(None), None);
+        assert_eq!(jobs_from_env_value(Some("")), None);
+        assert_eq!(jobs_from_env_value(Some("2")), Some(2));
+        for typo in ["two", "0", " 2"] {
+            let msg = *catch_unwind(|| jobs_from_env_value(Some(typo)))
+                .expect_err("a typo must not select a budget")
+                .downcast::<String>()
+                .expect("panic payload");
+            assert!(
+                msg.contains("HCS_JOBS") && msg.contains(&format!("{typo:?}")),
+                "{msg}"
+            );
+            assert!(msg.contains("positive integer"), "{msg}");
+        }
     }
 
     #[test]

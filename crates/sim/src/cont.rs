@@ -1,11 +1,12 @@
 //! Schedulable rank continuations for the event-driven engine.
 //!
 //! A [`Continuation`] is one rank body that can be *suspended* at a
-//! blocking receive and *resumed* later, possibly on a different worker
-//! thread. The event executor (`events.rs`) owns a small pool of worker
-//! threads and drives many continuations over them, which is what lets
-//! a p = 131072 run execute on a handful of OS threads instead of
-//! needing one thread per rank.
+//! blocking receive and *resumed* later. The event scheduler
+//! (`events.rs`) drives all continuations of a run from one loop on the
+//! thread that called `Cluster::run*`, which is what lets a p = 131072
+//! run execute on one OS thread instead of needing one thread per rank.
+//! A continuation never leaves the thread that started it: the fiber
+//! types are deliberately not `Send`.
 //!
 //! Two interchangeable backends implement the suspend/resume contract:
 //!
@@ -31,11 +32,12 @@
 //! - At most one of (executor, body) executes at any instant — a strict
 //!   handoff. The body may therefore use `&mut` state freely across
 //!   suspension points.
-//! - **No lock guard may be held across a suspension point.** A guard
-//!   held across a fiber switch would be released on the wrong OS
-//!   thread when the continuation migrates workers; the xtask
-//!   concurrency lint treats `suspend_current` as a park point and
-//!   enforces this statically (DESIGN.md §15).
+//! - **No lock guard may be held across a suspension point.** The
+//!   guard would stay held while *other ranks run on the same thread*:
+//!   the next rank to take that lock blocks the only thread that could
+//!   ever release it. The xtask concurrency lint treats
+//!   `suspend_current` as a park point and enforces this statically
+//!   (DESIGN.md §15).
 //! - A panic that escapes the body is caught on the continuation's own
 //!   stack, carried back, and re-thrown by the executor on a real
 //!   thread (unwinding across the stack-switch boundary would be
@@ -211,7 +213,7 @@ pub(crate) enum InlineRun {
     Parked { cont: Continuation, key: u64 },
 }
 
-/// A worker-owned inline dispatcher for *fresh* fiber-backend bodies:
+/// The run loop's inline dispatcher for *fresh* fiber-backend bodies:
 /// runs the body immediately on a reusable hot stack and only commits a
 /// full [`Continuation`] (core box, dedicated stack) if the body
 /// actually parks. The executor's fast path for ranks that never block
@@ -227,7 +229,7 @@ impl InlineFiber {
     }
 
     /// Runs `f` until it finishes or suspends.
-    pub(crate) fn run(&mut self, f: impl FnOnce() + Send) -> InlineRun {
+    pub(crate) fn run(&mut self, f: impl FnOnce()) -> InlineRun {
         let run = self.0.run(f); // xtask-allow: clockdomain (fiber handle, not a time)
         match run {
             fiber::HotRun::Finished { panic } => InlineRun::Finished { panic },
@@ -587,12 +589,6 @@ mod fiber {
         stack: Option<RawStack>,
     }
 
-    // SAFETY: the raw pointers inside ContCore are only dereferenced
-    // under the strict executor/body handoff — exactly one side is
-    // running at any instant — so moving the owner between executor
-    // workers is a plain ownership transfer.
-    unsafe impl Send for FiberCont {}
-
     impl FiberCont {
         /// Builds the initial stack frame so that the first `resume`
         /// lands in `trampoline` with `rbx = core`, `r12 = entry`.
@@ -676,7 +672,7 @@ mod fiber {
         Parked { cont: FiberCont, key: u64 },
     }
 
-    /// A worker-owned reusable (stack, core) pair for inline dispatch of
+    /// The run loop's reusable (stack, core) pair for inline dispatch of
     /// *fresh* rank bodies. The common case — a body that never blocks —
     /// costs one frame build and two stack switches: no job box, no core
     /// box, no entry box, no stack free-list round trip. Only a body
@@ -693,10 +689,10 @@ mod fiber {
     /// `finished` first, so the executor side can trust the flag.
     // SAFETY: called exactly once per dispatch, from `trampoline`, with
     // the pointers planted by `HotFiber::run`; `slot` holds the closure
-    // until this takes it (strict handoff — the worker is suspended in
+    // until this takes it (strict handoff — the run loop is suspended in
     // `switch_stack` for the whole window, keeping its frame alive).
     unsafe extern "C" fn hot_entry<F: FnOnce()>(core: *mut ContCore, slot: *mut Option<F>) -> ! {
-        // SAFETY: `slot` points into the suspended worker's `run` frame
+        // SAFETY: `slot` points into the suspended run loop's `run` frame
         // and is armed with `Some` right before the switch; taken here
         // exactly once, before the body can suspend.
         let f = unsafe { (*slot).take().expect("hot slot armed before the switch") };
@@ -717,7 +713,7 @@ mod fiber {
 
     impl HotFiber {
         /// An unarmed runner; the stack and core are committed on first
-        /// use (a worker that only resumes parked continuations never
+        /// use (a loop that only resumes parked continuations never
         /// allocates them).
         pub(super) fn new() -> HotFiber {
             HotFiber {
@@ -727,9 +723,7 @@ mod fiber {
         }
 
         /// Runs `f` until it finishes or suspends (see [`HotRun`]).
-        /// `F: Send` because a promoted continuation migrates between
-        /// worker threads.
-        pub(super) fn run<F: FnOnce() + Send>(&mut self, f: F) -> HotRun {
+        pub(super) fn run<F: FnOnce()>(&mut self, f: F) -> HotRun {
             let core = self.core.get_or_insert_with(|| {
                 Box::new(ContCore {
                     coro_sp: std::ptr::null_mut(),
@@ -746,7 +740,7 @@ mod fiber {
             // Same eight-slot initial frame as `FiberCont::start`, with
             // the monomorphized `hot_entry::<F>` as the target and a
             // pointer to the stack-local closure slot as its argument
-            // (no boxing: the worker's frame outlives the handoff).
+            // (no boxing: the loop's frame outlives the handoff).
             // SAFETY: all eight slots lie inside the armed stack block,
             // below its aligned top; the switch activates a frame this
             // function just built.
@@ -846,29 +840,6 @@ mod tests {
                 assert_eq!(c.resume(), Resume::Parked(i), "backend={backend:?} i={i}");
                 assert_eq!(c.resume(), Resume::Finished, "backend={backend:?} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn resume_can_migrate_between_threads() {
-        for backend in backends() {
-            let mut c = Continuation::new(
-                Box::new(|| {
-                    suspend_current(1);
-                    suspend_current(2);
-                }),
-                backend,
-            );
-            assert_eq!(c.resume(), Resume::Parked(1));
-            // Resume from a different OS thread: the continuation's
-            // state must travel with it.
-            let mut c = std::thread::spawn(move || {
-                assert_eq!(c.resume(), Resume::Parked(2));
-                c
-            })
-            .join()
-            .unwrap();
-            assert_eq!(c.resume(), Resume::Finished);
         }
     }
 

@@ -113,6 +113,24 @@ impl RunNet {
         }
     }
 
+    /// What parked rank `rank` is waiting for, worded for the event
+    /// scheduler's stall report.
+    pub(super) fn describe_wait(&self, rank: Rank) -> String {
+        match self.waits.as_ref().and_then(|wg| wg.waiting_on(rank)) {
+            Some((src, tag)) => {
+                let state = if self.done[src].load(Ordering::SeqCst) {
+                    "already finished"
+                } else {
+                    "has not finished"
+                };
+                format!("waiting on (src {src}, tag {tag}), and rank {src} {state}")
+            }
+            None => "parked in a receive (deadlock detection is off, so its (src, tag) is not \
+                     recorded)"
+                .to_string(),
+        }
+    }
+
     /// Arms per-rank completion wakeups (idempotent). Called the first
     /// time any rank registers a deadline receive; SeqCst pairs with the
     /// `done`-flag handshake in [`RunNet::rank_done`] (Dekker-style: a
@@ -308,14 +326,14 @@ impl RunNet {
             if self.events.get().is_some() {
                 // Events mode: park the *continuation*, not the OS
                 // thread. Release the mailbox lock, then yield back to
-                // the event executor keyed on this rank's current
-                // virtual time. A notification arriving between the
-                // release and the executor publishing the parked slot
-                // is latched as `wake_pending` and converted into an
-                // immediate requeue (see [`EventSched::wake`]), so no
-                // wakeup is lost — the same guarantee the condvar gives
-                // the reference engine. On resume, re-acquire and re-check
-                // every resolution, exactly like a condvar wakeup.
+                // the run loop keyed on this rank's current virtual
+                // time. No notification can arrive between the release
+                // and the park: the loop runs one rank at a time, so no
+                // sender executes before this rank is recorded as parked
+                // (see the `events` module docs) — the guarantee the
+                // condvar gives the reference engine. On resume,
+                // re-acquire and re-check every resolution, exactly
+                // like a condvar wakeup.
                 drop(q);
                 cont::suspend_current(events::time_key(now.seconds()));
                 q = mb.q.acquire();

@@ -67,11 +67,16 @@ pub enum EngineMode {
     /// spawned for the run and joined at its end, parking on the
     /// mailbox condvar. Kept as the differential oracle for
     /// [`EngineMode::Events`]; practical up to a few thousand ranks.
+    /// It has no scheduler that could see a stalled run: a receive
+    /// cycle with deadlock detection off, or a receive from a rank that
+    /// finished without sending while other ranks are alive, hangs
+    /// here, where [`EngineMode::Events`] fails with a diagnosis.
     Threads,
     /// The engine (default): ranks are stackful continuations driven
-    /// by a virtual-time event queue on a small worker pool; a blocked
-    /// `recv` parks the continuation instead of an OS thread. Scales to
-    /// p≥131072.
+    /// in virtual-time order by a run loop on the calling thread; a
+    /// blocked `recv` parks the continuation instead of an OS thread.
+    /// Scales to p≥131072. A run in which every unfinished rank is
+    /// parked panics on the caller, naming the parked ranks.
     Events,
 }
 
@@ -524,7 +529,19 @@ impl Cluster {
                         shared,
                     )
                 };
-                let sched = Arc::new(EventSched::new(size, shared, events::backend_from_env()));
+                // Weak: the net owns the scheduler handle, so a strong
+                // reference here would leak both.
+                let waits = Arc::downgrade(&net);
+                let describe_wait = move |rank: Rank| {
+                    let net = waits.upgrade().expect("the net outlives its run");
+                    net.describe_wait(rank)
+                };
+                let sched = Arc::new(EventSched::new(
+                    size,
+                    shared,
+                    Box::new(describe_wait),
+                    events::backend_from_env(),
+                ));
                 if net.events.set(Arc::clone(&sched)).is_err() {
                     unreachable!("run_inner sets the events slot exactly once per RunNet");
                 }

@@ -1,59 +1,72 @@
 //! The event-driven engine core: a virtual-time run queue of rank
-//! continuations executed by a small worker pool.
+//! continuations, executed by a run loop on the thread that called
+//! `Cluster::run*`.
 //!
 //! In [`crate::EngineMode::Events`] a rank is a schedulable
-//! continuation (`cont.rs`), not an OS thread. The scheduler here keeps
-//! one slot per rank and a ready queue ordered by `(virtual-time key,
-//! rank)`; a blocked receive suspends the continuation (the slot moves
-//! to `Parked`), and the sender's `RunNet` wake hook moves it back to
-//! `Ready`. Workers pop the earliest-keyed ready rank, resume it until
-//! it parks or finishes, and publish the transition under the scheduler
-//! lock. A *fresh* rank is cheaper still: its body runs inline on the
-//! claiming worker's hot fiber and only pays for a full [`Continuation`]
+//! continuation (`cont.rs`), not an OS thread. A blocked receive
+//! suspends the continuation with its `(virtual-time key, rank)`, and
+//! the sender's `RunNet` wake hook puts that pair on the ready queue.
+//! The loop pops the earliest ready rank, resumes it until it parks or
+//! finishes, and repeats — one rank slice at a time, so a run occupies
+//! one host core, and host parallelism lives only in
+//! `hcs_bench::sweep::SweepExecutor`, which runs independent clusters
+//! side by side. A *fresh* rank is cheaper still: its body runs inline
+//! on the loop's hot fiber and only pays for a full [`Continuation`]
 //! (core box, dedicated stack) if it actually parks — so a rank that
 //! never blocks costs two stack switches and zero allocations.
 //!
-//! # Why this preserves determinism
+//! # Determinism
 //!
 //! The determinism argument (DESIGN.md §2) never relied on OS
-//! scheduling: arrival times are fixed at send time from the
-//! sender's seeded RNG streams, and a receiver only proceeds once the
-//! specific `(src, tag)` message it waits for is in hand. This executor
-//! changes *when on the host* a rank body runs, which is exactly the
-//! freedom the argument already grants — so timelines, CSV rows and
-//! traces are byte-identical to the thread-per-rank reference engine
-//! at any worker count (`tests/engine_equivalence.rs` enforces this
-//! differentially). The
-//! virtual-time ordering of the ready queue is a host-side *policy*
-//! (it keeps memory low by letting non-blocked ranks drain before
-//! long-running conversations continue), not a correctness input.
+//! scheduling: arrival times are fixed at send time from the sender's
+//! seeded RNG streams, and a receiver only proceeds once the specific
+//! `(src, tag)` message it waits for is in hand, so timelines, CSV rows
+//! and traces are byte-identical to the thread-per-rank reference
+//! engine (`tests/engine_equivalence.rs` enforces this differentially).
+//! With one loop the *host-side* order of rank slices is a pure
+//! function of `(seed, plan)` as well: it follows from the keys ranks
+//! park with and from which ranks earlier slices woke. The
+//! virtual-time ordering remains a host-side *policy* (non-blocked
+//! ranks drain before long conversations continue, which keeps memory
+//! low), not a correctness input.
 //!
-//! # The wake protocol (no lost wakeups)
+//! # Wakes are never lost, by construction
 //!
-//! A rank's slot is `Running` from the instant a worker claims it until
-//! the worker has published the post-resume state. `wake` on a `Parked`
-//! slot requeues it; `wake` on a `Running` slot sets `wake_pending`,
-//! which the worker converts into an immediate requeue when the resume
-//! comes back parked. A sender therefore never loses a wakeup
-//! regardless of where the receiver is between "checked its mailbox"
-//! and "slot published as Parked" — the receiver re-checks its mailbox
-//! on every resume, and each check happens-after the send that woke it
-//! (both sides pass through the scheduler lock).
+//! A rank checks its mailbox and then parks, and nothing else executes
+//! in between: on the fiber backend both happen on the loop's thread,
+//! and the thread backend's strict handoff keeps the loop blocked in
+//! `resume` while the body runs. So every `wake` finds its target
+//! either parked (and queues it) or bound to re-check its mailbox
+//! before it parks (a no-op). A woken receiver re-checks its mailbox
+//! on every resume.
+//!
+//! # Stalls are diagnosed
+//!
+//! Only an executing rank can wake a parked one, so an empty ready
+//! queue with unfinished ranks can never make progress again. The loop
+//! fails such a run with a panic naming every parked rank
+//! ([`EventSched::stall_report`]) instead of waiting.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 use crate::cont::InlineRun;
 use crate::cont::{Backend, Continuation, InlineFiber, Resume};
 use crate::lockutil::OrderedMutex;
 
-/// The shared per-rank body: the scheduler calls it once per rank, on
-/// whatever worker claims that rank. One closure for the whole run (the
-/// engine's body is identical across ranks up to the rank index), so
-/// seeding a run allocates nothing per rank.
+/// The shared per-rank body: the scheduler calls it once per rank. One
+/// closure for the whole run (the engine's body is identical across
+/// ranks up to the rank index), so seeding a run allocates nothing per
+/// rank.
 pub(crate) type RankBody = Box<dyn Fn(usize) + Send + Sync + 'static>;
+
+/// What a parked rank waits for, in words, for the stall report: the
+/// engine answers from its wait graph and completion flags, while the
+/// scheduler only knows that the rank is parked.
+pub(crate) type DescribeWait = Box<dyn Fn(usize) -> String + Send + Sync + 'static>;
 
 /// Orders `SimTime` seconds as a totally ordered unsigned key
 /// (sign-magnitude floats → monotone integers), so the ready heap can
@@ -71,29 +84,12 @@ pub(crate) fn time_key(seconds: f64) -> u64 { // xtask-allow: clockdomain — so
     }
 }
 
-/// Per-rank scheduler state (see module docs for the transitions).
-#[derive(Clone, Copy)]
-enum Slot {
-    /// In the ready queue.
-    Ready,
-    /// Claimed by a worker; `wake_pending` records a wake that arrived
-    /// mid-resume.
-    Running { wake_pending: bool },
-    /// Suspended; `key` is the virtual-time key it parked with.
-    Parked { key: u64 },
-    /// Body returned; never scheduled again.
-    Finished,
-}
-
-struct SchedState {
-    slots: Vec<Slot>,
-    /// The *parked* continuation of each rank, present exactly when the
-    /// rank has parked at least once and is not currently claimed by a
-    /// worker. Ranks that never park never materialize one: their body
-    /// runs inline on the claiming worker's hot fiber (see
-    /// [`crate::cont::InlineFiber`]).
-    conts: Vec<Option<Continuation>>,
-    /// Next initially-seeded rank not yet claimed. Every rank starts
+/// What the `RunNet` wake hooks share with the run loop.
+struct ReadyState {
+    /// The virtual-time key each rank is parked with; `None` while the
+    /// rank is queued, executing or finished, where `wake` is a no-op.
+    parked: Vec<Option<u64>>,
+    /// Next initially-seeded rank not yet started. Every rank starts
     /// ready at virtual time zero, so this cursor *is* the
     /// `(key₀, rank)` run of the merged ready sequence — seeding n
     /// heap entries (and paying n log n pops) would buy nothing.
@@ -102,23 +98,16 @@ struct SchedState {
     /// the rank tiebreak makes pop order fully deterministic for equal
     /// keys.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Workers blocked in `wait`; `wake` skips the condvar notify when
-    /// nobody is listening.
-    idle: usize,
-    finished: usize,
-    /// First panic that escaped a rank body (engine bodies catch rank
-    /// panics themselves, so this is a bug trap, not a normal path).
-    panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-impl SchedState {
+impl ReadyState {
     /// Pops the earliest ready rank: the true minimum of the re-woken
     /// heap merged with the `(key₀, seed_cursor)` virgin run. A woken
     /// key *can* sort before key₀ (skewed clocks produce negative
     /// virtual times), so this is a real two-way merge, not an
     /// exhaust-the-cursor-first shortcut.
-    fn next_ready(&mut self, n: usize) -> Option<usize> {
-        let seeded = self.seed_cursor < n;
+    fn next_ready(&mut self) -> Option<usize> {
+        let seeded = self.seed_cursor < self.parked.len();
         match self.ready.peek() {
             Some(&Reverse(top)) if !seeded || top < (time_key(0.0), self.seed_cursor) => {
                 self.ready.pop();
@@ -132,99 +121,71 @@ impl SchedState {
             _ => None,
         }
     }
-
-    /// Whether no rank is ready (counting the unclaimed virgin run).
-    fn queue_empty(&self, n: usize) -> bool {
-        self.ready.is_empty() && self.seed_cursor >= n
-    }
 }
 
-/// Upper bound on how many ready ranks one worker claims per scheduler
-/// lock acquisition (the share is also divided by the worker count so
-/// siblings are never starved).
-const CLAIM_BATCH: usize = 16;
-
-/// Result of one claimed rank's execution slice, carried from the run
-/// phase to the batched publish.
+/// Result of one rank's execution slice.
 enum Outcome {
     /// The body returned (inline dispatch carries any panic payload
     /// directly — there may never have been a `Continuation` to ask).
-    Finished {
-        panic: Option<Box<dyn std::any::Any + Send>>,
-    },
+    Finished { panic: Option<Box<dyn Any + Send>> },
     /// The body parked with `key`; `cont` resumes it later.
     Parked { cont: Continuation, key: u64 },
 }
 
-/// The per-run event scheduler shared by the workers and the `RunNet`
-/// wake hooks.
+/// The per-run event scheduler: the run loop plus the `wake` hook. The
+/// lock is never contended (a wake comes from the rank the loop is
+/// executing); it makes the scheduler `Sync` for the thread backend,
+/// whose bodies call `wake` from their own threads.
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
-    runq: OrderedMutex<SchedState>,
-    cv: Condvar, // lock-order: events.sched
+    runq: OrderedMutex<ReadyState>,
     n: usize,
-    /// Target worker count of this run (batch-share divisor).
-    workers: usize,
     /// The shared rank body (see [`RankBody`]).
     body: RankBody,
+    describe_wait: DescribeWait,
     /// Continuation backend for ranks that park.
     backend: Backend,
 }
 
 impl EventSched {
-    /// Seeds `n` ranks, all ready at virtual time zero (claimed in rank
+    /// Seeds `n` ranks, all ready at virtual time zero (started in rank
     /// order via the seed cursor); each runs `body(rank)` once.
-    pub(crate) fn new(n: usize, body: RankBody, backend: Backend) -> Self {
+    pub(crate) fn new(
+        n: usize,
+        body: RankBody,
+        describe_wait: DescribeWait,
+        backend: Backend,
+    ) -> Self {
         // Without the fiber backend every continuation is thread-backed.
         #[cfg(not(target_arch = "x86_64"))]
         let backend = Backend::Thread;
+        let ready = ReadyState {
+            parked: vec![None; n],
+            seed_cursor: 0,
+            ready: BinaryHeap::new(),
+        };
         EventSched {
-            runq: OrderedMutex::new(
-                "events.sched",
-                15,
-                SchedState {
-                    slots: vec![Slot::Ready; n],
-                    conts: (0..n).map(|_| None).collect(),
-                    seed_cursor: 0,
-                    ready: BinaryHeap::new(),
-                    idle: 0,
-                    finished: 0,
-                    panic: None,
-                },
-            ),
-            cv: Condvar::new(),
+            runq: OrderedMutex::new("events.sched", 15, ready),
             n,
-            workers: worker_count(),
             body,
+            describe_wait,
             backend,
         }
     }
 
     /// Wake hook called by `RunNet` after any state change a parked
     /// receiver might be waiting on (message delivery, rank completion,
-    /// deadline-cycle firing). Always safe to over-call: waking a ready
-    /// or finished rank is a no-op, and a woken receiver simply
+    /// deadline-cycle firing). Always safe to over-call: waking a rank
+    /// that is not parked is a no-op, and a woken receiver simply
     /// re-checks its mailbox.
     pub(crate) fn wake(&self, rank: usize) {
         let mut st = self.runq.acquire();
-        match st.slots[rank] {
-            Slot::Parked { key } => {
-                st.slots[rank] = Slot::Ready;
-                st.ready.push(Reverse((key, rank)));
-                let listening = st.idle > 0;
-                drop(st);
-                if listening {
-                    self.cv.notify_one();
-                }
-            }
-            Slot::Running { .. } => {
-                st.slots[rank] = Slot::Running { wake_pending: true };
-            }
-            Slot::Ready | Slot::Finished => {}
+        if let Some(key) = st.parked[rank].take() {
+            st.ready.push(Reverse((key, rank)));
         }
     }
 
-    /// Runs one *fresh* rank: inline on the worker's hot fiber when the
+    /// Runs one *fresh* rank: inline on the loop's hot fiber when the
     /// run uses the fiber backend, through a thread continuation
     /// otherwise.
     fn start_rank(&self, rank: usize, hot: &mut InlineFiber) -> Outcome {
@@ -249,171 +210,85 @@ impl EventSched {
         let entry: crate::cont::Entry = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, crate::cont::Entry>(entry)
         };
-        let mut cont = Continuation::new(entry, Backend::Thread);
-        match cont.resume() {
-            Resume::Finished => Outcome::Finished {
-                panic: cont.take_panic(),
-            },
-            Resume::Parked(key) => Outcome::Parked { cont, key },
-        }
+        resume(Continuation::new(entry, Backend::Thread))
     }
 
-    fn worker_loop(&self) {
-        let mut hot = InlineFiber::new();
-        // Claimed ranks (with their parked continuation, if any) and
-        // their post-run outcomes, both batched: publishing the previous
-        // batch and claiming the next share the same scheduler lock
-        // acquisition — one lock round per batch, not one per rank per
-        // direction.
-        let mut batch: Vec<(usize, Option<Continuation>)> = Vec::with_capacity(CLAIM_BATCH);
-        let mut outcomes: Vec<(usize, Outcome)> = Vec::with_capacity(CLAIM_BATCH);
-        loop {
-            let mut st = self.runq.acquire();
-            let mut requeued = 0usize;
-            let mut winding_down = false;
-            for (rank, outcome) in outcomes.drain(..) {
-                match outcome {
-                    Outcome::Finished { panic } => {
-                        st.slots[rank] = Slot::Finished;
-                        st.finished += 1;
-                        if let Some(p) = panic {
-                            // Keep the first payload; the executor winds
-                            // down (workers bail once the queue drains)
-                            // and `drive` re-throws it on the caller.
-                            st.panic.get_or_insert(p);
-                        }
-                        if st.finished == self.n || st.panic.is_some() {
-                            winding_down = true;
-                        }
-                    }
-                    Outcome::Parked { cont, key } => {
-                        // A wake that arrived mid-resume left
-                        // `wake_pending` set; convert it into an
-                        // immediate requeue.
-                        let woken = matches!(st.slots[rank], Slot::Running { wake_pending: true });
-                        st.conts[rank] = Some(cont);
-                        if woken {
-                            st.slots[rank] = Slot::Ready;
-                            st.ready.push(Reverse((key, rank)));
-                            requeued += 1;
-                        } else {
-                            st.slots[rank] = Slot::Parked { key };
-                        }
-                    }
-                }
-            }
-            loop {
-                if st.finished == self.n || (st.panic.is_some() && st.queue_empty(self.n)) {
-                    drop(st);
-                    // Release any sibling parked on an empty queue.
-                    self.cv.notify_all();
-                    return;
-                }
-                // Claim an equal share of what is currently ready so
-                // sibling workers are never starved by the batching.
-                let avail = st.ready.len() + (self.n - st.seed_cursor);
-                let share = avail.div_ceil(self.workers).clamp(1, CLAIM_BATCH);
-                while batch.len() < share {
-                    match st.next_ready(self.n) {
-                        Some(rank) => {
-                            st.slots[rank] = Slot::Running {
-                                wake_pending: false,
-                            };
-                            // `None` exactly for ranks claimed off the
-                            // virgin seed cursor; woken ranks always
-                            // re-published a continuation when parking.
-                            let cont = st.conts[rank].take();
-                            batch.push((rank, cont));
-                        }
-                        None => break,
-                    }
-                }
-                if !batch.is_empty() {
-                    break;
-                }
-                // NOTE: if every rank is parked and none can be woken
-                // (a receive cycle with deadlock detection disabled),
-                // this waits forever — exactly like the reference
-                // engine's parked mailbox condvars. Parity is deliberate.
-                st.idle += 1;
-                st = st.wait(&self.cv);
-                st.idle -= 1;
-            }
-            let idle = st.idle;
-            let pending = !st.queue_empty(self.n);
-            drop(st);
-            if winding_down {
-                self.cv.notify_all();
-            } else if requeued > 0 && idle > 0 && pending {
-                for _ in 0..requeued.min(idle) {
-                    self.cv.notify_one();
-                }
-            }
-
-            for (rank, cont) in batch.drain(..) {
-                let outcome = match cont {
-                    Some(mut c) => match c.resume() {
-                        Resume::Finished => Outcome::Finished {
-                            panic: c.take_panic(),
-                        },
-                        Resume::Parked(key) => Outcome::Parked { cont: c, key },
-                    },
-                    None => self.start_rank(rank, &mut hot),
-                };
-                outcomes.push((rank, outcome));
-            }
-        }
+    /// The failure message of a stalled run (see module docs).
+    /// Reachable by a receive cycle with deadlock detection off, and by
+    /// a receive from a rank that finished without sending while other
+    /// ranks are alive (no cycle to detect, and not `PeersGone` either).
+    fn stall_report(&self, st: &ReadyState, finished: usize) -> String {
+        let parked: Vec<String> = (0..self.n)
+            .filter(|&r| st.parked[r].is_some())
+            .map(|r| format!("rank {r} {}", (self.describe_wait)(r)))
+            .collect();
+        format!(
+            "run stalled: no rank is ready, {finished} of {} finished and nothing can wake the \
+             {} parked: {}",
+            self.n,
+            parked.len(),
+            parked.join("; ")
+        )
     }
 }
 
-/// Runs the scheduler to completion on the calling thread plus
-/// `worker_count() - 1` helpers, then re-throws the first escaped body
-/// panic, if any.
-pub(crate) fn drive(sched: &Arc<EventSched>) {
-    let extra = worker_count().saturating_sub(1);
-    if extra == 0 {
-        sched.worker_loop();
-    } else {
-        std::thread::scope(|scope| {
-            for i in 0..extra {
-                let sched = Arc::clone(sched);
-                std::thread::Builder::new()
-                    .name(format!("hcs-events-{i}"))
-                    .spawn_scoped(scope, move || sched.worker_loop())
-                    .expect("failed to spawn event worker");
-            }
-            sched.worker_loop();
-        });
+/// Resumes `cont` until its body parks or finishes.
+fn resume(mut cont: Continuation) -> Outcome {
+    match cont.resume() {
+        Resume::Finished => Outcome::Finished {
+            panic: cont.take_panic(),
+        },
+        Resume::Parked(key) => Outcome::Parked { cont, key },
     }
-    let payload = sched.runq.acquire().panic.take();
-    if let Some(p) = payload {
+}
+
+/// Runs the scheduler to completion on the calling thread: pop the
+/// `(key, rank)` minimum, run it until it parks or finishes, record the
+/// outcome — one lock round per rank slice, never held while a rank
+/// executes. Then re-throws the first panic that escaped a rank body,
+/// if any (engine bodies catch rank panics themselves, so that is a bug
+/// trap, not a normal path); the queue is still drained first, so
+/// ranks that can finish do.
+///
+/// # Panics
+/// Panics with [`EventSched::stall_report`] if the run stalls.
+pub(crate) fn drive(sched: &Arc<EventSched>) {
+    let mut hot = InlineFiber::new();
+    // The continuation of each rank that has parked at least once and
+    // is not executing. Ranks that never park never materialize one:
+    // their body runs inline on the hot fiber.
+    let mut conts: Vec<Option<Continuation>> = (0..sched.n).map(|_| None).collect();
+    let mut finished = 0;
+    let mut first_panic = None;
+    let mut st = sched.runq.acquire();
+    while finished < sched.n {
+        let Some(rank) = st.next_ready() else {
+            if first_panic.is_some() {
+                break;
+            }
+            panic!("{}", sched.stall_report(&st, finished));
+        };
+        drop(st);
+        let outcome = match conts[rank].take() {
+            Some(cont) => resume(cont),
+            None => sched.start_rank(rank, &mut hot),
+        };
+        st = sched.runq.acquire();
+        match outcome {
+            Outcome::Finished { panic } => {
+                finished += 1;
+                first_panic = first_panic.or(panic);
+            }
+            Outcome::Parked { cont, key } => {
+                conts[rank] = Some(cont);
+                st.parked[rank] = Some(key);
+            }
+        }
+    }
+    drop(st);
+    if let Some(p) = first_panic {
         std::panic::resume_unwind(p);
     }
-}
-
-/// How many workers drive the continuation queue. `HCS_EVENT_WORKERS`
-/// overrides; otherwise the host's parallelism, capped low — workers
-/// share one scheduler lock, and most simulated workloads serialize on
-/// message order anyway, so a handful of workers captures the available
-/// overlap. Worker count is pure host policy: it cannot affect virtual
-/// time (see module docs), only wall-clock speed.
-///
-/// Resolved once per process: `available_parallelism` re-reads cgroup
-/// quota files on every call, which is far too expensive to pay per
-/// run (so `HCS_EVENT_WORKERS` is also only consulted on first use).
-fn worker_count() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Ok(v) = std::env::var("HCS_EVENT_WORKERS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4)
-    })
 }
 
 /// Which continuation backend this run uses: fibers unless the
@@ -437,6 +312,10 @@ mod tests {
     /// Adapts a per-rank job list to the shared-body interface: each
     /// rank takes and runs its own job exactly once.
     fn sched_from_jobs(jobs: Vec<Job>) -> Arc<EventSched> {
+        sched_on(jobs, backend_from_env())
+    }
+
+    fn sched_on(jobs: Vec<Job>, backend: Backend) -> Arc<EventSched> {
         let n = jobs.len();
         let cells: Vec<OrderedMutex<Option<Job>>> = jobs
             .into_iter()
@@ -449,7 +328,8 @@ mod tests {
                 .expect("each rank runs exactly once");
             job();
         };
-        Arc::new(EventSched::new(n, Box::new(body), backend_from_env()))
+        let wait = |_: usize| "is parked".to_string();
+        Arc::new(EventSched::new(n, Box::new(body), Box::new(wait), backend))
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -507,8 +387,7 @@ mod tests {
 
     #[test]
     fn ready_queue_pops_in_virtual_time_then_rank_order() {
-        // Single worker (worker_loop on this thread) so pop order is
-        // observable. Ranks 0..4 seed at key 0 and run in rank order;
+        // Ranks 0..4 seed at key 0 and run in rank order;
         // each parks at a key that *reverses* the rank order. Rank 4
         // then wakes everyone — the drain must follow the keys.
         let order = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
@@ -535,7 +414,7 @@ mod tests {
         }));
         let sched = sched_from_jobs(jobs);
         *slot.acquire() = Some(Arc::clone(&sched));
-        sched.worker_loop();
+        drive(&sched);
         let got = order.acquire().clone();
         let starts: Vec<usize> = got
             .iter()
@@ -549,6 +428,64 @@ mod tests {
             .map(|&(_, r)| r)
             .collect();
         assert_eq!(ends, vec![3, 2, 1, 0], "wakeups drain in key order");
+    }
+
+    #[test]
+    fn host_execution_order_is_a_pure_function_of_the_program() {
+        // Ranks 0..n log every slice they execute around two parks; a
+        // last rank wakes them all, parks behind them (largest key) and
+        // wakes them all again. The logged host order must not depend
+        // on the run or on the continuation backend.
+        fn logged_order(backend: Backend) -> Vec<(usize, usize)> {
+            let log = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
+            let slot: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
+                Arc::new(OrderedMutex::new("events.test-slot", 90, None));
+            let n = 6usize;
+            let sched_of = |slot: &OrderedMutex<Option<Arc<EventSched>>>| {
+                slot.acquire().clone().expect("installed before the run")
+            };
+            let mut jobs: Vec<Job> = (0..n)
+                .map(|r| {
+                    let (log, slot) = (Arc::clone(&log), Arc::clone(&slot));
+                    let job: Job = Box::new(move || {
+                        for slice in 0..3 {
+                            log.acquire().push((r, slice));
+                            if slice < 2 {
+                                // Keys interleave the ranks differently
+                                // in each round; woken, a rank wakes the
+                                // driver (a no-op after the first).
+                                let key = ((r * 5 + slice * 3) % n) as f64;
+                                crate::cont::suspend_current(time_key(key));
+                                sched_of(&slot).wake(n);
+                            }
+                        }
+                    });
+                    job
+                })
+                .collect();
+            let (dlog, dslot) = (Arc::clone(&log), Arc::clone(&slot));
+            jobs.push(Box::new(move || {
+                let sched = sched_of(&dslot);
+                for round in 0..2 {
+                    dlog.acquire().push((n, round));
+                    (0..n).for_each(|rank| sched.wake(rank));
+                    if round == 0 {
+                        crate::cont::suspend_current(time_key(100.0));
+                    }
+                }
+            }));
+            let sched = sched_on(jobs, backend);
+            *slot.acquire() = Some(Arc::clone(&sched));
+            drive(&sched);
+            // Break the slot → scheduler → body → slot cycle.
+            *slot.acquire() = None;
+            let order = log.acquire().clone();
+            order
+        }
+        let first = logged_order(Backend::Fiber);
+        assert_eq!(first.len(), 6 * 3 + 2);
+        assert_eq!(first, logged_order(Backend::Fiber), "second run");
+        assert_eq!(first, logged_order(Backend::Thread), "thread backend");
     }
 
     #[test]

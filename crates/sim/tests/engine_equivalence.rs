@@ -5,12 +5,14 @@
 //! here means the event executor leaked host scheduling into virtual
 //! time.
 //!
-//! Matrix: p ∈ {2, 8, 32, 256} × seeds, with observability on and off,
-//! plus a collective-heavy run, a chaotic fault-plan run and a timeout
+//! Matrix: p ∈ {2, 8, 32, 256} × seeds (direct and from inside
+//! concurrent sweep jobs), with observability on and off, plus a
+//! collective-heavy run, a chaotic fault-plan run and a timeout
 //! run (the two paths where the wait-graph/deadline machinery interacts
 //! with parking), panic propagation under both engines, and the
 //! engine-selection rules themselves.
 
+use hcs_bench::SweepExecutor;
 use hcs_clock::{Clock, LocalClock, TimeSource};
 use hcs_mpi::{BarrierAlgorithm, Comm, ReduceOp};
 use hcs_obs::{chrome_trace, summary_json, ObsSpec};
@@ -53,6 +55,12 @@ fn results_are_identical_across_engines() {
             let want = threads.run(ring);
             let got = events.run(ring);
             assert_eq!(want, got, "p={} seed={seed}", nodes * cores);
+            // Runs on sweep threads never share scheduler state: the
+            // same run from inside concurrent sweep jobs is identical.
+            let swept = SweepExecutor::new(4).run(4, nodes * cores, |_| events.run(ring));
+            for got in swept {
+                assert_eq!(want, got, "swept p={} seed={seed}", nodes * cores);
+            }
         }
     }
 }

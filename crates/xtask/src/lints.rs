@@ -156,15 +156,13 @@ fn determinism(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
     }
 }
 
-/// The files allowed to consult the host's core count: the sweep
-/// executor (owns run-count policy, overridable via `--jobs` /
-/// `HCS_JOBS`) and the event executor's worker-count default (pure
-/// host-side wall-clock policy, overridable via `HCS_EVENT_WORKERS`;
-/// worker count provably cannot affect virtual time — DESIGN.md §15).
-/// Everything else must take an explicit `jobs` parameter so
-/// concurrency decisions stay centralized and auditable.
-const HOST_PARALLELISM_ALLOWED: &[&str] =
-    &["crates/benchlib/src/sweep.rs", "crates/sim/src/events.rs"];
+/// The one file allowed to consult the host's core count: the sweep
+/// executor, which owns run-count policy (overridable via `--jobs` /
+/// `HCS_JOBS`). A run itself executes on one thread, so nothing below
+/// the sweep has a host-shaped decision to make; everything else must
+/// take an explicit `jobs` parameter so concurrency decisions stay
+/// centralized and auditable.
+const HOST_PARALLELISM_ALLOWED: &[&str] = &["crates/benchlib/src/sweep.rs"];
 
 /// `available_parallelism` outside the blessed call sites makes run
 /// counts and thread budgets host-shaped in ways the owning layer
@@ -185,7 +183,7 @@ fn host_parallelism(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
                 level: Level::Error,
                 msg: format!(
                     "`available_parallelism` outside {}: host-shaped concurrency decisions \
-                     belong to SweepExecutor or the event executor (pass a jobs count instead)",
+                     belong to SweepExecutor (pass a jobs count instead)",
                     HOST_PARALLELISM_ALLOWED.join(", ")
                 ),
             });
@@ -277,17 +275,14 @@ mod tests {
         assert!(hits
             .iter()
             .any(|(l, _)| l == "determinism/host-parallelism"));
-        // The sweep executor and the event executor's worker-count
-        // default are the only blessed call sites.
+        // The sweep executor is the only blessed call site.
         assert!(lints_of("crates/benchlib/src/sweep.rs", src).is_empty());
-        let events = "fn worker_count() -> usize { std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }\n";
-        assert!(lints_of("crates/sim/src/events.rs", events)
-            .iter()
-            .all(|(l, _)| l != "determinism/host-parallelism"));
-        // Any other sim module stays banned.
-        assert!(lints_of("crates/sim/src/cont.rs", src)
-            .iter()
-            .any(|(l, _)| l == "determinism/host-parallelism"));
+        // Every sim module is banned, the event scheduler included.
+        for path in ["crates/sim/src/events.rs", "crates/sim/src/cont.rs"] {
+            assert!(lints_of(path, src)
+                .iter()
+                .any(|(l, _)| l == "determinism/host-parallelism"));
+        }
         // Mentions in comments and tests never fire.
         let quiet = "// available_parallelism would be wrong here\n#[cfg(test)]\nmod tests { fn t() { let _ = std::thread::available_parallelism(); } }\n";
         assert!(lints_of("crates/benchlib/src/microbench.rs", quiet).is_empty());
@@ -311,15 +306,14 @@ mod tests {
                 "{path} must be determinism-linted"
             );
         }
-        // The sweep executor is host-facing by design: blessed for
-        // available_parallelism, outside the determinism set. The event
-        // executor is blessed too but — living in the sim crate — stays
-        // under every other determinism lint.
+        // The sweep executor is host-facing by design: the only file
+        // blessed for available_parallelism, outside the determinism
+        // set. The event scheduler is not blessed and — living in the
+        // sim crate — is under every determinism lint.
         let sweep = FileClass::of("crates/benchlib/src/sweep.rs");
         assert!(sweep.in_src);
         assert!(!sweep.in_crate_src(DETERMINISM_CRATES));
-        assert!(HOST_PARALLELISM_ALLOWED.contains(&"crates/benchlib/src/sweep.rs"));
-        assert!(HOST_PARALLELISM_ALLOWED.contains(&"crates/sim/src/events.rs"));
+        assert_eq!(HOST_PARALLELISM_ALLOWED, ["crates/benchlib/src/sweep.rs"]);
         let events = FileClass::of("crates/sim/src/events.rs");
         assert!(events.in_crate_src(DETERMINISM_CRATES));
     }

@@ -9,6 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hcs_mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
+use hierarchical_clock_sync::sim::EngineMode;
 
 /// Extracts the payload of a propagated rank panic.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -160,6 +161,59 @@ fn cycle_is_diagnosed_while_a_non_matching_batch_is_in_flight() {
     assert!(
         msg.contains("rank 0 waiting on (src 1, tag 99)")
             && msg.contains("rank 1 waiting on (src 0, tag 99)"),
+        "{msg}"
+    );
+}
+
+/// Runs `body` on the events engine (pinned: the reference engine has
+/// no scheduler that could see a stall and hangs on these programs),
+/// expects the run to fail on the caller, checks that the same cluster
+/// still serves a clean run, and returns the failure message.
+fn stall_message(cluster: &Cluster, body: impl Fn(&mut RankCtx) + Sync) -> String {
+    let cluster = cluster.to_builder().engine(EngineMode::Events).build();
+    let payload = catch_unwind(AssertUnwindSafe(|| cluster.run(&body)))
+        .expect_err("a stalled run must panic on the caller, not hang");
+    let ranks: Vec<usize> = (0..cluster.topology().total_cores()).collect();
+    assert_eq!(cluster.run(|ctx| ctx.rank()), ranks, "clean run afterwards");
+    panic_message(payload)
+}
+
+#[test]
+fn non_cycle_stall_on_a_finished_sender_is_diagnosed() {
+    // Rank 0 returns at once, rank 1 waits for it and rank 2 waits for
+    // rank 1: no cycle for the wait graph, and two ranks alive, so
+    // `PeersGone` never fires either. Only the scheduler sees it.
+    let msg = stall_message(&machines::testbed(3, 1).cluster(15), |ctx| {
+        match ctx.rank() {
+            0 => {}
+            r => {
+                let _: f64 = ctx.recv_t(r - 1, 7);
+            }
+        }
+    });
+    assert!(msg.contains("run stalled"), "{msg}");
+    for needle in [
+        "rank 1 waiting on (src 0, tag 7), and rank 0 already finished",
+        "rank 2 waiting on (src 1, tag 7), and rank 1 has not finished",
+    ] {
+        assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
+    }
+}
+
+#[test]
+fn receive_cycle_with_detection_off_is_diagnosed() {
+    let cluster = machines::testbed(2, 1)
+        .cluster(16)
+        .to_builder()
+        .deadlock_detection(false)
+        .build();
+    let msg = stall_message(&cluster, |ctx| {
+        let _ = ctx.recv(1 - ctx.rank(), 42);
+    });
+    assert!(msg.contains("run stalled"), "{msg}");
+    // No wait graph, so the report names the parked ranks only.
+    assert!(
+        msg.contains("rank 0 parked") && msg.contains("rank 1 parked"),
         "{msg}"
     );
 }

@@ -129,6 +129,15 @@ fn host_parallelism_outside_sweep_is_an_error() {
         "{findings:?}"
     );
     assert!(findings.iter().all(|f| f.level == Level::Error));
+    // That includes the event scheduler: a run executes on one thread.
+    let events = lint_sources(&[(
+        "crates/sim/src/events.rs",
+        "fn workers() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
+    )]);
+    assert!(
+        lint_ids(&events).contains(&"determinism/host-parallelism"),
+        "{events:?}"
+    );
     // The sweep executor itself is the single blessed call site.
     let ok = lint_sources(&[(
         "crates/benchlib/src/sweep.rs",
