@@ -161,18 +161,16 @@ impl SweepExecutor {
             let out = catch_unwind(AssertUnwindSafe(|| f(i)));
             *lock_ignore_poison(&slots[i]) = Some(out);
         };
-        if in_flight <= 1 {
-            // Single-core host: same slot-and-drain semantics (a
-            // panicking run still lets its siblings complete), no
-            // executor threads.
+        // The calling thread takes tickets too, so only `in_flight - 1`
+        // helpers are spawned (none on a single-core host): a sweep of
+        // sub-millisecond runs pays one thread spawn/join less, and the
+        // caller does not sit idle in the scope's join.
+        std::thread::scope(|scope| {
+            for _ in 1..in_flight {
+                scope.spawn(job_loop);
+            }
             job_loop();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..in_flight {
-                    scope.spawn(job_loop);
-                }
-            });
-        }
+        });
 
         let mut out = Vec::with_capacity(n_runs);
         let mut first_panic = None;

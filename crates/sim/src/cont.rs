@@ -5,8 +5,9 @@
 //! (`events.rs`) drives all continuations of a run from one loop on the
 //! thread that called `Cluster::run*`, which is what lets a p = 131072
 //! run execute on one OS thread instead of needing one thread per rank.
-//! A continuation never leaves the thread that started it: the fiber
-//! types are deliberately not `Send`.
+//! The run loop never moves a continuation off the thread that started
+//! it; the type is still `Send` — its state travels with it, as
+//! `tests::resume_can_migrate_between_threads` checks on both backends.
 //!
 //! Two interchangeable backends implement the suspend/resume contract:
 //!
@@ -229,7 +230,7 @@ impl InlineFiber {
     }
 
     /// Runs `f` until it finishes or suspends.
-    pub(crate) fn run(&mut self, f: impl FnOnce()) -> InlineRun {
+    pub(crate) fn run(&mut self, f: impl FnOnce() + Send) -> InlineRun {
         let run = self.0.run(f); // xtask-allow: clockdomain (fiber handle, not a time)
         match run {
             fiber::HotRun::Finished { panic } => InlineRun::Finished { panic },
@@ -363,10 +364,13 @@ impl ThreadCont {
 
 impl Drop for ThreadCont {
     fn drop(&mut self) {
-        // Reached in the `Finished` phase on every non-buggy path; the
+        // Reached in the `Finished` phase on every completed run; the
         // join is then immediate. Dropping a *suspended* continuation
-        // (executor bail-out after an engine bug) would block forever
-        // here, so detach instead and let process exit reap the thread.
+        // (the run loop unwinding from a stalled run, `events::drive`)
+        // would block forever here, so detach instead: the rank thread
+        // stays blocked in its handoff wait, is never resumed, and
+        // process exit reaps it (one leaked thread and stack per
+        // parked rank of a stalled run).
         let finished = matches!(*self.shared.phase.acquire(), ThreadPhase::Finished(_));
         if let Some(h) = self.handle.take() {
             if finished {
@@ -589,6 +593,12 @@ mod fiber {
         stack: Option<RawStack>,
     }
 
+    // SAFETY: the raw pointers inside ContCore are only dereferenced
+    // under the strict executor/body handoff — exactly one side is
+    // running at any instant — so moving the owner to another thread
+    // is a plain ownership transfer.
+    unsafe impl Send for FiberCont {}
+
     impl FiberCont {
         /// Builds the initial stack frame so that the first `resume`
         /// lands in `trampoline` with `rbx = core`, `r12 = entry`.
@@ -723,7 +733,8 @@ mod fiber {
         }
 
         /// Runs `f` until it finishes or suspends (see [`HotRun`]).
-        pub(super) fn run<F: FnOnce()>(&mut self, f: F) -> HotRun {
+        /// `F: Send` because a promoted continuation is `Send`.
+        pub(super) fn run<F: FnOnce() + Send>(&mut self, f: F) -> HotRun {
             let core = self.core.get_or_insert_with(|| {
                 Box::new(ContCore {
                     coro_sp: std::ptr::null_mut(),
@@ -840,6 +851,29 @@ mod tests {
                 assert_eq!(c.resume(), Resume::Parked(i), "backend={backend:?} i={i}");
                 assert_eq!(c.resume(), Resume::Finished, "backend={backend:?} i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn resume_can_migrate_between_threads() {
+        for backend in backends() {
+            let mut c = Continuation::new(
+                Box::new(|| {
+                    suspend_current(1);
+                    suspend_current(2);
+                }),
+                backend,
+            );
+            assert_eq!(c.resume(), Resume::Parked(1));
+            // Resume from a different OS thread: the continuation's
+            // state must travel with it.
+            let mut c = std::thread::spawn(move || {
+                assert_eq!(c.resume(), Resume::Parked(2));
+                c
+            })
+            .join()
+            .unwrap();
+            assert_eq!(c.resume(), Resume::Finished);
         }
     }
 

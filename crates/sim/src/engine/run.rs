@@ -520,32 +520,24 @@ impl Cluster {
                 let shared: Box<dyn Fn(Rank) + Send + Sync + '_> = Box::new(&body);
                 // SAFETY: `events::drive` is the completion barrier —
                 // it returns only after every continuation has run to
-                // completion, so the borrows of `body` (and through it
-                // `f`, `net`, `results`, `panics`) never outlive this
-                // frame. The transmute only widens the trait object's
-                // lifetime parameter.
+                // completion. Its one other exit is the stall panic:
+                // every unfinished continuation is parked then, and
+                // unwinding drops (fiber) or detaches (thread backend)
+                // each of them without ever resuming it. Either way no
+                // rank executes after `drive` is left, so the borrows of
+                // `body` (and through it `f`, `net`, `results`, `panics`)
+                // are never used beyond this frame. The transmute only
+                // widens the trait object's lifetime parameter.
                 let shared: events::RankBody = unsafe {
                     std::mem::transmute::<Box<dyn Fn(Rank) + Send + Sync + '_>, events::RankBody>(
                         shared,
                     )
                 };
-                // Weak: the net owns the scheduler handle, so a strong
-                // reference here would leak both.
-                let waits = Arc::downgrade(&net);
-                let describe_wait = move |rank: Rank| {
-                    let net = waits.upgrade().expect("the net outlives its run");
-                    net.describe_wait(rank)
-                };
-                let sched = Arc::new(EventSched::new(
-                    size,
-                    shared,
-                    Box::new(describe_wait),
-                    events::backend_from_env(),
-                ));
+                let sched = Arc::new(EventSched::new(size, shared, events::backend_from_env()));
                 if net.events.set(Arc::clone(&sched)).is_err() {
                     unreachable!("run_inner sets the events slot exactly once per RunNet");
                 }
-                events::drive(&sched);
+                events::drive(&sched, &|rank| net.describe_wait(rank));
             }
             EngineMode::Threads => std::thread::scope(|scope| {
                 let body = &body;

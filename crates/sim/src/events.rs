@@ -63,11 +63,6 @@ use crate::lockutil::OrderedMutex;
 /// rank.
 pub(crate) type RankBody = Box<dyn Fn(usize) + Send + Sync + 'static>;
 
-/// What a parked rank waits for, in words, for the stall report: the
-/// engine answers from its wait graph and completion flags, while the
-/// scheduler only knows that the rank is parked.
-pub(crate) type DescribeWait = Box<dyn Fn(usize) -> String + Send + Sync + 'static>;
-
 /// Orders `SimTime` seconds as a totally ordered unsigned key
 /// (sign-magnitude floats → monotone integers), so the ready heap can
 /// sort `(time, rank)` without a float `Ord` wrapper. Handles the
@@ -142,7 +137,6 @@ pub(crate) struct EventSched {
     n: usize,
     /// The shared rank body (see [`RankBody`]).
     body: RankBody,
-    describe_wait: DescribeWait,
     /// Continuation backend for ranks that park.
     backend: Backend,
 }
@@ -150,12 +144,7 @@ pub(crate) struct EventSched {
 impl EventSched {
     /// Seeds `n` ranks, all ready at virtual time zero (started in rank
     /// order via the seed cursor); each runs `body(rank)` once.
-    pub(crate) fn new(
-        n: usize,
-        body: RankBody,
-        describe_wait: DescribeWait,
-        backend: Backend,
-    ) -> Self {
+    pub(crate) fn new(n: usize, body: RankBody, backend: Backend) -> Self {
         // Without the fiber backend every continuation is thread-backed.
         #[cfg(not(target_arch = "x86_64"))]
         let backend = Backend::Thread;
@@ -168,7 +157,6 @@ impl EventSched {
             runq: OrderedMutex::new("events.sched", 15, ready),
             n,
             body,
-            describe_wait,
             backend,
         }
     }
@@ -213,14 +201,21 @@ impl EventSched {
         resume(Continuation::new(entry, Backend::Thread))
     }
 
-    /// The failure message of a stalled run (see module docs).
-    /// Reachable by a receive cycle with deadlock detection off, and by
-    /// a receive from a rank that finished without sending while other
-    /// ranks are alive (no cycle to detect, and not `PeersGone` either).
-    fn stall_report(&self, st: &ReadyState, finished: usize) -> String {
+    /// The failure message of a stalled run (see module docs);
+    /// `describe_wait(rank)` words what a parked rank waits for, which
+    /// only the engine knows. Reachable by a receive cycle with deadlock
+    /// detection off, and by a receive from a rank that finished without
+    /// sending while other ranks are alive (no cycle to detect, and not
+    /// `PeersGone` either).
+    fn stall_report(
+        &self,
+        st: &ReadyState,
+        finished: usize,
+        describe_wait: &dyn Fn(usize) -> String,
+    ) -> String {
         let parked: Vec<String> = (0..self.n)
             .filter(|&r| st.parked[r].is_some())
-            .map(|r| format!("rank {r} {}", (self.describe_wait)(r)))
+            .map(|r| format!("rank {r} {}", describe_wait(r)))
             .collect();
         format!(
             "run stalled: no rank is ready, {finished} of {} finished and nothing can wake the \
@@ -251,8 +246,13 @@ fn resume(mut cont: Continuation) -> Outcome {
 /// ranks that can finish do.
 ///
 /// # Panics
-/// Panics with [`EventSched::stall_report`] if the run stalls.
-pub(crate) fn drive(sched: &Arc<EventSched>) {
+/// Panics with [`EventSched::stall_report`] if the run stalls. The
+/// parked continuations are then dropped without ever being resumed
+/// again: a fiber's stack is freed without unwinding and a thread-backed
+/// rank's OS thread stays blocked until process exit, so whatever the
+/// parked bodies own leaks. A stalled program is a bug to fix, not a
+/// state to recover memory from.
+pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) {
     let mut hot = InlineFiber::new();
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -266,7 +266,7 @@ pub(crate) fn drive(sched: &Arc<EventSched>) {
             if first_panic.is_some() {
                 break;
             }
-            panic!("{}", sched.stall_report(&st, finished));
+            panic!("{}", sched.stall_report(&st, finished, describe_wait));
         };
         drop(st);
         let outcome = match conts[rank].take() {
@@ -328,12 +328,11 @@ mod tests {
                 .expect("each rank runs exactly once");
             job();
         };
-        let wait = |_: usize| "is parked".to_string();
-        Arc::new(EventSched::new(n, Box::new(body), Box::new(wait), backend))
+        Arc::new(EventSched::new(n, Box::new(body), backend))
     }
 
     fn run_jobs(jobs: Vec<Job>) {
-        drive(&sched_from_jobs(jobs));
+        drive(&sched_from_jobs(jobs), &|_| String::new());
     }
 
     #[test]
@@ -381,7 +380,7 @@ mod tests {
         ];
         let sched = sched_from_jobs(jobs);
         *sched0.acquire() = Some(Arc::clone(&sched));
-        drive(&sched);
+        drive(&sched, &|_| String::new());
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
@@ -414,7 +413,7 @@ mod tests {
         }));
         let sched = sched_from_jobs(jobs);
         *slot.acquire() = Some(Arc::clone(&sched));
-        drive(&sched);
+        drive(&sched, &|_| String::new());
         let got = order.acquire().clone();
         let starts: Vec<usize> = got
             .iter()
@@ -476,7 +475,7 @@ mod tests {
             }));
             let sched = sched_on(jobs, backend);
             *slot.acquire() = Some(Arc::clone(&sched));
-            drive(&sched);
+            drive(&sched, &|_| String::new());
             // Break the slot → scheduler → body → slot cycle.
             *slot.acquire() = None;
             let order = log.acquire().clone();
