@@ -55,7 +55,7 @@ const CTX_MAX: u32 = (1 << 14) - 1;
 #[derive(Debug, Clone)]
 pub struct Comm {
     /// Global engine ranks of the members, in communicator rank order.
-    ranks: Arc<Vec<Rank>>,
+    ranks: Arc<[Rank]>,
     /// This rank's position in `ranks`.
     my_pos: usize,
     /// Context id: disambiguates tags of different communicators.
@@ -75,10 +75,9 @@ impl Comm {
     /// The communicator containing every rank (the `MPI_COMM_WORLD`
     /// analogue).
     pub fn world(ctx: &RankCtx) -> Self {
-        let all: Vec<Rank> = (0..ctx.size()).collect();
         let node_peers = ctx.topology().cores_per_node().min(ctx.size());
         Self {
-            ranks: Arc::new(all),
+            ranks: ctx.world_ranks(),
             my_pos: ctx.rank(),
             ctx_id: 0,
             seq: 0,
@@ -99,7 +98,7 @@ impl Comm {
             .filter(|&&r| ctx.topology().node_of(r) == my_node)
             .count();
         Self {
-            ranks: Arc::new(members),
+            ranks: members.into(),
             my_pos,
             ctx_id,
             seq: 0,

@@ -208,6 +208,14 @@ impl RankCtx {
         self.size
     }
 
+    /// Every rank of the run, `0..size` in order: one list per run,
+    /// built when the first rank asks and shared by all of them, so a
+    /// world communicator costs a reference count instead of a
+    /// `size`-element list per rank.
+    pub fn world_ranks(&self) -> Arc<[Rank]> {
+        self.net.world_ranks()
+    }
+
     /// Current virtual *true* time of this rank, in seconds.
     ///
     /// Algorithms under test must not consult this directly — they only
@@ -555,8 +563,7 @@ impl RankCtx {
     /// both the deadlock detector's and the deadline receives'
     /// "nothing in flight" reasoning valid.
     pub(crate) fn flush_reorder_holds(&mut self) {
-        while !self.reorder_hold.is_empty() {
-            let (dst, env) = self.reorder_hold.remove(0);
+        for (dst, env) in self.reorder_hold.drain(..) {
             self.net.send(dst, env);
         }
     }
@@ -569,7 +576,8 @@ impl RankCtx {
     /// flight" reasoning valid under batching.
     pub(crate) fn flush_staged(&mut self) {
         if !self.stage.is_empty() {
-            self.net.send_batch(self.stage_dst, &mut self.stage);
+            self.net
+                .send_batch(self.stage_dst, self.rank, &mut self.stage);
         }
     }
 
@@ -881,8 +889,8 @@ impl RankCtx {
             match self.net.recv_batch(
                 self.rank,
                 src,
-                wait_gen,
-                deadline.is_some(),
+                tag,
+                deadline.map(|_| wait_gen),
                 self.now,
                 &mut self.ring,
             ) {

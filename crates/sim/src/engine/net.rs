@@ -6,7 +6,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 
-use crate::cont;
 use crate::events::{self, EventSched};
 use crate::lockutil::OrderedMutex;
 use crate::msg::{Envelope, Payload};
@@ -29,9 +28,11 @@ pub(super) const POISON_TAG: Tag = u32::MAX;
 const DIRECT_CLAMP_MAX_RANKS: usize = 4096;
 
 /// One rank's incoming-message queue: a reusable ring buffer under a
-/// mutex, with a condvar for blocking receives. Unlike a linked-list
-/// channel, pushing a message allocates nothing once the buffer has
-/// reached its high-water capacity.
+/// mutex, with a condvar the reference engine's rank threads block on
+/// (under the events engine nothing ever waits on it, so nothing
+/// notifies it either). Unlike a linked-list channel, pushing a message
+/// allocates nothing once the buffer has reached its high-water
+/// capacity.
 ///
 /// Aligned to two cache lines so adjacent ranks' mailboxes in the
 /// `RunNet::boxes` vector never false-share a line between one rank's
@@ -63,10 +64,12 @@ pub(super) struct RunNet {
     /// Wait-for-graph deadlock detector; `None` when opted out via
     /// [`ClusterBuilder::deadlock_detection`].
     waits: Option<WaitGraph>,
+    /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
+    /// run that never forms a world communicator does not pay for it.
+    world: OnceLock<Arc<[Rank]>>,
     /// Event scheduler of this run, set (once, before any rank starts)
-    /// only in [`EngineMode::Events`]. Every notification path pairs
-    /// its condvar notify with a continuation wake through this handle;
-    /// in thread mode the single relaxed-free `get()` is the only cost.
+    /// only in [`EngineMode::Events`]: it decides which of its two jobs
+    /// [`RunNet::wake`] does.
     pub(super) events: OnceLock<Arc<EventSched>>,
 }
 
@@ -97,20 +100,55 @@ impl RunNet {
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
             wake_done: AtomicBool::new(wake_on_done),
             waits: detect_deadlocks.then(|| WaitGraph::new(size)),
+            world: OnceLock::new(),
             events: OnceLock::new(),
         }
     }
 
-    /// Requeues `rank`'s continuation if it is parked (no-op in thread
-    /// mode). Callers pair this with their condvar notify; taking the
-    /// scheduler lock (level 15) inside a held mailbox lock (level 10)
-    /// is a legal nesting, and the scheduler never acquires a mailbox,
-    /// so the edge is one-directional.
+    /// The one wake primitive: tells `dst` that something a blocked
+    /// receive of its might be waiting on has changed. Exactly one thing
+    /// per engine — requeue the parked continuation under `Events` (no
+    /// mailbox lock round, no syscall), notify the mailbox condvar under
+    /// `Threads`. `matched` says the change is the delivery of exactly
+    /// the message `dst` is parked on ([`RunNet::delivers_awaited`]);
+    /// only the event scheduler's handoff rule cares.
+    ///
+    /// Under `Threads` the caller must have published the change under
+    /// `dst`'s mailbox lock, or taken a round of that lock after
+    /// publishing it ([`RunNet::wake_after_flag`]): the waiter holds the
+    /// lock from its checks to its wait, so it then either sees the
+    /// change or is already waiting when the notify arrives.
     #[inline]
-    fn wake_events(&self, rank: Rank) {
-        if let Some(sched) = self.events.get() {
-            sched.wake(rank);
+    fn wake(&self, dst: Rank, matched: bool) {
+        match self.events.get() {
+            Some(sched) if matched => sched.wake_matched(dst),
+            Some(sched) => sched.wake(dst),
+            None => self.boxes[dst].cv.notify_one(),
         }
+    }
+
+    /// [`RunNet::wake`] for a change published in an atomic flag rather
+    /// than in `dst`'s mailbox (a rank finished, a deadline wait fired).
+    fn wake_after_flag(&self, dst: Rank) {
+        if self.events.get().is_none() {
+            drop(self.boxes[dst].q.acquire());
+        }
+        self.wake(dst, false);
+    }
+
+    /// Whether `dst` is parked on exactly one of the messages `src` is
+    /// about to put in its mailbox (always `false` under `Threads`,
+    /// which has no scheduler to tell).
+    #[inline]
+    fn delivers_awaited(&self, dst: Rank, src: Rank, tags: impl IntoIterator<Item = Tag>) -> bool {
+        self.events
+            .get()
+            .is_some_and(|sched| sched.awaits(dst, src, tags))
+    }
+
+    /// Every rank of the run in order, shared by all of them.
+    pub(super) fn world_ranks(&self) -> Arc<[Rank]> {
+        Arc::clone(self.world.get_or_init(|| (0..self.boxes.len()).collect()))
     }
 
     /// What parked rank `rank` is waiting for, worded for the event
@@ -185,18 +223,13 @@ impl RunNet {
             // A confirmed cycle with deadline members is not a bug: it
             // is message loss showing up as mutual waits. Fire every
             // deadline member (each resolves as a timeout at its own
-            // deadline) and wake them under their mailbox locks so the
-            // wakeup cannot be lost. The cycle is frozen, so which rank
+            // deadline) and wake them. The cycle is frozen, so which rank
             // runs this is host-dependent but the fired set — and hence
             // the virtual timeline — is not. A cycle with *zero*
             // deadline members keeps the exact legacy diagnosis.
             if wg.fire_deadline_members(&cycle) > 0 {
                 for e in cycle.iter().filter(|e| e.deadline) {
-                    {
-                        let _guard = self.boxes[e.waiter].q.acquire();
-                        self.boxes[e.waiter].cv.notify_all();
-                    }
-                    self.wake_events(e.waiter);
+                    self.wake_after_flag(e.waiter);
                 }
                 return;
             }
@@ -209,25 +242,19 @@ impl RunNet {
 
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let mb = &self.boxes[dst];
-        let mut q = mb.q.acquire();
-        q.push_back(env);
-        drop(q);
-        mb.cv.notify_one();
-        self.wake_events(dst);
+        let matched = self.delivers_awaited(dst, env.src, [env.tag]);
+        self.boxes[dst].q.acquire().push_back(env);
+        self.wake(dst, matched);
     }
 
-    /// Delivers a sender's staged batch to `dst` in one lock
-    /// acquisition and one wakeup. The staging buffer is drained in
-    /// push order, so per-`(src, dst)` FIFO delivery order is exactly
-    /// what a sequence of [`RunNet::send`] calls would have produced.
-    pub(super) fn send_batch(&self, dst: Rank, stage: &mut Vec<Envelope>) {
-        let mb = &self.boxes[dst];
-        let mut q = mb.q.acquire();
-        q.extend(stage.drain(..));
-        drop(q);
-        mb.cv.notify_one();
-        self.wake_events(dst);
+    /// Delivers `src`'s staged batch to `dst` in one lock acquisition
+    /// and one wakeup. The staging buffer is drained in push order, so
+    /// per-`(src, dst)` FIFO delivery order is exactly what a sequence
+    /// of [`RunNet::send`] calls would have produced.
+    pub(super) fn send_batch(&self, dst: Rank, src: Rank, stage: &mut Vec<Envelope>) {
+        let matched = self.delivers_awaited(dst, src, stage.iter().map(|env| env.tag));
+        self.boxes[dst].q.acquire().extend(stage.drain(..));
+        self.wake(dst, matched);
     }
 
     /// Blocking receive of *everything* queued: drains the whole
@@ -235,7 +262,7 @@ impl RunNet {
     /// acquisition and returns [`BatchWait::Got`]. Returns
     /// [`BatchWait::PeersGone`] when every other rank has finished and
     /// nothing is queued, so no message can ever arrive. Deadline
-    /// receives (`deadline = true`, with `wait_gen` from `begin_wait`)
+    /// receives (`deadline = Some(wait_gen)`, from `begin_wait`)
     /// observe two additional resolutions — the awaited sender finished
     /// ([`BatchWait::SenderDone`]) or a confirmed wait cycle fired this
     /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
@@ -254,8 +281,8 @@ impl RunNet {
         &self,
         me: Rank,
         src: Rank,
-        wait_gen: u64,
-        deadline: bool,
+        tag: Tag,
+        deadline: Option<u64>,
         now: SimTime,
         ring: &mut VecDeque<Envelope>,
     ) -> BatchWait {
@@ -277,7 +304,7 @@ impl RunNet {
                 self.end_wait(me);
                 return BatchWait::Got;
             }
-            if deadline {
+            if let Some(wait_gen) = deadline {
                 // Fired-cycle check FIRST: every member of a confirmed
                 // cycle is stamped before any member is notified, while
                 // `alive` and `done[src]` only change after a fired
@@ -295,7 +322,7 @@ impl RunNet {
             if self.alive.load(Ordering::Acquire) <= 1 {
                 return BatchWait::PeersGone;
             }
-            if deadline {
+            if deadline.is_some() {
                 // SeqCst: the `done` store / `wake_done` load handshake
                 // in `rank_done` (see `enable_done_wakeups`) guarantees
                 // we either see the flag here or get the notify below.
@@ -323,19 +350,21 @@ impl RunNet {
                 probed = true;
                 continue;
             }
-            if self.events.get().is_some() {
+            if let Some(sched) = self.events.get() {
                 // Events mode: park the *continuation*, not the OS
                 // thread. Release the mailbox lock, then yield back to
                 // the run loop keyed on this rank's current virtual
-                // time. No notification can arrive between the release
-                // and the park: the loop runs one rank at a time, so no
-                // sender executes before this rank is recorded as parked
-                // (see the `events` module docs) — the guarantee the
-                // condvar gives the reference engine. On resume,
-                // re-acquire and re-check every resolution, exactly
-                // like a condvar wakeup.
+                // time, naming the `(src, tag)` this receive waits for
+                // (the scheduler's handoff rule; independent of the
+                // wait graph, which may be off). No notification can
+                // arrive between the release and the park: the loop
+                // runs one rank at a time, so no sender executes before
+                // this rank is recorded as parked (see the `events`
+                // module docs) — the guarantee the condvar gives the
+                // reference engine. On resume, re-acquire and re-check
+                // every resolution, exactly like a condvar wakeup.
                 drop(q);
-                cont::suspend_current(events::time_key(now.seconds()));
+                sched.park(me, events::time_key(now.seconds()), src, tag);
                 q = mb.q.acquire();
                 probed = false;
                 continue;
@@ -347,15 +376,15 @@ impl RunNet {
 
     /// Marks one rank as finished. When only one rank remains — or when
     /// completion wakeups are armed (fault injection / deadline
-    /// receives) — every mailbox is notified (under its lock, to avoid
-    /// lost wakeups) so a blocked receiver can observe that its peer is
-    /// gone. The `done` store uses SeqCst to close the Dekker handshake
-    /// with [`RunNet::enable_done_wakeups`].
+    /// receives) — every unfinished rank is woken so a blocked receiver
+    /// can observe that its peer is gone. The `done` store uses SeqCst
+    /// to close the Dekker handshake with
+    /// [`RunNet::enable_done_wakeups`].
     pub(super) fn rank_done(&self, rank: Rank) {
         self.done[rank].store(true, Ordering::SeqCst);
         let last_pair = self.alive.fetch_sub(1, Ordering::AcqRel) == 2;
         if last_pair || self.wake_done.load(Ordering::SeqCst) {
-            for (dst, mb) in self.boxes.iter().enumerate() {
+            for dst in 0..self.boxes.len() {
                 // A done rank's body has returned — it can never be
                 // blocked in a receive again, so its notification would
                 // be pure overhead. Skipping it turns the common
@@ -367,11 +396,7 @@ impl RunNet {
                 if dst == rank || self.done[dst].load(Ordering::SeqCst) {
                     continue;
                 }
-                {
-                    let _guard = mb.q.acquire();
-                    mb.cv.notify_all();
-                }
-                self.wake_events(dst);
+                self.wake_after_flag(dst);
             }
         }
     }

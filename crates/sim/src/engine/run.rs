@@ -9,8 +9,8 @@ use hcs_obs::{ObsSpec, RankRecorder, TraceLog};
 use super::ctx::RankCtx;
 use super::net::RunNet;
 use super::outcome::{silence_recv_timeout_panic_hook, RankOutcome, RecvTimeout, RunOutcome};
-use crate::cont::RANK_STACK_BYTES;
-use crate::events::{self, EventSched};
+use crate::cont::{Backend, RANK_STACK_BYTES};
+use crate::events::{self, EventSched, RunStats};
 use crate::fault::FaultPlan;
 use crate::lockutil::lock_ignore_poison;
 use crate::net::NetworkModel;
@@ -447,6 +447,20 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
+        let (out, log, _stats) = self.run_counted(events::backend_from_env(), f);
+        (out, log)
+    }
+
+    /// The run driver behind every `run*` entry point, on an explicit
+    /// continuation `backend`, additionally returning the event
+    /// scheduler's counters (all zero under [`EngineMode::Threads`],
+    /// which has no scheduler). Crate-private until ROADMAP item 4 gives
+    /// the counters a public home.
+    pub(crate) fn run_counted<R, F>(&self, backend: Backend, f: &F) -> (Vec<R>, TraceLog, RunStats)
+    where
+        R: Send,
+        F: Fn(&mut RankCtx) -> R + Sync,
+    {
         let size = self.topology.total_cores();
         let net = Arc::new(RunNet::new(
             size,
@@ -512,7 +526,7 @@ impl Cluster {
             net.rank_done(rank);
         };
 
-        match self.engine_mode() {
+        let stats = match self.engine_mode() {
             EngineMode::Events => {
                 // The scheduler drives `body(rank)` once per rank as a
                 // virtual-time continuation — one shared closure for
@@ -533,11 +547,11 @@ impl Cluster {
                         shared,
                     )
                 };
-                let sched = Arc::new(EventSched::new(size, shared, events::backend_from_env()));
+                let sched = Arc::new(EventSched::new(size, shared, backend));
                 if net.events.set(Arc::clone(&sched)).is_err() {
-                    unreachable!("run_inner sets the events slot exactly once per RunNet");
+                    unreachable!("the events slot is set exactly once per RunNet");
                 }
-                events::drive(&sched, &|rank| net.describe_wait(rank));
+                events::drive(&sched, &|rank| net.describe_wait(rank))
             }
             EngineMode::Threads => std::thread::scope(|scope| {
                 let body = &body;
@@ -548,8 +562,9 @@ impl Cluster {
                         .spawn_scoped(scope, move || body(rank))
                         .expect("failed to spawn rank thread");
                 }
+                RunStats::default()
             }),
-        }
+        };
 
         let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
         if !panics.is_empty() {
@@ -593,7 +608,7 @@ impl Cluster {
                 .filter_map(OutSlot::into_inner)
                 .collect(),
         );
-        (out, log)
+        (out, log, stats)
     }
 }
 

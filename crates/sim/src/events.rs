@@ -5,10 +5,10 @@
 //! In [`crate::EngineMode::Events`] a rank is a schedulable
 //! continuation (`cont.rs`), not an OS thread. A blocked receive
 //! suspends the continuation with its `(virtual-time key, rank)`, and
-//! the sender's `RunNet` wake hook puts that pair on the ready queue.
-//! The loop pops the earliest ready rank, resumes it until it parks or
-//! finishes, and repeats — one rank slice at a time, so a run occupies
-//! one host core, and host parallelism lives only in
+//! the sender's `RunNet` wake hook makes that pair ready again. The
+//! loop picks the next ready rank (see *Determinism*), resumes it until
+//! it parks or finishes, and repeats — one rank slice at a time, so a
+//! run occupies one host core, and host parallelism lives only in
 //! `hcs_bench::sweep::SweepExecutor`, which runs independent clusters
 //! side by side. A *fresh* rank is cheaper still: its body runs inline
 //! on the loop's hot fiber and only pays for a full [`Continuation`]
@@ -23,22 +23,42 @@
 //! `(src, tag)` message it waits for is in hand, so timelines, CSV rows
 //! and traces are byte-identical to the thread-per-rank reference
 //! engine (`tests/engine_equivalence.rs` enforces this differentially).
-//! With one loop the *host-side* order of rank slices is a pure
-//! function of `(seed, plan)` as well: it follows from the keys ranks
-//! park with and from which ranks earlier slices woke. The
-//! virtual-time ordering remains a host-side *policy* (non-blocked
-//! ranks drain before long conversations continue, which keeps memory
-//! low), not a correctness input.
+//! The reference engine lets the OS run ranks in *any* order that
+//! respects those waits; one loop executing one slice at a time picks
+//! one of these legal interleavings, so the order it picks is a
+//! host-side *policy*, never a correctness input. The policy has two
+//! rules, and both are pure functions of `(seed, plan)`:
+//!
+//! - **Heap order.** A park carries the rank's virtual-time key, a wake
+//!   puts `(key, rank)` on the ready heap, and the loop pops the
+//!   minimum. Non-blocked ranks drain before long conversations
+//!   continue, which keeps memory low.
+//! - **Matched-wake handoff.** A park also records the `(src, tag)` the
+//!   rank waits for ([`EventSched::park`]), and a delivery that puts
+//!   exactly that message into the parked rank's mailbox says so
+//!   ([`EventSched::wake_matched`]). Such a wake goes to the *handoff
+//!   slot* instead of the heap. When the slice of rank R ends
+//!   with R parked on the rank S in the slot — R answered S and now
+//!   waits for S's reply — the loop resumes S next and the heap is
+//!   bypassed: the two sides of a ping-pong run back to back on hot
+//!   stacks and mailboxes instead of taking turns with every other live
+//!   conversation. In every other case (R parked on someone else, R
+//!   finished, a later matched wake displaced S from the slot) S moves
+//!   to the heap under the key it parked with, exactly as a plain wake
+//!   would have queued it. Completion, poison and deadline-fire wakes
+//!   never match.
 //!
 //! # Wakes are never lost, by construction
 //!
-//! A rank checks its mailbox and then parks, and nothing else executes
-//! in between: on the fiber backend both happen on the loop's thread,
-//! and the thread backend's strict handoff keeps the loop blocked in
-//! `resume` while the body runs. So every `wake` finds its target
-//! either parked (and queues it) or bound to re-check its mailbox
-//! before it parks (a no-op). A woken receiver re-checks its mailbox
-//! on every resume.
+//! A rank checks its mailbox, records its wait and parks, and nothing
+//! else executes in between: on the fiber backend all of it happens on
+//! the loop's thread, and the thread backend's strict handoff keeps the
+//! loop blocked in `resume` while the body runs. So every `wake` finds
+//! its target either parked (and queues it, on the heap or in the
+//! handoff slot, which the loop empties at the end of the same slice)
+//! or bound to re-check its mailbox before it parks (a no-op). A woken
+//! receiver re-checks its mailbox on every resume, so a wake that turns
+//! out not to help costs one slice and nothing else.
 //!
 //! # Stalls are diagnosed
 //!
@@ -50,12 +70,14 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 use crate::cont::InlineRun;
-use crate::cont::{Backend, Continuation, InlineFiber, Resume};
+use crate::cont::{self, Backend, Continuation, InlineFiber, Resume};
 use crate::lockutil::OrderedMutex;
+use crate::{Rank, Tag};
 
 /// The shared per-rank body: the scheduler calls it once per rank. One
 /// closure for the whole run (the engine's body is identical across
@@ -79,11 +101,39 @@ pub(crate) fn time_key(seconds: f64) -> u64 { // xtask-allow: clockdomain — so
     }
 }
 
+/// [`EventSched::waits`] value of a rank whose park (if any) names no
+/// message. Never a real record: ranks are far below `u32::MAX`.
+const NO_WAIT: u64 = u64::MAX;
+
+/// Packs the `(src, tag)` a park waits for into one wait record.
+#[inline]
+fn wait_record(src: Rank, tag: Tag) -> u64 {
+    debug_assert!(src < u32::MAX as usize, "rank field is 32 bits");
+    ((src as u64) << 32) | u64::from(tag)
+}
+
+/// Host-side counters of one [`drive`] (the first two of ROADMAP item
+/// 4's per-run statistics). Pure functions of `(seed, plan)`, so tests
+/// pin the scheduling policy with exact counts instead of timings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RunStats {
+    /// Rank slices executed: one per start or resume of a rank.
+    pub(crate) slices: u64,
+    /// Slices whose rank was taken from the handoff slot, bypassing the
+    /// ready heap (see the module docs).
+    pub(crate) handoffs: u64,
+}
+
 /// What the `RunNet` wake hooks share with the run loop.
 struct ReadyState {
     /// The virtual-time key each rank is parked with; `None` while the
     /// rank is queued, executing or finished, where `wake` is a no-op.
     parked: Vec<Option<u64>>,
+    /// The handoff slot: the `(key, rank)` most recently woken by a
+    /// delivery of exactly the message it was parked on. Filled only by
+    /// the executing slice and emptied by the loop when that slice
+    /// ends, so it is always empty between slices.
+    handoff: Option<(u64, usize)>,
     /// Next initially-seeded rank not yet started. Every rank starts
     /// ready at virtual time zero, so this cursor *is* the
     /// `(key₀, rank)` run of the merged ready sequence — seeding n
@@ -134,6 +184,15 @@ enum Outcome {
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
     runq: OrderedMutex<ReadyState>,
+    /// The park record's other half: what each parked rank waits for,
+    /// as a [`wait_record`], or [`NO_WAIT`]. Written by the rank itself
+    /// right before it suspends and cleared when it is woken, so a
+    /// record other than `NO_WAIT` implies its rank is parked. Kept
+    /// outside the lock so a delivery can test it before it mutates the
+    /// destination mailbox. Every access is ordered by the strict
+    /// one-slice-at-a-time handoff; Acquire/Release restates that for
+    /// the thread backend, whose bodies run on their own OS threads.
+    waits: Vec<AtomicU64>,
     n: usize,
     /// The shared rank body (see [`RankBody`]).
     body: RankBody,
@@ -150,15 +209,45 @@ impl EventSched {
         let backend = Backend::Thread;
         let ready = ReadyState {
             parked: vec![None; n],
+            handoff: None,
             seed_cursor: 0,
             ready: BinaryHeap::new(),
         };
         EventSched {
             runq: OrderedMutex::new("events.sched", 15, ready),
+            waits: (0..n).map(|_| AtomicU64::new(NO_WAIT)).collect(),
             n,
             body,
             backend,
         }
+    }
+
+    /// Parks the calling rank until it is woken: records that it waits
+    /// for `(src, tag)` and suspends its continuation with the
+    /// virtual-time `key`. The caller must hold no lock guard (see
+    /// `cont::suspend_current`).
+    pub(crate) fn park(&self, rank: usize, key: u64, src: Rank, tag: Tag) {
+        self.waits[rank].store(wait_record(src, tag), Ordering::Release);
+        cont::suspend_current(key);
+    }
+
+    /// Whether `rank` is parked on exactly `(src, tag)`, for any of
+    /// `tags`: the question a delivery from `src` asks before it calls
+    /// [`EventSched::wake_matched`] or [`EventSched::wake`].
+    pub(crate) fn awaits(
+        &self,
+        rank: usize,
+        src: Rank,
+        tags: impl IntoIterator<Item = Tag>,
+    ) -> bool {
+        let wait = self.waits[rank].load(Ordering::Acquire);
+        tags.into_iter().any(|tag| wait == wait_record(src, tag))
+    }
+
+    /// The rank `rank`'s wait record names, if it has one.
+    fn awaited_src(&self, rank: usize) -> Option<Rank> {
+        let wait = self.waits[rank].load(Ordering::Acquire);
+        (wait != NO_WAIT).then_some((wait >> 32) as Rank)
     }
 
     /// Wake hook called by `RunNet` after any state change a parked
@@ -167,9 +256,30 @@ impl EventSched {
     /// that is not parked is a no-op, and a woken receiver simply
     /// re-checks its mailbox.
     pub(crate) fn wake(&self, rank: usize) {
+        self.requeue(rank, false);
+    }
+
+    /// [`EventSched::wake`] for the delivery of exactly the message
+    /// `rank` is parked on ([`EventSched::awaits`]): the rank goes to
+    /// the handoff slot instead of the heap. An earlier occupant of the
+    /// slot moves to the heap, as a plain wake would have queued it.
+    pub(crate) fn wake_matched(&self, rank: usize) {
+        self.requeue(rank, true);
+    }
+
+    fn requeue(&self, rank: usize, matched: bool) {
         let mut st = self.runq.acquire();
-        if let Some(key) = st.parked[rank].take() {
-            st.ready.push(Reverse((key, rank)));
+        let Some(key) = st.parked[rank].take() else {
+            return;
+        };
+        self.waits[rank].store(NO_WAIT, Ordering::Release);
+        let queued = if matched {
+            st.handoff.replace((key, rank))
+        } else {
+            Some((key, rank))
+        };
+        if let Some(entry) = queued {
+            st.ready.push(Reverse(entry));
         }
     }
 
@@ -237,13 +347,13 @@ fn resume(mut cont: Continuation) -> Outcome {
     }
 }
 
-/// Runs the scheduler to completion on the calling thread: pop the
-/// `(key, rank)` minimum, run it until it parks or finishes, record the
-/// outcome — one lock round per rank slice, never held while a rank
-/// executes. Then re-throws the first panic that escaped a rank body,
-/// if any (engine bodies catch rank panics themselves, so that is a bug
-/// trap, not a normal path); the queue is still drained first, so
-/// ranks that can finish do.
+/// Runs the scheduler to completion on the calling thread: take the
+/// handed-off rank or else pop the `(key, rank)` minimum, run it until
+/// it parks or finishes, record the outcome — one lock round per rank
+/// slice, never held while a rank executes. Then re-throws the first
+/// panic that escaped a rank body, if any (engine bodies catch rank
+/// panics themselves, so that is a bug trap, not a normal path); the
+/// queue is still drained first, so ranks that can finish do.
 ///
 /// # Panics
 /// Panics with [`EventSched::stall_report`] if the run stalls. The
@@ -252,7 +362,7 @@ fn resume(mut cont: Continuation) -> Outcome {
 /// rank's OS thread stays blocked until process exit, so whatever the
 /// parked bodies own leaks. A stalled program is a bug to fix, not a
 /// state to recover memory from.
-pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) {
+pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) -> RunStats {
     let mut hot = InlineFiber::new();
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -260,20 +370,26 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
     let mut conts: Vec<Option<Continuation>> = (0..sched.n).map(|_| None).collect();
     let mut finished = 0;
     let mut first_panic = None;
+    let mut stats = RunStats::default();
+    // The rank the last slice handed off to, if any.
+    let mut handed: Option<usize> = None;
     let mut st = sched.runq.acquire();
     while finished < sched.n {
-        let Some(rank) = st.next_ready() else {
+        let Some(rank) = handed.take().or_else(|| st.next_ready()) else {
             if first_panic.is_some() {
                 break;
             }
             panic!("{}", sched.stall_report(&st, finished, describe_wait));
         };
         drop(st);
+        stats.slices += 1;
         let outcome = match conts[rank].take() {
             Some(cont) => resume(cont),
             None => sched.start_rank(rank, &mut hot),
         };
         st = sched.runq.acquire();
+        // Whom this slice left its rank parked on.
+        let mut parked_on = None;
         match outcome {
             Outcome::Finished { panic } => {
                 finished += 1;
@@ -282,6 +398,18 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
             Outcome::Parked { cont, key } => {
                 conts[rank] = Some(cont);
                 st.parked[rank] = Some(key);
+                parked_on = sched.awaited_src(rank);
+            }
+        }
+        // Matched-wake handoff (module docs): the slice delivered to
+        // `next` the message it was parked on and now waits for `next`
+        // in turn. Anything else in the slot is an ordinary wake.
+        if let Some((key, next)) = st.handoff.take() {
+            if parked_on == Some(next) {
+                handed = Some(next);
+                stats.handoffs += 1;
+            } else {
+                st.ready.push(Reverse((key, next)));
             }
         }
     }
@@ -289,6 +417,7 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
     if let Some(p) = first_panic {
         std::panic::resume_unwind(p);
     }
+    stats
 }
 
 /// Which continuation backend this run uses: fibers unless the
@@ -485,6 +614,144 @@ mod tests {
         assert_eq!(first.len(), 6 * 3 + 2);
         assert_eq!(first, logged_order(Backend::Fiber), "second run");
         assert_eq!(first, logged_order(Backend::Thread), "thread backend");
+    }
+
+    /// An events-pinned cluster of `nodes` × 8 ranks for the
+    /// handoff-policy tests, which run whole programs through `RunNet`
+    /// and `RankCtx` because the rule lives in their cooperation with
+    /// the scheduler.
+    fn events_cluster(nodes: usize, detect_deadlocks: bool) -> crate::Cluster {
+        crate::machines::testbed(nodes, 8)
+            .cluster(11)
+            .to_builder()
+            .engine(crate::EngineMode::Events)
+            .deadlock_detection(detect_deadlocks)
+            .build()
+    }
+
+    /// Ranks 0 and 1 ping-pong `TRIPS` times while ranks 2..32 sit
+    /// ready in the seed cursor (each is one slice: it never blocks).
+    /// Returns the host order of the pair's slices and the counters.
+    fn ping_pong_beside_ready_ranks(
+        cluster: &crate::Cluster,
+        backend: Backend,
+    ) -> (Vec<u32>, RunStats) {
+        const TRIPS: u32 = 1000;
+        let order = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let body = |ctx: &mut crate::RankCtx| {
+            let me = ctx.rank();
+            if me > 1 {
+                ctx.compute(crate::secs(1e-6));
+                return;
+            }
+            for trip in 0..TRIPS {
+                order.acquire().push(trip << 1 | me as u32);
+                if me == 0 {
+                    ctx.send_t::<u32>(1, 5, trip);
+                    assert_eq!(ctx.recv_t::<u32>(1, 6), trip);
+                } else {
+                    let got = ctx.recv_t::<u32>(0, 5);
+                    ctx.send_t::<u32>(0, 6, got);
+                }
+            }
+        };
+        let (_, _, stats) = cluster.run_counted(backend, &body);
+        let order = std::mem::take(&mut *order.acquire());
+        (order, stats)
+    }
+
+    #[test]
+    fn ping_pong_runs_as_handoffs_in_a_reproducible_host_order() {
+        let cluster = events_cluster(4, true);
+        let (order, stats) = ping_pong_beside_ready_ranks(&cluster, Backend::Fiber);
+        assert_eq!(order.len(), 2000);
+        // Under the heap rule alone the 30 virgin ranks (key₀) would
+        // run before the pair's first wake; with the handoff the pair
+        // talks to the end first, so nearly every slice of it bypasses
+        // the heap.
+        let pair_slices = stats.slices - 30;
+        assert!(pair_slices >= 2000, "{stats:?}");
+        assert!(stats.handoffs * 100 >= pair_slices * 99, "{stats:?}");
+        let again = ping_pong_beside_ready_ranks(&cluster, Backend::Fiber);
+        assert_eq!((&order, stats), (&again.0, again.1), "second run");
+        let threads = ping_pong_beside_ready_ranks(&cluster, Backend::Thread);
+        assert_eq!((&order, stats), (&threads.0, threads.1), "thread backend");
+        // The park record is the scheduler's own: the rule does not
+        // depend on the wait graph being there.
+        let undetected = ping_pong_beside_ready_ranks(&events_cluster(4, false), Backend::Fiber);
+        assert_eq!(
+            (&order, stats),
+            (&undetected.0, undetected.1),
+            "detection off"
+        );
+    }
+
+    #[test]
+    fn a_matching_delivery_alone_does_not_hand_off() {
+        // Rank 1 delivers exactly what rank 0 is parked on, then parks
+        // on rank 2: no handoff, rank 0 comes back through the heap.
+        // Rank 2 delivers exactly what rank 1 is parked on, then
+        // finishes: no handoff either. Ranks 3..32 are bystanders.
+        let order = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let body = |ctx: &mut crate::RankCtx| {
+            let me = ctx.rank();
+            match me {
+                0 => ctx.recv_t::<u32>(1, 1),
+                1 => {
+                    ctx.send_t::<u32>(0, 1, 10);
+                    ctx.recv_t::<u32>(2, 2)
+                }
+                2 => {
+                    ctx.send_t::<u32>(1, 2, 20);
+                    0
+                }
+                _ => return,
+            };
+            order.acquire().push(me);
+        };
+        let (_, _, stats) = events_cluster(4, true).run_counted(backend_from_env(), &body);
+        // 32 first slices plus one resume each for ranks 0 and 1.
+        assert_eq!(
+            stats,
+            RunStats {
+                slices: 34,
+                handoffs: 0
+            }
+        );
+        // Heap order as ever: rank 0 parked at key₀ with a lower rank
+        // than the seed cursor, so it resumes before rank 2 starts.
+        assert_eq!(*order.acquire(), vec![0, 2, 1]);
+    }
+
+    #[test]
+    fn recursive_doubling_keeps_its_slice_count() {
+        // All 64 ranks exchange with `me ^ 2^k` round after round, so a
+        // rank's partner changes every round and every rank is runnable
+        // at once. Running woken partners ahead of the heap order (pure
+        // LIFO) makes them park again on every round; the mutual-wait
+        // rule must leave this workload's slice count alone.
+        const HEAP_ONLY_SLICES: u64 = 11_735;
+        let cluster = events_cluster(8, true);
+        let body = |ctx: &mut crate::RankCtx| {
+            let me = ctx.rank();
+            let mut acc = me as u64;
+            for iter in 0..50u32 {
+                ctx.compute(crate::secs(1e-6 * ((me % 5) as f64 + 1.0)));
+                for k in 0..6 {
+                    let partner = me ^ (1 << k);
+                    ctx.send_t::<u64>(partner, iter, acc);
+                    acc = acc.wrapping_add(ctx.recv_t::<u64>(partner, iter));
+                }
+            }
+            acc
+        };
+        let (sums, _, stats) = cluster.run_counted(backend_from_env(), &body);
+        assert!(sums.windows(2).all(|w| w[0] == w[1]), "allreduce agrees");
+        let drift = stats.slices.abs_diff(HEAP_ONLY_SLICES);
+        assert!(
+            drift * 50 <= HEAP_ONLY_SLICES,
+            "{stats:?} vs {HEAP_ONLY_SLICES} heap-only slices"
+        );
     }
 
     #[test]

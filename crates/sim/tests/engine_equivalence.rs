@@ -7,13 +7,16 @@
 //!
 //! Matrix: p ∈ {2, 8, 32, 256} × seeds (direct and from inside
 //! concurrent sweep jobs), with observability on and off, plus a
-//! collective-heavy run, a chaotic fault-plan run and a timeout
-//! run (the two paths where the wait-graph/deadline machinery interacts
-//! with parking), panic propagation under both engines, and the
+//! collective-heavy run, a ping-pong-dominated run (HCA3 + accuracy
+//! check, the event scheduler's handoff path), a chaotic fault-plan
+//! run, a lossy sync under a receive-timeout policy and a timeout run
+//! (the paths where the wait-graph/deadline machinery interacts with
+//! parking), panic propagation under both engines, and the
 //! engine-selection rules themselves.
 
 use hcs_bench::SweepExecutor;
 use hcs_clock::{Clock, LocalClock, TimeSource};
+use hcs_core::{check_clock_accuracy, run_sync, run_sync_with_timeout, Hca3, SkampiOffset};
 use hcs_mpi::{BarrierAlgorithm, Comm, ReduceOp};
 use hcs_obs::{chrome_trace, summary_json, ObsSpec};
 use hcs_sim::{
@@ -122,6 +125,87 @@ fn collective_workload_matches_reference_and_rerun() {
     let again = events.run(collectives);
     assert_eq!(want, first, "events run differs from the reference");
     assert_eq!(first, again, "re-run is not reproducible");
+}
+
+/// HCA3, then the accuracy check on every client: almost every message
+/// is one leg of a strict ping-pong (SKaMPI-Offset), which the event
+/// scheduler runs as handoffs rather than in heap order.
+fn hca3_and_check(ctx: &mut RankCtx) -> (u64, u64, u64, u64) {
+    let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+    let mut comm = Comm::world(ctx);
+    let sync = run_sync(&mut Hca3::skampi(10, 4), ctx, &mut comm, Box::new(clk));
+    let mut g = sync.clock;
+    let report = check_clock_accuracy(
+        ctx,
+        &mut comm,
+        g.as_mut(),
+        &mut SkampiOffset::new(5),
+        secs(1.0),
+        1.0,
+    );
+    (
+        sync.duration.seconds().to_bits(),
+        report.map_or(0, |r| r.max_abs_after_wait().seconds().to_bits()),
+        ctx.now().seconds().to_bits(),
+        ctx.counters().sent_msgs,
+    )
+}
+
+#[test]
+fn ping_pong_dominated_sync_is_identical() {
+    let base = machines::testbed(8, 8).cluster(SEEDS[1]);
+    let threads = base
+        .to_builder()
+        .engine(EngineMode::Threads)
+        .observability(ObsSpec::full())
+        .build();
+    let events = threads.to_builder().engine(EngineMode::Events).build();
+    let (r_t, log_t) = threads.run_observed(hca3_and_check);
+    let (r_e, log_e) = events.run_observed(hca3_and_check);
+    assert_eq!(r_t, r_e, "timelines");
+    assert_eq!(chrome_trace(&log_t), chrome_trace(&log_e), "chrome trace");
+    assert_eq!(summary_json(&log_t), summary_json(&log_e), "summary json");
+}
+
+#[test]
+fn lossy_sync_under_a_recv_timeout_is_identical() {
+    // 5 % message loss under HCA3 with every receive on a deadline: the
+    // timed-out ranks, their `RecvTimeout` records and the survivors'
+    // timelines and traces must not depend on the engine, although
+    // deadline waits resolve through completion wakes and fired wait
+    // cycles, never through the handoff.
+    let lossy_sync = |ctx: &mut RankCtx| {
+        let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+        let mut comm = Comm::world(ctx);
+        let sync = run_sync_with_timeout(
+            &mut Hca3::skampi(10, 4),
+            ctx,
+            &mut comm,
+            Box::new(clk),
+            secs(5e-3),
+        );
+        (
+            sync.duration.seconds().to_bits(),
+            ctx.now().seconds().to_bits(),
+        )
+    };
+    let drop5 = FaultPlan::new().drop_messages(LinkSel::any(), 0.05, Window::all());
+    for seed in SEEDS {
+        let threads = machines::testbed(8, 8)
+            .cluster(seed)
+            .to_builder()
+            .faults(drop5.clone())
+            .observability(ObsSpec::full())
+            .engine(EngineMode::Threads)
+            .build();
+        let events = threads.to_builder().engine(EngineMode::Events).build();
+        let (o_t, log_t) = threads.run_outcome_observed(lossy_sync);
+        let (o_e, log_e) = events.run_outcome_observed(lossy_sync);
+        assert!(o_t.timed_out_count() > 0, "seed {seed}: nothing was lost");
+        assert_eq!(o_t, o_e, "outcomes, seed {seed}");
+        assert_eq!(chrome_trace(&log_t), chrome_trace(&log_e), "seed {seed}");
+        assert_eq!(summary_json(&log_t), summary_json(&log_e), "seed {seed}");
+    }
 }
 
 #[test]
