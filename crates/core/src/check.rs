@@ -45,16 +45,39 @@ impl AccuracyReport {
     }
 }
 
+/// The stream the sample is drawn from: draw `c − 1` decides client `c`.
+fn sample_rng(master_seed: u64) -> rngx::Pcg64 {
+    rngx::stream_rng(master_seed, 0x6A11)
+}
+
 /// Which clients a check with `sample_frac` will visit (deterministic in
-/// the master seed; every rank computes the same list locally).
+/// the master seed): those whose draw falls below `sample_frac`, or the
+/// last client alone if none does. The root's view; a client asks
+/// [`is_sampled`].
 fn sampled_clients(master_seed: u64, p: usize, sample_frac: f64) -> Vec<usize> {
-    let mut rng = rngx::stream_rng(master_seed, 0x6A11);
+    let mut rng = sample_rng(master_seed);
     let sampled: Vec<usize> = (1..p).filter(|_| rng.next_f64() < sample_frac).collect();
     if sampled.is_empty() && p > 1 {
         vec![p - 1]
     } else {
         sampled
     }
+}
+
+/// Whether `sampled_clients(master_seed, p, sample_frac)` contains
+/// client `me`, from `me`'s own draw in O(log p) — at 4096 ranks every
+/// client building the whole list cost more than its ping-pongs. Only
+/// the last client can be the empty-sample fallback, so only it looks
+/// at the other draws.
+fn is_sampled(master_seed: u64, p: usize, sample_frac: f64, me: usize) -> bool {
+    debug_assert!((1..p).contains(&me), "clients are comm ranks 1..p");
+    let mut own = sample_rng(master_seed);
+    own.advance(me as u64 - 1);
+    if own.next_f64() < sample_frac {
+        return true;
+    }
+    let mut rng = sample_rng(master_seed);
+    me == p - 1 && !(1..me).any(|_| rng.next_f64() < sample_frac)
 }
 
 /// Runs the accuracy check collectively. The root (comm rank 0) returns
@@ -83,9 +106,8 @@ pub fn check_clock_accuracy(
             wait_time,
         });
     }
-    let sampled = sampled_clients(ctx.master_seed(), p, sample_frac);
-
     if me == 0 {
+        let sampled = sampled_clients(ctx.master_seed(), p, sample_frac);
         let timestamp = g_clk.get_time(ctx);
         let mut first = Vec::with_capacity(sampled.len());
         for &c in &sampled {
@@ -102,7 +124,7 @@ pub fn check_clock_accuracy(
         }
         Some(AccuracyReport { entries, wait_time })
     } else {
-        if sampled.contains(&me) {
+        if is_sampled(ctx.master_seed(), p, sample_frac, me) {
             for _phase in 0..2 {
                 let o = offset_alg
                     .measure_offset(ctx, comm, g_clk, 0, me)
@@ -220,6 +242,27 @@ mod tests {
         );
         // Deterministic.
         assert_eq!(some, sampled_clients(7, 100, 0.1));
+    }
+
+    #[test]
+    fn each_client_answers_membership_like_the_roots_list() {
+        for p in [2usize, 3, 100, 4097] {
+            for frac in [0.0, 1e-9, 0.1, 0.25, 1.0] {
+                for seed in [0u64, 7, 0xDEAD_BEEF] {
+                    let list = sampled_clients(seed, p, frac);
+                    if frac < 1e-6 {
+                        assert_eq!(list, vec![p - 1], "the empty-sample fallback");
+                    }
+                    for me in 1..p {
+                        assert_eq!(
+                            is_sampled(seed, p, frac, me),
+                            list.contains(&me),
+                            "p {p}, frac {frac}, seed {seed}, client {me}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

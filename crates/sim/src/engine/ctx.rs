@@ -162,7 +162,7 @@ impl RankCtx {
             faults: FaultState::new(fault_plan, master_seed, rank),
             reorder_hold: Vec::new(),
             recv_timeout: None,
-            last_arrival_to: DstClamp::new(size),
+            last_arrival_to: DstClamp::new(),
             counters: TrafficCounters::default(),
             noise,
             noise_rng,
@@ -173,6 +173,18 @@ impl RankCtx {
             obs_spec,
             obs,
         }
+    }
+
+    /// Heap bytes held by this rank's FIFO clamp.
+    #[cfg(test)]
+    pub(crate) fn clamp_heap_bytes(&self) -> usize {
+        self.last_arrival_to.heap_bytes()
+    }
+
+    /// How many of the run's mailboxes are single-owner (`Events`) arms.
+    #[cfg(test)]
+    pub(crate) fn owned_mailboxes(&self) -> usize {
+        self.net.owned_mailboxes()
     }
 
     /// Declares that `n` ranks of this node (including this one) are

@@ -18,8 +18,9 @@
 //! The small-message send path performs **zero heap allocations per
 //! message**: payloads up to [`crate::msg::INLINE_PAYLOAD`] bytes are
 //! stored inline in the envelope, mailboxes are reusable ring buffers,
-//! and the per-send FIFO clamp is a flat per-destination table instead
-//! of a hash map.
+//! and the per-send FIFO clamp is a sorted vector of the partners a
+//! rank actually messages, hit in O(1) by consecutive sends to one
+//! partner, instead of a hash map or a table sized by the cluster.
 //!
 //! The code follows its seams: `net` (mailboxes and the per-run
 //! park/wake protocol), `ctx` ([`RankCtx`]), `run` ([`Cluster`], its
@@ -37,7 +38,7 @@ pub use run::{Cluster, ClusterBuilder, EngineMode, EnvSpec};
 
 #[cfg(test)]
 mod tests {
-    use super::net::DstClamp;
+    use super::net::{DstClamp, FIFO_EPS};
     use super::*;
     use crate::fault::FaultPlan;
     use crate::net::{Jitter, LevelLatency, NetworkModel};
@@ -520,18 +521,63 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fifo_clamp_matches_direct() {
-        // Exercise both clamp representations on the same send pattern.
-        let mut direct = DstClamp::new(4);
-        let mut sparse = DstClamp::Sparse(Vec::new());
-        let arrivals = [5.0, 3.0, 3.0, 7.0, 6.9, 1.0].map(SimTime::from_secs);
-        for (i, &a) in arrivals.iter().enumerate() {
-            let dst = i % 3;
-            assert_eq!(
-                direct.clamp_and_update(dst, a),
-                sparse.clamp_and_update(dst, a),
-                "arrival {i}"
-            );
+    fn fifo_clamp_matches_a_direct_table_bit_for_bit() {
+        // The reference is the direct-indexed table this map replaced:
+        // one slot per rank, NEG_INFINITY until the first send.
+        const P: usize = 4096;
+        for partners in [1usize, 13, 4095] {
+            let mut rng = crate::rngx::stream_rng(partners as u64, 0xC1A);
+            let mut table = vec![SimTime::NEG_INFINITY; P];
+            let mut clamp = DstClamp::new();
+            let mut clamped = 0;
+            for _ in 0..20 * partners + 200 {
+                // A handful of hot partners among cold ones, and
+                // arrivals that often run behind the watermark.
+                let dst = if rng.next_f64() < 0.5 {
+                    1 + (rng.next_u64() as usize % partners.min(3))
+                } else {
+                    1 + (rng.next_u64() as usize % partners)
+                };
+                let arrival = SimTime::from_secs((rng.next_f64() * 8.0).floor() * 0.125);
+                let last = &mut table[dst];
+                let want = if arrival <= *last {
+                    clamped += 1;
+                    *last + FIFO_EPS
+                } else {
+                    arrival
+                };
+                *last = want;
+                let got = clamp.clamp_and_update(dst, arrival);
+                assert_eq!(
+                    got.seconds().to_bits(),
+                    want.seconds().to_bits(),
+                    "{partners} partners, dst {dst}"
+                );
+            }
+            assert!(clamped > 50, "the FIFO-epsilon arm was exercised");
+            // Memory follows the partners, not the cluster.
+            let entry = std::mem::size_of::<(crate::Rank, SimTime)>();
+            assert!(clamp.heap_bytes() <= 2 * partners.max(4) * entry);
         }
+    }
+
+    #[test]
+    fn first_send_at_4096_ranks_allocates_no_table_sized_by_p() {
+        // Every rank messages one partner; none may hold a clamp block
+        // of 8 B x p, which is what the direct table cost per sender.
+        let parts = crate::machines::testbed(256, 16);
+        let p = parts.topology.total_cores();
+        assert_eq!(p, 4096);
+        let bytes = parts.cluster(5).run(|ctx| {
+            let peer = ctx.rank() ^ 1;
+            ctx.send_t::<u32>(peer, 3, 9);
+            assert_eq!(ctx.recv_t::<u32>(peer, 3), 9);
+            ctx.clamp_heap_bytes()
+        });
+        assert!(
+            bytes.iter().all(|&b| 0 < b && b < 8 * p),
+            "{:?}",
+            &bytes[..4]
+        );
     }
 }

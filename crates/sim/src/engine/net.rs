@@ -6,8 +6,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 
+use super::run::EngineMode;
 use crate::events::{self, EventSched};
-use crate::lockutil::OrderedMutex;
+use crate::lockutil::RunLock;
 use crate::msg::{Envelope, Payload};
 use crate::timebase::Span;
 use crate::waitgraph::WaitGraph;
@@ -15,32 +16,26 @@ use crate::{Rank, SimTime, Tag};
 
 /// Minimal spacing enforced between consecutive arrivals on the same
 /// (src → dst) channel, to model MPI's non-overtaking guarantee.
-const FIFO_EPS: Span = Span::from_secs(1e-12);
+pub(super) const FIFO_EPS: Span = Span::from_secs(1e-12);
 
 /// Tag of the poison message broadcast by a panicking rank so that
 /// peers blocked in receives fail fast instead of deadlocking.
 pub(super) const POISON_TAG: Tag = u32::MAX;
 
-/// Above this cluster size the per-destination FIFO clamp switches from
-/// a direct-indexed table (`8 B × p` per rank — O(p²) cluster-wide) to
-/// an association list over the O(log p) partners a rank actually
-/// messages.
-const DIRECT_CLAMP_MAX_RANKS: usize = 4096;
-
-/// One rank's incoming-message queue: a reusable ring buffer under a
-/// mutex, with a condvar the reference engine's rank threads block on
-/// (under the events engine nothing ever waits on it, so nothing
-/// notifies it either). Unlike a linked-list channel, pushing a message
-/// allocates nothing once the buffer has reached its high-water
-/// capacity.
+/// One rank's incoming-message queue: a reusable ring buffer behind the
+/// run's lock (a mutex under the reference engine, whose rank threads
+/// also block on the condvar; a borrow flag under the events engine,
+/// where nothing ever waits on the condvar, so nothing notifies it
+/// either). Unlike a linked-list channel, pushing a message allocates
+/// nothing once the buffer has reached its high-water capacity.
 ///
 /// Aligned to two cache lines so adjacent ranks' mailboxes in the
 /// `RunNet::boxes` vector never false-share a line between one rank's
 /// consumer loads and its neighbour's producer stores.
 #[repr(align(128))]
 struct Mailbox {
-    q: OrderedMutex<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
-    cv: Condvar,                         // lock-order: engine.mailbox
+    q: RunLock<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
+    cv: Condvar,                    // lock-order: engine.mailbox
 }
 
 /// Per-run communication state shared by all rank contexts: one mailbox
@@ -88,11 +83,28 @@ pub(super) enum BatchWait {
 }
 
 impl RunNet {
-    pub(super) fn new(size: usize, detect_deadlocks: bool, wake_on_done: bool) -> Self {
+    /// The communication state of one run of `size` ranks on the
+    /// engine `mode` resolved to.
+    ///
+    /// # Safety
+    /// With [`EngineMode::Events`] every rank body must execute under
+    /// `events::drive` (one slice at a time): the mailboxes are
+    /// single-owner [`RunLock`]s then, and this is their constructor's
+    /// contract.
+    // SAFETY: the one-slice-at-a-time condition is the caller's contract
+    // (above).
+    pub(super) unsafe fn new(
+        mode: EngineMode,
+        size: usize,
+        detect_deadlocks: bool,
+        wake_on_done: bool,
+    ) -> Self {
         Self {
             boxes: (0..size)
                 .map(|_| Mailbox {
-                    q: OrderedMutex::new("engine.mailbox", 10, VecDeque::new()),
+                    // SAFETY: the caller's contract is `RunLock::new`'s;
+                    // `recv_batch` drops its guard before it parks.
+                    q: unsafe { RunLock::new(mode, "engine.mailbox", 10, VecDeque::new()) },
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -144,6 +156,12 @@ impl RunNet {
         self.events
             .get()
             .is_some_and(|sched| sched.awaits(dst, src, tags))
+    }
+
+    /// How many mailboxes are the single-owner arm of [`RunLock`].
+    #[cfg(test)]
+    pub(super) fn owned_mailboxes(&self) -> usize {
+        self.boxes.iter().filter(|mb| mb.q.is_owned()).count()
     }
 
     /// Every rank of the run in order, shared by all of them.
@@ -424,32 +442,25 @@ impl RunNet {
     }
 }
 
-/// Per-destination FIFO clamp table (last scheduled arrival per dst).
-/// Direct-indexed at bench scale; an association list at Titan scale,
-/// where `p` slots per rank would cost O(p²) memory cluster-wide while
-/// the algorithms under study only message O(log p) partners.
-pub(super) enum DstClamp {
-    /// Direct-indexed table, materialized on first use: at p=2048 the
-    /// table is 16 KiB per rank (32 MiB per run), which dominated run
-    /// setup for benchmarks where most ranks message O(1) partners.
-    /// Allocating lazily keeps the common "this rank never sends"
-    /// and "run torn down before first send" paths allocation-free.
-    Direct {
-        size: usize,
-        table: Vec<SimTime>,
-    },
-    Sparse(Vec<(Rank, SimTime)>),
+/// Per-destination FIFO clamp (last scheduled arrival per dst), sized by
+/// the partners a rank actually messages — O(log p) for the algorithms
+/// under study — never by `p`: a rank-sorted vector with a last-hit
+/// slot, so the repeated-partner send of a ping-pong is one compare and
+/// a new or returning partner one binary search. Empty until the first
+/// send, which keeps "this rank never sends" allocation-free.
+pub(super) struct DstClamp {
+    /// `(dst, last arrival)`, sorted by `dst`. Roots that walk their
+    /// clients in rank order (JK, the accuracy check) append.
+    chans: Vec<(Rank, SimTime)>,
+    /// Index in `chans` of the previous call's destination.
+    hit: usize,
 }
 
 impl DstClamp {
-    pub(super) fn new(size: usize) -> Self {
-        if size <= DIRECT_CLAMP_MAX_RANKS {
-            DstClamp::Direct {
-                size,
-                table: Vec::new(),
-            }
-        } else {
-            DstClamp::Sparse(Vec::new())
+    pub(super) fn new() -> Self {
+        DstClamp {
+            chans: Vec::new(),
+            hit: 0,
         }
     }
 
@@ -457,34 +468,30 @@ impl DstClamp {
     /// resulting arrival as the channel's new high-water mark.
     #[inline]
     pub(super) fn clamp_and_update(&mut self, dst: Rank, arrival: SimTime) -> SimTime {
-        match self {
-            DstClamp::Direct { size, table } => {
-                if table.is_empty() {
-                    table.resize(*size, SimTime::NEG_INFINITY);
-                }
-                let last = &mut table[dst];
-                let a = if arrival <= *last {
-                    *last + FIFO_EPS
-                } else {
-                    arrival
-                };
-                *last = a;
-                a
-            }
-            DstClamp::Sparse(list) => {
-                if let Some((_, last)) = list.iter_mut().find(|(r, _)| *r == dst) {
-                    let a = if arrival <= *last {
-                        *last + FIFO_EPS
-                    } else {
-                        arrival
-                    };
-                    *last = a;
-                    a
-                } else {
-                    list.push((dst, arrival));
-                    arrival
-                }
-            }
-        }
+        let slot = match self.chans.get(self.hit) {
+            Some(&(rank, _)) if rank == dst => self.hit,
+            _ => self
+                .chans
+                .binary_search_by_key(&dst, |&(rank, _)| rank)
+                .unwrap_or_else(|at| {
+                    self.chans.insert(at, (dst, SimTime::NEG_INFINITY));
+                    at
+                }),
+        };
+        self.hit = slot;
+        let last = &mut self.chans[slot].1;
+        let a = if arrival <= *last {
+            *last + FIFO_EPS
+        } else {
+            arrival
+        };
+        *last = a;
+        a
+    }
+
+    /// Bytes of heap this clamp holds.
+    #[cfg(test)]
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.chans.capacity() * std::mem::size_of::<(Rank, SimTime)>()
     }
 }

@@ -462,11 +462,13 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let size = self.topology.total_cores();
-        let net = Arc::new(RunNet::new(
-            size,
-            self.detect_deadlocks,
-            !self.faults.is_empty(),
-        ));
+        let mode = self.engine_mode();
+        // SAFETY: under `EngineMode::Events` the only thing that ever
+        // executes a rank body (and with it every use of `net`) is
+        // `events::drive` in the match below, one slice at a time.
+        let net = Arc::new(unsafe {
+            RunNet::new(mode, size, self.detect_deadlocks, !self.faults.is_empty())
+        });
         // Single-writer slots (no lock): rank r's body writes slot r
         // exactly once, and this frame reads them only after the
         // engine's completion barrier. The recorder vector is empty
@@ -526,7 +528,7 @@ impl Cluster {
             net.rank_done(rank);
         };
 
-        let stats = match self.engine_mode() {
+        let stats = match mode {
             EngineMode::Events => {
                 // The scheduler drives `body(rank)` once per rank as a
                 // virtual-time continuation — one shared closure for

@@ -60,6 +60,12 @@
 //! receiver re-checks its mailbox on every resume, so a wake that turns
 //! out not to help costs one slice and nothing else.
 //!
+//! The same fact — one slice at a time, each ordered after the last by
+//! the loop itself or by the thread backend's mutex/condvar handoff — is
+//! why the run's mailboxes and this scheduler's ready state sit behind
+//! the single-owner arm of `lockutil::RunLock`, a checked flag, and the
+//! message path of an events run takes no mutex.
+//!
 //! # Stalls are diagnosed
 //!
 //! Only an executing rank can wake a parked one, so an empty ready
@@ -76,8 +82,8 @@ use std::sync::Arc;
 #[cfg(target_arch = "x86_64")]
 use crate::cont::InlineRun;
 use crate::cont::{self, Backend, Continuation, InlineFiber, Resume};
-use crate::lockutil::OrderedMutex;
-use crate::{Rank, Tag};
+use crate::lockutil::RunLock;
+use crate::{EngineMode, Rank, Tag};
 
 /// The shared per-rank body: the scheduler calls it once per rank. One
 /// closure for the whole run (the engine's body is identical across
@@ -178,12 +184,12 @@ enum Outcome {
 }
 
 /// The per-run event scheduler: the run loop plus the `wake` hook. The
-/// lock is never contended (a wake comes from the rank the loop is
-/// executing); it makes the scheduler `Sync` for the thread backend,
-/// whose bodies call `wake` from their own threads.
+/// ready state has one owner at a time — the loop between slices, the
+/// executing rank's `wake` calls during one — so its lock is the
+/// single-owner arm of [`RunLock`]: a checked flag, not a mutex.
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
-    runq: OrderedMutex<ReadyState>,
+    runq: RunLock<ReadyState>,
     /// The park record's other half: what each parked rank waits for,
     /// as a [`wait_record`], or [`NO_WAIT`]. Written by the rank itself
     /// right before it suspends and cleared when it is woken, so a
@@ -214,7 +220,15 @@ impl EventSched {
             ready: BinaryHeap::new(),
         };
         EventSched {
-            runq: OrderedMutex::new("events.sched", 15, ready),
+            // SAFETY: `runq` is used by `drive`, which holds no guard
+            // while a rank executes, and by `requeue`, which only the
+            // rank `drive` is executing reaches (through `RunNet::wake`
+            // or directly). Slices run one at a time — on the loop's
+            // thread under the fiber backend, behind the `events.cont`
+            // mutex/condvar handoff under the thread backend — so all
+            // uses are ordered by happens-before, and no guard lives
+            // across a `suspend_current` (module docs).
+            runq: unsafe { RunLock::new(EngineMode::Events, "events.sched", 15, ready) },
             waits: (0..n).map(|_| AtomicU64::new(NO_WAIT)).collect(),
             n,
             body,
@@ -349,11 +363,13 @@ fn resume(mut cont: Continuation) -> Outcome {
 
 /// Runs the scheduler to completion on the calling thread: take the
 /// handed-off rank or else pop the `(key, rank)` minimum, run it until
-/// it parks or finishes, record the outcome — one lock round per rank
-/// slice, never held while a rank executes. Then re-throws the first
-/// panic that escaped a rank body, if any (engine bodies catch rank
-/// panics themselves, so that is a bug trap, not a normal path); the
-/// queue is still drained first, so ranks that can finish do.
+/// it parks or finishes, record the outcome — one guard of the ready
+/// state per rank slice, never alive while a rank executes (the lock is
+/// the run's single-owner flag, so that is a check, not a cost). Then
+/// re-throws the first panic that escaped a rank body, if any (engine
+/// bodies catch rank panics themselves, so that is a bug trap, not a
+/// normal path); the queue is still drained first, so ranks that can
+/// finish do.
 ///
 /// # Panics
 /// Panics with [`EventSched::stall_report`] if the run stalls. The
@@ -433,6 +449,7 @@ pub(crate) fn backend_from_env() -> Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockutil::OrderedMutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// One rank's test body.
@@ -752,6 +769,76 @@ mod tests {
             drift * 50 <= HEAP_ONLY_SLICES,
             "{stats:?} vs {HEAP_ONLY_SLICES} heap-only slices"
         );
+    }
+
+    #[test]
+    fn an_events_run_owns_its_locks_and_a_threads_run_shares_them() {
+        for (mode, owned) in [(EngineMode::Events, 16), (EngineMode::Threads, 0)] {
+            let cluster = crate::machines::testbed(2, 8)
+                .cluster(11)
+                .to_builder()
+                .engine(mode)
+                .build();
+            let counts = cluster.run(|ctx| ctx.owned_mailboxes());
+            assert_eq!(counts, vec![owned; 16], "{mode:?}");
+        }
+        assert!(sched_on(Vec::new(), Backend::Thread).runq.is_owned());
+    }
+
+    #[test]
+    fn detector_heavy_program_runs_identically_on_both_backends() {
+        // Ranks 0 and 1 ping-pong 1,000 trips: every park runs the
+        // detector's probe, which finds the transient 2-cycle and
+        // refutes it at the non-empty mailbox. Then ranks 0..3 close a
+        // genuine 3-cycle (rank 2 has been parked on rank 0 all along).
+        // The rank that parks last diagnoses it; here each rank catches
+        // a diagnosis and releases its waiter, so the run ends and its
+        // counters can be compared.
+        fn run(backend: Backend) -> (Vec<Option<String>>, RunStats) {
+            let body = |ctx: &mut crate::RankCtx| {
+                let me = ctx.rank();
+                if me > 2 {
+                    return None;
+                }
+                if me < 2 {
+                    for trip in 0..1000u32 {
+                        if me == 0 {
+                            ctx.send_t::<u32>(1, 5, trip);
+                            assert_eq!(ctx.recv_t::<u32>(1, 6), trip);
+                        } else {
+                            let got = ctx.recv_t::<u32>(0, 5);
+                            ctx.send_t::<u32>(0, 6, got);
+                        }
+                    }
+                }
+                let (src, waiter) = ((me + 1) % 3, (me + 2) % 3);
+                let recv = std::panic::AssertUnwindSafe(|| ctx.recv_t::<u32>(src, 11 + me as u32));
+                let diagnosis = std::panic::catch_unwind(recv).err().map(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .expect("the diagnosis is a formatted message")
+                });
+                ctx.send_t::<u32>(waiter, 11 + waiter as u32, 0);
+                diagnosis
+            };
+            let (out, _, stats) = events_cluster(1, true).run_counted(backend, &body);
+            (out, stats)
+        }
+        let (out, stats) = run(Backend::Fiber);
+        let diagnoses: Vec<&String> = out.iter().flatten().collect();
+        assert_eq!(diagnoses.len(), 1, "one rank closes the cycle: {out:?}");
+        let msg = diagnoses[0];
+        assert!(msg.contains("deadlock detected"), "{msg}");
+        for needle in [
+            "rank 0 waiting on (src 1, tag 11)",
+            "rank 1 waiting on (src 2, tag 12)",
+            "rank 2 waiting on (src 0, tag 13)",
+        ] {
+            assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
+        }
+        assert!(stats.handoffs >= 1990, "{stats:?}");
+        assert_eq!((out, stats), run(Backend::Thread), "thread backend");
     }
 
     #[test]

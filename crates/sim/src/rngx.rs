@@ -91,6 +91,26 @@ impl Pcg64 {
         xsl.rotate_right(rot)
     }
 
+    /// Skips the next `n` outputs in O(log n): afterwards the generator
+    /// is in the state `n` calls of [`Pcg64::next_u64`] would have left
+    /// it in. Lets a consumer read draw `i` of a shared stream without
+    /// producing draws `0..i` (the standard LCG jump-ahead: the `n`-fold
+    /// composition of `s -> a*s + c` is again affine, built by squaring).
+    pub fn advance(&mut self, mut n: u64) {
+        let (mut acc_mult, mut acc_inc) = (1u128, 0u128);
+        let (mut mult, mut inc) = (PCG_MULT, self.inc);
+        while n > 0 {
+            if n & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(mult);
+                acc_inc = acc_inc.wrapping_mul(mult).wrapping_add(inc);
+            }
+            inc = mult.wrapping_add(1).wrapping_mul(inc);
+            mult = mult.wrapping_mul(mult);
+            n >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_inc);
+    }
+
     /// Uniform `f64` in `[0, 1)` (53 random bits).
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -216,6 +236,33 @@ mod tests {
         for (b, &c) in ones.iter().enumerate() {
             let frac = c as f64 / n as f64;
             assert!((frac - 0.5).abs() < 0.03, "bit {b} set {frac}");
+        }
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for seed in [0, 1, 42, u64::MAX] {
+            for n in [0u64, 1, 2, 63, 4095] {
+                let mut stepped = stream_rng(seed, 0x6A11);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                let mut jumped = stream_rng(seed, 0x6A11);
+                jumped.advance(n);
+                assert_eq!(jumped, stepped, "seed {seed}, n {n}");
+                assert_eq!(jumped.next_u64(), stepped.next_u64());
+            }
+            // Too far to step: jumps compose instead.
+            let big = (1u64 << 40) + 7;
+            let mut once = stream_rng(seed, 3);
+            once.advance(big);
+            let mut parts = stream_rng(seed, 3);
+            parts.advance(1 << 39);
+            parts.advance(7);
+            parts.advance(1 << 39);
+            assert_eq!(once, parts, "seed {seed}");
+            let mut base = stream_rng(seed, 3);
+            assert_ne!(once.next_u64(), base.next_u64());
         }
     }
 

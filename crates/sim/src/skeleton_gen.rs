@@ -45,8 +45,8 @@ pub(crate) const SKELETON: &[SkeletonEntry] = &[
         name: "TAG_REPORT",
         kinds: "f64",
         sizes: &[8],
-        send_sites: "crates/core/src/check.rs:110",
-        recv_sites: "crates/core/src/check.rs:93,100",
+        send_sites: "crates/core/src/check.rs:132",
+        recv_sites: "crates/core/src/check.rs:115,122",
     },
     SkeletonEntry {
         tag: 0x300,

@@ -107,7 +107,8 @@ pub struct WaitEdge {
 #[derive(Debug)]
 pub struct WaitGraph {
     slots: Vec<AtomicU64>,
-    /// Per-rank registration generation, bumped on every `begin_wait`.
+    /// Per-rank registration generation, bumped on every `begin_wait`
+    /// (by its rank alone).
     /// Lets [`WaitGraph::confirm`] distinguish an edge that stayed
     /// registered from a byte-identical edge re-registered by a later
     /// receive iteration (the ABA case of ping-pong loops).
@@ -136,7 +137,12 @@ impl WaitGraph {
     #[inline]
     pub fn begin_wait(&self, me: Rank, src: Rank, tag: Tag, deadline: bool) -> u64 {
         debug_assert_ne!(src, me, "self-waits are not modeled");
-        let gen = self.gens[me].fetch_add(1, Ordering::AcqRel) + 1;
+        // Single writer: only rank `me` ever stores `gens[me]`, so a
+        // load and a Release store are the whole bump, with no atomic
+        // read-modify-write on the receive path. `confirm` reads it with
+        // Acquire from other ranks' threads under the reference engine.
+        let gen = self.gens[me].load(Ordering::Acquire) + 1;
+        self.gens[me].store(gen, Ordering::Release);
         self.slots[me].store(pack(src, tag, deadline), Ordering::Release);
         gen
     }

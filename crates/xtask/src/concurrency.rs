@@ -12,7 +12,8 @@
 //!   every lock declaration in `crates/sim/src/` must be annotated,
 //!   annotations must parse, and one hierarchy name must map to one
 //!   level everywhere (constructor literals
-//!   `OrderedMutex::new("name", N, ..)` are cross-checked too);
+//!   `OrderedMutex::new("name", N, ..)` and the run-scoped
+//!   `RunLock::new(mode, "name", N, ..)` are cross-checked too);
 //! - **lock order** (`concurrency/lock-order`,
 //!   `concurrency/unknown-lock`) — a brace-scoped walk over guard
 //!   bindings (`lock_ignore_poison(..)` / `.acquire()`) flags nested
@@ -21,7 +22,10 @@
 //! - **blocking** (`concurrency/guard-across-blocking`) — no guard may
 //!   be held across a park point (`.wait(`, `park`, `recv_batch`); the
 //!   one sanctioned shape is the consumed-guard condvar wait
-//!   (`g = g.wait(&cv)`) with no other guard held;
+//!   (`g = g.wait(&cv)`) with no other guard held. A `RunLock` guard
+//!   is a guard like any other here, whichever arm the run's engine
+//!   picked: the single-owner arm of an events run is only sound
+//!   because nothing holds it across `cont::suspend_current`;
 //! - **atomics** (`concurrency/relaxed-atomic`) — every
 //!   `Ordering::Relaxed` in library code of the concurrency-sensitive
 //!   crates needs an `// atomics:` comment explaining why relaxed
@@ -179,8 +183,8 @@ pub fn check_locks(files: &[(String, FileScan)]) -> Vec<Finding> {
 }
 
 /// Registry collection: every non-test line in scope declaring a
-/// `Mutex`/`OrderedMutex`/`Condvar` in type position needs a parsable
-/// `// lock-order:` annotation.
+/// `Mutex`/`OrderedMutex`/`RunLock`/`Condvar` in type position needs a
+/// parsable `// lock-order:` annotation.
 fn collect_defs(path: &str, scan: &FileScan, defs: &mut Vec<LockDef>, out: &mut Vec<Finding>) {
     for (ln, line) in scan.code.iter().enumerate() {
         if scan.is_test[ln] || line.trim_start().starts_with("use ") {
@@ -191,8 +195,9 @@ fn collect_defs(path: &str, scan: &FileScan, defs: &mut Vec<LockDef>, out: &mut 
         if has_word(line, "fn") || line.trim_start().starts_with("impl") {
             continue;
         }
-        let is_mutex =
-            word_followed_by(line, "Mutex", b'<') || word_followed_by(line, "OrderedMutex", b'<');
+        let is_mutex = ["Mutex", "OrderedMutex", "RunLock"]
+            .iter()
+            .any(|ty| word_followed_by(line, ty, b'<'));
         let is_condvar = condvar_decl(line);
         if !is_mutex && !is_condvar {
             continue;
@@ -338,7 +343,8 @@ fn decl_ident(code_line: &str) -> Option<String> {
 }
 
 /// Constructor literals must agree with the registry:
-/// `OrderedMutex::new("name", N, ..)` is the runtime half of the same
+/// `OrderedMutex::new("name", N, ..)` and
+/// `RunLock::new(mode, "name", N, ..)` are the runtime half of the same
 /// declaration, and silent drift between the two would make the
 /// runtime validator enforce a different hierarchy than the lint.
 fn check_ctor_literals(
@@ -347,19 +353,27 @@ fn check_ctor_literals(
     by_name: &BTreeMap<&str, u32>,
     out: &mut Vec<Finding>,
 ) {
-    const CTOR: &str = "OrderedMutex::new(";
+    // Constructor prefix and how many arguments precede the name.
+    const CTORS: [(&str, usize); 2] = [("OrderedMutex::new(", 0), ("RunLock::new(", 1)];
     for (ln, line) in scan.code.iter().enumerate() {
-        if scan.is_test[ln] || allowed(scan, ln) || !line.contains(CTOR) {
+        if scan.is_test[ln] || allowed(scan, ln) {
             continue;
         }
+        let Some(&(ctor, skip)) = CTORS.iter().find(|(ctor, _)| line.contains(ctor)) else {
+            continue;
+        };
         // The scanner blanks string contents, so read the arguments
         // from the raw text (joining a few lines: rustfmt may break
         // the argument list).
         let window = scan.raw[ln..scan.raw.len().min(ln + 4)].join(" ");
-        let Some(args) = window.find(CTOR).map(|p| &window[p + CTOR.len()..]) else {
+        let Some(args) = window.find(ctor).map(|p| &window[p + ctor.len()..]) else {
             continue;
         };
-        let Some((name, level)) = parse_ctor_args(args) else {
+        let Some((name, level)) = args
+            .splitn(skip + 1, ',')
+            .nth(skip)
+            .and_then(parse_ctor_args)
+        else {
             continue; // non-literal arguments; the annotation still governs
         };
         match by_name.get(name) {
@@ -367,15 +381,15 @@ fn check_ctor_literals(
                 path,
                 ln,
                 "concurrency/unknown-lock",
-                format!("`OrderedMutex::new(\"{name}\", ..)` names a lock the registry does not contain"),
+                format!("`{ctor}\"{name}\", ..)` names a lock the registry does not contain"),
             )),
             Some(&reg) if reg != level => out.push(finding(
                 path,
                 ln,
                 "concurrency/conflicting-level",
                 format!(
-                    "`OrderedMutex::new(\"{name}\", {level}, ..)` disagrees with the registered \
-                     level {reg} for `{name}`"
+                    "`{ctor}\"{name}\", {level}, ..)` disagrees with the registered level {reg} \
+                     for `{name}`"
                 ),
             )),
             Some(_) => {}

@@ -314,6 +314,57 @@ fn good(s: &S) {
 }
 
 #[test]
+fn run_lock_is_registered_and_never_held_across_a_suspension() {
+    // The run-scoped lock is a registered lock like any mutex: its
+    // constructor literal is checked against the registry, and its
+    // guard may not live across a continuation suspension — that is
+    // what makes the single-owner arm of an events run sound.
+    let flagged = "\
+struct Mailbox {
+    q: RunLock<u32>, // lock-order: fix.mailbox level=10
+    stray: RunLock<u32>,
+}
+fn mk(mode: EngineMode) -> RunLock<u32> {
+    RunLock::new(mode, \"fix.mailbox\", 11, 0)
+}
+fn bad(mb: &Mailbox) {
+    let q = mb.q.acquire();
+    crate::cont::suspend_current(*q as u64);
+}
+";
+    let findings = lint_sources(&[("crates/sim/src/engine/net.rs", flagged)]);
+    assert_eq!(
+        lint_ids(&findings),
+        vec![
+            "concurrency/unregistered-lock",
+            "concurrency/conflicting-level",
+            "concurrency/guard-across-blocking"
+        ],
+        "{findings:?}"
+    );
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![3, 6, 10], "{findings:?}");
+
+    let clean = "\
+struct Mailbox {
+    q: RunLock<u32>, // lock-order: fix.mailbox level=10
+    cv: Condvar,     // lock-order: fix.mailbox
+}
+fn mk(mode: EngineMode) -> RunLock<u32> {
+    RunLock::new(mode, \"fix.mailbox\", 10, 0)
+}
+fn good(mb: &Mailbox) {
+    let mut q = mb.q.acquire();
+    q = q.wait(&mb.cv);
+    drop(q);
+    crate::cont::suspend_current(0);
+}
+";
+    let ok = lint_sources(&[("crates/sim/src/engine/net.rs", clean)]);
+    assert!(ok.is_empty(), "{ok:?}");
+}
+
+#[test]
 fn relaxed_atomic_needs_an_atomics_justification() {
     let bare = "\
 use std::sync::atomic::{AtomicUsize, Ordering};
