@@ -2,7 +2,9 @@
 //! Round-Time allreduce measurement with `ObsSpec::full()`, exported as
 //! a Chrome `trace_event` JSON (load it in chrome://tracing or
 //! Perfetto), plus the summary-stats JSON and the flame report. CI
-//! uploads the trace as an artifact of every run.
+//! uploads the trace as an artifact of every run. The trace is streamed
+//! to its file (`write_chrome_trace`), never held as one string, and a
+//! run that dropped events to the recorder capacity exits non-zero.
 //!
 //! ```text
 //! cargo run --release -p hcs-experiments --bin trace_smoke \
@@ -14,8 +16,10 @@ use hcs_clock::{LocalClock, TimeSource};
 use hcs_core::prelude::*;
 use hcs_experiments::Args;
 use hcs_mpi::{Comm, ReduceOp};
-use hcs_sim::obs::{chrome_trace, flame_report, summary_json};
+use hcs_sim::obs::{flame_report, summary_json, write_chrome_trace};
 use hcs_sim::{machines, secs, ObsSpec};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() {
     let args = Args::parse(&["nodes", "ppn", "seed", "out"]);
@@ -54,7 +58,10 @@ fn main() {
         log.total_dropped()
     );
 
-    std::fs::write(&out_path, chrome_trace(&log)).expect("write chrome trace");
+    let mut out = BufWriter::new(File::create(&out_path).expect("create chrome trace file"));
+    write_chrome_trace(&log, &mut out)
+        .and_then(|()| out.flush())
+        .expect("write chrome trace");
     println!("chrome trace written to {out_path} (open in chrome://tracing)");
 
     let stem = out_path.trim_end_matches(".json");
@@ -63,4 +70,12 @@ fn main() {
     println!("span summary written to {summary_path}");
 
     println!("\n{}", flame_report(&log));
+
+    if log.total_dropped() > 0 {
+        eprintln!(
+            "error: {} events dropped at the recorder capacity; the trace is incomplete",
+            log.total_dropped()
+        );
+        std::process::exit(1);
+    }
 }

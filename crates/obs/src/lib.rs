@@ -8,7 +8,8 @@
 //! the end of a run the engine merges the per-rank recorders, in rank
 //! order, into a [`TraceLog`], which the post-run sinks turn into
 //!
-//! - a Chrome `trace_event` JSON ([`chrome_trace`]) loadable in
+//! - a Chrome `trace_event` JSON ([`chrome_trace`], or streamed to any
+//!   `io::Write` by [`write_chrome_trace`]) loadable in
 //!   chrome://tracing and Perfetto,
 //! - a machine-readable summary ([`summary_json`]), and
 //! - a plain-text flamegraph-style report ([`flame_report`]).
@@ -38,7 +39,7 @@ pub mod record;
 pub mod sink;
 
 pub use record::{ClockReadings, Event, NameId, RankRecorder, Recorder, TraceLog};
-pub use sink::{chrome_trace, flame_report, summary_json};
+pub use sink::{chrome_trace, flame_report, summary_json, write_chrome_trace};
 
 /// What to record, and how much. The default is fully off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,13 +2,34 @@
 //!
 //! All three sinks are pure functions of the log, and the log is a pure
 //! function of the master seed, so their output is byte-identical
-//! across runs (and across execution engines). Floating-point
+//! across runs (and across execution engines). Finite floating-point
 //! values are printed with Rust's shortest-round-trip `Display`, which
-//! is deterministic.
+//! is deterministic; non-finite ones, which JSON cannot spell, become
+//! `null`.
+//!
+//! The sinks write straight into their output: no row, name or number
+//! is materialized as a `String` of its own on a per-event path.
+//! [`chrome_trace`] and [`write_chrome_trace`] are two entry points
+//! over one emitter; the second holds one fixed-size chunk of text and
+//! 8 bytes of flow-id state per event instead of the whole trace, so a
+//! trace file can be larger than memory left beside its log.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::fmt::Write as _;
+use std::io;
 
-use crate::record::{Event, TraceLog};
+use crate::record::{ClockReadings, Event, TraceLog};
+
+/// Text [`write_chrome_trace`] accumulates before it calls the writer.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Capacity [`chrome_trace`] reserves per event and per rank. A matched
+/// message (an `X` row plus its flow row) is ≈ 190 bytes and every
+/// other row, a rank's metadata row included, is shorter, so the buffer
+/// of a typical log never regrows, and the tail it does not fill is
+/// never touched.
+const BYTES_PER_EVENT_HINT: usize = 192;
 
 /// Renders the log as Chrome `trace_event` JSON (the "JSON object
 /// format"), loadable in chrome://tracing and Perfetto.
@@ -17,134 +38,219 @@ use crate::record::{Event, TraceLog};
 /// become `B`/`E` pairs, compute slices become complete (`X`) events,
 /// notes become instants, counters become `C` events, and matched
 /// send/recv pairs become zero-duration `X` markers joined by a flow
-/// arrow (`s`/`f` with a shared id). Timestamps are virtual-time
-/// microseconds.
+/// arrow (`s`/`f` with a shared id). A rank that dropped events to its
+/// buffer capacity ends with one `obs/dropped` instant carrying the
+/// count. Timestamps are virtual-time microseconds.
 pub fn chrome_trace(log: &TraceLog) -> String {
-    let ids = flow_ids(log);
-    let mut rows: Vec<String> = Vec::new();
-    for rec in log.ranks() {
-        let tid = rec.rank();
-        rows.push(format!(
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"rank {tid}\"}}}}"
-        ));
+    let rows = log.total_events() + log.ranks().len();
+    let mut out = String::with_capacity(rows * BYTES_PER_EVENT_HINT);
+    match emit_trace(log, &mut out, |_| Ok::<(), Infallible>(())) {
+        Ok(()) => out,
+        Err(never) => match never {},
     }
+}
+
+/// Writes exactly the bytes of [`chrome_trace`] to `w`, one
+/// `write_all` per [`CHUNK_BYTES`] of text, without ever holding the
+/// whole trace: live memory is the log, 8 bytes per event of flow ids
+/// (at most 28 while they are being matched) and the chunk. The first
+/// error of the writer is returned as is; `w` is not flushed.
+pub fn write_chrome_trace(log: &TraceLog, w: &mut impl io::Write) -> io::Result<()> {
+    // Twice the mark, so the event that crosses it does not regrow it.
+    let mut chunk = String::with_capacity(2 * CHUNK_BYTES);
+    emit_trace(log, &mut chunk, |chunk| -> io::Result<()> {
+        if chunk.len() >= CHUNK_BYTES {
+            w.write_all(chunk.as_bytes())?;
+            chunk.clear();
+        }
+        Ok(())
+    })?;
+    w.write_all(chunk.as_bytes())
+}
+
+/// The one chrome-trace emitter: appends the trace to `out` and calls
+/// `flush_point(out)` between events, never inside one; the callee may
+/// drain `out` (the streaming entry point) or leave it alone (the
+/// `String` one).
+fn emit_trace<E>(
+    log: &TraceLog,
+    out: &mut String,
+    mut flush_point: impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    let flows = flow_ids(log);
+    out.push_str("{\"traceEvents\":[\n");
     for (ri, rec) in log.ranks().iter().enumerate() {
-        let tid = rec.rank();
-        for (ei, ev) in rec.events().iter().enumerate() {
+        // The first metadata row is the first row of the array; every
+        // later row, of any kind, carries its own leading separator.
+        out.push_str(if ri == 0 { "{" } else { ",\n{" });
+        out.push_str("\"ph\":\"M\",\"pid\":0,\"tid\":");
+        push_int::<10>(out, rec.rank().into());
+        out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"rank ");
+        push_int::<10>(out, rec.rank().into());
+        out.push_str("\"}}");
+        flush_point(out)?;
+    }
+    // `"pid":0,"tid":<rank>,"ts":`, rendered once per rank.
+    let mut head = String::new();
+    for (rec, flow) in log.ranks().iter().zip(&flows) {
+        head.clear();
+        head.push_str("\"pid\":0,\"tid\":");
+        push_int::<10>(&mut head, rec.rank().into());
+        head.push_str(",\"ts\":");
+        // Escaped once per recorder, copied once per event.
+        let names: Vec<String> = rec.names().iter().map(|n| escape_json(n)).collect();
+        let name = |id: u32| names.get(id as usize).map_or("<unknown>", String::as_str);
+        for (ev, &flow_id) in rec.events().iter().zip(flow) {
             match *ev {
                 Event::Enter {
                     secs,
-                    name,
+                    name: id,
                     seq,
                     reads,
                 } => {
-                    let ts = micros(secs);
-                    let name = escape_json(rec.name(name));
-                    let mut args = format!("\"seq\":{seq}");
-                    push_reads(&mut args, reads.local, reads.global);
-                    rows.push(format!(
-                        "{{\"ph\":\"B\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\",\"args\":{{{args}}}}}"
-                    ));
+                    push_named(out, ",\n{\"ph\":\"B\",", &head, secs, name(id));
+                    out.push_str(",\"args\":{\"seq\":");
+                    push_int::<10>(out, seq.into());
+                    push_readings(out, reads, true);
+                    out.push_str("}}");
                 }
-                Event::Exit { secs, name, reads } => {
-                    let ts = micros(secs);
-                    let name = escape_json(rec.name(name));
-                    let mut args = String::new();
-                    push_reads(&mut args, reads.local, reads.global);
-                    rows.push(format!(
-                        "{{\"ph\":\"E\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\",\"args\":{{{args}}}}}"
-                    ));
+                Event::Exit {
+                    secs,
+                    name: id,
+                    reads,
+                } => {
+                    push_named(out, ",\n{\"ph\":\"E\",", &head, secs, name(id));
+                    out.push_str(",\"args\":{");
+                    push_readings(out, reads, false);
+                    out.push_str("}}");
                 }
-                Event::Note { secs, name } => {
-                    let ts = micros(secs);
-                    let name = escape_json(rec.name(name));
-                    rows.push(format!(
-                        "{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\",\"s\":\"t\"}}"
-                    ));
+                Event::Note { secs, name: id } => {
+                    push_named(out, ",\n{\"ph\":\"i\",", &head, secs, name(id));
+                    out.push_str(",\"s\":\"t\"}");
                 }
-                Event::Counter { secs, name, value } => {
-                    let ts = micros(secs);
-                    let name = escape_json(rec.name(name));
-                    rows.push(format!(
-                        "{{\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\",\"args\":{{\"value\":{value}}}}}"
-                    ));
+                Event::Counter {
+                    secs,
+                    name: id,
+                    value,
+                } => {
+                    push_named(out, ",\n{\"ph\":\"C\",", &head, secs, name(id));
+                    out.push_str(",\"args\":{\"value\":");
+                    push_f64(out, value);
+                    out.push_str("}}");
                 }
                 Event::Compute { secs, dur } => {
-                    let ts = micros(secs);
-                    let micros_dur = micros(dur);
-                    rows.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":{micros_dur},\"name\":\"compute\"}}"
-                    ));
+                    out.push_str(",\n{\"ph\":\"X\",");
+                    out.push_str(&head);
+                    push_f64(out, secs * 1e6);
+                    out.push_str(",\"dur\":");
+                    push_f64(out, dur * 1e6);
+                    out.push_str(",\"name\":\"compute\"}");
                 }
                 Event::Send {
                     secs,
                     peer,
                     tag,
                     bytes,
-                } => {
-                    let ts = micros(secs);
-                    rows.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":0,\"name\":\"send {tag:#x} -> {peer}\",\"args\":{{\"bytes\":{bytes}}}}}"
-                    ));
-                    if let Some(id) = ids.send[ri].get(&ei) {
-                        rows.push(format!(
-                            "{{\"ph\":\"s\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"id\":{id},\"name\":\"msg\",\"cat\":\"msg\"}}"
-                        ));
-                    }
                 }
-                Event::Recv {
+                | Event::Recv {
                     secs,
                     peer,
                     tag,
                     bytes,
                 } => {
-                    let ts = micros(secs);
-                    rows.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":0,\"name\":\"recv {tag:#x} <- {peer}\",\"args\":{{\"bytes\":{bytes}}}}}"
-                    ));
-                    if let Some(id) = ids.recv[ri].get(&ei) {
-                        rows.push(format!(
-                            "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"id\":{id},\"name\":\"msg\",\"cat\":\"msg\"}}"
-                        ));
+                    let (verb, arrow, flow_row) = match ev {
+                        Event::Send { .. } => ("send 0x", " -> ", ",\n{\"ph\":\"s\","),
+                        _ => ("recv 0x", " <- ", ",\n{\"ph\":\"f\",\"bp\":\"e\","),
+                    };
+                    out.push_str(",\n{\"ph\":\"X\",");
+                    out.push_str(&head);
+                    let ts_at = out.len();
+                    push_f64(out, secs * 1e6);
+                    let ts = ts_at..out.len();
+                    out.push_str(",\"dur\":0,\"name\":\"");
+                    out.push_str(verb);
+                    push_int::<16>(out, tag.into());
+                    out.push_str(arrow);
+                    push_int::<10>(out, peer.into());
+                    out.push_str("\",\"args\":{\"bytes\":");
+                    push_int::<10>(out, bytes.into());
+                    out.push_str("}}");
+                    if flow_id != 0 {
+                        // The arrow end repeats the marker's timestamp:
+                        // copied from the row above, not formatted again.
+                        out.push_str(flow_row);
+                        out.push_str(&head);
+                        out.extend_from_within(ts);
+                        out.push_str(",\"id\":");
+                        push_int::<10>(out, flow_id);
+                        out.push_str(",\"name\":\"msg\",\"cat\":\"msg\"}");
                     }
                 }
             }
+            flush_point(out)?;
+        }
+        if rec.dropped() > 0 {
+            let last_secs = rec.events().last().map_or(0.0, Event::secs);
+            push_named(out, ",\n{\"ph\":\"i\",", &head, last_secs, "obs/dropped");
+            out.push_str(",\"s\":\"t\",\"args\":{\"count\":");
+            push_int::<10>(out, rec.dropped());
+            out.push_str("}}");
+            flush_point(out)?;
         }
     }
-    format!(
-        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
-        rows.join(",\n")
-    )
+    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    Ok(())
+}
+
+/// Starts a row that carries a name: separator and phase (`open`), the
+/// rank's `head`, the timestamp and the (already escaped) name.
+fn push_named(out: &mut String, open: &str, head: &str, secs: f64, name: &str) {
+    out.push_str(open);
+    out.push_str(head);
+    push_f64(out, secs * 1e6);
+    out.push_str(",\"name\":\"");
+    out.push_str(name);
+    out.push('"');
+}
+
+/// Call count and inclusive virtual-time total of one span name or one
+/// span stack.
+#[derive(Clone, Copy, Default)]
+struct Agg {
+    count: u64,
+    total: f64,
+}
+
+impl Agg {
+    fn add(&mut self, dur: f64) {
+        self.count += 1;
+        self.total += dur;
+    }
 }
 
 /// Machine-readable per-rank summary: event/drop counts, message
 /// traffic, total compute, and per-span-name call counts and inclusive
 /// totals (virtual-time seconds).
 pub fn summary_json(log: &TraceLog) -> String {
-    struct Agg {
-        count: u64,
-        total: f64,
-    }
-    let mut rank_rows: Vec<String> = Vec::new();
-    for rec in log.ranks() {
+    let mut out = String::from("{\"ranks\":[\n");
+    let mut open: Vec<f64> = Vec::new();
+    // Indexed by `NameId`, which is also the order the rows come out in.
+    let mut spans: Vec<Agg> = Vec::new();
+    for (ri, rec) in log.ranks().iter().enumerate() {
         let mut sent_msgs: u64 = 0;
         let mut sent_bytes: u64 = 0;
         let mut recv_msgs: u64 = 0;
         let mut recv_bytes: u64 = 0;
         let mut compute_total = 0.0f64;
-        let mut open: Vec<f64> = Vec::new();
-        let mut spans: BTreeMap<u32, Agg> = BTreeMap::new();
+        open.clear();
+        spans.clear();
+        spans.resize(rec.names().len(), Agg::default());
         for ev in rec.events() {
             match *ev {
                 Event::Enter { secs, .. } => open.push(secs),
                 Event::Exit { secs, name, .. } => {
                     if let Some(begin) = open.pop() {
-                        let agg = spans.entry(name).or_insert(Agg {
-                            count: 0,
-                            total: 0.0,
-                        });
-                        agg.count += 1;
-                        agg.total += secs - begin;
+                        spans[name as usize].add(secs - begin);
                     }
                 }
                 Event::Send { bytes, .. } => {
@@ -159,44 +265,64 @@ pub fn summary_json(log: &TraceLog) -> String {
                 Event::Note { .. } | Event::Counter { .. } => {}
             }
         }
-        let span_rows: Vec<String> = spans
-            .iter()
-            .map(|(name, agg)| {
-                format!(
-                    "{{\"name\":\"{}\",\"count\":{},\"total_secs\":{}}}",
-                    escape_json(rec.name(*name)),
-                    agg.count,
-                    agg.total
-                )
-            })
-            .collect();
-        rank_rows.push(format!(
-            "{{\"rank\":{},\"events\":{},\"dropped\":{},\"sent_msgs\":{sent_msgs},\"sent_bytes\":{sent_bytes},\"recv_msgs\":{recv_msgs},\"recv_bytes\":{recv_bytes},\"compute_secs\":{compute_total},\"spans\":[{}]}}",
-            rec.rank(),
-            rec.events().len(),
-            rec.dropped(),
-            span_rows.join(",")
-        ));
+        out.push_str(if ri == 0 {
+            "{\"rank\":"
+        } else {
+            ",\n{\"rank\":"
+        });
+        push_int::<10>(&mut out, rec.rank().into());
+        for (key, v) in [
+            ("events", rec.events().len() as u64),
+            ("dropped", rec.dropped()),
+            ("sent_msgs", sent_msgs),
+            ("sent_bytes", sent_bytes),
+            ("recv_msgs", recv_msgs),
+            ("recv_bytes", recv_bytes),
+        ] {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            push_int::<10>(&mut out, v);
+        }
+        out.push_str(",\"compute_secs\":");
+        push_f64(&mut out, compute_total);
+        out.push_str(",\"spans\":[");
+        let mut any = false;
+        for (name, agg) in rec.names().iter().zip(&spans) {
+            if agg.count == 0 {
+                continue;
+            }
+            out.push_str(if any { ",{\"name\":\"" } else { "{\"name\":\"" });
+            any = true;
+            out.push_str(&escape_json(name));
+            out.push_str("\",\"count\":");
+            push_int::<10>(&mut out, agg.count);
+            out.push_str(",\"total_secs\":");
+            push_f64(&mut out, agg.total);
+            out.push('}');
+        }
+        out.push_str("]}");
     }
-    format!(
-        "{{\"ranks\":[\n{}\n],\"total_events\":{},\"total_dropped\":{}}}\n",
-        rank_rows.join(",\n"),
-        log.total_events(),
-        log.total_dropped()
-    )
+    out.push_str("\n],\"total_events\":");
+    push_int::<10>(&mut out, log.total_events() as u64);
+    out.push_str(",\"total_dropped\":");
+    push_int::<10>(&mut out, log.total_dropped());
+    out.push_str("}\n");
+    out
 }
 
 /// Plain-text flamegraph-style report: one line per distinct span
 /// *stack* (`outer;inner` folded notation) with call count and
 /// inclusive virtual-time seconds, grouped per rank.
 pub fn flame_report(log: &TraceLog) -> String {
-    struct Agg {
-        count: u64,
-        total: f64,
-    }
     let mut out = String::new();
+    // The stack being closed, folded; owned by the map only the first
+    // time that stack is seen.
+    let mut key = String::new();
     for rec in log.ranks() {
-        out.push_str(&format!("rank {}\n", rec.rank()));
+        out.push_str("rank ");
+        push_int::<10>(&mut out, rec.rank().into());
+        out.push('\n');
         let mut path: Vec<u32> = Vec::new();
         let mut open: Vec<f64> = Vec::new();
         let mut folded: BTreeMap<String, Agg> = BTreeMap::new();
@@ -208,107 +334,151 @@ pub fn flame_report(log: &TraceLog) -> String {
                 }
                 Event::Exit { secs, .. } => {
                     if let Some(begin) = open.pop() {
-                        let key = path
-                            .iter()
-                            .map(|&id| rec.name(id))
-                            .collect::<Vec<_>>()
-                            .join(";");
-                        let agg = folded.entry(key).or_insert(Agg {
-                            count: 0,
-                            total: 0.0,
-                        });
-                        agg.count += 1;
-                        agg.total += secs - begin;
+                        key.clear();
+                        for (depth, &id) in path.iter().enumerate() {
+                            if depth > 0 {
+                                key.push(';');
+                            }
+                            key.push_str(rec.name(id));
+                        }
+                        match folded.get_mut(key.as_str()) {
+                            Some(agg) => agg.add(secs - begin),
+                            None => {
+                                let mut agg = Agg::default();
+                                agg.add(secs - begin);
+                                folded.insert(key.clone(), agg);
+                            }
+                        }
                         path.pop();
                     }
                 }
                 _ => {}
             }
         }
+        // Writing to a `String` cannot fail.
         for (key, agg) in &folded {
-            out.push_str(&format!(
-                "  {key} calls={} total={:.9}s\n",
-                agg.count, agg.total
-            ));
+            let _ = writeln!(out, "  {key} calls={} total={:.9}s", agg.count, agg.total);
         }
         if rec.dropped() > 0 {
-            out.push_str(&format!("  ({} events dropped)\n", rec.dropped()));
+            let _ = writeln!(out, "  ({} events dropped)", rec.dropped());
         }
     }
     out
 }
 
-/// Per-rank event-index → flow-id maps for matched send/recv pairs.
-struct FlowIds {
-    send: Vec<BTreeMap<usize, u64>>,
-    recv: Vec<BTreeMap<usize, u64>>,
+/// One end of a message: its `(src, dst, tag)` channel, then where the
+/// event sits (recorder index, event index). Field order is sort order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Site {
+    channel: (u32, u32, u32),
+    ri: u32,
+    ei: u32,
 }
 
 /// Reconstructs message flows without envelope ids: for each
 /// `(src, dst, tag)` channel, the sender's `Send` events and the
 /// receiver's `Recv` events are matched FIFO (the engine guarantees
-/// non-overtaking per channel), and each matched pair gets a fresh id.
-/// Unmatched tails (messages still in flight at run end, or edges lost
-/// to buffer capacity) simply carry no arrow.
-fn flow_ids(log: &TraceLog) -> FlowIds {
-    let n = log.ranks().len();
-    let mut sends: BTreeMap<(u32, u32, u32), Vec<(usize, usize)>> = BTreeMap::new();
-    let mut recvs: BTreeMap<(u32, u32, u32), Vec<(usize, usize)>> = BTreeMap::new();
+/// non-overtaking per channel), and each matched pair gets a fresh id,
+/// counted from 1 in channel order. Unmatched tails (messages still in
+/// flight at run end, or edges lost to buffer capacity) simply carry no
+/// arrow. Returns, per recorder, the flow id of each event (0 = none).
+fn flow_ids(log: &TraceLog) -> Vec<Vec<u64>> {
+    // Counted first so neither vector ever regrows: their exact size is
+    // the memory bound `write_chrome_trace` documents.
+    let (mut n_sends, mut n_recvs) = (0, 0);
+    for ev in log.ranks().iter().flat_map(|rec| rec.events()) {
+        match ev {
+            Event::Send { .. } => n_sends += 1,
+            Event::Recv { .. } => n_recvs += 1,
+            _ => {}
+        }
+    }
+    let mut sends: Vec<Site> = Vec::with_capacity(n_sends);
+    let mut recvs: Vec<Site> = Vec::with_capacity(n_recvs);
     for (ri, rec) in log.ranks().iter().enumerate() {
+        let ri = u32::try_from(ri).expect("a log holds fewer than 2^32 recorders");
         for (ei, ev) in rec.events().iter().enumerate() {
+            let ei = u32::try_from(ei).expect("a recorder holds fewer than 2^32 events");
+            let site = |channel| Site { channel, ri, ei };
             match *ev {
-                Event::Send { peer, tag, .. } => {
-                    sends
-                        .entry((rec.rank(), peer, tag))
-                        .or_default()
-                        .push((ri, ei));
-                }
-                Event::Recv { peer, tag, .. } => {
-                    recvs
-                        .entry((peer, rec.rank(), tag))
-                        .or_default()
-                        .push((ri, ei));
-                }
+                Event::Send { peer, tag, .. } => sends.push(site((rec.rank(), peer, tag))),
+                Event::Recv { peer, tag, .. } => recvs.push(site((peer, rec.rank(), tag))),
                 _ => {}
             }
         }
     }
-    let mut ids = FlowIds {
-        send: vec![BTreeMap::new(); n],
-        recv: vec![BTreeMap::new(); n],
-    };
+    // Sites were pushed in (recorder, event) order and no two are
+    // equal, so the in-place sort of whole sites is the stable sort by
+    // channel: FIFO order within a channel survives.
+    sends.sort_unstable();
+    recvs.sort_unstable();
+    let mut ids: Vec<Vec<u64>> = log
+        .ranks()
+        .iter()
+        .map(|rec| vec![0; rec.events().len()])
+        .collect();
     let mut next_id: u64 = 1;
-    for (key, send_sites) in &sends {
-        let Some(recv_sites) = recvs.get(key) else {
-            continue;
-        };
-        for (&(sri, sei), &(rri, rei)) in send_sites.iter().zip(recv_sites.iter()) {
-            ids.send[sri].insert(sei, next_id);
-            ids.recv[rri].insert(rei, next_id);
-            next_id += 1;
+    let (mut s, mut r) = (0, 0);
+    while let (Some(&send), Some(&recv)) = (sends.get(s), recvs.get(r)) {
+        // Equal channels pair up and advance together; the side whose
+        // channel sorts first has run out of partners there.
+        match send.channel.cmp(&recv.channel) {
+            std::cmp::Ordering::Less => s += 1,
+            std::cmp::Ordering::Greater => r += 1,
+            std::cmp::Ordering::Equal => {
+                ids[send.ri as usize][send.ei as usize] = next_id;
+                ids[recv.ri as usize][recv.ei as usize] = next_id;
+                next_id += 1;
+                s += 1;
+                r += 1;
+            }
         }
     }
     ids
 }
 
-/// Virtual-time seconds → microseconds, rendered with `Display` (which
-/// is shortest-round-trip and therefore deterministic).
-fn micros(secs: f64) -> String {
-    format!("{}", secs * 1e6)
+/// Appends a float the way JSON can carry it: `Display` (shortest
+/// round trip, deterministic) when finite, `null` otherwise.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
 }
 
-fn push_reads(args: &mut String, local: Option<f64>, global: Option<f64>) {
-    if let Some(v) = local {
-        if !args.is_empty() {
-            args.push(',');
+/// Appends `v` in base `RADIX` (10, or 16 in lowercase), the bytes of
+/// integer `Display` / `LowerHex` without the formatter.
+fn push_int<const RADIX: u64>(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789abcdef"[(v % RADIX) as usize];
+        v /= RADIX;
+        if v == 0 {
+            break;
         }
-        args.push_str(&format!("\"local\":{v}"));
     }
-    if let Some(v) = global {
-        if !args.is_empty() {
-            args.push(',');
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends the clock readings of a span edge as `"local":v` /
+/// `"global":v` members; `after_member` says whether the object body
+/// already holds one.
+fn push_readings(out: &mut String, reads: ClockReadings, mut after_member: bool) {
+    for (key, v) in [("\"local\":", reads.local), ("\"global\":", reads.global)] {
+        if let Some(v) = v {
+            if after_member {
+                out.push(',');
+            }
+            after_member = true;
+            out.push_str(key);
+            push_f64(out, v);
         }
-        args.push_str(&format!("\"global\":{v}"));
     }
 }
 
@@ -422,5 +592,115 @@ mod tests {
     fn json_escaping() {
         assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape_json("tab\tx"), "tab\\u0009x");
+    }
+
+    #[test]
+    fn an_empty_log_is_still_a_document() {
+        let log = TraceLog::default();
+        assert_eq!(
+            chrome_trace(&log),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ms\"}\n"
+        );
+        assert_eq!(
+            summary_json(&log),
+            "{\"ranks\":[\n\n],\"total_events\":0,\"total_dropped\":0}\n"
+        );
+        assert_eq!(flame_report(&log), "");
+    }
+
+    #[test]
+    fn flows_pair_fifo_within_a_channel_and_count_in_channel_order() {
+        // Recorder 0 is rank 1 and recorder 1 is rank 0: channels are
+        // keyed by rank, sites by recorder index.
+        let mut a = RankRecorder::new(1, 64);
+        a.send(1.0, 0, 9, 4); // (1, 0, 9) #1
+        a.send(2.0, 0, 3, 4); // (1, 0, 3) #1
+        a.send(3.0, 0, 9, 4); // (1, 0, 9) #2
+        a.recv(4.0, 0, 3, 4); // (0, 1, 3) #1
+        a.send(5.0, 7, 3, 4); // to a rank that records nothing
+        let mut b = RankRecorder::new(0, 64);
+        b.recv(1.5, 1, 9, 4); // (1, 0, 9) #1
+        b.recv(2.5, 1, 3, 4); // (1, 0, 3) #1
+        b.recv(2.6, 1, 3, 4); // (1, 0, 3): more receives than sends
+        b.send(3.5, 1, 3, 4); // (0, 1, 3) #1
+        b.note(3.6, "x");
+        let ids = flow_ids(&TraceLog::new(vec![a, b]));
+        // Channel order: (0, 1, 3), (1, 0, 3), (1, 0, 9) twice.
+        assert_eq!(ids, vec![vec![3, 2, 0, 1, 0], vec![3, 2, 0, 1, 0]]);
+    }
+
+    #[test]
+    fn digit_writer_matches_the_formatter() {
+        for v in [0, 1, 9, 10, 99, 100, 4096, u64::from(u32::MAX), u64::MAX] {
+            let mut dec = String::new();
+            push_int::<10>(&mut dec, v);
+            assert_eq!(dec, format!("{v}"));
+            let mut hex = String::from("0x");
+            push_int::<16>(&mut hex, v);
+            assert_eq!(hex, format!("{v:#x}"));
+        }
+    }
+
+    /// One non-finite value per float field of the trace; each must
+    /// come out as `null`, and the finite neighbours as themselves.
+    #[test]
+    fn chrome_trace_spells_non_finite_floats_as_null() {
+        let row = |build: fn(&mut RankRecorder)| {
+            let mut rec = RankRecorder::new(0, 8);
+            build(&mut rec);
+            let json = chrome_trace(&TraceLog::new(vec![rec]));
+            json.lines().nth(2).expect("one event row").to_string()
+        };
+        let ts = row(|r| r.note(f64::INFINITY, "n"));
+        assert!(ts.contains("\"ts\":null,"), "ts: {ts}");
+        let value = row(|r| r.counter(1.0, "x", f64::NAN));
+        assert!(value.contains("\"ts\":1000000,"), "ts: {value}");
+        assert!(value.contains("{\"value\":null}"), "value: {value}");
+        let dur = row(|r| r.compute(1.0, f64::NEG_INFINITY));
+        assert!(dur.contains("\"dur\":null,"), "dur: {dur}");
+        let local = row(|r| r.enter(1.0, "s", 0, ClockReadings::local(f64::INFINITY)));
+        assert!(
+            local.contains("{\"seq\":0,\"local\":null}"),
+            "local: {local}"
+        );
+        let global = row(|r| r.enter(1.0, "s", 0, ClockReadings::global(f64::NAN)));
+        assert!(
+            global.contains("{\"seq\":0,\"global\":null}"),
+            "global: {global}"
+        );
+        for json in [ts, value, dur, local, global] {
+            assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+        }
+    }
+
+    #[test]
+    fn summary_json_spells_non_finite_floats_as_null() {
+        let mut a = RankRecorder::new(0, 8);
+        a.compute(1.0, f64::NAN);
+        a.enter(1.0, "open-ended", 0, ClockReadings::NONE);
+        a.exit(f64::INFINITY, ClockReadings::NONE);
+        let json = summary_json(&TraceLog::new(vec![a]));
+        assert!(json.contains("\"compute_secs\":null,"), "{json}");
+        assert!(json.contains("\"count\":1,\"total_secs\":null}"), "{json}");
+        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+    }
+
+    #[test]
+    fn a_rank_that_dropped_events_says_so_in_its_last_row() {
+        let mut a = RankRecorder::new(3, 2);
+        a.note(1.0, "kept");
+        a.note(2.0, "kept");
+        a.note(3.0, "lost");
+        a.send(4.0, 1, 7, 4);
+        let whole = RankRecorder::new(1, 2);
+        let json = chrome_trace(&TraceLog::new(vec![a, whole]));
+        let rows: Vec<&str> = json.lines().collect();
+        assert_eq!(
+            rows[5],
+            "{\"ph\":\"i\",\"pid\":0,\"tid\":3,\"ts\":2000000,\"name\":\"obs/dropped\",\
+             \"s\":\"t\",\"args\":{\"count\":2}}"
+        );
+        assert_eq!(json.matches("obs/dropped").count(), 1, "{json}");
+        assert!(!chrome_trace(&two_rank_log()).contains("obs/dropped"));
     }
 }
