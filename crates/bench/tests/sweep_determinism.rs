@@ -8,7 +8,7 @@ use hcs_clock::Span;
 use hcs_experiments::hier_experiment::{
     fig4_configs, run_hier_experiment, write_hier_csv, HierRow,
 };
-use hcs_sim::{machines, secs, EngineMode};
+use hcs_sim::{machines, secs, EngineMode, RankCtx};
 
 const SEED: u64 = 20_260_806;
 
@@ -17,6 +17,32 @@ fn rows_with_jobs(jobs: usize) -> Vec<HierRow> {
     let configs = fig4_configs(12, 6, 4);
     let exec = SweepExecutor::new(jobs);
     run_hier_experiment(&machine, &configs, 2, secs(0.5), 1.0, SEED, &exec)
+}
+
+/// One run of `msgs` ping-pong round trips between ranks 0 and 1 on a
+/// `p`-rank testbed cluster on the events engine, every other rank
+/// idle.
+fn pingpong_run(p: usize, msgs: u32, seed: u64) {
+    machines::testbed(p.div_ceil(4).max(1), p.min(4))
+        .cluster(seed)
+        .to_builder()
+        .engine(EngineMode::Events)
+        .build()
+        .run(move |ctx: &mut RankCtx| match ctx.rank() {
+            0 => {
+                for i in 0..msgs {
+                    ctx.send_t(1, i & 0xFF, 1.0f64);
+                    let _: f64 = ctx.recv_t(1, i & 0xFF);
+                }
+            }
+            1 => {
+                for i in 0..msgs {
+                    let v: f64 = ctx.recv_t(0, i & 0xFF);
+                    ctx.send_t(0, i & 0xFF, v);
+                }
+            }
+            _ => {}
+        });
 }
 
 fn assert_rows_eq(a: &[HierRow], b: &[HierRow], what: &str) {
@@ -103,7 +129,6 @@ fn concurrent_jobs_are_not_slower_than_sequential() {
     // best-of-interleaved trials) so a loaded CI host cannot flake it;
     // a real regression of the old kind was a 2×+ slowdown.
     use hcs_bench::sweep::run_seed;
-    use hcs_experiments::pingpong_run;
     use std::time::Instant;
 
     for p in [32usize, 256] {
@@ -113,9 +138,7 @@ fn concurrent_jobs_are_not_slower_than_sequential() {
         // the thread-per-rank reference has no performance contract
         // (concurrent runs there contend on spawning p threads each).
         let sweep = |exec: &SweepExecutor| {
-            exec.run(8, p, |i| {
-                pingpong_run(p, 50, run_seed(7, i as u64), Some(EngineMode::Events))
-            });
+            exec.run(8, p, |i| pingpong_run(p, 50, run_seed(7, i as u64)));
         };
         // Warm both paths (stack pool fill, page faults).
         sweep(&e1);

@@ -22,7 +22,6 @@
 
 pub mod guidelines;
 pub mod imbalance;
-pub mod microbench;
 pub mod postmortem;
 pub mod profile;
 pub mod schemes;

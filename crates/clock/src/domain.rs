@@ -30,8 +30,8 @@
 //!
 //! All types are `#[repr(transparent)]` over `f64` with `#[inline]`
 //! operators: the generated code is bit-identical to the raw-`f64`
-//! version, so simulated timelines do not change (see BENCH_engine.json
-//! tracking).
+//! version, so simulated timelines do not change (the determinism
+//! suite's bit-identical replay pins this down).
 
 use hcs_sim::wire::Wire;
 

@@ -897,11 +897,13 @@ impl RankCtx {
             // detector's probes rely on. The generation bump on
             // re-registration is what lets the detector prove that a
             // confirmed cycle's edges all coexisted.
-            let wait_gen = self.net.begin_wait(self.rank, src, tag, deadline.is_some());
+            let wait_gen = self
+                .net
+                .waits
+                .begin_wait(self.rank, src, tag, deadline.is_some());
             match self.net.recv_batch(
                 self.rank,
                 src,
-                tag,
                 deadline.map(|_| wait_gen),
                 self.now,
                 &mut self.ring,

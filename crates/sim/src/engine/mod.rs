@@ -345,38 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn detection_does_not_perturb_timeline_or_determinism() {
-        let workload = |ctx: &mut RankCtx| {
-            let peer = ctx.rank() ^ 1;
-            for i in 0..30u32 {
-                if ctx.rank() < peer {
-                    ctx.send_t(peer, i, i as f64);
-                    let _: f64 = ctx.recv_t(peer, i);
-                } else {
-                    let v: f64 = ctx.recv_t(peer, i);
-                    ctx.send_t(peer, i, v + 0.5);
-                }
-            }
-            ctx.now()
-        };
-        let on = small_cluster(true, 21).run(workload);
-        let off = small_cluster(true, 21)
-            .to_builder()
-            .deadlock_detection(false)
-            .build()
-            .run(workload);
-        assert_eq!(on, off, "detector must be invisible to the simulation");
-    }
-
-    #[test]
-    fn deadlock_detection_flag_roundtrips() {
-        let c = small_cluster(false, 11);
-        assert!(c.deadlock_detection(), "default is on");
-        let off = c.to_builder().deadlock_detection(false).build();
-        assert!(!off.deadlock_detection());
-    }
-
-    #[test]
     #[should_panic(expected = "missing .topology")]
     fn builder_panics_without_topology() {
         let _ = Cluster::builder()

@@ -56,9 +56,11 @@ pub(super) struct RunNet {
     /// deadline waiters observe sender completion. Benign runs keep the
     /// legacy single notify-all.
     wake_done: AtomicBool,
-    /// Wait-for-graph deadlock detector; `None` when opted out via
-    /// [`ClusterBuilder::deadlock_detection`].
-    waits: Option<WaitGraph>,
+    /// Each rank's wait record: the wait-for-graph deadlock detector,
+    /// whose edge also tells the event scheduler what a parked rank
+    /// waits for ([`RunNet::delivers_awaited`], `events::drive`). A
+    /// receive registers its edge here (`RankCtx::pull_match`).
+    pub(super) waits: WaitGraph,
     /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
     /// run that never forms a world communicator does not pay for it.
     world: OnceLock<Arc<[Rank]>>,
@@ -93,12 +95,7 @@ impl RunNet {
     /// contract.
     // SAFETY: the one-slice-at-a-time condition is the caller's contract
     // (above).
-    pub(super) unsafe fn new(
-        mode: EngineMode,
-        size: usize,
-        detect_deadlocks: bool,
-        wake_on_done: bool,
-    ) -> Self {
+    pub(super) unsafe fn new(mode: EngineMode, size: usize, wake_on_done: bool) -> Self {
         Self {
             boxes: (0..size)
                 .map(|_| Mailbox {
@@ -111,7 +108,7 @@ impl RunNet {
             alive: AtomicUsize::new(size),
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
             wake_done: AtomicBool::new(wake_on_done),
-            waits: detect_deadlocks.then(|| WaitGraph::new(size)),
+            waits: WaitGraph::new(size),
             world: OnceLock::new(),
             events: OnceLock::new(),
         }
@@ -148,14 +145,19 @@ impl RunNet {
         self.wake(dst, false);
     }
 
-    /// Whether `dst` is parked on exactly one of the messages `src` is
+    /// Whether `dst` waits for exactly one of the messages `src` is
     /// about to put in its mailbox (always `false` under `Threads`,
-    /// which has no scheduler to tell).
+    /// which has no scheduler to tell). The wait edge is registered
+    /// before a rank parks and stays until it drains its mailbox, so it
+    /// names what a parked rank waits for; for a rank that is not
+    /// parked the answer does not matter, since waking it is a no-op.
     #[inline]
     fn delivers_awaited(&self, dst: Rank, src: Rank, tags: impl IntoIterator<Item = Tag>) -> bool {
-        self.events
-            .get()
-            .is_some_and(|sched| sched.awaits(dst, src, tags))
+        self.events.get().is_some()
+            && self
+                .waits
+                .waiting_on(dst)
+                .is_some_and(|(from, want)| from == src && tags.into_iter().any(|tag| tag == want))
     }
 
     /// How many mailboxes are the single-owner arm of [`RunLock`].
@@ -172,19 +174,16 @@ impl RunNet {
     /// What parked rank `rank` is waiting for, worded for the event
     /// scheduler's stall report.
     pub(super) fn describe_wait(&self, rank: Rank) -> String {
-        match self.waits.as_ref().and_then(|wg| wg.waiting_on(rank)) {
-            Some((src, tag)) => {
-                let state = if self.done[src].load(Ordering::SeqCst) {
-                    "already finished"
-                } else {
-                    "has not finished"
-                };
-                format!("waiting on (src {src}, tag {tag}), and rank {src} {state}")
-            }
-            None => "parked in a receive (deadlock detection is off, so its (src, tag) is not \
-                     recorded)"
-                .to_string(),
-        }
+        let (src, tag) = self
+            .waits
+            .waiting_on(rank)
+            .expect("a parked rank has a registered wait edge");
+        let state = if self.done[src].load(Ordering::SeqCst) {
+            "already finished"
+        } else {
+            "has not finished"
+        };
+        format!("waiting on (src {src}, tag {tag}), and rank {src} {state}")
     }
 
     /// Arms per-rank completion wakeups (idempotent). Called the first
@@ -199,25 +198,6 @@ impl RunNet {
         }
     }
 
-    /// Registers the wait edge of one logical receive (no-op when
-    /// detection is off). Returns the wait's registration generation
-    /// (0 when detection is off).
-    #[inline]
-    pub(super) fn begin_wait(&self, me: Rank, src: Rank, tag: Tag, deadline: bool) -> u64 {
-        match &self.waits {
-            Some(wg) => wg.begin_wait(me, src, tag, deadline),
-            None => 0,
-        }
-    }
-
-    /// Clears the wait edge once the receive matched.
-    #[inline]
-    fn end_wait(&self, me: Rank) {
-        if let Some(wg) = &self.waits {
-            wg.end_wait(me);
-        }
-    }
-
     /// Runs cycle detection from `me`'s wait edge; called each time a
     /// rank is about to park on its mailbox condvar. A candidate cycle
     /// is confirmed by probing every member under its mailbox lock —
@@ -228,7 +208,7 @@ impl RunNet {
     /// proves all probed edges coexisted (see `waitgraph` module
     /// docs). The caller must hold no mailbox lock.
     fn detect_deadlock(&self, me: Rank) {
-        let Some(wg) = &self.waits else { return };
+        let wg = &self.waits;
         let Some(anchor) = wg.find_candidate(me) else {
             return;
         };
@@ -252,7 +232,7 @@ impl RunNet {
                 return;
             }
             panic!(
-                "deadlock detected: {} (diagnosed by rank {me}; benches can opt out via ClusterBuilder::deadlock_detection(false))",
+                "deadlock detected: {} (diagnosed by rank {me})",
                 WaitGraph::describe(&cycle)
             );
         }
@@ -280,7 +260,7 @@ impl RunNet {
     /// acquisition and returns [`BatchWait::Got`]. Returns
     /// [`BatchWait::PeersGone`] when every other rank has finished and
     /// nothing is queued, so no message can ever arrive. Deadline
-    /// receives (`deadline = Some(wait_gen)`, from `begin_wait`)
+    /// receives (`deadline = Some(wait_gen)`, from `WaitGraph::begin_wait`)
     /// observe two additional resolutions — the awaited sender finished
     /// ([`BatchWait::SenderDone`]) or a confirmed wait cycle fired this
     /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
@@ -299,7 +279,6 @@ impl RunNet {
         &self,
         me: Rank,
         src: Rank,
-        tag: Tag,
         deadline: Option<u64>,
         now: SimTime,
         ring: &mut VecDeque<Envelope>,
@@ -319,7 +298,7 @@ impl RunNet {
                 // empty" while the just-drained (possibly matching)
                 // envelopes are in this rank's hand. The caller
                 // re-registers when its ring runs dry without a match.
-                self.end_wait(me);
+                self.waits.end_wait(me);
                 return BatchWait::Got;
             }
             if let Some(wait_gen) = deadline {
@@ -330,11 +309,9 @@ impl RunNet {
                 // those first would let host timing pick between
                 // WaitCycle and SenderFinished for the same simulated
                 // state.
-                if let Some(wg) = &self.waits {
-                    if wg.deadline_fired(me, wait_gen) {
-                        self.end_wait(me);
-                        return BatchWait::DeadlineFired;
-                    }
+                if self.waits.deadline_fired(me, wait_gen) {
+                    self.waits.end_wait(me);
+                    return BatchWait::DeadlineFired;
                 }
             }
             if self.alive.load(Ordering::Acquire) <= 1 {
@@ -348,11 +325,11 @@ impl RunNet {
                 // message before setting `done`: seeing the flag with an
                 // empty queue (held lock) proves no match is coming.
                 if self.done[src].load(Ordering::SeqCst) {
-                    self.end_wait(me);
+                    self.waits.end_wait(me);
                     return BatchWait::SenderDone;
                 }
             }
-            if self.waits.is_some() && !probed {
+            if !probed {
                 // About to park: check whether this wait closes a
                 // cycle. Detection probes other mailboxes, so release
                 // our own lock first (probes take one lock at a time —
@@ -372,9 +349,8 @@ impl RunNet {
                 // Events mode: park the *continuation*, not the OS
                 // thread. Release the mailbox lock, then yield back to
                 // the run loop keyed on this rank's current virtual
-                // time, naming the `(src, tag)` this receive waits for
-                // (the scheduler's handoff rule; independent of the
-                // wait graph, which may be off). No notification can
+                // time; the caller's wait edge tells the scheduler's
+                // handoff rule what it waits for. No notification can
                 // arrive between the release and the park: the loop
                 // runs one rank at a time, so no sender executes before
                 // this rank is recorded as parked (see the `events`
@@ -382,7 +358,7 @@ impl RunNet {
                 // reference engine. On resume, re-acquire and re-check
                 // every resolution, exactly like a condvar wakeup.
                 drop(q);
-                sched.park(me, events::time_key(now.seconds()), src, tag);
+                sched.park(events::time_key(now.seconds()));
                 q = mb.q.acquire();
                 probed = false;
                 continue;

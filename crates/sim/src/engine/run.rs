@@ -68,9 +68,9 @@ pub enum EngineMode {
     /// mailbox condvar. Kept as the differential oracle for
     /// [`EngineMode::Events`]; practical up to a few thousand ranks.
     /// It has no scheduler that could see a stalled run: a receive
-    /// cycle with deadlock detection off, or a receive from a rank that
-    /// finished without sending while other ranks are alive, hangs
-    /// here, where [`EngineMode::Events`] fails with a diagnosis.
+    /// from a rank that finished without sending while other ranks are
+    /// alive hangs here, where [`EngineMode::Events`] fails with a
+    /// diagnosis.
     Threads,
     /// The engine (default): ranks are stackful continuations driven
     /// in virtual-time order by a run loop on the calling thread; a
@@ -108,7 +108,6 @@ pub struct Cluster {
     noise: Option<crate::noise::NoiseSpec>,
     faults: Arc<FaultPlan>,
     seed: u64,
-    detect_deadlocks: bool,
     obs: ObsSpec,
     engine: Option<EngineMode>,
 }
@@ -116,8 +115,7 @@ pub struct Cluster {
 /// Builder for [`Cluster`] — the single construction surface.
 ///
 /// Topology, network model and clock spec are required; everything else
-/// has a default (seed 0, no OS noise, deadlock detection on,
-/// observability off):
+/// has a default (seed 0, no OS noise, observability off):
 ///
 /// ```
 /// # use hcs_sim::{machines, Cluster};
@@ -137,7 +135,6 @@ pub struct ClusterBuilder {
     noise: Option<crate::noise::NoiseSpec>,
     faults: Arc<FaultPlan>,
     seed: u64,
-    detect_deadlocks: bool,
     obs: ObsSpec,
     engine: Option<EngineMode>,
 }
@@ -151,7 +148,6 @@ impl Default for ClusterBuilder {
             noise: None,
             faults: Arc::new(FaultPlan::new()),
             seed: 0,
-            detect_deadlocks: true,
             obs: ObsSpec::off(),
             engine: None,
         }
@@ -225,19 +221,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables or disables the wait-for-graph deadlock detector
-    /// (default: enabled). When on, a cyclic set of blocking receives
-    /// panics with the full rank/tag cycle diagnosis instead of hanging
-    /// the run forever; detection is purely host-side and does not
-    /// perturb the simulated timeline. Benches that want the absolute
-    /// minimum per-receive overhead can opt out — a deadlocked run then
-    /// hangs, exactly as before.
-    #[must_use]
-    pub fn deadlock_detection(mut self, on: bool) -> Self {
-        self.detect_deadlocks = on;
-        self
-    }
-
     /// Configures observability recording (default: off). When enabled,
     /// each rank records events per [`ObsSpec`] into its own buffer;
     /// [`Cluster::run_observed`] returns them merged in rank order.
@@ -279,7 +262,6 @@ impl ClusterBuilder {
             noise: self.noise,
             faults: self.faults,
             seed: self.seed,
-            detect_deadlocks: self.detect_deadlocks,
             obs: self.obs,
             engine: self.engine,
         }
@@ -305,15 +287,9 @@ impl Cluster {
             noise: self.noise,
             faults: Arc::clone(&self.faults),
             seed: self.seed,
-            detect_deadlocks: self.detect_deadlocks,
             obs: self.obs,
             engine: self.engine,
         }
-    }
-
-    /// Whether the wait-for-graph deadlock detector is enabled.
-    pub fn deadlock_detection(&self) -> bool {
-        self.detect_deadlocks
     }
 
     /// The execution engine this run will use: the builder's explicit
@@ -466,9 +442,7 @@ impl Cluster {
         // SAFETY: under `EngineMode::Events` the only thing that ever
         // executes a rank body (and with it every use of `net`) is
         // `events::drive` in the match below, one slice at a time.
-        let net = Arc::new(unsafe {
-            RunNet::new(mode, size, self.detect_deadlocks, !self.faults.is_empty())
-        });
+        let net = Arc::new(unsafe { RunNet::new(mode, size, !self.faults.is_empty()) });
         // Single-writer slots (no lock): rank r's body writes slot r
         // exactly once, and this frame reads them only after the
         // engine's completion barrier. The recorder vector is empty
@@ -553,7 +527,7 @@ impl Cluster {
                 if net.events.set(Arc::clone(&sched)).is_err() {
                     unreachable!("the events slot is set exactly once per RunNet");
                 }
-                events::drive(&sched, &|rank| net.describe_wait(rank))
+                events::drive(&sched, &net.waits, &|rank| net.describe_wait(rank))
             }
             EngineMode::Threads => std::thread::scope(|scope| {
                 let body = &body;

@@ -33,9 +33,9 @@
 //!   puts `(key, rank)` on the ready heap, and the loop pops the
 //!   minimum. Non-blocked ranks drain before long conversations
 //!   continue, which keeps memory low.
-//! - **Matched-wake handoff.** A park also records the `(src, tag)` the
-//!   rank waits for ([`EventSched::park`]), and a delivery that puts
-//!   exactly that message into the parked rank's mailbox says so
+//! - **Matched-wake handoff.** A parked rank's wait edge in the run's
+//!   wait-for graph names the `(src, tag)` it waits for, and a delivery
+//!   that puts exactly that message into its mailbox says so
 //!   ([`EventSched::wake_matched`]). Such a wake goes to the *handoff
 //!   slot* instead of the heap. When the slice of rank R ends
 //!   with R parked on the rank S in the slot — R answered S and now
@@ -76,14 +76,14 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 use crate::cont::InlineRun;
 use crate::cont::{self, Backend, Continuation, InlineFiber, Resume};
 use crate::lockutil::RunLock;
-use crate::{EngineMode, Rank, Tag};
+use crate::waitgraph::WaitGraph;
+use crate::EngineMode;
 
 /// The shared per-rank body: the scheduler calls it once per rank. One
 /// closure for the whole run (the engine's body is identical across
@@ -105,17 +105,6 @@ pub(crate) fn time_key(seconds: f64) -> u64 { // xtask-allow: clockdomain — so
     } else {
         bits | (1 << 63)
     }
-}
-
-/// [`EventSched::waits`] value of a rank whose park (if any) names no
-/// message. Never a real record: ranks are far below `u32::MAX`.
-const NO_WAIT: u64 = u64::MAX;
-
-/// Packs the `(src, tag)` a park waits for into one wait record.
-#[inline]
-fn wait_record(src: Rank, tag: Tag) -> u64 {
-    debug_assert!(src < u32::MAX as usize, "rank field is 32 bits");
-    ((src as u64) << 32) | u64::from(tag)
 }
 
 /// Host-side counters of one [`drive`] (the first two of ROADMAP item
@@ -190,15 +179,6 @@ enum Outcome {
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
     runq: RunLock<ReadyState>,
-    /// The park record's other half: what each parked rank waits for,
-    /// as a [`wait_record`], or [`NO_WAIT`]. Written by the rank itself
-    /// right before it suspends and cleared when it is woken, so a
-    /// record other than `NO_WAIT` implies its rank is parked. Kept
-    /// outside the lock so a delivery can test it before it mutates the
-    /// destination mailbox. Every access is ordered by the strict
-    /// one-slice-at-a-time handoff; Acquire/Release restates that for
-    /// the thread backend, whose bodies run on their own OS threads.
-    waits: Vec<AtomicU64>,
     n: usize,
     /// The shared rank body (see [`RankBody`]).
     body: RankBody,
@@ -229,39 +209,17 @@ impl EventSched {
             // uses are ordered by happens-before, and no guard lives
             // across a `suspend_current` (module docs).
             runq: unsafe { RunLock::new(EngineMode::Events, "events.sched", 15, ready) },
-            waits: (0..n).map(|_| AtomicU64::new(NO_WAIT)).collect(),
             n,
             body,
             backend,
         }
     }
 
-    /// Parks the calling rank until it is woken: records that it waits
-    /// for `(src, tag)` and suspends its continuation with the
-    /// virtual-time `key`. The caller must hold no lock guard (see
-    /// `cont::suspend_current`).
-    pub(crate) fn park(&self, rank: usize, key: u64, src: Rank, tag: Tag) {
-        self.waits[rank].store(wait_record(src, tag), Ordering::Release);
+    /// Parks the calling rank until it is woken: suspends its
+    /// continuation with the virtual-time `key`. The caller must hold no
+    /// lock guard (see `cont::suspend_current`).
+    pub(crate) fn park(&self, key: u64) {
         cont::suspend_current(key);
-    }
-
-    /// Whether `rank` is parked on exactly `(src, tag)`, for any of
-    /// `tags`: the question a delivery from `src` asks before it calls
-    /// [`EventSched::wake_matched`] or [`EventSched::wake`].
-    pub(crate) fn awaits(
-        &self,
-        rank: usize,
-        src: Rank,
-        tags: impl IntoIterator<Item = Tag>,
-    ) -> bool {
-        let wait = self.waits[rank].load(Ordering::Acquire);
-        tags.into_iter().any(|tag| wait == wait_record(src, tag))
-    }
-
-    /// The rank `rank`'s wait record names, if it has one.
-    fn awaited_src(&self, rank: usize) -> Option<Rank> {
-        let wait = self.waits[rank].load(Ordering::Acquire);
-        (wait != NO_WAIT).then_some((wait >> 32) as Rank)
     }
 
     /// Wake hook called by `RunNet` after any state change a parked
@@ -274,7 +232,7 @@ impl EventSched {
     }
 
     /// [`EventSched::wake`] for the delivery of exactly the message
-    /// `rank` is parked on ([`EventSched::awaits`]): the rank goes to
+    /// `rank` is parked on (its wait edge): the rank goes to
     /// the handoff slot instead of the heap. An earlier occupant of the
     /// slot moves to the heap, as a plain wake would have queued it.
     pub(crate) fn wake_matched(&self, rank: usize) {
@@ -286,7 +244,6 @@ impl EventSched {
         let Some(key) = st.parked[rank].take() else {
             return;
         };
-        self.waits[rank].store(NO_WAIT, Ordering::Release);
         let queued = if matched {
             st.handoff.replace((key, rank))
         } else {
@@ -327,10 +284,9 @@ impl EventSched {
 
     /// The failure message of a stalled run (see module docs);
     /// `describe_wait(rank)` words what a parked rank waits for, which
-    /// only the engine knows. Reachable by a receive cycle with deadlock
-    /// detection off, and by a receive from a rank that finished without
-    /// sending while other ranks are alive (no cycle to detect, and not
-    /// `PeersGone` either).
+    /// only the engine knows. Reachable by a receive from a rank that
+    /// finished without sending while other ranks are alive (no cycle to
+    /// detect, and not `PeersGone` either).
     fn stall_report(
         &self,
         st: &ReadyState,
@@ -369,7 +325,9 @@ fn resume(mut cont: Continuation) -> Outcome {
 /// re-throws the first panic that escaped a rank body, if any (engine
 /// bodies catch rank panics themselves, so that is a bug trap, not a
 /// normal path); the queue is still drained first, so ranks that can
-/// finish do.
+/// finish do. `waits` is the run's wait-for graph: a parked rank's edge
+/// names whom it waits for, which the handoff rule reads;
+/// `describe_wait` words the same edge for the stall report.
 ///
 /// # Panics
 /// Panics with [`EventSched::stall_report`] if the run stalls. The
@@ -378,7 +336,11 @@ fn resume(mut cont: Continuation) -> Outcome {
 /// rank's OS thread stays blocked until process exit, so whatever the
 /// parked bodies own leaks. A stalled program is a bug to fix, not a
 /// state to recover memory from.
-pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) -> RunStats {
+pub(crate) fn drive(
+    sched: &Arc<EventSched>,
+    waits: &WaitGraph,
+    describe_wait: &dyn Fn(usize) -> String,
+) -> RunStats {
     let mut hot = InlineFiber::new();
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -414,7 +376,7 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
             Outcome::Parked { cont, key } => {
                 conts[rank] = Some(cont);
                 st.parked[rank] = Some(key);
-                parked_on = sched.awaited_src(rank);
+                parked_on = waits.waiting_on(rank).map(|(src, _)| src);
             }
         }
         // Matched-wake handoff (module docs): the slice delivered to
@@ -477,8 +439,14 @@ mod tests {
         Arc::new(EventSched::new(n, Box::new(body), backend))
     }
 
+    /// Drives a scheduler whose ranks park outside any receive (no
+    /// wait edges, so no handoffs).
+    fn drive_bare(sched: &Arc<EventSched>) {
+        drive(sched, &WaitGraph::new(sched.n), &|_| String::new());
+    }
+
     fn run_jobs(jobs: Vec<Job>) {
-        drive(&sched_from_jobs(jobs), &|_| String::new());
+        drive_bare(&sched_from_jobs(jobs));
     }
 
     #[test]
@@ -526,7 +494,7 @@ mod tests {
         ];
         let sched = sched_from_jobs(jobs);
         *sched0.acquire() = Some(Arc::clone(&sched));
-        drive(&sched, &|_| String::new());
+        drive_bare(&sched);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
@@ -559,7 +527,7 @@ mod tests {
         }));
         let sched = sched_from_jobs(jobs);
         *slot.acquire() = Some(Arc::clone(&sched));
-        drive(&sched, &|_| String::new());
+        drive_bare(&sched);
         let got = order.acquire().clone();
         let starts: Vec<usize> = got
             .iter()
@@ -621,7 +589,7 @@ mod tests {
             }));
             let sched = sched_on(jobs, backend);
             *slot.acquire() = Some(Arc::clone(&sched));
-            drive(&sched, &|_| String::new());
+            drive_bare(&sched);
             // Break the slot → scheduler → body → slot cycle.
             *slot.acquire() = None;
             let order = log.acquire().clone();
@@ -637,12 +605,11 @@ mod tests {
     /// handoff-policy tests, which run whole programs through `RunNet`
     /// and `RankCtx` because the rule lives in their cooperation with
     /// the scheduler.
-    fn events_cluster(nodes: usize, detect_deadlocks: bool) -> crate::Cluster {
+    fn events_cluster(nodes: usize) -> crate::Cluster {
         crate::machines::testbed(nodes, 8)
             .cluster(11)
             .to_builder()
             .engine(crate::EngineMode::Events)
-            .deadlock_detection(detect_deadlocks)
             .build()
     }
 
@@ -679,7 +646,7 @@ mod tests {
 
     #[test]
     fn ping_pong_runs_as_handoffs_in_a_reproducible_host_order() {
-        let cluster = events_cluster(4, true);
+        let cluster = events_cluster(4);
         let (order, stats) = ping_pong_beside_ready_ranks(&cluster, Backend::Fiber);
         assert_eq!(order.len(), 2000);
         // Under the heap rule alone the 30 virgin ranks (key₀) would
@@ -693,14 +660,6 @@ mod tests {
         assert_eq!((&order, stats), (&again.0, again.1), "second run");
         let threads = ping_pong_beside_ready_ranks(&cluster, Backend::Thread);
         assert_eq!((&order, stats), (&threads.0, threads.1), "thread backend");
-        // The park record is the scheduler's own: the rule does not
-        // depend on the wait graph being there.
-        let undetected = ping_pong_beside_ready_ranks(&events_cluster(4, false), Backend::Fiber);
-        assert_eq!(
-            (&order, stats),
-            (&undetected.0, undetected.1),
-            "detection off"
-        );
     }
 
     #[test]
@@ -726,7 +685,7 @@ mod tests {
             };
             order.acquire().push(me);
         };
-        let (_, _, stats) = events_cluster(4, true).run_counted(backend_from_env(), &body);
+        let (_, _, stats) = events_cluster(4).run_counted(backend_from_env(), &body);
         // 32 first slices plus one resume each for ranks 0 and 1.
         assert_eq!(
             stats,
@@ -748,7 +707,7 @@ mod tests {
         // LIFO) makes them park again on every round; the mutual-wait
         // rule must leave this workload's slice count alone.
         const HEAP_ONLY_SLICES: u64 = 11_735;
-        let cluster = events_cluster(8, true);
+        let cluster = events_cluster(8);
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
             let mut acc = me as u64;
@@ -822,7 +781,7 @@ mod tests {
                 ctx.send_t::<u32>(waiter, 11 + waiter as u32, 0);
                 diagnosis
             };
-            let (out, _, stats) = events_cluster(1, true).run_counted(backend, &body);
+            let (out, _, stats) = events_cluster(1).run_counted(backend, &body);
             (out, stats)
         }
         let (out, stats) = run(Backend::Fiber);

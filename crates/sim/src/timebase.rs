@@ -14,7 +14,7 @@
 //! All newtypes are `#[repr(transparent)]` wrappers over `f64` with
 //! `#[inline]` operators, so the compiled float math is identical to the
 //! bare-`f64` code they replaced — the determinism suite's bit-identical
-//! replay and the `bench_engine` throughput baseline both pin this down.
+//! replay pins this down.
 //!
 //! Only the physically meaningful operations exist: `SimTime − SimTime →
 //! Span`, `SimTime + Span → SimTime`, `Span ± Span → Span`, scaling of

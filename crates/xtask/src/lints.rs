@@ -249,7 +249,7 @@ mod tests {
         let hits = lints_of("crates/sim/src/x.rs", src);
         assert!(hits.iter().any(|(l, _)| l == "determinism/wall-clock"));
         // benchlib measures real host time on purpose.
-        assert!(lints_of("crates/benchlib/src/microbench.rs", src).is_empty());
+        assert!(lints_of("crates/benchlib/src/profile.rs", src).is_empty());
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
         }
         // Mentions in comments and tests never fire.
         let quiet = "// available_parallelism would be wrong here\n#[cfg(test)]\nmod tests { fn t() { let _ = std::thread::available_parallelism(); } }\n";
-        assert!(lints_of("crates/benchlib/src/microbench.rs", quiet).is_empty());
+        assert!(lints_of("crates/benchlib/src/profile.rs", quiet).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The wait-for-graph deadlock detector: a genuine receive cycle must
 //! fail fast with the full cycle named in the panic, and the detector
-//! must never fire on deadlock-free workloads (it is enabled by default
-//! on every cluster, so all other integration tests double as
-//! no-false-positive checks — the pipeline test here is the densest
-//! communication pattern exercised explicitly under detection).
+//! must never fire on deadlock-free workloads (it is always on, so all
+//! other integration tests double as no-false-positive checks — the
+//! pipeline test here is the densest communication pattern exercised
+//! explicitly).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -23,7 +23,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn three_rank_receive_cycle_is_diagnosed() {
     let cluster = machines::testbed(3, 1).cluster(11);
-    assert!(cluster.deadlock_detection(), "detection is on by default");
     let payload = catch_unwind(AssertUnwindSafe(|| {
         cluster.run(|ctx| {
             // 0 waits on 1, 1 waits on 2, 2 waits on 0: a genuine cycle
@@ -110,10 +109,8 @@ fn full_sync_and_round_time_pipeline_has_no_false_positives() {
     // The densest communication pattern in the repo: HCA3 tree
     // synchronization (ping-pong offset measurements over shared tags)
     // followed by Round-Time collective measurement (bcast + allreduce
-    // per round), with deadlock detection at its default (on). Any
-    // spurious cycle confirmation would panic the run.
+    // per round). Any spurious cycle confirmation would panic the run.
     let cluster = machines::testbed(3, 2).cluster(21);
-    assert!(cluster.deadlock_detection());
     let res = cluster.run(|ctx| {
         let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
@@ -198,22 +195,4 @@ fn non_cycle_stall_on_a_finished_sender_is_diagnosed() {
     ] {
         assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
     }
-}
-
-#[test]
-fn receive_cycle_with_detection_off_is_diagnosed() {
-    let cluster = machines::testbed(2, 1)
-        .cluster(16)
-        .to_builder()
-        .deadlock_detection(false)
-        .build();
-    let msg = stall_message(&cluster, |ctx| {
-        let _ = ctx.recv(1 - ctx.rank(), 42);
-    });
-    assert!(msg.contains("run stalled"), "{msg}");
-    // No wait graph, so the report names the parked ranks only.
-    assert!(
-        msg.contains("rank 0 parked") && msg.contains("rank 1 parked"),
-        "{msg}"
-    );
 }

@@ -182,3 +182,32 @@ fn estimator_and_oracle_agree() {
         );
     }
 }
+
+#[test]
+fn skampi_offset_inside_jk_beats_mean_rtt_offset() {
+    // The paper's building-block finding (§III-C3): JK fitting its
+    // model on SKaMPI-Offset exchanges ends up more accurate than on the
+    // traditional Mean-RTT-Offset, seed after seed.
+    let max_err = |seed: u64, make: &(dyn Fn() -> Box<dyn ClockSync> + Sync)| {
+        let evals = machines::testbed(4, 2).cluster(seed).run(|ctx| {
+            let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+            let mut comm = Comm::world(ctx);
+            let g = make().sync_clocks(ctx, &mut comm, Box::new(clk));
+            g.true_eval(SimTime::from_secs(5.0)).raw_seconds()
+        });
+        evals
+            .iter()
+            .map(|v| (v - evals[0]).abs())
+            .fold(0.0, f64::max)
+    };
+    for seed in 11..=15 {
+        let skampi = max_err(seed, &|| Box::new(Jk::skampi(30, 8)) as Box<dyn ClockSync>);
+        let mean_rtt = max_err(seed, &|| {
+            Box::new(Jk::mean_rtt(30, 8)) as Box<dyn ClockSync>
+        });
+        assert!(
+            skampi <= mean_rtt,
+            "seed {seed}: SKaMPI {skampi:.3e} vs Mean-RTT {mean_rtt:.3e}"
+        );
+    }
+}

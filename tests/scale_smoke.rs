@@ -8,6 +8,7 @@
 
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
+use hierarchical_clock_sync::sim::EngineMode;
 
 #[test]
 fn two_thousand_ranks_sync_and_reduce() {
@@ -31,6 +32,38 @@ fn two_thousand_ranks_sync_and_reduce() {
         .map(|v| (v - evals[0]).abs())
         .fold(0.0f64, f64::max);
     assert!(max_err < 60e-6, "max err {max_err:.3e}");
+}
+
+#[test]
+fn events_engine_runs_131072_ranks() {
+    // The `EngineMode::Events` claim "scales to p >= 131072": one
+    // 100-trip ping-pong between ranks 0 and 1, every other rank idle.
+    // Pinned to the events engine (the reference would spawn p threads).
+    const P: usize = 131_072;
+    let cluster = machines::testbed(P / 4, 4)
+        .cluster(2)
+        .to_builder()
+        .engine(EngineMode::Events)
+        .build();
+    let ranks = cluster.run(|ctx| {
+        match ctx.rank() {
+            0 => {
+                for trip in 0..100u32 {
+                    ctx.send_t(1, trip, trip);
+                    assert_eq!(ctx.recv_t::<u32>(1, trip), trip);
+                }
+            }
+            1 => {
+                for trip in 0..100u32 {
+                    let v: u32 = ctx.recv_t(0, trip);
+                    ctx.send_t(0, trip, v);
+                }
+            }
+            _ => {}
+        }
+        ctx.rank()
+    });
+    assert!(ranks.into_iter().eq(0..P), "results in rank order");
 }
 
 #[test]
