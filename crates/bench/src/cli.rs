@@ -1,11 +1,14 @@
-//! Tiny dependency-free CLI flag parser shared by the experiment
-//! binaries.
+//! Tiny dependency-free CLI flag parser for the `hcs` experiments.
 //!
-//! Supported syntax: `--key value` and `--flag` (boolean). Every binary
-//! documents its own keys; unknown keys abort with a message so typos
-//! do not silently run the default configuration.
+//! Supported syntax: `--key value` and `--flag` (boolean). Every
+//! experiment documents its own keys; unknown keys abort with a message
+//! so typos do not silently run the default configuration.
 
+use std::any::type_name;
 use std::collections::HashMap;
+use std::str::FromStr;
+
+use crate::CsvWriter;
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
@@ -16,13 +19,10 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, allowing only the given keys.
-    pub fn parse(allowed: &[&'static str]) -> Self {
-        Self::from_iter(std::env::args().skip(1), allowed)
-    }
-
-    /// Parses an explicit iterator (testable entry point).
-    pub fn from_iter<I: IntoIterator<Item = String>>(iter: I, allowed: &[&'static str]) -> Self {
+    /// Parses `--key value` / `--flag` arguments, allowing only the
+    /// keys named in `allowed` (space-separated).
+    pub fn parse<I: IntoIterator<Item = String>>(iter: I, allowed: &'static str) -> Self {
+        let allowed: Vec<&'static str> = allowed.split_whitespace().collect();
         let mut values = HashMap::new();
         let mut flags = Vec::new();
         let mut it = iter.into_iter().peekable();
@@ -45,63 +45,48 @@ impl Args {
         Self {
             values,
             flags,
-            allowed: allowed.to_vec(),
+            allowed,
         }
     }
 
-    /// A `usize` value with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
+    /// A typed value with default.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
         self.check(key);
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
+        match self.values.get(key) {
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| panic!("--{key} expects a {}, got {v:?}", type_name::<T>())),
+            None => default,
+        }
+    }
+
+    /// A comma-separated list (`--msizes 8,64,512`) with default.
+    pub fn get_list<T: FromStr>(&self, key: &str, default: &str) -> Vec<T> {
+        let list = self.get_str(key, default);
+        let item = |s: &str| {
+            s.parse().unwrap_or_else(|_| {
+                panic!(
+                    "--{key} expects a list of {}, got {list:?}",
+                    type_name::<T>()
+                )
             })
-            .unwrap_or(default)
+        };
+        list.split(',').map(item).collect()
     }
 
     /// The `--jobs` sweep-concurrency override: `None` when absent or
     /// `0`, letting `SweepExecutor::from_env` fall back to `HCS_JOBS`
     /// and then the oversubscription-aware auto budget.
     pub fn get_jobs(&self) -> Option<usize> {
-        match self.get_usize("jobs", 0) {
+        match self.get("jobs", 0) {
             0 => None,
             j => Some(j),
         }
     }
 
-    /// An `f64` value with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.check(key);
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// A `u64` value with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.check(key);
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
     /// A string value with default.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.check(key);
-        self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.get(key, default.to_string())
     }
 
     /// Whether a boolean flag was passed.
@@ -110,10 +95,16 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// The `--csv <path>` writer with its header row written, or `None`
+    /// when the flag is absent.
+    pub fn csv(&self, header: &[&str]) -> Option<CsvWriter> {
+        CsvWriter::open(&self.get_str("csv", ""), header)
+    }
+
     fn check(&self, key: &str) {
         debug_assert!(
             self.allowed.contains(&key),
-            "binary queried undeclared flag --{key}"
+            "experiment queried undeclared flag --{key}"
         );
     }
 }
@@ -122,40 +113,47 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str], allowed: &[&'static str]) -> Args {
-        Args::from_iter(s.iter().map(|x| x.to_string()), allowed)
+    fn args(s: &[&str], allowed: &'static str) -> Args {
+        Args::parse(s.iter().map(|x| x.to_string()), allowed)
     }
 
     #[test]
     fn parses_values_and_flags() {
         let a = args(
             &["--nodes", "16", "--full", "--seed", "7"],
-            &["nodes", "full", "seed"],
+            "nodes full seed",
         );
-        assert_eq!(a.get_usize("nodes", 4), 16);
-        assert_eq!(a.get_u64("seed", 1), 7);
+        assert_eq!(a.get("nodes", 4usize), 16);
+        assert_eq!(a.get("seed", 1u64), 7);
         assert!(a.has_flag("full"));
         assert!(!a.has_flag("nodes"));
     }
 
     #[test]
     fn defaults_apply() {
-        let a = args(&[], &["nodes", "frac"]);
-        assert_eq!(a.get_usize("nodes", 4), 4);
-        assert_eq!(a.get_f64("frac", 0.5), 0.5);
+        let a = args(&[], "nodes frac msizes");
+        assert_eq!(a.get("nodes", 4usize), 4);
+        assert_eq!(a.get("frac", 0.5), 0.5);
         assert_eq!(a.get_str("nodes", "x"), "x");
+        assert_eq!(a.get_list::<usize>("msizes", "8,64"), vec![8, 64]);
+    }
+
+    #[test]
+    fn comma_lists_parse_each_item() {
+        let a = args(&["--msizes", "4,16,1024"], "msizes");
+        assert_eq!(a.get_list::<usize>("msizes", "8"), vec![4, 16, 1024]);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
-        let _ = args(&["--oops"], &["nodes"]);
+        let _ = args(&["--oops"], "nodes");
     }
 
     #[test]
-    #[should_panic(expected = "expects an integer")]
+    #[should_panic(expected = "expects a usize")]
     fn bad_integer_panics() {
-        let a = args(&["--nodes", "many"], &["nodes"]);
-        let _ = a.get_usize("nodes", 1);
+        let a = args(&["--nodes", "many"], "nodes");
+        let _ = a.get("nodes", 1usize);
     }
 }

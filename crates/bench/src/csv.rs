@@ -1,16 +1,17 @@
 //! Minimal CSV emission for experiment outputs.
 //!
-//! Every figure binary prints a human-readable table to stdout and
+//! Every figure experiment prints a human-readable table to stdout and
 //! (optionally, with `--csv <path>`) writes the raw series as CSV so the
 //! plots can be regenerated with any plotting tool.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A CSV file writer with simple quoting.
 pub struct CsvWriter {
     out: BufWriter<File>,
+    path: PathBuf,
 }
 
 impl CsvWriter {
@@ -23,9 +24,16 @@ impl CsvWriter {
         }
         let mut w = Self {
             out: BufWriter::new(File::create(path)?),
+            path: path.to_path_buf(),
         };
         w.row(header)?;
         Ok(w)
+    }
+
+    /// [`CsvWriter::create`] for an optional `--csv` path: `None` when
+    /// `path` is empty. Panics if the file cannot be created.
+    pub fn open(path: &str, header: &[&str]) -> Option<Self> {
+        (!path.is_empty()).then(|| Self::create(path.as_ref(), header).unwrap())
     }
 
     /// Writes one row, quoting fields that contain separators.
@@ -46,9 +54,10 @@ impl CsvWriter {
         writeln!(self.out)
     }
 
-    /// Flushes buffered rows to disk.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        self.out.flush()
+    /// Flushes buffered rows to disk and returns the file's path.
+    pub fn finish(mut self) -> std::io::Result<PathBuf> {
+        self.out.flush()?;
+        Ok(self.path)
     }
 }
 
@@ -64,12 +73,17 @@ mod tests {
         w.row(&["1", "plain"]).unwrap();
         w.row(&["2", "with,comma"]).unwrap();
         w.row(&["3", "with\"quote"]).unwrap();
-        w.finish().unwrap();
+        assert_eq!(w.finish().unwrap(), path);
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             content,
             "a,b\n1,plain\n2,\"with,comma\"\n3,\"with\"\"quote\"\n"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_path_opens_nothing() {
+        assert!(CsvWriter::open("", &["a"]).is_none());
     }
 }

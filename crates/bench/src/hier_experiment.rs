@@ -140,20 +140,15 @@ pub fn print_hier_rows(rows: &[HierRow], configs: &[(String, SyncFactory)], wait
 
 /// Writes the rows as CSV if `path` is non-empty.
 pub fn write_hier_csv(rows: &[HierRow], path: &str) {
-    if path.is_empty() {
+    let header = [
+        "configuration",
+        "duration_s",
+        "max_at0_us",
+        "max_at_wait_us",
+    ];
+    let Some(mut w) = crate::CsvWriter::open(path, &header) else {
         return;
-    }
-    let path: std::path::PathBuf = path.into();
-    let mut w = crate::CsvWriter::create(
-        &path,
-        &[
-            "configuration",
-            "duration_s",
-            "max_at0_us",
-            "max_at_wait_us",
-        ],
-    )
-    .unwrap();
+    };
     for r in rows {
         w.row(&[
             r.label.clone(),
@@ -163,6 +158,5 @@ pub fn write_hier_csv(rows: &[HierRow], path: &str) {
         ])
         .unwrap();
     }
-    w.finish().unwrap();
-    println!("raw rows written to {}", path.display());
+    println!("raw rows written to {}", w.finish().unwrap().display());
 }

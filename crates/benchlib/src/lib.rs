@@ -32,23 +32,6 @@ pub mod trace;
 pub mod tuner;
 pub mod workloads;
 
-pub use guidelines::{check_guideline, Guideline, GuidelineVerdict};
-pub use imbalance::measure_barrier_imbalance;
-pub use postmortem::{correct_events, interpolate, measure_epoch, SyncEpoch};
-pub use profile::{ProfileReport, Profiler, RegionStats};
-pub use schemes::{
-    estimate_allreduce_latency, estimate_bcast_latency, run_barrier_scheme, run_round_time,
-    run_window_scheme, RepSample, RoundTimeConfig, WindowConfig, WindowOutcome,
-};
-pub use stats::{Histogram, Summary};
-pub use suites::{measure_allreduce, Suite, SuiteConfig, SuiteResult};
-pub use sweep::{run_cluster_sweep, run_seed, SweepExecutor};
-pub use trace::{gantt_rows, per_rank_events, TraceEvent};
-pub use tuner::{
-    measure_candidate, tune_allreduce, tune_alltoall, CandidateResult, TuneScheme, TuningResult,
-};
-pub use workloads::{amg_proxy, halo_proxy, AmgProxyConfig, HaloProxyConfig, AMG_SPAN, HALO_SPAN};
-
 /// One-stop imports.
 pub mod prelude {
     pub use crate::guidelines::{check_guideline, Guideline, GuidelineVerdict};

@@ -23,8 +23,8 @@
 //!   either.
 //!
 //! The default budget is one run per host core
-//! (`available_parallelism`), overridable with `--jobs` on the
-//! experiment binaries or the `HCS_JOBS` environment variable. The
+//! (`available_parallelism`), overridable with `--jobs` on the `hcs`
+//! sweep experiments or the `HCS_JOBS` environment variable. The
 //! in-flight degree is additionally clamped to the host core count —
 //! beyond that, extra executor threads only interleave run working
 //! sets on the same cores (cache evictions, no speedup). Memory, not
@@ -197,7 +197,7 @@ impl SweepExecutor {
 /// Runs one independent cluster simulation per point of a sweep and
 /// returns the per-rank results, in point order.
 ///
-/// This is the shared seam for the scheme-comparison binaries (fig7,
+/// This is the shared seam for the scheme-comparison experiments (fig7,
 /// fig9, guidelines, reprompi, tuner): each point builds a fresh
 /// cluster from `machine` with `seed_of(point, index)` and executes
 /// `body` on every rank. `seed_of` must be a pure function of its

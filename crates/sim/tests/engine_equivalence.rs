@@ -14,7 +14,7 @@
 //! parking), panic propagation under both engines, and the
 //! engine-selection rules themselves.
 
-use hcs_bench::SweepExecutor;
+use hcs_bench::sweep::SweepExecutor;
 use hcs_clock::{Clock, LocalClock, TimeSource};
 use hcs_core::{check_clock_accuracy, run_sync, run_sync_with_timeout, Hca3, SkampiOffset};
 use hcs_mpi::{BarrierAlgorithm, Comm, ReduceOp};

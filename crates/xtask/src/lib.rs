@@ -41,9 +41,8 @@
 //!   `crates/{sim,core,clock,mpi}`.
 //!
 //! The passes are exposed as a library so `tests/xtask_lints.rs` can
-//! run them over fixture snippets and over the real workspace. Pass
-//! families can be filtered with `--only`/`--skip` (see [`PassFilter`])
-//! for fast local iteration; CI always runs everything.
+//! run them over fixture snippets and over the real workspace; both go
+//! through the same per-file dispatch.
 
 pub mod clockdomain;
 pub mod concurrency;
@@ -101,251 +100,116 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Every pass family selectable via `--only` / `--skip`. A family is
-/// the leading segment of a lint id (`skeleton/orphan-tag` →
-/// `skeleton`), except `io/unreadable`, which always runs.
-pub const PASS_FAMILIES: &[&str] = &[
-    "clockdomain",
-    "concurrency",
-    "deps",
-    "determinism",
-    "skeleton",
-    "style",
-    "tags",
-    "unsafe",
-];
-
-/// Which pass families run. Built from the CLI's `--only`/`--skip`
-/// flags; [`PassFilter::all`] (the CI configuration) runs everything.
-#[derive(Debug, Clone, Default)]
-pub struct PassFilter {
-    only: Option<Vec<String>>,
-    skip: Vec<String>,
+/// One run of every pass: the per-file findings so far plus what the
+/// cross-file passes (tag registry, skeletons, lock hierarchy) collect
+/// from each file.
+#[derive(Default)]
+struct Passes {
+    findings: Vec<Finding>,
+    tag_defs: Vec<tags::TagDef>,
+    coll_bit: Option<u64>,
+    lock_files: Vec<(String, scanner::FileScan)>,
+    skeletons: Vec<skeleton::FileSkeleton>,
 }
 
-impl PassFilter {
-    /// Runs every pass.
-    pub fn all() -> Self {
-        PassFilter::default()
-    }
-
-    /// Builds a filter, rejecting unknown family names so a typo does
-    /// not silently skip the pass it meant to select.
-    pub fn new(only: Option<Vec<String>>, skip: Vec<String>) -> Result<Self, String> {
-        for name in only.iter().flatten().chain(skip.iter()) {
-            if !PASS_FAMILIES.contains(&name.as_str()) {
-                return Err(format!(
-                    "unknown pass family `{name}` (known: {})",
-                    PASS_FAMILIES.join(", ")
-                ));
+impl Passes {
+    /// Runs the per-file passes over one source and keeps what the
+    /// cross-file passes need from it. `COLL_BIT` comes from
+    /// `crates/mpi/src/lib.rs`, else from the first file defining one.
+    fn file(&mut self, rel: &str, source: &str) {
+        let scan = scanner::scan(source);
+        self.findings.extend(lints::lint_file(rel, &scan));
+        if in_tag_registry(rel) {
+            self.tag_defs.extend(tags::extract_tags(rel, &scan));
+            if skeleton::in_skeleton_scope(rel) {
+                self.skeletons.push(skeleton::collect(rel, &scan));
             }
         }
-        Ok(PassFilter { only, skip })
+        if self.coll_bit.is_none() || rel == "crates/mpi/src/lib.rs" {
+            self.coll_bit = tags::extract_coll_bit(&scan).or(self.coll_bit);
+        }
+        if concurrency::in_lock_scope(rel) {
+            self.lock_files.push((rel.to_string(), scan));
+        }
     }
 
-    /// Does the family run under this filter?
-    pub fn runs(&self, family: &str) -> bool {
-        if self.skip.iter().any(|s| s == family) {
-            return false;
-        }
-        match &self.only {
-            Some(only) => only.iter().any(|o| o == family),
-            None => true,
-        }
+    /// The collective-tag bit, or the engine default `1 << 16`.
+    fn coll_bit(&self) -> u64 {
+        self.coll_bit.unwrap_or(1 << 16)
+    }
+
+    /// Runs the cross-file passes plus the dependency freeze over
+    /// `manifests` and returns every finding, sorted.
+    fn finish(mut self, manifests: &[(String, String)]) -> Vec<Finding> {
+        let coll_bit = self.coll_bit();
+        self.findings
+            .extend(tags::check_tags(&self.tag_defs, coll_bit));
+        self.findings.extend(skeleton::check(&self.skeletons));
+        self.findings
+            .extend(concurrency::check_locks(&self.lock_files));
+        self.findings.extend(deps::check_deps(manifests));
+        sort_findings(&mut self.findings);
+        self.findings
     }
 }
 
 /// Runs every lint over in-memory `(path, source)` pairs: the per-file
-/// passes plus the cross-file tag registry (using the `COLL_BIT` found
-/// in the sources, or the engine default `1 << 16`). Manifest paths
-/// (`Cargo.toml`) go through the dependency-freeze pass. This is the
-/// entry point used by fixture tests.
+/// passes plus the cross-file ones. Manifest paths (`Cargo.toml`) go
+/// through the dependency-freeze pass. This is the entry point used by
+/// fixture tests.
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
-    lint_sources_filtered(files, &PassFilter::all())
-}
-
-/// [`lint_sources`] restricted to the pass families `filter` selects.
-pub fn lint_sources_filtered(files: &[(&str, &str)], filter: &PassFilter) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut tag_defs = Vec::new();
-    let mut coll_bit = None;
+    let mut passes = Passes::default();
     let mut manifests = Vec::new();
-    let mut lock_files = Vec::new();
-    let mut skeletons = Vec::new();
     for &(path, source) in files {
         if path.ends_with("Cargo.toml") {
             manifests.push((path.to_string(), source.to_string()));
-            continue;
-        }
-        let scan = scanner::scan(source);
-        findings.extend(lints::lint_file_filtered(path, &scan, filter));
-        if in_tag_registry(path) {
-            if filter.runs("tags") {
-                tag_defs.extend(tags::extract_tags(path, &scan));
-            }
-            if filter.runs("skeleton") && skeleton::in_skeleton_scope(path) {
-                skeletons.push(skeleton::collect(path, &scan));
-            }
-        }
-        if coll_bit.is_none() {
-            coll_bit = tags::extract_coll_bit(&scan);
-        }
-        if filter.runs("concurrency") && concurrency::in_lock_scope(path) {
-            lock_files.push((path.to_string(), scan));
+        } else {
+            passes.file(path, source);
         }
     }
-    if filter.runs("tags") {
-        findings.extend(tags::check_tags(&tag_defs, coll_bit.unwrap_or(1 << 16)));
-    }
-    if filter.runs("skeleton") {
-        findings.extend(skeleton::check(&skeletons));
-    }
-    findings.extend(concurrency::check_locks(&lock_files));
-    if filter.runs("deps") {
-        findings.extend(deps::check_deps(&manifests));
-    }
-    sort_findings(&mut findings);
-    findings
+    passes.finish(&manifests)
 }
 
 /// Runs the full check over the workspace rooted at `root`.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
-    check_workspace_filtered(root, &PassFilter::all())
-}
-
-/// [`check_workspace`] restricted to the pass families `filter`
-/// selects. `io/unreadable` always runs: an unscannable source would
-/// silently exempt itself from every pass.
-pub fn check_workspace_filtered(root: &Path, filter: &PassFilter) -> Vec<Finding> {
-    let mut rs_files = Vec::new();
-    collect_rs_files(root, &mut rs_files);
-    rs_files.sort();
-
-    let mut findings = Vec::new();
-    let mut tag_defs = Vec::new();
-    let mut coll_bit = None;
-    let mut lock_files = Vec::new();
-    let mut skeletons = Vec::new();
-    for path in &rs_files {
-        let rel = rel_path(root, path);
-        let source = match fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                findings.push(Finding {
-                    path: rel,
-                    line: 1,
-                    lint: "io/unreadable",
-                    level: Level::Error,
-                    msg: format!("cannot read source: {e}"),
-                });
-                continue;
-            }
-        };
-        let scan = scanner::scan(&source);
-        findings.extend(lints::lint_file_filtered(&rel, &scan, filter));
-        if in_tag_registry(&rel) {
-            if filter.runs("tags") {
-                tag_defs.extend(tags::extract_tags(&rel, &scan));
-            }
-            if filter.runs("skeleton") && skeleton::in_skeleton_scope(&rel) {
-                skeletons.push(skeleton::collect(&rel, &scan));
-            }
-        }
-        if rel == "crates/mpi/src/lib.rs" {
-            coll_bit = tags::extract_coll_bit(&scan);
-        }
-        if filter.runs("concurrency") && concurrency::in_lock_scope(&rel) {
-            lock_files.push((rel, scan));
+    let mut manifests = Vec::new();
+    for path in manifest_paths(root) {
+        if let Ok(text) = fs::read_to_string(&path) {
+            manifests.push((rel_path(root, &path), text));
         }
     }
-    if filter.runs("tags") {
-        findings.extend(tags::check_tags(&tag_defs, coll_bit.unwrap_or(1 << 16)));
-    }
-    if filter.runs("skeleton") {
-        findings.extend(skeleton::check(&skeletons));
-    }
-    findings.extend(concurrency::check_locks(&lock_files));
-
-    if filter.runs("deps") {
-        let mut manifests = Vec::new();
-        for path in manifest_paths(root) {
-            if let Ok(text) = fs::read_to_string(&path) {
-                manifests.push((rel_path(root, &path), text));
-            }
-        }
-        findings.extend(deps::check_deps(&manifests));
-    }
-    sort_findings(&mut findings);
-    findings
+    scan_workspace(root).finish(&manifests)
 }
 
 /// Renders the generated skeleton table for the workspace at `root` —
-/// the payload of `cargo run -p xtask -- skeleton [--emit]`. Reads
-/// `COLL_BIT` from `crates/mpi/src/lib.rs` like [`check_workspace`].
+/// the payload of `cargo run -p xtask -- skeleton [--emit]`.
 pub fn skeleton_table(root: &Path) -> String {
+    let passes = scan_workspace(root);
+    skeleton::render_table(&passes.skeletons, passes.coll_bit())
+}
+
+/// The per-file passes over every workspace `.rs` source, in path
+/// order. An unreadable source is an `io/unreadable` error: it would
+/// otherwise silently exempt itself from every pass.
+fn scan_workspace(root: &Path) -> Passes {
     let mut rs_files = Vec::new();
     collect_rs_files(root, &mut rs_files);
     rs_files.sort();
-    let mut coll_bit = None;
-    let mut skeletons = Vec::new();
+    let mut passes = Passes::default();
     for path in &rs_files {
         let rel = rel_path(root, path);
-        let Ok(source) = fs::read_to_string(path) else {
-            continue;
-        };
-        let scan = scanner::scan(&source);
-        if skeleton::in_skeleton_scope(&rel) {
-            skeletons.push(skeleton::collect(&rel, &scan));
-        }
-        if rel == "crates/mpi/src/lib.rs" {
-            coll_bit = tags::extract_coll_bit(&scan);
-        }
-    }
-    skeleton::render_table(&skeletons, coll_bit.unwrap_or(1 << 16))
-}
-
-/// Renders findings as a JSON document for `--format json` (std-only,
-/// so escaping is done by hand; paths and messages are ASCII in
-/// practice). Every lint family — including `concurrency/*` — flows
-/// through this one serializer, so new passes appear in machine
-/// output without registration.
-pub fn render_json(findings: &[Finding], errors: usize, warnings: usize) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"level\": \"{}\", \"lint\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.path),
-            f.line,
-            f.level,
-            json_escape(f.lint),
-            json_escape(&f.msg)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"errors\": {errors},\n  \"warnings\": {warnings}\n}}"
-    ));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        match fs::read_to_string(path) {
+            Ok(source) => passes.file(&rel, &source),
+            Err(e) => passes.findings.push(Finding {
+                path: rel,
+                line: 1,
+                lint: "io/unreadable",
+                level: Level::Error,
+                msg: format!("cannot read source: {e}"),
+            }),
         }
     }
-    out
+    passes
 }
 
 /// Is this file part of the static tag registry?

@@ -8,7 +8,7 @@
 use crate::clockdomain::clockdomain;
 use crate::concurrency;
 use crate::scanner::{has_word, FileScan};
-use crate::{Finding, Level, PassFilter};
+use crate::{Finding, Level};
 
 /// Crates whose *library* code must stay deterministic: no wall-clock
 /// reads, no randomized hashers, no ambient randomness. The simulated
@@ -52,36 +52,21 @@ impl FileClass {
 
 /// Runs every per-file lint applicable to `path` over `scan`.
 pub fn lint_file(path: &str, scan: &FileScan) -> Vec<Finding> {
-    lint_file_filtered(path, scan, &PassFilter::all())
-}
-
-/// [`lint_file`] restricted to the pass families `filter` selects.
-pub fn lint_file_filtered(path: &str, scan: &FileScan, filter: &PassFilter) -> Vec<Finding> {
     let class = FileClass::of(path);
     let mut out = Vec::new();
     if class.in_crate_src(DETERMINISM_CRATES) {
-        if filter.runs("determinism") {
-            determinism(path, scan, &mut out);
-        }
-        if filter.runs("clockdomain") {
-            clockdomain(path, scan, &mut out);
-        }
+        determinism(path, scan, &mut out);
+        clockdomain(path, scan, &mut out);
     }
     if class.in_src {
-        if filter.runs("determinism") {
-            host_parallelism(path, scan, &mut out);
-        }
-        if filter.runs("concurrency") {
-            concurrency::raw_lock(path, scan, &mut out);
-        }
+        host_parallelism(path, scan, &mut out);
+        concurrency::raw_lock(path, scan, &mut out);
     }
-    if filter.runs("concurrency") && class.in_crate_src(concurrency::ATOMICS_CRATES) {
+    if class.in_crate_src(concurrency::ATOMICS_CRATES) {
         concurrency::atomics(path, scan, &mut out);
     }
-    if filter.runs("unsafe") {
-        unsafe_hygiene(path, scan, &mut out);
-    }
-    if filter.runs("style") && class.in_crate_src(UNWRAP_CRATES) {
+    unsafe_hygiene(path, scan, &mut out);
+    if class.in_crate_src(UNWRAP_CRATES) {
         unwrap_warning(path, scan, &mut out);
     }
     out
@@ -271,7 +256,7 @@ mod tests {
     #[test]
     fn available_parallelism_is_blessed_only_in_allowed_files() {
         let src = "fn f() { let n = std::thread::available_parallelism(); let _ = n; }\n";
-        let hits = lints_of("crates/bench/src/bin/fig5.rs", src);
+        let hits = lints_of("crates/bench/src/hcs/hier.rs", src);
         assert!(hits
             .iter()
             .any(|(l, _)| l == "determinism/host-parallelism"));

@@ -1,17 +1,13 @@
-//! `cargo run -p xtask -- check [--deny-warnings] [--format json]
-//! [--only <families>] [--skip <families>]`
+//! `cargo run -p xtask -- check [--deny-warnings]`
 //! `cargo run -p xtask -- skeleton [--emit]`
 //!
-//! `check` exits 0 when the workspace satisfies every repo invariant,
-//! 1 when any error-level finding exists (or any warning under
-//! `--deny-warnings`), 2 on usage errors. `--only`/`--skip` take
-//! comma-separated pass-family names (repeatable) for fast local
-//! iteration on one lint family; CI always runs the full set.
+//! `check` runs every pass and exits 0 when the workspace satisfies
+//! every repo invariant, 1 when any error-level finding exists (or any
+//! warning under `--deny-warnings`), 2 on usage errors.
 //!
-//! The default text output is one `path:line: level [lint] message`
-//! row per finding — the shape `.github/problem-matchers/xtask.json`
-//! parses so CI annotates PR diffs. `--format json` emits the same
-//! findings as a JSON document for other tooling.
+//! The output is one `path:line: level [lint] message` row per finding
+//! — the shape `.github/problem-matchers/xtask.json` parses so CI
+//! annotates PR diffs.
 //!
 //! `skeleton` prints the generated communication-skeleton table;
 //! `skeleton --emit` writes it to `crates/sim/src/skeleton_gen.rs`
@@ -20,98 +16,45 @@
 
 use std::process::ExitCode;
 
-use xtask::{
-    check_workspace_filtered, render_json, skeleton_table, workspace_root, Level, PassFilter,
-};
+use xtask::{check_workspace, skeleton_table, workspace_root, Level};
 
-const USAGE: &str = "usage: cargo run -p xtask -- check [--deny-warnings] [--format json] \
-[--only <families>] [--skip <families>]\n       cargo run -p xtask -- skeleton [--emit]";
+const USAGE: &str = "usage: cargo run -p xtask -- check [--deny-warnings]\n       \
+cargo run -p xtask -- skeleton [--emit]";
 
 /// Path of the generated skeleton table, workspace-relative.
 const SKELETON_GEN: &str = "crates/sim/src/skeleton_gen.rs";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut deny_warnings = false;
     let mut command = None;
-    let mut json = false;
     let mut emit = false;
-    let mut only: Option<Vec<String>> = None;
-    let mut skip: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
             "check" => command = Some("check"),
             "skeleton" => command = Some("skeleton"),
             "--deny-warnings" => deny_warnings = true,
             "--emit" => emit = true,
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("json") => json = true,
-                    Some("text") => json = false,
-                    other => {
-                        eprintln!("--format takes `text` or `json`, got {other:?}");
-                        eprintln!("{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--format=json" => json = true,
-            "--format=text" => json = false,
-            "--only" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--only takes a comma-separated list of pass families");
-                    eprintln!("{USAGE}");
-                    return ExitCode::from(2);
-                };
-                only.get_or_insert_with(Vec::new)
-                    .extend(split_families(list));
-            }
-            "--skip" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--skip takes a comma-separated list of pass families");
-                    eprintln!("{USAGE}");
-                    return ExitCode::from(2);
-                };
-                skip.extend(split_families(list));
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
         }
-        i += 1;
     }
 
     let root = workspace_root();
     match command {
         Some("check") => {
-            let filter = match PassFilter::new(only, skip) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!("{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            let findings = check_workspace_filtered(&root, &filter);
+            let findings = check_workspace(&root);
             let errors = findings.iter().filter(|f| f.level == Level::Error).count();
             let warnings = findings.len() - errors;
-            if json {
-                println!("{}", render_json(&findings, errors, warnings));
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!(
-                    "xtask check: {errors} error(s), {warnings} warning(s) across workspace at {}",
-                    root.display()
-                );
+            for f in &findings {
+                println!("{f}");
             }
+            println!(
+                "xtask check: {errors} error(s), {warnings} warning(s) across workspace at {}",
+                root.display()
+            );
             if errors > 0 || (deny_warnings && warnings > 0) {
                 ExitCode::FAILURE
             } else {
@@ -142,11 +85,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn split_families(list: &str) -> impl Iterator<Item = String> + '_ {
-    list.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
 }

@@ -3,7 +3,7 @@
 //! the real workspace must pass clean (the same invariant CI enforces
 //! via `cargo run -p xtask -- check`).
 
-use xtask::{lint_sources, lint_sources_filtered, Level, PassFilter};
+use xtask::{lint_sources, Level};
 
 fn lint_ids(findings: &[xtask::Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.lint).collect()
@@ -121,7 +121,7 @@ fn host_parallelism_outside_sweep_is_an_error() {
     // Concurrency budgets must flow through SweepExecutor; any other
     // src file consulting the host's core count is an error.
     let findings = lint_sources(&[(
-        "crates/bench/src/bin/fig4.rs",
+        "crates/bench/src/hcs/hier.rs",
         "fn jobs() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
     )]);
     assert!(
@@ -407,26 +407,14 @@ fn bare_lock_call_is_an_error_outside_lockutil() {
 }
 
 #[test]
-fn concurrency_findings_render_in_json_and_matcher_shape() {
-    // The JSON feed and the CI problem matcher both consume the same
-    // findings stream; a concurrency finding must appear in each shape.
+fn concurrency_findings_render_in_matcher_shape() {
+    // Text shape: `path:line: level [lint] message`, what
+    // .github/problem-matchers/xtask.json parses into PR annotations.
     let findings = lint_sources(&[(
         "crates/sim/src/engine/net.rs",
         "struct S {\n    m: Mutex<u32>,\n}\n",
     )]);
     assert_eq!(findings.len(), 1);
-    let json = xtask::render_json(&findings, 1, 0);
-    assert!(
-        json.contains("\"lint\": \"concurrency/unregistered-lock\""),
-        "{json}"
-    );
-    assert!(
-        json.contains("\"path\": \"crates/sim/src/engine/net.rs\""),
-        "{json}"
-    );
-    assert!(json.contains("\"errors\": 1"), "{json}");
-    // Text shape: `path:line: level [lint] message`, what
-    // .github/problem-matchers/xtask.json parses into PR annotations.
     let row = findings[0].to_string();
     assert!(
         row.starts_with("crates/sim/src/engine/net.rs:2: error [concurrency/unregistered-lock] "),
@@ -538,63 +526,19 @@ fn untyped_wire_tag_is_an_error() {
 }
 
 #[test]
-fn skeleton_findings_render_in_json_and_matcher_shape() {
-    // Skeleton findings flow through the same JSON feed and CI problem
-    // matcher as every other pass.
+fn skeleton_findings_render_in_matcher_shape() {
+    // Skeleton findings flow through the same CI problem matcher as
+    // every other pass.
     let findings = lint_sources(&[(
         "crates/core/src/proto.rs",
         "fn f(ctx: &mut RankCtx) {\n    ctx.send(1, 0x0777, &buf);\n}\n",
     )]);
     assert_eq!(findings.len(), 1);
-    let json = xtask::render_json(&findings, 1, 0);
-    assert!(
-        json.contains("\"lint\": \"skeleton/untyped-wire\""),
-        "{json}"
-    );
-    assert!(
-        json.contains("\"path\": \"crates/core/src/proto.rs\""),
-        "{json}"
-    );
-    assert!(json.contains("\"errors\": 1"), "{json}");
     let row = findings[0].to_string();
     assert!(
         row.starts_with("crates/core/src/proto.rs:2: error [skeleton/untyped-wire] "),
         "{row}"
     );
-}
-
-#[test]
-fn pass_filter_selects_and_skips_families() {
-    // One wall-clock violation plus one skeleton violation in a single
-    // fixture: `--only skeleton` sees only the latter, `--skip
-    // skeleton` only the former, and unknown families are rejected.
-    let fixture: &[(&str, &str)] = &[(
-        "crates/core/src/proto.rs",
-        "use std::time::Instant;\nfn f(ctx: &mut RankCtx) {\n    let _t = Instant::now();\n    ctx.send(1, 0x0777, &buf);\n}\n",
-    )];
-    let everything = lint_sources(fixture);
-    let ids = lint_ids(&everything);
-    assert!(ids.contains(&"determinism/wall-clock"), "{everything:?}");
-    assert!(ids.contains(&"skeleton/untyped-wire"), "{everything:?}");
-
-    let only = PassFilter::new(Some(vec!["skeleton".into()]), vec![]).expect("known family");
-    let findings = lint_sources_filtered(fixture, &only);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/untyped-wire"]);
-
-    let skip = PassFilter::new(None, vec!["skeleton".into()]).expect("known family");
-    let findings = lint_sources_filtered(fixture, &skip);
-    let ids = lint_ids(&findings);
-    assert!(ids.contains(&"determinism/wall-clock"), "{findings:?}");
-    assert!(
-        !ids.iter().any(|l| l.starts_with("skeleton/")),
-        "{findings:?}"
-    );
-
-    // A typo and a retired family are both unknown names.
-    for name in ["skelton", "deprecated-api"] {
-        let err = PassFilter::new(Some(vec![name.into()]), vec![]).expect_err("rejected");
-        assert!(err.contains("unknown pass family"), "{err}");
-    }
 }
 
 #[test]
