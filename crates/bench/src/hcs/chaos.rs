@@ -11,7 +11,7 @@
 //! CSV).
 //!
 //! ```text
-//! hcs chaos [--nodes 4] [--ppn 2] [--seed 1] [--csv out/chaos.csv] [--out BENCH_chaos.json]
+//! hcs chaos [--nodes 4] [--ppn 2] [--seed 1] [--csv chaos.csv] [--out BENCH_chaos.json]
 //! ```
 
 use hcs_clock::{Clock, LocalClock, TimeSource};

@@ -7,7 +7,7 @@
 //! - Fig. 2c: the first 10 s (drift is linear, R² > 0.9).
 //!
 //! ```text
-//! hcs fig2 [--ranks 10] [--span 500] [--seed 1] [--csv out/fig2.csv]
+//! hcs fig2 [--ranks 10] [--span 500] [--step 2] [--seed 1] [--csv out/fig2.csv]
 //! ```
 
 use hcs_clock::{fit_linear_model, LinearFit, LocalClock, LocalTime, Span, TimeSource};

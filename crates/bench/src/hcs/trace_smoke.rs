@@ -7,7 +7,7 @@
 //! run that dropped events to the recorder capacity exits non-zero.
 //!
 //! ```text
-//! hcs trace_smoke [--nodes 4] [--ppn 2] [--seed 1] [--out out/trace_smoke.json]
+//! hcs trace_smoke [--nodes 4] [--ppn 2] [--seed 1] [--out trace_smoke.json]
 //! ```
 
 use hcs_bench::schemes::{run_round_time, RoundTimeConfig};

@@ -35,6 +35,7 @@
 //! accessors at the instrumentation site, and the frame is carried
 //! structurally by the [`ClockReadings`] slot they occupy.
 
+mod float;
 pub mod record;
 pub mod sink;
 

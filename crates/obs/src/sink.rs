@@ -3,9 +3,10 @@
 //! All three sinks are pure functions of the log, and the log is a pure
 //! function of the master seed, so their output is byte-identical
 //! across runs (and across execution engines). Finite floating-point
-//! values are printed with Rust's shortest-round-trip `Display`, which
-//! is deterministic; non-finite ones, which JSON cannot spell, become
-//! `null`.
+//! values are printed in the bytes of Rust's shortest-round-trip
+//! `Display`, written by the in-crate `float` module, whose tests pin it
+//! against `Display` itself; non-finite ones, which JSON cannot spell,
+//! become `null`.
 //!
 //! The sinks write straight into their output: no row, name or number
 //! is materialized as a `String` of its own on a per-event path.
@@ -19,6 +20,7 @@ use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io;
 
+use crate::float;
 use crate::record::{ClockReadings, Event, TraceLog};
 
 /// Text [`write_chrome_trace`] accumulates before it calls the writer.
@@ -437,12 +439,11 @@ fn flow_ids(log: &TraceLog) -> Vec<Vec<u64>> {
     ids
 }
 
-/// Appends a float the way JSON can carry it: `Display` (shortest
-/// round trip, deterministic) when finite, `null` otherwise.
+/// Appends a float the way JSON can carry it: the bytes of `Display`
+/// (shortest round trip, deterministic) when finite, `null` otherwise.
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        // Writing to a `String` cannot fail.
-        let _ = write!(out, "{v}");
+        float::push_shortest(out, v);
     } else {
         out.push_str("null");
     }
@@ -631,13 +632,13 @@ mod tests {
 
     #[test]
     fn digit_writer_matches_the_formatter() {
-        for v in [0, 1, 9, 10, 99, 100, 4096, u64::from(u32::MAX), u64::MAX] {
+        for n in [0, 1, 9, 10, 99, 100, 4096, u64::from(u32::MAX), u64::MAX] {
             let mut dec = String::new();
-            push_int::<10>(&mut dec, v);
-            assert_eq!(dec, format!("{v}"));
+            push_int::<10>(&mut dec, n);
+            assert_eq!(dec, format!("{n}"));
             let mut hex = String::from("0x");
-            push_int::<16>(&mut hex, v);
-            assert_eq!(hex, format!("{v:#x}"));
+            push_int::<16>(&mut hex, n);
+            assert_eq!(hex, format!("{n:#x}"));
         }
     }
 
