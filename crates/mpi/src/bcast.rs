@@ -1,6 +1,6 @@
 //! Binomial-tree `MPI_Bcast`.
 
-use hcs_sim::{RankCtx, Tag};
+use hcs_sim::{RankCtx, Tag, Wire};
 
 use crate::Comm;
 
@@ -25,8 +25,8 @@ impl Comm {
     /// Broadcasts one `f64` from `root` (used by the Round-Time scheme
     /// to distribute start timestamps).
     pub fn bcast_f64(&mut self, ctx: &mut RankCtx, root: usize, x: f64) -> f64 {
-        let out = self.bcast(ctx, root, &x.to_le_bytes());
-        hcs_sim::msg::decode_f64(&out)
+        let out = self.bcast(ctx, root, x.to_wire().as_ref());
+        f64::from_wire(&out)
     }
 
     /// Broadcasts a clock reading from `root`. As with

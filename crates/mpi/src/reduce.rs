@@ -5,7 +5,7 @@
 //! harness uses [`ReduceOp::ByteMax`] because it is valid at *any*
 //! message size — the paper's Figs. 7 and 9 sweep sizes from 4 B up.
 
-use hcs_sim::{RankCtx, Tag};
+use hcs_sim::{RankCtx, Tag, Wire};
 
 use crate::Comm;
 
@@ -101,8 +101,8 @@ impl Comm {
     /// Allreduce of a single `f64` (the paper's Round-Time scheme
     /// allreduces its `invalid` / `out_of_time` flags this way).
     pub fn allreduce_f64(&mut self, ctx: &mut RankCtx, x: f64, op: ReduceOp) -> f64 {
-        let out = self.allreduce(ctx, &x.to_le_bytes(), op);
-        hcs_sim::msg::decode_f64(&out)
+        let out = self.allreduce(ctx, x.to_wire().as_ref(), op);
+        f64::from_wire(&out)
     }
 
     /// Allreduce with an explicit algorithm choice.

@@ -155,7 +155,7 @@ impl RankCtx {
             master_seed,
             net_rng: None,
             net,
-            pending: PendingBuf::new(size),
+            pending: PendingBuf::default(),
             ring: VecDeque::new(),
             stage: Vec::new(),
             stage_dst: 0,
@@ -179,6 +179,12 @@ impl RankCtx {
     #[cfg(test)]
     pub(crate) fn clamp_heap_bytes(&self) -> usize {
         self.last_arrival_to.heap_bytes()
+    }
+
+    /// Heap bytes held by this rank's out-of-order pending buffer.
+    #[cfg(test)]
+    pub(crate) fn pending_heap_bytes(&self) -> usize {
+        self.pending.heap_bytes()
     }
 
     /// How many of the run's mailboxes are single-owner (`Events`) arms.
@@ -667,7 +673,6 @@ impl RankCtx {
         assert_ne!(src, self.rank, "self-receives are not modeled");
         let env = self.pull_match_deadline(src, tag, deadline)?;
         self.absorb_arrival(&env);
-        self.monitor_delivery(&env);
         if self.obs_spec.messages {
             if let Some(rec) = self.obs.get_mut() {
                 rec.recv(
@@ -685,24 +690,6 @@ impl RankCtx {
         }
         Ok(env.payload)
     }
-
-    /// Debug-only protocol-monitor hook on the payload-delivery path:
-    /// checks the matched (src, tag, len) against the generated
-    /// skeleton table when observability is on. Reads no clocks and
-    /// allocates nothing, so a panic-free monitored run is
-    /// timeline-identical to an unmonitored one.
-    #[cfg(debug_assertions)]
-    #[inline]
-    fn monitor_delivery(&self, env: &Envelope) {
-        if self.obs_on() {
-            crate::protomon::check_delivery(self.rank, env.src, env.tag, env.payload.len());
-        }
-    }
-
-    /// Release builds compile the protocol monitor out entirely.
-    #[cfg(not(debug_assertions))]
-    #[inline(always)]
-    fn monitor_delivery(&self, _env: &Envelope) {}
 
     /// Sends a typed value over the [`Wire`] encoding.
     pub fn send_t<T: Wire>(&mut self, dst: Rank, tag: Tag, x: T) {

@@ -548,4 +548,27 @@ mod tests {
             &bytes[..4]
         );
     }
+
+    #[test]
+    fn first_out_of_order_message_at_1024_ranks_allocates_no_table_sized_by_p() {
+        // Every rank receives one message out of order from one partner;
+        // none may hold a pending block of 64 B x p, which is what the
+        // direct bucket table cost per receiver.
+        let parts = crate::machines::testbed(64, 16);
+        let p = parts.topology.total_cores();
+        assert_eq!(p, 1024);
+        let bytes = parts.cluster(5).run(|ctx| {
+            let peer = ctx.rank() ^ 1;
+            ctx.send_t::<u32>(peer, 4, 8);
+            ctx.send_t::<u32>(peer, 3, 9);
+            assert_eq!(ctx.recv_t::<u32>(peer, 3), 9);
+            assert_eq!(ctx.recv_t::<u32>(peer, 4), 8);
+            ctx.pending_heap_bytes()
+        });
+        assert!(
+            bytes.iter().all(|&b| 0 < b && b < 64 * p),
+            "{:?}",
+            &bytes[..4]
+        );
+    }
 }

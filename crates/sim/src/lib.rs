@@ -70,11 +70,7 @@ pub mod machines;
 pub mod msg;
 pub mod net;
 pub mod noise;
-#[cfg(debug_assertions)]
-pub mod protomon;
 pub mod rngx;
-#[cfg(debug_assertions)]
-mod skeleton_gen;
 pub mod timebase;
 pub mod topology;
 pub mod waitgraph;

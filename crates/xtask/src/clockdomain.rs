@@ -135,49 +135,33 @@ fn bare_typed_names<'l>(line: &'l str, ty: &str) -> Vec<&'l str> {
 }
 
 /// Rule (a), returns: functions with time-vocabulary names returning a
-/// bare `f64`/`u64`. Signatures may span lines, so they are joined up to
-/// the body brace (or `;` for trait methods).
+/// bare `f64`/`u64`. The signature runs from `fn` to the body brace
+/// (or `;` for trait methods), however many lines it spans.
 fn bare_time_returns(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
-    let n = scan.code.len();
-    let mut ln = 0;
-    while ln < n {
-        if scan.is_test[ln] || !has_word(&scan.code[ln], "fn") {
-            ln += 1;
+    for i in 0..scan.toks.len() {
+        let ln = scan.toks[i].line;
+        if scan.is_test[ln] || !scan.is(i, "fn") || !scan.is_ident(i + 1) {
             continue;
         }
-        let mut sig = String::new();
-        let mut end = ln;
-        let mut escape = false;
-        loop {
-            let l = &scan.code[end];
-            escape |= allowed(scan, end);
-            if let Some(p) = l.find(['{', ';']) {
-                sig.push_str(&l[..p]);
-                break;
-            }
-            sig.push_str(l);
-            sig.push(' ');
-            end += 1;
-            if end >= n || end - ln > 24 {
-                break;
-            }
+        let end = scan.head_end(i + 2);
+        if (ln..=scan.line(end)).any(|l| allowed(scan, l)) {
+            continue;
         }
-        if !escape {
-            if let Some((name, ret)) = fn_name_and_return(&sig) {
-                if is_time_vocab(name) && (ret == "f64" || ret == "u64") {
-                    out.push(Finding {
-                        path: path.to_string(),
-                        line: ln + 1,
-                        lint: "clockdomain/bare-time",
-                        level: Level::Error,
-                        msg: format!(
-                            "`fn {name}` names a time but returns bare `{ret}`; return LocalTime, GlobalTime, SimTime, or Span (or `// {ALLOW_MARKER}` with a reason)"
-                        ),
-                    });
-                }
-            }
+        let sig = scan.span(i, end);
+        let Some((name, ret)) = fn_name_and_return(&sig) else {
+            continue;
+        };
+        if is_time_vocab(name) && (ret == "f64" || ret == "u64") {
+            out.push(Finding {
+                path: path.to_string(),
+                line: ln + 1,
+                lint: "clockdomain/bare-time",
+                level: Level::Error,
+                msg: format!(
+                    "`fn {name}` names a time but returns bare `{ret}`; return LocalTime, GlobalTime, SimTime, or Span (or `// {ALLOW_MARKER}` with a reason)"
+                ),
+            });
         }
-        ln = end.max(ln) + 1;
     }
 }
 

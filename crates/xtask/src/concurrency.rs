@@ -37,7 +37,8 @@
 //!   is what makes the guard walk (and the runtime validator) see
 //!   every acquisition.
 //!
-//! The walk is a linear, per-line approximation (no CFG): a guard is
+//! The walk reads acquisitions, bindings and brace scopes off the
+//! scanner's token tree but is still linear (no CFG): a guard is
 //! considered held from its acquisition until its binding is
 //! `drop(..)`ed or its brace scope closes, and `else`-branch drops are
 //! treated as if they happened on the straight-line path. That is
@@ -46,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::scanner::{annotation_above, brace_delta, has_word, is_ident_byte, FileScan};
+use crate::scanner::{annotation_above, has_word, is_ident_byte, scan, FileScan, Kind};
 use crate::{Finding, Level};
 
 /// Per-line escape hatch: suppresses every concurrency finding on the
@@ -308,38 +309,17 @@ fn condvar_decl(line: &str) -> bool {
 /// Identifier a declaration line introduces: `q: Mutex<..>`,
 /// `pub(crate) gate: Mutex<..>`, `let results: Vec<Mutex<..>> = ..`.
 fn decl_ident(code_line: &str) -> Option<String> {
-    let mut t = code_line.trim_start();
+    let s = scan(code_line);
+    let mut k = 0;
     loop {
-        let before = t;
-        for kw in ["let", "mut", "static", "ref"] {
-            if let Some(rest) = t.strip_prefix(kw) {
-                if rest.starts_with(|c: char| c.is_whitespace()) {
-                    t = rest.trim_start();
-                }
-            }
-        }
-        if let Some(rest) = t.strip_prefix("pub") {
-            if let Some(paren) = rest.strip_prefix('(') {
-                let close = paren.find(')')?;
-                t = paren[close + 1..].trim_start();
-            } else if rest.starts_with(char::is_whitespace) {
-                t = rest.trim_start();
-            }
-        }
-        if t == before {
-            break;
+        match s.text(k) {
+            "let" | "mut" | "static" | "ref" => k += 1,
+            "pub" if s.is(k + 1, "(") => k = s.pair(k + 1) + 1,
+            "pub" => k += 1,
+            _ => break,
         }
     }
-    let end = t
-        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .unwrap_or(t.len());
-    if end == 0 {
-        return None;
-    }
-    let (ident, rest) = t.split_at(end);
-    rest.trim_start()
-        .starts_with(':')
-        .then(|| ident.to_string())
+    (s.is_ident(k) && s.is(k + 1, ":")).then(|| s.text(k).to_string())
 }
 
 /// Constructor literals must agree with the registry:
@@ -353,29 +333,34 @@ fn check_ctor_literals(
     by_name: &BTreeMap<&str, u32>,
     out: &mut Vec<Finding>,
 ) {
-    // Constructor prefix and how many arguments precede the name.
-    const CTORS: [(&str, usize); 2] = [("OrderedMutex::new(", 0), ("RunLock::new(", 1)];
-    for (ln, line) in scan.code.iter().enumerate() {
-        if scan.is_test[ln] || allowed(scan, ln) {
+    // Constructor type and how many arguments precede the name.
+    const CTORS: [(&str, usize); 2] = [("OrderedMutex", 0), ("RunLock", 1)];
+    for i in 0..scan.toks.len() {
+        let Some(&(ty, skip)) = CTORS.iter().find(|(ty, _)| scan.is(i, ty)) else {
+            continue;
+        };
+        let ln = scan.toks[i].line;
+        if !(scan.is(i + 1, "::") && scan.is(i + 2, "new") && scan.is(i + 3, "("))
+            || scan.is_test[ln]
+            || allowed(scan, ln)
+        {
             continue;
         }
-        let Some(&(ctor, skip)) = CTORS.iter().find(|(ctor, _)| line.contains(ctor)) else {
-            continue;
+        // The argument at `at` when it is a single literal token.
+        let args = scan.items(i + 3);
+        let lit = |at: usize| {
+            let r = args.get(at).filter(|r| r.len() == 1)?;
+            (scan.toks[r.start].kind == Kind::Lit).then(|| scan.text(r.start))
         };
-        // The scanner blanks string contents, so read the arguments
-        // from the raw text (joining a few lines: rustfmt may break
-        // the argument list).
-        let window = scan.raw[ln..scan.raw.len().min(ln + 4)].join(" ");
-        let Some(args) = window.find(ctor).map(|p| &window[p + ctor.len()..]) else {
-            continue;
-        };
-        let Some((name, level)) = args
-            .splitn(skip + 1, ',')
-            .nth(skip)
-            .and_then(parse_ctor_args)
-        else {
+        let name = lit(skip).and_then(|t| t.strip_prefix('"')?.strip_suffix('"'));
+        let level = lit(skip + 1).and_then(|t| {
+            let digits = t.find(|c: char| !c.is_ascii_digit()).unwrap_or(t.len());
+            t[..digits].parse::<u32>().ok()
+        });
+        let (Some(name), Some(level)) = (name, level) else {
             continue; // non-literal arguments; the annotation still governs
         };
+        let ctor = format!("{ty}::new(");
         match by_name.get(name) {
             None => out.push(finding(
                 path,
@@ -397,28 +382,32 @@ fn check_ctor_literals(
     }
 }
 
-/// `"name", N` → `(name, N)`; `None` when either argument is not a
-/// literal.
-fn parse_ctor_args(args: &str) -> Option<(&str, u32)> {
-    let rest = args.trim_start().strip_prefix('"')?;
-    let quote = rest.find('"')?;
-    let (name, rest) = rest.split_at(quote);
-    let rest = rest[1..].trim_start().strip_prefix(',')?.trim_start();
-    let digits_end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    let level = rest[..digits_end].parse().ok()?;
-    Some((name, level))
-}
-
 /// One tracked guard in the lock-order walk.
 struct Held {
-    /// Brace depth its scope lives at; closing below this pops it.
-    depth: i32,
-    /// Binding name, `None` for a same-line temporary.
+    /// Last line of the brace scope the guard lives in.
+    until: usize,
+    /// Binding name, `None` for a statement temporary.
     var: Option<String>,
     name: String,
     level: u32,
+}
+
+/// One lock acquisition in the token tree.
+struct Acq {
+    /// 0-based line of the acquiring call.
+    ln: usize,
+    /// Lock expression: the argument of `lock_ignore_poison(..)` or the
+    /// receiver of `.acquire()`.
+    expr: String,
+    /// Guard binding, when the statement's right-hand side *is* the
+    /// acquisition (`let g = lock_ignore_poison(..);`,
+    /// `st = shard.state.acquire();`, optionally `: Type`-ascribed). An
+    /// acquisition nested in a larger expression
+    /// (`std::mem::take(&mut *lock_ignore_poison(..))`,
+    /// `lock_ignore_poison(..).take()`) is a statement temporary.
+    var: Option<String>,
+    /// Last line of the innermost brace scope around the acquisition.
+    until: usize,
 }
 
 /// The guard-scope walk: tracks acquisitions (`lock_ignore_poison(..)`
@@ -432,7 +421,9 @@ fn lock_order_walk(
     by_name: &BTreeMap<&str, u32>,
     out: &mut Vec<Finding>,
 ) {
-    let mut depth = 0i32;
+    let acqs = acquisitions_in(scan);
+    let drops = drop_targets(scan);
+    let (mut a, mut d) = (0, 0);
     let mut held: Vec<Held> = Vec::new();
     for (ln, line) in scan.code.iter().enumerate() {
         let active = !scan.is_test[ln];
@@ -441,76 +432,71 @@ fn lock_order_walk(
         if !quiet && !held.is_empty() {
             check_blocking(path, ln, line, &held, out);
         }
-        if active {
-            for var in drop_targets(line) {
-                if let Some(pos) = held
-                    .iter()
-                    .rposition(|h| h.var.as_deref() == Some(var.as_str()))
-                {
-                    held.remove(pos);
-                }
+        while d < drops.len() && drops[d].0 == ln {
+            let var = &drops[d].1;
+            d += 1;
+            if !active {
+                continue;
+            }
+            if let Some(pos) = held.iter().rposition(|h| h.var.as_ref() == Some(var)) {
+                held.remove(pos);
             }
         }
-
-        let new_depth = depth + brace_delta(line);
-        if active {
-            let binding = binding_var(line);
-            for (idx, expr) in acquisitions(line).into_iter().enumerate() {
-                let resolved = lock_expr_ident(&expr)
-                    .and_then(|ident| by_ident.get(ident.as_str()).copied())
-                    .or_else(|| {
-                        // Same-line `// lock-order: <name>` resolves
-                        // sites whose receiver is a local alias of a
-                        // registered lock (e.g. a moved-out slot).
-                        let text = scan.raw[ln].split(LOCK_ORDER_MARKER).nth(1)?;
-                        let name = text.split_whitespace().next()?;
-                        let (name, &level) = by_name.get_key_value(name)?;
-                        Some((*name, level))
-                    });
-                let Some((name, level)) = resolved else {
-                    if !quiet {
-                        out.push(finding(
-                            path,
-                            ln,
-                            "concurrency/unknown-lock",
-                            format!(
-                                "cannot resolve lock acquisition `{expr}` against the registry; \
-                                 register the declaration or add a same-line `// lock-order: <name>`"
-                            ),
-                        ));
-                    }
-                    continue;
-                };
-                if !quiet {
-                    for h in &held {
-                        if h.level >= level {
-                            out.push(finding(
-                                path,
-                                ln,
-                                "concurrency/lock-order",
-                                format!(
-                                    "acquiring `{name}` (level {level}) while holding `{}` \
-                                     (level {}); declared levels must strictly increase",
-                                    h.name, h.level
-                                ),
-                            ));
-                        }
-                    }
-                }
-                // Only the first acquisition on a line takes the `let`
-                // binding; later ones are temporaries confined to the
-                // line (popped below).
-                held.push(Held {
-                    depth: new_depth,
-                    var: if idx == 0 { binding.clone() } else { None },
-                    name: name.to_string(),
-                    level,
+        while a < acqs.len() && acqs[a].ln == ln {
+            let acq = &acqs[a];
+            a += 1;
+            if !active {
+                continue;
+            }
+            let resolved = lock_expr_ident(&acq.expr)
+                .and_then(|ident| by_ident.get(ident.as_str()).copied())
+                .or_else(|| {
+                    // Same-line `// lock-order: <name>` resolves sites
+                    // whose receiver is a local alias of a registered
+                    // lock (e.g. a moved-out slot).
+                    let text = scan.raw[ln].split(LOCK_ORDER_MARKER).nth(1)?;
+                    let name = text.split_whitespace().next()?;
+                    let (name, &level) = by_name.get_key_value(name)?;
+                    Some((*name, level))
                 });
+            let Some((name, level)) = resolved else {
+                if !quiet {
+                    out.push(finding(
+                        path,
+                        ln,
+                        "concurrency/unknown-lock",
+                        format!(
+                            "cannot resolve lock acquisition `{}` against the registry; \
+                             register the declaration or add a same-line `// lock-order: <name>`",
+                            acq.expr
+                        ),
+                    ));
+                }
+                continue;
+            };
+            if !quiet {
+                for h in held.iter().filter(|h| h.level >= level) {
+                    out.push(finding(
+                        path,
+                        ln,
+                        "concurrency/lock-order",
+                        format!(
+                            "acquiring `{name}` (level {level}) while holding `{}` \
+                             (level {}); declared levels must strictly increase",
+                            h.name, h.level
+                        ),
+                    ));
+                }
             }
+            held.push(Held {
+                until: acq.until,
+                var: acq.var.clone(),
+                name: name.to_string(),
+                level,
+            });
         }
-        held.retain(|h| h.var.is_some());
-        depth = new_depth;
-        held.retain(|h| h.depth <= depth);
+        // Temporaries die with their line, bindings with their scope.
+        held.retain(|h| h.var.is_some() && h.until > ln);
     }
 }
 
@@ -550,138 +536,103 @@ fn check_blocking(path: &str, ln: usize, line: &str, held: &[Held], out: &mut Ve
     ));
 }
 
-/// Lock-acquisition expressions on a line: the argument of every
-/// `lock_ignore_poison(..)` call plus the receiver of every
-/// `.acquire()` call.
-fn acquisitions(line: &str) -> Vec<String> {
+/// Every lock acquisition in the file, in source order.
+fn acquisitions_in(scan: &FileScan) -> Vec<Acq> {
     let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    const FREE: &str = "lock_ignore_poison(";
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(FREE) {
-        let p = start + pos;
-        let arg_start = p + FREE.len();
-        if p > 0 && is_ident_byte(bytes[p - 1]) {
-            start = arg_start;
+    for i in 0..scan.toks.len() {
+        let (first, expr, last) = if scan.is(i, "lock_ignore_poison") && scan.is(i + 1, "(") {
+            let arg = scan.items(i + 1).into_iter().next().unwrap_or(i + 2..i + 2);
+            (i, scan.span(arg.start, arg.end), scan.pair(i + 1))
+        } else if scan.is(i, "acquire") && scan.is(i + 1, "(") && i > 0 && scan.is(i - 1, ".") {
+            // The receiver: a path of fields and index groups.
+            let dot = i - 1;
+            let mut first = dot;
+            while first > 0 {
+                let p = first - 1;
+                if scan.is(p, "]") {
+                    first = scan.pair(p).min(p);
+                } else if scan.is_ident(p) || scan.is(p, ".") {
+                    first = p;
+                } else {
+                    break;
+                }
+            }
+            if first == dot {
+                continue;
+            }
+            (first, scan.span(first, dot), scan.pair(i + 1))
+        } else {
             continue;
-        }
-        let mut depth = 1i32;
-        let mut j = arg_start;
-        while j < bytes.len() && depth > 0 {
-            match bytes[j] {
-                b'(' => depth += 1,
-                b')' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        out.push(line[arg_start..j.saturating_sub(1)].trim().to_string());
-        start = j;
-    }
-    const METHOD: &str = ".acquire(";
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(METHOD) {
-        let dot = start + pos;
-        let mut b = dot;
-        while b > 0 {
-            let c = bytes[b - 1];
-            if is_ident_byte(c) || c == b'.' || c == b'[' || c == b']' {
-                b -= 1;
-            } else {
-                break;
-            }
-        }
-        if b < dot {
-            out.push(line[b..dot].trim().to_string());
-        }
-        start = dot + METHOD.len();
+        };
+        out.push(Acq {
+            ln: scan.toks[i].line,
+            expr: expr.trim().to_string(),
+            var: guard_binding(scan, first, last),
+            until: scan
+                .enclosing(i, "{")
+                .map_or(usize::MAX, |o| scan.line(scan.pair(o))),
+        });
     }
     out
 }
 
-/// Lock identifier of an acquisition expression: the last
-/// bracket-stripped path segment (`&self.boxes[e.waiter].q` → `q`,
-/// `&results[rank]` → `results`).
+/// The binding of `[let] [mut] name [: Type] = <acquisition>;` where
+/// the acquisition spans tokens `first..=last`.
+fn guard_binding(scan: &FileScan, first: usize, last: usize) -> Option<String> {
+    if first == 0 || !scan.is(first - 1, "=") || !scan.is(last + 1, ";") {
+        return None;
+    }
+    let mut k = scan.stmt_start(first);
+    k += usize::from(scan.is(k, "let"));
+    k += usize::from(scan.is(k, "mut"));
+    // Bare ident or `ident: Type` only; patterns are not guard bindings.
+    (scan.is_ident(k) && (k + 1 == first - 1 || scan.is(k + 1, ":")))
+        .then(|| scan.text(k).to_string())
+}
+
+/// Lock-acquisition expressions in a code fragment.
+#[cfg(test)]
+fn acquisitions(code: &str) -> Vec<String> {
+    acquisitions_in(&scan(code))
+        .into_iter()
+        .map(|a| a.expr)
+        .collect()
+}
+
+/// Lock identifier of an acquisition expression: the last top-level
+/// path segment, index and call groups stripped
+/// (`&self.boxes[e.waiter].q` → `q`, `&results[rank]` → `results`).
 fn lock_expr_ident(expr: &str) -> Option<String> {
-    let mut e = expr.trim().trim_start_matches(['&', '*']).trim_start();
-    e = e.strip_prefix("mut ").unwrap_or(e).trim();
-    let mut bracket = 0i32;
-    let mut last_dot = None;
-    for (i, c) in e.char_indices() {
-        match c {
-            '[' | '(' => bracket += 1,
-            ']' | ')' => bracket -= 1,
-            '.' if bracket == 0 => last_dot = Some(i),
+    let s = scan(expr);
+    let n = s.toks.len();
+    let mut k = 0;
+    while matches!(s.text(k), "&" | "&&" | "*" | "mut") {
+        k += 1;
+    }
+    let mut seg = k;
+    while k < n {
+        match s.text(k) {
+            "(" | "[" => k = s.pair(k),
+            "." => seg = k + 1,
             _ => {}
         }
+        k += 1;
     }
-    let seg = match last_dot {
-        Some(i) => &e[i + 1..],
-        None => e,
-    };
-    let seg = seg.split(['[', '(']).next().unwrap_or(seg).trim();
-    (!seg.is_empty() && seg.bytes().all(is_ident_byte)).then(|| seg.to_string())
+    let mut tail = seg + 1;
+    while s.is(tail, "[") || s.is(tail, "(") {
+        tail = s.pair(tail) + 1;
+    }
+    (s.is_ident(seg) && tail == n).then(|| s.text(seg).to_string())
 }
 
-/// The guard binding a line introduces, if its right-hand side *is*
-/// the acquisition (`let g = lock_ignore_poison(..);`,
-/// `st = shard.state.acquire();`, optionally with a `: Type`
-/// ascription). An acquisition nested inside a larger expression
-/// (`std::mem::take(&mut *lock_ignore_poison(..))`,
-/// `lock_ignore_poison(..).take()`) produces a statement-temporary
-/// guard, not a binding.
-fn binding_var(code_line: &str) -> Option<String> {
-    let t = code_line.trim();
-    // First `=` that is an assignment, not part of `==`/`+=`/`<=`/...
-    let bytes = t.as_bytes();
-    let eq = t.find('=').filter(|&i| {
-        (i + 1 >= bytes.len() || bytes[i + 1] != b'=')
-            && (i == 0 || !b"=<>!+-*/%&|^".contains(&bytes[i - 1]))
-    })?;
-    let (lhs, rhs) = t.split_at(eq);
-    let rhs = rhs[1..].trim();
-    let direct = (rhs.starts_with("lock_ignore_poison(") && rhs.ends_with(";"))
-        || rhs.ends_with(".acquire();");
-    if !direct {
-        return None;
-    }
-    let mut lhs = lhs.trim();
-    lhs = lhs.strip_prefix("let ").unwrap_or(lhs).trim_start();
-    lhs = lhs.strip_prefix("mut ").unwrap_or(lhs).trim_start();
-    let end = lhs
-        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .unwrap_or(lhs.len());
-    if end == 0 {
-        return None;
-    }
-    let (ident, rest) = lhs.split_at(end);
-    let rest = rest.trim_start();
-    // Bare ident or `ident: Type` only; patterns are not guard bindings.
-    (rest.is_empty() || rest.starts_with(':')).then(|| ident.to_string())
-}
-
-/// Explicitly dropped identifiers: `drop(v)` occurrences.
-fn drop_targets(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = line[start..].find("drop(") {
-        let p = start + pos;
-        let arg_start = p + "drop(".len();
-        if p > 0 && is_ident_byte(bytes[p - 1]) {
-            start = arg_start;
-            continue;
-        }
-        let arg: String = line[arg_start..]
-            .chars()
-            .take_while(|&c| c.is_alphanumeric() || c == '_')
-            .collect();
-        if !arg.is_empty() && line[arg_start + arg.len()..].starts_with(')') {
-            out.push(arg);
-        }
-        start = arg_start;
-    }
-    out
+/// Explicitly dropped identifiers: `(line, v)` for every `drop(v)`.
+fn drop_targets(scan: &FileScan) -> Vec<(usize, String)> {
+    (0..scan.toks.len())
+        .filter(|&i| {
+            scan.is(i, "drop") && scan.is(i + 1, "(") && scan.is_ident(i + 2) && scan.is(i + 3, ")")
+        })
+        .map(|i| (scan.toks[i].line, scan.text(i + 2).to_string()))
+        .collect()
 }
 
 /// `Ordering::Relaxed` in library code needs an `// atomics:` comment

@@ -3,9 +3,9 @@
 //! # xtask — in-tree static analysis for the hcs workspace
 //!
 //! `cargo run -p xtask -- check` parses every workspace `.rs` source
-//! (no rustc, no external parser — a small comment/string-stripping
-//! scanner) and enforces the repo invariants the paper reproduction
-//! depends on:
+//! (no rustc, no external parser — a small scanner that builds one
+//! token tree per file, see [`scanner`]) and enforces the repo
+//! invariants the paper reproduction depends on:
 //!
 //! - **clock domains** — `crates/{sim,core,clock,mpi}` library code may
 //!   not pass times or durations as bare `f64`/`u64` (vocabulary-named
@@ -34,9 +34,7 @@
 //!   `crates/{core,mpi,benchlib}` is extracted into a per-tag protocol
 //!   skeleton; orphan tags, send/recv payload-type disagreements,
 //!   role-branch send/recv asymmetries and raw sends on unregistered
-//!   tag expressions are hard failures, and the same extraction emits
-//!   the runtime `ProtocolMonitor` table (`skeleton --emit`); see
-//!   [`skeleton`];
+//!   tag expressions are hard failures; see [`skeleton`];
 //! - **style** (warning level) — no bare `unwrap()` in library code of
 //!   `crates/{sim,core,clock,mpi}`.
 //!
@@ -133,15 +131,11 @@ impl Passes {
         }
     }
 
-    /// The collective-tag bit, or the engine default `1 << 16`.
-    fn coll_bit(&self) -> u64 {
-        self.coll_bit.unwrap_or(1 << 16)
-    }
-
     /// Runs the cross-file passes plus the dependency freeze over
-    /// `manifests` and returns every finding, sorted.
+    /// `manifests` and returns every finding, sorted. Without a
+    /// `COLL_BIT` the engine default `1 << 16` applies.
     fn finish(mut self, manifests: &[(String, String)]) -> Vec<Finding> {
-        let coll_bit = self.coll_bit();
+        let coll_bit = self.coll_bit.unwrap_or(1 << 16);
         self.findings
             .extend(tags::check_tags(&self.tag_defs, coll_bit));
         self.findings.extend(skeleton::check(&self.skeletons));
@@ -170,7 +164,10 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
     passes.finish(&manifests)
 }
 
-/// Runs the full check over the workspace rooted at `root`.
+/// Runs the full check over the workspace rooted at `root`: the
+/// per-file passes over every `.rs` source in path order, then the
+/// cross-file ones. An unreadable source is an `io/unreadable` error: it
+/// would otherwise silently exempt itself from every pass.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let mut manifests = Vec::new();
     for path in manifest_paths(root) {
@@ -178,20 +175,6 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
             manifests.push((rel_path(root, &path), text));
         }
     }
-    scan_workspace(root).finish(&manifests)
-}
-
-/// Renders the generated skeleton table for the workspace at `root` —
-/// the payload of `cargo run -p xtask -- skeleton [--emit]`.
-pub fn skeleton_table(root: &Path) -> String {
-    let passes = scan_workspace(root);
-    skeleton::render_table(&passes.skeletons, passes.coll_bit())
-}
-
-/// The per-file passes over every workspace `.rs` source, in path
-/// order. An unreadable source is an `io/unreadable` error: it would
-/// otherwise silently exempt itself from every pass.
-fn scan_workspace(root: &Path) -> Passes {
     let mut rs_files = Vec::new();
     collect_rs_files(root, &mut rs_files);
     rs_files.sort();
@@ -209,7 +192,7 @@ fn scan_workspace(root: &Path) -> Passes {
             }),
         }
     }
-    passes
+    passes.finish(&manifests)
 }
 
 /// Is this file part of the static tag registry?

@@ -1,17 +1,50 @@
-//! Minimal Rust source scanner.
+//! Rust source scanner: one token tree per file.
 //!
-//! The lint passes match on *tokens that compile*, so the scanner
-//! produces a copy of the source in which comments and string / char
-//! literal contents are blanked out (newlines preserved, so line
-//! numbers survive). It also classifies which lines live inside
-//! `#[cfg(test)]`-gated modules, because several lints only apply to
-//! library code.
+//! Every pass asks its structural questions — where a test region, a
+//! `fn` signature, an `if` chain, a call's argument list or a guard's
+//! scope begins and ends — of one tree per file: comments dropped, each
+//! literal (string, char, number) a single token, every token tagged
+//! with its line, and each `(` / `[` / `{` linked to its close. The
+//! word-level lints keep a per-line view instead: the source with
+//! comments and literal contents blanked (newlines preserved, so line
+//! numbers survive), which is what stops forbidden identifiers in docs
+//! or error messages from firing.
 //!
 //! This is deliberately not a full lexer: it handles line comments,
 //! nested block comments, string / raw-string / byte-string literals,
-//! char and byte literals, and distinguishes lifetimes (`'a`) from char
-//! literals (`'a'`). That is enough to avoid false positives from
-//! forbidden identifiers appearing in docs or error messages.
+//! char and byte literals, number literals, and distinguishes lifetimes
+//! (`'a`) from char literals (`'a'`). Only `(`, `[` and `{` are
+//! delimiters; generic angle brackets are counted on request
+//! ([`FileScan::angle_close`]).
+
+use std::ops::Range;
+
+/// Token class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Identifier or keyword.
+    Ident,
+    /// String, byte-string, char, byte or number literal, verbatim.
+    Lit,
+    /// Operator, delimiter or lifetime.
+    Punct,
+}
+
+/// One token of the tree.
+#[derive(Debug, Clone)]
+pub struct Tok {
+    /// Token class.
+    pub kind: Kind,
+    /// 0-based line the token starts on.
+    pub line: usize,
+    start: usize,
+    end: usize,
+    /// Opener: index of its close (`toks.len()` when unclosed). Closer:
+    /// index of its opener. Anything else: its own index.
+    pair: usize,
+    /// Innermost opener enclosing the token.
+    parent: Option<usize>,
+}
 
 /// One scanned source file.
 pub struct FileScan {
@@ -19,21 +52,34 @@ pub struct FileScan {
     pub raw: Vec<String>,
     /// Source lines with comments and literal contents blanked.
     pub code: Vec<String>,
-    /// `true` for lines inside a `#[cfg(test)]` region.
+    /// `true` for lines inside a `#[cfg(test)]` / `#[test]` item.
     pub is_test: Vec<bool>,
+    /// The token tree, in source order.
+    pub toks: Vec<Tok>,
+    src: String,
+    blank: String,
 }
 
-/// Scans `source` into raw/code line pairs plus test-region flags.
+/// Scans `source` into raw/code line pairs, its token tree and the
+/// test-region flags.
 pub fn scan(source: &str) -> FileScan {
-    let stripped = strip(source);
+    let (blank, toks) = lex(source);
     let raw: Vec<String> = source.lines().map(str::to_string).collect();
-    let mut code: Vec<String> = stripped.lines().map(str::to_string).collect();
+    let mut code: Vec<String> = blank.lines().map(str::to_string).collect();
     // `lines()` drops a trailing empty segment; keep the vectors aligned.
     while code.len() < raw.len() {
         code.push(String::new());
     }
-    let is_test = test_lines(&code);
-    FileScan { raw, code, is_test }
+    let mut scan = FileScan {
+        is_test: vec![false; raw.len()],
+        raw,
+        code,
+        toks,
+        src: source.to_string(),
+        blank,
+    };
+    scan.mark_test_items();
+    scan
 }
 
 /// `true` if `b` can continue a Rust identifier.
@@ -83,236 +129,410 @@ pub fn annotation_above<'a>(scan: &'a FileScan, ln: usize, marker: &str) -> Opti
     None
 }
 
-/// Net `{`/`}` depth change of one stripped code line. Comment and
-/// string braces never count because the scanner already blanked them.
-pub fn brace_delta(code_line: &str) -> i32 {
-    let mut delta = 0;
-    for b in code_line.bytes() {
-        match b {
-            b'{' => delta += 1,
-            b'}' => delta -= 1,
-            _ => {}
-        }
+impl FileScan {
+    /// Source text of token `i` (literals verbatim); empty past the end.
+    pub fn text(&self, i: usize) -> &str {
+        self.toks.get(i).map_or("", |t| &self.src[t.start..t.end])
     }
-    delta
-}
 
-/// Replaces comments and literal contents with spaces, preserving
-/// newlines and all code characters.
-fn strip(src: &str) -> String {
-    let chars: Vec<char> = src.chars().collect();
-    let n = chars.len();
-    let mut out = String::with_capacity(src.len());
-    let mut i = 0;
-    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
-    while i < n {
-        let c = chars[i];
-        // Line comment.
-        if c == '/' && i + 1 < n && chars[i + 1] == '/' {
-            while i < n && chars[i] != '\n' {
-                out.push(' ');
-                i += 1;
-            }
-            continue;
-        }
-        // Block comment (nested).
-        if c == '/' && i + 1 < n && chars[i + 1] == '*' {
-            let mut depth = 1usize;
-            out.push(' ');
-            out.push(' ');
-            i += 2;
-            while i < n && depth > 0 {
-                if chars[i] == '/' && i + 1 < n && chars[i + 1] == '*' {
-                    depth += 1;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                } else if chars[i] == '*' && i + 1 < n && chars[i + 1] == '/' {
-                    depth -= 1;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                } else {
-                    out.push(blank(chars[i]));
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // String / raw-string / byte-string prefixes. Only treat `r`/`b`
-        // as a prefix when they are not the tail of a longer identifier.
-        if (c == '"' || c == 'r' || c == 'b')
-            && (i == 0 || !is_ident_char(chars[i - 1]))
-            && try_consume_string(&chars, &mut i, &mut out)
-        {
-            continue;
-        }
-        // Char literal vs lifetime.
-        if c == '\'' {
-            if is_char_literal(&chars, i) {
-                consume_char_literal(&chars, &mut i, &mut out);
-            } else {
-                out.push('\'');
-                i += 1;
-            }
-            continue;
-        }
-        out.push(c);
-        i += 1;
+    /// Is token `i` exactly `s`?
+    pub fn is(&self, i: usize, s: &str) -> bool {
+        i < self.toks.len() && self.text(i) == s
     }
-    out
-}
 
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
+    /// Is token `i` an identifier?
+    pub fn is_ident(&self, i: usize) -> bool {
+        self.toks.get(i).is_some_and(|t| t.kind == Kind::Ident)
+    }
 
-/// At `chars[*i]` starting with `"`, `r`, or `b`: if a string literal
-/// begins here, consume it (blanked) and return `true`.
-fn try_consume_string(chars: &[char], i: &mut usize, out: &mut String) -> bool {
-    let n = chars.len();
-    let start = *i;
-    let mut j = start;
-    if chars[j] == 'b' {
-        j += 1;
+    /// 0-based line of token `i`; past the end, the last token's line.
+    pub fn line(&self, i: usize) -> usize {
+        self.toks.get(i).or(self.toks.last()).map_or(0, |t| t.line)
     }
-    let raw = j < n && chars[j] == 'r';
-    if raw {
-        j += 1;
+
+    /// The delimiter paired with token `i`: an opener's close
+    /// (`toks.len()` when unclosed), a closer's opener; any other token
+    /// pairs with itself.
+    pub fn pair(&self, i: usize) -> usize {
+        self.toks[i].pair
     }
-    let mut hashes = 0usize;
-    if raw {
-        while j < n && chars[j] == '#' {
-            hashes += 1;
-            j += 1;
-        }
-    }
-    // `b'x'` byte literals are handled here too (prefix `b`, quote `'`).
-    if !raw && j < n && chars[j] == '\'' && j == start + 1 {
-        // Emit the prefix as blank and consume the char literal.
-        out.push(' ');
-        *i = j;
-        consume_char_literal(chars, i, out);
-        return true;
-    }
-    if j >= n || chars[j] != '"' {
-        return false; // raw identifier (`r#fn`) or plain `r`/`b` ident
-    }
-    // Blank everything from start through the literal body.
-    for _ in start..=j {
-        out.push(' ');
-    }
-    let mut k = j + 1;
-    if raw {
-        // Scan for `"` followed by `hashes` hashes.
-        while k < n {
-            if chars[k] == '"' {
-                let mut h = 0usize;
-                while h < hashes && k + 1 + h < n && chars[k + 1 + h] == '#' {
-                    h += 1;
-                }
-                if h == hashes {
-                    for _ in 0..=hashes {
-                        out.push(' ');
-                    }
-                    k += 1 + hashes;
-                    break;
-                }
+
+    /// Innermost `open` group (`"{"`, `"("` or `"["`) enclosing token `i`.
+    pub fn enclosing(&self, i: usize, open: &str) -> Option<usize> {
+        let mut p = self.toks.get(i)?.parent;
+        while let Some(o) = p {
+            if self.is(o, open) {
+                return Some(o);
             }
-            out.push(if chars[k] == '\n' { '\n' } else { ' ' });
+            p = self.toks[o].parent;
+        }
+        None
+    }
+
+    /// The blanked code from token `from` up to (not including) token
+    /// `to`, newlines as spaces: the text of a condition, signature or
+    /// argument.
+    pub fn span(&self, from: usize, to: usize) -> String {
+        let at = |i: usize| self.toks.get(i).map_or(self.blank.len(), |t| t.start);
+        let (a, z) = (at(from), at(to));
+        self.blank[a..z.max(a)].replace('\n', " ")
+    }
+
+    /// The first token at `from`'s nesting level that ends a head — of
+    /// an item, an `if` condition or a match guard: `{`, `;`, `=>` or
+    /// the close of the enclosing group — stepping over `(..)` and
+    /// `[..]`. `toks.len()` at end of file.
+    pub fn head_end(&self, from: usize) -> usize {
+        let mut k = from;
+        while k < self.toks.len() {
+            match self.text(k) {
+                "(" | "[" => k = self.pair(k),
+                "{" | ";" | "=>" | ")" | "]" | "}" => return k,
+                _ => {}
+            }
             k += 1;
         }
-    } else {
-        while k < n {
-            if chars[k] == '\\' {
-                out.push(' ');
-                if k + 1 < n {
-                    out.push(if chars[k + 1] == '\n' { '\n' } else { ' ' });
-                }
-                k += 2;
-            } else if chars[k] == '"' {
-                out.push(' ');
-                k += 1;
-                break;
-            } else {
-                out.push(if chars[k] == '\n' { '\n' } else { ' ' });
-                k += 1;
-            }
-        }
+        self.toks.len()
     }
-    *i = k;
-    true
-}
 
-/// Is the `'` at `chars[i]` the start of a char literal (vs a lifetime)?
-fn is_char_literal(chars: &[char], i: usize) -> bool {
-    let n = chars.len();
-    if i + 1 >= n {
-        return false;
-    }
-    if chars[i + 1] == '\\' {
-        return true; // '\n', '\'', '\u{..}'
-    }
-    // One non-quote char followed by a closing quote: 'a', '€'.
-    i + 2 < n && chars[i + 1] != '\'' && chars[i + 2] == '\''
-}
-
-/// Consumes a char/byte literal starting at the opening `'`, blanked.
-fn consume_char_literal(chars: &[char], i: &mut usize, out: &mut String) {
-    let n = chars.len();
-    out.push(' ');
-    *i += 1;
-    while *i < n {
-        if chars[*i] == '\\' {
-            out.push(' ');
-            if *i + 1 < n {
-                out.push(' ');
-            }
-            *i += 2;
-        } else if chars[*i] == '\'' {
-            out.push(' ');
-            *i += 1;
-            return;
-        } else {
-            out.push(if chars[*i] == '\n' { '\n' } else { ' ' });
-            *i += 1;
-        }
-    }
-}
-
-/// Marks lines inside `#[cfg(test)] { .. }` regions. An attribute arms a
-/// flag that attaches to the next opened brace; brace depth then scopes
-/// the region. `#[test]` functions are treated the same way.
-fn test_lines(code: &[String]) -> Vec<bool> {
-    let mut is_test = vec![false; code.len()];
-    let mut pending = false;
-    let mut stack: Vec<bool> = Vec::new();
-    for (ln, line) in code.iter().enumerate() {
-        let mut line_test = stack.iter().any(|&t| t);
-        let bytes = line.as_bytes();
-        let mut p = 0usize;
-        while p < bytes.len() {
-            if line[p..].starts_with("cfg(test)") || line[p..].starts_with("#[test]") {
-                pending = true;
-            }
-            match bytes[p] {
-                b'{' => {
-                    stack.push(pending);
-                    pending = false;
-                    if *stack.last().expect("just pushed") {
-                        line_test = true;
-                    }
-                }
-                b'}' => {
-                    stack.pop();
+    /// The comma-separated items of the group opened at `open`, as token
+    /// ranges; a trailing comma adds no empty item.
+    pub fn items(&self, open: usize) -> Vec<Range<usize>> {
+        let close = self.pair(open);
+        let mut out = Vec::new();
+        let mut start = open + 1;
+        let mut k = start;
+        while k < close {
+            match self.text(k) {
+                "(" | "[" | "{" => k = self.pair(k),
+                "," => {
+                    out.push(start..k);
+                    start = k + 1;
                 }
                 _ => {}
             }
-            p += 1;
+            k += 1;
         }
-        is_test[ln] = line_test;
+        if start < close {
+            out.push(start..close);
+        }
+        out
     }
-    is_test
+
+    /// First token of the statement holding token `i`: the walk back
+    /// stops after a `;`, a block or the opener of the enclosing group.
+    pub fn stmt_start(&self, i: usize) -> usize {
+        let mut k = i;
+        while k > 0 {
+            let p = k - 1;
+            match self.text(p) {
+                ";" | "{" | "}" | "(" | "[" => break,
+                ")" | "]" => k = self.toks[p].pair,
+                _ => k = p,
+            }
+        }
+        k
+    }
+
+    /// The `>` closing the `<` at `lt`, counting nested angle brackets
+    /// and stepping over `(..)` / `[..]`; `toks.len()` if none closes it
+    /// before the statement or group ends.
+    pub fn angle_close(&self, lt: usize) -> usize {
+        let mut depth = 0;
+        let mut k = lt;
+        while k < self.toks.len() {
+            match self.text(k) {
+                "<" => depth += 1,
+                ">" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return k;
+                    }
+                }
+                "(" | "[" => k = self.pair(k),
+                ";" | "{" | ")" | "]" | "}" => break,
+                _ => {}
+            }
+            k += 1;
+        }
+        self.toks.len()
+    }
+
+    /// Flags the lines of every item carrying `#[cfg(test)]` or
+    /// `#[test]`, from the attribute to the item's end: the close of its
+    /// first top-level `{..}`, its `;`, or the end of the enclosing group.
+    fn mark_test_items(&mut self) {
+        let n = self.toks.len();
+        for i in 0..n {
+            if !(self.is(i, "#") && self.is(i + 1, "[")) {
+                continue;
+            }
+            let close = self.pair(i + 1);
+            let attr: Vec<&str> = (i + 2..close).map(|k| self.text(k)).collect();
+            if attr != ["test"] && attr != ["cfg", "(", "test", ")"] {
+                continue;
+            }
+            let mut k = close + 1;
+            while self.is(k, "#") && self.is(k + 1, "[") {
+                k = self.pair(k + 1) + 1;
+            }
+            let head = self.head_end(k);
+            let end = match self.text(head) {
+                "{" => self.pair(head),
+                ";" | "=>" => head,
+                _ => head.saturating_sub(1).max(k),
+            };
+            let (first, last) = (self.line(i), self.line(end));
+            for flag in self.is_test.iter_mut().take(last + 1).skip(first) {
+                *flag = true;
+            }
+        }
+    }
+}
+
+/// Multi-character operators lexed as one token, longest first.
+const MULTI_PUNCT: &[&str] = &[
+    "..=", "::", "->", "=>", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
+    "^=", "&&", "||", "..",
+];
+
+/// Lexes `src` into its blanked copy and its token tree.
+fn lex(src: &str) -> (String, Vec<Tok>) {
+    let b = src.as_bytes();
+    let n = b.len();
+    let mut blank = b.to_vec();
+    let mut toks: Vec<Tok> = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    let mut line = 0;
+    let mut i = 0;
+    while i < n {
+        let start = i;
+        let kind = if b[i].is_ascii_whitespace() {
+            i += 1;
+            None
+        } else if b[i..].starts_with(b"//") {
+            i = b[i..].iter().position(|&c| c == b'\n').map_or(n, |p| i + p);
+            None
+        } else if b[i..].starts_with(b"/*") {
+            i = block_comment_end(b, i);
+            None
+        } else if let Some(end) = literal_end(src, i) {
+            i = end;
+            Some(Kind::Lit)
+        } else {
+            let (kind, end) = word_or_punct(b, i);
+            i = end;
+            Some(kind)
+        };
+        let tok_line = line;
+        line += b[start..i].iter().filter(|&&c| c == b'\n').count();
+        let Some(kind) = kind else {
+            if b[start] == b'/' {
+                wipe(&mut blank[start..i]);
+            }
+            continue;
+        };
+        // Numbers stay readable: tag values and float literals are code.
+        if kind == Kind::Lit && !b[start].is_ascii_digit() {
+            wipe(&mut blank[start..i]);
+        }
+        let idx = toks.len();
+        let mut tok = Tok {
+            kind,
+            line: tok_line,
+            start,
+            end: i,
+            pair: idx,
+            parent: open.last().copied(),
+        };
+        match &src[start..i] {
+            "(" | "[" | "{" => {
+                tok.pair = usize::MAX;
+                open.push(idx);
+            }
+            c @ (")" | "]" | "}") => {
+                let opener = match c {
+                    ")" => "(",
+                    "]" => "[",
+                    _ => "{",
+                };
+                if let Some(&o) = open
+                    .last()
+                    .filter(|&&o| &src[toks[o].start..toks[o].end] == opener)
+                {
+                    open.pop();
+                    toks[o].pair = idx;
+                    tok.pair = o;
+                    tok.parent = toks[o].parent;
+                }
+            }
+            _ => {}
+        }
+        toks.push(tok);
+    }
+    for o in open {
+        toks[o].pair = toks.len();
+    }
+    let blank = String::from_utf8(blank).expect("blanking only writes ASCII spaces");
+    (blank, toks)
+}
+
+/// Replaces everything but newlines with spaces.
+fn wipe(bytes: &mut [u8]) {
+    for c in bytes.iter_mut().filter(|c| **c != b'\n') {
+        *c = b' ';
+    }
+}
+
+/// End of the (nested) block comment opening at `i`.
+fn block_comment_end(b: &[u8], i: usize) -> usize {
+    let mut depth = 0usize;
+    let mut k = i;
+    while k < b.len() {
+        if b[k..].starts_with(b"/*") {
+            depth += 1;
+            k += 2;
+        } else if b[k..].starts_with(b"*/") {
+            depth -= 1;
+            k += 2;
+            if depth == 0 {
+                return k;
+            }
+        } else {
+            k += 1;
+        }
+    }
+    b.len()
+}
+
+/// Identifier or punctuation token starting at `i`: `(kind, end)`.
+fn word_or_punct(b: &[u8], i: usize) -> (Kind, usize) {
+    let ident_end = |from: usize| {
+        from + b[from..]
+            .iter()
+            .take_while(|&&c| is_ident_byte(c) || c >= 0x80)
+            .count()
+    };
+    let c = b[i];
+    if c.is_ascii_alphabetic() || c == b'_' || c >= 0x80 {
+        // `r#ident` is one raw identifier.
+        let raw = c == b'r'
+            && b.get(i + 1) == Some(&b'#')
+            && b.get(i + 2)
+                .is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_');
+        return (Kind::Ident, ident_end(if raw { i + 2 } else { i }));
+    }
+    if c == b'\'' {
+        return (Kind::Punct, ident_end(i + 1)); // lifetime
+    }
+    let len = if b.get(i + 1).is_some_and(u8::is_ascii_punctuation) {
+        MULTI_PUNCT
+            .iter()
+            .find(|p| b[i..].starts_with(p.as_bytes()))
+            .map_or(1, |p| p.len())
+    } else {
+        1
+    };
+    (Kind::Punct, i + len)
+}
+
+/// End of the literal starting at `i`, if one does.
+fn literal_end(src: &str, i: usize) -> Option<usize> {
+    let b = src.as_bytes();
+    match b[i] {
+        b'"' => Some(string_end(b, i + 1)),
+        b'\'' if is_char_literal(src, i) => Some(char_end(b, i + 1)),
+        b'0'..=b'9' => Some(number_end(b, i)),
+        b'b' | b'r' => {
+            let mut j = i + 1;
+            if b[i] == b'b' {
+                match b.get(j) {
+                    Some(b'\'') => return Some(char_end(b, j + 1)),
+                    Some(b'"') => return Some(string_end(b, j + 1)),
+                    Some(b'r') => j += 1,
+                    _ => return None,
+                }
+            }
+            let hashes = b[j..].iter().take_while(|&&c| c == b'#').count();
+            (b.get(j + hashes) == Some(&b'"')).then(|| raw_string_end(b, j + hashes + 1, hashes))
+        }
+        _ => None,
+    }
+}
+
+/// End of a string body starting at `k` (just past the opening quote).
+fn string_end(b: &[u8], mut k: usize) -> usize {
+    while k < b.len() {
+        match b[k] {
+            b'\\' => k += 2,
+            b'"' => return k + 1,
+            _ => k += 1,
+        }
+    }
+    b.len()
+}
+
+/// End of a raw string body starting at `k`, closed by `"` + `hashes` `#`.
+fn raw_string_end(b: &[u8], mut k: usize, hashes: usize) -> usize {
+    while k < b.len() {
+        if b[k] == b'"'
+            && b[k + 1..]
+                .iter()
+                .take(hashes)
+                .filter(|&&c| c == b'#')
+                .count()
+                == hashes
+        {
+            return k + 1 + hashes;
+        }
+        k += 1;
+    }
+    b.len()
+}
+
+/// End of a char literal body starting at `k` (just past the `'`).
+fn char_end(b: &[u8], mut k: usize) -> usize {
+    while k < b.len() {
+        match b[k] {
+            b'\\' => k += 2,
+            b'\'' => return k + 1,
+            _ => k += 1,
+        }
+    }
+    b.len()
+}
+
+/// Is the `'` at `i` the start of a char literal (vs a lifetime)?
+fn is_char_literal(src: &str, i: usize) -> bool {
+    match src[i + 1..].chars().next() {
+        Some('\\') => true,
+        // One non-quote char followed by a closing quote: 'a', '€'.
+        Some(c) if c != '\'' => src.as_bytes().get(i + 1 + c.len_utf8()) == Some(&b'\''),
+        _ => false,
+    }
+}
+
+/// End of the number literal starting at `i`: digits, suffixes, one
+/// fractional part and an exponent sign (`1.5e-9f64`, `0x1F`, `7u32`).
+fn number_end(b: &[u8], i: usize) -> usize {
+    let mut k = i + 1;
+    let mut dot = false;
+    while let Some(&c) = b.get(k) {
+        let exponent_sign = matches!(c, b'+' | b'-')
+            && matches!(b[k - 1], b'e' | b'E')
+            && b[i..k - 1]
+                .iter()
+                .all(|&d| d.is_ascii_digit() || d == b'_' || d == b'.');
+        if is_ident_byte(c) || exponent_sign {
+            k += 1;
+        } else if c == b'.' && !dot && b.get(k + 1).is_some_and(u8::is_ascii_digit) {
+            dot = true;
+            k += 1;
+        } else {
+            break;
+        }
+    }
+    k
 }
 
 #[cfg(test)]
@@ -369,6 +589,44 @@ let s = 'h'; // char
         assert!(!scan.is_test[0]);
         assert!(scan.is_test[3]);
         assert!(!scan.is_test[5]);
+    }
+
+    #[test]
+    fn braceless_test_items_end_at_their_semicolon() {
+        let src = "#[cfg(test)]\nuse std::sync::Arc;\nfn lib() {}\n";
+        let scan = scan(src);
+        assert!(scan.is_test[1]);
+        assert!(!scan.is_test[2]);
+    }
+
+    #[test]
+    fn literals_are_tokens_and_delimiters_pair() {
+        let scan = scan("f(\"a, (b\", [1.5e-3, 'x'], {\n 7u32 })");
+        let texts: Vec<&str> = (0..scan.toks.len()).map(|i| scan.text(i)).collect();
+        assert_eq!(
+            texts,
+            [
+                "f",
+                "(",
+                "\"a, (b\"",
+                ",",
+                "[",
+                "1.5e-3",
+                ",",
+                "'x'",
+                "]",
+                ",",
+                "{",
+                "7u32",
+                "}",
+                ")"
+            ]
+        );
+        assert_eq!(scan.pair(1), 13);
+        assert_eq!(scan.pair(4), 8);
+        assert_eq!(scan.toks[11].line, 1);
+        assert_eq!(scan.items(1).len(), 3);
+        assert_eq!(scan.enclosing(11, "("), Some(1));
     }
 
     #[test]

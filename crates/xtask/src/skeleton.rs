@@ -9,7 +9,9 @@
 //!   or never received anywhere in the registry crates;
 //! - `skeleton/type-mismatch` — send and recv sites on the same tag
 //!   disagree on the wire payload type (checked per enclosing function
-//!   when both directions appear there, and globally per tag);
+//!   when both directions appear there, and globally per tag); a raw
+//!   byte-slice site on a tag whose other end is typed disagrees too,
+//!   because the typed end fixes a size the raw end never checks;
 //! - `skeleton/role-asymmetry` — inside a role-discriminated `if`
 //!   chain (`if rank == ref { .. } else { .. }`), a constant tag is
 //!   sent in one branch with no matching recv in any sibling branch;
@@ -24,17 +26,15 @@
 //! (cross-function protocols), which exempts it from the
 //! role-asymmetry check only.
 //!
-//! The same extraction feeds [`render_table`], which emits the
-//! generated `crates/sim/src/skeleton_gen.rs` module consumed by the
-//! debug-only runtime `ProtocolMonitor` — static checking and runtime
-//! conformance share one source of truth.
-//!
-//! The walker is a brace-depth heuristic over stripped source, not a
-//! parser; its known approximations are documented in DESIGN.md §13.
+//! Functions, `if` chains and call arguments come from the scanner's
+//! token tree; what the pass still approximates (no control flow, the
+//! role-word heuristic, payload-kind inference) is documented in
+//! DESIGN.md §13.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use crate::scanner::{brace_delta, has_word, is_ident_byte, FileScan};
+use crate::scanner::{has_word, FileScan};
 use crate::{tags, Finding, Level};
 
 /// Crates whose `src/` trees participate in the skeleton.
@@ -74,17 +74,7 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
-    /// Encoded size on the wire, `None` when not statically fixed.
-    pub fn wire_size(self) -> Option<usize> {
-        match self {
-            PayloadKind::Time | PayloadKind::F64 | PayloadKind::U64 => Some(8),
-            PayloadKind::U32 => Some(4),
-            PayloadKind::F64Pair => Some(16),
-            PayloadKind::Bytes | PayloadKind::Unknown => None,
-        }
-    }
-
-    /// Short label used in messages and the generated table.
+    /// Short label used in messages.
     pub fn label(self) -> &'static str {
         match self {
             PayloadKind::Time => "time",
@@ -97,7 +87,7 @@ impl PayloadKind {
         }
     }
 
-    /// Wildcard kinds match anything and never enter type comparison.
+    /// Wildcard kinds never constrain the other end of a tag.
     fn is_wildcard(self) -> bool {
         matches!(self, PayloadKind::Bytes | PayloadKind::Unknown)
     }
@@ -180,45 +170,9 @@ pub struct FileSkeleton {
     pub role_findings: Vec<Finding>,
 }
 
-/// One open `if`/`else` chain on the walker stack.
-struct Chain {
-    /// Brace depth just before the chain's first `{` opened.
-    open_depth: i32,
-    /// Any branch condition looked role-discriminating.
-    role: bool,
-    /// Index of the branch currently open.
-    cur: usize,
-    /// Branches seen so far.
-    nbranches: usize,
-    /// (branch, site index) pairs attached to this chain.
-    sites: Vec<(usize, usize)>,
-    /// A `} else if <cond>` ran past end of line; the opening `{` is
-    /// still pending, so the chain must not be popped yet.
-    awaiting_brace: bool,
-    /// Condition text accumulated while `awaiting_brace`.
-    pending_cond: String,
-}
-
-struct FnFrame {
-    idx: usize,
-    open_depth: i32,
-}
-
-struct PendingFn {
-    name: String,
-    start: usize,
-    sig: String,
-    lines: usize,
-}
-
-struct PendingIf {
-    cond: String,
-    lines: usize,
-}
-
-/// Walks one scanned file into its [`FileSkeleton`]. Role-asymmetry is
-/// checked here (it needs branch structure); the cross-file checks run
-/// in [`check`].
+/// Walks one scanned file's token tree into its [`FileSkeleton`].
+/// Role-asymmetry is checked here (it needs branch structure); the
+/// cross-file checks run in [`check`].
 pub fn collect(path: &str, scan: &FileScan) -> FileSkeleton {
     let mut sk = FileSkeleton {
         path: path.to_string(),
@@ -227,239 +181,149 @@ pub fn collect(path: &str, scan: &FileScan) -> FileSkeleton {
         tag_decls: Vec::new(),
         role_findings: Vec::new(),
     };
-    let mut claimed: Vec<bool> = Vec::new();
-    let mut depth: i32 = 0;
-    let mut chains: Vec<Chain> = Vec::new();
-    let mut fn_stack: Vec<FnFrame> = Vec::new();
-    let mut pending_fn: Option<PendingFn> = None;
-    let mut pending_if: Option<PendingIf> = None;
+    let n = scan.toks.len();
+    let live = |i: usize| !scan.is_test[scan.toks[i].line];
 
-    for ln in 0..scan.code.len() {
-        let code = scan.code[ln].clone();
-        let is_test = scan.is_test[ln];
-        let trimmed = code.trim();
-        let delta = brace_delta(&code);
-
-        // 1. `} else [if ..] {` branch transition on the innermost
-        //    chain, or completion of a multiline else-if condition.
-        let mut else_transition = false;
-        if let Some(top) = chains.last_mut() {
-            if top.awaiting_brace {
-                let frag = match code.find('{') {
-                    Some(i) => &code[..i],
-                    None => &code[..],
-                };
-                top.pending_cond.push(' ');
-                top.pending_cond.push_str(frag.trim());
-                if code.contains('{') {
-                    top.role |= is_role_cond(&top.pending_cond);
-                    top.pending_cond.clear();
-                    top.awaiting_brace = false;
-                }
-            } else if top.open_depth == depth - 1
-                && trimmed.starts_with('}')
-                && has_word(&code, "else")
-            {
-                else_transition = true;
-                top.cur = top.nbranches;
-                top.nbranches += 1;
-                if let Some(pos) = word_pos(&code, "if") {
-                    let after = &code[pos + 2..];
-                    match after.find('{') {
-                        Some(b) => top.role |= is_role_cond(&after[..b]),
-                        None => {
-                            top.awaiting_brace = true;
-                            top.pending_cond = after.to_string();
-                        }
-                    }
-                }
-            }
+    // Function definitions with a body; `bodies` parallels `sk.funcs`.
+    let mut bodies: Vec<Range<usize>> = Vec::new();
+    for i in 0..n {
+        if !live(i) || !scan.is(i, "fn") || !scan.is_ident(i + 1) {
+            continue;
         }
-
-        // 2. Open a new `if` chain (possibly with a multiline
-        //    condition accumulated across a few lines).
-        if !is_test && !else_transition {
-            if let Some(p) = pending_if.as_mut() {
-                p.lines += 1;
-                if trimmed.contains(';') || p.lines > 4 {
-                    pending_if = None;
-                } else {
-                    let frag = match code.find('{') {
-                        Some(i) => &code[..i],
-                        None => &code[..],
-                    };
-                    p.cond.push(' ');
-                    p.cond.push_str(frag.trim());
-                    if code.contains('{') {
-                        if delta > 0 {
-                            chains.push(new_chain(depth, is_role_cond(&p.cond)));
-                        }
-                        pending_if = None;
-                    }
-                }
-            } else if !trimmed.starts_with('}') && has_word(&code, "if") {
-                if let Some(pos) = word_pos(&code, "if") {
-                    let after = &code[pos + 2..];
-                    match after.find('{') {
-                        Some(b) => {
-                            if delta > 0 {
-                                chains.push(new_chain(depth, is_role_cond(&after[..b])));
-                            }
-                        }
-                        None => {
-                            if !code.contains(';') {
-                                pending_if = Some(PendingIf {
-                                    cond: after.to_string(),
-                                    lines: 0,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+        let body = scan.head_end(i + 2);
+        if !scan.is(body, "{") {
+            continue;
         }
-
-        if !is_test {
-            // 3. Function signatures (may span lines until the body `{`).
-            if pending_fn.is_none() {
-                if let Some(pos) = word_pos(&code, "fn") {
-                    let name = ident_after(&code, pos + 2);
-                    if !name.is_empty() {
-                        pending_fn = Some(PendingFn {
-                            name,
-                            start: ln,
-                            sig: String::new(),
-                            lines: 0,
-                        });
-                    }
-                }
-            }
-            if let Some(pf) = pending_fn.as_mut() {
-                let brace = code.find('{');
-                let semi = code.find(';');
-                let end = brace.unwrap_or(code.len());
-                pf.sig.push(' ');
-                pf.sig.push_str(&code[..end]);
-                pf.lines += 1;
-                match (brace, semi) {
-                    (Some(b), Some(s)) if s < b => pending_fn = None,
-                    (Some(_), _) => {
-                        let pf = pending_fn.take().expect("checked above");
-                        fn_stack.push(FnFrame {
-                            idx: sk.funcs.len(),
-                            open_depth: depth,
-                        });
-                        sk.funcs.push(FuncInfo {
-                            name: pf.name,
-                            line: pf.start + 1,
-                            tag_params: tag_params_of(&pf.sig),
-                            uses_next_coll_tag: false,
-                        });
-                    }
-                    (None, Some(_)) => pending_fn = None,
-                    (None, None) => {
-                        if pf.lines > 12 {
-                            pending_fn = None;
-                        }
-                    }
-                }
-            }
-
-            // 4. Tag declarations and collective-path usage.
-            if let Some((name, value)) = tags::parse_tag_const(&code, "TAG_") {
-                sk.tag_decls.push(TagDecl {
-                    name,
-                    value,
-                    line: ln + 1,
-                    allowed: scan.raw[ln].contains(ALLOW_MARKER),
-                });
-            }
-            if has_word(&code, "next_coll_tag") {
-                if let Some(frame) = fn_stack.last() {
-                    sk.funcs[frame.idx].uses_next_coll_tag = true;
-                }
-            }
-
-            // 5. Wire call sites; each attaches to every open chain's
-            //    current branch (the claiming rule decides which chain
-            //    actually checks it).
-            for raw_site in extract_sites(scan, ln) {
-                let idx = sk.sites.len();
-                let allowed = scan.raw[ln].contains(ALLOW_MARKER);
-                let paired = scan.raw[ln].find(PAIRED_MARKER).map(|p| {
-                    scan.raw[ln][p + PAIRED_MARKER.len()..]
-                        .split_whitespace()
-                        .next()
-                        .unwrap_or("")
-                        .to_string()
-                });
-                sk.sites.push(Site {
-                    line: ln + 1,
-                    dir: raw_site.dir,
-                    method: raw_site.method,
-                    raw: raw_site.raw,
-                    tag_name: tag_name_of(&raw_site.tag_expr),
-                    tag_expr: raw_site.tag_expr,
-                    kind: raw_site.kind,
-                    peer: raw_site.peer,
-                    func: fn_stack.last().map(|f| f.idx),
-                    allowed,
-                    paired,
-                });
-                claimed.push(false);
-                for c in chains.iter_mut() {
-                    c.sites.push((c.cur, idx));
-                }
-            }
+        let mut params = i + 2;
+        if scan.is(params, "<") {
+            params = scan.angle_close(params) + 1;
         }
+        sk.funcs.push(FuncInfo {
+            name: scan.text(i + 1).to_string(),
+            line: scan.toks[i].line + 1,
+            tag_params: if scan.is(params, "(") {
+                tag_params(scan, params)
+            } else {
+                Vec::new()
+            },
+            uses_next_coll_tag: false,
+        });
+        bodies.push(body..scan.pair(body));
+    }
+    // The innermost function whose body holds token `i`: nested bodies
+    // come later in source order.
+    let func_of = |i: usize| bodies.iter().rposition(|b| b.contains(&i));
 
-        // 6. Depth bookkeeping; pop chains (innermost first) and
-        //    function frames that just closed.
-        depth += delta;
-        while chains
-            .last()
-            .is_some_and(|c| !c.awaiting_brace && c.open_depth >= depth)
-        {
-            let chain = chains.pop().expect("checked above");
-            finalize_chain(chain, path, &sk.sites, &mut claimed, &mut sk.role_findings);
-        }
-        while fn_stack.last().is_some_and(|f| f.open_depth >= depth) {
-            fn_stack.pop();
+    for ln in (0..scan.code.len()).filter(|&ln| !scan.is_test[ln]) {
+        if let Some((name, value)) = tags::parse_tag_const(&scan.code[ln], "TAG_") {
+            sk.tag_decls.push(TagDecl {
+                name,
+                value,
+                line: ln + 1,
+                allowed: scan.raw[ln].contains(ALLOW_MARKER),
+            });
         }
     }
-    while let Some(chain) = chains.pop() {
+
+    // Wire call sites and collective-path usage.
+    let mut site_toks = Vec::new();
+    for i in (0..n).filter(|&i| live(i)) {
+        if scan.is(i, "next_coll_tag") {
+            if let Some(f) = func_of(i) {
+                sk.funcs[f].uses_next_coll_tag = true;
+            }
+        }
+        if !scan.is(i, ".") {
+            continue;
+        }
+        for raw_site in extract_sites(scan, i) {
+            let ln = scan.toks[i + 1].line;
+            let paired = scan.raw[ln].find(PAIRED_MARKER).map(|p| {
+                scan.raw[ln][p + PAIRED_MARKER.len()..]
+                    .split_whitespace()
+                    .next()
+                    .unwrap_or("")
+                    .to_string()
+            });
+            sk.sites.push(Site {
+                line: ln + 1,
+                dir: raw_site.dir,
+                method: raw_site.method,
+                raw: raw_site.raw,
+                tag_name: tag_name_of(&raw_site.tag_expr),
+                tag_expr: raw_site.tag_expr,
+                kind: raw_site.kind,
+                peer: raw_site.peer,
+                func: func_of(i),
+                allowed: scan.raw[ln].contains(ALLOW_MARKER),
+                paired,
+            });
+            site_toks.push(i);
+        }
+    }
+
+    // Role-discriminated `if` chains of two or more branches, as their
+    // end token and (branch, site index) pairs: each site attaches to
+    // the branch holding it in every chain around it (the claiming rule
+    // decides which chain actually checks it).
+    let mut chains: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    for i in (0..n).filter(|&i| live(i)) {
+        if !scan.is(i, "if") || (i > 0 && scan.is(i - 1, "else")) {
+            continue;
+        }
+        let mut role = false;
+        let mut branches: Vec<Range<usize>> = Vec::new();
+        let mut k = i;
+        loop {
+            let open = scan.head_end(k + 1);
+            if !scan.is(open, "{") {
+                break; // a match guard, not a branch
+            }
+            role |= is_role_cond(&scan.span(k + 1, open));
+            let close = scan.pair(open);
+            branches.push(open..close);
+            if !scan.is(close + 1, "else") {
+                break;
+            }
+            k = close + 2;
+            if !scan.is(k, "if") {
+                if scan.is(k, "{") {
+                    branches.push(k..scan.pair(k));
+                }
+                break;
+            }
+        }
+        if !role || branches.len() < 2 {
+            continue;
+        }
+        let sites = site_toks
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, &t)| Some((branches.iter().position(|b| b.contains(&t))?, idx)))
+            .collect();
+        chains.push((branches[branches.len() - 1].end, sites));
+    }
+    // Innermost first: a nested chain closes before its enclosing one.
+    chains.sort_by_key(|&(end, _)| end);
+    let mut claimed = vec![false; sk.sites.len()];
+    for (_, chain) in &chains {
         finalize_chain(chain, path, &sk.sites, &mut claimed, &mut sk.role_findings);
     }
     sk
 }
 
-fn new_chain(open_depth: i32, role: bool) -> Chain {
-    Chain {
-        open_depth,
-        role,
-        cur: 0,
-        nbranches: 1,
-        sites: Vec::new(),
-        awaiting_brace: false,
-        pending_cond: String::new(),
-    }
-}
-
 /// The claiming rule: a site is checked only by its innermost
-/// multi-branch *role* chain. Chains pop innermost-first, so the first
-/// qualifying chain validates its still-unclaimed constant-tag sites
-/// and claims them; enclosing chains then skip them.
+/// multi-branch *role* chain. Chains are finalized innermost-first, so
+/// the first one around a site validates its still-unclaimed
+/// constant-tag sites and claims them; enclosing chains then skip them.
 fn finalize_chain(
-    chain: Chain,
+    chain: &[(usize, usize)],
     path: &str,
     sites: &[Site],
     claimed: &mut [bool],
     out: &mut Vec<Finding>,
 ) {
-    if !chain.role || chain.nbranches < 2 {
-        return;
-    }
-    for &(branch, idx) in &chain.sites {
+    for &(branch, idx) in chain {
         if claimed[idx] {
             continue;
         }
@@ -470,7 +334,7 @@ fn finalize_chain(
         if s.allowed || s.paired.is_some() {
             continue;
         }
-        let mirrored = chain.sites.iter().any(|&(b2, i2)| {
+        let mirrored = chain.iter().any(|&(b2, i2)| {
             b2 != branch && sites[i2].dir != s.dir && sites[i2].tag_name.as_deref() == Some(tag)
         });
         if !mirrored {
@@ -491,7 +355,7 @@ fn finalize_chain(
             });
         }
     }
-    for &(_, idx) in &chain.sites {
+    for &(_, idx) in chain {
         if sites[idx].tag_name.is_some() {
             claimed[idx] = true;
         }
@@ -525,98 +389,20 @@ fn is_role_cond(cond: &str) -> bool {
     cmp && ROLE_WORDS.iter().any(|w| has_word(cond, w))
 }
 
-/// Position of `word` in `line` at identifier boundaries.
-fn word_pos(line: &str, word: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(word) {
-        let p = start + pos;
-        let before_ok = p == 0 || !is_ident_byte(bytes[p - 1]);
-        let after = p + word.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            return Some(p);
-        }
-        start = p + word.len();
-    }
-    None
-}
-
-fn ident_after(line: &str, from: usize) -> String {
-    let bytes = line.as_bytes();
-    let mut i = from;
-    while i < bytes.len() && bytes[i] == b' ' {
-        i += 1;
-    }
-    let start = i;
-    while i < bytes.len() && is_ident_byte(bytes[i]) {
-        i += 1;
-    }
-    line[start..i].to_string()
-}
-
-/// Extracts the names of `Tag`-typed parameters from an accumulated
-/// `fn` signature.
-fn tag_params_of(sig: &str) -> Vec<String> {
-    let Some(open) = sig.find('(') else {
-        return Vec::new();
-    };
-    let body = &sig[open + 1..];
-    let mut depth = 0i32;
-    let mut end = body.len();
-    let b = body.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'(' | b'[' | b'{' | b'<' => depth += 1,
-            b')' | b']' | b'}' => {
-                if b[i] == b')' && depth == 0 {
-                    end = i;
-                    break;
-                }
-                depth -= 1;
-            }
-            // Skip the `>` of `->` arrows.
-            b'>' if i == 0 || b[i - 1] != b'-' => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    let params = &body[..end];
-    let mut out = Vec::new();
-    let mut part = String::new();
-    let mut d = 0i32;
-    for (j, c) in params.char_indices() {
-        match c {
-            '(' | '[' | '{' | '<' => d += 1,
-            ')' | ']' | '}' => d -= 1,
-            '>' if j == 0 || params.as_bytes()[j - 1] != b'-' => d -= 1,
-            ',' if d == 0 => {
-                push_tag_param(&part, &mut out);
-                part.clear();
-                continue;
-            }
-            _ => {}
-        }
-        part.push(c);
-    }
-    push_tag_param(&part, &mut out);
-    out
-}
-
-fn push_tag_param(part: &str, out: &mut Vec<String>) {
-    let Some(colon) = part.find(':') else {
-        return;
-    };
-    let ty = part[colon + 1..].trim();
-    if ty != "Tag" {
-        return;
-    }
-    let name = part[..colon].trim();
-    let name = name.strip_prefix("mut ").unwrap_or(name).trim();
-    if !name.is_empty() && name.bytes().all(is_ident_byte) {
-        out.push(name.to_string());
-    }
+/// Names of the `Tag`-typed parameters (`[mut] name: Tag`) in the
+/// parameter list opened at `open`.
+fn tag_params(scan: &FileScan, open: usize) -> Vec<String> {
+    scan.items(open)
+        .into_iter()
+        .filter_map(|r| {
+            let name = r.start + usize::from(scan.is(r.start, "mut"));
+            (r.end == name + 3
+                && scan.is_ident(name)
+                && scan.is(name + 1, ":")
+                && scan.is(name + 2, "Tag"))
+            .then(|| scan.text(name).to_string())
+        })
+        .collect()
 }
 
 /// `Some(TAG_X)` when the whole tag expression is a path ending in a
@@ -647,8 +433,8 @@ struct RawSite {
     peer: String,
 }
 
-/// Wire methods, longest names first so prefix matching is exact.
-/// (`sendrecv` is special-cased into a send half and a recv half.)
+/// Wire methods. (`sendrecv` is special-cased into a send half and a
+/// recv half.)
 const METHODS: &[(&str, Dir, bool, bool)] = &[
     // (name, dir, raw, time) — dir unused for sendrecv.
     ("sendrecv", Dir::Send, true, false),
@@ -663,203 +449,95 @@ const METHODS: &[(&str, Dir, bool, bool)] = &[
     ("recv", Dir::Recv, true, false),
 ];
 
-/// Extracts the wire call sites whose method name sits on line `ln`.
-fn extract_sites(scan: &FileScan, ln: usize) -> Vec<RawSite> {
-    let code = &scan.code[ln];
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'.' {
-            i += 1;
-            continue;
-        }
-        let rest = &code[i + 1..];
-        let Some(&(name, dir, raw, time)) = METHODS.iter().find(|&&(n, ..)| {
-            rest.starts_with(n)
-                && !rest
-                    .as_bytes()
-                    .get(n.len())
-                    .copied()
-                    .is_some_and(is_ident_byte)
-        }) else {
-            i += 1;
-            continue;
-        };
-        let receiver = ident_before(code, i);
-        let mut j = i + 1 + name.len();
-        let mut turbo: Option<String> = None;
-        if code[j..].starts_with("::<") {
-            match parse_turbofish(code, j + 2) {
-                Some((t, nj)) => {
-                    turbo = Some(t);
-                    j = nj;
-                }
-                None => {
-                    i = j;
-                    continue;
-                }
-            }
-        }
-        if !code[j..].starts_with('(') {
-            i = j;
-            continue;
-        }
-        let Some(args) = split_call_args(scan, ln, j) else {
-            i = j;
-            continue;
-        };
-        // Form classification kills non-wire receivers (mpsc channels
-        // etc.): either the receiver is `ctx` (engine form) or the
-        // first argument is (comm form threads the ctx through).
-        let comm_form = args.first().map(|a| a.trim() == "ctx").unwrap_or(false);
-        let ctx_form = !comm_form && receiver == "ctx";
-        if !comm_form && !ctx_form {
-            i = j;
-            continue;
-        }
-        if name == "sendrecv" {
-            if comm_form && args.len() == 6 {
-                out.push(RawSite {
-                    dir: Dir::Send,
-                    method: "sendrecv",
-                    raw: true,
-                    kind: PayloadKind::Bytes,
-                    tag_expr: args[2].trim().to_string(),
-                    peer: args[1].trim().to_string(),
-                });
-                out.push(RawSite {
-                    dir: Dir::Recv,
-                    method: "sendrecv",
-                    raw: true,
-                    kind: PayloadKind::Bytes,
-                    tag_expr: args[5].trim().to_string(),
-                    peer: args[4].trim().to_string(),
-                });
-            }
-            i = j;
-            continue;
-        }
-        let base = if comm_form { 1 } else { 0 };
-        let want = match dir {
-            Dir::Send => base + 3,
-            Dir::Recv => base + 2,
-        };
-        if args.len() != want {
-            i = j;
-            continue;
-        }
-        let peer = args[base].trim().to_string();
-        let tag_expr = args[base + 1].trim().to_string();
-        let kind = if raw {
-            PayloadKind::Bytes
-        } else if time {
-            PayloadKind::Time
-        } else if let Some(t) = &turbo {
-            parse_ty(t)
-        } else if dir == Dir::Recv {
-            binding_ty(&code[..i])
-                .map(|t| parse_ty(&t))
-                .unwrap_or(PayloadKind::Unknown)
-        } else {
-            payload_kind_guess(&args[base + 2])
-        };
-        out.push(RawSite {
-            dir,
-            method: name,
-            raw,
-            kind,
-            tag_expr,
-            peer,
-        });
-        i = j;
+/// Extracts the wire call sites of the method call whose `.` is token
+/// `dot`: `recv.method[::<T>](args)`.
+fn extract_sites(scan: &FileScan, dot: usize) -> Vec<RawSite> {
+    let Some(&(name, dir, raw, time)) = METHODS.iter().find(|m| scan.is(dot + 1, m.0)) else {
+        return Vec::new();
+    };
+    let receiver = if dot > 0 && scan.is_ident(dot - 1) {
+        scan.text(dot - 1)
+    } else {
+        ""
+    };
+    let mut open = dot + 2;
+    let mut turbo: Option<String> = None;
+    if scan.is(open, "::") && scan.is(open + 1, "<") {
+        let gt = scan.angle_close(open + 1);
+        turbo = Some(scan.span(open + 2, gt));
+        open = gt + 1;
     }
-    out
+    if !scan.is(open, "(") {
+        return Vec::new();
+    }
+    let args: Vec<String> = scan
+        .items(open)
+        .into_iter()
+        .map(|r| scan.span(r.start, r.end).trim().to_string())
+        .collect();
+    // Form classification kills non-wire receivers (mpsc channels
+    // etc.): either the receiver is `ctx` (engine form) or the first
+    // argument is (comm form threads the ctx through).
+    let comm_form = args.first().is_some_and(|a| a == "ctx");
+    if !comm_form && receiver != "ctx" {
+        return Vec::new();
+    }
+    if name == "sendrecv" {
+        if !comm_form || args.len() != 6 {
+            return Vec::new();
+        }
+        return [(Dir::Send, 1), (Dir::Recv, 4)]
+            .into_iter()
+            .map(|(dir, peer)| RawSite {
+                dir,
+                method: "sendrecv",
+                raw: true,
+                kind: PayloadKind::Bytes,
+                tag_expr: args[peer + 1].clone(),
+                peer: args[peer].clone(),
+            })
+            .collect();
+    }
+    let base = usize::from(comm_form);
+    let want = match dir {
+        Dir::Send => base + 3,
+        Dir::Recv => base + 2,
+    };
+    if args.len() != want {
+        return Vec::new();
+    }
+    let kind = if raw {
+        PayloadKind::Bytes
+    } else if time {
+        PayloadKind::Time
+    } else if let Some(t) = &turbo {
+        parse_ty(t)
+    } else if dir == Dir::Recv {
+        binding_ty(scan, dot)
+            .map(|t| parse_ty(&t))
+            .unwrap_or(PayloadKind::Unknown)
+    } else {
+        payload_kind_guess(&args[base + 2])
+    };
+    vec![RawSite {
+        dir,
+        method: name,
+        raw,
+        kind,
+        tag_expr: args[base + 1].clone(),
+        peer: args[base].clone(),
+    }]
 }
 
-fn ident_before(code: &str, dot: usize) -> String {
-    let bytes = code.as_bytes();
-    let mut start = dot;
-    while start > 0 && is_ident_byte(bytes[start - 1]) {
-        start -= 1;
-    }
-    code[start..dot].to_string()
-}
-
-/// Parses `::<T>` starting at the `<`; returns `(T, index after '>')`.
-fn parse_turbofish(code: &str, lt: usize) -> Option<(String, usize)> {
-    let bytes = code.as_bytes();
-    if bytes.get(lt) != Some(&b'<') {
+/// The `<ty>` of a `let <pat>: <ty> = ..` statement holding token `at`.
+fn binding_ty(scan: &FileScan, at: usize) -> Option<String> {
+    let start = scan.stmt_start(at);
+    if !scan.is(start, "let") {
         return None;
     }
-    let mut depth = 0i32;
-    let mut i = lt;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'<' => depth += 1,
-            b'>' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((code[lt + 1..i].to_string(), i + 1));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Splits the argument list opening at `code[open] == '('` on line
-/// `ln`, joining up to 8 continuation lines for rustfmt-wrapped calls.
-fn split_call_args(scan: &FileScan, ln: usize, open: usize) -> Option<Vec<String>> {
-    let mut args = Vec::new();
-    let mut cur = String::new();
-    let mut depth = 1i32;
-    for (k, line) in scan.code.iter().enumerate().skip(ln).take(9) {
-        let text = if k == ln {
-            &line[open + 1..]
-        } else {
-            &line[..]
-        };
-        for c in text.chars() {
-            match c {
-                '(' | '[' | '{' => {
-                    depth += 1;
-                    cur.push(c);
-                }
-                ')' | ']' | '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        if !cur.trim().is_empty() || !args.is_empty() {
-                            args.push(cur.trim().to_string());
-                        }
-                        return Some(args);
-                    }
-                    cur.push(c);
-                }
-                ',' if depth == 1 => {
-                    args.push(cur.trim().to_string());
-                    cur.clear();
-                }
-                _ => cur.push(c),
-            }
-        }
-        cur.push(' ');
-    }
-    None
-}
-
-/// `let <pat>: <ty> =` binding type on the text before a recv site.
-fn binding_ty(before: &str) -> Option<String> {
-    let pos = word_pos(before, "let")?;
-    let rest = &before[pos + 3..];
-    let colon = rest.find(':')?;
-    let eq = rest.find('=')?;
-    if colon > eq {
-        return None;
-    }
-    Some(rest[colon + 1..eq].trim().to_string())
+    let colon = (start..at).find(|&k| scan.is(k, ":"))?;
+    let eq = (start..at).find(|&k| scan.is(k, "="))?;
+    (colon < eq).then(|| scan.span(colon + 1, eq).trim().to_string())
 }
 
 fn parse_ty(t: &str) -> PayloadKind {
@@ -1013,21 +691,19 @@ fn check_type_scope(
     };
     let send_kinds = concrete(Dir::Send);
     let recv_kinds = concrete(Dir::Recv);
-    // Wildcard (raw / uninferred) sides never constrain; a direction
-    // with no concrete site leaves nothing to compare against.
-    if send_kinds.is_empty() || recv_kinds.is_empty() {
-        return;
-    }
     for m in members {
         let s = site(m);
-        if s.kind.is_wildcard() {
+        // An uninferred site has no type to disagree with. A raw one
+        // does: the typed other end fixes a size it never checks.
+        if s.kind == PayloadKind::Unknown {
             continue;
         }
         let (opposite, opp_name) = match s.dir {
             Dir::Send => (&recv_kinds, "recv"),
             Dir::Recv => (&send_kinds, "send"),
         };
-        if opposite.contains(&s.kind) {
+        // A direction with no concrete site leaves nothing to compare.
+        if opposite.is_empty() || opposite.contains(&s.kind) {
             continue;
         }
         let path = files[m.0].path.clone();
@@ -1107,125 +783,6 @@ fn orphan_tags(files: &[FileSkeleton], out: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-/// Renders the generated `crates/sim/src/skeleton_gen.rs` module: one
-/// `SkeletonEntry` per registered tag that has call sites, sorted by
-/// tag value for binary search. `coll_bit` mirrors `hcs-mpi::COLL_BIT`
-/// so the runtime monitor can ignore dynamic collective tags.
-pub fn render_table(files: &[FileSkeleton], coll_bit: u64) -> String {
-    struct Agg {
-        kinds: BTreeSet<PayloadKind>,
-        sends: Vec<(String, usize)>,
-        recvs: Vec<(String, usize)>,
-    }
-    let mut values: BTreeMap<&str, u64> = BTreeMap::new();
-    for f in files {
-        for d in &f.tag_decls {
-            values.insert(&d.name, d.value);
-        }
-    }
-    let mut aggs: BTreeMap<(u64, &str), Agg> = BTreeMap::new();
-    for f in files {
-        for s in &f.sites {
-            let Some(tag) = s.tag_name.as_deref() else {
-                continue;
-            };
-            let Some(&value) = values.get(tag) else {
-                continue;
-            };
-            let agg = aggs.entry((value, tag)).or_insert_with(|| Agg {
-                kinds: BTreeSet::new(),
-                sends: Vec::new(),
-                recvs: Vec::new(),
-            });
-            agg.kinds.insert(s.kind);
-            let list = match s.dir {
-                Dir::Send => &mut agg.sends,
-                Dir::Recv => &mut agg.recvs,
-            };
-            list.push((f.path.clone(), s.line));
-        }
-    }
-    let mut out = String::new();
-    out.push_str(
-        "//! Generated communication-skeleton table. **DO NOT EDIT.**\n\
-         //!\n\
-         //! Regenerate with `cargo run -p xtask -- skeleton --emit`; the CI\n\
-         //! lint job fails when this file drifts from the skeleton extracted\n\
-         //! out of `crates/{core,mpi,benchlib}` sources.\n\n\
-         use crate::protomon::SkeletonEntry;\n\n\
-         /// Collective-tag marker bit, mirrored from `hcs-mpi::COLL_BIT` at\n\
-         /// emit time: tags with this bit (or anything above it) set are\n\
-         /// dynamically allocated and carry no static contract.\n",
-    );
-    out.push_str(&format!(
-        "pub(crate) const SKELETON_COLL_BIT: u32 = {coll_bit:#x};\n\n"
-    ));
-    out.push_str(
-        "/// Per-tag wire contract extracted by the xtask skeleton pass,\n\
-         /// sorted by tag value for binary search. Empty `sizes` means the\n\
-         /// payload length is not statically fixed (raw byte-slice traffic).\n\
-         #[rustfmt::skip]\n\
-         pub(crate) const SKELETON: &[SkeletonEntry] = &[\n",
-    );
-    for ((value, tag), agg) in &aggs {
-        let kinds = agg
-            .kinds
-            .iter()
-            .map(|k| k.label())
-            .collect::<Vec<_>>()
-            .join("|");
-        let sizes = if agg.kinds.iter().any(|k| k.is_wildcard()) {
-            String::from("&[]")
-        } else {
-            let set: BTreeSet<usize> = agg.kinds.iter().filter_map(|k| k.wire_size()).collect();
-            format!(
-                "&[{}]",
-                set.iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        };
-        out.push_str(&format!(
-            "    SkeletonEntry {{\n        tag: {value:#x},\n        name: \"{tag}\",\n        \
-             kinds: \"{kinds}\",\n        sizes: {sizes},\n        send_sites: \"{}\",\n        \
-             recv_sites: \"{}\",\n    }},\n",
-            site_list(&agg.sends),
-            site_list(&agg.recvs),
-        ));
-    }
-    out.push_str("];\n");
-    out
-}
-
-/// `path:l1,l2; path2:l3` — sites grouped per file, sorted.
-fn site_list(sites: &[(String, usize)]) -> String {
-    let mut sorted = sites.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-    for (path, line) in sorted {
-        match groups.last_mut() {
-            Some((p, lines)) if *p == path => lines.push(line),
-            _ => groups.push((path, vec![line])),
-        }
-    }
-    groups
-        .iter()
-        .map(|(p, lines)| {
-            format!(
-                "{p}:{}",
-                lines
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("; ")
 }
 
 #[cfg(test)]
@@ -1422,27 +979,5 @@ fn f(ctx: &mut RankCtx) {
 ";
         let sk = collect_src(src);
         assert!(check(&[sk]).is_empty());
-    }
-
-    #[test]
-    fn table_renders_sorted_with_sizes() {
-        let src = "\
-const TAG_H: Tag = 0x0420;
-const TAG_G: Tag = 0x0300;
-fn f(comm: &Comm, ctx: &mut RankCtx, g: GlobalTime) {
-    comm.send_time(ctx, 1, TAG_H, g);
-    let _t = comm.recv_time(ctx, 1, TAG_H);
-    comm.send(ctx, 1, TAG_G, &buf);
-    let _ = comm.recv(ctx, 1, TAG_G);
-}
-";
-        let table = render_table(&[collect_src(src)], 1 << 16);
-        assert!(table.contains("SKELETON_COLL_BIT: u32 = 0x10000"));
-        let g = table.find("TAG_G").expect("TAG_G in table");
-        let h = table.find("TAG_H").expect("TAG_H in table");
-        assert!(g < h, "entries sorted by tag value");
-        assert!(table.contains("sizes: &[8]"));
-        assert!(table.contains("sizes: &[],"));
-        assert!(table.contains("crates/core/src/fx.rs:4"));
     }
 }

@@ -542,6 +542,96 @@ fn skeleton_findings_render_in_matcher_shape() {
 }
 
 #[test]
+fn cfg_test_on_a_braceless_item_covers_only_that_item() {
+    // `#[cfg(test)]` on a `use` ends at its `;`: the library fn below
+    // is linted like any other.
+    let findings = lint_sources(&[(
+        "crates/sim/src/clocks.rs",
+        "#[cfg(test)]\nuse std::sync::Arc;\npub fn lib_now() -> u64 {\n    let x: Option<u64> = Instant::now().elapsed().as_secs().checked_add(1);\n    x.unwrap()\n}\n",
+    )]);
+    assert_eq!(
+        lint_ids(&findings),
+        vec![
+            "clockdomain/bare-time",
+            "determinism/wall-clock",
+            "style/unwrap"
+        ],
+        "{findings:?}"
+    );
+}
+
+/// `n` numbered filler lines in the shape `{indent}a{i}{tail}`.
+fn filler(n: usize, indent: &str, tail: &str) -> String {
+    (0..n).map(|i| format!("{indent}a{i}{tail}\n")).collect()
+}
+
+#[test]
+fn long_signature_still_blesses_its_tag_parameter() {
+    // 15 lines from `fn` to `{`: the forwarded `tag` is a `Tag`-typed
+    // parameter however far down the signature it sits.
+    let src = format!(
+        "fn forward(\n    ctx: &mut RankCtx,\n{}    tag: Tag,\n) {{\n    ctx.send(1, tag, &buf);\n}}\n",
+        filler(11, "    ", ": usize,")
+    );
+    let ok = lint_sources(&[("crates/core/src/proto.rs", &src)]);
+    assert!(ok.is_empty(), "{ok:?}");
+}
+
+#[test]
+fn role_branch_with_a_long_condition_is_still_checked() {
+    // The same asymmetric exchange as `role_asymmetry_is_an_error`,
+    // with its role condition spread over six lines.
+    let findings = lint_sources(&[(
+        "crates/core/src/proto.rs",
+        "const TAG_SYNC: Tag = 0x0713;\nfn f(comm: &Comm, ctx: &mut RankCtx, me: usize) {\n    if me\n        == 0\n        && ready\n        && ready\n        && ready\n        && ready\n    {\n        comm.send_t(ctx, 1, TAG_SYNC, 1.0f64);\n    } else {\n        let _a: f64 = comm.recv_t(ctx, 0, TAG_SYNC);\n        comm.send_t(ctx, 0, TAG_SYNC, 2.0f64);\n    }\n}\n",
+    )]);
+    assert_eq!(lint_ids(&findings), vec!["skeleton/role-asymmetry"]);
+    assert_eq!(findings[0].line, 13, "{findings:?}");
+}
+
+#[test]
+fn call_with_long_argument_list_is_still_a_wire_site() {
+    // A `send_t` whose arguments span 12 lines is a send of `u32` on a
+    // tag received as `f64`: a mismatch, and the tag is not orphaned.
+    let src = format!(
+        "const TAG_VAL: Tag = 0x0712;\nfn f(comm: &Comm, ctx: &mut RankCtx) {{\n    comm.send_t(\n        ctx,\n        1,\n        TAG_VAL,\n{}        7u32,\n    );\n    let _v: f64 = comm.recv_t(ctx, 1, TAG_VAL);\n}}\n",
+        filler(6, "        // note ", "")
+    );
+    let findings = lint_sources(&[("crates/core/src/proto.rs", &src)]);
+    assert_eq!(
+        lint_ids(&findings),
+        vec!["skeleton/type-mismatch", "skeleton/type-mismatch"],
+        "{findings:?}"
+    );
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![3, 15], "{findings:?}");
+}
+
+#[test]
+fn long_signature_returning_bare_time_is_an_error() {
+    // 27 lines from `fn` to `{`, returning a bare `f64`.
+    let src = format!(
+        "pub fn start_time(\n{}) -> f64 {{\n    0.0\n}}\n",
+        filler(25, "    ", ": usize,")
+    );
+    let findings = lint_sources(&[("crates/core/src/check.rs", &src)]);
+    assert_eq!(lint_ids(&findings), vec!["clockdomain/bare-time"]);
+    assert_eq!(findings[0].line, 1, "{findings:?}");
+}
+
+#[test]
+fn raw_bytes_on_a_typed_tag_is_a_type_mismatch() {
+    // A raw 16-byte send on a tag whose receiver decodes an `f64`: the
+    // typed end fixes the size, the raw end never checks it.
+    let findings = lint_sources(&[(
+        "crates/core/src/offset.rs",
+        "const TAG_PING: Tag = 0x0101;\nfn f(ctx: &mut RankCtx) {\n    if ctx.rank() == 0 {\n        ctx.send(1, TAG_PING, &[0u8; 16]);\n    } else {\n        let _v: f64 = ctx.recv_t(0, TAG_PING);\n    }\n}\n",
+    )]);
+    assert_eq!(lint_ids(&findings), vec!["skeleton/type-mismatch"]);
+    assert_eq!(findings[0].line, 4, "{findings:?}");
+}
+
+#[test]
 fn real_workspace_passes_clean() {
     // The self-check CI runs: no errors and no warnings anywhere in the
     // tree. If this fails, `cargo run -p xtask -- check` prints the
