@@ -13,11 +13,11 @@
 //!   clients). The default shape is 128 × 16 = 2048 ranks so the sweep
 //!   completes in minutes; `--full` selects the paper's 1024 × 16
 //!   (expect a long run). Every in-flight run executes on one host
-//!   thread and holds ≈ 0.12–0.3 MB per simulated rank (peak RSS at
-//!   `--jobs 1`: 256 MB at 2048 ranks, 848 MB at 4096; flat HCA3 is the
-//!   largest configuration), and the default budget is one run per host
-//!   core — so on a many-core host pick `--jobs` for `--full` by memory,
-//!   not by cores.
+//!   thread and holds ≈ 0.02–0.08 MB per simulated rank (peak RSS at
+//!   `--jobs 1 --runs 1`: 39 MB at 2048 ranks, 127 MB at 4096, 1.34 GB
+//!   at the full 16 384 on a 2-vCPU x86_64 host), and the default
+//!   budget is one run per host core — so on a many-core host pick
+//!   `--jobs` for `--full` by memory, not by cores.
 //!
 //! ```text
 //! hcs fig4 [--nodes 16] [--ppn 8] [--runs 5] [--fithi 100] [--fitlo 50] \

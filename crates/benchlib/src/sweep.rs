@@ -29,7 +29,7 @@
 //! beyond that, extra executor threads only interleave run working
 //! sets on the same cores (cache evictions, no speedup). Memory, not
 //! cores, bounds the budget at paper scale: an in-flight run holds
-//! ≈ 0.12–0.3 MB per simulated rank.
+//! ≈ 0.02–0.08 MB per simulated rank.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

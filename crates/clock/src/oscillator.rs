@@ -23,41 +23,78 @@ use std::f64::consts::TAU;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Oscillator {
     /// Constant frequency error (fraction, 1e-6 = 1 ppm).
-    pub skew: f64,
-    /// Primary wander amplitude (fraction).
-    pub a1: f64,
-    /// Primary wander period, s.
-    pub p1: f64,
-    /// Primary wander phase, rad.
-    pub phi1: f64,
-    /// Secondary wander amplitude (fraction).
-    pub a2: f64,
-    /// Secondary wander period, s.
-    pub p2: f64,
-    /// Secondary wander phase, rad.
-    pub phi2: f64,
+    skew: f64,
+    /// Primary wander term.
+    w1: Wander,
+    /// Secondary wander term.
+    w2: Wander,
+}
+
+/// One wander term `a·sin(2π t / p + φ)` of the frequency error, with
+/// the two constants of its integral, `cos φ` and `a·p/2π`, computed
+/// once instead of on every clock read.
+#[derive(Debug, Clone, PartialEq)]
+struct Wander {
+    /// Amplitude `a` (fraction).
+    amp: f64,
+    /// Period `p`, s.
+    period: f64,
+    /// Phase `φ`, rad.
+    phase: f64,
+    /// `cos φ`.
+    cos_phase: f64,
+    /// `a·p/2π`.
+    scale: f64,
+}
+
+impl Wander {
+    fn new(amp: f64, period: f64, phase: f64) -> Self {
+        Self {
+            amp,
+            period,
+            phase,
+            cos_phase: phase.cos(),
+            scale: amp * period / TAU,
+        }
+    }
+
+    /// The term's frequency error at true time `t`.
+    fn rate(&self, t: SimTime) -> f64 {
+        let t = t.seconds();
+        self.amp * (TAU * t / self.period + self.phase).sin()
+    }
+
+    /// The term's integral over `[0, t]`.
+    fn displacement(&self, t: SimTime) -> f64 {
+        let t = t.seconds();
+        if self.amp != 0.0 {
+            self.scale * (self.cos_phase - (TAU * t / self.period + self.phase).cos())
+        } else {
+            0.0
+        }
+    }
 }
 
 impl Oscillator {
+    /// An oscillator with constant frequency error `skew` plus the
+    /// wander terms `a1·sin(2π t / p1 + φ1)` and `a2·sin(2π t / p2 +
+    /// φ2)` (amplitudes as fractions, periods in s, phases in rad).
+    pub fn new(skew: f64, a1: f64, p1: f64, phi1: f64, a2: f64, p2: f64, phi2: f64) -> Self {
+        Self {
+            skew,
+            w1: Wander::new(a1, p1, phi1),
+            w2: Wander::new(a2, p2, phi2),
+        }
+    }
+
     /// A perfect oscillator (zero error).
     pub fn perfect() -> Self {
-        Self {
-            skew: 0.0,
-            a1: 0.0,
-            p1: 1.0,
-            phi1: 0.0,
-            a2: 0.0,
-            p2: 1.0,
-            phi2: 0.0,
-        }
+        Self::with_skew(0.0)
     }
 
     /// An oscillator with constant skew only (fraction, not ppm).
     pub fn with_skew(skew: f64) -> Self {
-        Self {
-            skew,
-            ..Self::perfect()
-        }
+        Self::new(skew, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0)
     }
 
     /// Derives the oscillator of `node` from the machine's [`ClockSpec`]
@@ -74,40 +111,18 @@ impl Oscillator {
         let a2 = spec.wander2_amp_ppm * ppm * rng.range(0.6, 1.4);
         let p2 = spec.wander2_period_s.seconds() * rng.range(0.5, 1.5);
         let phi2 = rng.range(0.0, TAU);
-        Self {
-            skew,
-            a1,
-            p1,
-            phi1,
-            a2,
-            p2,
-            phi2,
-        }
+        Self::new(skew, a1, p1, phi1, a2, p2, phi2)
     }
 
     /// Instantaneous frequency error at true time `t`.
     pub fn drift_rate(&self, t: SimTime) -> f64 {
-        let t = t.seconds();
-        self.skew
-            + self.a1 * (TAU * t / self.p1 + self.phi1).sin()
-            + self.a2 * (TAU * t / self.p2 + self.phi2).sin()
+        self.skew + self.w1.rate(t) + self.w2.rate(t)
     }
 
     /// Accumulated clock displacement at true time `t`:
     /// `∫₀ᵗ d(τ) dτ` (seconds of clock error relative to true time).
     pub fn displacement(&self, t: SimTime) -> f64 {
-        let t = t.seconds();
-        let w1 = if self.a1 != 0.0 {
-            self.a1 * self.p1 / TAU * (self.phi1.cos() - (TAU * t / self.p1 + self.phi1).cos())
-        } else {
-            0.0
-        };
-        let w2 = if self.a2 != 0.0 {
-            self.a2 * self.p2 / TAU * (self.phi2.cos() - (TAU * t / self.p2 + self.phi2).cos())
-        } else {
-            0.0
-        };
-        self.skew * t + w1 + w2
+        self.skew * t.seconds() + self.w1.displacement(t) + self.w2.displacement(t)
     }
 
     /// The clock's elapsed reading after `t` seconds of true time
@@ -138,15 +153,7 @@ mod tests {
 
     #[test]
     fn displacement_is_integral_of_drift_rate() {
-        let o = Oscillator {
-            skew: 0.4e-6,
-            a1: 0.1e-6,
-            p1: 250.0,
-            phi1: 1.2,
-            a2: 0.02e-6,
-            p2: 31.0,
-            phi2: 0.3,
-        };
+        let o = Oscillator::new(0.4e-6, 0.1e-6, 250.0, 1.2, 0.02e-6, 31.0, 0.3);
         // Numerically integrate drift_rate and compare to displacement.
         let t_end = 200.0;
         let n = 200_000;
@@ -158,6 +165,62 @@ mod tests {
         }
         let err = (acc - o.displacement(SimTime::from_secs(t_end))).abs();
         assert!(err < 1e-12, "integration mismatch: {err:.3e}");
+    }
+
+    /// The displacement as it was computed before the wander constants
+    /// were hoisted: every constant recomputed in place, in the
+    /// original order. The oracle of the test below.
+    fn unhoisted_displacement(o: &Oscillator, t: SimTime) -> f64 {
+        let t = t.seconds();
+        let term = |w: &Wander| {
+            if w.amp != 0.0 {
+                w.amp * w.period / TAU * (w.phase.cos() - (TAU * t / w.period + w.phase).cos())
+            } else {
+                0.0
+            }
+        };
+        o.skew * t + term(&o.w1) + term(&o.w2)
+    }
+
+    #[test]
+    fn hoisted_clock_reads_are_bit_identical_to_the_unhoisted_formula() {
+        use crate::global::Clock;
+        use crate::source::LocalClock;
+        // Times from 0 to 10^4 s: zero, an irrational-step grid and the
+        // end point, ascending (virtual time only moves forward).
+        let mut times: Vec<f64> = (0..400).map(|i| i as f64 * 24.999_137).collect();
+        times.extend([1e-9, 1e-3, 0.5, 1.0, 1e4]);
+        times.sort_by(f64::total_cmp);
+        let spec = ClockSpec::commodity();
+        let mut oscs = vec![Oscillator::perfect(), Oscillator::with_skew(-3.7e-6)];
+        for seed in [0, 1, 7, 42, 0xC0FFEE] {
+            oscs.extend((0..12).map(|node| Oscillator::for_node(&spec, seed, node)));
+        }
+        let cluster = hcs_sim::machines::testbed(1, 1).cluster(3);
+        cluster.run(|ctx| {
+            let mut clocks: Vec<LocalClock> = oscs
+                .iter()
+                .map(|o| LocalClock::from_oscillator(o.clone(), 0))
+                .collect();
+            for &t in &times {
+                ctx.jump_to(SimTime::from_secs(t));
+                let now = ctx.now();
+                for (o, clk) in oscs.iter().zip(&mut clocks) {
+                    // The displacement alone too: adding it to `t` can
+                    // round a last-bit difference away.
+                    let disp = unhoisted_displacement(o, now);
+                    assert_eq!(
+                        o.displacement(now).to_bits(),
+                        disp.to_bits(),
+                        "{o:?} at t = {t}"
+                    );
+                    let want = (now.seconds() + disp).to_bits();
+                    let read = clk.get_time(ctx).raw_seconds().to_bits();
+                    let eval = clk.true_eval(now).raw_seconds().to_bits();
+                    assert_eq!((read, eval), (want, want), "{o:?} at t = {t}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -30,6 +30,12 @@
 //!
 //! - `resume` runs the body until it finishes or calls
 //!   [`suspend_current`], and reports which of the two happened.
+//! - On the fiber backend a running body may also hand the thread
+//!   straight to another parked fiber ([`switch_to`]), which inherits
+//!   the context to return to. A `resume` then returns when the *last*
+//!   fiber of that chain finishes or suspends; the body it started is
+//!   parked unless it is that last fiber, and
+//!   [`Continuation::returned`] reports the last one.
 //! - At most one of (executor, body) executes at any instant — a strict
 //!   handoff. The body may therefore use `&mut` state freely across
 //!   suspension points.
@@ -90,10 +96,7 @@ pub(crate) enum Resume {
 /// # Panics
 /// Panics if the calling code is not running inside a continuation.
 pub(crate) fn suspend_current(key: u64) {
-    let cur = CURRENT.with(Cell::get).expect(
-        "suspend_current called outside a continuation (events-mode receive on a plain thread?)",
-    );
-    match cur {
+    match current() {
         #[cfg(target_arch = "x86_64")]
         Current::Fiber(core) => {
             // SAFETY: `core` was set by the fiber's `resume` on this
@@ -116,9 +119,91 @@ pub(crate) fn suspend_current(key: u64) {
     }
 }
 
+/// A parked fiber that a running one may switch straight to
+/// ([`switch_to`]): the address of its switch core, which stays put
+/// from the fiber's first activation until it finishes (promoting an
+/// inline-dispatched body moves the box, not the core).
+#[derive(Clone, Copy)]
+pub(crate) struct FiberRef {
+    core: CoreRef,
+}
+
+#[cfg(target_arch = "x86_64")]
+type CoreRef = *mut fiber::ContCore;
+/// No fibers without x86_64, so no [`FiberRef`] is ever made.
+#[cfg(not(target_arch = "x86_64"))]
+type CoreRef = std::convert::Infallible;
+
+// SAFETY: a `FiberRef` is only dereferenced by `switch_to`, on the one
+// thread that runs the fiber chain, under the strict handoff; sending
+// the address alone transfers nothing.
+unsafe impl Send for FiberRef {}
+
+/// The fiber executing on this thread, or `None` when the caller runs
+/// on a thread-backed continuation (which no one can switch to).
+///
+/// # Panics
+/// Panics if the calling code is not running inside a continuation.
+pub(crate) fn current_fiber() -> Option<FiberRef> {
+    match current() {
+        #[cfg(target_arch = "x86_64")]
+        Current::Fiber(core) => Some(FiberRef { core }),
+        Current::Thread(_) => None,
+    }
+}
+
+/// Suspends the fiber executing on this thread with `key`, as
+/// [`suspend_current`] does, but activates `next` instead of returning
+/// to the executor: `next` inherits this fiber's return context, so
+/// the executor's `resume` (or inline dispatch) returns only when a
+/// fiber of the chain finishes or calls [`suspend_current`]. Returns
+/// when this fiber is activated again, by the executor or by a switch.
+///
+/// # Safety
+/// `next` must come from [`current_fiber`] of a body that is parked
+/// now (suspended, not finished), on this thread, and whose
+/// continuation is still alive; the caller must hold no lock guard.
+///
+/// # Panics
+/// Panics if the caller is not a fiber.
+// SAFETY: the liveness and parked state of `next` are the caller's
+// contract (above); the body only touches the two switch cores.
+pub(crate) unsafe fn switch_to(key: u64, next: FiberRef) {
+    let next = next.core;
+    #[cfg(target_arch = "x86_64")]
+    {
+        let Current::Fiber(core) = current() else {
+            panic!("switch_to called outside a fiber");
+        };
+        // SAFETY: `core` is the running fiber's core (set by whoever
+        // activated it on this thread) and `next` a parked fiber's
+        // core, alive per the caller's contract; neither side runs
+        // while this one does (strict handoff), so these are the only
+        // accesses. The switch saves this fiber where its next
+        // activation — by `resume` or by another switch — expects it.
+        unsafe {
+            (*core).park_key = key;
+            (*next).ret_sp = (*core).ret_sp;
+            CURRENT.with(|c| c.set(Some(Current::Fiber(next))));
+            fiber::switch_stack(&mut (*core).coro_sp, (*next).coro_sp);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = key;
+        match next {}
+    }
+}
+
+fn current() -> Current {
+    CURRENT
+        .with(Cell::get)
+        .expect("a park outside a continuation (events-mode receive on a plain thread?)")
+}
+
 /// The continuation currently executing on this OS thread, if any. Set
-/// by `resume` for the fiber backend and by the coroutine thread itself
-/// for the thread backend.
+/// by `resume` for the fiber backend (and moved along by `switch_to`)
+/// and by the coroutine thread itself for the thread backend.
 #[derive(Clone, Copy)]
 enum Current {
     #[cfg(target_arch = "x86_64")]
@@ -180,6 +265,22 @@ impl Continuation {
             ContState::New(_) => unreachable!("started above"),
             ContState::Done => panic!("resumed a finished continuation"),
         };
+        self.settle(r)
+    }
+
+    /// What a fiber that a chain of [`switch_to`] calls moved to did
+    /// when it handed the thread back to the executor: finished (the
+    /// stack is reaped, as by [`Continuation::resume`]) or parked.
+    pub(crate) fn returned(&mut self) -> Resume {
+        let r = match &mut self.state {
+            #[cfg(target_arch = "x86_64")]
+            ContState::Fiber(f) => f.returned(),
+            _ => unreachable!("only a started fiber is a switch target"),
+        };
+        self.settle(r)
+    }
+
+    fn settle(&mut self, r: Resume) -> Resume {
         if matches!(r, Resume::Finished) {
             // Replacing the state drops the backend and reaps it (the
             // fiber's stack returns to the free list; the thread is
@@ -384,6 +485,9 @@ impl Drop for ThreadCont {
 // Fiber backend (x86_64)
 // ---------------------------------------------------------------------
 
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) use fiber::recycled_stacks;
+
 #[cfg(target_arch = "x86_64")]
 mod fiber {
     use std::any::Any;
@@ -580,10 +684,26 @@ mod fiber {
     fn stack_put(s: RawStack) {
         #[cfg(debug_assertions)]
         s.check_canary();
+        #[cfg(test)]
+        RECYCLED.with(|n| n.set(n.get() + 1));
         let mut pool = STACK_POOL.acquire();
         if pool.len() < STACK_POOL_MAX {
             pool.push(s);
         }
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        /// Stacks this thread returned to the pool.
+        static RECYCLED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// How many fiber stacks the calling thread has returned to the
+    /// pool so far: a finished fiber's stack goes back the moment the
+    /// executor learns it finished.
+    #[cfg(test)]
+    pub(crate) fn recycled_stacks() -> u64 {
+        RECYCLED.with(std::cell::Cell::get)
     }
 
     /// A started fiber: its switch core plus the stack it runs on.
@@ -655,6 +775,12 @@ mod fiber {
                 switch_stack(&mut (*core).ret_sp, to);
             }
             CURRENT.with(|c| c.set(None));
+            self.returned()
+        }
+
+        /// How this fiber last handed the thread back to the executor:
+        /// finished (its stack returns to the pool) or parked.
+        pub(super) fn returned(&mut self) -> Resume {
             if self.core.finished {
                 if let Some(s) = self.stack.take() {
                     stack_put(s);
@@ -733,6 +859,9 @@ mod fiber {
         }
 
         /// Runs `f` until it finishes or suspends (see [`HotRun`]).
+        /// If `f` switches to another fiber (`switch_to`), this returns
+        /// when the chain hands the thread back, and `f` is parked
+        /// unless it was switched to again and finished.
         /// `F: Send` because a promoted continuation is `Send`.
         pub(super) fn run<F: FnOnce() + Send>(&mut self, f: F) -> HotRun {
             let core = self.core.get_or_insert_with(|| {

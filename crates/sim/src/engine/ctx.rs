@@ -1,6 +1,6 @@
 //! [`RankCtx`]: what a rank body sees — its virtual clock, the
-//! send/receive paths (staging, fault interpretation, matching,
-//! deadline receives) and the observability hooks.
+//! send/receive paths (fault interpretation, matching, deadline
+//! receives) and the observability hooks.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,13 +19,6 @@ use crate::timebase::Span;
 use crate::topology::Topology;
 use crate::wire::Wire;
 use crate::{ClockSpec, Rank, SimTime, Tag};
-
-/// How many consecutive same-destination sends a rank stages locally
-/// before flushing them to the destination mailbox in one lock
-/// acquisition. Staged messages are also flushed whenever the sender
-/// switches destination, blocks, or its body ends, so batching only
-/// coalesces back-to-back traffic that was already in flight together.
-const STAGE_MAX: usize = 32;
 
 /// Per-message / per-byte traffic counters, useful for asserting
 /// algorithmic complexity (e.g. HCA3's `O(log p)` rounds vs JK's `O(p)`).
@@ -60,18 +53,10 @@ pub struct RankCtx {
     /// not match the receive in progress, bucketed by source rank so a
     /// match never scans other senders' messages (see [`PendingBuf`]).
     pending: PendingBuf,
-    /// Receiver-local delivery ring: [`RunNet::recv_batch`] drains the
-    /// whole mailbox here under one lock acquisition, and the matching
-    /// loop consumes it lock-free in delivery order.
+    /// Receiver-local delivery ring: [`RunNet::recv_batch`] swaps the
+    /// whole mailbox in here under one lock acquisition, and the
+    /// matching loop consumes it lock-free in delivery order.
     ring: VecDeque<Envelope>,
-    /// Sender-side staging segment: consecutive sends to the same
-    /// destination collect here and are flushed to the destination
-    /// mailbox in one mutation (on destination change, capacity, any
-    /// blocking operation, or body end).
-    stage: Vec<Envelope>,
-    /// Destination of the staged segment (meaningless while `stage` is
-    /// empty).
-    stage_dst: Rank,
     /// Fault-injection state (`None` on the benign fast path: zero
     /// loads, zero draws, timelines bit-identical to pre-fault builds).
     faults: Option<FaultState>,
@@ -157,8 +142,6 @@ impl RankCtx {
             net,
             pending: PendingBuf::default(),
             ring: VecDeque::new(),
-            stage: Vec::new(),
-            stage_dst: 0,
             faults: FaultState::new(fault_plan, master_seed, rank),
             reorder_hold: Vec::new(),
             recv_timeout: None,
@@ -498,31 +481,20 @@ impl RankCtx {
                 Payload::from_slice(payload)
             },
         };
-        // Stage instead of delivering directly: consecutive sends to
-        // one destination reach its mailbox in a single lock
-        // acquisition. A destination switch flushes first, so delivery
-        // order across destinations also matches post order; arrival
-        // times were fixed above, so *when* the host flush happens is
-        // invisible to virtual time. A send may race with the receiver
-        // having already returned from its closure; that's fine, the
-        // message is simply dropped at the end of the run.
+        // Delivered at once, so delivery order matches post order; the
+        // arrival time was fixed above. A send may race with the
+        // receiver having already returned from its closure; that's
+        // fine, the message is simply dropped at the end of the run.
         if reordered {
             // Held back past the *next* post to this destination (or
             // any blocking point / body end) — true overtaking, driven
             // purely by sender program order.
             self.reorder_hold.push((dst, env));
         } else {
-            if !self.stage.is_empty() && self.stage_dst != dst {
-                self.flush_staged();
-            }
-            self.stage_dst = dst;
-            self.stage.push(env);
+            self.net.send(dst, env);
             // This post is the "next message" any held envelope to the
             // same destination was waiting to be overtaken by.
             self.release_holds_for(dst);
-            if self.stage.len() >= STAGE_MAX {
-                self.flush_staged();
-            }
         }
         if let (Some(extra), false) = (decision.duplicate, dropped) {
             self.obs_note("fault/duplicate");
@@ -540,10 +512,7 @@ impl RankCtx {
             if reordered {
                 self.reorder_hold.push((dst, dup));
             } else {
-                self.stage.push(dup);
-                if self.stage.len() >= STAGE_MAX {
-                    self.flush_staged();
-                }
+                self.net.send(dst, dup);
             }
         }
         if self.obs_spec.messages {
@@ -553,8 +522,8 @@ impl RankCtx {
         }
     }
 
-    /// Moves every held (fault-reordered) envelope for `dst` into the
-    /// staging segment *behind* the message just staged there.
+    /// Delivers every held (fault-reordered) envelope for `dst`
+    /// *behind* the message just delivered there, in hold order.
     fn release_holds_for(&mut self, dst: Rank) {
         if self.reorder_hold.is_empty() {
             return;
@@ -564,10 +533,7 @@ impl RankCtx {
             let (held_dst, _) = &self.reorder_hold[i];
             if *held_dst == dst {
                 let (_, env) = self.reorder_hold.remove(i);
-                self.stage.push(env);
-                if self.stage.len() >= STAGE_MAX {
-                    self.flush_staged();
-                }
+                self.net.send(dst, env);
             } else {
                 i += 1;
             }
@@ -576,26 +542,12 @@ impl RankCtx {
 
     /// Delivers every held (fault-reordered) envelope directly to its
     /// destination mailbox, in hold order. Called at every blocking
-    /// point and at body end, *after* [`RankCtx::flush_staged`] — a rank
-    /// never parks or finishes holding undelivered messages, which keeps
-    /// both the deadlock detector's and the deadline receives'
-    /// "nothing in flight" reasoning valid.
+    /// point and at body end — a rank never parks or finishes holding
+    /// undelivered messages, which keeps both the deadlock detector's
+    /// and the deadline receives' "nothing in flight" reasoning valid.
     pub(crate) fn flush_reorder_holds(&mut self) {
         for (dst, env) in self.reorder_hold.drain(..) {
             self.net.send(dst, env);
-        }
-    }
-
-    /// Delivers the staged send segment (if any) to its destination
-    /// mailbox in one mutation. Called on destination switch, staging
-    /// capacity, every potentially-blocking operation, and body end —
-    /// so a rank never parks (or finishes) holding undelivered sends,
-    /// which is what keeps the deadlock detector's "no message in
-    /// flight" reasoning valid under batching.
-    pub(crate) fn flush_staged(&mut self) {
-        if !self.stage.is_empty() {
-            self.net
-                .send_batch(self.stage_dst, self.rank, &mut self.stage);
         }
     }
 
@@ -810,10 +762,9 @@ impl RankCtx {
         tag: Tag,
         deadline: Option<SimTime>,
     ) -> Result<Envelope, RecvTimeout> {
-        // A receive may block; everything this rank has staged or held
-        // back must be in its peers' mailboxes first, or two ranks
-        // could deadlock on messages neither has delivered.
-        self.flush_staged();
+        // A receive may block; everything this rank has held back must
+        // be in its peers' mailboxes first, or two ranks could deadlock
+        // on messages neither has delivered.
         self.flush_reorder_holds();
         if deadline.is_some() {
             // Arm completion wakeups so a parked deadline wait observes
@@ -840,7 +791,7 @@ impl RankCtx {
         }
         loop {
             // Drain the receiver-local ring first: these envelopes were
-            // already pulled out of the mailbox in one batch, and the
+            // already taken out of the mailbox in one batch, and the
             // wait edge was cleared (under the mailbox lock) when that
             // batch was drained.
             while let Some(env) = self.ring.pop_front() {

@@ -45,10 +45,10 @@ pub(super) struct RunNet {
     boxes: Vec<Mailbox>,
     alive: AtomicUsize,
     /// Per-rank "this rank's closure returned (or aborted)" flags. A
-    /// finished rank can never send again — its body flushed every
-    /// staged message *before* the flag was set — so "mailbox empty +
-    /// sender done + no buffered match" is deterministic proof that a
-    /// deadline receive can only resolve as a timeout.
+    /// finished rank can never send again — its body delivered every
+    /// held-back message *before* the flag was set — so "no match
+    /// queued + sender done + no buffered match" is deterministic proof
+    /// that a deadline receive can only resolve as a timeout.
     done: Vec<AtomicBool>,
     /// Whether `rank_done` must notify *every* mailbox (not just when
     /// the run collapses to one live rank): armed when the fault plan is
@@ -57,9 +57,9 @@ pub(super) struct RunNet {
     /// legacy single notify-all.
     wake_done: AtomicBool,
     /// Each rank's wait record: the wait-for-graph deadlock detector,
-    /// whose edge also tells the event scheduler what a parked rank
-    /// waits for ([`RunNet::delivers_awaited`], `events::drive`). A
-    /// receive registers its edge here (`RankCtx::pull_match`).
+    /// whose edge also tells [`RunNet::send`] which delivery a parked
+    /// rank waits for. A receive registers its edge here
+    /// (`RankCtx::pull_match`).
     pub(super) waits: WaitGraph,
     /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
     /// run that never forms a world communicator does not pay for it.
@@ -114,50 +114,23 @@ impl RunNet {
         }
     }
 
-    /// The one wake primitive: tells `dst` that something a blocked
-    /// receive of its might be waiting on has changed. Exactly one thing
-    /// per engine — requeue the parked continuation under `Events` (no
-    /// mailbox lock round, no syscall), notify the mailbox condvar under
-    /// `Threads`. `matched` says the change is the delivery of exactly
-    /// the message `dst` is parked on ([`RunNet::delivers_awaited`]);
-    /// only the event scheduler's handoff rule cares.
-    ///
-    /// Under `Threads` the caller must have published the change under
-    /// `dst`'s mailbox lock, or taken a round of that lock after
-    /// publishing it ([`RunNet::wake_after_flag`]): the waiter holds the
-    /// lock from its checks to its wait, so it then either sees the
-    /// change or is already waiting when the notify arrives.
-    #[inline]
-    fn wake(&self, dst: Rank, matched: bool) {
-        match self.events.get() {
-            Some(sched) if matched => sched.wake_matched(dst),
-            Some(sched) => sched.wake(dst),
-            None => self.boxes[dst].cv.notify_one(),
-        }
-    }
-
-    /// [`RunNet::wake`] for a change published in an atomic flag rather
-    /// than in `dst`'s mailbox (a rank finished, a deadline wait fired).
+    /// Tells `dst` that a change a blocked receive of its might be
+    /// waiting on was published in an atomic flag rather than in its
+    /// mailbox (a rank finished, a deadline wait fired). Exactly one
+    /// thing per engine — requeue the parked continuation under
+    /// `Events` (no mailbox lock round, no syscall), notify the mailbox
+    /// condvar under `Threads`, after a round of `dst`'s mailbox lock:
+    /// the waiter holds that lock from its checks to its wait, so it
+    /// then either sees the flag or is already waiting when the notify
+    /// arrives.
     fn wake_after_flag(&self, dst: Rank) {
-        if self.events.get().is_none() {
-            drop(self.boxes[dst].q.acquire());
+        match self.events.get() {
+            Some(sched) => sched.wake(dst),
+            None => {
+                drop(self.boxes[dst].q.acquire());
+                self.boxes[dst].cv.notify_one();
+            }
         }
-        self.wake(dst, false);
-    }
-
-    /// Whether `dst` waits for exactly one of the messages `src` is
-    /// about to put in its mailbox (always `false` under `Threads`,
-    /// which has no scheduler to tell). The wait edge is registered
-    /// before a rank parks and stays until it drains its mailbox, so it
-    /// names what a parked rank waits for; for a rank that is not
-    /// parked the answer does not matter, since waking it is a no-op.
-    #[inline]
-    fn delivers_awaited(&self, dst: Rank, src: Rank, tags: impl IntoIterator<Item = Tag>) -> bool {
-        self.events.get().is_some()
-            && self
-                .waits
-                .waiting_on(dst)
-                .is_some_and(|(from, want)| from == src && tags.into_iter().any(|tag| tag == want))
     }
 
     /// How many mailboxes are the single-owner arm of [`RunLock`].
@@ -199,14 +172,17 @@ impl RunNet {
     }
 
     /// Runs cycle detection from `me`'s wait edge; called each time a
-    /// rank is about to park on its mailbox condvar. A candidate cycle
-    /// is confirmed by probing every member under its mailbox lock —
-    /// the edge must still be registered and the mailbox empty. Edges
-    /// are cleared under that same lock when an envelope is popped, so
-    /// a passing probe means the member is genuinely parked; the
-    /// double verification walk inside [`WaitGraph::confirm`] then
-    /// proves all probed edges coexisted (see `waitgraph` module
-    /// docs). The caller must hold no mailbox lock.
+    /// rank is about to park. A candidate cycle is confirmed by probing
+    /// every member under its mailbox lock — the edge must still be
+    /// registered, and no queued envelope may match it or be poison
+    /// (under `Events` a parked rank's mailbox may hold envelopes it
+    /// does not wait for: only the awaited delivery wakes it, see
+    /// [`RunNet::send`]). Edges are cleared under that same lock when
+    /// a batch is drained, so a passing probe means the member is
+    /// genuinely parked with nothing that could release it; the double
+    /// verification walk inside [`WaitGraph::confirm`] then proves all
+    /// probed edges coexisted (see `waitgraph` module docs). The
+    /// caller must hold no mailbox lock.
     fn detect_deadlock(&self, me: Rank) {
         let wg = &self.waits;
         let Some(anchor) = wg.find_candidate(me) else {
@@ -215,7 +191,10 @@ impl RunNet {
         let confirmed = wg.confirm(anchor, |e| {
             let q = self.boxes[e.waiter].q.acquire();
             let still_blocked = wg.waiting_on(e.waiter) == Some((e.src, e.tag));
-            still_blocked && q.is_empty()
+            still_blocked
+                && !q
+                    .iter()
+                    .any(|env| (env.src == e.src && env.tag == e.tag) || env.tag == POISON_TAG)
         });
         if let Some(cycle) = confirmed {
             // A confirmed cycle with deadline members is not a bug: it
@@ -238,26 +217,34 @@ impl RunNet {
         }
     }
 
+    /// Delivers `env` to `dst`'s mailbox. Under `Events` a parked `dst`
+    /// is woken only by what can release it — the `(src, tag)` its
+    /// wait edge names, which goes to the scheduler's handoff slot, or
+    /// poison — so any other envelope waits in the mailbox until `dst`
+    /// drains it for its own reasons (module docs of `events`).
+    /// `Threads` notifies on every delivery: its sender reads no wait
+    /// edge under the mailbox lock, so it could miss one registered
+    /// just after its read.
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let matched = self.delivers_awaited(dst, env.src, [env.tag]);
+        let Some(sched) = self.events.get() else {
+            self.boxes[dst].q.acquire().push_back(env);
+            self.boxes[dst].cv.notify_one();
+            return;
+        };
+        let awaited = self.waits.waiting_on(dst) == Some((env.src, env.tag));
+        let poison = env.tag == POISON_TAG;
         self.boxes[dst].q.acquire().push_back(env);
-        self.wake(dst, matched);
+        if awaited {
+            sched.wake_matched(dst);
+        } else if poison {
+            sched.wake(dst);
+        }
     }
 
-    /// Delivers `src`'s staged batch to `dst` in one lock acquisition
-    /// and one wakeup. The staging buffer is drained in push order, so
-    /// per-`(src, dst)` FIFO delivery order is exactly what a sequence
-    /// of [`RunNet::send`] calls would have produced.
-    pub(super) fn send_batch(&self, dst: Rank, src: Rank, stage: &mut Vec<Envelope>) {
-        let matched = self.delivers_awaited(dst, src, stage.iter().map(|env| env.tag));
-        self.boxes[dst].q.acquire().extend(stage.drain(..));
-        self.wake(dst, matched);
-    }
-
-    /// Blocking receive of *everything* queued: drains the whole
-    /// mailbox into the receiver-local `ring` under one lock
-    /// acquisition and returns [`BatchWait::Got`]. Returns
+    /// Blocking receive of *everything* queued: swaps the whole
+    /// mailbox with the receiver-local `ring`, which must be empty,
+    /// under one lock acquisition and returns [`BatchWait::Got`]. Returns
     /// [`BatchWait::PeersGone`] when every other rank has finished and
     /// nothing is queued, so no message can ever arrive. Deadline
     /// receives (`deadline = Some(wait_gen)`, from `WaitGraph::begin_wait`)
@@ -268,7 +255,9 @@ impl RunNet {
     ///
     /// An empty mailbox parks the rank — its continuation under the
     /// events engine, its OS thread on the mailbox condvar under the
-    /// reference engine — after one cycle-detection probe. The wait
+    /// reference engine — after one cycle-detection probe (under the
+    /// events engine only while `src` is parked too: a cycle through a
+    /// rank that still runs is found when that rank parks). The wait
     /// edge published by the caller stays registered while parked,
     /// which is what lets *other* ranks' probes see a cycle through it.
     ///
@@ -290,8 +279,25 @@ impl RunNet {
         // probe — as before — without the probe window losing wakeups.
         let mut probed = false;
         loop {
+            if let Some(wait_gen) = deadline {
+                // Fired-cycle check FIRST: every member of a confirmed
+                // cycle is stamped before any member is notified, while
+                // the mailbox, `alive` and `done[src]` only change after
+                // a fired peer resumed. Confirmation proved that nothing
+                // queued then matched, and the awaited rank was parked
+                // in the cycle, so a fired wait resolves as a timeout
+                // whatever is queued since; consulting the mailbox or
+                // the flags first would let host timing pick between
+                // WaitCycle, a late match and SenderFinished for the
+                // same simulated state.
+                if self.waits.deadline_fired(me, wait_gen) {
+                    self.waits.end_wait(me);
+                    return BatchWait::DeadlineFired;
+                }
+            }
             if !q.is_empty() {
-                ring.extend(q.drain(..));
+                debug_assert!(ring.is_empty(), "the ring is drained before a batch wait");
+                std::mem::swap(&mut *q, ring);
                 // Clear the wait edge while still holding the mailbox
                 // lock: confirmation probes take this same lock, so a
                 // probe can never observe "edge registered + queue
@@ -301,19 +307,6 @@ impl RunNet {
                 self.waits.end_wait(me);
                 return BatchWait::Got;
             }
-            if let Some(wait_gen) = deadline {
-                // Fired-cycle check FIRST: every member of a confirmed
-                // cycle is stamped before any member is notified, while
-                // `alive` and `done[src]` only change after a fired
-                // peer resumed and *finished its body*. Consulting
-                // those first would let host timing pick between
-                // WaitCycle and SenderFinished for the same simulated
-                // state.
-                if self.waits.deadline_fired(me, wait_gen) {
-                    self.waits.end_wait(me);
-                    return BatchWait::DeadlineFired;
-                }
-            }
             if self.alive.load(Ordering::Acquire) <= 1 {
                 return BatchWait::PeersGone;
             }
@@ -321,7 +314,7 @@ impl RunNet {
                 // SeqCst: the `done` store / `wake_done` load handshake
                 // in `rank_done` (see `enable_done_wakeups`) guarantees
                 // we either see the flag here or get the notify below.
-                // Sound because the sender's body flushed every staged
+                // Sound because the sender's body delivered every
                 // message before setting `done`: seeing the flag with an
                 // empty queue (held lock) proves no match is coming.
                 if self.done[src].load(Ordering::SeqCst) {
@@ -340,25 +333,27 @@ impl RunNet {
                 // resolution must be re-checked under the re-acquired
                 // lock (`probed` keeps this from looping).
                 drop(q);
-                self.detect_deadlock(me);
+                if self.events.get().is_none_or(|sched| sched.is_parked(src)) {
+                    self.detect_deadlock(me);
+                }
                 q = mb.q.acquire();
                 probed = true;
                 continue;
             }
             if let Some(sched) = self.events.get() {
                 // Events mode: park the *continuation*, not the OS
-                // thread. Release the mailbox lock, then yield back to
-                // the run loop keyed on this rank's current virtual
-                // time; the caller's wait edge tells the scheduler's
-                // handoff rule what it waits for. No notification can
-                // arrive between the release and the park: the loop
-                // runs one rank at a time, so no sender executes before
-                // this rank is recorded as parked (see the `events`
-                // module docs) — the guarantee the condvar gives the
-                // reference engine. On resume, re-acquire and re-check
-                // every resolution, exactly like a condvar wakeup.
+                // thread. Release the mailbox lock, then yield — to the
+                // run loop, or straight to `src` if it is the handoff —
+                // keyed on this rank's current virtual time. No
+                // notification can arrive between the release and the
+                // park: one rank runs at a time, so no sender executes
+                // before this rank is recorded as parked (see the
+                // `events` module docs) — the guarantee the condvar
+                // gives the reference engine. On resume, re-acquire and
+                // re-check every resolution, exactly like a condvar
+                // wakeup.
                 drop(q);
-                sched.park(events::time_key(now.seconds()));
+                sched.park(events::time_key(now.seconds()), src);
                 q = mb.q.acquire();
                 probed = false;
                 continue;

@@ -437,6 +437,30 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
+        let (run, stats) = self.run_settled(backend, f);
+        match run {
+            Ok((out, log)) => (out, log, stats),
+            Err(chosen) => {
+                if let Some(t) = chosen.downcast_ref::<RecvTimeout>() {
+                    panic!("{t} (timeouts are per-rank outcomes under Cluster::run_outcome)");
+                }
+                std::panic::resume_unwind(chosen);
+            }
+        }
+    }
+
+    /// [`Cluster::run_counted`] that hands back the root-cause panic of
+    /// a failed run instead of re-throwing it, so the counters of a
+    /// failed run can be read too.
+    pub(crate) fn run_settled<R, F>(
+        &self,
+        backend: Backend,
+        f: &F,
+    ) -> (std::thread::Result<(Vec<R>, TraceLog)>, RunStats)
+    where
+        R: Send,
+        F: Fn(&mut RankCtx) -> R + Sync,
+    {
         let size = self.topology.total_cores();
         let mode = self.engine_mode();
         // SAFETY: under `EngineMode::Events` the only thing that ever
@@ -472,13 +496,12 @@ impl Cluster {
                 Arc::clone(&net),
             );
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-            // Deliver anything still sitting in the staging segment or
-            // the reorder hold — a body may end (or unwind) right after
-            // a send, and peers are entitled to receive every message
-            // posted before the body returned. Both must land before
-            // `rank_done` below, or the "done + empty = no match coming"
-            // proof of deadline receives would be unsound.
-            ctx.flush_staged();
+            // Deliver anything still sitting in the reorder hold — a
+            // body may end (or unwind) right after a send, and peers are
+            // entitled to receive every message posted before the body
+            // returned. It must land before `rank_done` below, or the
+            // "done + no match queued = no match coming" proof of
+            // deadline receives would be unsound.
             ctx.flush_reorder_holds();
             match result {
                 Ok(out) => {
@@ -527,7 +550,7 @@ impl Cluster {
                 if net.events.set(Arc::clone(&sched)).is_err() {
                     unreachable!("the events slot is set exactly once per RunNet");
                 }
-                events::drive(&sched, &net.waits, &|rank| net.describe_wait(rank))
+                events::drive(&sched, &|rank| net.describe_wait(rank))
             }
             EngineMode::Threads => std::thread::scope(|scope| {
                 let body = &body;
@@ -560,11 +583,7 @@ impl Cluster {
                 msg.contains("panicked while this rank was receiving")
             };
             let idx = panics.iter().position(|p| !is_consequence(p)).unwrap_or(0);
-            let chosen = panics.swap_remove(idx);
-            if let Some(t) = chosen.downcast_ref::<RecvTimeout>() {
-                panic!("{t} (timeouts are per-rank outcomes under Cluster::run_outcome)");
-            }
-            std::panic::resume_unwind(chosen);
+            return (Err(panics.swap_remove(idx)), stats);
         }
 
         let out: Vec<R> = results
@@ -584,7 +603,7 @@ impl Cluster {
                 .filter_map(OutSlot::into_inner)
                 .collect(),
         );
-        (out, log, stats)
+        (Ok((out, log)), stats)
     }
 }
 

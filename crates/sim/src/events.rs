@@ -33,16 +33,25 @@
 //!   puts `(key, rank)` on the ready heap, and the loop pops the
 //!   minimum. Non-blocked ranks drain before long conversations
 //!   continue, which keeps memory low.
-//! - **Matched-wake handoff.** A parked rank's wait edge in the run's
-//!   wait-for graph names the `(src, tag)` it waits for, and a delivery
-//!   that puts exactly that message into its mailbox says so
+//! - **Matched-wake handoff, by a direct switch.** A parked rank's wait
+//!   edge in the run's wait-for graph names the `(src, tag)` it waits
+//!   for, and a delivery of exactly that message says so
 //!   ([`EventSched::wake_matched`]). Such a wake goes to the *handoff
-//!   slot* instead of the heap. When the slice of rank R ends
-//!   with R parked on the rank S in the slot — R answered S and now
-//!   waits for S's reply — the loop resumes S next and the heap is
-//!   bypassed: the two sides of a ping-pong run back to back on hot
-//!   stacks and mailboxes instead of taking turns with every other live
-//!   conversation. In every other case (R parked on someone else, R
+//!   slot* instead of the heap. When rank R then parks on the rank S
+//!   in the slot — R answered S and now waits for S's reply — S runs
+//!   next and the heap is bypassed: the two sides of a ping-pong run
+//!   back to back on hot stacks and mailboxes instead of taking turns
+//!   with every other live conversation. On the fiber backend R's park
+//!   ([`EventSched::park`]) records itself (key, one slice, one
+//!   handoff) and switches straight to S's stack, which inherits the
+//!   loop's return context (`cont::switch_to`): a ping-pong leg is one
+//!   stack switch, and [`drive`] gets the thread back only when a
+//!   slice ends some other way — then it settles whichever rank the
+//!   chain ended on, parked or finished. Every parked fiber is a
+//!   switch target, including a fresh rank's body still on the loop's
+//!   hot fiber. The thread backend has no stacks to switch to, so its
+//!   loop takes the same handoff itself, and both count and order the
+//!   same slices. In every other case (R parked on someone else, R
 //!   finished, a later matched wake displaced S from the slot) S moves
 //!   to the heap under the key it parked with, exactly as a plain wake
 //!   would have queued it. Completion, poison and deadline-fire wakes
@@ -55,10 +64,27 @@
 //! the loop's thread, and the thread backend's strict handoff keeps the
 //! loop blocked in `resume` while the body runs. So every `wake` finds
 //! its target either parked (and queues it, on the heap or in the
-//! handoff slot, which the loop empties at the end of the same slice)
-//! or bound to re-check its mailbox before it parks (a no-op). A woken
-//! receiver re-checks its mailbox on every resume, so a wake that turns
-//! out not to help costs one slice and nothing else.
+//! handoff slot, which the next park or the loop empties before the
+//! slice ends) or bound to re-check its mailbox before it parks (a
+//! no-op). A woken receiver re-checks its mailbox on every resume.
+//!
+//! **Only the awaited delivery wakes.** Since the wait edge is
+//! registered before a rank parks and stays until it next drains its
+//! mailbox, `RunNet::send` knows exactly which delivery a parked rank
+//! waits for, and wakes it for that `(src, tag)` or for poison only:
+//! any other envelope waits in the mailbox, unseen, until the rank
+//! drains it for its own reasons — it could not have released the
+//! rank anyway. Completion and deadline-fire wakes are flags, not
+//! deliveries, and still wake. Two rules keep this safe. A cycle probe
+//! runs only when the awaited rank is itself parked: a cycle through a
+//! rank that still runs is found when that rank parks, by its own
+//! probe. And deadlock confirmation asks whether a queued envelope
+//! matches the edge or is poison, not whether the mailbox is empty — a
+//! parked rank's mailbox may hold envelopes it does not wait for, and
+//! counting those as hope would refute a real cycle and stall the run.
+//! (The reference engine keeps notifying on every delivery: its sender
+//! reads the edge before taking the mailbox lock, so it could miss a
+//! registration made just after.)
 //!
 //! The same fact — one slice at a time, each ordered after the last by
 //! the loop itself or by the thread backend's mutex/condvar handoff — is
@@ -74,15 +100,16 @@
 //! ([`EventSched::stall_report`]) instead of waiting.
 
 use std::any::Any;
+#[cfg(test)]
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 use crate::cont::InlineRun;
-use crate::cont::{self, Backend, Continuation, InlineFiber, Resume};
+use crate::cont::{self, Backend, Continuation, FiberRef, InlineFiber, Resume};
 use crate::lockutil::RunLock;
-use crate::waitgraph::WaitGraph;
 use crate::EngineMode;
 
 /// The shared per-rank body: the scheduler calls it once per rank. One
@@ -115,20 +142,31 @@ pub(crate) struct RunStats {
     /// Rank slices executed: one per start or resume of a rank.
     pub(crate) slices: u64,
     /// Slices whose rank was taken from the handoff slot, bypassing the
-    /// ready heap (see the module docs).
+    /// ready heap (see the module docs), whether by a direct switch or
+    /// through the loop.
     pub(crate) handoffs: u64,
 }
 
-/// What the `RunNet` wake hooks share with the run loop.
+/// What the `RunNet` wake hooks, the parking rank and the run loop
+/// share.
 struct ReadyState {
     /// The virtual-time key each rank is parked with; `None` while the
     /// rank is queued, executing or finished, where `wake` is a no-op.
     parked: Vec<Option<u64>>,
+    /// Each rank's switch target, recorded when it parks on the fiber
+    /// backend (always `None` on the thread backend, which has none).
+    fibers: Vec<Option<FiberRef>>,
     /// The handoff slot: the `(key, rank)` most recently woken by a
     /// delivery of exactly the message it was parked on. Filled only by
-    /// the executing slice and emptied by the loop when that slice
-    /// ends, so it is always empty between slices.
+    /// the executing slice and emptied by the direct switch or by the
+    /// loop when that slice ends, so it is always empty between slices.
     handoff: Option<(u64, usize)>,
+    /// The rank executing now: the one the loop started or resumed, or
+    /// the one the last direct switch moved to.
+    current: usize,
+    /// Whom the rank that last returned to the loop by parking waits
+    /// for; set by [`EventSched::park`], taken by the loop.
+    parked_on: Option<usize>,
     /// Next initially-seeded rank not yet started. Every rank starts
     /// ready at virtual time zero, so this cursor *is* the
     /// `(key₀, rank)` run of the merged ready sequence — seeding n
@@ -138,6 +176,8 @@ struct ReadyState {
     /// the rank tiebreak makes pop order fully deterministic for equal
     /// keys.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// This run's counters, kept by the loop and the direct switch.
+    stats: RunStats,
 }
 
 impl ReadyState {
@@ -163,6 +203,14 @@ impl ReadyState {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many times a [`drive`] on this thread got the thread back
+    /// from a rank: once per slice it started, however many direct
+    /// switches that slice's chain made.
+    static LOOP_RETURNS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Result of one rank's execution slice.
 enum Outcome {
     /// The body returned (inline dispatch carries any panic payload
@@ -172,10 +220,11 @@ enum Outcome {
     Parked { cont: Continuation, key: u64 },
 }
 
-/// The per-run event scheduler: the run loop plus the `wake` hook. The
-/// ready state has one owner at a time — the loop between slices, the
-/// executing rank's `wake` calls during one — so its lock is the
-/// single-owner arm of [`RunLock`]: a checked flag, not a mutex.
+/// The per-run event scheduler: the run loop plus the `wake` and
+/// `park` hooks. The ready state has one owner at a time — the loop
+/// between slices, the executing rank's hook calls during one — so its
+/// lock is the single-owner arm of [`RunLock`]: a checked flag, not a
+/// mutex.
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
     runq: RunLock<ReadyState>,
@@ -195,19 +244,23 @@ impl EventSched {
         let backend = Backend::Thread;
         let ready = ReadyState {
             parked: vec![None; n],
+            fibers: vec![None; n],
             handoff: None,
+            current: 0,
+            parked_on: None,
             seed_cursor: 0,
             ready: BinaryHeap::new(),
+            stats: RunStats::default(),
         };
         EventSched {
             // SAFETY: `runq` is used by `drive`, which holds no guard
-            // while a rank executes, and by `requeue`, which only the
-            // rank `drive` is executing reaches (through `RunNet::wake`
-            // or directly). Slices run one at a time — on the loop's
-            // thread under the fiber backend, behind the `events.cont`
-            // mutex/condvar handoff under the thread backend — so all
-            // uses are ordered by happens-before, and no guard lives
-            // across a `suspend_current` (module docs).
+            // while a rank executes, and by `requeue` and `park`, which
+            // only the rank executing reaches (through `RunNet`).
+            // Slices run one at a time — on the loop's thread under the
+            // fiber backend, behind the `events.cont` mutex/condvar
+            // handoff under the thread backend — so all uses are
+            // ordered by happens-before, and no guard lives across a
+            // `suspend_current` or `switch_to` (module docs).
             runq: unsafe { RunLock::new(EngineMode::Events, "events.sched", 15, ready) },
             n,
             body,
@@ -215,18 +268,52 @@ impl EventSched {
         }
     }
 
-    /// Parks the calling rank until it is woken: suspends its
-    /// continuation with the virtual-time `key`. The caller must hold no
-    /// lock guard (see `cont::suspend_current`).
-    pub(crate) fn park(&self, key: u64) {
-        cont::suspend_current(key);
+    /// Parks the calling rank, which waits for a message from
+    /// `awaited`, until it is woken, under the virtual-time `key`. If
+    /// `awaited` sits in the handoff slot, this park *is* the handoff
+    /// (module docs): on the fiber backend it is recorded here and the
+    /// thread switches straight to `awaited`'s stack; otherwise the
+    /// loop takes it. The caller must hold no lock guard (see
+    /// `cont::suspend_current`).
+    pub(crate) fn park(&self, key: u64, awaited: usize) {
+        let mut st = self.runq.acquire();
+        let me = st.current;
+        let fiber = cont::current_fiber();
+        st.fibers[me] = fiber;
+        let target = match st.handoff {
+            Some((_, next)) if next == awaited && fiber.is_some() => st.fibers[next],
+            _ => None,
+        };
+        let Some(target) = target else {
+            st.parked_on = Some(awaited);
+            drop(st);
+            cont::suspend_current(key);
+            return;
+        };
+        st.handoff = None;
+        st.parked[me] = Some(key);
+        st.current = awaited;
+        st.stats.slices += 1;
+        st.stats.handoffs += 1;
+        drop(st);
+        // SAFETY: `target` was recorded by `awaited`'s own park on this
+        // thread, and `awaited` has not run since — a rank leaves the
+        // handoff slot only by being run — so it is a parked fiber whose
+        // continuation the loop still owns; the guard is dropped.
+        unsafe { cont::switch_to(key, target) };
     }
 
-    /// Wake hook called by `RunNet` after any state change a parked
-    /// receiver might be waiting on (message delivery, rank completion,
-    /// deadline-cycle firing). Always safe to over-call: waking a rank
-    /// that is not parked is a no-op, and a woken receiver simply
-    /// re-checks its mailbox.
+    /// Whether `rank` is parked: a wait on it can only close a cycle
+    /// then (a queued or executing rank has yet to park and probe).
+    pub(crate) fn is_parked(&self, rank: usize) -> bool {
+        self.runq.acquire().parked[rank].is_some()
+    }
+
+    /// Wake hook called by `RunNet` after a state change a parked
+    /// receiver waits on (the awaited delivery, poison, rank
+    /// completion, deadline-cycle firing). Always safe to over-call:
+    /// waking a rank that is not parked is a no-op, and a woken
+    /// receiver simply re-checks its mailbox.
     pub(crate) fn wake(&self, rank: usize) {
         self.requeue(rank, false);
     }
@@ -307,9 +394,15 @@ impl EventSched {
     }
 }
 
-/// Resumes `cont` until its body parks or finishes.
+/// Resumes `cont` until the chain of fibers it starts hands the thread
+/// back to the loop.
 fn resume(mut cont: Continuation) -> Outcome {
-    match cont.resume() {
+    let r = cont.resume();
+    outcome_of(cont, r)
+}
+
+fn outcome_of(mut cont: Continuation, r: Resume) -> Outcome {
+    match r {
         Resume::Finished => Outcome::Finished {
             panic: cont.take_panic(),
         },
@@ -319,15 +412,15 @@ fn resume(mut cont: Continuation) -> Outcome {
 
 /// Runs the scheduler to completion on the calling thread: take the
 /// handed-off rank or else pop the `(key, rank)` minimum, run it until
-/// it parks or finishes, record the outcome — one guard of the ready
-/// state per rank slice, never alive while a rank executes (the lock is
-/// the run's single-owner flag, so that is a check, not a cost). Then
-/// re-throws the first panic that escaped a rank body, if any (engine
-/// bodies catch rank panics themselves, so that is a bug trap, not a
-/// normal path); the queue is still drained first, so ranks that can
-/// finish do. `waits` is the run's wait-for graph: a parked rank's edge
-/// names whom it waits for, which the handoff rule reads;
-/// `describe_wait` words the same edge for the stall report.
+/// the thread comes back — the rank, or the last rank of a chain of
+/// direct switches, parked or finished — and record that outcome: one
+/// guard of the ready state per return, never alive while a rank
+/// executes (the lock is the run's single-owner flag, so that is a
+/// check, not a cost). Then re-throws the first panic that escaped a
+/// rank body, if any (engine bodies catch rank panics themselves, so
+/// that is a bug trap, not a normal path); the queue is still drained
+/// first, so ranks that can finish do. `describe_wait` words what a
+/// parked rank waits for, for the stall report.
 ///
 /// # Panics
 /// Panics with [`EventSched::stall_report`] if the run stalls. The
@@ -336,11 +429,7 @@ fn resume(mut cont: Continuation) -> Outcome {
 /// rank's OS thread stays blocked until process exit, so whatever the
 /// parked bodies own leaks. A stalled program is a bug to fix, not a
 /// state to recover memory from.
-pub(crate) fn drive(
-    sched: &Arc<EventSched>,
-    waits: &WaitGraph,
-    describe_wait: &dyn Fn(usize) -> String,
-) -> RunStats {
+pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) -> RunStats {
     let mut hot = InlineFiber::new();
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -348,7 +437,6 @@ pub(crate) fn drive(
     let mut conts: Vec<Option<Continuation>> = (0..sched.n).map(|_| None).collect();
     let mut finished = 0;
     let mut first_panic = None;
-    let mut stats = RunStats::default();
     // The rank the last slice handed off to, if any.
     let mut handed: Option<usize> = None;
     let mut st = sched.runq.acquire();
@@ -359,38 +447,58 @@ pub(crate) fn drive(
             }
             panic!("{}", sched.stall_report(&st, finished, describe_wait));
         };
+        st.current = rank;
+        st.stats.slices += 1;
         drop(st);
-        stats.slices += 1;
-        let outcome = match conts[rank].take() {
+        let mut outcome = match conts[rank].take() {
             Some(cont) => resume(cont),
             None => sched.start_rank(rank, &mut hot),
         };
+        #[cfg(test)]
+        LOOP_RETURNS.with(|n| n.set(n.get() + 1));
+        // A chain of direct switches ends on the rank current now; the
+        // rank the loop ran parked on its way, and that park is on
+        // record. (Settling the last one may return its stack to the
+        // pool, whose lock ranks below this one: no guard meanwhile.)
+        let last = sched.runq.acquire().current;
+        if last != rank {
+            let Outcome::Parked { cont, .. } = outcome else {
+                unreachable!("a rank that switched away is parked");
+            };
+            conts[rank] = Some(cont);
+            let mut cont = conts[last]
+                .take()
+                .expect("a switch target is a parked continuation");
+            let r = cont.returned();
+            outcome = outcome_of(cont, r);
+        }
         st = sched.runq.acquire();
-        // Whom this slice left its rank parked on.
-        let mut parked_on = None;
         match outcome {
             Outcome::Finished { panic } => {
                 finished += 1;
+                st.fibers[last] = None;
                 first_panic = first_panic.or(panic);
             }
             Outcome::Parked { cont, key } => {
-                conts[rank] = Some(cont);
-                st.parked[rank] = Some(key);
-                parked_on = waits.waiting_on(rank).map(|(src, _)| src);
+                conts[last] = Some(cont);
+                st.parked[last] = Some(key);
             }
         }
-        // Matched-wake handoff (module docs): the slice delivered to
-        // `next` the message it was parked on and now waits for `next`
-        // in turn. Anything else in the slot is an ordinary wake.
+        // Matched-wake handoff through the loop (module docs): the
+        // slice delivered to `next` the message it was parked on and
+        // now waits for `next` in turn. Anything else in the slot is an
+        // ordinary wake.
+        let parked_on = st.parked_on.take();
         if let Some((key, next)) = st.handoff.take() {
             if parked_on == Some(next) {
                 handed = Some(next);
-                stats.handoffs += 1;
+                st.stats.handoffs += 1;
             } else {
                 st.ready.push(Reverse((key, next)));
             }
         }
     }
+    let stats = st.stats;
     drop(st);
     if let Some(p) = first_panic {
         std::panic::resume_unwind(p);
@@ -439,10 +547,10 @@ mod tests {
         Arc::new(EventSched::new(n, Box::new(body), backend))
     }
 
-    /// Drives a scheduler whose ranks park outside any receive (no
-    /// wait edges, so no handoffs).
+    /// Drives a scheduler whose ranks park outside any receive (they
+    /// name no awaited rank, so no handoffs).
     fn drive_bare(sched: &Arc<EventSched>) {
-        drive(sched, &WaitGraph::new(sched.n), &|_| String::new());
+        drive(sched, &|_| String::new());
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -662,6 +770,154 @@ mod tests {
         assert_eq!((&order, stats), (&threads.0, threads.1), "thread backend");
     }
 
+    /// How the last rank of [`chain_run`]'s chain ends.
+    #[derive(Clone, Copy, PartialEq)]
+    enum ChainEnd {
+        Finish,
+        Panic,
+    }
+
+    /// What [`chain_run`] observed: the run's results or root-cause
+    /// panic message, the per-rank log, the counters, and how often the
+    /// loop got the thread back and fiber stacks went back to the pool
+    /// during the run.
+    type ChainRun = (Result<Vec<u32>, String>, Vec<String>, RunStats, u64, u64);
+
+    /// Ranks 0 and 1 ping-pong `TRIPS` times beside six bystanders.
+    /// Rank 0 parks first, so rank 1 — fresh, on the loop's hot fiber —
+    /// starts a chain of direct switches on its second receive, and
+    /// the chain switches back to it before the loop ever promotes it.
+    /// After the last reply rank 1 waits for one more message, so the
+    /// chain's last rank is rank 0: it sends that message and rank 2's,
+    /// then finishes, or it panics instead. Ranks 1 and 2 log what
+    /// their last receive got.
+    fn chain_run(backend: Backend, end: ChainEnd) -> ChainRun {
+        const TRIPS: u32 = 500;
+        let log = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let body = |ctx: &mut crate::RankCtx| {
+            let me = ctx.rank();
+            let last_recv = |ctx: &mut crate::RankCtx, tag| {
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ctx.recv_t::<u32>(0, tag)
+                }));
+                let entry = match got {
+                    Ok(v) => format!("rank {me} got {v}"),
+                    Err(p) => format!("rank {me}: {}", p.downcast_ref::<String>().unwrap()),
+                };
+                log.acquire().push(entry);
+            };
+            match me {
+                0 => {
+                    for trip in 0..TRIPS {
+                        ctx.send_t::<u32>(1, 5, trip);
+                        assert_eq!(ctx.recv_t::<u32>(1, 6), trip);
+                    }
+                    if end == ChainEnd::Panic {
+                        panic!("chain end bug");
+                    }
+                    ctx.send_t::<u32>(1, 7, 77);
+                    ctx.send_t::<u32>(2, 9, 99);
+                }
+                1 => {
+                    for _ in 0..TRIPS {
+                        let got = ctx.recv_t::<u32>(0, 5);
+                        ctx.send_t::<u32>(0, 6, got);
+                    }
+                    last_recv(ctx, 7);
+                }
+                2 => last_recv(ctx, 9),
+                _ => {}
+            }
+            me as u32 * 10
+        };
+        let (returns, recycled) = (counter_now(&LOOP_RETURNS), recycled_stacks());
+        let (run, stats) = events_cluster(1).run_settled(backend, &body);
+        let run = run.map(|(out, _)| out).map_err(|p| {
+            p.downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .expect("the root cause panics with a literal")
+        });
+        let log = std::mem::take(&mut *log.acquire());
+        let returns = counter_now(&LOOP_RETURNS) - returns;
+        (run, log, stats, returns, recycled_stacks() - recycled)
+    }
+
+    fn counter_now(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+        counter.with(Cell::get)
+    }
+
+    /// Fiber stacks this thread returned to the pool so far (none
+    /// without the fiber backend).
+    fn recycled_stacks() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        return crate::cont::recycled_stacks();
+        #[cfg(not(target_arch = "x86_64"))]
+        0
+    }
+
+    /// Runs [`chain_run`] on both backends, checks they agree on
+    /// everything but the loop returns, and returns the fiber run.
+    fn chain_run_on_both_backends(end: ChainEnd) -> ChainRun {
+        let fiber = chain_run(Backend::Fiber, end);
+        let thread = chain_run(Backend::Thread, end);
+        assert_eq!(
+            (&fiber.0, &fiber.1, fiber.2),
+            (&thread.0, &thread.1, thread.2),
+            "thread backend"
+        );
+        // The thread backend takes every slice through the loop.
+        assert_eq!(thread.3, thread.2.slices, "{:?}", thread.2);
+        fiber
+    }
+
+    #[test]
+    fn a_chain_that_ends_in_a_finish_delivers_its_result_and_reaps_its_stack() {
+        let (run, log, stats, _, recycled) = chain_run_on_both_backends(ChainEnd::Finish);
+        assert_eq!(run, Ok((0..8).map(|r| r * 10).collect()));
+        assert_eq!(log, ["rank 2 got 99", "rank 1 got 77"]);
+        // Every leg after rank 1's first reply is a handoff.
+        assert_eq!(stats.handoffs, 999, "{stats:?}");
+        if cfg!(target_arch = "x86_64") {
+            // Ranks 0 and 1 parked, so both ran on stacks of their own,
+            // and both went back to the pool as their ranks finished:
+            // rank 0's when its chain ended, rank 1's after its resume.
+            assert_eq!(recycled, 2);
+        }
+    }
+
+    #[test]
+    fn a_chain_that_ends_in_a_panic_rethrows_the_root_cause_and_poisons_peers() {
+        let (run, log, stats, _, recycled) = chain_run_on_both_backends(ChainEnd::Panic);
+        assert_eq!(run, Err("chain end bug".to_string()));
+        let poisoned = |r: usize| {
+            format!(
+                "rank {r}: rank {r}: peer rank 0 panicked while this rank was receiving (src 0, \
+                 tag {})",
+                if r == 1 { 7 } else { 9 }
+            )
+        };
+        assert_eq!(log, [poisoned(2), poisoned(1)]);
+        // Every leg after rank 1's first reply is a handoff.
+        assert_eq!(stats.handoffs, 999, "{stats:?}");
+        if cfg!(target_arch = "x86_64") {
+            assert_eq!(recycled, 2);
+        }
+    }
+
+    #[test]
+    fn a_chain_starts_on_the_hot_fiber_and_switches_to_every_parked_fiber() {
+        let (_, _, stats, returns, _) = chain_run_on_both_backends(ChainEnd::Finish);
+        if cfg!(target_arch = "x86_64") {
+            // Every handoff was a direct switch, including the ones to
+            // rank 1 while it was still parked on the hot fiber: the
+            // loop got the thread back once per other slice only.
+            // Once for rank 0's first park, once for the chain, once
+            // for each bystander and once for rank 1's last resume.
+            assert_eq!(returns, stats.slices - stats.handoffs, "{stats:?}");
+            assert_eq!(returns, 9, "{stats:?}");
+        }
+    }
+
     #[test]
     fn a_matching_delivery_alone_does_not_hand_off() {
         // Rank 1 delivers exactly what rank 0 is parked on, then parks
@@ -706,7 +962,15 @@ mod tests {
         // at once. Running woken partners ahead of the heap order (pure
         // LIFO) makes them park again on every round; the mutual-wait
         // rule must leave this workload's slice count alone.
-        const HEAP_ONLY_SLICES: u64 = 11_735;
+        //
+        // The heap-only count: a rank sends and then receives without
+        // parking in between, so of the two receives of each exchange
+        // exactly one parks — the one whose rank ran first; its partner
+        // then sends (the awaited delivery, which wakes it) and finds
+        // the reply already queued. Only the awaited delivery wakes a
+        // parked rank, so every park costs exactly one resume: 64 first
+        // slices plus one per exchange, 64 · 50 · 6 / 2 of them.
+        const HEAP_ONLY_SLICES: u64 = 64 + 64 * 50 * 6 / 2;
         let cluster = events_cluster(8);
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
@@ -746,10 +1010,11 @@ mod tests {
 
     #[test]
     fn detector_heavy_program_runs_identically_on_both_backends() {
-        // Ranks 0 and 1 ping-pong 1,000 trips: every park runs the
-        // detector's probe, which finds the transient 2-cycle and
-        // refutes it at the non-empty mailbox. Then ranks 0..3 close a
-        // genuine 3-cycle (rank 2 has been parked on rank 0 all along).
+        // Ranks 0 and 1 ping-pong 1,000 trips: a park whose awaited
+        // rank is parked too runs the detector's probe, and any other
+        // skips it, since that rank still has to park. Then ranks 0..3
+        // close a genuine 3-cycle (rank 2 has been parked on rank 0 all
+        // along).
         // The rank that parks last diagnoses it; here each rank catches
         // a diagnosis and releases its waiter, so the run ends and its
         // counters can be compared.

@@ -262,7 +262,8 @@ pub fn testbed(nodes: usize, cores_per_node: usize) -> MachineSpec {
 
 /// A fully deterministic machine for precision tests: zero jitter, zero
 /// link asymmetry, zero NIC contention and ideal clocks. Algorithmic
-/// results on it are exact up to floating-point error.
+/// results on it are exact only up to `MpiWtime`'s 1 ns read
+/// resolution (ROADMAP item 10), not up to floating-point error.
 pub fn quiet_testbed(nodes: usize, cores_per_node: usize) -> MachineSpec {
     let mut m = testbed(nodes, cores_per_node);
     m.name = "QuietTestbed";

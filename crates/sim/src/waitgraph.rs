@@ -12,20 +12,22 @@
 //! - [`WaitGraph::begin_wait`] / [`WaitGraph::end_wait`] bracket the
 //!   *parked* portions of one logical receive (`RankCtx::pull_match`):
 //!   the engine clears the edge — under the waiter's mailbox lock — at
-//!   the moment it pops any envelope, and re-registers it if the
+//!   the moment it takes any envelope, and re-registers it if the
 //!   envelope did not match. Probes take that same lock, so a probe
-//!   that sees a registered edge and an empty mailbox is never looking
-//!   at a rank that has a just-popped envelope in hand.
+//!   that sees a registered edge is never looking at a rank that has a
+//!   just-taken envelope in hand.
 //! - Each time a rank is about to park — by suspending its
-//!   continuation (`cont::suspend_current`), or on its mailbox condvar
-//!   under the reference engine; the probe runs before each park in
-//!   both — it runs
-//!   [`WaitGraph::find_candidate`]. A candidate cycle is **not** proof:
-//!   edges are registered before messages in flight are drained, so two
-//!   ranks mid-ping-pong transiently form a 2-cycle.
+//!   continuation, or on its mailbox condvar under the reference
+//!   engine — it runs [`WaitGraph::find_candidate`] (the events engine
+//!   skips it while the awaited rank is not parked: the cycle, if any,
+//!   closes when that rank parks and probes). A candidate cycle is
+//!   **not** proof: edges are registered before messages in flight are
+//!   drained, so two ranks mid-ping-pong transiently form a 2-cycle.
 //! - The engine therefore confirms via [`WaitGraph::confirm`], probing
 //!   every member under its mailbox lock: the edge must still be
-//!   registered *and* the mailbox must be empty.
+//!   registered *and* no queued envelope may match it or be poison (a
+//!   parked events-engine rank's mailbox may hold envelopes it does not
+//!   wait for, since only the awaited delivery wakes it).
 //!
 //! ## Why one probe pass is not enough (the ABA edge)
 //!
@@ -37,13 +39,13 @@
 //! stitch edges from different iterations into a "cycle" that never
 //! coexisted. To rule this out, every `begin_wait` bumps a per-rank
 //! monotone generation counter, and confirmation runs the verification
-//! walk **twice**: each walk checks every edge (registered + mailbox
-//! empty, under the lock) and sums the generations it saw. Equal sums of
+//! walk **twice**: each walk checks every edge (registered + no match
+//! queued, under the lock) and sums the generations it saw. Equal sums of
 //! monotone counters mean each generation was unchanged, i.e. each edge
 //! was continuously registered over an interval spanning both of its
 //! probes — and all those intervals contain the instant between the two
 //! walks. A matching message present at that instant would either still
-//! be in the queue at the second probe (refuted by the emptiness check)
+//! be in the queue at the second probe (refuted by the match check)
 //! or have been consumed (refuted by the generation or `IDLE` check). So
 //! a double-confirmed cycle is a set of simultaneously blocked ranks
 //! with no satisfying message anywhere: a genuine deadlock.
@@ -213,7 +215,7 @@ impl WaitGraph {
 
     /// Walks the candidate cycle through `anchor`, re-reading each edge
     /// and verifying it with `edge_holds` (the engine probes: edge still
-    /// registered *and* the waiter's mailbox empty, under its lock). The
+    /// registered *and* no match queued for it, under its lock). The
     /// walk runs **twice**; generations must match between the walks
     /// (see the module docs for why a single pass is unsound for
     /// value-identical re-registered edges). If the verified edges close

@@ -25,7 +25,8 @@
 //!   (`g = g.wait(&cv)`) with no other guard held. A `RunLock` guard
 //!   is a guard like any other here, whichever arm the run's engine
 //!   picked: the single-owner arm of an events run is only sound
-//!   because nothing holds it across `cont::suspend_current`;
+//!   because nothing holds it across `cont::suspend_current` or
+//!   `cont::switch_to`;
 //! - **atomics** (`concurrency/relaxed-atomic`) — every
 //!   `Ordering::Relaxed` in library code of the concurrency-sensitive
 //!   crates needs an `// atomics:` comment explaining why relaxed
@@ -504,15 +505,16 @@ fn lock_order_walk(
 /// sees guards held. The consumed-guard condvar wait
 /// (`g = g.wait(&cv)`) is the one sanctioned shape — the innermost
 /// guard is handed to the condvar, and nothing else may be held.
-/// `suspend_current` is stricter still: a continuation suspension may
-/// resume on a *different OS thread* (cont.rs), so a guard held across
-/// it would be released on the wrong thread — no consumed-guard
-/// exemption exists for it.
+/// `suspend_current` (and `switch_to`, which suspends the running
+/// fiber in favor of another) is stricter still: a continuation
+/// suspension may resume on a *different OS thread* (cont.rs), so a
+/// guard held across it would be released on the wrong thread — no
+/// consumed-guard exemption exists for it.
 fn check_blocking(path: &str, ln: usize, line: &str, held: &[Held], out: &mut Vec<Finding>) {
     let wait = line.contains(".wait(");
     let park = has_word(line, "park");
     let recv = has_word(line, "recv_batch");
-    let susp = has_word(line, "suspend_current");
+    let susp = has_word(line, "suspend_current") || has_word(line, "switch_to");
     if !wait && !park && !recv && !susp {
         return;
     }
@@ -830,11 +832,18 @@ fn good(s: &S) {
     drop(g);
     crate::cont::suspend_current(0);
 }
+fn bad_switch(s: &S, next: FiberRef) {
+    let g = lock_ignore_poison(&s.m);
+    unsafe { crate::cont::switch_to(g_key(&g), next) };
+}
 ";
         let hits = lock_findings(&[("crates/sim/src/engine/net.rs", src)]);
         assert_eq!(
             hits,
-            vec![("concurrency/guard-across-blocking".to_string(), 6)]
+            vec![
+                ("concurrency/guard-across-blocking".to_string(), 6),
+                ("concurrency/guard-across-blocking".to_string(), 15),
+            ]
         );
     }
 

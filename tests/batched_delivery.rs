@@ -1,21 +1,23 @@
-//! Edge cases of the batched message path: senders stage envelopes in a
-//! per-destination segment that is flushed as one mailbox mutation, and
-//! receivers drain whole batches into a local ring. None of that may be
-//! observable in delivery semantics — FIFO per (src, tag), no message
-//! stranded at a park or at body end, correct cross-destination order.
+//! Delivery semantics of the message path: FIFO per (src, tag), no
+//! message stranded at a park or at body end, and cross-destination
+//! order. Senders deliver each envelope to the destination mailbox as
+//! they post it, and receivers take the whole mailbox at once into a
+//! local ring, so one receive may see many messages or one; none of
+//! that may be observable. (Two test names still say "staged" from the
+//! time senders buffered a per-destination segment; what they pin —
+//! nothing posted is lost before a park or at body end — is unchanged.)
 
 use hierarchical_clock_sync::prelude::*;
 
-/// Larger than the engine's staging segment (32), so bursts cross
-/// multiple flush boundaries.
+/// Long enough that a receiver drains a burst over several batches.
 const BURST: u32 = 100;
 
 #[test]
 fn staged_sends_are_flushed_before_a_sender_parks() {
-    // Rank 0 stages a send and then immediately blocks in a receive; if
-    // the staging segment were not flushed on the way into the blocking
-    // receive, both ranks would wait on messages neither delivered (and
-    // the deadlock detector would confirm a cycle that user code never
+    // Rank 0 sends and then immediately blocks in a receive; if the
+    // send were not delivered on the way into the blocking receive,
+    // both ranks would wait on messages neither delivered (and the
+    // deadlock detector would confirm a cycle that user code never
     // wrote).
     let cluster = machines::testbed(2, 1).cluster(41);
     let out = cluster.run(|ctx| {
@@ -35,9 +37,9 @@ fn staged_sends_are_flushed_before_a_sender_parks() {
 
 #[test]
 fn fifo_order_is_preserved_across_batch_boundaries() {
-    // A burst of BURST > STAGE_MAX messages on one (src, tag) is
-    // delivered in several separate mailbox mutations; the receiver
-    // must still observe exact send order.
+    // A burst of BURST messages on one (src, tag) reaches the receiver
+    // in whatever batches its receives find; it must still observe
+    // exact send order.
     let cluster = machines::testbed(2, 1).cluster(42);
     cluster.run(|ctx| {
         if ctx.rank() == 0 {
@@ -99,11 +101,10 @@ fn staged_sends_are_flushed_at_body_end() {
 
 #[test]
 fn destination_switches_preserve_cross_destination_send_order() {
-    // Staging coalesces consecutive same-destination sends; a
-    // destination switch flushes the previous segment first, so the
-    // mailbox arrival order across destinations matches post order.
-    // Virtual arrival times are fixed at send time either way — this
-    // pins the host-side delivery too.
+    // Sends alternate between two destinations; each mailbox must
+    // receive its stream in post order. Virtual arrival times are
+    // fixed at send time either way — this pins the host-side
+    // delivery too.
     let cluster = machines::testbed(3, 1).cluster(45);
     let out = cluster.run(|ctx| {
         if ctx.rank() == 0 {

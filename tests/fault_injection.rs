@@ -517,6 +517,35 @@ fn deadline_wait_cycle_resolves_both_sides() {
     }
 }
 
+/// Under the events engine a parked rank is woken only by the delivery
+/// it waits for, so its mailbox may hold envelopes it does not wait for
+/// while it is parked. Here each rank queues a stale message and then
+/// `ssend`s, so both wait for an ack that never comes while the other's
+/// stale message and `ssend` data sit unreceived in their mailboxes: a
+/// deadline 2-cycle that must resolve as `WaitCycle` on both sides, on
+/// both engines, never as a stall. Deadlock confirmation that asked
+/// for an empty mailbox instead of a matching envelope would refute
+/// this cycle and stall the events engine.
+#[test]
+fn mutual_ssends_behind_stale_envelopes_resolve_as_wait_cycles() {
+    for mode in [EngineMode::Events, EngineMode::Threads] {
+        let cluster = pair(FaultPlan::new()).to_builder().engine(mode).build();
+        let outcome = cluster.run_outcome(|ctx| {
+            ctx.set_recv_timeout(Some(secs(0.5)));
+            let peer = 1 - ctx.rank();
+            ctx.send_t(peer, 3, 0.5f64);
+            ctx.ssend_t(peer, 4, 1.5f64);
+        });
+        for r in 0..2 {
+            let t = outcome.ranks[r]
+                .timed_out()
+                .unwrap_or_else(|| panic!("{mode:?}: rank {r} must time out"));
+            assert_eq!(t.reason, TimeoutReason::WaitCycle, "{mode:?}: rank {r}");
+            assert_eq!(t.src, 1 - r, "{mode:?}: rank {r}");
+        }
+    }
+}
+
 /// The timeout policy composes with the wire helpers: a plain typed
 /// receive under `set_recv_timeout` unwinds and is caught per rank.
 #[test]
