@@ -1,8 +1,9 @@
 //! Tiny dependency-free CLI flag parser for the `hcs` experiments.
 //!
 //! Supported syntax: `--key value` and `--flag` (boolean). Every
-//! experiment documents its own keys; unknown keys abort with a message
-//! so typos do not silently run the default configuration.
+//! experiment documents its own keys; unknown keys, a value key passed
+//! without its value and a boolean flag given a value abort with a
+//! message, so typos do not silently run the default configuration.
 
 use std::any::type_name;
 use std::collections::HashMap;
@@ -50,8 +51,16 @@ impl Args {
     }
 
     /// A typed value with default.
+    ///
+    /// # Panics
+    /// Panics if `--key` was passed without a value, or its value does
+    /// not parse as a `T`.
     pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
         self.check(key);
+        assert!(
+            !self.flags.iter().any(|f| f == key),
+            "--{key} expects a value"
+        );
         match self.values.get(key) {
             Some(v) => v
                 .parse()
@@ -90,8 +99,14 @@ impl Args {
     }
 
     /// Whether a boolean flag was passed.
+    ///
+    /// # Panics
+    /// Panics if the flag was given a value (`--full 1`).
     pub fn has_flag(&self, key: &str) -> bool {
         self.check(key);
+        if let Some(v) = self.values.get(key) {
+            panic!("--{key} is a boolean flag and takes no value, got {v:?}");
+        }
         self.flags.iter().any(|f| f == key)
     }
 
@@ -126,7 +141,6 @@ mod tests {
         assert_eq!(a.get("nodes", 4usize), 16);
         assert_eq!(a.get("seed", 1u64), 7);
         assert!(a.has_flag("full"));
-        assert!(!a.has_flag("nodes"));
     }
 
     #[test]
@@ -155,5 +169,19 @@ mod tests {
     fn bad_integer_panics() {
         let a = args(&["--nodes", "many"], "nodes");
         let _ = a.get("nodes", 1usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "--ranks expects a value")]
+    fn value_key_passed_bare_panics() {
+        let a = args(&["--ranks"], "ranks");
+        let _ = a.get("ranks", 10usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "--full is a boolean flag and takes no value, got \"1\"")]
+    fn boolean_flag_given_a_value_panics() {
+        let a = args(&["--full", "1"], "full");
+        let _ = a.has_flag("full");
     }
 }

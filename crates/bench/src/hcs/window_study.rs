@@ -13,9 +13,10 @@
 //! hcs window_study [--nodes 8] [--ppn 4] [--reps 100] [--seed 1]
 //! ```
 
-use crate::{global_latency, hca3_world};
+use crate::hca3_world;
 use hcs_bench::schemes::{
-    estimate_allreduce_latency, run_round_time, run_window_scheme, RoundTimeConfig, WindowConfig,
+    estimate_allreduce_latency, global_latency, run_round_time, run_window_scheme, RoundTimeConfig,
+    WindowConfig,
 };
 use hcs_experiments::Args;
 use hcs_mpi::{Comm, ReduceOp};
@@ -58,7 +59,7 @@ pub fn run(argv: Vec<String>) {
             let spent = ctx.now() - t0;
             let mut globals = Vec::new();
             for (s, &valid) in outcome.samples.iter().zip(&outcome.valid) {
-                let latency = global_latency(ctx, &mut comm, s);
+                let latency = global_latency(ctx, &mut comm, s).seconds();
                 if valid {
                     globals.push(latency);
                 }
@@ -104,7 +105,7 @@ pub fn run(argv: Vec<String>) {
         let spent = ctx.now() - t0;
         let globals: Vec<f64> = samples
             .iter()
-            .map(|s| global_latency(ctx, &mut comm, s))
+            .map(|s| global_latency(ctx, &mut comm, s).seconds())
             .collect();
         (comm.rank() == 0).then_some((globals, spent))
     });

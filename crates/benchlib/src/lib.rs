@@ -7,23 +7,25 @@
 //! - [`schemes`] — the three process-coordination schemes the paper
 //!   compares: **barrier-based** (what OSU/IMB do), **window-based**
 //!   (SKaMPI/NBCBench) and the paper's novel **Round-Time**
-//!   (Algorithm 5),
+//!   (Algorithm 5), plus [`schemes::global_latency`], the one
+//!   max-end-minus-start reduction,
 //! - [`suites`] — emulations of how OSU Micro-Benchmarks, Intel MPI
 //!   Benchmarks and ReproMPI aggregate samples into a reported latency
 //!   (Figs. 7 and 9),
 //! - [`imbalance`] — barrier exit-imbalance measurement (Fig. 8),
 //! - [`trace`] + [`workloads`] — typed trace extraction from the
 //!   observability layer and the AMG2013-proxy workload behind the
-//!   Gantt charts of Fig. 10,
+//!   Gantt charts of Fig. 10 and the span profile of §V-C,
+//! - [`tuner`] — the scheme-dependent collective tuner of §I,
+//! - [`postmortem`] — Scalasca-style linear interpolation of trace
+//!   timestamps (§II),
 //! - [`stats`] — summary statistics used throughout,
 //! - [`sweep`] — the deterministic parallel sweep executor that runs
 //!   independent experiment repetitions concurrently while keeping
 //!   every artifact byte-identical to the sequential path.
 
-pub mod guidelines;
 pub mod imbalance;
 pub mod postmortem;
-pub mod profile;
 pub mod schemes;
 pub mod stats;
 pub mod suites;
@@ -34,16 +36,16 @@ pub mod workloads;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::guidelines::{check_guideline, Guideline, GuidelineVerdict};
     pub use crate::imbalance::measure_barrier_imbalance;
-    pub use crate::postmortem::{correct_events, interpolate, measure_epoch, SyncEpoch};
-    pub use crate::profile::{ProfileReport, Profiler, RegionStats};
+    pub use crate::postmortem::{interpolate, measure_epoch, SyncEpoch};
     pub use crate::schemes::{
-        estimate_allreduce_latency, estimate_bcast_latency, run_barrier_scheme, run_round_time,
-        run_window_scheme, RepSample, RoundTimeConfig, WindowConfig, WindowOutcome,
+        estimate_allreduce_latency, estimate_bcast_latency, global_latency, run_barrier_scheme,
+        run_round_time, run_window_scheme, RepSample, RoundTimeConfig, WindowConfig, WindowOutcome,
     };
     pub use crate::stats::{Histogram, Summary};
-    pub use crate::suites::{measure_allreduce, Suite, SuiteConfig, SuiteResult};
+    pub use crate::suites::{
+        measure_allreduce, osu_mean_of_means, Suite, SuiteConfig, SuiteResult,
+    };
     pub use crate::sweep::{run_cluster_sweep, run_seed, SweepExecutor};
     pub use crate::trace::{gantt_rows, per_rank_events, TraceEvent};
     pub use crate::tuner::{

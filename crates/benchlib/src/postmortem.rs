@@ -11,14 +11,12 @@
 //! [`SyncEpoch`] (local reading + offset to the reference) at trace
 //! begin and end, then linearly interpolate every recorded timestamp —
 //! and lets experiments quantify where the linearity assumption breaks
-//! (see the `interp_study` binary).
+//! (see `hcs interp_study`).
 
 use hcs_clock::{Clock, GlobalTime, LocalTime, Span};
 use hcs_core::{ClockOffset, OffsetAlgorithm};
 use hcs_mpi::Comm;
 use hcs_sim::RankCtx;
-
-use crate::trace::TraceEvent;
 
 /// One synchronization point: at local clock reading `local`, this
 /// rank's offset to the reference clock was `offset` (reference −
@@ -85,22 +83,6 @@ pub fn interpolate(begin: SyncEpoch, end: SyncEpoch, t_local: LocalTime) -> Glob
     GlobalTime::from_raw_seconds(corrected.raw_seconds())
 }
 
-/// Applies [`interpolate`] to every event of a per-rank trace. Trace
-/// events are frame-agnostic readings, so an uncorrected event's times
-/// are re-based into the local frame before interpolating; the
-/// corrected values live in the reference frame.
-pub fn correct_events(events: &[TraceEvent], begin: SyncEpoch, end: SyncEpoch) -> Vec<TraceEvent> {
-    let fix = |t: GlobalTime| interpolate(begin, end, t.rebase_local());
-    events
-        .iter()
-        .map(|e| TraceEvent {
-            iter: e.iter,
-            enter: fix(e.enter),
-            exit: fix(e.exit),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,21 +124,6 @@ mod tests {
         // 1e-4 s/s drift, extrapolated to t=20.
         let corrected = interpolate(begin, end, LocalTime::from_raw_seconds(20.0));
         assert!((corrected.raw_seconds() - 20.002).abs() < 1e-9);
-    }
-
-    #[test]
-    fn correct_events_preserves_durations_up_to_drift() {
-        let begin = epoch(0.0, 0.0);
-        let end = epoch(100.0, 1e-3);
-        let evs = vec![TraceEvent {
-            iter: 0,
-            enter: GlobalTime::from_raw_seconds(50.0),
-            exit: GlobalTime::from_raw_seconds(50.5),
-        }];
-        let fixed = correct_events(&evs, begin, end);
-        // Duration scales by (1 + 1e-5).
-        assert!((fixed[0].duration().seconds() - 0.5 * (1.0 + 1e-5)).abs() < 1e-9);
-        assert_eq!(fixed[0].iter, 0);
     }
 
     #[test]

@@ -43,6 +43,14 @@ impl RepSample {
     }
 }
 
+/// A repetition's global latency: the slowest rank's end minus the
+/// common start, the `F64Max` allreduce of the end readings (which share
+/// the global frame). Collective: every rank calls it for every sample.
+pub fn global_latency(ctx: &mut RankCtx, comm: &mut Comm, s: &RepSample) -> Span {
+    let end = comm.allreduce_f64(ctx, s.end.raw_seconds(), ReduceOp::F64Max);
+    GlobalTime::from_raw_seconds(end) - s.start
+}
+
 /// Barrier-based measurement: `nreps` repetitions, each preceded by an
 /// `MPI_Barrier` with the given algorithm. Returns this rank's local
 /// samples (timed with `clk`).

@@ -12,11 +12,14 @@
 //! `max(end over ranks) − common start` — immune to barrier-exit
 //! imbalance by construction.
 
-use hcs_clock::{Clock, GlobalTime, Span};
+use hcs_clock::{Clock, Span};
 use hcs_mpi::{BarrierAlgorithm, Comm, ReduceOp};
 use hcs_sim::{secs, RankCtx};
 
-use crate::schemes::{estimate_bcast_latency, run_barrier_scheme, run_round_time, RoundTimeConfig};
+use crate::schemes::{
+    estimate_bcast_latency, global_latency, run_barrier_scheme, run_round_time, RepSample,
+    RoundTimeConfig,
+};
 use crate::stats::Summary;
 
 /// Which benchmark suite's methodology to emulate.
@@ -28,11 +31,6 @@ pub enum Suite {
     Imb,
     /// ReproMPI with the Round-Time scheme.
     ReproMpi,
-    /// SKaMPI style: window-based on the global clock, with the window
-    /// auto-sized from a pilot latency estimate (the scheme whose two
-    /// weaknesses — window sizing and outlier cascades — the paper's
-    /// Round-Time fixes).
-    Skampi,
 }
 
 impl Suite {
@@ -42,7 +40,6 @@ impl Suite {
             Suite::Osu => "OSU",
             Suite::Imb => "IMB",
             Suite::ReproMpi => "ReproMPI",
-            Suite::Skampi => "SKaMPI",
         }
     }
 }
@@ -97,50 +94,13 @@ pub fn measure_allreduce(
     match suite {
         Suite::Osu | Suite::Imb => {
             let samples = run_barrier_scheme(ctx, comm, g_clk, cfg.barrier, cfg.nreps, &mut op);
-            let local_mean = (samples.iter().map(|s| s.latency()).sum::<Span>()
-                / samples.len() as f64)
-                .seconds();
             let agg = match suite {
-                Suite::Osu => {
-                    comm.allreduce_f64(ctx, local_mean, ReduceOp::F64Sum) / comm.size() as f64
-                }
-                _ => comm.allreduce_f64(ctx, local_mean, ReduceOp::F64Max),
+                Suite::Osu => osu_mean_of_means(ctx, comm, &samples),
+                _ => comm.allreduce_f64(ctx, local_mean(&samples), ReduceOp::F64Max),
             };
             (comm.rank() == 0).then_some(SuiteResult {
                 latency_s: agg,
                 nreps: samples.len(),
-            })
-        }
-        Suite::Skampi => {
-            // Pilot estimate sizes the window (SKaMPI's auto-sizing);
-            // the factor leaves room for jitter without wasting slots.
-            let pilot = crate::schemes::estimate_allreduce_latency(ctx, comm, g_clk, msize, 5);
-            let cfg = crate::schemes::WindowConfig {
-                window_s: pilot * 4.0,
-                nreps: cfg.nreps,
-                first_window_slack_s: 20.0 * pilot,
-            };
-            let outcome = crate::schemes::run_window_scheme(ctx, comm, g_clk, cfg, &mut op);
-            // Global latency of the valid windows.
-            let mut globals = Vec::new();
-            for (s, &valid) in outcome.samples.iter().zip(&outcome.valid) {
-                // End readings share the global frame across ranks.
-                let max_end = GlobalTime::from_raw_seconds(comm.allreduce_f64(
-                    ctx,
-                    s.end.raw_seconds(),
-                    ReduceOp::F64Max,
-                ));
-                if valid {
-                    globals.push((max_end - s.start).seconds());
-                }
-            }
-            (comm.rank() == 0).then(|| SuiteResult {
-                latency_s: if globals.is_empty() {
-                    f64::NAN
-                } else {
-                    globals.iter().sum::<f64>() / globals.len() as f64
-                },
-                nreps: globals.len(),
             })
         }
         Suite::ReproMpi => {
@@ -152,17 +112,10 @@ pub fn measure_allreduce(
                 bcast_latency_s: bcast_lat,
             };
             let samples = run_round_time(ctx, comm, g_clk, rt, &mut op);
-            // Global per-rep latency: the slowest rank's end minus the
-            // common start (all on the global clock).
-            let mut globals = Vec::with_capacity(samples.len());
-            for s in &samples {
-                let max_end = GlobalTime::from_raw_seconds(comm.allreduce_f64(
-                    ctx,
-                    s.end.raw_seconds(),
-                    ReduceOp::F64Max,
-                ));
-                globals.push((max_end - s.start).seconds());
-            }
+            let globals: Vec<f64> = samples
+                .iter()
+                .map(|s| global_latency(ctx, comm, s).seconds())
+                .collect();
             (comm.rank() == 0).then(|| SuiteResult {
                 latency_s: if globals.is_empty() {
                     f64::NAN
@@ -173,6 +126,18 @@ pub fn measure_allreduce(
             })
         }
     }
+}
+
+/// OSU's aggregation of barrier-scheme samples: each rank's mean
+/// latency over its repetitions, averaged over ranks. Collective; every
+/// rank gets the result.
+pub fn osu_mean_of_means(ctx: &mut RankCtx, comm: &mut Comm, samples: &[RepSample]) -> f64 {
+    comm.allreduce_f64(ctx, local_mean(samples), ReduceOp::F64Sum) / comm.size() as f64
+}
+
+/// This rank's mean latency over its repetitions, seconds.
+fn local_mean(samples: &[RepSample]) -> f64 {
+    (samples.iter().map(|s| s.latency()).sum::<Span>() / samples.len() as f64).seconds()
 }
 
 #[cfg(test)]
@@ -200,20 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn skampi_window_suite_reports_and_validates() {
-        let r = run_suite(Suite::Skampi, BarrierAlgorithm::Tree, 9);
-        assert!(
-            r.latency_s > 3e-6 && r.latency_s < 300e-6,
-            "{:.3e}",
-            r.latency_s
-        );
-        // Auto-sized windows should validate the bulk of the repetitions.
-        assert!(r.nreps >= 35, "only {} valid windows", r.nreps);
-    }
-
-    #[test]
     fn all_suites_report_plausible_latencies() {
-        for suite in [Suite::Osu, Suite::Imb, Suite::ReproMpi, Suite::Skampi] {
+        for suite in [Suite::Osu, Suite::Imb, Suite::ReproMpi] {
             let r = run_suite(suite, BarrierAlgorithm::Tree, 1);
             assert!(
                 r.latency_s > 3e-6 && r.latency_s < 300e-6,
@@ -257,6 +210,5 @@ mod tests {
         assert_eq!(Suite::Osu.label(), "OSU");
         assert_eq!(Suite::Imb.label(), "IMB");
         assert_eq!(Suite::ReproMpi.label(), "ReproMPI");
-        assert_eq!(Suite::Skampi.label(), "SKaMPI");
     }
 }

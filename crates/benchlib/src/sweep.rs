@@ -198,7 +198,7 @@ impl SweepExecutor {
 /// returns the per-rank results, in point order.
 ///
 /// This is the shared seam for the scheme-comparison experiments (fig7,
-/// fig9, guidelines, reprompi, tuner): each point builds a fresh
+/// fig9, tuner): each point builds a fresh
 /// cluster from `machine` with `seed_of(point, index)` and executes
 /// `body` on every rank. `seed_of` must be a pure function of its
 /// arguments; points that should share a machine realization (e.g.

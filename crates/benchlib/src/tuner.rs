@@ -9,12 +9,15 @@
 //! barrier-based scheme (with a chosen `MPI_Barrier` algorithm) and
 //! under Round-Time, and compare the selections.
 
-use hcs_clock::{Clock, GlobalTime, Span};
+use hcs_clock::{Clock, Span};
 use hcs_mpi::{AllreduceAlgorithm, AlltoallAlgorithm, BarrierAlgorithm, Comm, ReduceOp};
 use hcs_sim::RankCtx;
 
-use crate::schemes::{run_barrier_scheme, run_round_time, OpUnderTest, RoundTimeConfig};
+use crate::schemes::{
+    global_latency, run_barrier_scheme, run_round_time, OpUnderTest, RoundTimeConfig,
+};
 use crate::stats::Summary;
+use crate::suites::osu_mean_of_means;
 
 /// How the tuner measures a candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,9 +90,7 @@ pub fn measure_candidate(
     match scheme {
         TuneScheme::Barrier { barrier, reps } => {
             let samples = run_barrier_scheme(ctx, comm, g_clk, barrier, reps, op);
-            let mean = (samples.iter().map(|s| s.latency()).sum::<Span>() / samples.len() as f64)
-                .seconds();
-            let avg = comm.allreduce_f64(ctx, mean, ReduceOp::F64Sum) / comm.size() as f64;
+            let avg = osu_mean_of_means(ctx, comm, &samples);
             (comm.rank() == 0).then_some(avg)
         }
         TuneScheme::RoundTime { slice_s, max_reps } => {
@@ -99,16 +100,10 @@ pub fn measure_candidate(
                 ..Default::default()
             };
             let samples = run_round_time(ctx, comm, g_clk, cfg, op);
-            let mut globals = Vec::with_capacity(samples.len());
-            for s in &samples {
-                // End readings share the global frame across ranks.
-                let max_end = GlobalTime::from_raw_seconds(comm.allreduce_f64(
-                    ctx,
-                    s.end.raw_seconds(),
-                    ReduceOp::F64Max,
-                ));
-                globals.push((max_end - s.start).seconds());
-            }
+            let globals: Vec<f64> = samples
+                .iter()
+                .map(|s| global_latency(ctx, comm, s).seconds())
+                .collect();
             (comm.rank() == 0).then(|| {
                 if globals.is_empty() {
                     f64::INFINITY

@@ -1,14 +1,30 @@
-//! End-to-end case studies: the tuner, the guideline checker, the
-//! profiler and the post-mortem pipeline, wired through the whole stack.
+//! End-to-end case studies: the tuner, span profiles read back from the
+//! observability layer and the post-mortem pipeline, wired through the
+//! whole stack.
 
-use hierarchical_clock_sync::bench::guidelines::{check_guideline, Guideline};
 use hierarchical_clock_sync::bench::postmortem::{interpolate, measure_epoch};
-use hierarchical_clock_sync::bench::profile::Profiler;
 use hierarchical_clock_sync::bench::trace::per_rank_events;
 use hierarchical_clock_sync::bench::tuner::{tune_allreduce, TuneScheme};
 use hierarchical_clock_sync::bench::workloads::{halo_proxy, HaloProxyConfig, HALO_SPAN};
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
+use hierarchical_clock_sync::sim::obs::ClockReadings;
+
+/// Runs `body` inside span `name` (sequence `seq`), both edges carrying
+/// `clk`'s readings.
+fn timed(
+    ctx: &mut RankCtx,
+    clk: &mut dyn Clock,
+    name: &str,
+    seq: u32,
+    body: impl FnOnce(&mut RankCtx, &mut dyn Clock),
+) {
+    let enter = clk.get_time(ctx);
+    ctx.obs_enter_read(name, seq, ClockReadings::global(enter.raw_seconds()));
+    body(ctx, clk);
+    let exit = clk.get_time(ctx);
+    ctx.obs_exit_read(ClockReadings::global(exit.raw_seconds()));
+}
 
 #[test]
 fn tuner_decisions_are_deterministic_and_seed_sensitive() {
@@ -46,75 +62,41 @@ fn tuner_decisions_are_deterministic_and_seed_sensitive() {
 }
 
 #[test]
-fn guidelines_hold_on_every_machine_profile() {
-    for machine in [
-        machines::jupiter().with_shape(4, 1, 2),
-        machines::hydra().with_shape(4, 1, 2),
-        machines::titan().with_shape(4, 1, 2),
-    ] {
-        let res = machine.cluster(9).run(|ctx| {
-            let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-            let mut comm = Comm::world(ctx);
-            let mut sync = Hca3::skampi(25, 6);
-            let mut g = sync.sync_clocks(ctx, &mut comm, Box::new(clk));
-            check_guideline(
-                ctx,
-                &mut comm,
-                g.as_mut(),
-                TuneScheme::RoundTime {
-                    slice_s: secs(0.03),
-                    max_reps: 30,
-                },
-                Guideline::AllreduceVsReduceBcast,
-                64,
-            )
-        });
-        let v = res[0].expect("root verdict");
-        assert!(
-            v.holds(0.3),
-            "{}: allreduce {:.3e} vs reduce+bcast {:.3e}",
-            machine.name,
-            v.specialized_s,
-            v.emulation_s
-        );
-    }
-}
-
-#[test]
-fn profiler_and_tracer_agree_on_halo_proxy() {
-    // The profiler's total region time must cover the observability
-    // layer's summed halo spans (same clock readings, same
-    // instrumentation points).
+fn halo_spans_nest_inside_the_enclosing_span() {
+    // Every halo span lies inside a span around the whole proxy read
+    // with the same clock, so the enclosing span covers their sum.
     let cluster = machines::testbed(3, 1)
         .cluster(11)
         .to_builder()
         .observability(ObsSpec::full())
         .build();
-    let (res, log) = cluster.run_observed(|ctx| {
+    let (_, log) = cluster.run_observed(|ctx| {
         let mut clk = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
-        let mut prof = Profiler::new();
-        prof.enter("halo", &mut clk, ctx);
-        halo_proxy(
-            ctx,
-            &mut comm,
-            &mut clk,
-            HaloProxyConfig {
-                iterations: 8,
-                ..Default::default()
-            },
-        );
-        prof.leave("halo", &mut clk, ctx);
-        prof.region("halo").total_s.seconds()
+        let cfg = HaloProxyConfig {
+            iterations: 8,
+            ..Default::default()
+        };
+        timed(ctx, &mut clk, "halo", 0, |ctx, clk| {
+            halo_proxy(ctx, &mut comm, clk, cfg)
+        });
     });
-    let spans = per_rank_events(&log, HALO_SPAN);
-    for (rank, &profiled) in res.iter().enumerate() {
-        let traced: f64 = spans[rank].iter().map(|e| e.duration().seconds()).sum();
-        assert!(
-            traced <= profiled,
-            "rank {rank}: traced {traced} inside profiled {profiled}"
-        );
-        assert!(profiled > 0.0);
+    let outer = per_rank_events(&log, "halo");
+    let inner = per_rank_events(&log, HALO_SPAN);
+    for (rank, (outer, inner)) in outer.iter().zip(&inner).enumerate() {
+        let [outer] = outer[..] else {
+            panic!("rank {rank}: {} enclosing spans", outer.len())
+        };
+        assert_eq!(inner.len(), 8, "rank {rank}");
+        for e in inner {
+            assert!(
+                outer.enter <= e.enter && e.exit <= outer.exit,
+                "rank {rank}: halo span {e:?} outside {outer:?}"
+            );
+        }
+        let traced: Span = inner.iter().map(|e| e.duration()).sum();
+        assert!(traced <= outer.duration(), "rank {rank}");
+        assert!(outer.duration() > Span::ZERO);
     }
 }
 
@@ -155,26 +137,36 @@ fn postmortem_interpolation_beats_raw_on_drifting_cluster() {
 
 #[test]
 fn profiled_allreduce_fraction_matches_amg_premise() {
-    // Communication-bound iteration: the allreduce share must dominate
-    // (the paper's AMG profile shows ~80%).
-    let res = machines::jupiter()
+    // Communication-bound iteration: the allreduce share of the spans
+    // must dominate (the paper's AMG profile shows ~80%).
+    let cluster = machines::jupiter()
         .with_shape(6, 2, 2)
         .cluster(17)
-        .run(|ctx| {
-            let mut clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-            let mut comm = Comm::world(ctx);
-            let mut prof = Profiler::new();
-            for _ in 0..15 {
-                prof.enter("compute", &mut clk, ctx);
-                ctx.compute(secs(8e-6));
-                prof.leave("compute", &mut clk, ctx);
-                prof.enter("allreduce", &mut clk, ctx);
+        .to_builder()
+        .observability(ObsSpec::spans_only())
+        .build();
+    let (_, log) = cluster.run_observed(|ctx| {
+        let mut clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+        let mut comm = Comm::world(ctx);
+        for iter in 0..15 {
+            timed(ctx, &mut clk, "compute", iter, |ctx, _| {
+                ctx.compute(secs(8e-6))
+            });
+            timed(ctx, &mut clk, "allreduce", iter, |ctx, _| {
                 let _ = comm.allreduce(ctx, &[0u8; 8], ReduceOp::ByteMax);
-                prof.leave("allreduce", &mut clk, ctx);
-            }
-            prof.gather(ctx, &mut comm)
-        });
-    let report = res[0].as_ref().unwrap();
-    let frac = report.fraction("allreduce");
+            });
+        }
+    });
+    assert_eq!(log.total_dropped(), 0);
+    let compute = per_rank_events(&log, "compute");
+    let allreduce = per_rank_events(&log, "allreduce");
+    let mut inside = Span::ZERO;
+    let mut run = Span::ZERO;
+    for (c, a) in compute.iter().zip(&allreduce) {
+        assert_eq!((c.len(), a.len()), (15, 15));
+        inside += a.iter().map(|e| e.duration()).sum::<Span>();
+        run += a[14].exit - c[0].enter;
+    }
+    let frac = inside / run;
     assert!(frac > 0.6, "allreduce fraction {frac:.2}");
 }
