@@ -15,11 +15,15 @@
 
 use hcs_bench::trace::{per_rank_events, TraceEvent};
 use hcs_clock::{Clock, GlobalTime, LocalClock, Span, TimeSource};
-use hcs_experiments::Args;
 use hcs_mpi::{Comm, ReduceOp};
 use hcs_sim::obs::ClockReadings;
 use hcs_sim::rngx::{self, label};
 use hcs_sim::{machines, ObsSpec, RankCtx};
+
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `amg_profile`.
+pub const FLAGS: &str = "nodes ppn iters compute-us seed";
 
 /// The profiled regions, in the order every iteration enters them.
 const REGIONS: [&str; 2] = ["compute", "MPI_Allreduce(8B)"];
@@ -36,8 +40,8 @@ fn leave(ctx: &mut RankCtx, clk: &mut dyn Clock) {
     ctx.obs_exit_read(ClockReadings::global(now.raw_seconds()));
 }
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn iters compute-us seed");
+/// The IPM-style region table of the AMG proxy.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 27);
     let ppn = args.get("ppn", 8);
     let iters = args.get::<usize>("iters", 40) as u32;
@@ -45,14 +49,15 @@ pub fn run(argv: Vec<String>) {
     let seed = args.get("seed", 1);
 
     let machine = machines::jupiter().with_shape(nodes, 2, ppn / 2);
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "AMG2013-proxy IPM-style profile; {} x {} = {} ranks, {} iterations,\n~{:.0} us local compute per iteration (AMG's coarse-grid phases are\ncommunication-bound, hence the small compute share)\n",
         nodes,
         ppn,
         machine.topology.total_cores(),
         iters,
         compute_us
-    );
+    ));
 
     let cluster = machine
         .cluster(seed)
@@ -76,11 +81,11 @@ pub fn run(argv: Vec<String>) {
         }
     });
     if log.total_dropped() > 0 {
-        eprintln!(
-            "error: {} events dropped at the recorder capacity; the profile is incomplete",
+        r.fail(format!(
+            "{} events dropped at the recorder capacity; the profile is incomplete",
             log.total_dropped()
-        );
-        std::process::exit(1);
+        ));
+        return r;
     }
 
     let per_region: Vec<_> = REGIONS.iter().map(|r| per_rank_events(&log, r)).collect();
@@ -117,19 +122,20 @@ pub fn run(argv: Vec<String>) {
         .collect();
     rows.sort_by(|a, b| b.2.seconds().total_cmp(&a.2.seconds()));
 
-    println!(
-        "{:<22} {:>10} {:>14} {:>10}",
-        "region", "calls", "total [ms]", "% of run"
-    );
+    let mut t = Table::new(vec![
+        Col::new("region", "region", 22, Fmt::Left),
+        Col::new("calls", "calls", 10, Fmt::Right),
+        Col::new("total_ms", "total [ms]", 14, Fmt::Num(3)),
+        Col::new("run_pct", "% of run", 10, Fmt::Right),
+    ]);
     for &(name, calls, total) in &rows {
-        println!(
-            "{name:<22} {calls:>10} {:>14.3} {:>9.1}%",
-            total * 1e3,
-            fraction(total) * 100.0
-        );
+        let pct = format!("{:.1}%", fraction(total) * 100.0);
+        t.row(cells![name, calls, total * 1e3, pct]);
     }
-    println!(
+    r.table(t);
+    r.line(format!(
         "\n=> {:.0}% of the run is inside the 8-byte MPI_Allreduce (paper's AMG2013\nIPM profile: ~80%). Tuning this collective requires exactly the accurate\nsmall-message latencies the paper's clock work enables.",
         fraction(total(&per_region[1])) * 100.0
-    );
+    ));
+    r
 }

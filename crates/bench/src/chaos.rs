@@ -16,11 +16,14 @@
 
 use hcs_clock::{Clock, LocalClock, TimeSource};
 use hcs_core::prelude::*;
-use hcs_experiments::{Args, CsvWriter};
 use hcs_mpi::Comm;
 use hcs_sim::obs::Event;
 use hcs_sim::{machines, secs, FaultPlan, LinkSel, ObsSpec, SimTime, Window};
-use std::path::Path;
+
+use crate::{cells, Args, Body, Col, Fmt, Report, Table};
+
+/// The flags of `chaos`.
+pub const FLAGS: &str = "nodes ppn seed csv out";
 
 /// Per-receive deadline (virtual seconds). Generous against the ~0.2 s
 /// benign sync duration, so only genuinely undeliverable messages time
@@ -66,23 +69,14 @@ fn make_sync(alg: &str) -> Box<dyn ClockSync> {
     }
 }
 
-struct CaseRow {
-    scenario: &'static str,
-    alg: &'static str,
-    completed: usize,
-    timed_out: usize,
-    /// Max |global clock − rank 0's| over completed ranks, µs at t=1 s;
-    /// `None` when fewer than two ranks survived.
-    max_abs_err_us: Option<f64>,
-    fault_notes: u64,
-    timeout_notes: u64,
-}
-
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn seed csv out");
+/// One row per (scenario, algorithm) cell of the fault grid.
+///
+/// # Panics
+/// Panics on fewer than 4 ranks.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 4);
     let ppn = args.get("ppn", 2);
-    let seed = args.get("seed", 1);
+    let seed: u64 = args.get("seed", 1);
     let csv_path = args.get_str("csv", "chaos.csv");
     let out_path = args.get_str("out", "BENCH_chaos.json");
 
@@ -90,7 +84,19 @@ pub fn run(argv: Vec<String>) {
     let size = nodes * ppn;
     assert!(size >= 4, "the fault grid needs at least 4 ranks");
 
-    let mut rows: Vec<CaseRow> = Vec::new();
+    let mut t = Table::new(vec![
+        Col::new("scenario", "scenario", 10, Fmt::Left),
+        Col::new("alg", "alg", 6, Fmt::Left),
+        Col::new("ranks", "", 0, Fmt::Const),
+        Col::new("seed", "", 0, Fmt::Const),
+        Col::new("completed", "completed", 9, Fmt::Right),
+        Col::new("timed_out", "timed_out", 9, Fmt::Right),
+        // Max |global clock − rank 0's| over completed ranks, µs at
+        // t = 1 s; missing when fewer than two ranks survived.
+        Col::new("max_abs_err_us", "max_abs_err_us", 16, Fmt::Fixed(3)),
+        Col::new("fault_notes", "fault_notes", 12, Fmt::Right),
+        Col::new("timeout_notes", "timeouts", 9, Fmt::Right),
+    ]);
     for (scenario, plan) in scenarios(size) {
         for alg in ["jk", "hca2", "hca3"] {
             let cluster = machines::testbed(nodes, ppn)
@@ -134,23 +140,28 @@ pub fn run(argv: Vec<String>) {
                 }
             }
 
-            rows.push(CaseRow {
+            t.row(cells![
                 scenario,
                 alg,
-                completed: outcome.completed_count(),
-                timed_out: outcome.timed_out_count(),
+                size,
+                seed,
+                outcome.completed_count(),
+                outcome.timed_out_count(),
                 max_abs_err_us,
                 fault_notes,
                 timeout_notes,
-            });
+            ]);
         }
     }
 
-    print_table(&rows, size, seed);
-    write_csv(&rows, size, seed, csv_path.as_ref()).expect("write chaos csv");
-    std::fs::write(&out_path, json(&rows, size, seed)).expect("write BENCH_chaos.json");
-    println!("\ncsv written to {csv_path}");
-    println!("results written to {out_path}");
+    let mut r = Report::default();
+    r.line(format!("Chaos grid: {size} ranks (testbed), seed {seed}, per-receive timeout {PER_RECV_TIMEOUT_S} s\n"));
+    r.table(t.clone());
+    r.file(&csv_path, Body::Csv(t.clone()));
+    r.file(&out_path, Body::Json("chaos", t));
+    r.line(format!("\ncsv written to {csv_path}"));
+    r.line(format!("results written to {out_path}"));
+    r
 }
 
 /// Max |eval − reference| over completed ranks; the reference is rank
@@ -165,85 +176,4 @@ fn max_err_vs_reference(evals: &[Option<f64>]) -> Option<f64> {
         .iter()
         .map(|e| (e - reference).abs())
         .fold(None, |m: Option<f64>, x| Some(m.map_or(x, |m| m.max(x))))
-}
-
-fn err_field(e: Option<f64>) -> String {
-    e.map_or_else(|| "-".to_string(), |e| format!("{e:.3}"))
-}
-
-fn print_table(rows: &[CaseRow], size: usize, seed: u64) {
-    println!("Chaos grid: {size} ranks (testbed), seed {seed}, per-receive timeout {PER_RECV_TIMEOUT_S} s\n");
-    println!(
-        "{:<10} {:<6} {:>9} {:>9} {:>16} {:>12} {:>9}",
-        "scenario", "alg", "completed", "timed_out", "max_abs_err_us", "fault_notes", "timeouts"
-    );
-    for r in rows {
-        println!(
-            "{:<10} {:<6} {:>9} {:>9} {:>16} {:>12} {:>9}",
-            r.scenario,
-            r.alg,
-            r.completed,
-            r.timed_out,
-            err_field(r.max_abs_err_us),
-            r.fault_notes,
-            r.timeout_notes
-        );
-    }
-}
-
-fn write_csv(rows: &[CaseRow], size: usize, seed: u64, path: &Path) -> std::io::Result<()> {
-    let mut w = CsvWriter::create(
-        path,
-        &[
-            "scenario",
-            "alg",
-            "ranks",
-            "seed",
-            "completed",
-            "timed_out",
-            "max_abs_err_us",
-            "fault_notes",
-            "timeout_notes",
-        ],
-    )?;
-    for r in rows {
-        w.row(&[
-            r.scenario.to_string(),
-            r.alg.to_string(),
-            size.to_string(),
-            seed.to_string(),
-            r.completed.to_string(),
-            r.timed_out.to_string(),
-            err_field(r.max_abs_err_us),
-            r.fault_notes.to_string(),
-            r.timeout_notes.to_string(),
-        ])?;
-    }
-    w.finish().map(drop)
-}
-
-/// Hand-rolled JSON (the workspace is std-only): one object per grid
-/// cell, mirroring the CSV.
-fn json(rows: &[CaseRow], size: usize, seed: u64) -> String {
-    let mut s = String::from("{\n  \"bench\": \"chaos\",\n");
-    s.push_str(&format!("  \"ranks\": {size},\n  \"seed\": {seed},\n"));
-    s.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let err = r
-            .max_abs_err_us
-            .map_or_else(|| "null".to_string(), |e| format!("{e:.3}"));
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"alg\": \"{}\", \"completed\": {}, \"timed_out\": {}, \"max_abs_err_us\": {}, \"fault_notes\": {}, \"timeout_notes\": {}}}{}\n",
-            r.scenario,
-            r.alg,
-            r.completed,
-            r.timed_out,
-            err,
-            r.fault_notes,
-            r.timeout_notes,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

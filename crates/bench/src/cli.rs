@@ -9,8 +9,6 @@ use std::any::type_name;
 use std::collections::HashMap;
 use std::str::FromStr;
 
-use crate::CsvWriter;
-
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -56,17 +54,23 @@ impl Args {
     /// Panics if `--key` was passed without a value, or its value does
     /// not parse as a `T`.
     pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.get_opt(key).unwrap_or(default)
+    }
+
+    /// A typed value, `None` when `--key` is absent.
+    ///
+    /// # Panics
+    /// As [`Args::get`].
+    pub fn get_opt<T: FromStr>(&self, key: &str) -> Option<T> {
         self.check(key);
         assert!(
             !self.flags.iter().any(|f| f == key),
             "--{key} expects a value"
         );
-        match self.values.get(key) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{key} expects a {}, got {v:?}", type_name::<T>())),
-            None => default,
-        }
+        self.values.get(key).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{key} expects a {}, got {v:?}", type_name::<T>()))
+        })
     }
 
     /// A comma-separated list (`--msizes 8,64,512`) with default.
@@ -108,12 +112,6 @@ impl Args {
             panic!("--{key} is a boolean flag and takes no value, got {v:?}");
         }
         self.flags.iter().any(|f| f == key)
-    }
-
-    /// The `--csv <path>` writer with its header row written, or `None`
-    /// when the flag is absent.
-    pub fn csv(&self, header: &[&str]) -> Option<CsvWriter> {
-        CsvWriter::open(&self.get_str("csv", ""), header)
     }
 
     fn check(&self, key: &str) {

@@ -12,9 +12,13 @@ use hcs_bench::trace::{gantt_rows, per_rank_events};
 use hcs_bench::workloads::{amg_proxy, AmgProxyConfig, AMG_SPAN};
 use hcs_clock::{BoxClock, LocalClock, TimeSource};
 use hcs_core::prelude::*;
-use hcs_experiments::Args;
 use hcs_mpi::Comm;
 use hcs_sim::{machines, ObsSpec};
+
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `fig10`.
+pub const FLAGS: &str = "nodes ppn iter seed csv";
 
 fn run_case(
     machine: &hcs_sim::MachineSpec,
@@ -61,20 +65,21 @@ fn describe(rows: &[(usize, f64, f64)]) -> (f64, f64, f64) {
     (max_start, mean_dur, max_dur)
 }
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn iter seed csv");
+/// Fig. 10's start spread and durations per time source and clock.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 27);
     let ppn = args.get("ppn", 8);
     let iter = args.get::<usize>("iter", 10) as u32;
     let seed = args.get("seed", 1);
 
     let machine = machines::jupiter().with_shape(nodes, 2, ppn / 2);
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "Fig. 10: start-time spread and duration of the {iter}th MPI_Allreduce in the\nAMG proxy; Jupiter, {} x {} = {} procs\n",
         nodes,
         ppn,
         machine.topology.total_cores()
-    );
+    ));
 
     let cases = [
         (
@@ -93,41 +98,39 @@ pub fn run(argv: Vec<String>) {
         ("gettimeofday", TimeSource::WallCoarse, false, "local clock"),
     ];
 
-    let mut csv = args.csv(&["source", "clock", "rank", "norm_start_us", "duration_us"]);
-
-    println!(
-        "{:<16} {:<14} {:>20} {:>14} {:>14}",
-        "time source", "clock", "start spread [us]", "mean dur [us]", "max dur [us]"
-    );
+    let mut t = Table::new(vec![
+        Col::new("source", "time source", 16, Fmt::Left),
+        Col::new("clock", "clock", 14, Fmt::Left),
+        Col::new("start_spread_us", "start spread [us]", 20, Fmt::Num(3)),
+        Col::new("mean_dur_us", "mean dur [us]", 14, Fmt::Num(3)),
+        Col::new("max_dur_us", "max dur [us]", 14, Fmt::Num(3)),
+    ]);
+    let mut raw = Table::raw(&["source", "clock", "rank", "norm_start_us", "duration_us"]);
     for (source_name, source, use_global, clock_name) in cases {
         let rows = run_case(&machine, seed, source, use_global, iter);
         let (spread, mean_dur, max_dur) = describe(&rows);
-        println!(
-            "{:<16} {:<14} {:>20.3} {:>14.3} {:>14.3}",
+        t.row(cells![
             source_name,
             clock_name,
             spread * 1e6,
             mean_dur * 1e6,
             max_dur * 1e6
-        );
-        if let Some(w) = csv.as_mut() {
-            for (rank, start, dur) in rows {
-                w.row(&[
-                    source_name.to_string(),
-                    clock_name.to_string(),
-                    rank.to_string(),
-                    format!("{}", start * 1e6),
-                    format!("{}", dur * 1e6),
-                ])
-                .unwrap();
-            }
+        ]);
+        for (rank, start, dur) in rows {
+            raw.row(cells![
+                source_name,
+                clock_name,
+                rank,
+                start * 1e6,
+                dur * 1e6
+            ]);
         }
     }
-    println!("\nExpected shape (paper): with the local clock_gettime the normalized");
-    println!("start times span the huge per-core timer offsets (the trace is useless);");
-    println!("gettimeofday shrinks the spread to NTP scale; with the global clock both");
-    println!("sources show the true ~tens-of-us event structure (~30 us in the paper).");
-    if let Some(w) = csv {
-        println!("raw rows written to {}", w.finish().unwrap().display());
-    }
+    r.table(t);
+    r.line("\nExpected shape (paper): with the local clock_gettime the normalized");
+    r.line("start times span the huge per-core timer offsets (the trace is useless);");
+    r.line("gettimeofday shrinks the spread to NTP scale; with the global clock both");
+    r.line("sources show the true ~tens-of-us event structure (~30 us in the paper).");
+    r.csv(&args.get_str("csv", ""), raw);
+    r
 }

@@ -12,12 +12,19 @@
 
 use hcs_clock::{fit_linear_model, LinearFit, LocalClock, LocalTime, Span, TimeSource};
 use hcs_core::prelude::*;
-use hcs_experiments::Args;
 use hcs_mpi::Comm;
 use hcs_sim::{machines, secs, SimTime};
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "ranks span seed csv step");
+use crate::{cells, Args, Body, Col, Fmt, Report, Table};
+
+/// The flags of `fig2`.
+pub const FLAGS: &str = "ranks span seed csv step";
+
+/// Fig. 2's drift grid, linear fits and extrapolation errors.
+///
+/// # Panics
+/// Panics on fewer than two ranks or two sampling steps.
+pub fn compute(args: &Args) -> Report {
     let ranks = args.get("ranks", 10);
     let span = args.get("span", 500.0);
     let step = args.get("step", 2.0);
@@ -66,55 +73,60 @@ pub fn run(argv: Vec<String>) {
         points
     });
 
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "Fig. 2a: clock drift over {span:.0} s, {} ranks vs rank 0, Hydra",
         ranks - 1
-    );
-    println!("(offsets in us; one row per sampled instant, one column per rank)\n");
+    ));
+    r.line("(offsets in us; one row per sampled instant, one column per rank)\n");
     let header: Vec<String> = std::iter::once("time_s".to_string())
         .chain((1..ranks).map(|r| format!("rank{r}")))
         .collect();
-    println!("{}", header.join("\t"));
+    r.line(header.join("\t"));
     for i in (0..nsamples).step_by((nsamples / 25).max(1)) {
         let mut row = vec![format!("{:7.1}", series[1][i].0)];
         for pts in series.iter().skip(1) {
             row.push(format!("{:9.2}", pts[i].1 * 1e6));
         }
-        println!("{}", row.join("\t"));
+        r.line(row.join("\t"));
     }
 
     // Fig. 2b/2c: linear fits over the full span and the first 10 s.
-    println!("\nFig. 2b/2c: linearity of the drift (rank 1 and 2 vs rank 0)");
-    println!(
-        "{:<6} {:>12} {:>16} {:>10} {:>16} {:>10}",
-        "rank", "window [s]", "slope [ppm]", "R2", "slope10 [ppm]", "R2(10s)"
-    );
-    for (r, pts) in series.iter().enumerate().take(ranks.min(3)).skip(1) {
+    r.line("\nFig. 2b/2c: linearity of the drift (rank 1 and 2 vs rank 0)");
+    let mut fits = Table::new(vec![
+        Col::new("rank", "rank", 6, Fmt::Left),
+        Col::new("window_s", "window [s]", 12, Fmt::Num(0)),
+        Col::new("slope_ppm", "slope [ppm]", 16, Fmt::Num(4)),
+        Col::new("r2", "R2", 10, Fmt::Num(4)),
+        Col::new("slope10_ppm", "slope10 [ppm]", 16, Fmt::Num(4)),
+        Col::new("r2_10s", "R2(10s)", 10, Fmt::Num(4)),
+    ]);
+    for (rank, pts) in series.iter().enumerate().take(ranks.min(3)).skip(1) {
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
         let full = fit_points(&xs, &ys);
         let n10 = xs.iter().take_while(|&&x| x <= 10.0).count().max(2);
         let short = fit_points(&xs[..n10], &ys[..n10]);
-        println!(
-            "{:<6} {:>12.0} {:>16.4} {:>10.4} {:>16.4} {:>10.4}",
-            r,
+        fits.row(cells![
+            rank,
             span,
             full.model.slope * 1e6,
             full.r_squared,
             short.model.slope * 1e6,
-            short.r_squared
-        );
+            short.r_squared,
+        ]);
     }
+    r.table(fits);
     // The operational consequence (what actually breaks tracing tools):
     // a linear model fitted on the first 10 s extrapolates poorly.
-    println!(
-        "\nextrapolation error of the 10 s model (the reason clocks must be re-synchronized):"
-    );
-    println!(
-        "{:<6} {:>16} {:>16} {:>16}",
-        "rank", "@60s [us]", "@200s [us]", "@500s [us]"
-    );
-    for (r, pts) in series.iter().enumerate().take(ranks.min(4)).skip(1) {
+    r.line("\nextrapolation error of the 10 s model (the reason clocks must be re-synchronized):");
+    let mut errs = Table::new(vec![
+        Col::new("rank", "rank", 6, Fmt::Left),
+        Col::new("err_60s_us", "@60s [us]", 16, Fmt::Num(2)),
+        Col::new("err_200s_us", "@200s [us]", 16, Fmt::Num(2)),
+        Col::new("err_500s_us", "@500s [us]", 16, Fmt::Num(2)),
+    ]);
+    for (rank, pts) in series.iter().enumerate().take(ranks.min(4)).skip(1) {
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
         let n10 = xs.iter().take_while(|&&x| x <= 10.0).count().max(2);
@@ -123,27 +135,30 @@ pub fn run(argv: Vec<String>) {
             let idx = xs.iter().position(|&x| x >= t).unwrap_or(xs.len() - 1);
             (ys[idx] - (short.slope * xs[idx] + short.intercept)).abs() * 1e6
         };
-        println!(
-            "{:<6} {:>16.2} {:>16.2} {:>16.2}",
-            r,
+        errs.row(cells![
+            rank,
             err_at(60.0),
             err_at(200.0),
             err_at(span.min(500.0) - step)
-        );
+        ]);
     }
-    println!("\nTake-away (paper §III-C2): over ~10 s the drift is linear (R2 > 0.9) and a");
-    println!("global clock model is accurate for roughly 0-20 s; after a minute the");
-    println!("wander has bent the drift away from the fitted line by tens of us.");
+    r.table(errs);
+    r.line("\nTake-away (paper §III-C2): over ~10 s the drift is linear (R2 > 0.9) and a");
+    r.line("global clock model is accurate for roughly 0-20 s; after a minute the");
+    r.line("wander has bent the drift away from the fitted line by tens of us.");
 
-    if let Some(mut w) = args.csv(&["rank", "time_s", "offset_us"]) {
-        for (r, pts) in series.iter().enumerate().skip(1) {
+    let path = args.get_str("csv", "");
+    if !path.is_empty() {
+        let mut raw = Table::raw(&["rank", "time_s", "offset_us"]);
+        for (rank, pts) in series.iter().enumerate().skip(1) {
             for &(t, off) in pts {
-                w.row(&[r.to_string(), format!("{t}"), format!("{}", off * 1e6)])
-                    .unwrap();
+                raw.row(cells![rank, t, off * 1e6]);
             }
         }
-        println!("\nraw series written to {}", w.finish().unwrap().display());
+        r.file(&path, Body::Csv(raw));
+        r.line(format!("\nraw series written to {path}"));
     }
+    r
 }
 
 /// Lifts the plotted (second, second) samples into the typed domain at

@@ -12,12 +12,16 @@
 
 use hcs_bench::suites::{measure_allreduce, Suite, SuiteConfig};
 use hcs_bench::sweep::{run_cluster_sweep, SweepExecutor};
-use hcs_experiments::Args;
 use hcs_mpi::BarrierAlgorithm;
 use hcs_sim::machines;
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn reps seed with-double-ring jobs csv");
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `fig7`.
+pub const FLAGS: &str = "nodes ppn reps seed with-double-ring jobs csv";
+
+/// Fig. 7's latency per (message size, barrier, suite).
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 16);
     let ppn = args.get("ppn", 8);
     let reps = args.get("reps", 200);
@@ -34,16 +38,6 @@ pub fn run(argv: Vec<String>) {
         barriers.push(BarrierAlgorithm::DoubleRing);
     }
     let suites = [Suite::Imb, Suite::Osu, Suite::ReproMpi];
-
-    println!(
-        "Fig. 7: MPI_Allreduce latency by benchmark suite and MPI_Barrier algorithm;\nJupiter, {} x {} = {} procs, {} reps\n",
-        nodes,
-        ppn,
-        machine.topology.total_cores(),
-        reps
-    );
-
-    let mut csv = args.csv(&["msize_b", "barrier", "suite", "latency_us", "nreps"]);
 
     // One sweep point per (msize, barrier, suite); points at the same
     // msize share a cluster seed so the suites are compared on the same
@@ -73,43 +67,43 @@ pub fn run(argv: Vec<String>) {
         },
     );
 
-    let mut idx = 0;
+    let mut r = Report::default();
+    r.line(format!(
+        "Fig. 7: MPI_Allreduce latency by benchmark suite and MPI_Barrier algorithm;\nJupiter, {} x {} = {} procs, {} reps\n",
+        nodes,
+        ppn,
+        machine.topology.total_cores(),
+        reps
+    ));
+    let mut raw = Table::raw(&["msize_b", "barrier", "suite", "latency_us", "nreps"]);
+    let mut measured = results.iter().map(|res| res[0].expect("root reports"));
     for &msize in &msizes {
-        println!("msize = {msize} Bytes");
-        println!(
-            "{:<16} {:>12} {:>12} {:>14}",
-            "barrier", "IMB [us]", "OSU [us]", "ReproMPI [us]"
-        );
+        r.line(format!("msize = {msize} Bytes"));
+        let mut t = Table::new(vec![
+            Col::new("barrier", "barrier", 16, Fmt::Left),
+            Col::new("imb_us", "IMB [us]", 12, Fmt::Num(2)),
+            Col::new("osu_us", "OSU [us]", 12, Fmt::Num(2)),
+            Col::new("repro_us", "ReproMPI [us]", 14, Fmt::Num(2)),
+        ]);
         for &barrier in &barriers {
-            let mut cells = Vec::new();
-            for &suite in &suites {
-                let r = results[idx][0].expect("root reports");
-                idx += 1;
-                cells.push(r);
-                if let Some(w) = csv.as_mut() {
-                    w.row(&[
-                        msize.to_string(),
-                        barrier.label().to_string(),
-                        suite.label().to_string(),
-                        format!("{}", r.latency_s * 1e6),
-                        r.nreps.to_string(),
-                    ])
-                    .unwrap();
-                }
+            let mut row = cells![barrier.label()];
+            for (suite, m) in suites.iter().zip(measured.by_ref()) {
+                raw.row(cells![
+                    msize,
+                    barrier.label(),
+                    suite.label(),
+                    m.latency_s * 1e6,
+                    m.nreps
+                ]);
+                row.push((m.latency_s * 1e6).into());
             }
-            println!(
-                "{:<16} {:>12.2} {:>12.2} {:>14.2}",
-                barrier.label(),
-                cells[0].latency_s * 1e6,
-                cells[1].latency_s * 1e6,
-                cells[2].latency_s * 1e6
-            );
+            t.row(row);
         }
-        println!();
+        r.table(t);
+        r.line("");
     }
-    println!("Expected shape (paper): IMB/OSU cells move with the barrier algorithm");
-    println!("(\"tree\" gives the smallest latencies); the ReproMPI column is stable.");
-    if let Some(w) = csv {
-        println!("raw rows written to {}", w.finish().unwrap().display());
-    }
+    r.line("Expected shape (paper): IMB/OSU cells move with the barrier algorithm");
+    r.line("(\"tree\" gives the smallest latencies); the ReproMPI column is stable.");
+    r.csv(&args.get_str("csv", ""), raw);
+    r
 }

@@ -15,12 +15,16 @@ use hcs_bench::imbalance::measure_barrier_imbalance;
 use hcs_bench::stats::{Histogram, Summary};
 use hcs_bench::sweep::{run_cluster_sweep, SweepExecutor};
 use hcs_clock::Span;
-use hcs_experiments::Args;
 use hcs_mpi::BarrierAlgorithm;
 use hcs_sim::{machines, secs};
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn calls runs seed jobs csv");
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `fig8`.
+pub const FLAGS: &str = "nodes ppn calls runs seed jobs csv";
+
+/// Fig. 8's imbalance summary and distribution per barrier algorithm.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 16);
     let ppn = args.get("ppn", 8);
     let calls = args.get("calls", 500);
@@ -28,23 +32,12 @@ pub fn run(argv: Vec<String>) {
     let seed: u64 = args.get("seed", 1);
 
     let machine = machines::jupiter().with_shape(nodes, 2, ppn / 2);
-    println!(
-        "Fig. 8: imbalance after barrier exit; Jupiter, {} x {} = {} procs,\n{} calls x {} mpiruns per algorithm\n",
-        nodes,
-        ppn,
-        machine.topology.total_cores(),
-        calls,
-        runs
-    );
-
     let algorithms = [
         BarrierAlgorithm::Bruck,
         BarrierAlgorithm::DoubleRing,
         BarrierAlgorithm::RecursiveDoubling,
         BarrierAlgorithm::Tree,
     ];
-
-    let mut csv = args.csv(&["barrier", "run", "imbalance_us"]);
 
     // One sweep point per (algorithm, mpirun); run `r` of every
     // algorithm shares a cluster seed.
@@ -64,51 +57,58 @@ pub fn run(argv: Vec<String>) {
         },
     );
 
-    println!(
-        "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "algorithm", "n", "mean[us]", "med[us]", "p90[us]", "min[us]", "max[us]"
-    );
+    let mut r = Report::default();
+    r.line(format!(
+        "Fig. 8: imbalance after barrier exit; Jupiter, {} x {} = {} procs,\n{} calls x {} mpiruns per algorithm\n",
+        nodes,
+        ppn,
+        machine.topology.total_cores(),
+        calls,
+        runs
+    ));
+    let mut summary = Table::new(vec![
+        Col::new("barrier", "algorithm", 16, Fmt::Left),
+        Col::new("n", "n", 8, Fmt::Right),
+        Col::new("mean_us", "mean[us]", 10, Fmt::Num(2)),
+        Col::new("median_us", "med[us]", 10, Fmt::Num(2)),
+        Col::new("p90_us", "p90[us]", 10, Fmt::Num(2)),
+        Col::new("min_us", "min[us]", 10, Fmt::Num(2)),
+        Col::new("max_us", "max[us]", 10, Fmt::Num(2)),
+    ]);
+    let mut raw = Table::raw(&["barrier", "run", "imbalance_us"]);
     let mut histograms: Vec<(&str, Vec<f64>)> = Vec::new();
     for (alg, of_alg) in algorithms.iter().zip(results.chunks(runs)) {
         let mut all = Vec::with_capacity(calls * runs);
         for (run, res) in of_alg.iter().enumerate() {
             let xs = res[0].clone().expect("root reports");
-            if let Some(w) = csv.as_mut() {
-                for &x in &xs {
-                    w.row(&[
-                        alg.label().to_string(),
-                        run.to_string(),
-                        format!("{}", x.seconds() * 1e6),
-                    ])
-                    .unwrap();
-                }
+            for &x in &xs {
+                raw.row(cells![alg.label(), run, x.seconds() * 1e6]);
             }
             all.extend(xs.into_iter().map(Span::seconds));
         }
         let s = Summary::of(&all);
-        println!(
-            "{:<16} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+        summary.row(cells![
             alg.label(),
             s.n,
             s.mean * 1e6,
             s.median * 1e6,
             Summary::percentile(&all, 90.0) * 1e6,
             s.min * 1e6,
-            s.max * 1e6
-        );
+            s.max * 1e6,
+        ]);
         histograms.push((alg.label(), all));
     }
-    println!("\ndistributions (0-150 us, the paper's Fig. 8 y-range):");
+    r.table(summary);
+    r.line("\ndistributions (0-150 us, the paper's Fig. 8 y-range):");
     for (label, xs) in &histograms {
         let mut h = Histogram::new(0.0, 150e-6, 10);
         h.add_all(xs);
-        println!("\n{label}:");
-        print!("{}", h.render(40, 1e6, "us"));
+        r.line(format!("\n{label}:"));
+        r.line(h.render(40, 1e6, "us").trim_end_matches('\n'));
     }
-    println!("\nExpected shape (paper): \"tree\" has by far the smallest average");
-    println!("imbalance; \"double ring\" the largest; bruck/recursive-doubling sit in");
-    println!("between with tails towards ~100 us.");
-    if let Some(w) = csv {
-        println!("raw rows written to {}", w.finish().unwrap().display());
-    }
+    r.line("\nExpected shape (paper): \"tree\" has by far the smallest average");
+    r.line("imbalance; \"double ring\" the largest; bruck/recursive-doubling sit in");
+    r.line("between with tails towards ~100 us.");
+    r.csv(&args.get_str("csv", ""), raw);
+    r
 }

@@ -11,12 +11,16 @@
 use hcs_bench::stats::Summary;
 use hcs_bench::suites::{measure_allreduce, Suite, SuiteConfig};
 use hcs_bench::sweep::{run_cluster_sweep, run_seed, SweepExecutor};
-use hcs_experiments::Args;
 use hcs_mpi::BarrierAlgorithm;
 use hcs_sim::machines;
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes runs reps slice seed jobs csv");
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `fig9`.
+pub const FLAGS: &str = "nodes runs reps slice seed jobs csv";
+
+/// Fig. 9's OSU and Round-Time latency per message size.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 32);
     let runs: usize = args.get("runs", 3);
     let reps = args.get("reps", 200);
@@ -24,20 +28,8 @@ pub fn run(argv: Vec<String>) {
     let seed: u64 = args.get("seed", 1);
 
     let machine = machines::titan().with_shape(nodes, 1, 16);
-    println!(
-        "Fig. 9: MPI_Allreduce latency vs message size; OSU vs ReproMPI (Round-Time);\nTitan, {} x 16 = {} procs, nmpiruns = {}, time slice {slice} s\n",
-        nodes,
-        machine.topology.total_cores(),
-        runs
-    );
-
     let msizes = [4usize, 8, 16, 32, 64, 128, 256, 512, 1024];
-    let mut csv = args.csv(&["msize_b", "suite", "run", "latency_us"]);
-
-    println!(
-        "{:>8} {:>14} {:>22} {:>14} {:>22}",
-        "msize", "OSU avg [us]", "OSU [min..max]", "RT avg [us]", "RT [min..max]"
-    );
+    let suites = [Suite::Osu, Suite::ReproMpi];
     // One sweep point per (msize, run, suite). The per-repetition seed
     // comes from the (seed + msize, run) stream — shared by both suites
     // of the same repetition, so OSU and ReproMPI are still compared on
@@ -45,7 +37,7 @@ pub fn run(argv: Vec<String>) {
     let mut points = Vec::new();
     for &msize in &msizes {
         for run in 0..runs {
-            for suite in [Suite::Osu, Suite::ReproMpi] {
+            for suite in suites {
                 points.push((msize, run, suite));
             }
         }
@@ -67,41 +59,44 @@ pub fn run(argv: Vec<String>) {
         },
     );
 
-    let mut idx = 0;
+    let mut r = Report::default();
+    r.line(format!(
+        "Fig. 9: MPI_Allreduce latency vs message size; OSU vs ReproMPI (Round-Time);\nTitan, {} x 16 = {} procs, nmpiruns = {}, time slice {slice} s\n",
+        nodes,
+        machine.topology.total_cores(),
+        runs
+    ));
+    let mut t = Table::new(vec![
+        Col::new("msize_b", "msize", 8, Fmt::Right),
+        Col::new("osu_us", "OSU avg [us]", 14, Fmt::Num(2)),
+        Col::new("osu_range_us", "OSU [min..max]", 22, Fmt::Right),
+        Col::new("rt_us", "RT avg [us]", 14, Fmt::Num(2)),
+        Col::new("rt_range_us", "RT [min..max]", 22, Fmt::Right),
+    ]);
+    let mut raw = Table::raw(&["msize_b", "suite", "run", "latency_us"]);
+    let mut latencies = all
+        .iter()
+        .map(|res| res[0].expect("root reports").latency_s);
     for &msize in &msizes {
         let mut per_suite: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
         for run in 0..runs {
-            for (si, suite) in [Suite::Osu, Suite::ReproMpi].into_iter().enumerate() {
-                let lat = all[idx][0].expect("root reports").latency_s;
-                idx += 1;
+            for (si, suite) in suites.into_iter().enumerate() {
+                let lat = latencies.next().expect("one result per point");
                 per_suite[si].push(lat);
-                if let Some(w) = csv.as_mut() {
-                    w.row(&[
-                        msize.to_string(),
-                        suite.label().to_string(),
-                        run.to_string(),
-                        format!("{}", lat * 1e6),
-                    ])
-                    .unwrap();
-                }
+                raw.row(cells![msize, suite.label(), run, lat * 1e6]);
             }
         }
-        let (o, r) = (Summary::of(&per_suite[0]), Summary::of(&per_suite[1]));
-        println!(
-            "{:>8} {:>14.2} {:>10.2}..{:<10.2} {:>14.2} {:>10.2}..{:<10.2}",
-            msize,
-            o.mean * 1e6,
-            o.min * 1e6,
-            o.max * 1e6,
-            r.mean * 1e6,
-            r.min * 1e6,
-            r.max * 1e6
-        );
+        let mut row = cells![msize];
+        for s in per_suite.iter().map(|xs| Summary::of(xs)) {
+            let range = format!("{:>10.2}..{:<10.2}", s.min * 1e6, s.max * 1e6);
+            row.extend(cells![s.mean * 1e6, range]);
+        }
+        t.row(row);
     }
-    println!("\nExpected shape (paper): OSU reports visibly higher latencies across the");
-    println!("whole small-message range (its barrier contaminates the measurement);");
-    println!("the gap closes as the message size grows and the operation dominates.");
-    if let Some(w) = csv {
-        println!("raw rows written to {}", w.finish().unwrap().display());
-    }
+    r.table(t);
+    r.line("\nExpected shape (paper): OSU reports visibly higher latencies across the");
+    r.line("whole small-message range (its barrier contaminates the measurement);");
+    r.line("the gap closes as the message size grows and the operation dominates.");
+    r.csv(&args.get_str("csv", ""), raw);
+    r
 }

@@ -23,24 +23,23 @@
 //! hcs fig4 [--nodes 16] [--ppn 8] [--runs 5] [--fithi 100] [--fitlo 50] \
 //!     [--pingpongs 10] [--wait 10] [--seed 1] [--jobs N] [--csv out/fig4.csv]
 //! hcs fig5 [--nodes 18] [--ppn 16] [--runs 5] ...same flags as fig4
-//! hcs fig6 [--nodes 128] [--runs 3] [--fithi 100] [--fitlo 50] \
-//!     [--pingpongs 10] [--wait 10] [--sample 0.1] [--seed 1] [--jobs N] [--full] \
+//! hcs fig6 [--nodes 128 | --full] [--runs 3] [--fithi 100] [--fitlo 50] \
+//!     [--pingpongs 10] [--wait 10] [--sample 0.1] [--seed 1] [--jobs N] \
 //!     [--csv out/fig6.csv]
 //! ```
 
 use hcs_bench::sweep::SweepExecutor;
-use hcs_experiments::hier_experiment::{
-    fig4_configs, print_hier_rows, run_hier_experiment, write_hier_csv,
-};
-use hcs_experiments::Args;
 use hcs_sim::machines;
 
+use crate::hier_experiment::{fig4_configs, hier_tables, run_hier_experiment, HIER_WIDTHS};
+use crate::{Args, Report};
+
 /// The flags of `fig4` and `fig5`.
-const FLAGS: &str = "nodes ppn runs fithi fitlo pingpongs wait seed jobs csv";
+pub const FLAGS: &str = "nodes ppn runs fithi fitlo pingpongs wait seed jobs csv";
 
 /// `fig6` has no `--ppn` (a Titan node is 16 cores) and adds the client
 /// sample and the paper's full scale.
-const TITAN_FLAGS: &str = "nodes runs fithi fitlo pingpongs wait sample seed jobs full csv";
+pub const TITAN_FLAGS: &str = "nodes runs fithi fitlo pingpongs wait sample seed jobs full csv";
 
 /// What the paper's Figs. 4, 5 and 6 show.
 const EXPECTED: [&str; 3] = [
@@ -54,31 +53,25 @@ const EXPECTED: [&str; 3] = [
      smaller machines (Gemini's congestion tail + fast-changing drift).",
 ];
 
-pub fn fig4(argv: Vec<String>) {
-    run(4, argv);
-}
-
-pub fn fig5(argv: Vec<String>) {
-    run(5, argv);
-}
-
-pub fn fig6(argv: Vec<String>) {
-    run(6, argv);
-}
-
-fn run(fig: usize, argv: Vec<String>) {
+/// Fig. `fig` (4, 5 or 6): the rows, their per-configuration means and
+/// the paper's expected shape.
+///
+/// # Panics
+/// Panics if Fig. 6 gets both `--full` and `--nodes`.
+pub fn compute(fig: usize, args: &Args) -> Report {
     let titan = fig == 6;
-    let args = Args::parse(argv, if titan { TITAN_FLAGS } else { FLAGS });
     // Default shape and repetitions; Titan's 16 cores sit on one socket.
     let (machine, nodes, ppn, runs) = match fig {
         4 => (machines::jupiter(), 16, 8, 5),
         5 => (machines::hydra(), 18, 16, 5),
         _ => (machines::titan(), 128, 16, 3),
     };
-    let nodes = if titan && args.has_flag("full") {
-        1024
-    } else {
-        args.get("nodes", nodes)
+    let nodes = match (titan && args.has_flag("full"), args.get_opt("nodes")) {
+        (true, Some(_)) => {
+            panic!("--full runs the paper's 1024 nodes; pass --full or --nodes, not both")
+        }
+        (true, None) => 1024,
+        (false, n) => n.unwrap_or(nodes),
     };
     let (ppn, sockets) = if titan {
         (ppn, 1)
@@ -96,18 +89,29 @@ fn run(fig: usize, argv: Vec<String>) {
     let machine = machine.with_shape(nodes, sockets, ppn / sockets);
     let procs = machine.topology.total_cores();
     let scale = if titan { " at scale" } else { "" };
-    print!(
-        "Fig. {fig}: HCA3 vs H2HCA{scale}; {}, {nodes} x {ppn} = {procs} procs, nmpiruns = {runs}",
-        machine.name
-    );
-    if titan {
-        print!(", {}% client sample", sample * 100.0);
-    }
-    println!("\n");
+    let sampled = if titan {
+        format!(", {}% client sample", sample * 100.0)
+    } else {
+        String::new()
+    };
     let exec = SweepExecutor::from_env(args.get_jobs(), procs);
     let configs = fig4_configs(fit_hi, fit_lo, pp);
     let rows = run_hier_experiment(&machine, &configs, runs, wait, sample, seed, &exec);
-    print_hier_rows(&rows, &configs, wait);
-    println!("\nExpected shape (paper): {}", EXPECTED[fig - 4]);
-    write_hier_csv(&rows, &args.get_str("csv", ""));
+
+    let mut r = Report::default();
+    r.line(format!(
+        "Fig. {fig}: HCA3 vs H2HCA{scale}; {}, {nodes} x {ppn} = {procs} procs, nmpiruns = {runs}{sampled}\n",
+        machine.name
+    ));
+    let at_wait = ("max@wait [us]", "max_at_wait_us");
+    let (all, means) = hier_tables(&rows, &configs, "configuration", HIER_WIDTHS, at_wait);
+    r.table(all.clone());
+    r.line(format!(
+        "\nper-configuration means (wait = {:.0} s):",
+        wait.seconds()
+    ));
+    r.table(means.headless());
+    r.line(format!("\nExpected shape (paper): {}", EXPECTED[fig - 4]));
+    r.csv(&args.get_str("csv", ""), all);
+    r
 }

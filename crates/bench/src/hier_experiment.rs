@@ -8,6 +8,9 @@ use hcs_core::SyncFactory;
 use hcs_mpi::Comm;
 use hcs_sim::MachineSpec;
 
+use crate::cells;
+use crate::report::{Col, Fmt, Report, Table};
+
 /// One experiment point: one algorithm configuration on one mpirun.
 #[derive(Debug, Clone)]
 pub struct HierRow {
@@ -76,11 +79,25 @@ pub fn run_hier_experiment(
     seed0: u64,
     exec: &SweepExecutor,
 ) -> Vec<HierRow> {
+    let seed_of = |run: usize| run_seed(seed0, run as u64);
+    sync_and_check(machine, configs, runs, wait, sample_frac, exec, seed_of)
+}
+
+/// [`run_hier_experiment`] with repetition `run`'s cluster seed given
+/// by `seed_of(run)`.
+pub(crate) fn sync_and_check(
+    machine: &MachineSpec,
+    configs: &[(String, SyncFactory)],
+    runs: usize,
+    wait: Span,
+    sample_frac: f64,
+    exec: &SweepExecutor,
+    seed_of: impl Fn(usize) -> u64 + Sync,
+) -> Vec<HierRow> {
     let p = machine.topology.total_cores();
     exec.run(configs.len() * runs, p, |i| {
         let (label, make) = &configs[i / runs];
-        let run = i % runs;
-        let cluster = machine.cluster(run_seed(seed0, run as u64));
+        let cluster = machine.cluster(seed_of(i % runs));
         let out = cluster.run(|ctx| {
             let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
             let mut comm = Comm::world(ctx);
@@ -103,60 +120,65 @@ pub fn run_hier_experiment(
     })
 }
 
-/// Prints the rows plus per-configuration means in the paper's format.
-pub fn print_hier_rows(rows: &[HierRow], configs: &[(String, SyncFactory)], wait: Span) {
-    println!(
-        "{:<62} {:>10} {:>13} {:>14}",
-        "configuration (one row per mpirun)", "dur [s]", "max@0s [us]", "max@wait [us]"
-    );
+/// The stdout widths of the label and the three measurement columns.
+pub(crate) type Widths = [usize; 4];
+
+/// Figs. 4–6's column widths.
+pub(crate) const HIER_WIDTHS: Widths = [62, 10, 13, 14];
+
+/// The rows, one per mpirun, and their per-configuration means in
+/// `configs` order. `what` keys the label column ("configuration",
+/// "algorithm"); `at_wait` is the after-wait column's (heading, key).
+pub(crate) fn hier_tables(
+    rows: &[HierRow],
+    configs: &[(String, SyncFactory)],
+    what: &'static str,
+    widths: Widths,
+    at_wait: (&str, &'static str),
+) -> (Table, Table) {
+    let columns = |head: String| {
+        Table::new(vec![
+            Col::new(what, head, widths[0], Fmt::Left),
+            Col::new("duration_s", "dur [s]", widths[1], Fmt::Num(3)),
+            Col::new("max_at0_us", "max@0s [us]", widths[2], Fmt::Num(3)),
+            Col::new(at_wait.1, at_wait.0, widths[3], Fmt::Num(3)),
+        ])
+    };
+    let mut all = columns(format!("{what} (one row per mpirun)"));
     for r in rows {
-        println!(
-            "{:<62} {:>10.3} {:>13.3} {:>14.3}",
-            r.label,
+        let us = |s: Span| s.seconds() * 1e6;
+        all.row(cells![
+            r.label.as_str(),
             r.duration,
-            r.max_at0.seconds() * 1e6,
-            r.max_at_wait.seconds() * 1e6
-        );
+            us(r.max_at0),
+            us(r.max_at_wait)
+        ]);
     }
-    println!(
-        "\nper-configuration means (wait = {:.0} s):",
-        wait.seconds()
-    );
+    let mut means = columns(what.to_string());
     for (label, _) in configs {
         let sel: Vec<&HierRow> = rows.iter().filter(|r| &r.label == label).collect();
         if sel.is_empty() {
             continue;
         }
         let n = sel.len() as f64;
-        println!(
-            "{:<62} {:>10.3} {:>13.3} {:>14.3}",
-            label,
+        let mean_us =
+            |f: fn(&HierRow) -> Span| sel.iter().map(|r| f(r)).sum::<Span>().seconds() / n * 1e6;
+        means.row(cells![
+            label.as_str(),
             sel.iter().map(|r| r.duration).sum::<Span>() / n,
-            sel.iter().map(|r| r.max_at0).sum::<Span>().seconds() / n * 1e6,
-            sel.iter().map(|r| r.max_at_wait).sum::<Span>().seconds() / n * 1e6
-        );
+            mean_us(|r| r.max_at0),
+            mean_us(|r| r.max_at_wait),
+        ]);
     }
+    (all, means)
 }
 
-/// Writes the rows as CSV if `path` is non-empty.
+/// Writes the rows as CSV if `path` is non-empty, and says so on
+/// stdout.
 pub fn write_hier_csv(rows: &[HierRow], path: &str) {
-    let header = [
-        "configuration",
-        "duration_s",
-        "max_at0_us",
-        "max_at_wait_us",
-    ];
-    let Some(mut w) = crate::CsvWriter::open(path, &header) else {
-        return;
-    };
-    for r in rows {
-        w.row(&[
-            r.label.clone(),
-            format!("{}", r.duration),
-            format!("{}", r.max_at0.seconds() * 1e6),
-            format!("{}", r.max_at_wait.seconds() * 1e6),
-        ])
-        .unwrap();
-    }
-    println!("raw rows written to {}", w.finish().unwrap().display());
+    let at_wait = ("max@wait [us]", "max_at_wait_us");
+    let (all, _) = hier_tables(rows, &[], "configuration", HIER_WIDTHS, at_wait);
+    let mut report = Report::default();
+    report.csv(path, all);
+    report.emit();
 }

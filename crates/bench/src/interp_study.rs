@@ -22,12 +22,17 @@
 use hcs_bench::postmortem::{interpolate, measure_epoch, SyncEpoch};
 use hcs_clock::{Clock, LocalClock, LocalTime, TimeSource};
 use hcs_core::prelude::*;
-use hcs_experiments::Args;
 use hcs_mpi::Comm;
 use hcs_sim::{machines, secs, SimTime};
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "ranks span resync seed");
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `interp_study`.
+pub const FLAGS: &str = "ranks span resync seed";
+
+/// The max cross-rank timestamp error of each correction strategy at
+/// six probe instants.
+pub fn compute(args: &Args) -> Report {
     let ranks = args.get("ranks", 8);
     let span: f64 = args.get("span", 300.0);
     let resync: f64 = args.get("resync", 15.0);
@@ -99,14 +104,18 @@ pub fn run(argv: Vec<String>) {
         }
     });
 
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "Timestamp-correction study; Hydra, {ranks} ranks, {span:.0} s trace, resync every {resync:.0} s"
-    );
-    println!("(max cross-rank timestamp error at each probe instant, in us)\n");
-    println!(
-        "{:>9} {:>14} {:>16} {:>14} {:>16}",
-        "t [s]", "raw local", "interpolation", "global once", "global+resync"
-    );
+    ));
+    r.line("(max cross-rank timestamp error at each probe instant, in us)\n");
+    let mut t = Table::new(vec![
+        Col::new("t_s", "t [s]", 9, Fmt::Num(0)),
+        Col::new("raw_us", "raw local", 14, Fmt::Num(2)),
+        Col::new("interp_us", "interpolation", 16, Fmt::Num(2)),
+        Col::new("once_us", "global once", 14, Fmt::Num(2)),
+        Col::new("resync_us", "global+resync", 16, Fmt::Num(2)),
+    ]);
     for (i, &p) in probes.iter().enumerate() {
         let err = |vals: Vec<f64>| -> f64 {
             let r0 = vals[0];
@@ -122,11 +131,13 @@ pub fn run(argv: Vec<String>) {
             .collect());
         let once = err(outs.iter().map(|o| o.global_once[i]).collect());
         let rs = err(outs.iter().map(|o| o.global_resync[i]).collect());
-        println!("{p:>9.0} {raw:>14.2} {interp:>16.2} {once:>14.2} {rs:>16.2}");
+        t.row(cells![p, raw, interp, once, rs]);
     }
-    println!("\nExpected: raw local clocks are off by their boot offsets (useless);");
-    println!("linear interpolation pins the endpoints but leaves the wander's curvature");
-    println!("(several us mid-trace); a single global clock decays steadily; periodic");
-    println!("resync stays at the sync floor throughout — the quantitative reason the");
-    println!("paper says tracing tools must re-synchronize periodically.");
+    r.table(t);
+    r.line("\nExpected: raw local clocks are off by their boot offsets (useless);");
+    r.line("linear interpolation pins the endpoints but leaves the wander's curvature");
+    r.line("(several us mid-trace); a single global clock decays steadily; periodic");
+    r.line("resync stays at the sync floor throughout — the quantitative reason the");
+    r.line("paper says tracing tools must re-synchronize periodically.");
+    r
 }

@@ -13,15 +13,18 @@
 use hcs_bench::schemes::{run_round_time, RoundTimeConfig};
 use hcs_clock::{LocalClock, TimeSource};
 use hcs_core::prelude::*;
-use hcs_experiments::Args;
 use hcs_mpi::{Comm, ReduceOp};
 use hcs_sim::obs::{flame_report, summary_json, write_chrome_trace};
 use hcs_sim::{machines, secs, ObsSpec};
-use std::fs::File;
-use std::io::{BufWriter, Write};
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn seed out");
+use crate::{Args, Body, Report};
+
+/// The flags of `trace_smoke`.
+pub const FLAGS: &str = "nodes ppn seed out";
+
+/// The observed run's counts, its trace and summary files, and its
+/// flame report.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 4);
     let ppn = args.get("ppn", 2);
     let seed = args.get("seed", 1);
@@ -49,32 +52,33 @@ pub fn run(argv: Vec<String>) {
         run_round_time(ctx, &mut comm, g.as_mut(), cfg, &mut op).len()
     });
 
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "{} ranks, {} valid Round-Time repetitions, {} events recorded ({} dropped)",
         log.ranks().len(),
         nreps[0],
         log.total_events(),
         log.total_dropped()
-    );
-
-    let mut out = BufWriter::new(File::create(&out_path).expect("create chrome trace file"));
-    write_chrome_trace(&log, &mut out)
-        .and_then(|()| out.flush())
-        .expect("write chrome trace");
-    println!("chrome trace written to {out_path} (open in chrome://tracing)");
-
+    ));
+    if log.total_dropped() > 0 {
+        r.fail(format!(
+            "{} events dropped at the recorder capacity; the trace is incomplete",
+            log.total_dropped()
+        ));
+    }
     let stem = out_path.trim_end_matches(".json");
     let summary_path = format!("{stem}.summary.json");
-    std::fs::write(&summary_path, summary_json(&log)).expect("write summary");
-    println!("span summary written to {summary_path}");
-
-    println!("\n{}", flame_report(&log));
-
-    if log.total_dropped() > 0 {
-        eprintln!(
-            "error: {} events dropped at the recorder capacity; the trace is incomplete",
-            log.total_dropped()
-        );
-        std::process::exit(1);
-    }
+    let summary = summary_json(&log);
+    let flame = flame_report(&log);
+    r.file(
+        &out_path,
+        Body::Stream(Box::new(move |mut w| write_chrome_trace(&log, &mut w))),
+    );
+    r.line(format!(
+        "chrome trace written to {out_path} (open in chrome://tracing)"
+    ));
+    r.file(&summary_path, Body::Text(summary));
+    r.line(format!("span summary written to {summary_path}"));
+    r.line(format!("\n{flame}"));
+    r
 }

@@ -8,12 +8,17 @@
 
 use hcs_bench::sweep::{run_cluster_sweep, SweepExecutor};
 use hcs_bench::tuner::{tune_allreduce, TuneScheme, TuningResult};
-use hcs_experiments::Args;
 use hcs_mpi::BarrierAlgorithm;
 use hcs_sim::machines;
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn msizes reps seed jobs");
+use crate::{cells, Args, Col, Fmt, Report, Table};
+
+/// The flags of `tuner`.
+pub const FLAGS: &str = "nodes ppn msizes reps seed jobs";
+
+/// The winning allreduce algorithm per message size and scheme, and
+/// every candidate's latency.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 16);
     let ppn = args.get("ppn", 8);
     let msizes: Vec<usize> = args.get_list("msizes", "8,64,512,4096");
@@ -21,14 +26,6 @@ pub fn run(argv: Vec<String>) {
     let seed: u64 = args.get("seed", 1);
 
     let machine = machines::jupiter().with_shape(nodes, 2, ppn / 2);
-    println!(
-        "Tuning MPI_Allreduce on {}, {} x {} = {} ranks — does the measurement scheme\nchange the tuning decision?\n",
-        machine.name,
-        nodes,
-        ppn,
-        machine.topology.total_cores()
-    );
-
     let schemes = [
         TuneScheme::Barrier {
             barrier: BarrierAlgorithm::Bruck,
@@ -48,13 +45,6 @@ pub fn run(argv: Vec<String>) {
         },
     ];
 
-    // header
-    print!("{:<10}", "msize");
-    for s in &schemes {
-        print!(" {:>26}", s.label());
-    }
-    println!();
-
     // One sweep point per scheme; all schemes reuse the master seed so
     // they tune on the same machine realization (as before).
     let exec = SweepExecutor::from_env(args.get_jobs(), machine.topology.total_cores());
@@ -73,29 +63,51 @@ pub fn run(argv: Vec<String>) {
         .map(|per_rank| per_rank[0].clone().expect("root reports"))
         .collect();
 
+    let mut r = Report::default();
+    r.line(format!(
+        "Tuning MPI_Allreduce on {}, {} x {} = {} ranks — does the measurement scheme\nchange the tuning decision?\n",
+        machine.name,
+        nodes,
+        ppn,
+        machine.topology.total_cores()
+    ));
+    // One winner cell per scheme, `<algorithm> <latency>us`.
+    let mut cols = vec![Col::new("msize_b", "msize", 10, Fmt::Left)];
+    let keys = ["bruck", "double_ring", "tree", "round_time"];
+    cols.extend(
+        keys.iter()
+            .zip(&schemes)
+            .map(|(k, s)| Col::new(k, s.label(), 26, Fmt::Right)),
+    );
+    let mut t = Table::new(cols);
     for (i, &msize) in msizes.iter().enumerate() {
-        print!("{:<10}", msize);
+        let mut row = cells![msize];
         for per_scheme in &all {
-            let r = &per_scheme[i];
-            let w = r.winner();
-            print!(" {:>15} {:>9.2}us", w.name, w.latency_s * 1e6);
+            let w = per_scheme[i].winner();
+            row.extend(cells![format!(
+                "{:>15} {:>9.2}us",
+                w.name,
+                w.latency_s * 1e6
+            )]);
         }
-        println!();
+        t.row(row);
     }
+    r.table(t);
 
-    println!("\nfull candidate tables (latency in us):");
+    r.line("\nfull candidate tables (latency in us):");
     for (s, per_scheme) in schemes.iter().zip(&all) {
-        println!("\nscheme: {}", s.label());
-        for r in per_scheme {
-            let cells: Vec<String> = r
+        r.line(format!("\nscheme: {}", s.label()));
+        for res in per_scheme {
+            let cells: Vec<String> = res
                 .candidates
                 .iter()
                 .map(|c| format!("{} {:.2}", c.name, c.latency_s * 1e6))
                 .collect();
-            println!("  {:>6} B: {}", r.msize, cells.join(" | "));
+            r.line(format!("  {:>6} B: {}", res.msize, cells.join(" | ")));
         }
     }
-    println!("\nThe paper's point: if the winners (or the margins) differ between the");
-    println!("barrier-based columns and the round-time column, a tuner driven by the");
-    println!("wrong scheme ships the wrong algorithm selection.");
+    r.line("\nThe paper's point: if the winners (or the margins) differ between the");
+    r.line("barrier-based columns and the round-time column, a tuner driven by the");
+    r.line("wrong scheme ships the wrong algorithm selection.");
+    r
 }

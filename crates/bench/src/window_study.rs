@@ -13,35 +13,46 @@
 //! hcs window_study [--nodes 8] [--ppn 4] [--reps 100] [--seed 1]
 //! ```
 
-use crate::hca3_world;
 use hcs_bench::schemes::{
     estimate_allreduce_latency, global_latency, run_round_time, run_window_scheme, RoundTimeConfig,
     WindowConfig,
 };
-use hcs_experiments::Args;
 use hcs_mpi::{Comm, ReduceOp};
 use hcs_sim::{machines, secs};
 
-pub fn run(argv: Vec<String>) {
-    let args = Args::parse(argv, "nodes ppn reps seed");
+use crate::{cells, hca3_world, Args, Col, Fmt, Report, Table};
+
+/// The flags of `window_study`.
+pub const FLAGS: &str = "nodes ppn reps seed";
+
+/// Validity, reported latency and cost of the window scheme per window
+/// size, and of Round-Time.
+pub fn compute(args: &Args) -> Report {
     let nodes = args.get("nodes", 8);
     let ppn = args.get("ppn", 4);
     let reps = args.get("reps", 100);
     let seed = args.get("seed", 1);
 
     let machine = machines::jupiter().with_shape(nodes, 2, ppn / 2);
-    println!(
+    let mut r = Report::default();
+    r.line(format!(
         "Window-size sensitivity; {}, {} ranks, MPI_Allreduce(8B), {} windows per point\n",
         machine.name,
         machine.topology.total_cores(),
         reps
-    );
+    ));
 
+    // The `valid/reps` cells are one wider than their heading, and the
+    // next heading one wider than its cells, so the columns after them
+    // line up.
+    let mut t = Table::new(vec![
+        Col::new("window", "window/lat", 14, Fmt::Right),
+        Col::new("valid", "valid", 12, Fmt::Right),
+        Col::new("reported_us", "  reported[us]", 13, Fmt::Num(2)),
+        Col::new("spent_ms", "time spent [ms]", 16, Fmt::Num(2)),
+        Col::new("us_per_sample", "us per sample", 16, Fmt::Num(2)),
+    ]);
     let multiples = [0.5f64, 0.8, 1.0, 1.2, 1.5, 2.0, 4.0, 8.0, 16.0];
-    println!(
-        "{:>14} {:>12} {:>14} {:>16} {:>16}",
-        "window/lat", "valid", "reported[us]", "time spent [ms]", "us per sample"
-    );
     for &mult in &multiples {
         let res = machine.cluster(seed).run(|ctx| {
             let (mut comm, mut g) = hca3_world(ctx, 40, 8);
@@ -78,15 +89,13 @@ pub fn run(argv: Vec<String>) {
         } else {
             f64::INFINITY
         };
-        println!(
-            "{:>13.1}x {:>9}/{:<3} {:>13.2} {:>16.2} {:>16.2}",
-            mult,
-            valid,
-            reps,
+        t.row(cells![
+            format!("{mult:.1}x"),
+            format!("{valid:>9}/{reps:<3}"),
             reported,
             spent.seconds() * 1e3,
-            per_sample
-        );
+            per_sample,
+        ]);
     }
 
     // The Round-Time reference point.
@@ -110,17 +119,18 @@ pub fn run(argv: Vec<String>) {
         (comm.rank() == 0).then_some((globals, spent))
     });
     let (globals, spent) = res[0].clone().expect("root");
-    println!(
-        "{:>14} {:>9}/{:<3} {:>13.2} {:>16.2} {:>16.2}",
+    let n = globals.len().max(1) as f64;
+    t.row(cells![
         "round-time",
-        globals.len(),
-        reps,
-        globals.iter().sum::<f64>() / globals.len().max(1) as f64 * 1e6,
+        format!("{:>9}/{reps:<3}", globals.len()),
+        globals.iter().sum::<f64>() / n * 1e6,
         spent.seconds() * 1e3,
-        spent.seconds() * 1e6 / globals.len().max(1) as f64
-    );
-    println!("\nExpected: windows below ~1.2x the true latency invalidate most");
-    println!("measurements (under-estimation); oversized windows keep validity but");
-    println!("burn time per sample (over-estimation). Round-Time needs no estimate");
-    println!("and sits at full validity with tight per-sample cost.");
+        spent.seconds() * 1e6 / n,
+    ]);
+    r.table(t);
+    r.line("\nExpected: windows below ~1.2x the true latency invalidate most");
+    r.line("measurements (under-estimation); oversized windows keep validity but");
+    r.line("burn time per sample (over-estimation). Round-Time needs no estimate");
+    r.line("and sits at full validity with tight per-sample cost.");
+    r
 }

@@ -190,6 +190,19 @@ fn unknown_flag_fails_and_names_the_allowed_ones() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn fig6_full_with_nodes_fails_and_names_both_flags() {
+    let dir = scratch("full");
+    let out = hcs(&["fig6", "--full", "--nodes", "4"], &dir);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--full") && stderr.contains("--nodes"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `(name, description)` rows of the usage `hcs` prints alone.
 fn usage_rows() -> Vec<(String, String)> {
     let dir = scratch("rows");

@@ -42,46 +42,35 @@ pub mod sink;
 pub use record::{ClockReadings, Event, NameId, RankRecorder, Recorder, TraceLog};
 pub use sink::{chrome_trace, flame_report, summary_json, write_chrome_trace};
 
-/// What to record, and how much. The default is fully off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What to record: nothing (the default), spans, notes and counters,
+/// or everything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsSpec {
-    /// Master switch; when `false` the engine installs no recorder.
-    pub enabled: bool,
-    /// Record message send/recv edges (src/dst/tag/bytes).
-    pub messages: bool,
-    /// Record compute slices.
-    pub compute: bool,
-    /// Record named spans and notes.
-    pub spans: bool,
-    /// Record named counter samples.
-    pub counters: bool,
-    /// Per-rank event-buffer capacity; events past it are counted as
-    /// dropped instead of recorded (bounded memory on long runs).
-    pub capacity_per_rank: usize,
+    /// Whether the engine installs a recorder at all.
+    record: bool,
+    /// Whether message send/recv edges and compute slices are recorded
+    /// too.
+    edges: bool,
 }
+
+/// Per-rank event-buffer capacity; events past it are counted as
+/// dropped instead of recorded (bounded memory on long runs).
+const CAPACITY_PER_RANK: usize = 1 << 20;
 
 impl ObsSpec {
     /// Everything off (the default): the engine records nothing.
     pub const fn off() -> Self {
         Self {
-            enabled: false,
-            messages: false,
-            compute: false,
-            spans: false,
-            counters: false,
-            capacity_per_rank: 0,
+            record: false,
+            edges: false,
         }
     }
 
-    /// Everything on, with a generous per-rank buffer.
+    /// Everything on.
     pub const fn full() -> Self {
         Self {
-            enabled: true,
-            messages: true,
-            compute: true,
-            spans: true,
-            counters: true,
-            capacity_per_rank: 1 << 20,
+            record: true,
+            edges: true,
         }
     }
 
@@ -89,19 +78,28 @@ impl ObsSpec {
     /// runs where per-message edges would dominate the buffer.
     pub const fn spans_only() -> Self {
         Self {
-            enabled: true,
-            messages: false,
-            compute: false,
-            spans: true,
-            counters: true,
-            capacity_per_rank: 1 << 20,
+            record: true,
+            edges: false,
         }
     }
-}
 
-impl Default for ObsSpec {
-    fn default() -> Self {
-        Self::off()
+    /// Whether anything is recorded.
+    pub const fn records(self) -> bool {
+        self.record
+    }
+
+    /// Whether message edges and compute slices are recorded.
+    pub const fn records_edges(self) -> bool {
+        self.edges
+    }
+
+    /// Rank `rank`'s recorder: [`Recorder::Off`] unless [`Self::records`].
+    pub fn recorder(self, rank: u32) -> Recorder {
+        if self.record {
+            Recorder::on(rank, CAPACITY_PER_RANK)
+        } else {
+            Recorder::Off
+        }
     }
 }
 
@@ -112,14 +110,14 @@ mod tests {
     #[test]
     fn default_spec_is_off() {
         let spec = ObsSpec::default();
-        assert!(!spec.enabled);
+        assert!(!spec.records() && !spec.recorder(0).is_on());
         assert_eq!(spec, ObsSpec::off());
     }
 
     #[test]
     fn full_spec_enables_everything() {
         let spec = ObsSpec::full();
-        assert!(spec.enabled && spec.messages && spec.compute && spec.spans && spec.counters);
-        assert!(spec.capacity_per_rank > 0);
+        assert!(spec.records() && spec.records_edges() && spec.recorder(0).is_on());
+        assert!(ObsSpec::spans_only().records() && !ObsSpec::spans_only().records_edges());
     }
 }

@@ -125,11 +125,7 @@ impl RankCtx {
             }
             _ => (None, f64::INFINITY),
         };
-        let obs = if obs_spec.enabled {
-            Recorder::on(rank as u32, obs_spec.capacity_per_rank)
-        } else {
-            Recorder::Off
-        };
+        let obs = obs_spec.recorder(rank as u32);
         Self {
             rank,
             size,
@@ -279,9 +275,6 @@ impl RankCtx {
     /// readings the caller *already has* (algorithms must never take
     /// extra clock reads just to trace — reads charge virtual time).
     pub fn obs_enter_read(&mut self, name: &str, seq: u32, reads: ClockReadings) {
-        if !self.obs_spec.spans {
-            return;
-        }
         let secs = self.now.seconds();
         if let Some(rec) = self.obs.get_mut() {
             rec.enter(secs, name, seq, reads);
@@ -298,9 +291,6 @@ impl RankCtx {
     /// Like [`RankCtx::obs_exit`], attaching clock readings the caller
     /// already has.
     pub fn obs_exit_read(&mut self, reads: ClockReadings) {
-        if !self.obs_spec.spans {
-            return;
-        }
         let secs = self.now.seconds();
         if let Some(rec) = self.obs.get_mut() {
             rec.exit(secs, reads);
@@ -310,9 +300,6 @@ impl RankCtx {
     /// Records an instant annotation (e.g. `"round_time.invalid"`).
     /// No-op when observability is off.
     pub fn obs_note(&mut self, name: &str) {
-        if !self.obs_spec.spans {
-            return;
-        }
         let secs = self.now.seconds();
         if let Some(rec) = self.obs.get_mut() {
             rec.note(secs, name);
@@ -321,9 +308,6 @@ impl RankCtx {
 
     /// Records a named counter sample. No-op when observability is off.
     pub fn obs_counter(&mut self, name: &str, value: f64) {
-        if !self.obs_spec.counters {
-            return;
-        }
         let secs = self.now.seconds();
         if let Some(rec) = self.obs.get_mut() {
             rec.counter(secs, name, value);
@@ -354,7 +338,7 @@ impl RankCtx {
                 self.next_noise_at += rngx::exponential(rng, 1.0 / n.rate_hz);
             }
         }
-        if self.obs_spec.compute {
+        if self.obs_spec.records_edges() {
             let dur = self.now - begin;
             if let Some(rec) = self.obs.get_mut() {
                 rec.compute(begin.seconds(), dur.seconds());
@@ -515,7 +499,7 @@ impl RankCtx {
                 self.net.send(dst, dup);
             }
         }
-        if self.obs_spec.messages {
+        if self.obs_spec.records_edges() {
             if let Some(rec) = self.obs.get_mut() {
                 rec.send(self.now.seconds(), dst as u32, tag, payload.len() as u32);
             }
@@ -625,7 +609,7 @@ impl RankCtx {
         assert_ne!(src, self.rank, "self-receives are not modeled");
         let env = self.pull_match_deadline(src, tag, deadline)?;
         self.absorb_arrival(&env);
-        if self.obs_spec.messages {
+        if self.obs_spec.records_edges() {
             if let Some(rec) = self.obs.get_mut() {
                 rec.recv(
                     self.now.seconds(),

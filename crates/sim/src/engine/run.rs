@@ -472,7 +472,7 @@ impl Cluster {
         // engine's completion barrier. The recorder vector is empty
         // when observability is off — no body ever indexes it then.
         let results: Vec<OutSlot<R>> = (0..size).map(|_| OutSlot::new()).collect();
-        let recorders: Vec<OutSlot<RankRecorder>> = if self.obs.enabled {
+        let recorders: Vec<OutSlot<RankRecorder>> = if self.obs.records() {
             (0..size).map(|_| OutSlot::new()).collect()
         } else {
             Vec::new()

@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn available_parallelism_is_blessed_only_in_allowed_files() {
         let src = "fn f() { let n = std::thread::available_parallelism(); let _ = n; }\n";
-        let hits = lints_of("crates/bench/src/hcs/hier.rs", src);
+        let hits = lints_of("crates/bench/src/hier.rs", src);
         assert!(hits
             .iter()
             .any(|(l, _)| l == "determinism/host-parallelism"));

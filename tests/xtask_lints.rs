@@ -121,7 +121,7 @@ fn host_parallelism_outside_sweep_is_an_error() {
     // Concurrency budgets must flow through SweepExecutor; any other
     // src file consulting the host's core count is an error.
     let findings = lint_sources(&[(
-        "crates/bench/src/hcs/hier.rs",
+        "crates/bench/src/hier.rs",
         "fn jobs() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
     )]);
     assert!(
