@@ -76,8 +76,7 @@ pub fn compute(args: &Args) -> Report {
     r.line(format!(
         "Fig. 3: max clock offset vs sync duration; Jupiter, {nodes} x {ppn} = {p} procs, nmpiruns = {runs}\n"
     ));
-    let at_wait = ("max@10s [us]", "max_at10_us");
-    let (all, means) = hier_tables(&rows, &makers, "algorithm", [55, 10, 14, 14], at_wait);
+    let (all, means) = hier_tables(&rows, &makers, "algorithm", [55, 10, 14, 14]);
     r.table(all.clone());
     r.line("\nper-algorithm means (the horizontal bars of Fig. 3):");
     r.table(means);

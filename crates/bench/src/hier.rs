@@ -103,8 +103,7 @@ pub fn compute(fig: usize, args: &Args) -> Report {
         "Fig. {fig}: HCA3 vs H2HCA{scale}; {}, {nodes} x {ppn} = {procs} procs, nmpiruns = {runs}{sampled}\n",
         machine.name
     ));
-    let at_wait = ("max@wait [us]", "max_at_wait_us");
-    let (all, means) = hier_tables(&rows, &configs, "configuration", HIER_WIDTHS, at_wait);
+    let (all, means) = hier_tables(&rows, &configs, "configuration", HIER_WIDTHS);
     r.table(all.clone());
     r.line(format!(
         "\nper-configuration means (wait = {:.0} s):",

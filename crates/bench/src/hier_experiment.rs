@@ -128,20 +128,19 @@ pub(crate) const HIER_WIDTHS: Widths = [62, 10, 13, 14];
 
 /// The rows, one per mpirun, and their per-configuration means in
 /// `configs` order. `what` keys the label column ("configuration",
-/// "algorithm"); `at_wait` is the after-wait column's (heading, key).
+/// "algorithm").
 pub(crate) fn hier_tables(
     rows: &[HierRow],
     configs: &[(String, SyncFactory)],
     what: &'static str,
     widths: Widths,
-    at_wait: (&str, &'static str),
 ) -> (Table, Table) {
     let columns = |head: String| {
         Table::new(vec![
             Col::new(what, head, widths[0], Fmt::Left),
             Col::new("duration_s", "dur [s]", widths[1], Fmt::Num(3)),
             Col::new("max_at0_us", "max@0s [us]", widths[2], Fmt::Num(3)),
-            Col::new(at_wait.1, at_wait.0, widths[3], Fmt::Num(3)),
+            Col::new("max_at_wait_us", "max@wait [us]", widths[3], Fmt::Num(3)),
         ])
     };
     let mut all = columns(format!("{what} (one row per mpirun)"));
@@ -176,8 +175,7 @@ pub(crate) fn hier_tables(
 /// Writes the rows as CSV if `path` is non-empty, and says so on
 /// stdout.
 pub fn write_hier_csv(rows: &[HierRow], path: &str) {
-    let at_wait = ("max@wait [us]", "max_at_wait_us");
-    let (all, _) = hier_tables(rows, &[], "configuration", HIER_WIDTHS, at_wait);
+    let (all, _) = hier_tables(rows, &[], "configuration", HIER_WIDTHS);
     let mut report = Report::default();
     report.csv(path, all);
     report.emit();
