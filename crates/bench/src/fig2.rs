@@ -101,25 +101,6 @@ pub fn compute(args: &Args) -> Report {
         Col::new("slope10_ppm", "slope10 [ppm]", 16, Fmt::Num(4)),
         Col::new("r2_10s", "R2(10s)", 10, Fmt::Num(4)),
     ]);
-    for (rank, pts) in series.iter().enumerate().take(ranks.min(3)).skip(1) {
-        let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let full = fit_points(&xs, &ys);
-        let n10 = xs.iter().take_while(|&&x| x <= 10.0).count().max(2);
-        let short = fit_points(&xs[..n10], &ys[..n10]);
-        fits.row(cells![
-            rank,
-            span,
-            full.model.slope * 1e6,
-            full.r_squared,
-            short.model.slope * 1e6,
-            short.r_squared,
-        ]);
-    }
-    r.table(fits);
-    // The operational consequence (what actually breaks tracing tools):
-    // a linear model fitted on the first 10 s extrapolates poorly.
-    r.line("\nextrapolation error of the 10 s model (the reason clocks must be re-synchronized):");
     let mut errs = Table::new(vec![
         Col::new("rank", "rank", 6, Fmt::Left),
         Col::new("err_60s_us", "@60s [us]", 16, Fmt::Num(2)),
@@ -130,10 +111,21 @@ pub fn compute(args: &Args) -> Report {
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
         let n10 = xs.iter().take_while(|&&x| x <= 10.0).count().max(2);
-        let short = fit_points(&xs[..n10], &ys[..n10]).model;
+        let short = fit_points(&xs[..n10], &ys[..n10]);
+        if rank < 3 {
+            let full = fit_points(&xs, &ys);
+            fits.row(cells![
+                rank,
+                span,
+                full.model.slope * 1e6,
+                full.r_squared,
+                short.model.slope * 1e6,
+                short.r_squared,
+            ]);
+        }
         let err_at = |t: f64| {
             let idx = xs.iter().position(|&x| x >= t).unwrap_or(xs.len() - 1);
-            (ys[idx] - (short.slope * xs[idx] + short.intercept)).abs() * 1e6
+            (ys[idx] - (short.model.slope * xs[idx] + short.model.intercept)).abs() * 1e6
         };
         errs.row(cells![
             rank,
@@ -142,6 +134,10 @@ pub fn compute(args: &Args) -> Report {
             err_at(span.min(500.0) - step)
         ]);
     }
+    r.table(fits);
+    // The operational consequence (what actually breaks tracing tools):
+    // a linear model fitted on the first 10 s extrapolates poorly.
+    r.line("\nextrapolation error of the 10 s model (the reason clocks must be re-synchronized):");
     r.table(errs);
     r.line("\nTake-away (paper §III-C2): over ~10 s the drift is linear (R2 > 0.9) and a");
     r.line("global clock model is accurate for roughly 0-20 s; after a minute the");

@@ -20,7 +20,7 @@ use hcs_core::prelude::*;
 use hcs_core::SyncFactory;
 use hcs_sim::machines;
 
-use crate::hier_experiment::{hier_tables, sync_and_check, HierRow};
+use crate::hier_experiment::{factory, hier_tables, sync_and_check, HierRow};
 use crate::{Args, Report};
 
 /// The flags of `fig3`.
@@ -41,16 +41,17 @@ pub fn compute(args: &Args) -> Report {
 
     // The paper's four algorithms with their best-found configurations.
     let makers: Vec<(String, SyncFactory)> = vec![
-        (format!("hca/{nfit}/skampi_offset/{pp}"), {
-            Box::new(move || Box::new(Hca::skampi(nfit, pp)) as Box<dyn ClockSync>) as SyncFactory
-        }),
+        (
+            format!("hca/{nfit}/skampi_offset/{pp}"),
+            factory(move || Hca::skampi(nfit, pp)),
+        ),
         (
             format!("hca2/recompute_intercept/{nfit}/skampi_offset/{pp}"),
-            { Box::new(move || Box::new(Hca2::skampi(nfit, pp)) as Box<dyn ClockSync>) },
+            factory(move || Hca2::skampi(nfit, pp)),
         ),
         (
             format!("hca3/recompute_intercept/{nfit}/skampi_offset/{pp}"),
-            { Box::new(move || Box::new(Hca3::skampi(nfit, pp)) as Box<dyn ClockSync>) },
+            factory(move || Hca3::skampi(nfit, pp)),
         ),
         // JK: the paper found 20 ping-pongs sufficient (and SKaMPI-Offset
         // inside JK superior to Mean-RTT-Offset). JK needs denser fits:
@@ -58,12 +59,10 @@ pub fn compute(args: &Args) -> Report {
         // the clock is ever used, so we give it the paper's relative
         // budget (same fit points as the HCA family at 1/5 the per-point
         // cost, packed into a tighter window).
-        (format!("jk/{}/skampi_offset/20", nfit * 4), {
-            Box::new(move || {
-                Box::new(Jk::skampi(nfit * 4, 20).with_spacing(hcs_sim::secs(0.1e-3)))
-                    as Box<dyn ClockSync>
-            })
-        }),
+        (
+            format!("jk/{}/skampi_offset/20", nfit * 4),
+            factory(move || Jk::skampi(nfit * 4, 20).with_spacing(hcs_sim::secs(0.1e-3))),
+        ),
     ];
 
     // Run `r` of every algorithm shares a cluster seed, so the

@@ -29,35 +29,29 @@ pub struct HierRow {
 /// same two configurations. `fit_hi`/`fit_lo` scale the paper's
 /// 1000/500 to the run budget.
 pub fn fig4_configs(fit_hi: usize, fit_lo: usize, pingpongs: usize) -> Vec<(String, SyncFactory)> {
-    let mk_flat = |nfit: usize, pp: usize| -> SyncFactory {
-        Box::new(move || Box::new(Hca3::skampi(nfit, pp)) as Box<dyn ClockSync>)
-    };
-    let mk_h2 = |nfit: usize, pp: usize| -> SyncFactory {
-        Box::new(move || {
-            Box::new(Hierarchical::h2(
-                Box::new(Hca3::skampi(nfit, pp)),
-                Box::new(ClockPropSync::verified()),
-            )) as Box<dyn ClockSync>
+    let flat = |nfit| factory(move || Hca3::skampi(nfit, pingpongs));
+    let h2 = |nfit| {
+        factory(move || {
+            let top = Box::new(Hca3::skampi(nfit, pingpongs));
+            Hierarchical::h2(top, Box::new(ClockPropSync::verified()))
         })
     };
+    let h2_label =
+        |nfit| format!("Top/hca3/{nfit}/SKaMPI-Offset/{pingpongs}/Bottom/ClockPropagation");
+    let flat_label = |nfit| format!("hca3/recompute_intercept/{nfit}/SKaMPI-Offset/{pingpongs}");
     vec![
-        (
-            format!("hca3/recompute_intercept/{fit_hi}/SKaMPI-Offset/{pingpongs}"),
-            mk_flat(fit_hi, pingpongs),
-        ),
-        (
-            format!("hca3/recompute_intercept/{fit_lo}/SKaMPI-Offset/{pingpongs}"),
-            mk_flat(fit_lo, pingpongs),
-        ),
-        (
-            format!("Top/hca3/{fit_hi}/SKaMPI-Offset/{pingpongs}/Bottom/ClockPropagation"),
-            mk_h2(fit_hi, pingpongs),
-        ),
-        (
-            format!("Top/hca3/{fit_lo}/SKaMPI-Offset/{pingpongs}/Bottom/ClockPropagation"),
-            mk_h2(fit_lo, pingpongs),
-        ),
+        (flat_label(fit_hi), flat(fit_hi)),
+        (flat_label(fit_lo), flat(fit_lo)),
+        (h2_label(fit_hi), h2(fit_hi)),
+        (h2_label(fit_lo), h2(fit_lo)),
     ]
+}
+
+/// A [`SyncFactory`] from a constructor of one algorithm.
+pub(crate) fn factory<S: ClockSync + 'static>(
+    make: impl Fn() -> S + Sync + 'static,
+) -> SyncFactory {
+    Box::new(move || Box::new(make()))
 }
 
 /// Runs the configurations `runs` times each and collects the rows.

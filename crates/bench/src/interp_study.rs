@@ -55,9 +55,7 @@ pub fn compute(args: &Args) -> Report {
         global_resync: Vec<f64>,
     }
 
-    let probes_arg = probes.clone();
     let outs = cluster.run(|ctx| {
-        let probes = probes_arg.clone();
         let raw_for_eval = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut raw = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
@@ -78,13 +76,12 @@ pub fn compute(args: &Args) -> Report {
         // "Application": idle in steps, resyncing at checkpoints, and
         // record the resynced clock's view at each probe instant.
         let mut global_resync = Vec::with_capacity(probes.len());
-        for (i, &p) in probes.iter().enumerate() {
+        for &p in &probes {
             let p_t = SimTime::from_secs(p);
             while ctx.now() < p_t {
                 ctx.compute(secs(2.0).min(p_t - ctx.now()));
                 session.maybe_resync(ctx, &mut comm, &mut alg_rs);
             }
-            let _ = i;
             global_resync.push(session.clock().true_eval(p_t).raw_seconds());
         }
         // End epoch.

@@ -52,32 +52,51 @@ pub fn compute(args: &Args) -> Report {
         Col::new("spent_ms", "time spent [ms]", 16, Fmt::Num(2)),
         Col::new("us_per_sample", "us per sample", 16, Fmt::Num(2)),
     ]);
-    let multiples = [0.5f64, 0.8, 1.0, 1.2, 1.5, 2.0, 4.0, 8.0, 16.0];
-    for &mult in &multiples {
+    // Rank 0's valid global latencies and the time the scheme took:
+    // windows of `mult` x the estimated latency, or Round-Time (`None`).
+    let measure = |mult: Option<f64>| {
         let res = machine.cluster(seed).run(|ctx| {
             let (mut comm, mut g) = hca3_world(ctx, 40, 8);
-            let lat = estimate_allreduce_latency(ctx, &mut comm, g.as_mut(), 8, 10);
+            let window =
+                mult.map(|m| estimate_allreduce_latency(ctx, &mut comm, g.as_mut(), 8, 10) * m);
             let mut op = |ctx: &mut hcs_sim::RankCtx, comm: &mut Comm| {
                 let _ = comm.allreduce(ctx, &[0u8; 8], ReduceOp::ByteMax);
             };
             let t0 = ctx.now();
-            let cfg = WindowConfig {
-                window_s: lat * mult,
-                nreps: reps,
-                first_window_slack_s: secs(1e-3),
+            let samples: Vec<_> = match window {
+                Some(window_s) => {
+                    let cfg = WindowConfig {
+                        window_s,
+                        nreps: reps,
+                        first_window_slack_s: secs(1e-3),
+                    };
+                    let outcome = run_window_scheme(ctx, &mut comm, g.as_mut(), cfg, &mut op);
+                    outcome.samples.into_iter().zip(outcome.valid).collect()
+                }
+                None => {
+                    let cfg = RoundTimeConfig {
+                        max_time_slice_s: secs(1.0),
+                        max_nrep: reps,
+                        ..Default::default()
+                    };
+                    let samples = run_round_time(ctx, &mut comm, g.as_mut(), cfg, &mut op);
+                    samples.into_iter().map(|s| (s, true)).collect()
+                }
             };
-            let outcome = run_window_scheme(ctx, &mut comm, g.as_mut(), cfg, &mut op);
             let spent = ctx.now() - t0;
             let mut globals = Vec::new();
-            for (s, &valid) in outcome.samples.iter().zip(&outcome.valid) {
+            for (s, valid) in &samples {
                 let latency = global_latency(ctx, &mut comm, s).seconds();
-                if valid {
+                if *valid {
                     globals.push(latency);
                 }
             }
             (comm.rank() == 0).then_some((globals, spent))
         });
-        let (globals, spent) = res[0].clone().expect("root");
+        res[0].clone().expect("root")
+    };
+    for mult in [0.5f64, 0.8, 1.0, 1.2, 1.5, 2.0, 4.0, 8.0, 16.0] {
+        let (globals, spent) = measure(Some(mult));
         let valid = globals.len();
         let reported = if valid > 0 {
             globals.iter().sum::<f64>() / valid as f64 * 1e6
@@ -97,28 +116,7 @@ pub fn compute(args: &Args) -> Report {
             per_sample,
         ]);
     }
-
-    // The Round-Time reference point.
-    let res = machine.cluster(seed).run(|ctx| {
-        let (mut comm, mut g) = hca3_world(ctx, 40, 8);
-        let mut op = |ctx: &mut hcs_sim::RankCtx, comm: &mut Comm| {
-            let _ = comm.allreduce(ctx, &[0u8; 8], ReduceOp::ByteMax);
-        };
-        let t0 = ctx.now();
-        let cfg = RoundTimeConfig {
-            max_time_slice_s: secs(1.0),
-            max_nrep: reps,
-            ..Default::default()
-        };
-        let samples = run_round_time(ctx, &mut comm, g.as_mut(), cfg, &mut op);
-        let spent = ctx.now() - t0;
-        let globals: Vec<f64> = samples
-            .iter()
-            .map(|s| global_latency(ctx, &mut comm, s).seconds())
-            .collect();
-        (comm.rank() == 0).then_some((globals, spent))
-    });
-    let (globals, spent) = res[0].clone().expect("root");
+    let (globals, spent) = measure(None);
     let n = globals.len().max(1) as f64;
     t.row(cells![
         "round-time",

@@ -306,11 +306,6 @@ impl Cluster {
         })
     }
 
-    /// The observability configuration of this cluster.
-    pub fn observability(&self) -> ObsSpec {
-        self.obs
-    }
-
     /// The cluster topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
