@@ -84,11 +84,7 @@ pub fn compute(args: &Args) -> Report {
         let mut row = cells![msize];
         for per_scheme in &all {
             let w = per_scheme[i].winner();
-            row.extend(cells![format!(
-                "{:>15} {:>9.2}us",
-                w.name,
-                w.latency_s * 1e6
-            )]);
+            row.push(format!("{:>15} {:>9.2}us", w.name, w.latency_s * 1e6).into());
         }
         t.row(row);
     }
