@@ -103,7 +103,7 @@ pub fn compute(args: &Args) -> Report {
                 .cluster(seed)
                 .to_builder()
                 .env(machine.env_spec().faults(plan.clone()))
-                .observability(ObsSpec::full())
+                .observability(ObsSpec::spans_only())
                 .build();
             let (outcome, log) = cluster.run_outcome_observed(move |ctx| {
                 let clk = LocalClock::new(ctx, TimeSource::MpiWtime);

@@ -66,8 +66,7 @@ pub fn compute(args: &Args) -> Report {
             log.total_dropped()
         ));
     }
-    let stem = out_path.trim_end_matches(".json");
-    let summary_path = format!("{stem}.summary.json");
+    let summary_path = summary_path(&out_path);
     let summary = summary_json(&log);
     let flame = flame_report(&log);
     r.file(
@@ -81,4 +80,23 @@ pub fn compute(args: &Args) -> Report {
     r.line(format!("span summary written to {summary_path}"));
     r.line(format!("\n{flame}"));
     r
+}
+
+/// The summary's path: `out` with one trailing `.json` (if any) swapped
+/// for `.summary.json`.
+fn summary_path(out: &str) -> String {
+    let stem = out.strip_suffix(".json").unwrap_or(out);
+    format!("{stem}.summary.json")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::summary_path;
+
+    #[test]
+    fn the_summary_sits_beside_the_trace_with_one_suffix_swapped() {
+        assert_eq!(summary_path("trace_smoke.json"), "trace_smoke.summary.json");
+        assert_eq!(summary_path("t.json.json"), "t.json.summary.json");
+        assert_eq!(summary_path("out/t"), "out/t.summary.json");
+    }
 }
