@@ -1,12 +1,15 @@
 //! Schedulable rank continuations for the event-driven engine.
 //!
-//! A [`Continuation`] is one rank body that can be *suspended* at a
-//! blocking receive and *resumed* later. The event scheduler
-//! (`events.rs`) drives all continuations of a run from one loop on the
-//! thread that called `Cluster::run*`, which is what lets a p = 131072
-//! run execute on one OS thread instead of needing one thread per rank.
-//! The run loop never moves a continuation off the thread that started
-//! it; the type is still `Send` — its state travels with it, as
+//! A rank body starts through a [`Starter`] and runs until it finishes
+//! or is *suspended* at a blocking receive; either way the call returns
+//! a [`Slice`]. A suspended body comes back as a [`Continuation`] inside
+//! [`Slice::Parked`], and each [`Continuation::resume`] runs it to the
+//! next such slice. The event scheduler (`events.rs`) drives all bodies
+//! of a run from one loop on the thread that called `Cluster::run*`,
+//! which is what lets a p = 131072 run execute on one OS thread instead
+//! of needing one thread per rank. The run loop never moves a
+//! continuation off the thread that started it; the type is still
+//! `Send` — its state travels with it, as
 //! `tests::resume_can_migrate_between_threads` checks on both backends.
 //!
 //! Two interchangeable backends implement the suspend/resume contract:
@@ -14,26 +17,28 @@
 //! - **Fiber** (x86_64 only): a stackful coroutine. Suspension is a
 //!   user-space stack switch (~tens of nanoseconds): the callee-saved
 //!   registers are pushed on the current stack, the stack pointer is
-//!   swapped, and the counterpart's registers are popped. Stacks are
-//!   heap blocks recycled through a global free list, so the peak
-//!   number of live stacks tracks the number of *simultaneously
-//!   suspended* ranks, not the rank count.
-//! - **Thread**: one lazily-spawned OS thread per continuation with a
-//!   state-machine handshake (running / suspended / finished) over a
-//!   condvar. Functionally identical but orders of magnitude slower to
-//!   create; it exists as the portable fallback for non-x86_64 targets
-//!   and as the ThreadSanitizer-compatible mode (TSan cannot follow a
+//!   swapped, and the counterpart's registers are popped. Every fiber
+//!   starts on the starter's *hot stack*; a body that parks takes that
+//!   stack with it into its continuation, and the starter arms a fresh
+//!   one from a global free list on its next start. So the peak number
+//!   of live stacks tracks the number of *simultaneously suspended*
+//!   ranks, not the rank count.
+//! - **Thread**: one OS thread per started body with a state-machine
+//!   handshake (running / suspended / finished) over a condvar.
+//!   Functionally identical but orders of magnitude slower to create;
+//!   it exists as the portable fallback for non-x86_64 targets and as
+//!   the ThreadSanitizer-compatible mode (TSan cannot follow a
 //!   user-space stack switch without fiber annotations), selected via
 //!   `HCS_EVENT_THREAD_CONT=1`.
 //!
 //! The contract both backends guarantee:
 //!
-//! - `resume` runs the body until it finishes or calls
+//! - A slice runs the body until it finishes or calls
 //!   [`suspend_current`], and reports which of the two happened.
 //! - On the fiber backend a running body may also hand the thread
 //!   straight to another parked fiber ([`switch_to`]), which inherits
-//!   the context to return to. A `resume` then returns when the *last*
-//!   fiber of that chain finishes or suspends; the body it started is
+//!   the context to return to. A slice then returns when the *last*
+//!   fiber of that chain finishes or suspends; the body it ran is
 //!   parked unless it is that last fiber, and
 //!   [`Continuation::returned`] reports the last one.
 //! - At most one of (executor, body) executes at any instant — a strict
@@ -46,9 +51,9 @@
 //!   `suspend_current` as a park point and enforces this statically
 //!   (DESIGN.md §15).
 //! - A panic that escapes the body is caught on the continuation's own
-//!   stack, carried back, and re-thrown by the executor on a real
-//!   thread (unwinding across the stack-switch boundary would be
-//!   undefined behavior).
+//!   stack, carried back in [`Slice::Finished`], and re-thrown by the
+//!   executor on a real thread (unwinding across the stack-switch
+//!   boundary would be undefined behavior).
 
 use std::any::Any;
 use std::cell::Cell;
@@ -62,36 +67,72 @@ use crate::lockutil::OrderedMutex;
 /// runs affordable.
 pub(crate) const RANK_STACK_BYTES: usize = 256 * 1024;
 
-/// The closure a continuation runs.
-pub(crate) type Entry = Box<dyn FnOnce() + Send + 'static>;
+/// The closure a thread-backed continuation runs.
+type Entry = Box<dyn FnOnce() + Send + 'static>;
 
 /// Which suspend/resume mechanism to use (decided once per run by the
 /// event executor; see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Backend {
     /// Stackful coroutine (x86_64 only; non-x86_64 builds coerce it to
-    /// `Thread` in [`Continuation::new`]).
+    /// `Thread` in [`Starter::new`]).
     Fiber,
     /// Dedicated OS thread per continuation with a condvar handshake.
     Thread,
 }
 
-/// What a [`Continuation::resume`] call observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Resume {
-    /// The body returned (or panicked; see
-    /// [`Continuation::take_panic`]). The continuation must not be
-    /// resumed again.
-    Finished,
-    /// The body called [`suspend_current`] with this key (the rank's
-    /// virtual-time order key; opaque to this module).
-    Parked(u64),
+impl Backend {
+    /// The backend the `HCS_EVENT_THREAD_CONT` setting selects (see
+    /// [`Backend::from_env_value`]).
+    pub(crate) fn from_env() -> Backend {
+        Backend::from_env_value(std::env::var("HCS_EVENT_THREAD_CONT").ok().as_deref())
+    }
+
+    /// Resolves an `HCS_EVENT_THREAD_CONT` value: unset, empty, `0` or
+    /// `false` select fibers; `1` or `true` the thread handshake (the
+    /// portable, TSan-safe backend). ASCII case-insensitive.
+    ///
+    /// # Panics
+    /// Panics on any other value, so a typo never selects a backend
+    /// silently.
+    fn from_env_value(value: Option<&str>) -> Backend {
+        match value {
+            None | Some("") | Some("0") => Backend::Fiber,
+            Some("1") => Backend::Thread,
+            Some(v) if v.eq_ignore_ascii_case("false") => Backend::Fiber,
+            Some(v) if v.eq_ignore_ascii_case("true") => Backend::Thread,
+            Some(v) => panic!(
+                "HCS_EVENT_THREAD_CONT={v:?} is not a backend switch: expected `0`, `false`, \
+                 `1` or `true`"
+            ),
+        }
+    }
+}
+
+/// What one slice of a rank body observed: a [`Starter::start`],
+/// [`Continuation::resume`] or [`Continuation::returned`].
+pub(crate) enum Slice {
+    /// The body returned; any panic it unwound with is carried here.
+    /// Its stack or thread is already reaped.
+    Finished { panic: Option<Box<dyn Any + Send>> },
+    /// The body called [`suspend_current`] with `key` (the rank's
+    /// virtual-time order key; opaque to this module); `cont` resumes
+    /// it.
+    Parked { cont: Continuation, key: u64 },
+}
+
+impl Slice {
+    fn parked(state: ContState, key: u64) -> Slice {
+        Slice::Parked {
+            cont: Continuation { state },
+            key,
+        }
+    }
 }
 
 /// Suspends the continuation currently executing on this thread,
-/// returning control to the executor's `resume` call with
-/// [`Resume::Parked`]`(key)`. Returns when the executor resumes the
-/// continuation again.
+/// ending its slice with [`Slice::Parked`] and `key`. Returns when the
+/// executor resumes the continuation again.
 ///
 /// # Panics
 /// Panics if the calling code is not running inside a continuation.
@@ -99,10 +140,10 @@ pub(crate) fn suspend_current(key: u64) {
     match current() {
         #[cfg(target_arch = "x86_64")]
         Current::Fiber(core) => {
-            // SAFETY: `core` was set by the fiber's `resume` on this
-            // thread and stays valid for the whole resume window (the
-            // executor owns the box). Only the body side touches it
-            // between resume and switch-back.
+            // SAFETY: `core` was set by whoever activated the fiber on
+            // this thread and stays valid for the whole activation (the
+            // starter or the continuation owns the box). Only the body
+            // side touches it between activation and switch-back.
             unsafe {
                 (*core).park_key = key;
                 let ret = (*core).ret_sp;
@@ -121,8 +162,8 @@ pub(crate) fn suspend_current(key: u64) {
 
 /// A parked fiber that a running one may switch straight to
 /// ([`switch_to`]): the address of its switch core, which stays put
-/// from the fiber's first activation until it finishes (promoting an
-/// inline-dispatched body moves the box, not the core).
+/// from the fiber's first activation until it finishes (promoting a
+/// body off the hot stack moves the box, not the core).
 #[derive(Clone, Copy)]
 pub(crate) struct FiberRef {
     core: CoreRef,
@@ -155,9 +196,9 @@ pub(crate) fn current_fiber() -> Option<FiberRef> {
 /// Suspends the fiber executing on this thread with `key`, as
 /// [`suspend_current`] does, but activates `next` instead of returning
 /// to the executor: `next` inherits this fiber's return context, so
-/// the executor's `resume` (or inline dispatch) returns only when a
-/// fiber of the chain finishes or calls [`suspend_current`]. Returns
-/// when this fiber is activated again, by the executor or by a switch.
+/// the executor's slice returns only when a fiber of the chain
+/// finishes or calls [`suspend_current`]. Returns when this fiber is
+/// activated again, by the executor or by a switch.
 ///
 /// # Safety
 /// `next` must come from [`current_fiber`] of a body that is parked
@@ -202,8 +243,8 @@ fn current() -> Current {
 }
 
 /// The continuation currently executing on this OS thread, if any. Set
-/// by `resume` for the fiber backend (and moved along by `switch_to`)
-/// and by the coroutine thread itself for the thread backend.
+/// by whoever activates a fiber (and moved along by `switch_to`) and by
+/// the coroutine thread itself for the thread backend.
 #[derive(Clone, Copy)]
 enum Current {
     #[cfg(target_arch = "x86_64")]
@@ -215,148 +256,94 @@ thread_local! {
     static CURRENT: Cell<Option<Current>> = const { Cell::new(None) };
 }
 
-/// One suspendable rank body. Creation is cheap — the backend resources
-/// (stack or thread) are only committed on the first `resume`.
-pub(crate) struct Continuation {
-    state: ContState,
+/// Starts fresh rank bodies on one backend. On the fiber backend it
+/// owns the *hot stack*: a fresh body runs on it straight away, and
+/// only a body that parks takes the stack (and its switch core) with
+/// it into a [`Continuation`]. The common case — a body that never
+/// blocks — thereby costs one frame build and two stack switches, with
+/// no allocation at all. On the thread backend every body gets its own
+/// coroutine thread.
+pub(crate) struct Starter {
     backend: Backend,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-enum ContState {
-    /// Not yet started; holds the entry closure.
-    New(Option<Entry>),
     #[cfg(target_arch = "x86_64")]
-    Fiber(fiber::FiberCont),
-    Thread(ThreadCont),
-    /// Finished and reaped; resuming again is a logic error.
-    Done,
+    hot: fiber::HotFiber,
 }
 
-impl Continuation {
-    /// Wraps `entry` without committing a stack or thread yet.
-    pub(crate) fn new(entry: Entry, backend: Backend) -> Self {
+impl Starter {
+    /// A starter for `backend`; without x86_64 every body is
+    /// thread-backed. Commits no stack until the first fiber start.
+    pub(crate) fn new(backend: Backend) -> Starter {
         #[cfg(not(target_arch = "x86_64"))]
         let backend = Backend::Thread;
-        Continuation {
-            state: ContState::New(Some(entry)),
+        Starter {
             backend,
-            panic: None,
+            #[cfg(target_arch = "x86_64")]
+            hot: fiber::HotFiber::default(),
         }
     }
 
-    /// Runs the body until it finishes or suspends. Must not be called
-    /// again after it returned [`Resume::Finished`].
-    pub(crate) fn resume(&mut self) -> Resume {
-        if let ContState::New(entry) = &mut self.state {
-            let entry = entry.take().expect("New state always holds the entry");
-            self.state = match self.backend {
-                #[cfg(target_arch = "x86_64")]
-                Backend::Fiber => ContState::Fiber(fiber::FiberCont::start(entry)),
-                #[cfg(not(target_arch = "x86_64"))]
-                Backend::Fiber => unreachable!("constructor coerces Fiber to Thread"),
-                Backend::Thread => ContState::Thread(ThreadCont::start(entry)),
-            };
+    /// Runs `f` until it finishes or suspends. If `f` switches to
+    /// another fiber (`switch_to`), this returns when the chain hands
+    /// the thread back, and `f` is parked unless it was switched to
+    /// again and finished. `F: Send` because a continuation is `Send`.
+    ///
+    /// # Safety
+    /// Everything `f` borrows must outlive the [`Continuation`] that a
+    /// [`Slice::Parked`] result carries, until that continuation
+    /// finishes or is dropped without being resumed again: the
+    /// continuation is `'static` but holds `f`.
+    // SAFETY: the lifetime of `f`'s borrows is the caller's contract
+    // (above); nothing else here extends them.
+    pub(crate) unsafe fn start<'a, F: FnOnce() + Send + 'a>(&mut self, f: F) -> Slice {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `run` has this function's contract, passed on.
+            Backend::Fiber => unsafe { self.hot.run(f) },
+            _ => {
+                let entry: Box<dyn FnOnce() + Send + 'a> = Box::new(f);
+                // SAFETY: the caller keeps `f`'s borrows alive for as
+                // long as its continuation may run (contract above).
+                // The transmute only widens the trait object's
+                // lifetime parameter.
+                let entry: Entry = unsafe { std::mem::transmute(entry) };
+                ThreadCont::start(entry)
+            }
         }
-        let r = match &mut self.state {
+    }
+}
+
+/// One suspended rank body: the fiber stack or coroutine thread it is
+/// parked on.
+pub(crate) struct Continuation {
+    state: ContState,
+}
+
+enum ContState {
+    #[cfg(target_arch = "x86_64")]
+    Fiber(fiber::FiberCont),
+    Thread(ThreadCont),
+}
+
+impl Continuation {
+    /// Runs the body until it finishes (its stack or thread is reaped)
+    /// or suspends again.
+    pub(crate) fn resume(self) -> Slice {
+        match self.state {
             #[cfg(target_arch = "x86_64")]
             ContState::Fiber(f) => f.resume(),
             ContState::Thread(t) => t.resume(),
-            ContState::New(_) => unreachable!("started above"),
-            ContState::Done => panic!("resumed a finished continuation"),
-        };
-        self.settle(r)
+        }
     }
 
     /// What a fiber that a chain of [`switch_to`] calls moved to did
     /// when it handed the thread back to the executor: finished (the
     /// stack is reaped, as by [`Continuation::resume`]) or parked.
-    pub(crate) fn returned(&mut self) -> Resume {
-        let r = match &mut self.state {
+    pub(crate) fn returned(self) -> Slice {
+        match self.state {
             #[cfg(target_arch = "x86_64")]
             ContState::Fiber(f) => f.returned(),
-            _ => unreachable!("only a started fiber is a switch target"),
-        };
-        self.settle(r)
-    }
-
-    fn settle(&mut self, r: Resume) -> Resume {
-        if matches!(r, Resume::Finished) {
-            // Replacing the state drops the backend and reaps it (the
-            // fiber's stack returns to the free list; the thread is
-            // joined), which is what keeps peak resource usage bounded
-            // by the number of *live* continuations, not the rank count.
-            let state = std::mem::replace(&mut self.state, ContState::Done);
-            self.panic = match state {
-                #[cfg(target_arch = "x86_64")]
-                ContState::Fiber(mut f) => f.take_panic(),
-                ContState::Thread(mut t) => t.take_panic(),
-                ContState::New(_) | ContState::Done => None,
-            };
+            _ => unreachable!("only a fiber is a switch target"),
         }
-        r
-    }
-
-    /// Takes the panic payload the body unwound with, if any. Only
-    /// meaningful after [`Resume::Finished`].
-    pub(crate) fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.panic.take()
-    }
-}
-
-/// What one [`InlineFiber::run`] dispatch observed.
-#[cfg(target_arch = "x86_64")]
-pub(crate) enum InlineRun {
-    /// The body ran to completion; any panic it unwound with is carried
-    /// here (there is no `Continuation` to ask).
-    Finished { panic: Option<Box<dyn Any + Send>> },
-    /// The body suspended with `key`; its stack was promoted into this
-    /// continuation, which resumes through the normal fiber path.
-    Parked { cont: Continuation, key: u64 },
-}
-
-/// The run loop's inline dispatcher for *fresh* fiber-backend bodies:
-/// runs the body immediately on a reusable hot stack and only commits a
-/// full [`Continuation`] (core box, dedicated stack) if the body
-/// actually parks. The executor's fast path for ranks that never block
-/// — the overwhelming majority at scale — thereby skips every per-rank
-/// allocation the boxed-entry path pays.
-#[cfg(target_arch = "x86_64")]
-pub(crate) struct InlineFiber(fiber::HotFiber);
-
-#[cfg(target_arch = "x86_64")]
-impl InlineFiber {
-    pub(crate) fn new() -> Self {
-        InlineFiber(fiber::HotFiber::new())
-    }
-
-    /// Runs `f` until it finishes or suspends.
-    pub(crate) fn run(&mut self, f: impl FnOnce() + Send) -> InlineRun {
-        let run = self.0.run(f); // xtask-allow: clockdomain (fiber handle, not a time)
-        match run {
-            fiber::HotRun::Finished { panic } => InlineRun::Finished { panic },
-            fiber::HotRun::Parked { cont, key } => InlineRun::Parked {
-                cont: Continuation {
-                    state: ContState::Fiber(cont),
-                    backend: Backend::Fiber,
-                    panic: None,
-                },
-                key,
-            },
-        }
-    }
-}
-
-/// Stub for targets without the fiber backend: never constructed into a
-/// running dispatcher — the executor coerces every run to the thread
-/// backend there, so `run` is never called.
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) struct InlineFiber;
-
-#[cfg(not(target_arch = "x86_64"))]
-impl InlineFiber {
-    pub(crate) fn new() -> Self {
-        InlineFiber
     }
 }
 
@@ -398,17 +385,12 @@ impl ThreadShared {
 struct ThreadCont {
     shared: Arc<ThreadShared>,
     handle: Option<std::thread::JoinHandle<()>>,
-    /// Whether the previous `resume` returned `Parked` — i.e. the body
-    /// sits in a suspension this side has already *reported*, so the
-    /// next `resume` must wake it. A `Suspended` phase observed with
-    /// this flag clear is a fresh park that raced ahead of the first
-    /// `resume`; it must be reported, not consumed.
-    parked: bool,
 }
 
 impl ThreadCont {
-    /// Spawns the coroutine thread already in the `Running` phase.
-    fn start(entry: Entry) -> Self {
+    /// Spawns the coroutine thread already in the `Running` phase and
+    /// waits for its first slice to end.
+    fn start(entry: Entry) -> Slice {
         let shared = Arc::new(ThreadShared {
             phase: OrderedMutex::new("events.cont", 5, ThreadPhase::Running),
             cv: Condvar::new(),
@@ -429,36 +411,34 @@ impl ThreadCont {
         ThreadCont {
             shared,
             handle: Some(handle),
-            parked: false,
         }
+        .wait()
     }
 
-    /// Executor side: wake the body if (and only if) its current
-    /// suspension was already reported, then wait for the next
-    /// suspension or completion.
-    fn resume(&mut self) -> Resume {
+    /// Executor side: wakes the parked body, then waits for its slice
+    /// to end.
+    fn resume(self) -> Slice {
+        *self.shared.phase.acquire() = ThreadPhase::Running;
+        self.shared.cv.notify_all();
+        self.wait()
+    }
+
+    /// Waits for the running body to suspend or finish. A finished
+    /// body's thread is joined as `self` drops.
+    fn wait(self) -> Slice {
         let mut ph = self.shared.phase.acquire();
-        if self.parked {
-            *ph = ThreadPhase::Running;
-            self.shared.cv.notify_all();
-        }
         while matches!(*ph, ThreadPhase::Running) {
             ph = ph.wait(&self.shared.cv);
         }
-        match *ph {
-            ThreadPhase::Suspended(key) => {
-                self.parked = true;
-                Resume::Parked(key)
-            }
-            ThreadPhase::Finished(_) => Resume::Finished,
+        let parked = match &mut *ph {
+            ThreadPhase::Suspended(key) => Ok(*key),
+            ThreadPhase::Finished(panic) => Err(panic.take()),
             ThreadPhase::Running => unreachable!("loop exits only on a phase change"),
-        }
-    }
-
-    fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
-        match &mut *self.shared.phase.acquire() {
-            ThreadPhase::Finished(p) => p.take(),
-            _ => None,
+        };
+        drop(ph);
+        match parked {
+            Ok(key) => Slice::parked(ContState::Thread(self), key),
+            Err(panic) => Slice::Finished { panic },
         }
     }
 }
@@ -485,15 +465,12 @@ impl Drop for ThreadCont {
 // Fiber backend (x86_64)
 // ---------------------------------------------------------------------
 
-#[cfg(all(test, target_arch = "x86_64"))]
-pub(crate) use fiber::recycled_stacks;
-
 #[cfg(target_arch = "x86_64")]
 mod fiber {
     use std::any::Any;
     use std::arch::naked_asm;
 
-    use super::{Current, Entry, Resume, CURRENT, RANK_STACK_BYTES};
+    use super::{ContState, Current, Slice, CURRENT, RANK_STACK_BYTES};
     use crate::lockutil::OrderedMutex;
 
     /// Shared switch state of one fiber. Boxed so its address is stable
@@ -501,9 +478,9 @@ mod fiber {
     pub(super) struct ContCore {
         /// Saved stack pointer of the suspended fiber.
         pub(super) coro_sp: *mut u8,
-        /// Saved stack pointer of the executor thread driving `resume`.
+        /// Saved stack pointer of the executor thread driving the slice.
         pub(super) ret_sp: *mut u8,
-        /// Set by `cont_entry` once the body returned.
+        /// Set by `hot_entry` once the body returned.
         finished: bool,
         /// Key passed to the pending `suspend_current`.
         pub(super) park_key: u64,
@@ -514,13 +491,13 @@ mod fiber {
     /// Saves the callee-saved registers and stack pointer of the
     /// current context into `*save`, then activates the stack `to`
     /// (a value previously written by this function, or an initial
-    /// frame built by `FiberCont::start`).
+    /// frame built by `HotFiber::run`).
     ///
     /// Only the System V callee-saved GP registers travel across the
     /// switch (rbx, rbp, r12–r15); everything else is caller-saved at
     /// this call boundary, so the compiler preserves what it needs.
     // SAFETY: callers must pass a `to` stack that was either saved by
-    // this function or laid out by `FiberCont::start`; the asm body
+    // this function or laid out by `HotFiber::run`; the asm body
     // touches only the stack and callee-saved registers, exactly the
     // contract a naked `extern "C"` boundary exposes.
     #[unsafe(naked)]
@@ -548,13 +525,12 @@ mod fiber {
     /// the core pointer into `rbx`, an opaque argument into `r12` and
     /// the entry function into `r13`, then `ret`s here. Forwards core
     /// and argument to the entry per the C ABI with a 16-byte-aligned
-    /// stack. The indirection through `r13` lets one trampoline serve
-    /// both the boxed-entry path (`cont_entry`) and the monomorphized
-    /// inline-dispatch entries (`hot_entry::<F>`).
+    /// stack. The entry, `hot_entry::<F>`, is monomorphized per body
+    /// type, hence the indirection through `r13`.
     // SAFETY: only ever entered via an initial frame built by
-    // `FiberCont::start` or `HotFiber::run` (rbx = core, r12 = arg,
-    // r13 = a never-returning `extern "C" fn(core, arg)`), so the `ud2`
-    // after the call is unreachable by construction.
+    // `HotFiber::run` (rbx = core, r12 = arg, r13 = a never-returning
+    // `extern "C" fn(core, arg)`), so the `ud2` after the call is
+    // unreachable by construction.
     #[unsafe(naked)]
     unsafe extern "C" fn trampoline() {
         naked_asm!(
@@ -564,32 +540,6 @@ mod fiber {
             "call r13",
             "ud2",
         )
-    }
-
-    /// Runs the body on the fiber stack. Never returns: the final
-    /// switch hands control back to the executor for good (`finished`
-    /// is set first, so the executor will not resume this fiber again).
-    // SAFETY: called exactly once per fiber, from `trampoline`, with the
-    // pointers planted by `FiberCont::start`.
-    unsafe extern "C" fn cont_entry(core: *mut ContCore, entry: *mut Entry) -> ! {
-        // SAFETY: `entry` is the Box::into_raw pointer planted in the
-        // initial frame by `FiberCont::start`, reaching here exactly
-        // once. Catching the unwind is required: unwinding through
-        // `trampoline`'s asm frame would be undefined behavior.
-        let result = unsafe {
-            let f = Box::from_raw(entry);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(*f))
-        };
-        // SAFETY: `core` stays valid for the fiber's whole life (owned
-        // by the FiberCont box) and the executor side does not touch it
-        // while the fiber runs (strict handoff).
-        unsafe {
-            (*core).panic = result.err();
-            (*core).finished = true;
-            let ret = (*core).ret_sp;
-            switch_stack(&mut (*core).coro_sp, ret);
-        }
-        unreachable!("a finished fiber is never resumed");
     }
 
     /// One 16-byte-aligned heap block used as a fiber stack.
@@ -698,19 +648,16 @@ mod fiber {
         static RECYCLED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
-    /// How many fiber stacks the calling thread has returned to the
-    /// pool so far: a finished fiber's stack goes back the moment the
-    /// executor learns it finished.
     #[cfg(test)]
-    pub(crate) fn recycled_stacks() -> u64 {
+    pub(super) fn recycled_stacks() -> u64 {
         RECYCLED.with(std::cell::Cell::get)
     }
 
-    /// A started fiber: its switch core plus the stack it runs on.
+    /// A parked fiber, promoted off the hot stack: its switch core plus
+    /// the stack it runs on.
     pub(super) struct FiberCont {
         core: Box<ContCore>,
-        /// `Some` until the fiber finishes and the stack is recycled.
-        stack: Option<RawStack>,
+        stack: RawStack,
     }
 
     // SAFETY: the raw pointers inside ContCore are only dereferenced
@@ -720,56 +667,13 @@ mod fiber {
     unsafe impl Send for FiberCont {}
 
     impl FiberCont {
-        /// Builds the initial stack frame so that the first `resume`
-        /// lands in `trampoline` with `rbx = core`, `r12 = entry`.
-        pub(super) fn start(entry: Entry) -> FiberCont {
-            let stack = stack_get();
-            let mut core = Box::new(ContCore {
-                coro_sp: std::ptr::null_mut(),
-                ret_sp: std::ptr::null_mut(),
-                finished: false,
-                park_key: 0,
-                panic: None,
-            });
-            // Double-box: `Entry` is a wide trait-object box, and the
-            // initial frame has room for one machine word, so plant a
-            // thin pointer to it.
-            let entry: *mut Entry = Box::into_raw(Box::new(entry));
-            let top = stack.top();
-            debug_assert!(
-                (top as usize).is_multiple_of(16),
-                "stack top must be 16-aligned"
-            );
-            // Frame layout, low to high, matching `switch_stack`'s six
-            // pops + ret: r15 r14 r13 r12 rbx rbp | retaddr | pad.
-            // SAFETY: all eight slots lie inside the freshly acquired
-            // stack block, below its aligned top.
-            unsafe {
-                let sp = top.sub(64) as *mut u64;
-                sp.add(0).write(0); // r15
-                sp.add(1).write(0); // r14
-                sp.add(2).write(cont_entry as *const () as usize as u64); // r13 → entry fn
-                sp.add(3).write(entry as u64); // r12 → boxed closure
-                sp.add(4).write(&mut *core as *mut ContCore as u64); // rbx → core
-                sp.add(5).write(0); // rbp
-                sp.add(6).write(trampoline as *const () as usize as u64); // ret target
-                sp.add(7).write(0); // pad / fake caller frame
-                core.coro_sp = sp as *mut u8;
-            }
-            FiberCont {
-                core,
-                stack: Some(stack),
-            }
-        }
-
-        pub(super) fn resume(&mut self) -> Resume {
+        pub(super) fn resume(mut self) -> Slice {
             let core: *mut ContCore = &mut *self.core;
             CURRENT.with(|c| c.set(Some(Current::Fiber(core))));
-            // SAFETY: `coro_sp` is either the initial frame built by
-            // `start` or the save slot written by the fiber's last
-            // suspension; the fiber is not finished (enforced by the
-            // Continuation state machine), so activating it is the
-            // strict handoff the core was designed for.
+            // SAFETY: `coro_sp` is the save slot written by the fiber's
+            // last suspension; the fiber is parked, not finished (a
+            // finished one is consumed by `returned`), so activating it
+            // is the strict handoff the core was designed for.
             unsafe {
                 let to = (*core).coro_sp;
                 switch_stack(&mut (*core).ret_sp, to);
@@ -780,50 +684,36 @@ mod fiber {
 
         /// How this fiber last handed the thread back to the executor:
         /// finished (its stack returns to the pool) or parked.
-        pub(super) fn returned(&mut self) -> Resume {
+        pub(super) fn returned(self) -> Slice {
             if self.core.finished {
-                if let Some(s) = self.stack.take() {
-                    stack_put(s);
+                let FiberCont { mut core, stack } = self;
+                stack_put(stack);
+                Slice::Finished {
+                    panic: core.panic.take(),
                 }
-                Resume::Finished
             } else {
-                Resume::Parked(self.core.park_key)
+                let key = self.core.park_key;
+                Slice::parked(ContState::Fiber(self), key)
             }
         }
-
-        pub(super) fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
-            self.core.panic.take()
-        }
     }
 
-    /// What one [`HotFiber::run`] dispatch observed.
-    pub(super) enum HotRun {
-        /// The body ran to completion on the hot stack; the stack and
-        /// core stay armed for the next body — no allocator or free-list
-        /// traffic at all.
-        Finished { panic: Option<Box<dyn Any + Send>> },
-        /// The body called `suspend_current(key)`: the hot stack (with
-        /// the suspended body on it) and core are promoted into this
-        /// continuation, and the runner re-arms lazily.
-        Parked { cont: FiberCont, key: u64 },
-    }
-
-    /// The run loop's reusable (stack, core) pair for inline dispatch of
-    /// *fresh* rank bodies. The common case — a body that never blocks —
-    /// costs one frame build and two stack switches: no job box, no core
-    /// box, no entry box, no stack free-list round trip. Only a body
-    /// that actually parks pays the promotion into a full [`FiberCont`]
-    /// (which is exactly the slow path that already pays lock and heap
-    /// traffic to publish the park).
+    /// The starter's reusable (stack, core) pair that every fresh body
+    /// runs on, armed on first use. A body that finishes leaves both
+    /// armed for the next; a body that parks takes both into a
+    /// [`FiberCont`] (the slow path, which already pays lock and heap
+    /// traffic to publish the park), and the next start arms a new
+    /// pair.
+    #[derive(Default)]
     pub(super) struct HotFiber {
         core: Option<Box<ContCore>>,
         stack: Option<RawStack>,
     }
 
-    /// Runs `f` on the hot stack. Identical epilogue contract to
-    /// `cont_entry`: never returns; the final switch publishes
-    /// `finished` first, so the executor side can trust the flag.
-    // SAFETY: called exactly once per dispatch, from `trampoline`, with
+    /// Runs the body on the fiber it was started on. Never returns: the
+    /// final switch publishes `finished` first, so whoever activated
+    /// the fiber last can trust the flag and never resumes it again.
+    // SAFETY: called exactly once per start, from `trampoline`, with
     // the pointers planted by `HotFiber::run`; `slot` holds the closure
     // until this takes it (strict handoff — the run loop is suspended in
     // `switch_stack` for the whole window, keeping its frame alive).
@@ -848,22 +738,14 @@ mod fiber {
     }
 
     impl HotFiber {
-        /// An unarmed runner; the stack and core are committed on first
-        /// use (a loop that only resumes parked continuations never
-        /// allocates them).
-        pub(super) fn new() -> HotFiber {
-            HotFiber {
-                core: None,
-                stack: None,
-            }
-        }
-
-        /// Runs `f` until it finishes or suspends (see [`HotRun`]).
-        /// If `f` switches to another fiber (`switch_to`), this returns
-        /// when the chain hands the thread back, and `f` is parked
-        /// unless it was switched to again and finished.
-        /// `F: Send` because a promoted continuation is `Send`.
-        pub(super) fn run<F: FnOnce() + Send>(&mut self, f: F) -> HotRun {
+        /// Runs `f` on the hot stack; see [`super::Starter::start`].
+        ///
+        /// # Safety
+        /// As for [`super::Starter::start`]: `f`'s borrows must outlive
+        /// the continuation a parked result carries.
+        // SAFETY: the lifetime of `f`'s borrows is the caller's
+        // contract (above); the frame and switch are justified below.
+        pub(super) unsafe fn run<F: FnOnce() + Send>(&mut self, f: F) -> Slice {
             let core = self.core.get_or_insert_with(|| {
                 Box::new(ContCore {
                     coro_sp: std::ptr::null_mut(),
@@ -876,11 +758,16 @@ mod fiber {
             let stack = self.stack.get_or_insert_with(stack_get);
             let mut slot = Some(f);
             let top = stack.top();
+            debug_assert!(
+                (top as usize).is_multiple_of(16),
+                "stack top must be 16-aligned"
+            );
             let core_ptr: *mut ContCore = &mut **core;
-            // Same eight-slot initial frame as `FiberCont::start`, with
-            // the monomorphized `hot_entry::<F>` as the target and a
-            // pointer to the stack-local closure slot as its argument
-            // (no boxing: the loop's frame outlives the handoff).
+            // Frame layout, low to high, matching `switch_stack`'s six
+            // pops + ret: r15 r14 r13 r12 rbx rbp | retaddr | pad. The
+            // monomorphized `hot_entry::<F>` is the target and a pointer
+            // to the stack-local closure slot its argument (no boxing:
+            // the loop's frame outlives the handoff).
             // SAFETY: all eight slots lie inside the armed stack block,
             // below its aligned top; the switch activates a frame this
             // function just built.
@@ -900,118 +787,164 @@ mod fiber {
             }
             if core.finished {
                 // Re-arm in place: the body's frames above the reset
-                // point are dead, so the next dispatch reuses stack and
+                // point are dead, so the next start reuses stack and
                 // core verbatim.
                 core.finished = false;
-                HotRun::Finished {
+                return Slice::Finished {
                     panic: core.panic.take(),
-                }
-            } else {
-                let core = self.core.take().expect("armed above");
-                let stack = self.stack.take().expect("armed above");
-                let key = core.park_key;
-                HotRun::Parked {
-                    cont: FiberCont {
-                        core,
-                        stack: Some(stack),
-                    },
-                    key,
-                }
+                };
+            }
+            let cont = FiberCont {
+                core: self.core.take().expect("armed above"),
+                stack: self.stack.take().expect("armed above"),
+            };
+            cont.returned()
+        }
+    }
+
+    impl Drop for HotFiber {
+        /// Returns an armed hot stack to the pool, which checks its
+        /// canary: a run in which no rank parks runs on this stack
+        /// alone.
+        fn drop(&mut self) {
+            if let Some(stack) = self.stack.take() {
+                stack_put(stack);
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn backends() -> Vec<Backend> {
-        if cfg!(target_arch = "x86_64") {
-            vec![Backend::Fiber, Backend::Thread]
-        } else {
-            vec![Backend::Thread]
+    /// The backends a test can run here: both, or the thread backend
+    /// alone where the target has no fibers or `HCS_EVENT_THREAD_CONT`
+    /// forces threads (the sanitizer lanes, which cannot follow a stack
+    /// switch). A test that compares the backends compares those
+    /// available.
+    pub(crate) fn test_backends() -> Vec<Backend> {
+        match Starter::new(Backend::from_env()).backend {
+            Backend::Fiber => vec![Backend::Fiber, Backend::Thread],
+            Backend::Thread => vec![Backend::Thread],
         }
+    }
+
+    /// Starts a body that borrows nothing on a starter of its own.
+    fn start(backend: Backend, f: impl FnOnce() + Send + 'static) -> Slice {
+        // SAFETY: `f` is `'static`, so it has no borrows to outlive.
+        unsafe { Starter::new(backend).start(f) }
+    }
+
+    /// The continuation of a slice that parked with `want`.
+    #[track_caller]
+    fn parked(slice: Slice, want: u64) -> Continuation {
+        match slice {
+            Slice::Parked { cont, key } => {
+                assert_eq!(key, want);
+                cont
+            }
+            Slice::Finished { .. } => panic!("finished, expected a park with key {want}"),
+        }
+    }
+
+    /// The panic payload, if any, of a slice that finished.
+    #[track_caller]
+    fn finished(slice: Slice) -> Option<Box<dyn Any + Send>> {
+        match slice {
+            Slice::Finished { panic } => panic,
+            Slice::Parked { key, .. } => panic!("parked with key {key}, expected to finish"),
+        }
+    }
+
+    /// How many fiber stacks the calling thread has returned to the
+    /// pool so far (none without the fiber backend): a finished fiber's
+    /// stack goes back the moment the executor learns it finished, and
+    /// the hot stack when its starter drops.
+    pub(crate) fn recycled_stacks() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        return fiber::recycled_stacks();
+        #[cfg(not(target_arch = "x86_64"))]
+        0
     }
 
     #[test]
     fn runs_to_completion_without_suspending() {
-        for backend in backends() {
+        for backend in test_backends() {
             let (tx, rx) = std::sync::mpsc::channel();
-            let mut c = Continuation::new(Box::new(move || tx.send(41).unwrap()), backend);
-            assert_eq!(c.resume(), Resume::Finished);
+            assert!(finished(start(backend, move || tx.send(41).unwrap())).is_none());
             assert_eq!(rx.recv().unwrap(), 41);
-            assert!(c.take_panic().is_none());
         }
     }
 
     #[test]
     fn suspends_and_resumes_preserving_state() {
-        for backend in backends() {
+        for backend in test_backends() {
+            let steps = [2u64, 3];
             let (tx, rx) = std::sync::mpsc::channel();
-            let mut c = Continuation::new(
-                Box::new(move || {
+            let body = {
+                let steps = &steps;
+                move || {
                     let mut acc = 1u64;
                     suspend_current(10);
-                    acc += 2;
+                    acc += steps[0];
                     suspend_current(20);
-                    acc += 3;
+                    acc += steps[1];
                     tx.send(acc).unwrap();
-                }),
-                backend,
-            );
-            assert_eq!(c.resume(), Resume::Parked(10));
-            assert_eq!(c.resume(), Resume::Parked(20));
-            assert_eq!(c.resume(), Resume::Finished);
+                }
+            };
+            // SAFETY: `steps` outlives the continuation, which finishes
+            // below.
+            let c = parked(unsafe { Starter::new(backend).start(body) }, 10);
+            let c = parked(c.resume(), 20);
+            assert!(finished(c.resume()).is_none());
             assert_eq!(rx.recv().unwrap(), 6);
         }
     }
 
     #[test]
     fn many_sequential_continuations_recycle_resources() {
-        for backend in backends() {
+        for backend in test_backends() {
+            let before = recycled_stacks();
+            let mut starter = Starter::new(backend);
             for i in 0..64u64 {
-                let mut c = Continuation::new(
-                    Box::new(move || {
-                        suspend_current(i);
-                    }),
-                    backend,
-                );
-                assert_eq!(c.resume(), Resume::Parked(i), "backend={backend:?} i={i}");
-                assert_eq!(c.resume(), Resume::Finished, "backend={backend:?} i={i}");
+                // SAFETY: the body borrows nothing.
+                let c = parked(unsafe { starter.start(move || suspend_current(i)) }, i);
+                assert!(finished(c.resume()).is_none(), "backend={backend:?} i={i}");
             }
+            // SAFETY: the body borrows nothing.
+            assert!(finished(unsafe { starter.start(|| ()) }).is_none());
+            drop(starter);
+            // Each parked body took the hot stack along and returned it
+            // as it finished; the last body finished on a fresh hot
+            // stack, which went back as the starter dropped.
+            let want = if backend == Backend::Fiber { 65 } else { 0 };
+            assert_eq!(recycled_stacks() - before, want, "backend={backend:?}");
         }
     }
 
     #[test]
     fn resume_can_migrate_between_threads() {
-        for backend in backends() {
-            let mut c = Continuation::new(
-                Box::new(|| {
-                    suspend_current(1);
-                    suspend_current(2);
-                }),
-                backend,
-            );
-            assert_eq!(c.resume(), Resume::Parked(1));
+        for backend in test_backends() {
+            let c = start(backend, || {
+                suspend_current(1);
+                suspend_current(2);
+            });
+            let c = parked(c, 1);
             // Resume from a different OS thread: the continuation's
             // state must travel with it.
-            let mut c = std::thread::spawn(move || {
-                assert_eq!(c.resume(), Resume::Parked(2));
-                c
-            })
-            .join()
-            .unwrap();
-            assert_eq!(c.resume(), Resume::Finished);
+            let c = std::thread::spawn(move || parked(c.resume(), 2))
+                .join()
+                .unwrap();
+            assert!(finished(c.resume()).is_none());
         }
     }
 
     #[test]
     fn body_panic_is_carried_not_propagated() {
-        for backend in backends() {
-            let mut c = Continuation::new(Box::new(|| panic!("boom-{:?}", 7)), backend);
-            assert_eq!(c.resume(), Resume::Finished);
-            let payload = c.take_panic().expect("panic payload must be carried");
+        for backend in test_backends() {
+            let payload = finished(start(backend, || panic!("boom-{:?}", 7)))
+                .expect("panic payload must be carried");
             let msg = payload.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains("boom"), "{msg}");
         }
@@ -1030,19 +963,43 @@ mod tests {
                 burn(depth - 1) + local[depth % 512] as u64
             }
         }
-        for backend in backends() {
+        for backend in test_backends() {
             let (tx, rx) = std::sync::mpsc::channel();
-            let mut c = Continuation::new(
-                Box::new(move || {
-                    let sum = burn(200);
-                    suspend_current(sum);
-                    tx.send(burn(100)).unwrap();
-                }),
-                backend,
-            );
-            assert!(matches!(c.resume(), Resume::Parked(_)));
-            assert_eq!(c.resume(), Resume::Finished);
+            let c = start(backend, move || {
+                let sum = burn(200);
+                suspend_current(sum);
+                tx.send(burn(100)).unwrap();
+            });
+            let Slice::Parked { cont, .. } = c else {
+                panic!("the body parks once");
+            };
+            assert!(finished(cont.resume()).is_none());
             rx.recv().unwrap();
+        }
+    }
+
+    #[test]
+    fn hcs_event_thread_cont_accepts_a_switch_only() {
+        for (value, want) in [
+            (None, Backend::Fiber),
+            (Some(""), Backend::Fiber),
+            (Some("0"), Backend::Fiber),
+            (Some("FALSE"), Backend::Fiber),
+            (Some("1"), Backend::Thread),
+            (Some("True"), Backend::Thread),
+        ] {
+            assert_eq!(Backend::from_env_value(value), want, "{value:?}");
+        }
+        for typo in ["yes", "2", " 1", "on"] {
+            let msg = *std::panic::catch_unwind(|| Backend::from_env_value(Some(typo)))
+                .expect_err("a typo must not select a backend")
+                .downcast::<String>()
+                .expect("panic payload");
+            assert!(
+                msg.contains("HCS_EVENT_THREAD_CONT") && msg.contains(&format!("{typo:?}")),
+                "{msg}"
+            );
+            assert!(msg.contains("`1` or `true`"), "{msg}");
         }
     }
 }

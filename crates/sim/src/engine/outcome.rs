@@ -70,9 +70,9 @@ impl std::fmt::Display for RecvTimeout {
 }
 
 /// A timed-out receive unwinds with [`RecvTimeout`] as its panic
-/// payload and is always caught by `run_outcome_inner`, so the default
-/// panic hook's "thread panicked" message plus backtrace is pure noise
-/// for it. Wrap the hook (once per process) to swallow exactly that
+/// payload and is always caught by `Cluster::run_outcome_observed`, so
+/// the default panic hook's "thread panicked" message plus backtrace is
+/// pure noise for it. Wrap the hook (once per process) to swallow exactly that
 /// payload type; every other panic still reports normally.
 pub(super) fn silence_recv_timeout_panic_hook() {
     static HOOK: std::sync::Once = std::sync::Once::new();

@@ -347,8 +347,8 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (results, _log) = self.run_inner(&f);
-        results
+        let (out, _log) = self.run_observed(f);
+        out
     }
 
     /// Like [`Cluster::run`], but also returns the merged observability
@@ -360,7 +360,8 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        self.run_inner(&f)
+        let (out, log, _stats) = self.run_counted(Backend::from_env(), &f);
+        (out, log)
     }
 
     /// Fault-tolerant variant of [`Cluster::run`]: a rank whose receive
@@ -375,7 +376,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (outcome, _log) = self.run_outcome_inner(&f);
+        let (outcome, _log) = self.run_outcome_observed(f);
         outcome
     }
 
@@ -386,17 +387,9 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        self.run_outcome_inner(&f)
-    }
-
-    fn run_outcome_inner<R, F>(&self, f: &F) -> (RunOutcome<R>, TraceLog)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
         silence_recv_timeout_panic_hook();
         // Catch the RecvTimeout unwind *inside* the rank body, so
-        // run_inner sees a completed rank (no poison broadcast, no
+        // `run_settled` sees a completed rank (no poison broadcast, no
         // rank-level panic bookkeeping): message loss stays a per-rank
         // outcome, not a run-level failure.
         let g = |ctx: &mut RankCtx| {
@@ -409,17 +402,8 @@ impl Cluster {
                 },
             }
         };
-        let (ranks, log) = self.run_inner(&g);
+        let (ranks, log) = self.run_observed(g);
         (RunOutcome { ranks }, log)
-    }
-
-    fn run_inner<R, F>(&self, f: &F) -> (Vec<R>, TraceLog)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        let (out, log, _stats) = self.run_counted(events::backend_from_env(), f);
-        (out, log)
     }
 
     /// The run driver behind every `run*` entry point, on an explicit

@@ -10,10 +10,12 @@
 //! it parks or finishes, and repeats — one rank slice at a time, so a
 //! run occupies one host core, and host parallelism lives only in
 //! `hcs_bench::sweep::SweepExecutor`, which runs independent clusters
-//! side by side. A *fresh* rank is cheaper still: its body runs inline
-//! on the loop's hot fiber and only pays for a full [`Continuation`]
-//! (core box, dedicated stack) if it actually parks — so a rank that
-//! never blocks costs two stack switches and zero allocations.
+//! side by side. The loop starts every rank through one
+//! [`cont::Starter`] and gets one [`cont::Slice`] back per slice. On
+//! the fiber backend a *fresh* rank runs on the starter's hot stack and
+//! only becomes a [`Continuation`] (core box, dedicated stack) if it
+//! actually parks — so a rank that never blocks costs two stack
+//! switches and zero allocations.
 //!
 //! # Determinism
 //!
@@ -48,8 +50,8 @@
 //!   stack switch, and [`drive`] gets the thread back only when a
 //!   slice ends some other way — then it settles whichever rank the
 //!   chain ended on, parked or finished. Every parked fiber is a
-//!   switch target, including a fresh rank's body still on the loop's
-//!   hot fiber. The thread backend has no stacks to switch to, so its
+//!   switch target, including a fresh rank's body still on the hot
+//!   stack. The thread backend has no stacks to switch to, so its
 //!   loop takes the same handoff itself, and both count and order the
 //!   same slices. In every other case (R parked on someone else, R
 //!   finished, a later matched wake displaced S from the slot) S moves
@@ -99,16 +101,13 @@
 //! fails such a run with a panic naming every parked rank
 //! ([`EventSched::stall_report`]) instead of waiting.
 
-use std::any::Any;
 #[cfg(test)]
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-#[cfg(target_arch = "x86_64")]
-use crate::cont::InlineRun;
-use crate::cont::{self, Backend, Continuation, FiberRef, InlineFiber, Resume};
+use crate::cont::{self, Backend, Continuation, FiberRef, Slice, Starter};
 use crate::lockutil::RunLock;
 use crate::EngineMode;
 
@@ -211,15 +210,6 @@ thread_local! {
     static LOOP_RETURNS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Result of one rank's execution slice.
-enum Outcome {
-    /// The body returned (inline dispatch carries any panic payload
-    /// directly — there may never have been a `Continuation` to ask).
-    Finished { panic: Option<Box<dyn Any + Send>> },
-    /// The body parked with `key`; `cont` resumes it later.
-    Parked { cont: Continuation, key: u64 },
-}
-
 /// The per-run event scheduler: the run loop plus the `wake` and
 /// `park` hooks. The ready state has one owner at a time — the loop
 /// between slices, the executing rank's hook calls during one — so its
@@ -231,7 +221,7 @@ pub(crate) struct EventSched {
     n: usize,
     /// The shared rank body (see [`RankBody`]).
     body: RankBody,
-    /// Continuation backend for ranks that park.
+    /// Continuation backend of the run's ranks.
     backend: Backend,
 }
 
@@ -239,9 +229,6 @@ impl EventSched {
     /// Seeds `n` ranks, all ready at virtual time zero (started in rank
     /// order via the seed cursor); each runs `body(rank)` once.
     pub(crate) fn new(n: usize, body: RankBody, backend: Backend) -> Self {
-        // Without the fiber backend every continuation is thread-backed.
-        #[cfg(not(target_arch = "x86_64"))]
-        let backend = Backend::Thread;
         let ready = ReadyState {
             parked: vec![None; n],
             fibers: vec![None; n],
@@ -341,34 +328,6 @@ impl EventSched {
         }
     }
 
-    /// Runs one *fresh* rank: inline on the loop's hot fiber when the
-    /// run uses the fiber backend, through a thread continuation
-    /// otherwise.
-    fn start_rank(&self, rank: usize, hot: &mut InlineFiber) -> Outcome {
-        #[cfg(target_arch = "x86_64")]
-        if self.backend == Backend::Fiber {
-            return match hot.run(|| (self.body)(rank)) {
-                InlineRun::Finished { panic } => Outcome::Finished { panic },
-                InlineRun::Parked { cont, key } => Outcome::Parked { cont, key },
-            };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = hot;
-        let body: &RankBody = &self.body;
-        let entry: Box<dyn FnOnce() + Send + '_> = Box::new(move || body(rank));
-        // SAFETY: the entry borrows `self.body`, which lives until the
-        // `EventSched` drops — strictly after `drive` returned, and
-        // `drive` returns only once this rank's continuation finished
-        // (or will never run again: a parked continuation abandoned by
-        // the panic wind-down stays suspended forever, so the borrow is
-        // never touched after the scheduler drops). The transmute only
-        // widens the trait object's lifetime parameter.
-        let entry: crate::cont::Entry = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, crate::cont::Entry>(entry)
-        };
-        resume(Continuation::new(entry, Backend::Thread))
-    }
-
     /// The failure message of a stalled run (see module docs);
     /// `describe_wait(rank)` words what a parked rank waits for, which
     /// only the engine knows. Reachable by a receive from a rank that
@@ -394,22 +353,6 @@ impl EventSched {
     }
 }
 
-/// Resumes `cont` until the chain of fibers it starts hands the thread
-/// back to the loop.
-fn resume(mut cont: Continuation) -> Outcome {
-    let r = cont.resume();
-    outcome_of(cont, r)
-}
-
-fn outcome_of(mut cont: Continuation, r: Resume) -> Outcome {
-    match r {
-        Resume::Finished => Outcome::Finished {
-            panic: cont.take_panic(),
-        },
-        Resume::Parked(key) => Outcome::Parked { cont, key },
-    }
-}
-
 /// Runs the scheduler to completion on the calling thread: take the
 /// handed-off rank or else pop the `(key, rank)` minimum, run it until
 /// the thread comes back — the rank, or the last rank of a chain of
@@ -430,10 +373,10 @@ fn outcome_of(mut cont: Continuation, r: Resume) -> Outcome {
 /// parked bodies own leaks. A stalled program is a bug to fix, not a
 /// state to recover memory from.
 pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) -> RunStats {
-    let mut hot = InlineFiber::new();
+    let mut starter = Starter::new(sched.backend);
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
-    // their body runs inline on the hot fiber.
+    // on the fiber backend their body runs on the starter's hot stack.
     let mut conts: Vec<Option<Continuation>> = (0..sched.n).map(|_| None).collect();
     let mut finished = 0;
     let mut first_panic = None;
@@ -450,9 +393,14 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
         st.current = rank;
         st.stats.slices += 1;
         drop(st);
-        let mut outcome = match conts[rank].take() {
-            Some(cont) => resume(cont),
-            None => sched.start_rank(rank, &mut hot),
+        let mut slice = match conts[rank].take() {
+            Some(cont) => cont.resume(),
+            // SAFETY: the body borrows `sched` for this call, and every
+            // continuation lives in `conts`, which this call drops
+            // before it returns or unwinds: a finished one is reaped, a
+            // parked one (a stalled run) dropped or detached without
+            // ever running again.
+            None => unsafe { starter.start(|| (sched.body)(rank)) },
         };
         #[cfg(test)]
         LOOP_RETURNS.with(|n| n.set(n.get() + 1));
@@ -462,24 +410,23 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
         // pool, whose lock ranks below this one: no guard meanwhile.)
         let last = sched.runq.acquire().current;
         if last != rank {
-            let Outcome::Parked { cont, .. } = outcome else {
+            let Slice::Parked { cont, .. } = slice else {
                 unreachable!("a rank that switched away is parked");
             };
             conts[rank] = Some(cont);
-            let mut cont = conts[last]
+            slice = conts[last]
                 .take()
-                .expect("a switch target is a parked continuation");
-            let r = cont.returned();
-            outcome = outcome_of(cont, r);
+                .expect("a switch target is a parked continuation")
+                .returned();
         }
         st = sched.runq.acquire();
-        match outcome {
-            Outcome::Finished { panic } => {
+        match slice {
+            Slice::Finished { panic } => {
                 finished += 1;
                 st.fibers[last] = None;
                 first_panic = first_panic.or(panic);
             }
-            Outcome::Parked { cont, key } => {
+            Slice::Parked { cont, key } => {
                 conts[last] = Some(cont);
                 st.parked[last] = Some(key);
             }
@@ -506,19 +453,10 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
     stats
 }
 
-/// Which continuation backend this run uses: fibers unless the
-/// portable/TSan-safe thread handshake was requested (or required by
-/// the target; see `cont.rs`).
-pub(crate) fn backend_from_env() -> Backend {
-    match std::env::var("HCS_EVENT_THREAD_CONT") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Backend::Thread,
-        _ => Backend::Fiber,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cont::tests::{recycled_stacks, test_backends};
     use crate::lockutil::OrderedMutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -528,7 +466,7 @@ mod tests {
     /// Adapts a per-rank job list to the shared-body interface: each
     /// rank takes and runs its own job exactly once.
     fn sched_from_jobs(jobs: Vec<Job>) -> Arc<EventSched> {
-        sched_on(jobs, backend_from_env())
+        sched_on(jobs, Backend::from_env())
     }
 
     fn sched_on(jobs: Vec<Job>, backend: Backend) -> Arc<EventSched> {
@@ -703,10 +641,13 @@ mod tests {
             let order = log.acquire().clone();
             order
         }
-        let first = logged_order(Backend::Fiber);
+        let backends = test_backends();
+        let first = logged_order(backends[0]);
         assert_eq!(first.len(), 6 * 3 + 2);
-        assert_eq!(first, logged_order(Backend::Fiber), "second run");
-        assert_eq!(first, logged_order(Backend::Thread), "thread backend");
+        assert_eq!(first, logged_order(backends[0]), "second run");
+        for &backend in &backends[1..] {
+            assert_eq!(first, logged_order(backend), "{backend:?} backend");
+        }
     }
 
     /// An events-pinned cluster of `nodes` × 8 ranks for the
@@ -755,7 +696,8 @@ mod tests {
     #[test]
     fn ping_pong_runs_as_handoffs_in_a_reproducible_host_order() {
         let cluster = events_cluster(4);
-        let (order, stats) = ping_pong_beside_ready_ranks(&cluster, Backend::Fiber);
+        let backends = test_backends();
+        let (order, stats) = ping_pong_beside_ready_ranks(&cluster, backends[0]);
         assert_eq!(order.len(), 2000);
         // Under the heap rule alone the 30 virgin ranks (key₀) would
         // run before the pair's first wake; with the handoff the pair
@@ -764,10 +706,12 @@ mod tests {
         let pair_slices = stats.slices - 30;
         assert!(pair_slices >= 2000, "{stats:?}");
         assert!(stats.handoffs * 100 >= pair_slices * 99, "{stats:?}");
-        let again = ping_pong_beside_ready_ranks(&cluster, Backend::Fiber);
+        let again = ping_pong_beside_ready_ranks(&cluster, backends[0]);
         assert_eq!((&order, stats), (&again.0, again.1), "second run");
-        let threads = ping_pong_beside_ready_ranks(&cluster, Backend::Thread);
-        assert_eq!((&order, stats), (&threads.0, threads.1), "thread backend");
+        for &backend in &backends[1..] {
+            let other = ping_pong_beside_ready_ranks(&cluster, backend);
+            assert_eq!((&order, stats), (&other.0, other.1), "{backend:?} backend");
+        }
     }
 
     /// How the last rank of [`chain_run`]'s chain ends.
@@ -784,7 +728,7 @@ mod tests {
     type ChainRun = (Result<Vec<u32>, String>, Vec<String>, RunStats, u64, u64);
 
     /// Ranks 0 and 1 ping-pong `TRIPS` times beside six bystanders.
-    /// Rank 0 parks first, so rank 1 — fresh, on the loop's hot fiber —
+    /// Rank 0 parks first, so rank 1 — fresh, on the starter's hot stack —
     /// starts a chain of direct switches on its second receive, and
     /// the chain switches back to it before the loop ever promotes it.
     /// After the last reply rank 1 waits for one more message, so the
@@ -846,48 +790,50 @@ mod tests {
         counter.with(Cell::get)
     }
 
-    /// Fiber stacks this thread returned to the pool so far (none
-    /// without the fiber backend).
-    fn recycled_stacks() -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        return crate::cont::recycled_stacks();
-        #[cfg(not(target_arch = "x86_64"))]
-        0
-    }
-
-    /// Runs [`chain_run`] on both backends, checks they agree on
-    /// everything but the loop returns, and returns the fiber run.
-    fn chain_run_on_both_backends(end: ChainEnd) -> ChainRun {
-        let fiber = chain_run(Backend::Fiber, end);
-        let thread = chain_run(Backend::Thread, end);
-        assert_eq!(
-            (&fiber.0, &fiber.1, fiber.2),
-            (&thread.0, &thread.1, thread.2),
-            "thread backend"
-        );
-        // The thread backend takes every slice through the loop.
-        assert_eq!(thread.3, thread.2.slices, "{:?}", thread.2);
-        fiber
+    /// Runs [`chain_run`] on each available backend, checks they agree
+    /// on everything but the loop returns and the stacks, and returns
+    /// the first backend (fibers, where available) with its run.
+    fn chain_run_on_each_backend(end: ChainEnd) -> (Backend, ChainRun) {
+        let mut runs: Vec<(Backend, ChainRun)> = test_backends()
+            .into_iter()
+            .map(|backend| (backend, chain_run(backend, end)))
+            .collect();
+        let first = &runs[0].1;
+        for (backend, run) in &runs {
+            assert_eq!(
+                (&run.0, &run.1, run.2),
+                (&first.0, &first.1, first.2),
+                "{backend:?} backend"
+            );
+            if *backend == Backend::Thread {
+                // The thread backend takes every slice through the loop
+                // and runs on no fiber stack.
+                assert_eq!((run.3, run.4), (run.2.slices, 0), "{:?}", run.2);
+            }
+        }
+        runs.swap_remove(0)
     }
 
     #[test]
     fn a_chain_that_ends_in_a_finish_delivers_its_result_and_reaps_its_stack() {
-        let (run, log, stats, _, recycled) = chain_run_on_both_backends(ChainEnd::Finish);
+        let (backend, (run, log, stats, _, recycled)) = chain_run_on_each_backend(ChainEnd::Finish);
         assert_eq!(run, Ok((0..8).map(|r| r * 10).collect()));
         assert_eq!(log, ["rank 2 got 99", "rank 1 got 77"]);
         // Every leg after rank 1's first reply is a handoff.
         assert_eq!(stats.handoffs, 999, "{stats:?}");
-        if cfg!(target_arch = "x86_64") {
+        if backend == Backend::Fiber {
             // Ranks 0 and 1 parked, so both ran on stacks of their own,
             // and both went back to the pool as their ranks finished:
             // rank 0's when its chain ended, rank 1's after its resume.
-            assert_eq!(recycled, 2);
+            // The hot stack the bystanders ran on went back as the run
+            // loop's starter dropped.
+            assert_eq!(recycled, 3);
         }
     }
 
     #[test]
     fn a_chain_that_ends_in_a_panic_rethrows_the_root_cause_and_poisons_peers() {
-        let (run, log, stats, _, recycled) = chain_run_on_both_backends(ChainEnd::Panic);
+        let (backend, (run, log, stats, _, recycled)) = chain_run_on_each_backend(ChainEnd::Panic);
         assert_eq!(run, Err("chain end bug".to_string()));
         let poisoned = |r: usize| {
             format!(
@@ -899,22 +845,37 @@ mod tests {
         assert_eq!(log, [poisoned(2), poisoned(1)]);
         // Every leg after rank 1's first reply is a handoff.
         assert_eq!(stats.handoffs, 999, "{stats:?}");
-        if cfg!(target_arch = "x86_64") {
-            assert_eq!(recycled, 2);
+        if backend == Backend::Fiber {
+            assert_eq!(recycled, 3);
         }
     }
 
     #[test]
     fn a_chain_starts_on_the_hot_fiber_and_switches_to_every_parked_fiber() {
-        let (_, _, stats, returns, _) = chain_run_on_both_backends(ChainEnd::Finish);
-        if cfg!(target_arch = "x86_64") {
+        let (backend, (_, _, stats, returns, _)) = chain_run_on_each_backend(ChainEnd::Finish);
+        if backend == Backend::Fiber {
             // Every handoff was a direct switch, including the ones to
-            // rank 1 while it was still parked on the hot fiber: the
+            // rank 1 while it was still parked on the hot stack: the
             // loop got the thread back once per other slice only.
             // Once for rank 0's first park, once for the chain, once
             // for each bystander and once for rank 1's last resume.
             assert_eq!(returns, stats.slices - stats.handoffs, "{stats:?}");
             assert_eq!(returns, 9, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_where_no_rank_parks_recycles_the_hot_stack() {
+        // Every rank runs to completion on the loop's hot stack, which
+        // goes back to the pool, canary checked, when the run ends.
+        for backend in test_backends() {
+            let before = recycled_stacks();
+            let (out, _, stats) =
+                events_cluster(1).run_counted(backend, &|ctx: &mut crate::RankCtx| ctx.rank());
+            assert_eq!(out, Vec::from_iter(0..8));
+            assert_eq!(stats.slices, 8, "no rank parked: {stats:?}");
+            let want = if backend == Backend::Fiber { 1 } else { 0 };
+            assert_eq!(recycled_stacks() - before, want, "{backend:?} backend");
         }
     }
 
@@ -941,7 +902,7 @@ mod tests {
             };
             order.acquire().push(me);
         };
-        let (_, _, stats) = events_cluster(4).run_counted(backend_from_env(), &body);
+        let (_, _, stats) = events_cluster(4).run_counted(Backend::from_env(), &body);
         // 32 first slices plus one resume each for ranks 0 and 1.
         assert_eq!(
             stats,
@@ -985,7 +946,7 @@ mod tests {
             }
             acc
         };
-        let (sums, _, stats) = cluster.run_counted(backend_from_env(), &body);
+        let (sums, _, stats) = cluster.run_counted(Backend::from_env(), &body);
         assert!(sums.windows(2).all(|w| w[0] == w[1]), "allreduce agrees");
         let drift = stats.slices.abs_diff(HEAP_ONLY_SLICES);
         assert!(
@@ -1049,7 +1010,8 @@ mod tests {
             let (out, _, stats) = events_cluster(1).run_counted(backend, &body);
             (out, stats)
         }
-        let (out, stats) = run(Backend::Fiber);
+        let backends = test_backends();
+        let (out, stats) = run(backends[0]);
         let diagnoses: Vec<&String> = out.iter().flatten().collect();
         assert_eq!(diagnoses.len(), 1, "one rank closes the cycle: {out:?}");
         let msg = diagnoses[0];
@@ -1062,7 +1024,10 @@ mod tests {
             assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
         }
         assert!(stats.handoffs >= 1990, "{stats:?}");
-        assert_eq!((out, stats), run(Backend::Thread), "thread backend");
+        for &backend in &backends[1..] {
+            let other = run(backend);
+            assert_eq!((&out, stats), (&other.0, other.1), "{backend:?} backend");
+        }
     }
 
     #[test]
