@@ -10,7 +10,7 @@
 //! solver along.
 
 use hcs_clock::{Clock, Span};
-use hcs_mpi::{Comm, ReduceOp};
+use hcs_mpi::{tags, Comm, ReduceOp};
 use hcs_sim::obs::ClockReadings;
 use hcs_sim::rngx::{self, label};
 use hcs_sim::{secs, RankCtx};
@@ -129,8 +129,6 @@ pub fn halo_proxy(
     let left = (me + p - 1) % p;
     let right = (me + 1) % p;
     let halo = vec![0u8; cfg.halo_bytes];
-    const TAG_L: u32 = 0x300;
-    const TAG_R: u32 = 0x301;
     for iter in 0..cfg.iterations {
         let noise = 1.0 + 0.15 * (rng.next_f64() * 2.0 - 1.0);
         ctx.compute(cfg.compute_mean_s * noise);
@@ -141,10 +139,10 @@ pub fn halo_proxy(
         if p > 1 {
             // Exchange with both neighbors (eager sends first, so the
             // pattern is deadlock-free like MPI_Sendrecv).
-            comm.send(ctx, right, TAG_R, &halo);
-            comm.send(ctx, left, TAG_L, &halo);
-            let _ = comm.recv(ctx, left, TAG_R);
-            let _ = comm.recv(ctx, right, TAG_L);
+            comm.send(ctx, right, tags::HALO_R, &halo);
+            comm.send(ctx, left, tags::HALO_L, &halo);
+            let _ = comm.recv(ctx, left, tags::HALO_R);
+            let _ = comm.recv(ctx, right, tags::HALO_L);
         }
         if cfg.allreduce_every > 0 && iter % cfg.allreduce_every == 0 {
             let _ = comm.allreduce(ctx, &[0u8; 8], ReduceOp::ByteMax);

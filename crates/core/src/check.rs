@@ -9,13 +9,10 @@
 //! tests cross-check it against the oracle.
 
 use hcs_clock::{busy_wait_until, Clock, Span};
-use hcs_mpi::Comm;
-use hcs_sim::{rngx, RankCtx, SimTime, Tag};
+use hcs_mpi::{tags, Comm};
+use hcs_sim::{rngx, RankCtx, SimTime};
 
 use crate::offset::OffsetAlgorithm;
-
-/// Tag under which clients report their measured offsets to the root.
-const TAG_REPORT: Tag = 0x0180;
 
 /// Result of one accuracy check, collected at the root.
 #[derive(Debug, Clone)]
@@ -112,14 +109,14 @@ pub fn check_clock_accuracy(
         let mut first = Vec::with_capacity(sampled.len());
         for &c in &sampled {
             offset_alg.measure_offset(ctx, comm, g_clk, 0, c);
-            first.push(Span::from_secs(comm.recv_t::<f64>(ctx, c, TAG_REPORT)));
+            first.push(Span::from_secs(comm.recv_t(ctx, c, tags::REPORT)));
         }
         // Busy-wait on the global clock, as the pseudo-code does.
         busy_wait_until(g_clk, ctx, timestamp + wait_time);
         let mut entries = Vec::with_capacity(sampled.len());
         for (&c, &off0) in sampled.iter().zip(&first) {
             offset_alg.measure_offset(ctx, comm, g_clk, 0, c);
-            let off1 = Span::from_secs(comm.recv_t::<f64>(ctx, c, TAG_REPORT));
+            let off1 = Span::from_secs(comm.recv_t(ctx, c, tags::REPORT));
             entries.push((c, off0, off1));
         }
         Some(AccuracyReport { entries, wait_time })
@@ -129,7 +126,7 @@ pub fn check_clock_accuracy(
                 let o = offset_alg
                     .measure_offset(ctx, comm, g_clk, 0, me)
                     .expect("client obtains an offset");
-                comm.send_t(ctx, 0, TAG_REPORT, o.offset.seconds());
+                comm.send_t(ctx, 0, tags::REPORT, o.offset.seconds());
             }
         }
         None

@@ -11,15 +11,12 @@
 //! the offset to every rank and each rank re-anchors its intercept.
 
 use hcs_clock::{BoxClock, GlobalClockLM, LinearModel};
-use hcs_mpi::Comm;
-use hcs_sim::{RankCtx, Span, Tag};
+use hcs_mpi::{tags, Comm};
+use hcs_sim::{RankCtx, Span};
 
 use crate::learn::{learn_clock_model, LearnParams};
 use crate::offset::OffsetSpec;
 use crate::sync::ClockSync;
-
-/// Tag for shipping composed model tables up the tree.
-const TAG_TABLE: Tag = 0x0140;
 
 /// The HCA2 synchronization algorithm.
 #[derive(Debug, Clone)]
@@ -127,7 +124,7 @@ fn tree_sync(
             .iter()
             .map(|&(g, m)| (g, LinearModel::compose(&lm, &m)))
             .collect();
-        ctx.send(comm.global_rank(p_ref), TAG_TABLE, &pack_table(&composed));
+        comm.send(ctx, p_ref, tags::TABLE, &pack_table(&composed));
         ctx.obs_exit();
     } else {
         if r + max_power < nprocs {
@@ -136,7 +133,7 @@ fn tree_sync(
                 ctx.obs_enter("hca2/foldin/ref");
             }
             learn_clock_model(ctx, comm, offset_alg.as_mut(), params, r, client, clk);
-            let buf = ctx.recv(comm.global_rank(client), TAG_TABLE);
+            let buf = comm.recv(ctx, client, tags::TABLE);
             table.extend(unpack_table(&buf));
             ctx.obs_exit();
         }
@@ -158,7 +155,7 @@ fn tree_sync(
                     .iter()
                     .map(|&(g, m)| (g, LinearModel::compose(&lm, &m)))
                     .collect();
-                ctx.send(comm.global_rank(p_ref), TAG_TABLE, &pack_table(&composed));
+                comm.send(ctx, p_ref, tags::TABLE, &pack_table(&composed));
                 ctx.obs_exit();
                 break;
             } else if r.is_multiple_of(running_power) {
@@ -168,7 +165,7 @@ fn tree_sync(
                         ctx.obs_enter_seq("hca2/round/ref", i as u32);
                     }
                     learn_clock_model(ctx, comm, offset_alg.as_mut(), params, r, client, clk);
-                    let buf = ctx.recv(comm.global_rank(client), TAG_TABLE);
+                    let buf = comm.recv(ctx, client, tags::TABLE);
                     table.extend(unpack_table(&buf));
                     ctx.obs_exit();
                 }

@@ -16,15 +16,9 @@
 
 use std::collections::BTreeMap;
 
-use hcs_clock::{Clock, LocalTime, Span};
-use hcs_mpi::Comm;
-use hcs_sim::{RankCtx, Tag};
-
-/// User tag reserved for offset-measurement ping-pongs. Safe to share
-/// across concurrent pairs: matching is per (source, tag).
-const TAG_PING: Tag = 0x0101;
-/// User tag for RTT measurement ping-pongs.
-const TAG_RTT: Tag = 0x0102;
+use hcs_clock::{Clock, GlobalTime, LocalTime, Span};
+use hcs_mpi::{tags, Comm};
+use hcs_sim::RankCtx;
 
 /// One clock-offset fit point: at client-clock reading `timestamp`, the
 /// reference clock was estimated to be `offset` ahead.
@@ -112,13 +106,11 @@ impl OffsetAlgorithm for SkampiOffset {
         let me = comm.rank();
         if me == p_ref {
             for _ in 0..self.params.nexchanges {
-                // The client's ping carries its GlobalTime send stamp
-                // (it is our reply, one line below, that matters);
-                // receiving the ping as a bare f64 was a wire-type
-                // mismatch the skeleton pass now rejects.
-                let _ping = comm.recv_time(ctx, client, TAG_PING);
+                // The client's ping carries its send stamp; only our
+                // reply, one line below, matters.
+                let _ping = comm.recv_t(ctx, client, tags::PING);
                 let t_last = clk.get_time(ctx);
-                comm.send_time(ctx, p_ref_partner(client), TAG_PING, t_last);
+                comm.send_t(ctx, p_ref_partner(client), tags::PING, t_last);
             }
             None
         } else if me == client {
@@ -126,8 +118,8 @@ impl OffsetAlgorithm for SkampiOffset {
             let mut td_max = Span::from_secs(f64::INFINITY);
             for _ in 0..self.params.nexchanges {
                 let s_slast = clk.get_time(ctx);
-                comm.send_time(ctx, p_ref, TAG_PING, s_slast);
-                let t_last = comm.recv_time(ctx, p_ref, TAG_PING);
+                comm.send_t(ctx, p_ref, tags::PING, s_slast);
+                let t_last = comm.recv_t(ctx, p_ref, tags::PING);
                 let s_now = clk.get_time(ctx);
                 // t_last - s_now under-estimates (ref stamped a round
                 // trip ago), t_last - s_slast over-estimates. The two
@@ -201,15 +193,15 @@ impl MeanRttOffset {
         for i in 0..=self.rtt_pingpongs {
             if me == client {
                 let t0 = clk.get_time(ctx);
-                comm.ssend_t(ctx, p_ref, TAG_RTT, 0.0f64);
-                let _: f64 = comm.recv_t(ctx, p_ref, TAG_RTT);
+                comm.ssend_t(ctx, p_ref, tags::RTT, 0.0);
+                comm.recv_t(ctx, p_ref, tags::RTT);
                 let t1 = clk.get_time(ctx);
                 if i > 0 {
                     sum += t1 - t0;
                 }
             } else {
-                let _: f64 = comm.recv_t(ctx, client, TAG_RTT);
-                comm.ssend_t(ctx, client, TAG_RTT, 0.0f64);
+                comm.recv_t(ctx, client, tags::RTT);
+                comm.ssend_t(ctx, client, tags::RTT, 0.0);
             }
         }
         sum / self.rtt_pingpongs as f64
@@ -249,9 +241,9 @@ impl OffsetAlgorithm for MeanRttOffset {
         };
         if me == p_ref {
             for _ in 0..self.params.nexchanges {
-                let _dummy: f64 = comm.recv_t(ctx, client, TAG_PING);
+                comm.recv_t(ctx, client, tags::PING);
                 let tlocal = clk.get_time(ctx);
-                comm.ssend_time(ctx, client, TAG_PING, tlocal);
+                comm.ssend_t(ctx, client, tags::PING, tlocal);
             }
             None
         } else {
@@ -259,8 +251,8 @@ impl OffsetAlgorithm for MeanRttOffset {
             let mut local_time = Vec::with_capacity(n);
             let mut time_var = Vec::with_capacity(n);
             for _ in 0..n {
-                comm.ssend_t(ctx, p_ref, TAG_PING, 0.0f64);
-                let ref_time = comm.recv_time(ctx, p_ref, TAG_PING);
+                comm.ssend_t(ctx, p_ref, tags::PING, GlobalTime::ZERO);
+                let ref_time = comm.recv_t(ctx, p_ref, tags::PING);
                 let lt = clk.get_time(ctx);
                 // ref stamped ~RTT/2 before our read; offset = ref - client.
                 local_time.push(lt.rebase_local());

@@ -8,9 +8,9 @@
 //!   `rank ^ step` (power of two) or ring offsets — bandwidth-friendly
 //!   for large messages.
 
-use hcs_sim::{RankCtx, Tag};
+use hcs_sim::RankCtx;
 
-use crate::Comm;
+use crate::{Comm, RawTag};
 
 /// Which `MPI_Alltoall` algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -67,7 +67,7 @@ impl Comm {
 fn bruck(
     comm: &Comm,
     ctx: &mut RankCtx,
-    tag: Tag,
+    tag: RawTag,
     blocks: &[Vec<u8>],
     block_len: usize,
 ) -> Vec<Vec<u8>> {
@@ -109,7 +109,7 @@ fn bruck(
         .collect()
 }
 
-fn pairwise(comm: &Comm, ctx: &mut RankCtx, tag: Tag, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
+fn pairwise(comm: &Comm, ctx: &mut RankCtx, tag: RawTag, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let p = comm.size();
     let r = comm.rank();
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];

@@ -6,9 +6,9 @@
 //! *imbalance* characteristics differ wildly, which is exactly the
 //! paper's point about barrier-based benchmarking.
 
-use hcs_sim::{RankCtx, Tag};
+use hcs_sim::RankCtx;
 
-use crate::Comm;
+use crate::{Comm, RawTag};
 
 /// Which barrier algorithm to run (Open MPI `coll_tuned_barrier_algorithm`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +87,7 @@ impl Comm {
 
 const EMPTY: &[u8] = &[];
 
-fn linear(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
+fn linear(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
     let (r, p) = (comm.rank(), comm.size());
     if r == 0 {
         for src in 1..p {
@@ -102,7 +102,7 @@ fn linear(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
     }
 }
 
-fn double_ring(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
+fn double_ring(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
     let (r, p) = (comm.rank(), comm.size());
     let left = comm.global_rank((r + p - 1) % p);
     let right = comm.global_rank((r + 1) % p);
@@ -121,7 +121,7 @@ fn double_ring(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
     }
 }
 
-fn recursive_doubling(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
+fn recursive_doubling(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
     let (r, p) = (comm.rank(), comm.size());
     let mut m = 1usize;
     while m * 2 <= p {
@@ -148,7 +148,7 @@ fn recursive_doubling(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
     }
 }
 
-fn bruck(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
+fn bruck(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
     let (r, p) = (comm.rank(), comm.size());
     let mut dist = 1usize;
     while dist < p {
@@ -160,7 +160,7 @@ fn bruck(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
     }
 }
 
-fn tree(comm: &Comm, ctx: &mut RankCtx, tag: Tag) {
+fn tree(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
     let (r, p) = (comm.rank(), comm.size());
     // Binomial fan-in.
     let mut mask = 1usize;

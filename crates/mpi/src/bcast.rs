@@ -1,8 +1,8 @@
 //! Binomial-tree `MPI_Bcast`.
 
-use hcs_sim::{RankCtx, Tag, Wire};
+use hcs_sim::{RankCtx, Wire};
 
-use crate::Comm;
+use crate::{Comm, RawTag};
 
 impl Comm {
     /// Broadcasts `data` from `root` to every member over a binomial
@@ -30,7 +30,7 @@ impl Comm {
     }
 
     /// Broadcasts a clock reading from `root`. As with
-    /// [`Comm::send_time`], the frame travels by convention: every
+    /// [`Comm::send_t`], the frame travels by convention: every
     /// member interprets the value in the root's asserted global frame.
     pub fn bcast_time(
         &mut self,
@@ -42,7 +42,13 @@ impl Comm {
     }
 }
 
-fn binomial_bcast(comm: &Comm, ctx: &mut RankCtx, tag: Tag, root: usize, data: &[u8]) -> Vec<u8> {
+fn binomial_bcast(
+    comm: &Comm,
+    ctx: &mut RankCtx,
+    tag: RawTag,
+    root: usize,
+    data: &[u8],
+) -> Vec<u8> {
     let p = comm.size();
     let vr = (comm.rank() + p - root) % p; // virtual rank: root becomes 0
     let unvirt = |v: usize| comm.global_rank((v + root) % p);

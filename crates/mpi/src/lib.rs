@@ -7,7 +7,8 @@
 //! - [`Comm`] — communicators with rank translation, collective-safe tag
 //!   management and `MPI_Comm_split`-style splitting (including
 //!   `MPI_COMM_TYPE_SHARED` node splits),
-//! - point-to-point `send` / `ssend` / `recv` (on top of the engine),
+//! - point-to-point `send` / `ssend` / `recv` on the typed user tags of
+//!   [`tags`] (see [`Tag`]),
 //! - `MPI_Barrier` with the five algorithm variants of Open MPI's tuned
 //!   module that the paper studies ([`BarrierAlgorithm`]),
 //! - binomial `MPI_Bcast`, linear `MPI_Scatter` / `MPI_Gather`,
@@ -29,21 +30,22 @@ mod bcast;
 mod gather;
 mod reduce;
 mod split;
+mod tag;
 
 pub use alltoall::AlltoallAlgorithm;
 pub use barrier::BarrierAlgorithm;
 pub use reduce::{AllreduceAlgorithm, ReduceOp};
+pub use tag::{tags, Bytes, Tag};
 
 use std::sync::Arc;
 
 use hcs_clock::GlobalTime;
 use hcs_sim::msg::Payload;
-use hcs_sim::{Rank, RankCtx, Tag, Wire};
+use hcs_sim::{Rank, RankCtx, Wire};
+use tag::{RawTag, COLL_BIT};
 
 /// Bit position where the context id starts inside a tag.
 const CTX_SHIFT: u32 = 17;
-/// Marks collective (internally generated) tags.
-const COLL_BIT: Tag = 1 << 16;
 /// Maximum context id (14 bits; bit 31 is the engine's ACK bit).
 const CTX_MAX: u32 = (1 << 14) - 1;
 
@@ -132,83 +134,52 @@ impl Comm {
         self.node_peers
     }
 
-    fn user_tag(&self, tag: Tag) -> Tag {
-        debug_assert!(tag < COLL_BIT, "user tags must be < 2^16");
-        self.ctx_id << CTX_SHIFT | tag
+    /// The wire tag of a user tag on this communicator.
+    fn user_tag<T>(&self, tag: Tag<T>) -> RawTag {
+        self.ctx_id << CTX_SHIFT | tag.raw
     }
 
     /// Reserves a fresh internal tag for one collective operation.
     /// All members call this in lockstep, so the values agree.
-    fn next_coll_tag(&mut self) -> Tag {
+    fn next_coll_tag(&mut self) -> RawTag {
         let t = self.ctx_id << CTX_SHIFT | COLL_BIT | (self.seq & 0xFFFF);
         self.seq = self.seq.wrapping_add(1);
         t
     }
 
-    /// Eager send to a communicator rank (the `MPI_Send` analogue for
-    /// small messages).
-    pub fn send(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, payload: &[u8]) {
+    /// Eager send of raw bytes to a communicator rank (the `MPI_Send`
+    /// analogue for small messages).
+    pub fn send(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<Bytes>, payload: &[u8]) {
         ctx.send(self.ranks[dst], self.user_tag(tag), payload);
     }
 
-    /// Synchronous send (`MPI_Ssend`): completes once the receiver has
-    /// matched the message.
-    pub fn ssend(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, payload: &[u8]) {
+    /// Synchronous send (`MPI_Ssend`) of raw bytes: completes once the
+    /// receiver has matched the message.
+    pub fn ssend(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<Bytes>, payload: &[u8]) {
         ctx.ssend(self.ranks[dst], self.user_tag(tag), payload);
     }
 
-    /// Blocking receive from a communicator rank.
-    pub fn recv(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> Payload {
+    /// Blocking receive of raw bytes from a communicator rank.
+    pub fn recv(&self, ctx: &mut RankCtx, src: usize, tag: Tag<Bytes>) -> Payload {
         ctx.recv(self.ranks[src], self.user_tag(tag))
     }
 
-    /// Sends a typed value over the [`Wire`] encoding (timestamps and
-    /// flags are the dominant payloads here).
-    pub fn send_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, x: T) {
-        self.send(ctx, dst, tag, x.to_wire().as_ref());
+    /// Sends a value of the tag's payload type over the [`Wire`]
+    /// encoding. A clock reading's frame travels by convention: sender
+    /// and receiver agree on which clock's asserted global frame it is
+    /// in (exactly as real MPI codes agree on timestamp units).
+    pub fn send_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<T>, x: T) {
+        ctx.send(self.ranks[dst], self.user_tag(tag), x.to_wire().as_ref());
     }
 
-    /// Synchronous-sends a typed value.
-    pub fn ssend_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, x: T) {
-        self.ssend(ctx, dst, tag, x.to_wire().as_ref());
+    /// Synchronous-sends a value of the tag's payload type.
+    pub fn ssend_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<T>, x: T) {
+        ctx.ssend(self.ranks[dst], self.user_tag(tag), x.to_wire().as_ref());
     }
 
-    /// Receives a typed value over the [`Wire`] encoding.
-    pub fn recv_t<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> T {
-        T::from_wire(self.recv(ctx, src, tag).as_ref())
-    }
-
-    /// Sends a clock reading. The frame travels by convention: sender and
-    /// receiver must agree on which clock's asserted global frame the
-    /// value is in (exactly as real MPI codes agree on timestamp units).
-    pub fn send_time(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, time: GlobalTime) {
-        self.send_t(ctx, dst, tag, time);
-    }
-
-    /// Synchronous-sends a clock reading (see [`Comm::send_time`]).
-    pub fn ssend_time(&self, ctx: &mut RankCtx, dst: usize, tag: Tag, time: GlobalTime) {
-        self.ssend_t(ctx, dst, tag, time);
-    }
-
-    /// Receives a clock reading (see [`Comm::send_time`]).
-    pub fn recv_time(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> GlobalTime {
-        self.recv_t(ctx, src, tag)
-    }
-
-    /// Combined exchange (the `MPI_Sendrecv` analogue): posts the eager
-    /// send first, then receives — deadlock-free for symmetric pairwise
-    /// patterns even when both sides call it simultaneously.
-    pub fn sendrecv(
-        &self,
-        ctx: &mut RankCtx,
-        dst: usize,
-        send_tag: Tag,
-        payload: &[u8],
-        src: usize,
-        recv_tag: Tag,
-    ) -> Payload {
-        self.send(ctx, dst, send_tag, payload);
-        self.recv(ctx, src, recv_tag)
+    /// Receives a value of the tag's payload type.
+    pub fn recv_t<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag<T>) -> T {
+        T::from_wire(ctx.recv(self.ranks[src], self.user_tag(tag)).as_ref())
     }
 
     /// Runs `body` with the NIC-contention peer count declared (used by
@@ -244,26 +215,13 @@ mod tests {
         c.run(|ctx| {
             let comm = Comm::world(ctx);
             if comm.rank() == 0 {
-                comm.send_t(ctx, 1, 5, 1.5f64);
-                assert_eq!(comm.recv_t::<f64>(ctx, 1, 6), 2.5);
+                comm.send_t(ctx, 1, tags::RTT, 1.5);
+                assert_eq!(comm.recv_t(ctx, 1, tags::REPORT), 2.5);
             } else {
-                let v: f64 = comm.recv_t(ctx, 0, 5);
-                comm.send_t(ctx, 0, 6, v + 1.0);
+                let v = comm.recv_t(ctx, 0, tags::RTT);
+                comm.send_t(ctx, 0, tags::REPORT, v + 1.0);
             }
         });
-    }
-
-    #[test]
-    fn sendrecv_exchanges_symmetrically() {
-        let c = testbed(2, 1).cluster(5);
-        let res = c.run(|ctx| {
-            let comm = Comm::world(ctx);
-            let peer = 1 - comm.rank();
-            let out = comm.sendrecv(ctx, peer, 9, &[comm.rank() as u8; 4], peer, 9);
-            out.to_vec()
-        });
-        assert_eq!(res[0], vec![1u8; 4]);
-        assert_eq!(res[1], vec![0u8; 4]);
     }
 
     #[test]
@@ -284,8 +242,9 @@ mod tests {
         c.run(|ctx| {
             let mut comm = Comm::world(ctx);
             let coll = comm.next_coll_tag();
-            let user = comm.user_tag(0xFFFF);
-            assert_ne!(coll & COLL_BIT, user & COLL_BIT);
+            for user in [comm.user_tag(tags::PING), comm.user_tag(tags::HALO_R)] {
+                assert_ne!(coll & COLL_BIT, user & COLL_BIT);
+            }
         });
     }
 }

@@ -5,9 +5,9 @@
 //! harness uses [`ReduceOp::ByteMax`] because it is valid at *any*
 //! message size — the paper's Figs. 7 and 9 sweep sizes from 4 B up.
 
-use hcs_sim::{RankCtx, Tag, Wire};
+use hcs_sim::{RankCtx, Wire};
 
-use crate::Comm;
+use crate::{Comm, RawTag};
 
 /// Element-wise reduction operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,7 +218,7 @@ impl Comm {
 fn recursive_doubling(
     comm: &Comm,
     ctx: &mut RankCtx,
-    tag: Tag,
+    tag: RawTag,
     mut data: Vec<u8>,
     op: ReduceOp,
 ) -> Vec<u8> {
@@ -253,7 +253,7 @@ fn recursive_doubling(
 fn reduce_bcast(
     comm: &Comm,
     ctx: &mut RankCtx,
-    tag: Tag,
+    tag: RawTag,
     mut data: Vec<u8>,
     op: ReduceOp,
 ) -> Vec<u8> {
@@ -285,7 +285,7 @@ fn reduce_bcast(
     data
 }
 
-fn ring(comm: &Comm, ctx: &mut RankCtx, tag: Tag, mut data: Vec<u8>, op: ReduceOp) -> Vec<u8> {
+fn ring(comm: &Comm, ctx: &mut RankCtx, tag: RawTag, mut data: Vec<u8>, op: ReduceOp) -> Vec<u8> {
     let (r, p) = (comm.rank(), comm.size());
     let align = op.alignment();
     let elems = data.len() / align;

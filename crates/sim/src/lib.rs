@@ -124,7 +124,8 @@ macro_rules! obs_span {
     }};
 }
 
-/// Message tag type used by the engine and the MPI layer above it.
+/// The engine's raw message tag. Programs above `hcs-mpi` use its typed
+/// user tags (`hcs_mpi::Tag<T>`), which it maps onto this.
 pub type Tag = u32;
 
 /// Rank index within a simulated cluster.

@@ -18,9 +18,6 @@
 //!   seeded hashers (`HashMap`, `HashSet`, `RandomState`) or ambient
 //!   randomness: simulated runs must be bit-identical given a seed;
 //! - **unsafe hygiene** — every `unsafe` carries a `// SAFETY:` comment;
-//! - **tag registry** — all `const TAG_*` values across
-//!   `crates/{core,mpi,benchlib}` are mutually distinct and below the
-//!   dynamic collective-tag range reserved by `Comm::next_coll_tag`;
 //! - **dependency freeze** — every `Cargo.toml` dependency is another
 //!   workspace member (the workspace builds offline, std-only);
 //! - **concurrency discipline** — every `Mutex`/`Condvar` in
@@ -30,13 +27,12 @@
 //!   locks, and guards held across park points; every
 //!   `Ordering::Relaxed` carries an `// atomics:` justification; bare
 //!   `.lock()` is banned outside `lockutil`; see [`concurrency`];
-//! - **communication skeletons** — every wire call site across
-//!   `crates/{core,mpi,benchlib}` is extracted into a per-tag protocol
-//!   skeleton; orphan tags, send/recv payload-type disagreements,
-//!   role-branch send/recv asymmetries and raw sends on unregistered
-//!   tag expressions are hard failures; see [`skeleton`];
 //! - **style** (warning level) — no bare `unwrap()` in library code of
 //!   `crates/{sim,core,clock,mpi}`.
+//!
+//! The wire contract (distinct user tags below the collective range,
+//! one payload type per tag) is not a pass: rustc checks it through
+//! `hcs_mpi::tags`.
 //!
 //! The passes are exposed as a library so `tests/xtask_lints.rs` can
 //! run them over fixture snippets and over the real workspace; both go
@@ -47,8 +43,6 @@ pub mod concurrency;
 pub mod deps;
 pub mod lints;
 pub mod scanner;
-pub mod skeleton;
-pub mod tags;
 
 use std::fmt;
 use std::fs;
@@ -98,47 +92,28 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One run of every pass: the per-file findings so far plus what the
-/// cross-file passes (tag registry, skeletons, lock hierarchy) collect
-/// from each file.
+/// One run of every pass: the per-file findings so far plus the files
+/// the cross-file lock-hierarchy pass reads.
 #[derive(Default)]
 struct Passes {
     findings: Vec<Finding>,
-    tag_defs: Vec<tags::TagDef>,
-    coll_bit: Option<u64>,
     lock_files: Vec<(String, scanner::FileScan)>,
-    skeletons: Vec<skeleton::FileSkeleton>,
 }
 
 impl Passes {
     /// Runs the per-file passes over one source and keeps what the
-    /// cross-file passes need from it. `COLL_BIT` comes from
-    /// `crates/mpi/src/lib.rs`, else from the first file defining one.
+    /// lock-hierarchy pass needs from it.
     fn file(&mut self, rel: &str, source: &str) {
         let scan = scanner::scan(source);
         self.findings.extend(lints::lint_file(rel, &scan));
-        if in_tag_registry(rel) {
-            self.tag_defs.extend(tags::extract_tags(rel, &scan));
-            if skeleton::in_skeleton_scope(rel) {
-                self.skeletons.push(skeleton::collect(rel, &scan));
-            }
-        }
-        if self.coll_bit.is_none() || rel == "crates/mpi/src/lib.rs" {
-            self.coll_bit = tags::extract_coll_bit(&scan).or(self.coll_bit);
-        }
         if concurrency::in_lock_scope(rel) {
             self.lock_files.push((rel.to_string(), scan));
         }
     }
 
-    /// Runs the cross-file passes plus the dependency freeze over
-    /// `manifests` and returns every finding, sorted. Without a
-    /// `COLL_BIT` the engine default `1 << 16` applies.
+    /// Runs the lock-hierarchy pass plus the dependency freeze over
+    /// `manifests` and returns every finding, sorted.
     fn finish(mut self, manifests: &[(String, String)]) -> Vec<Finding> {
-        let coll_bit = self.coll_bit.unwrap_or(1 << 16);
-        self.findings
-            .extend(tags::check_tags(&self.tag_defs, coll_bit));
-        self.findings.extend(skeleton::check(&self.skeletons));
         self.findings
             .extend(concurrency::check_locks(&self.lock_files));
         self.findings.extend(deps::check_deps(manifests));
@@ -193,13 +168,6 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
         }
     }
     passes.finish(&manifests)
-}
-
-/// Is this file part of the static tag registry?
-fn in_tag_registry(rel: &str) -> bool {
-    tags::TAG_CRATES
-        .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
 }
 
 fn sort_findings(findings: &mut [Finding]) {

@@ -1,8 +1,8 @@
 //! Rust source scanner: one token tree per file.
 //!
 //! Every pass asks its structural questions — where a test region, a
-//! `fn` signature, an `if` chain, a call's argument list or a guard's
-//! scope begins and ends — of one tree per file: comments dropped, each
+//! `fn` signature, a call's argument list or a guard's scope begins and
+//! ends — of one tree per file: comments dropped, each
 //! literal (string, char, number) a single token, every token tagged
 //! with its line, and each `(` / `[` / `{` linked to its close. The
 //! word-level lints keep a per-line view instead: the source with
@@ -14,8 +14,7 @@
 //! nested block comments, string / raw-string / byte-string literals,
 //! char and byte literals, number literals, and distinguishes lifetimes
 //! (`'a`) from char literals (`'a'`). Only `(`, `[` and `{` are
-//! delimiters; generic angle brackets are counted on request
-//! ([`FileScan::angle_close`]).
+//! delimiters.
 
 use std::ops::Range;
 
@@ -232,30 +231,6 @@ impl FileScan {
             }
         }
         k
-    }
-
-    /// The `>` closing the `<` at `lt`, counting nested angle brackets
-    /// and stepping over `(..)` / `[..]`; `toks.len()` if none closes it
-    /// before the statement or group ends.
-    pub fn angle_close(&self, lt: usize) -> usize {
-        let mut depth = 0;
-        let mut k = lt;
-        while k < self.toks.len() {
-            match self.text(k) {
-                "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return k;
-                    }
-                }
-                "(" | "[" => k = self.pair(k),
-                ";" | "{" | ")" | "]" | "}" => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        self.toks.len()
     }
 
     /// Flags the lines of every item carrying `#[cfg(test)]` or

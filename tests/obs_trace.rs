@@ -4,13 +4,15 @@
 //! deterministic surface), and the `trace_event` JSON schema is pinned by a golden file.
 
 use hierarchical_clock_sync::bench::prelude::*;
-use hierarchical_clock_sync::mpi::ReduceOp;
+use hierarchical_clock_sync::mpi::{tags, ReduceOp};
 use hierarchical_clock_sync::prelude::*;
 use hierarchical_clock_sync::sim::obs::{
-    chrome_trace, flame_report, summary_json, write_chrome_trace, ClockReadings, RankRecorder,
+    chrome_trace, flame_report, summary_json, write_chrome_trace, ClockReadings, Event,
+    RankRecorder,
 };
 use hierarchical_clock_sync::sim::rngx::Pcg64;
 use hierarchical_clock_sync::sim::EngineMode;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::OnceLock;
 
@@ -26,13 +28,18 @@ fn workload(ctx: &mut RankCtx) {
     sync_then_round_time(ctx, Hca3::skampi(20, 5), 0.01, 10);
 }
 
+/// Syncs with `alg` on the world communicator.
+fn synced(ctx: &mut RankCtx, alg: &mut dyn ClockSync) -> (Comm, BoxClock) {
+    let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+    let mut comm = Comm::world(ctx);
+    let out = run_sync(alg, ctx, &mut comm, Box::new(clk));
+    (comm, out.clock)
+}
+
 /// HCA3 followed by a Round-Time allreduce measurement: the shape of
 /// `trace_smoke`, which runs it with `(30, 8)`, 0.02 s slices, 50 reps.
 fn sync_then_round_time(ctx: &mut RankCtx, mut sync: Hca3, slice_s: f64, max_nrep: usize) {
-    let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-    let mut comm = Comm::world(ctx);
-    let out = run_sync(&mut sync, ctx, &mut comm, Box::new(clk));
-    let mut g = out.clock;
+    let (mut comm, mut g) = synced(ctx, &mut sync);
     let cfg = RoundTimeConfig {
         max_time_slice_s: secs(slice_s),
         max_nrep,
@@ -84,6 +91,98 @@ fn observed_run_contains_sync_and_repetition_spans() {
         );
         assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.unbalanced_exits(), 0);
+    }
+}
+
+/// HCA3, then the accuracy check with `offset` as its probe.
+fn checked(ctx: &mut RankCtx, offset: &mut dyn OffsetAlgorithm) {
+    let (mut comm, mut g) = synced(ctx, &mut Hca3::skampi(8, 3));
+    let _ = check_clock_accuracy(ctx, &mut comm, g.as_mut(), offset, secs(0.01), 1.0);
+}
+
+/// Fault-free runs of every protocol that moves a registry tag. Each
+/// send is received — the `(src, dst, tag)` multisets of sends and
+/// receives agree — and every `tags::*` value is both sent and received.
+/// rustc checks each tag's payload type; this checks that its sends and
+/// receives pair up, on the paths these runs execute.
+#[test]
+fn every_send_is_received_on_fault_free_runs() {
+    type Body = fn(&mut RankCtx);
+    let runs: [(&str, Body); 7] = [
+        ("jk/mean-rtt", |ctx| {
+            drop(synced(ctx, &mut Jk::mean_rtt(8, 3)))
+        }),
+        ("hca2", |ctx| drop(synced(ctx, &mut Hca2::skampi(8, 3)))),
+        ("hca3", |ctx| drop(synced(ctx, &mut Hca3::skampi(8, 3)))),
+        ("h2hca/hca2", |ctx| {
+            let top = Box::new(Hca2::skampi(8, 3));
+            drop(synced(
+                ctx,
+                &mut Hierarchical::h2(top, Box::new(Hca2::skampi(8, 3))),
+            ))
+        }),
+        ("check/skampi", |ctx| {
+            checked(ctx, &mut SkampiOffset::new(3))
+        }),
+        ("check/mean-rtt", |ctx| {
+            checked(ctx, &mut MeanRttOffset::new(3))
+        }),
+        ("halo", |ctx| {
+            let mut clk = LocalClock::new(ctx, TimeSource::MpiWtime);
+            let cfg = HaloProxyConfig {
+                iterations: 4,
+                ..Default::default()
+            };
+            halo_proxy(ctx, &mut Comm::world(ctx), &mut clk, cfg);
+        }),
+    ];
+    // A wire tag's user part: `hcs-mpi` puts the context id from bit 17
+    // up and marks collective tags with bit 16.
+    let user_part = |tag: u32| tag & 0x1_FFFF;
+    let (mut sent, mut received) = (BTreeSet::new(), BTreeSet::new());
+    for (name, body) in runs {
+        let cluster = machines::testbed(3, 2)
+            .cluster(5)
+            .to_builder()
+            .observability(ObsSpec::full())
+            .build();
+        let (_, log) = cluster.run_observed(body);
+        // +1 per send, -1 per receive of each (src, dst, tag).
+        let mut balance = BTreeMap::<(u32, u32, u32), i64>::new();
+        for rec in log.ranks() {
+            assert_eq!(rec.dropped(), 0, "{name}");
+            let me = rec.rank();
+            for e in rec.events() {
+                match *e {
+                    Event::Send { peer, tag, .. } => {
+                        *balance.entry((me, peer, tag)).or_default() += 1;
+                        sent.insert(user_part(tag));
+                    }
+                    Event::Recv { peer, tag, .. } => {
+                        *balance.entry((peer, me, tag)).or_default() -= 1;
+                        received.insert(user_part(tag));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let unpaired: Vec<String> = balance
+            .iter()
+            .filter(|(_, &n)| n != 0)
+            .map(|((src, dst, tag), n)| format!("{src} -> {dst} tag {tag:#x}: {n:+}"))
+            .collect();
+        assert!(
+            unpaired.is_empty(),
+            "{name}: sends minus receives per channel: {unpaired:?}"
+        );
+    }
+    for raw in tags::ALL {
+        assert!(
+            sent.contains(&raw) && received.contains(&raw),
+            "tag {raw:#x}: sent {}, received {}",
+            sent.contains(&raw),
+            received.contains(&raw)
+        );
     }
 }
 

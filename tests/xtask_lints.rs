@@ -82,32 +82,6 @@ fn safety_less_unsafe_is_an_error_anywhere() {
 }
 
 #[test]
-fn duplicate_tag_pair_is_an_error() {
-    let findings = lint_sources(&[
-        ("crates/core/src/a.rs", "const TAG_PING: Tag = 0x0101;\n"),
-        ("crates/mpi/src/b.rs", "pub const TAG_ECHO: u32 = 0x0101;\n"),
-    ]);
-    assert!(
-        lint_ids(&findings).contains(&"tags/duplicate"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn tag_in_collective_range_is_an_error() {
-    // 1 << 16 is COLL_BIT: static tags must stay below the dynamic
-    // collective-tag range handed out by `Comm::next_coll_tag`.
-    let findings = lint_sources(&[(
-        "crates/core/src/a.rs",
-        "const TAG_BAD: Tag = 1 << 16 | 7;\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"tags/collective-range"),
-        "{findings:?}"
-    );
-}
-
-#[test]
 fn external_dependency_is_an_error() {
     let findings = lint_sources(&[(
         "crates/sim/Cargo.toml",
@@ -423,120 +397,17 @@ fn concurrency_findings_render_in_matcher_shape() {
 }
 
 #[test]
-fn orphan_tag_is_an_error() {
-    // Defined but never moved on the wire: dead protocol vocabulary.
+fn determinism_findings_render_in_matcher_shape() {
+    // Every pass's findings flow through the same CI problem matcher:
+    // one `path:line: level [lint] message` row each.
     let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_ORPHAN: Tag = 0x0711;\n",
+        "crates/sim/src/engine/net.rs",
+        "fn f() {\n    let t = std::time::Instant::now();\n}\n",
     )]);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/orphan-tag"]);
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // A tag that is both sent and received is fine.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_ORPHAN: Tag = 0x0711;\nfn f(comm: &Comm, ctx: &mut RankCtx) {\n    comm.send_t(ctx, 1, TAG_ORPHAN, 0.5f64);\n    let _v: f64 = comm.recv_t(ctx, 1, TAG_ORPHAN);\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-    // The allow marker on the declaration opts it out (intentionally
-    // reserved vocabulary).
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_ORPHAN: Tag = 0x0711; // xtask-allow: skeleton\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn wire_type_mismatch_is_an_error() {
-    // Send and recv sites on the same tag disagreeing on the payload
-    // type: both ends of the exchange are flagged.
-    let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_VAL: Tag = 0x0712;\nfn f(comm: &Comm, ctx: &mut RankCtx) {\n    comm.send_t(ctx, 1, TAG_VAL, 0.5f64);\n    let _v: u32 = comm.recv_t(ctx, 1, TAG_VAL);\n}\n",
-    )]);
-    assert_eq!(
-        lint_ids(&findings),
-        vec!["skeleton/type-mismatch", "skeleton/type-mismatch"]
-    );
-    assert_eq!(findings[0].line, 3, "{findings:?}");
-    assert_eq!(findings[1].line, 4, "{findings:?}");
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // Matching types pass.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_VAL: Tag = 0x0712;\nfn f(comm: &Comm, ctx: &mut RankCtx) {\n    comm.send_t(ctx, 1, TAG_VAL, 0.5f64);\n    let _v: f64 = comm.recv_t(ctx, 1, TAG_VAL);\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-    // The allow marker removes the annotated site from the comparison.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_VAL: Tag = 0x0712;\nfn f(comm: &Comm, ctx: &mut RankCtx) {\n    comm.send_t(ctx, 1, TAG_VAL, 0.5f64);\n    let _v: u32 = comm.recv_t(ctx, 1, TAG_VAL); // xtask-allow: skeleton\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn role_asymmetry_is_an_error() {
-    // Inside a role-discriminated `if` chain, the second branch sends
-    // TAG_SYNC back but no sibling branch ever receives it.
-    let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_SYNC: Tag = 0x0713;\nfn f(comm: &Comm, ctx: &mut RankCtx, me: usize) {\n    if me == 0 {\n        comm.send_t(ctx, 1, TAG_SYNC, 1.0f64);\n    } else {\n        let _a: f64 = comm.recv_t(ctx, 0, TAG_SYNC);\n        comm.send_t(ctx, 0, TAG_SYNC, 2.0f64);\n    }\n}\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/role-asymmetry"]);
-    assert_eq!(findings[0].line, 7, "{findings:?}");
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // The symmetric exchange passes.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_SYNC: Tag = 0x0713;\nfn f(comm: &Comm, ctx: &mut RankCtx, me: usize) {\n    if me == 0 {\n        comm.send_t(ctx, 1, TAG_SYNC, 1.0f64);\n        let _b: f64 = comm.recv_t(ctx, 1, TAG_SYNC);\n    } else {\n        let _a: f64 = comm.recv_t(ctx, 0, TAG_SYNC);\n        comm.send_t(ctx, 0, TAG_SYNC, 2.0f64);\n    }\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-    // `// skeleton: paired-with <fn>` marks a cross-function protocol:
-    // the counterpart recv lives in `drain`, outside the chain.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_SYNC: Tag = 0x0713;\nfn f(comm: &Comm, ctx: &mut RankCtx, me: usize) {\n    if me == 0 {\n        comm.send_t(ctx, 1, TAG_SYNC, 1.0f64);\n    } else {\n        let _a: f64 = comm.recv_t(ctx, 0, TAG_SYNC);\n        comm.send_t(ctx, 0, TAG_SYNC, 2.0f64); // skeleton: paired-with drain\n    }\n}\nfn drain(comm: &Comm, ctx: &mut RankCtx) {\n    let _c: f64 = comm.recv_t(ctx, 1, TAG_SYNC);\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn untyped_wire_tag_is_an_error() {
-    // A raw send on a bare numeric tag expression bypasses both the
-    // tag registry and the type skeleton.
-    let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "fn f(ctx: &mut RankCtx) {\n    ctx.send(1, 0x0777, &buf);\n}\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/untyped-wire"]);
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // A `Tag`-typed parameter is a legitimate forwarded tag.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "fn f(ctx: &mut RankCtx, tag: Tag) {\n    ctx.send(1, tag, &buf);\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-    // And the per-line opt-out works like everywhere else.
-    let ok = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "fn f(ctx: &mut RankCtx) {\n    ctx.send(1, 0x0777, &buf); // xtask-allow: skeleton\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn skeleton_findings_render_in_matcher_shape() {
-    // Skeleton findings flow through the same CI problem matcher as
-    // every other pass.
-    let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "fn f(ctx: &mut RankCtx) {\n    ctx.send(1, 0x0777, &buf);\n}\n",
-    )]);
-    assert_eq!(findings.len(), 1);
+    assert_eq!(findings.len(), 1, "{findings:?}");
     let row = findings[0].to_string();
     assert!(
-        row.starts_with("crates/core/src/proto.rs:2: error [skeleton/untyped-wire] "),
+        row.starts_with("crates/sim/src/engine/net.rs:2: error [determinism/wall-clock] "),
         "{row}"
     );
 }
@@ -566,48 +437,6 @@ fn filler(n: usize, indent: &str, tail: &str) -> String {
 }
 
 #[test]
-fn long_signature_still_blesses_its_tag_parameter() {
-    // 15 lines from `fn` to `{`: the forwarded `tag` is a `Tag`-typed
-    // parameter however far down the signature it sits.
-    let src = format!(
-        "fn forward(\n    ctx: &mut RankCtx,\n{}    tag: Tag,\n) {{\n    ctx.send(1, tag, &buf);\n}}\n",
-        filler(11, "    ", ": usize,")
-    );
-    let ok = lint_sources(&[("crates/core/src/proto.rs", &src)]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn role_branch_with_a_long_condition_is_still_checked() {
-    // The same asymmetric exchange as `role_asymmetry_is_an_error`,
-    // with its role condition spread over six lines.
-    let findings = lint_sources(&[(
-        "crates/core/src/proto.rs",
-        "const TAG_SYNC: Tag = 0x0713;\nfn f(comm: &Comm, ctx: &mut RankCtx, me: usize) {\n    if me\n        == 0\n        && ready\n        && ready\n        && ready\n        && ready\n    {\n        comm.send_t(ctx, 1, TAG_SYNC, 1.0f64);\n    } else {\n        let _a: f64 = comm.recv_t(ctx, 0, TAG_SYNC);\n        comm.send_t(ctx, 0, TAG_SYNC, 2.0f64);\n    }\n}\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/role-asymmetry"]);
-    assert_eq!(findings[0].line, 13, "{findings:?}");
-}
-
-#[test]
-fn call_with_long_argument_list_is_still_a_wire_site() {
-    // A `send_t` whose arguments span 12 lines is a send of `u32` on a
-    // tag received as `f64`: a mismatch, and the tag is not orphaned.
-    let src = format!(
-        "const TAG_VAL: Tag = 0x0712;\nfn f(comm: &Comm, ctx: &mut RankCtx) {{\n    comm.send_t(\n        ctx,\n        1,\n        TAG_VAL,\n{}        7u32,\n    );\n    let _v: f64 = comm.recv_t(ctx, 1, TAG_VAL);\n}}\n",
-        filler(6, "        // note ", "")
-    );
-    let findings = lint_sources(&[("crates/core/src/proto.rs", &src)]);
-    assert_eq!(
-        lint_ids(&findings),
-        vec!["skeleton/type-mismatch", "skeleton/type-mismatch"],
-        "{findings:?}"
-    );
-    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![3, 15], "{findings:?}");
-}
-
-#[test]
 fn long_signature_returning_bare_time_is_an_error() {
     // 27 lines from `fn` to `{`, returning a bare `f64`.
     let src = format!(
@@ -617,18 +446,6 @@ fn long_signature_returning_bare_time_is_an_error() {
     let findings = lint_sources(&[("crates/core/src/check.rs", &src)]);
     assert_eq!(lint_ids(&findings), vec!["clockdomain/bare-time"]);
     assert_eq!(findings[0].line, 1, "{findings:?}");
-}
-
-#[test]
-fn raw_bytes_on_a_typed_tag_is_a_type_mismatch() {
-    // A raw 16-byte send on a tag whose receiver decodes an `f64`: the
-    // typed end fixes the size, the raw end never checks it.
-    let findings = lint_sources(&[(
-        "crates/core/src/offset.rs",
-        "const TAG_PING: Tag = 0x0101;\nfn f(ctx: &mut RankCtx) {\n    if ctx.rank() == 0 {\n        ctx.send(1, TAG_PING, &[0u8; 16]);\n    } else {\n        let _v: f64 = ctx.recv_t(0, TAG_PING);\n    }\n}\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["skeleton/type-mismatch"]);
-    assert_eq!(findings[0].line, 4, "{findings:?}");
 }
 
 #[test]
