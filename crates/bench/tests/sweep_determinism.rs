@@ -9,8 +9,21 @@ use hcs_experiments::hier_experiment::{
     fig4_configs, run_hier_experiment, write_hier_csv, HierRow,
 };
 use hcs_sim::{machines, secs, EngineMode, RankCtx};
+use std::sync::{Mutex, MutexGuard};
 
 const SEED: u64 = 20_260_806;
+
+/// Serializes this file's tests. The timing test compares a jobs=4
+/// sweep against jobs=1 and needs the host's cores to itself; the
+/// harness would otherwise run its siblings beside it, and on a
+/// 2-core host those take the cores the jobs=4 sweep is measured on.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds [`SERIAL`] for one test; a sibling's panic leaves the lock
+/// poisoned, which says nothing about this test, so it is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn rows_with_jobs(jobs: usize) -> Vec<HierRow> {
     let machine = machines::testbed(2, 2);
@@ -57,6 +70,7 @@ fn assert_rows_eq(a: &[HierRow], b: &[HierRow], what: &str) {
 
 #[test]
 fn rows_and_csv_are_byte_identical_across_jobs_settings() {
+    let _serial = serial();
     let sequential = rows_with_jobs(1);
     let concurrent = rows_with_jobs(4);
     assert_rows_eq(&sequential, &concurrent, "jobs=1 vs jobs=4");
@@ -77,6 +91,7 @@ fn rows_and_csv_are_byte_identical_across_jobs_settings() {
 
 #[test]
 fn concurrent_rows_match_reference_engine_rows() {
+    let _serial = serial();
     // A direct reference-engine cluster run of the same (config,
     // repetition) point must produce the same row as the concurrent
     // sweep. This pins that neither the engine nor run-level
@@ -131,6 +146,7 @@ fn concurrent_jobs_are_not_slower_than_sequential() {
     use hcs_bench::sweep::run_seed;
     use std::time::Instant;
 
+    let _serial = serial();
     for p in [32usize, 256] {
         let e1 = SweepExecutor::new(1);
         let e4 = SweepExecutor::new(4);

@@ -53,10 +53,9 @@ impl Comm {
             return vec![blocks[0].clone()];
         }
         let tag = self.next_coll_tag();
-        let comm = self.clone();
-        self.with_contention(ctx, |ctx| match alg {
-            AlltoallAlgorithm::Bruck => bruck(&comm, ctx, tag, blocks, block_len),
-            AlltoallAlgorithm::Pairwise => pairwise(&comm, ctx, tag, blocks),
+        self.with_contention(ctx, |comm, ctx| match alg {
+            AlltoallAlgorithm::Bruck => bruck(comm, ctx, tag, blocks, block_len),
+            AlltoallAlgorithm::Pairwise => pairwise(comm, ctx, tag, blocks),
         })
     }
 }

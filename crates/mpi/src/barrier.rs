@@ -8,7 +8,8 @@
 
 use hcs_sim::RankCtx;
 
-use crate::{Comm, RawTag};
+use crate::steps::Steps;
+use crate::Comm;
 
 /// Which barrier algorithm to run (Open MPI `coll_tuned_barrier_algorithm`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,117 +72,110 @@ impl Comm {
         if self.size() <= 1 {
             return;
         }
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
-        ctx.set_active_peers(alg.nic_concurrency(self.node_peers()));
+        let (r, p) = (self.rank(), self.size());
+        let mut steps = Steps::new(Vec::new(), p);
         match alg {
-            BarrierAlgorithm::Linear => linear(&comm, ctx, tag),
-            BarrierAlgorithm::DoubleRing => double_ring(&comm, ctx, tag),
-            BarrierAlgorithm::RecursiveDoubling => recursive_doubling(&comm, ctx, tag),
-            BarrierAlgorithm::Bruck => bruck(&comm, ctx, tag),
-            BarrierAlgorithm::Tree => tree(&comm, ctx, tag),
+            BarrierAlgorithm::Linear => linear(&mut steps, r, p),
+            BarrierAlgorithm::DoubleRing => double_ring(&mut steps, r, p),
+            BarrierAlgorithm::RecursiveDoubling => recursive_doubling(&mut steps, r, p),
+            BarrierAlgorithm::Bruck => bruck(&mut steps, r, p),
+            BarrierAlgorithm::Tree => tree(&mut steps, r, p),
         }
+        ctx.set_active_peers(alg.nic_concurrency(self.node_peers()));
+        self.run_steps(ctx, steps);
         ctx.set_active_peers(1);
     }
 }
 
-const EMPTY: &[u8] = &[];
+// Every barrier step moves an empty token.
 
-fn linear(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
-    let (r, p) = (comm.rank(), comm.size());
+fn linear(s: &mut Steps, r: usize, p: usize) {
     if r == 0 {
         for src in 1..p {
-            let _ = ctx.recv(comm.global_rank(src), tag);
+            s.recv_drop(src);
         }
         for dst in 1..p {
-            ctx.send(comm.global_rank(dst), tag, EMPTY);
+            s.send(dst);
         }
     } else {
-        ctx.send(comm.global_rank(0), tag, EMPTY);
-        let _ = ctx.recv(comm.global_rank(0), tag);
+        s.send(0);
+        s.recv_drop(0);
     }
 }
 
-fn double_ring(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
-    let (r, p) = (comm.rank(), comm.size());
-    let left = comm.global_rank((r + p - 1) % p);
-    let right = comm.global_rank((r + 1) % p);
+fn double_ring(s: &mut Steps, r: usize, p: usize) {
+    let left = (r + p - 1) % p;
+    let right = (r + 1) % p;
     if r == 0 {
         // Pass 1: prove everyone entered.
-        ctx.send(right, tag, EMPTY);
-        let _ = ctx.recv(left, tag);
+        s.send(right);
+        s.recv_drop(left);
         // Pass 2: release everyone.
-        ctx.send(right, tag, EMPTY);
-        let _ = ctx.recv(left, tag);
+        s.send(right);
+        s.recv_drop(left);
     } else {
-        let _ = ctx.recv(left, tag);
-        ctx.send(right, tag, EMPTY);
-        let _ = ctx.recv(left, tag);
-        ctx.send(right, tag, EMPTY);
+        s.recv_drop(left);
+        s.send(right);
+        s.recv_drop(left);
+        s.send(right);
     }
 }
 
-fn recursive_doubling(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
-    let (r, p) = (comm.rank(), comm.size());
+fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
     let mut m = 1usize;
     while m * 2 <= p {
         m *= 2;
     }
     if r >= m {
         // Extra ranks fold into their low partner, then await release.
-        ctx.send(comm.global_rank(r - m), tag, EMPTY);
-        let _ = ctx.recv(comm.global_rank(r - m), tag);
+        s.send(r - m);
+        s.recv_drop(r - m);
         return;
     }
     if r < p - m {
-        let _ = ctx.recv(comm.global_rank(r + m), tag);
+        s.recv_drop(r + m);
     }
     let mut mask = 1usize;
     while mask < m {
-        let partner = comm.global_rank(r ^ mask);
-        ctx.send(partner, tag, EMPTY);
-        let _ = ctx.recv(partner, tag);
+        s.send(r ^ mask);
+        s.recv_drop(r ^ mask);
         mask <<= 1;
     }
     if r < p - m {
-        ctx.send(comm.global_rank(r + m), tag, EMPTY);
+        s.send(r + m);
     }
 }
 
-fn bruck(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
-    let (r, p) = (comm.rank(), comm.size());
+fn bruck(s: &mut Steps, r: usize, p: usize) {
     let mut dist = 1usize;
     while dist < p {
-        let dst = comm.global_rank((r + dist) % p);
-        let src = comm.global_rank((r + p - dist) % p);
-        ctx.send(dst, tag, EMPTY);
-        let _ = ctx.recv(src, tag);
+        s.send((r + dist) % p);
+        s.recv_drop((r + p - dist) % p);
         dist <<= 1;
     }
 }
 
-fn tree(comm: &Comm, ctx: &mut RankCtx, tag: RawTag) {
-    let (r, p) = (comm.rank(), comm.size());
+fn tree(s: &mut Steps, r: usize, p: usize) {
     // Binomial fan-in.
     let mut mask = 1usize;
     while mask < p {
         if r & mask != 0 {
-            ctx.send(comm.global_rank(r - mask), tag, EMPTY);
+            s.send(r - mask);
             break;
         }
         if r + mask < p {
-            let _ = ctx.recv(comm.global_rank(r + mask), tag);
+            s.recv_drop(r + mask);
         }
         mask <<= 1;
     }
     // Binomial fan-out (release), mirroring the fan-in.
     if r != 0 {
-        let _ = ctx.recv(comm.global_rank(r - mask), tag);
+        s.recv_drop(r - mask);
     }
     mask >>= 1;
     while mask > 0 {
         if r & mask == 0 && r + mask < p {
-            ctx.send(comm.global_rank(r + mask), tag, EMPTY);
+            s.send(r + mask);
         }
         mask >>= 1;
     }

@@ -2,7 +2,8 @@
 
 use hcs_sim::{RankCtx, Wire};
 
-use crate::{Comm, RawTag};
+use crate::steps::Steps;
+use crate::Comm;
 
 impl Comm {
     /// Broadcasts `data` from `root` to every member over a binomial
@@ -15,11 +16,11 @@ impl Comm {
         if self.size() <= 1 {
             return data.to_vec();
         }
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
+        let mut steps = Steps::new(data.to_vec(), self.size());
+        binomial_bcast(&mut steps, self.rank(), self.size(), root);
         // Binomial tree: at most one rank per node is crossing the NIC
         // at a time, so no contention term applies.
-        binomial_bcast(&comm, ctx, tag, root, data)
+        self.run_steps(ctx, steps).buf
     }
 
     /// Broadcasts one `f64` from `root` (used by the Round-Time scheme
@@ -42,43 +43,33 @@ impl Comm {
     }
 }
 
-fn binomial_bcast(
-    comm: &Comm,
-    ctx: &mut RankCtx,
-    tag: RawTag,
-    root: usize,
-    data: &[u8],
-) -> Vec<u8> {
-    let p = comm.size();
-    let vr = (comm.rank() + p - root) % p; // virtual rank: root becomes 0
-    let unvirt = |v: usize| comm.global_rank((v + root) % p);
+/// Binomial tree rooted at `root`: receive from the parent at the
+/// lowest set bit of the virtual rank, then forward to the children at
+/// every lower bit.
+fn binomial_bcast(s: &mut Steps, r: usize, p: usize, root: usize) {
+    let vr = (r + p - root) % p; // virtual rank: root becomes 0
+    let unvirt = |v: usize| (v + root) % p;
 
     // Climb until the bit where we receive from our parent.
-    let buf: Vec<u8>;
     let mut mask = 1usize;
     if vr == 0 {
-        buf = data.to_vec();
         while mask < p {
             mask <<= 1;
         }
     } else {
-        loop {
-            if vr & mask != 0 {
-                buf = ctx.recv(unvirt(vr - mask), tag).into_vec();
-                break;
-            }
+        while vr & mask == 0 {
             mask <<= 1;
         }
+        s.recv_replace(unvirt(vr - mask));
     }
     // Forward to children at all lower bits.
     mask >>= 1;
     while mask > 0 {
         if vr & mask == 0 && vr + mask < p {
-            ctx.send(unvirt(vr + mask), tag, &buf);
+            s.send(unvirt(vr + mask));
         }
         mask >>= 1;
     }
-    buf
 }
 
 #[cfg(test)]

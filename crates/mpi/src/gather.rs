@@ -8,6 +8,7 @@
 
 use hcs_sim::RankCtx;
 
+use crate::steps::Steps;
 use crate::Comm;
 
 impl Comm {
@@ -15,24 +16,23 @@ impl Comm {
     /// communicator rank order) at the root and `None` elsewhere.
     pub fn gather(&mut self, ctx: &mut RankCtx, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
         assert!(root < self.size(), "gather root {root} out of range");
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
+        let mut steps = Steps::new(data.to_vec(), self.size());
+        let at_root = self.rank() == root;
+        if at_root {
+            steps.parts = vec![Vec::new(); self.size()];
+            for r in (0..self.size()).filter(|&r| r != root) {
+                steps.recv_part(r, r);
+            }
+        } else {
+            steps.send(root);
+        }
         // Linear gather: every rank posts its message at once — full
         // per-node NIC concurrency.
-        self.with_contention(ctx, |ctx| {
-            if comm.rank() == root {
-                let mut out = vec![Vec::new(); comm.size()];
-                out[root] = data.to_vec();
-                for (r, slot) in out.iter_mut().enumerate() {
-                    if r != root {
-                        *slot = ctx.recv(comm.global_rank(r), tag).into_vec();
-                    }
-                }
-                Some(out)
-            } else {
-                ctx.send(comm.global_rank(root), tag, data);
-                None
-            }
+        let steps = self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps));
+        at_root.then(|| {
+            let mut out = steps.parts;
+            out[root] = steps.buf;
+            out
         })
     }
 
@@ -47,29 +47,25 @@ impl Comm {
         chunks: Option<&[Vec<u8>]>,
     ) -> Vec<u8> {
         assert!(root < self.size(), "scatter root {root} out of range");
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
+        let mut steps = Steps::new(Vec::new(), self.size());
+        if self.rank() == root {
+            let chunks = chunks.expect("scatter root must supply chunks");
+            assert_eq!(
+                chunks.len(),
+                self.size(),
+                "scatter needs one chunk per member"
+            );
+            steps.buf = chunks[root].clone();
+            steps.parts = chunks.to_vec();
+            for r in (0..self.size()).filter(|&r| r != root) {
+                steps.send_part(r, r);
+            }
+        } else {
+            steps.recv_replace(root);
+        }
         // Linear scatter: only the root sends (sequentially) — no
         // concurrent senders per node.
-        {
-            let ctx = &mut *ctx;
-            if comm.rank() == root {
-                let chunks = chunks.expect("scatter root must supply chunks");
-                assert_eq!(
-                    chunks.len(),
-                    comm.size(),
-                    "scatter needs one chunk per member"
-                );
-                for (r, chunk) in chunks.iter().enumerate() {
-                    if r != root {
-                        ctx.send(comm.global_rank(r), tag, chunk);
-                    }
-                }
-                chunks[root].clone()
-            } else {
-                ctx.recv(comm.global_rank(root), tag).into_vec()
-            }
-        }
+        self.run_steps(ctx, steps).buf
     }
 
     /// Every member contributes `data`; every member receives all

@@ -30,6 +30,7 @@ mod bcast;
 mod gather;
 mod reduce;
 mod split;
+mod steps;
 mod tag;
 
 pub use alltoall::AlltoallAlgorithm;
@@ -37,11 +38,9 @@ pub use barrier::BarrierAlgorithm;
 pub use reduce::{AllreduceAlgorithm, ReduceOp};
 pub use tag::{tags, Bytes, Tag};
 
-use std::sync::Arc;
-
 use hcs_clock::GlobalTime;
 use hcs_sim::msg::Payload;
-use hcs_sim::{Rank, RankCtx, Wire};
+use hcs_sim::{Group, Rank, RankCtx, Wire};
 use tag::{RawTag, COLL_BIT};
 
 /// Bit position where the context id starts inside a tag.
@@ -56,9 +55,9 @@ const CTX_MAX: u32 = (1 << 14) - 1;
 /// the collective-call discipline is respected.
 #[derive(Debug, Clone)]
 pub struct Comm {
-    /// Global engine ranks of the members, in communicator rank order.
-    ranks: Arc<[Rank]>,
-    /// This rank's position in `ranks`.
+    /// The members' global engine ranks, in communicator rank order.
+    group: Group,
+    /// This rank's position in `group`.
     my_pos: usize,
     /// Context id: disambiguates tags of different communicators.
     ctx_id: u32,
@@ -79,7 +78,7 @@ impl Comm {
     pub fn world(ctx: &RankCtx) -> Self {
         let node_peers = ctx.topology().cores_per_node().min(ctx.size());
         Self {
-            ranks: ctx.world_ranks(),
+            group: ctx.world_group(),
             my_pos: ctx.rank(),
             ctx_id: 0,
             seq: 0,
@@ -100,7 +99,7 @@ impl Comm {
             .filter(|&&r| ctx.topology().node_of(r) == my_node)
             .count();
         Self {
-            ranks: members.into(),
+            group: Group::new(members.into()),
             my_pos,
             ctx_id,
             seq: 0,
@@ -116,17 +115,17 @@ impl Comm {
 
     /// Number of members.
     pub fn size(&self) -> usize {
-        self.ranks.len()
+        self.group.len()
     }
 
     /// Translates a communicator rank to the global engine rank.
     pub fn global_rank(&self, comm_rank: usize) -> Rank {
-        self.ranks[comm_rank]
+        self.group.ranks()[comm_rank]
     }
 
     /// The members' global ranks, in communicator order.
     pub fn members(&self) -> &[Rank] {
-        &self.ranks
+        self.group.ranks()
     }
 
     /// Number of communicator members on this rank's node.
@@ -150,18 +149,18 @@ impl Comm {
     /// Eager send of raw bytes to a communicator rank (the `MPI_Send`
     /// analogue for small messages).
     pub fn send(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<Bytes>, payload: &[u8]) {
-        ctx.send(self.ranks[dst], self.user_tag(tag), payload);
+        ctx.send(self.global_rank(dst), self.user_tag(tag), payload);
     }
 
     /// Synchronous send (`MPI_Ssend`) of raw bytes: completes once the
     /// receiver has matched the message.
     pub fn ssend(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<Bytes>, payload: &[u8]) {
-        ctx.ssend(self.ranks[dst], self.user_tag(tag), payload);
+        ctx.ssend(self.global_rank(dst), self.user_tag(tag), payload);
     }
 
     /// Blocking receive of raw bytes from a communicator rank.
     pub fn recv(&self, ctx: &mut RankCtx, src: usize, tag: Tag<Bytes>) -> Payload {
-        ctx.recv(self.ranks[src], self.user_tag(tag))
+        ctx.recv(self.global_rank(src), self.user_tag(tag))
     }
 
     /// Sends a value of the tag's payload type over the [`Wire`]
@@ -169,24 +168,36 @@ impl Comm {
     /// and receiver agree on which clock's asserted global frame it is
     /// in (exactly as real MPI codes agree on timestamp units).
     pub fn send_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<T>, x: T) {
-        ctx.send(self.ranks[dst], self.user_tag(tag), x.to_wire().as_ref());
+        ctx.send(
+            self.global_rank(dst),
+            self.user_tag(tag),
+            x.to_wire().as_ref(),
+        );
     }
 
     /// Synchronous-sends a value of the tag's payload type.
     pub fn ssend_t<T: Wire>(&self, ctx: &mut RankCtx, dst: usize, tag: Tag<T>, x: T) {
-        ctx.ssend(self.ranks[dst], self.user_tag(tag), x.to_wire().as_ref());
+        ctx.ssend(
+            self.global_rank(dst),
+            self.user_tag(tag),
+            x.to_wire().as_ref(),
+        );
     }
 
     /// Receives a value of the tag's payload type.
     pub fn recv_t<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag<T>) -> T {
-        T::from_wire(ctx.recv(self.ranks[src], self.user_tag(tag)).as_ref())
+        T::from_wire(ctx.recv(self.global_rank(src), self.user_tag(tag)).as_ref())
     }
 
     /// Runs `body` with the NIC-contention peer count declared (used by
     /// every collective implementation).
-    fn with_contention<T>(&self, ctx: &mut RankCtx, body: impl FnOnce(&mut RankCtx) -> T) -> T {
+    fn with_contention<T>(
+        &mut self,
+        ctx: &mut RankCtx,
+        body: impl FnOnce(&mut Self, &mut RankCtx) -> T,
+    ) -> T {
         ctx.set_active_peers(self.node_peers);
-        let out = body(ctx);
+        let out = body(self, ctx);
         ctx.set_active_peers(1);
         out
     }

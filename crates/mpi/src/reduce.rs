@@ -7,7 +7,8 @@
 
 use hcs_sim::{RankCtx, Wire};
 
-use crate::{Comm, RawTag};
+use crate::steps::Steps;
+use crate::Comm;
 
 /// Element-wise reduction operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,15 +122,15 @@ impl Comm {
         if self.size() <= 1 {
             return data.to_vec();
         }
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
-        self.with_contention(ctx, |ctx| match alg {
-            AllreduceAlgorithm::RecursiveDoubling => {
-                recursive_doubling(&comm, ctx, tag, data.to_vec(), op)
-            }
-            AllreduceAlgorithm::ReduceBcast => reduce_bcast(&comm, ctx, tag, data.to_vec(), op),
-            AllreduceAlgorithm::Ring => ring(&comm, ctx, tag, data.to_vec(), op),
-        })
+        let (r, p) = (self.rank(), self.size());
+        let mut steps = Steps::reducing(data.to_vec(), p, op);
+        match alg {
+            AllreduceAlgorithm::RecursiveDoubling => recursive_doubling(&mut steps, r, p),
+            AllreduceAlgorithm::ReduceBcast => reduce_bcast(&mut steps, r, p),
+            AllreduceAlgorithm::Ring => ring(&mut steps, r, p, op),
+        }
+        self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps))
+            .buf
     }
 }
 
@@ -152,29 +153,24 @@ impl Comm {
         if self.size() <= 1 {
             return Some(data.to_vec());
         }
-        let tag = self.next_coll_tag();
-        let comm = self.clone();
-
-        self.with_contention(ctx, |ctx| {
-            // Virtual ranks place the root at 0 for the binomial fan-in.
-            let p = comm.size();
-            let vr = (comm.rank() + p - root) % p;
-            let unvirt = |v: usize| comm.global_rank((v + root) % p);
-            let mut acc = data.to_vec();
-            let mut mask = 1usize;
-            while mask < p {
-                if vr & mask != 0 {
-                    ctx.send(unvirt(vr - mask), tag, &acc);
-                    return None;
-                }
-                if vr + mask < p {
-                    let other = ctx.recv(unvirt(vr + mask), tag);
-                    op.fold(&mut acc, &other);
-                }
-                mask <<= 1;
+        // Virtual ranks place the root at 0 for the binomial fan-in.
+        let p = self.size();
+        let vr = (self.rank() + p - root) % p;
+        let unvirt = |v: usize| (v + root) % p;
+        let mut steps = Steps::reducing(data.to_vec(), p, op);
+        let mut mask = 1usize;
+        let mut sent = false;
+        while mask < p && !sent {
+            if vr & mask != 0 {
+                steps.send(unvirt(vr - mask));
+                sent = true;
+            } else if vr + mask < p {
+                steps.recv_fold(unvirt(vr + mask));
             }
-            Some(acc)
-        })
+            mask <<= 1;
+        }
+        let steps = self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps));
+        (!sent).then_some(steps.buf)
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`): rank `r` receives the
@@ -190,8 +186,7 @@ impl Comm {
             return data.to_vec();
         }
         let tag = self.next_coll_tag();
-        let comm = self.clone();
-        self.with_contention(ctx, |ctx| {
+        self.with_contention(ctx, |comm, ctx| {
             let p = comm.size();
             let r = comm.rank();
             // Hillis–Steele: after round `d` the accumulator covers the
@@ -215,84 +210,69 @@ impl Comm {
     }
 }
 
-fn recursive_doubling(
-    comm: &Comm,
-    ctx: &mut RankCtx,
-    tag: RawTag,
-    mut data: Vec<u8>,
-    op: ReduceOp,
-) -> Vec<u8> {
-    let (r, p) = (comm.rank(), comm.size());
+/// Recursive doubling over the largest power of two `m <= p`; the
+/// `p - m` extra ranks fold into a low partner first and get the result
+/// from it last.
+fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
     let mut m = 1usize;
     while m * 2 <= p {
         m *= 2;
     }
     if r >= m {
         // Fold into the low partner, then receive the final result.
-        ctx.send(comm.global_rank(r - m), tag, &data);
-        return ctx.recv(comm.global_rank(r - m), tag).into_vec();
+        s.send(r - m);
+        s.recv_replace(r - m);
+        return;
     }
     if r < p - m {
-        let other = ctx.recv(comm.global_rank(r + m), tag);
-        op.fold(&mut data, &other);
+        s.recv_fold(r + m);
     }
     let mut mask = 1usize;
     while mask < m {
-        let partner = comm.global_rank(r ^ mask);
-        ctx.send(partner, tag, &data);
-        let other = ctx.recv(partner, tag);
-        op.fold(&mut data, &other);
+        s.send(r ^ mask);
+        s.recv_fold(r ^ mask);
         mask <<= 1;
     }
     if r < p - m {
-        ctx.send(comm.global_rank(r + m), tag, &data);
+        s.send(r + m);
     }
-    data
 }
 
-fn reduce_bcast(
-    comm: &Comm,
-    ctx: &mut RankCtx,
-    tag: RawTag,
-    mut data: Vec<u8>,
-    op: ReduceOp,
-) -> Vec<u8> {
-    let (r, p) = (comm.rank(), comm.size());
+/// Binomial reduce to rank 0, then binomial broadcast of the result.
+fn reduce_bcast(s: &mut Steps, r: usize, p: usize) {
     // Binomial fan-in reduction to rank 0.
     let mut mask = 1usize;
     while mask < p {
         if r & mask != 0 {
-            ctx.send(comm.global_rank(r - mask), tag, &data);
+            s.send(r - mask);
             break;
         }
         if r + mask < p {
-            let other = ctx.recv(comm.global_rank(r + mask), tag);
-            op.fold(&mut data, &other);
+            s.recv_fold(r + mask);
         }
         mask <<= 1;
     }
     // Binomial fan-out of the result.
     if r != 0 {
-        data = ctx.recv(comm.global_rank(r - mask), tag).into_vec();
+        s.recv_replace(r - mask);
     }
     mask >>= 1;
     while mask > 0 {
         if r & mask == 0 && r + mask < p {
-            ctx.send(comm.global_rank(r + mask), tag, &data);
+            s.send(r + mask);
         }
         mask >>= 1;
     }
-    data
 }
 
-fn ring(comm: &Comm, ctx: &mut RankCtx, tag: RawTag, mut data: Vec<u8>, op: ReduceOp) -> Vec<u8> {
-    let (r, p) = (comm.rank(), comm.size());
+/// Chunked ring: reduce-scatter, then allgather of the reduced chunks.
+fn ring(s: &mut Steps, r: usize, p: usize, op: ReduceOp) {
     let align = op.alignment();
-    let elems = data.len() / align;
+    let elems = s.buf.len() / align;
     if elems == 0 {
         // Nothing to chunk; degenerate to recursive doubling semantics
         // via a simple reduce+bcast on the empty payload.
-        return reduce_bcast(comm, ctx, tag, data, op);
+        return reduce_bcast(s, r, p);
     }
     // Chunk boundaries in bytes, aligned to the element size.
     let bounds: Vec<(usize, usize)> = (0..p)
@@ -302,32 +282,21 @@ fn ring(comm: &Comm, ctx: &mut RankCtx, tag: RawTag, mut data: Vec<u8>, op: Redu
             (lo, hi)
         })
         .collect();
-    let right = comm.global_rank((r + 1) % p);
-    let left = comm.global_rank((r + p - 1) % p);
+    let right = (r + 1) % p;
+    let left = (r + p - 1) % p;
 
     // Reduce-scatter: after step s, rank r holds the full reduction of
     // chunk (r + 1 + s) ... converging so that chunk (r+1) mod p is
     // complete at rank r after p-1 steps.
-    for s in 0..p - 1 {
-        let send_chunk = (r + p - s) % p;
-        let recv_chunk = (r + p - s - 1) % p;
-        let (slo, shi) = bounds[send_chunk];
-        ctx.send(right, tag, &data[slo..shi]);
-        let incoming = ctx.recv(left, tag);
-        let (rlo, rhi) = bounds[recv_chunk];
-        op.fold(&mut data[rlo..rhi], &incoming);
+    for step in 0..p - 1 {
+        s.send_range(right, bounds[(r + p - step) % p]);
+        s.recv_fold_range(left, bounds[(r + p - step - 1) % p]);
     }
     // Allgather: circulate the completed chunks.
-    for s in 0..p - 1 {
-        let send_chunk = (r + 1 + p - s) % p;
-        let recv_chunk = (r + p - s) % p;
-        let (slo, shi) = bounds[send_chunk];
-        ctx.send(right, tag, &data[slo..shi]);
-        let incoming = ctx.recv(left, tag);
-        let (rlo, rhi) = bounds[recv_chunk];
-        data[rlo..rhi].copy_from_slice(&incoming);
+    for step in 0..p - 1 {
+        s.send_range(right, bounds[(r + 1 + p - step) % p]);
+        s.recv_copy_range(left, bounds[(r + p - step) % p]);
     }
-    data
 }
 
 #[cfg(test)]

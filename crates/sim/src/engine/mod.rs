@@ -23,17 +23,21 @@
 //! partner, instead of a hash map or a table sized by the cluster.
 //!
 //! The code follows its seams: `net` (mailboxes and the per-run
-//! park/wake protocol), `ctx` ([`RankCtx`]), `run` ([`Cluster`], its
-//! builder and the run driver) and `outcome` (timeout and per-rank
-//! outcome types).
+//! park/wake protocol), `timing` (the timing law of one message),
+//! `ctx` ([`RankCtx`]), `rendezvous` (collectives evaluated in one
+//! rendezvous), `run` ([`Cluster`], its builder and the run driver) and
+//! `outcome` (timeout and per-rank outcome types).
 
 mod ctx;
 mod net;
 mod outcome;
+mod rendezvous;
 mod run;
+mod timing;
 
 pub use ctx::{RankCtx, TrafficCounters};
 pub use outcome::{RankOutcome, RecvTimeout, RunOutcome, TimeoutReason};
+pub use rendezvous::{Group, Step, StepProgram};
 pub use run::{Cluster, ClusterBuilder, EngineMode, EnvSpec};
 
 #[cfg(test)]

@@ -489,10 +489,11 @@ impl Cluster {
                     // the caller reads them only after the completion
                     // barrier (scope join / `events::drive`).
                     unsafe { results[rank].put(out) };
-                    if let Some(rec) = ctx.obs.take() {
+                    if let Some(rec) = ctx.take_recorder() {
                         // SAFETY: as above (single writer, read after
-                        // the barrier); non-empty because `obs.take()`
-                        // only yields a recorder when obs is enabled.
+                        // the barrier); non-empty because
+                        // `take_recorder()` only yields a recorder when
+                        // obs is enabled.
                         unsafe { recorders[rank].put(rec) };
                     }
                 }
@@ -560,6 +561,7 @@ impl Cluster {
                     .or_else(|| p.downcast_ref::<&str>().copied())
                     .unwrap_or("");
                 msg.contains("panicked while this rank was receiving")
+                    || msg.contains("panicked while this rank was waiting in the collective")
             };
             let idx = panics.iter().position(|p| !is_consequence(p)).unwrap_or(0);
             return (Err(panics.swap_remove(idx)), stats);

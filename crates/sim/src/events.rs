@@ -256,30 +256,33 @@ impl EventSched {
     }
 
     /// Parks the calling rank, which waits for a message from
-    /// `awaited`, until it is woken, under the virtual-time `key`. If
-    /// `awaited` sits in the handoff slot, this park *is* the handoff
-    /// (module docs): on the fiber backend it is recorded here and the
-    /// thread switches straight to `awaited`'s stack; otherwise the
-    /// loop takes it. The caller must hold no lock guard (see
+    /// `awaited` (or, in a collective rendezvous, for no one rank),
+    /// until it is woken, under the virtual-time `key`. If `awaited`
+    /// sits in the handoff slot, this park *is* the handoff (module
+    /// docs): on the fiber backend it is recorded here and the thread
+    /// switches straight to `awaited`'s stack; otherwise the loop takes
+    /// it. The caller must hold no lock guard (see
     /// `cont::suspend_current`).
-    pub(crate) fn park(&self, key: u64, awaited: usize) {
+    pub(crate) fn park(&self, key: u64, awaited: Option<usize>) {
         let mut st = self.runq.acquire();
         let me = st.current;
         let fiber = cont::current_fiber();
         st.fibers[me] = fiber;
         let target = match st.handoff {
-            Some((_, next)) if next == awaited && fiber.is_some() => st.fibers[next],
+            Some((_, next)) if Some(next) == awaited && fiber.is_some() => {
+                st.fibers[next].map(|target| (next, target))
+            }
             _ => None,
         };
-        let Some(target) = target else {
-            st.parked_on = Some(awaited);
+        let Some((next, target)) = target else {
+            st.parked_on = awaited;
             drop(st);
             cont::suspend_current(key);
             return;
         };
         st.handoff = None;
         st.parked[me] = Some(key);
-        st.current = awaited;
+        st.current = next;
         st.stats.slices += 1;
         st.stats.handoffs += 1;
         drop(st);

@@ -41,7 +41,10 @@
 //!   (interpreted by the `hcs-clock` crate),
 //! - [`machines`] — the three machine profiles of the paper's Table I,
 //! - [`engine`] — the run driver, mailboxes and the [`engine::Cluster`]
-//!   entry point (built via [`engine::ClusterBuilder`]),
+//!   entry point (built via [`engine::ClusterBuilder`]), and
+//!   [`RankCtx::collective`], which runs a collective's per-member
+//!   [`StepProgram`]s on messages or evaluates them in one rendezvous,
+//!   with the same timing law either way,
 //! - [`fault`] — seeded fault injection: a pure-data [`FaultPlan`]
 //!   (drops, duplication, reordering, latency scaling, partitions, rank
 //!   crashes) interpreted deterministically at the delivery boundary;
@@ -78,8 +81,8 @@ pub mod wire;
 
 pub use clockspec::ClockSpec;
 pub use engine::{
-    Cluster, ClusterBuilder, EngineMode, EnvSpec, RankCtx, RankOutcome, RecvTimeout, RunOutcome,
-    TimeoutReason,
+    Cluster, ClusterBuilder, EngineMode, EnvSpec, Group, RankCtx, RankOutcome, RecvTimeout,
+    RunOutcome, Step, StepProgram, TimeoutReason,
 };
 pub use fault::{FaultPlan, LinkSel, RankSel, Window};
 pub use lockutil::{lock_ignore_poison, OrderedGuard, OrderedMutex};

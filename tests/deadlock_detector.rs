@@ -110,8 +110,16 @@ fn full_sync_and_round_time_pipeline_has_no_false_positives() {
     // synchronization (ping-pong offset measurements over shared tags)
     // followed by Round-Time collective measurement (bcast + allreduce
     // per round). Any spurious cycle confirmation would panic the run.
+    // A benign events run evaluates the bcasts and allreduces in one
+    // rendezvous each, without a message; the leg under a plan that
+    // drops nothing runs them on messages, so the detector still sees
+    // the collective traffic.
     let cluster = machines::testbed(3, 2).cluster(21);
-    let res = cluster.run(|ctx| {
+    let on_messages = cluster
+        .to_builder()
+        .faults(FaultPlan::new().drop_messages(LinkSel::any(), 0.0, Window::all()))
+        .build();
+    let body = |ctx: &mut RankCtx| {
         let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
         let mut comm = Comm::world(ctx);
         let mut sync = Hca3::skampi(20, 5);
@@ -125,11 +133,13 @@ fn full_sync_and_round_time_pipeline_has_no_false_positives() {
             comm.allreduce_f64(ctx, 1.0, ReduceOp::F64Sum);
         };
         run_round_time(ctx, &mut comm, g.as_mut(), cfg, &mut op).len()
-    });
+    };
+    let res = cluster.run(body);
     assert!(
         res.iter().all(|&n| n == res[0] && n > 0),
         "pipeline completed with agreed sample counts: {res:?}"
     );
+    assert_eq!(on_messages.run(body), res, "message path agrees");
 }
 
 #[test]
