@@ -227,9 +227,10 @@ impl WaitGraph {
     /// mutates, so the walk verifies deterministically when the last
     /// cycle member re-runs detection before parking.
     ///
-    /// Only called on a candidate, and a double-confirmed deadlock's
-    /// edges can never change again — so the returned `Vec` is the first
-    /// allocation on this path and precedes an engine panic.
+    /// Only called on a candidate, and the collect pass runs only after
+    /// both walks verified, so the returned `Vec` is the first
+    /// allocation on this path and precedes an engine panic or the
+    /// firing of deadline members.
     pub fn confirm(
         &self,
         anchor: Rank,
@@ -245,12 +246,21 @@ impl WaitGraph {
         if first != second {
             return None;
         }
-        // Collect pass: the edges are frozen now (a genuine deadlock
-        // cannot make progress), so re-reading is safe.
-        let mut cycle = Vec::new();
+        // Collect pass. A genuine deadlock cannot make progress, but
+        // under the reference engine another rank may have confirmed
+        // this same cycle, fired its deadline members and let them move
+        // on since the second walk. So the pass must read the very edges
+        // the walks verified: the same length and generations. Each
+        // edge is read before its generation, which `begin_wait` stores
+        // first, so a re-registered edge is never paired with the old
+        // generation.
+        let (len, gen_sum) = second;
+        let mut cycle = Vec::with_capacity(len);
+        let mut sum = 0u64;
         let mut w = anchor;
-        loop {
+        for _ in 0..len {
             let (src, tag, deadline) = self.waiting_full(w)?;
+            sum = sum.wrapping_add(self.gens[w].load(Ordering::Acquire));
             cycle.push(WaitEdge {
                 waiter: w,
                 src,
@@ -258,10 +268,8 @@ impl WaitGraph {
                 deadline,
             });
             w = src;
-            if w == anchor {
-                return Some(cycle);
-            }
         }
+        (w == anchor && sum == gen_sum).then_some(cycle)
     }
 
     /// One allocation-free verification walk from `anchor`: every edge
@@ -395,6 +403,33 @@ mod tests {
         assert_eq!(refuted, None, "re-registered edge must refute the cycle");
         // A stable cycle still confirms.
         assert!(g.confirm(anchor, |_| true).is_some());
+    }
+
+    #[test]
+    fn cycle_that_moved_on_after_confirmation_is_not_collected() {
+        // Rank 0's deadline wait on 1 and rank 1's wait on 0 are
+        // confirmed. Before the collect pass, another detector fires
+        // rank 0, which times out and waits on 1 again without a
+        // deadline. The plain cycle now in the graph was never
+        // verified, so it must not be reported as a deadlock.
+        let g = WaitGraph::new(2);
+        g.begin_wait(0, 1, 5, true);
+        g.begin_wait(1, 0, 6, false);
+        let anchor = g.find_candidate(0).expect("2-cycle candidate");
+        let mut probes = 0;
+        let collected = g.confirm(anchor, |_| {
+            probes += 1;
+            if probes == 4 {
+                // The last probe of the second walk.
+                g.end_wait(0);
+                g.begin_wait(0, 1, 7, false);
+            }
+            true
+        });
+        assert_eq!(collected, None, "the moved-on cycle was collected");
+        // The cycle as it stands now still confirms.
+        let cycle = g.confirm(anchor, |_| true).expect("a stable cycle");
+        assert!(cycle.iter().all(|e| !e.deadline));
     }
 
     #[test]
