@@ -151,7 +151,7 @@ fn concurrent_jobs_are_not_slower_than_sequential() {
         let e1 = SweepExecutor::new(1);
         let e4 = SweepExecutor::new(4);
         // Pinned to the events engine: this is a host-time bound, and
-        // the thread-per-rank reference has no performance contract
+        // the thread-backed reference order has no performance contract
         // (concurrent runs there contend on spawning p threads each).
         let sweep = |exec: &SweepExecutor| {
             exec.run(8, p, |i| pingpong_run(p, 50, run_seed(7, i as u64)));

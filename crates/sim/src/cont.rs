@@ -61,8 +61,8 @@ use std::sync::{Arc, Condvar};
 
 use crate::lockutil::OrderedMutex;
 
-/// Stack size of every rank body's host stack: fiber stacks,
-/// thread-backed continuations and the reference engine's rank threads.
+/// Stack size of every rank body's host stack: fiber stacks and
+/// thread-backed continuations.
 /// The clock-sync code is iterative, so a small stack keeps 128Ki-rank
 /// runs affordable.
 pub(crate) const RANK_STACK_BYTES: usize = 256 * 1024;

@@ -147,12 +147,6 @@ impl RankCtx {
         self.pending.heap_bytes()
     }
 
-    /// How many of the run's mailboxes are single-owner (`Events`) arms.
-    #[cfg(test)]
-    pub(crate) fn owned_mailboxes(&self) -> usize {
-        self.net.owned_mailboxes()
-    }
-
     /// Declares that `n` ranks of this node (including this one) are
     /// communicating concurrently. Collective implementations set this
     /// to the node-local participant count on entry and reset it to 1 on
@@ -502,13 +496,13 @@ impl RankCtx {
     /// `tag` and returns `program` once it is [`Step::Done`]; its state
     /// then holds this member's result.
     ///
-    /// Under [`crate::EngineMode::Events`] with an empty fault plan the
-    /// members meet in one rendezvous, where the last to enter evaluates
-    /// every member's steps with the message path's timing law (module
-    /// docs of `rendezvous`); if any member has a receive-timeout
-    /// policy, and in every other run, each member takes its steps on
-    /// messages. Virtual time, counters, recorded events and results are
-    /// identical either way.
+    /// With an empty fault plan the members meet in one rendezvous,
+    /// where the last to enter evaluates every member's steps with the
+    /// message path's timing law (module docs of `rendezvous`); if any
+    /// member has a receive-timeout policy, and in every run with a
+    /// fault plan, each member takes its steps on messages. Virtual
+    /// time, counters, recorded events and results are identical either
+    /// way.
     ///
     /// # Panics
     /// Panics if `group` does not hold this rank at index `me`.
@@ -524,7 +518,7 @@ impl RankCtx {
             self.rank,
             "collective member {me} is not this rank"
         );
-        if group.len() > 1 && self.faults.is_none() && self.net.events.get().is_some() {
+        if group.len() > 1 && self.faults.is_none() {
             let (back, on_messages) = self.rendezvous(group, me, tag, Box::new(program));
             let back: Box<dyn std::any::Any> = back;
             program = *back
@@ -679,7 +673,7 @@ impl RankCtx {
         self.flush_reorder_holds();
         if deadline.is_some() {
             // Arm completion wakeups so a parked deadline wait observes
-            // its sender finishing (Dekker handshake with `rank_done`).
+            // its sender finishing (see `RunNet::enable_done_wakeups`).
             self.net.enable_done_wakeups();
         }
         // Buffered match first. Peek the metadata before consuming: a

@@ -8,12 +8,12 @@
 //! *sender's* deterministic RNG stream, so the simulated timeline does
 //! not depend on host scheduling — runs are bit-reproducible.
 //!
-//! Rank bodies run as stackful continuations on a virtual-time event
-//! queue ([`EngineMode::Events`], the default): a blocked receive parks
-//! the continuation, never an OS thread. [`EngineMode::Threads`] is the
-//! reference implementation the differential tests compare against: one
-//! freshly spawned scoped OS thread per rank, parking on the mailbox
-//! condvar.
+//! Rank bodies run as continuations under one run loop: a blocked
+//! receive parks the continuation, never an OS thread. The default
+//! ([`EngineMode::Events`]) runs them as stackful fibers in
+//! virtual-time order; [`EngineMode::Threads`] is the reference order
+//! the differential tests compare against: every rank on a thread of
+//! its own, picked in a seeded scrambled order.
 //!
 //! The small-message send path performs **zero heap allocations per
 //! message**: payloads up to [`crate::msg::INLINE_PAYLOAD`] bytes are
@@ -23,7 +23,7 @@
 //! partner, instead of a hash map or a table sized by the cluster.
 //!
 //! The code follows its seams: `net` (mailboxes and the per-run
-//! park/wake protocol), `timing` (the timing law of one message),
+//! park/wake protocol over the scheduler in `events`), `timing` (the timing law of one message),
 //! `ctx` ([`RankCtx`]), `rendezvous` (collectives evaluated in one
 //! rendezvous), `run` ([`Cluster`], its builder and the run driver) and
 //! `outcome` (timeout and per-rank outcome types).

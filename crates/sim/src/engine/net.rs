@@ -1,15 +1,14 @@
 //! Per-run communication state: one [`Mailbox`] per rank behind
-//! [`RunNet`], the park/wake and completion-notification protocol both
-//! engines share, and the per-destination FIFO clamp.
+//! [`RunNet`], the park/wake and completion-notification protocol over
+//! the run's scheduler, and the per-destination FIFO clamp.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use super::rendezvous::Rendezvous;
-use super::run::EngineMode;
 use crate::events::{self, EventSched};
-use crate::lockutil::{OrderedMutex, RunLock};
+use crate::lockutil::RunLock;
 use crate::msg::{Envelope, Payload};
 use crate::timebase::Span;
 use crate::waitgraph::WaitGraph;
@@ -24,11 +23,9 @@ pub(super) const FIFO_EPS: Span = Span::from_secs(1e-12);
 pub(super) const POISON_TAG: Tag = u32::MAX;
 
 /// One rank's incoming-message queue: a reusable ring buffer behind the
-/// run's lock (a mutex under the reference engine, whose rank threads
-/// also block on the condvar; a borrow flag under the events engine,
-/// where nothing ever waits on the condvar, so nothing notifies it
-/// either). Unlike a linked-list channel, pushing a message allocates
-/// nothing once the buffer has reached its high-water capacity.
+/// run's single-owner lock. Unlike a linked-list channel, pushing a
+/// message allocates nothing once the buffer has reached its high-water
+/// capacity.
 ///
 /// Aligned to two cache lines so adjacent ranks' mailboxes in the
 /// `RunNet::boxes` vector never false-share a line between one rank's
@@ -36,7 +33,6 @@ pub(super) const POISON_TAG: Tag = u32::MAX;
 #[repr(align(128))]
 struct Mailbox {
     q: RunLock<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
-    cv: Condvar,                    // lock-order: engine.mailbox
 }
 
 /// Per-run communication state shared by all rank contexts: one mailbox
@@ -51,11 +47,11 @@ pub(super) struct RunNet {
     /// queued + sender done + no buffered match" is deterministic proof
     /// that a deadline receive can only resolve as a timeout.
     done: Vec<AtomicBool>,
-    /// Whether `rank_done` must notify *every* mailbox (not just when
-    /// the run collapses to one live rank): armed when the fault plan is
-    /// non-empty or any rank registers a deadline receive, so parked
-    /// deadline waiters observe sender completion. Benign runs keep the
-    /// legacy single notify-all.
+    /// Whether `rank_done` must wake *every* unfinished rank (not just
+    /// when the run collapses to one live rank): armed when the fault
+    /// plan is non-empty or any rank registers a deadline receive, so
+    /// parked deadline waiters observe sender completion. Benign runs
+    /// keep the single wake-all.
     wake_done: AtomicBool,
     /// Each rank's wait record: the wait-for-graph deadlock detector,
     /// whose edge also tells [`RunNet::send`] which delivery a parked
@@ -66,14 +62,11 @@ pub(super) struct RunNet {
     /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
     /// run that never forms a world communicator does not pay for it.
     world: OnceLock<Arc<[Rank]>>,
-    /// Event scheduler of this run, set (once, before any rank starts)
-    /// only in [`EngineMode::Events`]: it decides which of its two jobs
-    /// [`RunNet::wake`] does.
-    pub(super) events: OnceLock<Arc<EventSched>>,
-    /// The run's collective rendezvous slots (`RankCtx::collective`),
-    /// used only by an events run, where the mutex is never contended.
+    /// The run's scheduler: parks and wakes its ranks.
+    pub(super) events: EventSched,
+    /// The run's collective rendezvous slots (`RankCtx::collective`).
     // lock-order: engine.rendezvous level=20
-    pub(super) rendezvous: OrderedMutex<Rendezvous>,
+    pub(super) rendezvous: RunLock<Rendezvous>,
 }
 
 /// Outcome of one [`RunNet::recv_batch`] park/drain cycle.
@@ -91,24 +84,23 @@ pub(super) enum BatchWait {
 }
 
 impl RunNet {
-    /// The communication state of one run of `size` ranks on the
-    /// engine `mode` resolved to.
+    /// The communication state of one run of `size` ranks, scheduled by
+    /// `events`.
     ///
     /// # Safety
-    /// With [`EngineMode::Events`] every rank body must execute under
-    /// `events::drive` (one slice at a time): the mailboxes are
-    /// single-owner [`RunLock`]s then, and this is their constructor's
+    /// Every rank body must execute under `events::drive` on `events`
+    /// (one slice at a time): the mailboxes and rendezvous slots are
+    /// single-owner [`RunLock`]s, and this is their constructor's
     /// contract.
     // SAFETY: the one-slice-at-a-time condition is the caller's contract
     // (above).
-    pub(super) unsafe fn new(mode: EngineMode, size: usize, wake_on_done: bool) -> Self {
+    pub(super) unsafe fn new(size: usize, wake_on_done: bool, events: EventSched) -> Self {
         Self {
             boxes: (0..size)
                 .map(|_| Mailbox {
                     // SAFETY: the caller's contract is `RunLock::new`'s;
                     // `recv_batch` drops its guard before it parks.
-                    q: unsafe { RunLock::new(mode, "engine.mailbox", 10, VecDeque::new()) },
-                    cv: Condvar::new(),
+                    q: unsafe { RunLock::new("engine.mailbox", 10, VecDeque::new()) },
                 })
                 .collect(),
             alive: AtomicUsize::new(size),
@@ -116,34 +108,11 @@ impl RunNet {
             wake_done: AtomicBool::new(wake_on_done),
             waits: WaitGraph::new(size),
             world: OnceLock::new(),
-            events: OnceLock::new(),
-            rendezvous: OrderedMutex::new("engine.rendezvous", 20, Rendezvous::default()),
+            events,
+            // SAFETY: as for the mailboxes; `RankCtx::rendezvous` drops
+            // its guard before it parks.
+            rendezvous: unsafe { RunLock::new("engine.rendezvous", 20, Rendezvous::default()) },
         }
-    }
-
-    /// Tells `dst` that a change a blocked receive of its might be
-    /// waiting on was published in an atomic flag rather than in its
-    /// mailbox (a rank finished, a deadline wait fired). Exactly one
-    /// thing per engine — requeue the parked continuation under
-    /// `Events` (no mailbox lock round, no syscall), notify the mailbox
-    /// condvar under `Threads`, after a round of `dst`'s mailbox lock:
-    /// the waiter holds that lock from its checks to its wait, so it
-    /// then either sees the flag or is already waiting when the notify
-    /// arrives.
-    fn wake_after_flag(&self, dst: Rank) {
-        match self.events.get() {
-            Some(sched) => sched.wake(dst),
-            None => {
-                drop(self.boxes[dst].q.acquire());
-                self.boxes[dst].cv.notify_one();
-            }
-        }
-    }
-
-    /// How many mailboxes are the single-owner arm of [`RunLock`].
-    #[cfg(test)]
-    pub(super) fn owned_mailboxes(&self) -> usize {
-        self.boxes.iter().filter(|mb| mb.q.is_owned()).count()
     }
 
     /// Every rank of the run in order, shared by all of them.
@@ -153,29 +122,27 @@ impl RunNet {
 
     /// Releases every rank in `ranks` from the rendezvous it is parked
     /// in, now resolved: clears the wait edge it registered and wakes
-    /// it (events runs only). One slice runs at a time, so no probe sees
-    /// an edge between the resolution and its clearing.
+    /// it. One slice runs at a time, so no probe sees an edge between
+    /// the resolution and its clearing.
     pub(super) fn release_all(&self, ranks: &[Rank]) {
-        let sched = self.events.get().expect("rendezvous are for events runs");
         for &rank in ranks {
             self.waits.end_wait(rank);
-            sched.wake(rank);
+            self.events.wake(rank);
         }
     }
 
     /// Parks rank `me`, whose virtual time is `now`, in the rendezvous
-    /// of the collective on `tag` until a member releases it (events
-    /// runs only). Until then `me` waits on `on`, a member that has not
-    /// entered: the edge is registered and probed as a receive's is
-    /// (`recv_batch`), so a wait cycle through the collective is
-    /// diagnosed, or fires its deadline members, as on messages.
+    /// of the collective on `tag` until a member releases it. Until
+    /// then `me` waits on `on`, a member that has not entered: the edge
+    /// is registered and probed as a receive's is (`recv_batch`), so a
+    /// wait cycle through the collective is diagnosed, or fires its
+    /// deadline members, as on messages.
     pub(super) fn park_collective(&self, me: Rank, on: Rank, tag: Tag, now: SimTime) {
-        let sched = self.events.get().expect("rendezvous are for events runs");
         self.waits.begin_wait(me, on, tag, false);
-        if sched.is_parked(on) {
+        if self.events.is_parked(on) {
             self.detect_deadlock(me);
         }
-        sched.park(events::time_key(now.seconds()), None);
+        self.events.park(events::time_key(now.seconds()), None);
     }
 
     /// The rank whose poison sits in `me`'s mailbox, if any.
@@ -206,11 +173,9 @@ impl RunNet {
     }
 
     /// Arms per-rank completion wakeups (idempotent). Called the first
-    /// time any rank registers a deadline receive; SeqCst pairs with the
-    /// `done`-flag handshake in [`RunNet::rank_done`] (Dekker-style: a
-    /// deadline waiter stores this flag before checking `done[src]`, a
-    /// finishing rank stores `done` before loading this flag — at least
-    /// one side always observes the other, so the wakeup is never lost).
+    /// time any rank registers a deadline receive, before it checks
+    /// `done[src]`; a finishing rank stores `done` before it loads this
+    /// flag in [`RunNet::rank_done`], so the wakeup is never lost.
     pub(super) fn enable_done_wakeups(&self) {
         if !self.wake_done.load(Ordering::SeqCst) {
             self.wake_done.store(true, Ordering::SeqCst);
@@ -219,28 +184,26 @@ impl RunNet {
 
     /// Runs cycle detection from `me`'s wait edge; called each time a
     /// rank is about to park. A candidate cycle is confirmed by probing
-    /// every member under its mailbox lock — the edge must still be
-    /// registered, and no queued envelope may match it or be poison
-    /// (under `Events` a parked rank's mailbox may hold envelopes it
-    /// does not wait for: only the awaited delivery wakes it, see
-    /// [`RunNet::send`]). Edges are cleared under that same lock when
-    /// a batch is drained, so a passing probe means the member is
-    /// genuinely parked with nothing that could release it; the double
-    /// verification walk inside [`WaitGraph::confirm`] then proves all
-    /// probed edges coexisted (see `waitgraph` module docs). The
-    /// caller must hold no mailbox lock.
+    /// every member's mailbox: no queued envelope may match its edge or
+    /// be poison (a parked rank's mailbox may hold envelopes it does not
+    /// wait for: only the awaited delivery wakes it, see
+    /// [`RunNet::send`]). Edges are cleared when a batch is drained, so
+    /// a passing probe means the member is genuinely parked, or queued
+    /// behind a wake it does not need, with nothing that could release
+    /// it. No other rank runs during the probe, so one walk sees the
+    /// whole cycle at one instant ([`WaitGraph::confirm`]). The caller
+    /// must hold no mailbox guard.
     fn detect_deadlock(&self, me: Rank) {
         let wg = &self.waits;
         let Some(anchor) = wg.find_candidate(me) else {
             return;
         };
         let confirmed = wg.confirm(anchor, |e| {
-            let q = self.boxes[e.waiter].q.acquire();
-            let still_blocked = wg.waiting_on(e.waiter) == Some((e.src, e.tag));
-            still_blocked
-                && !q
-                    .iter()
-                    .any(|env| (env.src == e.src && env.tag == e.tag) || env.tag == POISON_TAG)
+            !self.boxes[e.waiter]
+                .q
+                .acquire()
+                .iter()
+                .any(|env| (env.src == e.src && env.tag == e.tag) || env.tag == POISON_TAG)
         });
         if let Some(cycle) = confirmed {
             // A confirmed cycle with deadline members is not a bug: it
@@ -252,7 +215,7 @@ impl RunNet {
             // deadline members keeps the exact legacy diagnosis.
             if wg.fire_deadline_members(&cycle) > 0 {
                 for e in cycle.iter().filter(|e| e.deadline) {
-                    self.wake_after_flag(e.waiter);
+                    self.events.wake(e.waiter);
                 }
                 return;
             }
@@ -263,28 +226,20 @@ impl RunNet {
         }
     }
 
-    /// Delivers `env` to `dst`'s mailbox. Under `Events` a parked `dst`
-    /// is woken only by what can release it — the `(src, tag)` its
-    /// wait edge names, which goes to the scheduler's handoff slot, or
-    /// poison — so any other envelope waits in the mailbox until `dst`
-    /// drains it for its own reasons (module docs of `events`).
-    /// `Threads` notifies on every delivery: its sender reads no wait
-    /// edge under the mailbox lock, so it could miss one registered
-    /// just after its read.
+    /// Delivers `env` to `dst`'s mailbox. A parked `dst` is woken only
+    /// by what can release it — the `(src, tag)` its wait edge names, a
+    /// matched wake, or poison — so any other envelope waits in the
+    /// mailbox until `dst` drains it for its own reasons (module docs of
+    /// `events`).
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let Some(sched) = self.events.get() else {
-            self.boxes[dst].q.acquire().push_back(env);
-            self.boxes[dst].cv.notify_one();
-            return;
-        };
         let awaited = self.waits.waiting_on(dst) == Some((env.src, env.tag));
         let poison = env.tag == POISON_TAG;
         self.boxes[dst].q.acquire().push_back(env);
         if awaited {
-            sched.wake_matched(dst);
+            self.events.wake_matched(dst);
         } else if poison {
-            sched.wake(dst);
+            self.events.wake(dst);
         }
     }
 
@@ -299,13 +254,12 @@ impl RunNet {
     /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
     /// `deadline` so plain receives keep the legacy behavior exactly.
     ///
-    /// An empty mailbox parks the rank — its continuation under the
-    /// events engine, its OS thread on the mailbox condvar under the
-    /// reference engine — after one cycle-detection probe (under the
-    /// events engine only while `src` is parked too: a cycle through a
-    /// rank that still runs is found when that rank parks). The wait
-    /// edge published by the caller stays registered while parked,
-    /// which is what lets *other* ranks' probes see a cycle through it.
+    /// An empty mailbox parks the rank's continuation after one
+    /// cycle-detection probe, run only while `src` is parked too: a
+    /// cycle through a rank that still runs is found when that rank
+    /// parks. The wait edge published by the caller stays registered
+    /// while parked, which is what lets *other* ranks' probes see a
+    /// cycle through it.
     ///
     /// The batching is host-side only: whether messages are found one
     /// per lock or many per lock changes nothing about virtual time
@@ -321,21 +275,20 @@ impl RunNet {
         let mb = &self.boxes[me];
         let mut q = mb.q.acquire();
         // Whether this park attempt already ran cycle detection. Reset
-        // on every real wakeup, so each park is preceded by exactly one
-        // probe — as before — without the probe window losing wakeups.
+        // on every wakeup, so each park is preceded by exactly one probe.
         let mut probed = false;
         loop {
             if let Some(wait_gen) = deadline {
                 // Fired-cycle check FIRST: every member of a confirmed
-                // cycle is stamped before any member is notified, while
+                // cycle is stamped before any member is woken, while
                 // the mailbox, `alive` and `done[src]` only change after
                 // a fired peer resumed. Confirmation proved that nothing
                 // queued then matched, and the awaited rank was parked
                 // in the cycle, so a fired wait resolves as a timeout
                 // whatever is queued since; consulting the mailbox or
-                // the flags first would let host timing pick between
-                // WaitCycle, a late match and SenderFinished for the
-                // same simulated state.
+                // the flags first would let the pick order choose
+                // between WaitCycle, a late match and SenderFinished for
+                // the same simulated state.
                 if self.waits.deadline_fired(me, wait_gen) {
                     self.waits.end_wait(me);
                     return BatchWait::DeadlineFired;
@@ -344,94 +297,67 @@ impl RunNet {
             if !q.is_empty() {
                 debug_assert!(ring.is_empty(), "the ring is drained before a batch wait");
                 std::mem::swap(&mut *q, ring);
-                // Clear the wait edge while still holding the mailbox
-                // lock: confirmation probes take this same lock, so a
-                // probe can never observe "edge registered + queue
-                // empty" while the just-drained (possibly matching)
-                // envelopes are in this rank's hand. The caller
-                // re-registers when its ring runs dry without a match.
+                // Clear the wait edge with the batch taken: "edge
+                // registered" always means this rank holds no envelope
+                // in hand, which the detector's probes rely on. The
+                // caller re-registers when its ring runs dry without a
+                // match.
                 self.waits.end_wait(me);
                 return BatchWait::Got;
             }
             if self.alive.load(Ordering::Acquire) <= 1 {
                 return BatchWait::PeersGone;
             }
-            if deadline.is_some() {
-                // SeqCst: the `done` store / `wake_done` load handshake
-                // in `rank_done` (see `enable_done_wakeups`) guarantees
-                // we either see the flag here or get the notify below.
-                // Sound because the sender's body delivered every
-                // message before setting `done`: seeing the flag with an
-                // empty queue (held lock) proves no match is coming.
-                if self.done[src].load(Ordering::SeqCst) {
-                    self.waits.end_wait(me);
-                    return BatchWait::SenderDone;
-                }
+            // The sender's body delivered every message before setting
+            // `done`: seeing the flag with an empty queue proves no
+            // match is coming.
+            if deadline.is_some() && self.done[src].load(Ordering::SeqCst) {
+                self.waits.end_wait(me);
+                return BatchWait::SenderDone;
             }
-            if !probed {
-                // About to park: check whether this wait closes a
-                // cycle. Detection probes other mailboxes, so release
-                // our own lock first (probes take one lock at a time —
-                // no ordering deadlock). Then loop back instead of
-                // parking directly: a fire / completion / last-rank
-                // notification delivered while we held no lock and were
-                // not yet parked would be lost for good, so every
-                // resolution must be re-checked under the re-acquired
-                // lock (`probed` keeps this from looping).
-                drop(q);
-                if self.events.get().is_none_or(|sched| sched.is_parked(src)) {
+            drop(q);
+            if probed {
+                // Park the continuation, keyed on this rank's current
+                // virtual time, and yield — to the run loop, or straight
+                // to `src` if it is the handoff. No wake can arrive
+                // between the checks above and the park: one rank runs
+                // at a time, so no sender executes before this rank is
+                // recorded as parked (see the `events` module docs). On
+                // resume, re-check every resolution.
+                self.events.park(events::time_key(now.seconds()), Some(src));
+                probed = false;
+            } else {
+                // About to park: check whether this wait closes a cycle.
+                // Detection probes other mailboxes, so our own guard is
+                // dropped first. Then loop back instead of parking
+                // directly: the probe may have fired this very wait.
+                if self.events.is_parked(src) {
                     self.detect_deadlock(me);
                 }
-                q = mb.q.acquire();
                 probed = true;
-                continue;
             }
-            if let Some(sched) = self.events.get() {
-                // Events mode: park the *continuation*, not the OS
-                // thread. Release the mailbox lock, then yield — to the
-                // run loop, or straight to `src` if it is the handoff —
-                // keyed on this rank's current virtual time. No
-                // notification can arrive between the release and the
-                // park: one rank runs at a time, so no sender executes
-                // before this rank is recorded as parked (see the
-                // `events` module docs) — the guarantee the condvar
-                // gives the reference engine. On resume, re-acquire and
-                // re-check every resolution, exactly like a condvar
-                // wakeup.
-                drop(q);
-                sched.park(events::time_key(now.seconds()), Some(src));
-                q = mb.q.acquire();
-                probed = false;
-                continue;
-            }
-            q = q.wait(&mb.cv);
-            probed = false;
+            q = mb.q.acquire();
         }
     }
 
     /// Marks one rank as finished. When only one rank remains — or when
     /// completion wakeups are armed (fault injection / deadline
     /// receives) — every unfinished rank is woken so a blocked receiver
-    /// can observe that its peer is gone. The `done` store uses SeqCst
-    /// to close the Dekker handshake with
-    /// [`RunNet::enable_done_wakeups`].
+    /// can observe that its peer is gone.
     pub(super) fn rank_done(&self, rank: Rank) {
         self.done[rank].store(true, Ordering::SeqCst);
         let last_pair = self.alive.fetch_sub(1, Ordering::AcqRel) == 2;
         if last_pair || self.wake_done.load(Ordering::SeqCst) {
             for dst in 0..self.boxes.len() {
                 // A done rank's body has returned — it can never be
-                // blocked in a receive again, so its notification would
-                // be pure overhead. Skipping it turns the common
-                // "everyone finishes about together" case from p
-                // lock+notify cycles into p flag loads plus a handful
-                // of real notifications. (`done` is only ever set
-                // *after* a rank's last receive, so a skipped rank
-                // provably has no waiter to lose.)
+                // blocked in a receive again, so its wake would be pure
+                // overhead. (`done` is only ever set *after* a rank's
+                // last receive, so a skipped rank provably has no waiter
+                // to lose.)
                 if dst == rank || self.done[dst].load(Ordering::SeqCst) {
                     continue;
                 }
-                self.wake_after_flag(dst);
+                self.events.wake(dst);
             }
         }
     }

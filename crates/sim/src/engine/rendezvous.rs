@@ -5,9 +5,9 @@
 //! of each member's state at entry — every send's arrival is fixed by
 //! the sender's stream and FIFO clamp, every receive does
 //! `now = max(now, arrival) + recv_overhead` — so the members need not
-//! take turns message by message. Under [`crate::EngineMode::Events`]
-//! with an empty fault plan each member moves its [`Timing`] and its
-//! program into a per-run slot and parks once; the last member to enter
+//! take turns message by message. With an empty fault plan each member
+//! moves its [`Timing`] and its program into a per-run slot and parks
+//! once, whichever [`crate::EngineMode`] runs it; the last member to enter
 //! evaluates every member's steps in dependency order (`Evaluator`)
 //! with the same timing law the message path applies, hands each member
 //! its state back and wakes them. Parking costs no virtual time, so a

@@ -9,11 +9,12 @@ use hcs_obs::{ObsSpec, RankRecorder, TraceLog};
 use super::ctx::RankCtx;
 use super::net::RunNet;
 use super::outcome::{silence_recv_timeout_panic_hook, RankOutcome, RecvTimeout, RunOutcome};
-use crate::cont::{Backend, RANK_STACK_BYTES};
-use crate::events::{self, EventSched, RunStats};
+use crate::cont::Backend;
+use crate::events::{self, EventSched, Order, RunStats};
 use crate::fault::FaultPlan;
 use crate::lockutil::lock_ignore_poison;
 use crate::net::NetworkModel;
+use crate::rngx::{self, label};
 use crate::topology::Topology;
 use crate::{ClockSpec, Rank};
 
@@ -57,26 +58,26 @@ impl EnvSpec {
     }
 }
 
-/// How a run's rank bodies are executed on the host. Host-side only:
-/// both modes produce bit-identical virtual timelines, CSV rows and
-/// traces for the same cluster and seed (enforced by the differential
-/// oracle in `tests/engine_equivalence.rs`).
+/// The order in which one run loop, on the thread that called
+/// `Cluster::run*`, takes turns among a run's rank bodies. Host-side
+/// only: both modes produce bit-identical virtual timelines, CSV rows
+/// and traces for the same cluster and seed (enforced by the
+/// differential oracle in `tests/engine_equivalence.rs`). In either, a
+/// run in which every unfinished rank is parked panics on the caller,
+/// naming the parked ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// The reference implementation: one scoped OS thread per rank,
-    /// spawned for the run and joined at its end, parking on the
-    /// mailbox condvar. Kept as the differential oracle for
-    /// [`EngineMode::Events`]; practical up to a few thousand ranks.
-    /// It has no scheduler that could see a stalled run: a receive
-    /// from a rank that finished without sending while other ranks are
-    /// alive hangs here, where [`EngineMode::Events`] fails with a
-    /// diagnosis.
+    /// The reference order: every rank body runs on an OS thread of its
+    /// own (thread-backed continuations, one slice at a time), and the
+    /// next rank is drawn uniformly from the ready ones by a stream of
+    /// the master seed, with no handoff between conversation partners.
+    /// Kept as the differential oracle for [`EngineMode::Events`];
+    /// practical up to a few thousand ranks.
     Threads,
     /// The engine (default): ranks are stackful continuations driven
-    /// in virtual-time order by a run loop on the calling thread; a
-    /// blocked `recv` parks the continuation instead of an OS thread.
-    /// Scales to p≥131072. A run in which every unfinished rank is
-    /// parked panics on the caller, naming the parked ranks.
+    /// in virtual-time order, with the matched-wake handoff; a blocked
+    /// `recv` parks the continuation instead of an OS thread. Scales to
+    /// p≥131072.
     Events,
 }
 
@@ -235,9 +236,9 @@ impl ClusterBuilder {
     /// Pins the execution engine (see [`EngineMode`]). When not set,
     /// runs consult the `HCS_ENGINE` environment variable at run time
     /// (`events` / `threads`, default events), so whole test suites
-    /// can be re-executed under the reference engine without code
-    /// changes. Engine choice is host-side only — the virtual timeline
-    /// is bit-identical either way.
+    /// can be re-executed in the reference order without code changes.
+    /// Engine choice is host-side only — the virtual timeline is
+    /// bit-identical either way.
     #[must_use]
     pub fn engine(mut self, mode: EngineMode) -> Self {
         self.engine = Some(mode);
@@ -407,10 +408,10 @@ impl Cluster {
     }
 
     /// The run driver behind every `run*` entry point, on an explicit
-    /// continuation `backend`, additionally returning the event
-    /// scheduler's counters (all zero under [`EngineMode::Threads`],
-    /// which has no scheduler). Crate-private until ROADMAP item 4 gives
-    /// the counters a public home.
+    /// continuation `backend` (an [`EngineMode::Threads`] run is always
+    /// thread-backed), additionally returning the scheduler's counters.
+    /// Crate-private until ROADMAP item 4 gives the counters a public
+    /// home.
     pub(crate) fn run_counted<R, F>(&self, backend: Backend, f: &F) -> (Vec<R>, TraceLog, RunStats)
     where
         R: Send,
@@ -441,11 +442,18 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let size = self.topology.total_cores();
-        let mode = self.engine_mode();
-        // SAFETY: under `EngineMode::Events` the only thing that ever
-        // executes a rank body (and with it every use of `net`) is
-        // `events::drive` in the match below, one slice at a time.
-        let net = Arc::new(unsafe { RunNet::new(mode, size, !self.faults.is_empty()) });
+        let sched = match self.engine_mode() {
+            EngineMode::Events => EventSched::new(size, backend, Order::Heap),
+            EngineMode::Threads => EventSched::new(
+                size,
+                Backend::Thread,
+                Order::Scrambled(rngx::stream_rng(self.seed, label::sched_scramble())),
+            ),
+        };
+        // SAFETY: the only thing that ever executes a rank body (and
+        // with it every use of `net`) is `events::drive` on this
+        // scheduler below, one slice at a time.
+        let net = Arc::new(unsafe { RunNet::new(size, !self.faults.is_empty(), sched) });
         // Single-writer slots (no lock): rank r's body writes slot r
         // exactly once, and this frame reads them only after the
         // engine's completion barrier. The recorder vector is empty
@@ -459,9 +467,9 @@ impl Cluster {
         let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = // lock-order: engine.panics level=32
             Mutex::new(Vec::new());
 
-        // The per-rank body shared by both execution modes. It must
-        // never unwind: panics from `f` are recorded and re-thrown on
-        // the caller's thread below.
+        // The per-rank body, one closure for the whole run, so seeding
+        // allocates nothing per rank. It must never unwind: panics from
+        // `f` are recorded and re-thrown on the caller's thread below.
         let body = |rank: Rank| {
             let mut ctx = RankCtx::new(
                 rank,
@@ -487,7 +495,7 @@ impl Cluster {
                     // SAFETY: this body is rank `rank`'s unique
                     // execution; nothing else writes these slots, and
                     // the caller reads them only after the completion
-                    // barrier (scope join / `events::drive`).
+                    // barrier (`events::drive`).
                     unsafe { results[rank].put(out) };
                     if let Some(rec) = ctx.take_recorder() {
                         // SAFETY: as above (single writer, read after
@@ -505,45 +513,10 @@ impl Cluster {
             net.rank_done(rank);
         };
 
-        let stats = match mode {
-            EngineMode::Events => {
-                // The scheduler drives `body(rank)` once per rank as a
-                // virtual-time continuation — one shared closure for
-                // the whole run, so seeding allocates nothing per rank.
-                let shared: Box<dyn Fn(Rank) + Send + Sync + '_> = Box::new(&body);
-                // SAFETY: `events::drive` is the completion barrier —
-                // it returns only after every continuation has run to
-                // completion. Its one other exit is the stall panic:
-                // every unfinished continuation is parked then, and
-                // unwinding drops (fiber) or detaches (thread backend)
-                // each of them without ever resuming it. Either way no
-                // rank executes after `drive` is left, so the borrows of
-                // `body` (and through it `f`, `net`, `results`, `panics`)
-                // are never used beyond this frame. The transmute only
-                // widens the trait object's lifetime parameter.
-                let shared: events::RankBody = unsafe {
-                    std::mem::transmute::<Box<dyn Fn(Rank) + Send + Sync + '_>, events::RankBody>(
-                        shared,
-                    )
-                };
-                let sched = Arc::new(EventSched::new(size, shared, backend));
-                if net.events.set(Arc::clone(&sched)).is_err() {
-                    unreachable!("the events slot is set exactly once per RunNet");
-                }
-                events::drive(&sched, &|rank| net.describe_wait(rank))
-            }
-            EngineMode::Threads => std::thread::scope(|scope| {
-                let body = &body;
-                for rank in 0..size {
-                    std::thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(RANK_STACK_BYTES)
-                        .spawn_scoped(scope, move || body(rank))
-                        .expect("failed to spawn rank thread");
-                }
-                RunStats::default()
-            }),
-        };
+        // `events::drive` is the completion barrier: it returns only
+        // after every rank body has run to completion. Its one other
+        // exit is the stall panic, after which no body runs again.
+        let stats = events::drive(&net.events, &body, &|rank| net.describe_wait(rank));
 
         let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
         if !panics.is_empty() {
@@ -598,7 +571,7 @@ struct OutSlot<T>(std::cell::UnsafeCell<Option<T>>);
 
 // SAFETY: see the type docs — disjoint single-writer slots, with every
 // read ordered strictly after the writers by the engine's completion
-// barrier (scope join / `events::drive`).
+// barrier (`events::drive`).
 unsafe impl<T: Send> Sync for OutSlot<T> {}
 
 impl<T> OutSlot<T> {

@@ -1,12 +1,11 @@
-//! The event-driven engine core: a virtual-time run queue of rank
-//! continuations, executed by a run loop on the thread that called
-//! `Cluster::run*`.
+//! The run loop: a ready queue of rank continuations, executed one
+//! slice at a time on the thread that called `Cluster::run*`.
 //!
-//! In [`crate::EngineMode::Events`] a rank is a schedulable
-//! continuation (`cont.rs`), not an OS thread. A blocked receive
+//! Every run is driven here. A rank is a schedulable continuation
+//! (`cont.rs`), not an OS thread of its own making. A blocked receive
 //! suspends the continuation with its `(virtual-time key, rank)`, and
-//! the sender's `RunNet` wake hook makes that pair ready again. The
-//! loop picks the next ready rank (see *Determinism*), resumes it until
+//! the sender's `RunNet` wake hook makes that rank ready again. The
+//! loop picks the next ready rank (see *Pick order*), resumes it until
 //! it parks or finishes, and repeats — one rank slice at a time, so a
 //! run occupies one host core, and host parallelism lives only in
 //! `hcs_bench::sweep::SweepExecutor`, which runs independent clusters
@@ -17,47 +16,52 @@
 //! actually parks — so a rank that never blocks costs two stack
 //! switches and zero allocations.
 //!
-//! # Determinism
+//! # Pick order
 //!
-//! The determinism argument (DESIGN.md §2) never relied on OS
-//! scheduling: arrival times are fixed at send time from the sender's
+//! The determinism argument (DESIGN.md §2) never relied on the order
+//! ranks run in: arrival times are fixed at send time from the sender's
 //! seeded RNG streams, and a receiver only proceeds once the specific
-//! `(src, tag)` message it waits for is in hand, so timelines, CSV rows
-//! and traces are byte-identical to the thread-per-rank reference
-//! engine (`tests/engine_equivalence.rs` enforces this differentially).
-//! The reference engine lets the OS run ranks in *any* order that
-//! respects those waits; one loop executing one slice at a time picks
-//! one of these legal interleavings, so the order it picks is a
-//! host-side *policy*, never a correctness input. The policy has two
-//! rules, and both are pure functions of `(seed, plan)`:
+//! `(src, tag)` message it waits for is in hand. Any order that
+//! respects those waits gives the same timelines, CSV rows and traces,
+//! so the order is a host-side [`Order`], never a correctness input.
+//! There are two, and both are pure functions of `(seed, plan)`:
 //!
-//! - **Heap order.** A park carries the rank's virtual-time key, a wake
-//!   puts `(key, rank)` on the ready heap, and the loop pops the
-//!   minimum. Non-blocked ranks drain before long conversations
-//!   continue, which keeps memory low.
-//! - **Matched-wake handoff, by a direct switch.** A parked rank's wait
-//!   edge in the run's wait-for graph names the `(src, tag)` it waits
-//!   for, and a delivery of exactly that message says so
-//!   ([`EventSched::wake_matched`]). Such a wake goes to the *handoff
-//!   slot* instead of the heap. When rank R then parks on the rank S
-//!   in the slot — R answered S and now waits for S's reply — S runs
-//!   next and the heap is bypassed: the two sides of a ping-pong run
-//!   back to back on hot stacks and mailboxes instead of taking turns
-//!   with every other live conversation. On the fiber backend R's park
-//!   ([`EventSched::park`]) records itself (key, one slice, one
-//!   handoff) and switches straight to S's stack, which inherits the
-//!   loop's return context (`cont::switch_to`): a ping-pong leg is one
-//!   stack switch, and [`drive`] gets the thread back only when a
-//!   slice ends some other way — then it settles whichever rank the
-//!   chain ended on, parked or finished. Every parked fiber is a
-//!   switch target, including a fresh rank's body still on the hot
-//!   stack. The thread backend has no stacks to switch to, so its
-//!   loop takes the same handoff itself, and both count and order the
-//!   same slices. In every other case (R parked on someone else, R
-//!   finished, a later matched wake displaced S from the slot) S moves
-//!   to the heap under the key it parked with, exactly as a plain wake
-//!   would have queued it. Completion, poison and deadline-fire wakes
-//!   never match.
+//! - **Heap order with the matched-wake handoff** (`EngineMode::Events`,
+//!   the default).
+//!   - *Heap.* A park carries the rank's virtual-time key, a wake puts
+//!     `(key, rank)` on the ready heap, and the loop pops the minimum.
+//!     Non-blocked ranks drain before long conversations continue,
+//!     which keeps memory low.
+//!   - *Handoff, by a direct switch.* A parked rank's wait edge in the
+//!     run's wait-for graph names the `(src, tag)` it waits for, and a
+//!     delivery of exactly that message says so
+//!     ([`EventSched::wake_matched`]). Such a wake goes to the *handoff
+//!     slot* instead of the heap. When rank R then parks on the rank S
+//!     in the slot — R answered S and now waits for S's reply — S runs
+//!     next and the heap is bypassed: the two sides of a ping-pong run
+//!     back to back on hot stacks and mailboxes instead of taking turns
+//!     with every other live conversation. On the fiber backend R's
+//!     park ([`EventSched::park`]) records itself (key, one slice, one
+//!     handoff) and switches straight to S's stack, which inherits the
+//!     loop's return context (`cont::switch_to`): a ping-pong leg is
+//!     one stack switch, and [`drive`] gets the thread back only when a
+//!     slice ends some other way — then it settles whichever rank the
+//!     chain ended on, parked or finished. Every parked fiber is a
+//!     switch target, including a fresh rank's body still on the hot
+//!     stack. The thread backend has no stacks to switch to, so its
+//!     loop takes the same handoff itself, and both count and order the
+//!     same slices. In every other case (R parked on someone else, R
+//!     finished, a later matched wake displaced S from the slot) S
+//!     moves to the heap under the key it parked with, exactly as a
+//!     plain wake would have queued it. Completion, poison and
+//!     deadline-fire wakes never match.
+//! - **The reference order** (`EngineMode::Threads`, on the thread
+//!   backend): the next rank is drawn uniformly from every woken or
+//!   unstarted rank, from the run's `sched_scramble` stream, and no
+//!   wake is ever a handoff. It is the differential oracle for the
+//!   heap order: a run that agrees byte for byte under both did not
+//!   depend on the order its ranks took turns in. A failure replays
+//!   from the seed, like any run.
 //!
 //! # Wakes are never lost, by construction
 //!
@@ -65,8 +69,8 @@
 //! else executes in between: on the fiber backend all of it happens on
 //! the loop's thread, and the thread backend's strict handoff keeps the
 //! loop blocked in `resume` while the body runs. So every `wake` finds
-//! its target either parked (and queues it, on the heap or in the
-//! handoff slot, which the next park or the loop empties before the
+//! its target either parked (and queues it, in the ready queue or in
+//! the handoff slot, which the next park or the loop empties before the
 //! slice ends) or bound to re-check its mailbox before it parks (a
 //! no-op). A woken receiver re-checks its mailbox on every resume.
 //!
@@ -84,38 +88,27 @@
 //! matches the edge or is poison, not whether the mailbox is empty — a
 //! parked rank's mailbox may hold envelopes it does not wait for, and
 //! counting those as hope would refute a real cycle and stall the run.
-//! (The reference engine keeps notifying on every delivery: its sender
-//! reads the edge before taking the mailbox lock, so it could miss a
-//! registration made just after.)
 //!
 //! The same fact — one slice at a time, each ordered after the last by
 //! the loop itself or by the thread backend's mutex/condvar handoff — is
 //! why the run's mailboxes and this scheduler's ready state sit behind
-//! the single-owner arm of `lockutil::RunLock`, a checked flag, and the
-//! message path of an events run takes no mutex.
+//! [`RunLock`], a checked flag, and the message path takes no mutex.
 //!
 //! # Stalls are diagnosed
 //!
 //! Only an executing rank can wake a parked one, so an empty ready
 //! queue with unfinished ranks can never make progress again. The loop
 //! fails such a run with a panic naming every parked rank
-//! ([`EventSched::stall_report`]) instead of waiting.
+//! ([`EventSched::stall_report`]) instead of waiting, in either order.
 
 #[cfg(test)]
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::cont::{self, Backend, Continuation, FiberRef, Slice, Starter};
 use crate::lockutil::RunLock;
-use crate::EngineMode;
-
-/// The shared per-rank body: the scheduler calls it once per rank. One
-/// closure for the whole run (the engine's body is identical across
-/// ranks up to the rank index), so seeding a run allocates nothing per
-/// rank.
-pub(crate) type RankBody = Box<dyn Fn(usize) + Send + Sync + 'static>;
+use crate::rngx::Pcg64;
 
 /// Orders `SimTime` seconds as a totally ordered unsigned key
 /// (sign-magnitude floats → monotone integers), so the ready heap can
@@ -135,7 +128,7 @@ pub(crate) fn time_key(seconds: f64) -> u64 { // xtask-allow: clockdomain — so
 
 /// Host-side counters of one [`drive`] (the first two of ROADMAP item
 /// 4's per-run statistics). Pure functions of `(seed, plan)`, so tests
-/// pin the scheduling policy with exact counts instead of timings.
+/// pin the pick order with exact counts instead of timings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RunStats {
     /// Rank slices executed: one per start or resume of a rank.
@@ -144,6 +137,95 @@ pub(crate) struct RunStats {
     /// ready heap (see the module docs), whether by a direct switch or
     /// through the loop.
     pub(crate) handoffs: u64,
+}
+
+/// How [`drive`] picks the next ready rank (module docs).
+pub(crate) enum Order {
+    /// Heap order with the matched-wake handoff.
+    Heap,
+    /// A uniform draw from this stream over the woken and unstarted
+    /// ranks, with no handoff: the reference order.
+    Scrambled(Pcg64),
+}
+
+/// The ranks ready to run, in one of the two [`Order`]s.
+enum Ready {
+    Heap {
+        /// Next initially-seeded rank not yet started. Every rank starts
+        /// ready at virtual time zero, so this cursor *is* the
+        /// `(key₀, rank)` run of the merged ready sequence — seeding n
+        /// heap entries (and paying n log n pops) would buy nothing.
+        seed_cursor: usize,
+        /// Min-heap on `(virtual-time key, rank)` of *re-woken* ranks
+        /// only; the rank tiebreak makes pop order fully deterministic
+        /// for equal keys.
+        heap: BinaryHeap<Reverse<(u64, usize)>>,
+    },
+    Scrambled {
+        /// Every woken or unstarted rank, in no order. It starts with
+        /// all of them, and a rank is here at most once, so its capacity
+        /// is never outgrown: a pick does not allocate.
+        ranks: Vec<usize>,
+        rng: Pcg64,
+    },
+}
+
+impl Ready {
+    fn new(n: usize, order: Order) -> Self {
+        match order {
+            Order::Heap => Ready::Heap {
+                seed_cursor: 0,
+                heap: BinaryHeap::new(),
+            },
+            Order::Scrambled(rng) => Ready::Scrambled {
+                ranks: (0..n).collect(),
+                rng,
+            },
+        }
+    }
+
+    /// Queues `rank`, woken under `key`.
+    fn push(&mut self, key: u64, rank: usize) {
+        match self {
+            Ready::Heap { heap, .. } => heap.push(Reverse((key, rank))),
+            Ready::Scrambled { ranks, .. } => ranks.push(rank),
+        }
+    }
+
+    /// Takes the next rank to run out of the queue, out of `n`. In heap
+    /// order that is the true minimum of the re-woken heap merged with
+    /// the `(key₀, seed_cursor)` virgin run: a woken key *can* sort
+    /// before key₀ (skewed clocks produce negative virtual times), so
+    /// this is a real two-way merge, not an exhaust-the-cursor-first
+    /// shortcut.
+    fn next(&mut self, n: usize) -> Option<usize> {
+        match self {
+            Ready::Heap { seed_cursor, heap } => {
+                let seeded = *seed_cursor < n;
+                match heap.peek() {
+                    Some(&Reverse(top)) if !seeded || top < (time_key(0.0), *seed_cursor) => {
+                        heap.pop();
+                        Some(top.1)
+                    }
+                    _ if seeded => {
+                        let rank = *seed_cursor;
+                        *seed_cursor += 1;
+                        Some(rank)
+                    }
+                    _ => None,
+                }
+            }
+            Ready::Scrambled { ranks, rng } => {
+                if ranks.is_empty() {
+                    return None;
+                }
+                // The high half of a 64 × len product: uniform to within
+                // len / 2^64.
+                let at = ((u128::from(rng.next_u64()) * ranks.len() as u128) >> 64) as usize;
+                Some(ranks.swap_remove(at))
+            }
+        }
+    }
 }
 
 /// What the `RunNet` wake hooks, the parking rank and the run loop
@@ -156,9 +238,10 @@ struct ReadyState {
     /// backend (always `None` on the thread backend, which has none).
     fibers: Vec<Option<FiberRef>>,
     /// The handoff slot: the `(key, rank)` most recently woken by a
-    /// delivery of exactly the message it was parked on. Filled only by
-    /// the executing slice and emptied by the direct switch or by the
-    /// loop when that slice ends, so it is always empty between slices.
+    /// delivery of exactly the message it was parked on (heap order
+    /// only). Filled only by the executing slice and emptied by the
+    /// direct switch or by the loop when that slice ends, so it is
+    /// always empty between slices.
     handoff: Option<(u64, usize)>,
     /// The rank executing now: the one the loop started or resumed, or
     /// the one the last direct switch moved to.
@@ -166,40 +249,10 @@ struct ReadyState {
     /// Whom the rank that last returned to the loop by parking waits
     /// for; set by [`EventSched::park`], taken by the loop.
     parked_on: Option<usize>,
-    /// Next initially-seeded rank not yet started. Every rank starts
-    /// ready at virtual time zero, so this cursor *is* the
-    /// `(key₀, rank)` run of the merged ready sequence — seeding n
-    /// heap entries (and paying n log n pops) would buy nothing.
-    seed_cursor: usize,
-    /// Min-heap on `(virtual-time key, rank)` of *re-woken* ranks only;
-    /// the rank tiebreak makes pop order fully deterministic for equal
-    /// keys.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The ranks ready to run.
+    ready: Ready,
     /// This run's counters, kept by the loop and the direct switch.
     stats: RunStats,
-}
-
-impl ReadyState {
-    /// Pops the earliest ready rank: the true minimum of the re-woken
-    /// heap merged with the `(key₀, seed_cursor)` virgin run. A woken
-    /// key *can* sort before key₀ (skewed clocks produce negative
-    /// virtual times), so this is a real two-way merge, not an
-    /// exhaust-the-cursor-first shortcut.
-    fn next_ready(&mut self) -> Option<usize> {
-        let seeded = self.seed_cursor < self.parked.len();
-        match self.ready.peek() {
-            Some(&Reverse(top)) if !seeded || top < (time_key(0.0), self.seed_cursor) => {
-                self.ready.pop();
-                Some(top.1)
-            }
-            _ if seeded => {
-                let rank = self.seed_cursor;
-                self.seed_cursor += 1;
-                Some(rank)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,33 +263,29 @@ thread_local! {
     static LOOP_RETURNS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The per-run event scheduler: the run loop plus the `wake` and
-/// `park` hooks. The ready state has one owner at a time — the loop
-/// between slices, the executing rank's hook calls during one — so its
-/// lock is the single-owner arm of [`RunLock`]: a checked flag, not a
-/// mutex.
+/// The per-run event scheduler: the ready state behind the `wake` and
+/// `park` hooks and [`drive`]. The ready state has one owner at a time
+/// — the loop between slices, the executing rank's hook calls during
+/// one — so its lock is a [`RunLock`]: a checked flag, not a mutex.
 pub(crate) struct EventSched {
     // lock-order: events.sched level=15
     runq: RunLock<ReadyState>,
     n: usize,
-    /// The shared rank body (see [`RankBody`]).
-    body: RankBody,
     /// Continuation backend of the run's ranks.
     backend: Backend,
 }
 
 impl EventSched {
-    /// Seeds `n` ranks, all ready at virtual time zero (started in rank
-    /// order via the seed cursor); each runs `body(rank)` once.
-    pub(crate) fn new(n: usize, body: RankBody, backend: Backend) -> Self {
+    /// Seeds `n` ranks, all ready at virtual time zero, on `backend`,
+    /// to be picked in `order`.
+    pub(crate) fn new(n: usize, backend: Backend, order: Order) -> Self {
         let ready = ReadyState {
             parked: vec![None; n],
             fibers: vec![None; n],
             handoff: None,
             current: 0,
             parked_on: None,
-            seed_cursor: 0,
-            ready: BinaryHeap::new(),
+            ready: Ready::new(n, order),
             stats: RunStats::default(),
         };
         EventSched {
@@ -248,9 +297,8 @@ impl EventSched {
             // handoff under the thread backend — so all uses are
             // ordered by happens-before, and no guard lives across a
             // `suspend_current` or `switch_to` (module docs).
-            runq: unsafe { RunLock::new(EngineMode::Events, "events.sched", 15, ready) },
+            runq: unsafe { RunLock::new("events.sched", 15, ready) },
             n,
-            body,
             backend,
         }
     }
@@ -321,13 +369,13 @@ impl EventSched {
         let Some(key) = st.parked[rank].take() else {
             return;
         };
-        let queued = if matched {
+        let queued = if matched && matches!(st.ready, Ready::Heap { .. }) {
             st.handoff.replace((key, rank))
         } else {
             Some((key, rank))
         };
-        if let Some(entry) = queued {
-            st.ready.push(Reverse(entry));
+        if let Some((key, rank)) = queued {
+            st.ready.push(key, rank);
         }
     }
 
@@ -356,17 +404,18 @@ impl EventSched {
     }
 }
 
-/// Runs the scheduler to completion on the calling thread: take the
-/// handed-off rank or else pop the `(key, rank)` minimum, run it until
-/// the thread comes back — the rank, or the last rank of a chain of
-/// direct switches, parked or finished — and record that outcome: one
-/// guard of the ready state per return, never alive while a rank
-/// executes (the lock is the run's single-owner flag, so that is a
-/// check, not a cost). Then re-throws the first panic that escaped a
-/// rank body, if any (engine bodies catch rank panics themselves, so
-/// that is a bug trap, not a normal path); the queue is still drained
-/// first, so ranks that can finish do. `describe_wait` words what a
-/// parked rank waits for, for the stall report.
+/// Runs the scheduler to completion on the calling thread, starting
+/// each rank as `body(rank)`: take the handed-off rank or else the next
+/// in pick order, run it until the thread comes back — the rank, or the
+/// last rank of a chain of direct switches, parked or finished — and
+/// record that outcome: one guard of the ready state per return, never
+/// alive while a rank executes (the lock is the run's single-owner
+/// flag, so that is a check, not a cost). Then re-throws the first
+/// panic that escaped a rank body, if any (engine bodies catch rank
+/// panics themselves, so that is a bug trap, not a normal path); the
+/// queue is still drained first, so ranks that can finish do.
+/// `describe_wait` words what a parked rank waits for, for the stall
+/// report.
 ///
 /// # Panics
 /// Panics with [`EventSched::stall_report`] if the run stalls. The
@@ -375,7 +424,11 @@ impl EventSched {
 /// rank's OS thread stays blocked until process exit, so whatever the
 /// parked bodies own leaks. A stalled program is a bug to fix, not a
 /// state to recover memory from.
-pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> String) -> RunStats {
+pub(crate) fn drive(
+    sched: &EventSched,
+    body: &(dyn Fn(usize) + Sync),
+    describe_wait: &dyn Fn(usize) -> String,
+) -> RunStats {
     let mut starter = Starter::new(sched.backend);
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -387,7 +440,7 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
     let mut handed: Option<usize> = None;
     let mut st = sched.runq.acquire();
     while finished < sched.n {
-        let Some(rank) = handed.take().or_else(|| st.next_ready()) else {
+        let Some(rank) = handed.take().or_else(|| st.ready.next(sched.n)) else {
             if first_panic.is_some() {
                 break;
             }
@@ -398,12 +451,12 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
         drop(st);
         let mut slice = match conts[rank].take() {
             Some(cont) => cont.resume(),
-            // SAFETY: the body borrows `sched` for this call, and every
+            // SAFETY: the body borrows `body` for this call, and every
             // continuation lives in `conts`, which this call drops
             // before it returns or unwinds: a finished one is reaped, a
             // parked one (a stalled run) dropped or detached without
             // ever running again.
-            None => unsafe { starter.start(|| (sched.body)(rank)) },
+            None => unsafe { starter.start(|| body(rank)) },
         };
         #[cfg(test)]
         LOOP_RETURNS.with(|n| n.set(n.get() + 1));
@@ -444,7 +497,7 @@ pub(crate) fn drive(sched: &Arc<EventSched>, describe_wait: &dyn Fn(usize) -> St
                 handed = Some(next);
                 st.stats.handoffs += 1;
             } else {
-                st.ready.push(Reverse((key, next)));
+                st.ready.push(key, next);
             }
         }
     }
@@ -461,18 +514,20 @@ mod tests {
     use super::*;
     use crate::cont::tests::{recycled_stacks, test_backends};
     use crate::lockutil::OrderedMutex;
+    use crate::EngineMode;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// One rank's test body.
     type Job = Box<dyn FnOnce() + Send + 'static>;
 
-    /// Adapts a per-rank job list to the shared-body interface: each
-    /// rank takes and runs its own job exactly once.
-    fn sched_from_jobs(jobs: Vec<Job>) -> Arc<EventSched> {
+    /// A heap-order scheduler for one rank per job, and the body that
+    /// runs each rank's own job exactly once.
+    fn sched_from_jobs(jobs: Vec<Job>) -> (Arc<EventSched>, impl Fn(usize) + Sync) {
         sched_on(jobs, Backend::from_env())
     }
 
-    fn sched_on(jobs: Vec<Job>, backend: Backend) -> Arc<EventSched> {
+    fn sched_on(jobs: Vec<Job>, backend: Backend) -> (Arc<EventSched>, impl Fn(usize) + Sync) {
         let n = jobs.len();
         let cells: Vec<OrderedMutex<Option<Job>>> = jobs
             .into_iter()
@@ -485,17 +540,18 @@ mod tests {
                 .expect("each rank runs exactly once");
             job();
         };
-        Arc::new(EventSched::new(n, Box::new(body), backend))
+        (Arc::new(EventSched::new(n, backend, Order::Heap)), body)
     }
 
     /// Drives a scheduler whose ranks park outside any receive (they
     /// name no awaited rank, so no handoffs).
-    fn drive_bare(sched: &Arc<EventSched>) {
-        drive(sched, &|_| String::new());
+    fn drive_bare(sched: &EventSched, body: &(dyn Fn(usize) + Sync)) {
+        drive(sched, body, &|_| String::new());
     }
 
     fn run_jobs(jobs: Vec<Job>) {
-        drive_bare(&sched_from_jobs(jobs));
+        let (sched, body) = sched_from_jobs(jobs);
+        drive_bare(&sched, &body);
     }
 
     #[test]
@@ -541,9 +597,9 @@ mod tests {
                 h1.fetch_add(1, Ordering::SeqCst);
             }),
         ];
-        let sched = sched_from_jobs(jobs);
+        let (sched, body) = sched_from_jobs(jobs);
         *sched0.acquire() = Some(Arc::clone(&sched));
-        drive_bare(&sched);
+        drive_bare(&sched, &body);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
@@ -574,9 +630,9 @@ mod tests {
                 sched.wake(rank);
             }
         }));
-        let sched = sched_from_jobs(jobs);
+        let (sched, body) = sched_from_jobs(jobs);
         *slot.acquire() = Some(Arc::clone(&sched));
-        drive_bare(&sched);
+        drive_bare(&sched, &body);
         let got = order.acquire().clone();
         let starts: Vec<usize> = got
             .iter()
@@ -636,9 +692,9 @@ mod tests {
                     }
                 }
             }));
-            let sched = sched_on(jobs, backend);
+            let (sched, body) = sched_on(jobs, backend);
             *slot.acquire() = Some(Arc::clone(&sched));
-            drive_bare(&sched);
+            drive_bare(&sched, &body);
             // Break the slot → scheduler → body → slot cycle.
             *slot.acquire() = None;
             let order = log.acquire().clone();
@@ -661,7 +717,7 @@ mod tests {
         crate::machines::testbed(nodes, 8)
             .cluster(11)
             .to_builder()
-            .engine(crate::EngineMode::Events)
+            .engine(EngineMode::Events)
             .build()
     }
 
@@ -920,6 +976,36 @@ mod tests {
     }
 
     #[test]
+    fn a_delivery_the_parked_rank_does_not_wait_for_leaves_it_parked() {
+        // Rank 1 parks on (0, tag 2). Rank 0, resumed by rank 2, sends
+        // it tag 1 first and parks on rank 3, which has not started:
+        // only the awaited delivery wakes a parked rank, so rank 1 stays
+        // parked until tag 2 arrives and resumes exactly once. Ranks
+        // 4..8 are bystanders.
+        let body = |ctx: &mut crate::RankCtx| match ctx.rank() {
+            0 => {
+                ctx.recv_t::<u32>(2, 3);
+                ctx.send_t::<u32>(1, 1, 10);
+                ctx.recv_t::<u32>(3, 5);
+                ctx.send_t::<u32>(1, 2, 20);
+            }
+            1 => assert_eq!(ctx.recv_t::<u32>(0, 2) + ctx.recv_t::<u32>(0, 1), 30),
+            2 => ctx.send_t::<u32>(0, 3, 0),
+            3 => ctx.send_t::<u32>(0, 5, 0),
+            _ => {}
+        };
+        let (_, _, stats) = events_cluster(1).run_counted(Backend::from_env(), &body);
+        // 8 first slices, two resumes of rank 0 and one of rank 1.
+        assert_eq!(
+            stats,
+            RunStats {
+                slices: 11,
+                handoffs: 0
+            }
+        );
+    }
+
+    #[test]
     fn recursive_doubling_keeps_its_slice_count() {
         // All 64 ranks exchange with `me ^ 2^k` round after round, so a
         // rank's partner changes every round and every rank is runnable
@@ -958,18 +1044,61 @@ mod tests {
         );
     }
 
+    /// A recursive-doubling exchange among 16 ranks on `mode` under the
+    /// master seed `seed`; each rank logs itself before every exchange.
+    /// Returns that host order, each rank's sum and final virtual time,
+    /// and the counters.
+    fn doubling_run(
+        mode: EngineMode,
+        seed: u64,
+    ) -> (Vec<usize>, Vec<(u64, crate::SimTime)>, RunStats) {
+        let cluster = crate::machines::testbed(2, 8)
+            .cluster(seed)
+            .to_builder()
+            .engine(mode)
+            .build();
+        let log = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let body = |ctx: &mut crate::RankCtx| {
+            let me = ctx.rank();
+            let mut acc = me as u64;
+            for k in 0..4 {
+                log.acquire().push(me);
+                let partner = me ^ (1 << k);
+                ctx.send_t::<u64>(partner, k, acc);
+                acc += ctx.recv_t::<u64>(partner, k);
+            }
+            (acc, ctx.now())
+        };
+        let (out, _, stats) = cluster.run_counted(Backend::Thread, &body);
+        let log = std::mem::take(&mut *log.acquire());
+        (log, out, stats)
+    }
+
     #[test]
-    fn an_events_run_owns_its_locks_and_a_threads_run_shares_them() {
-        for (mode, owned) in [(EngineMode::Events, 16), (EngineMode::Threads, 0)] {
-            let cluster = crate::machines::testbed(2, 8)
-                .cluster(11)
-                .to_builder()
-                .engine(mode)
-                .build();
-            let counts = cluster.run(|ctx| ctx.owned_mailboxes());
-            assert_eq!(counts, vec![owned; 16], "{mode:?}");
+    fn the_reference_order_makes_no_handoffs_and_replays_from_the_seed() {
+        let (log, out, stats) = doubling_run(EngineMode::Threads, 3);
+        assert_eq!(log.len(), 64);
+        assert_eq!(stats.handoffs, 0, "{stats:?}");
+        let again = doubling_run(EngineMode::Threads, 3);
+        assert_eq!((&log, &out, stats), (&again.0, &again.1, again.2), "rerun");
+    }
+
+    #[test]
+    fn the_reference_order_follows_the_seed_and_the_outputs_do_not() {
+        let (log_a, out_a, _) = doubling_run(EngineMode::Threads, 3);
+        let (log_b, out_b, _) = doubling_run(EngineMode::Threads, 4);
+        assert_ne!(log_a, log_b, "another seed, another order");
+        let sums = |out: &[(u64, crate::SimTime)]| out.iter().map(|o| o.0).collect::<Vec<_>>();
+        assert_eq!(sums(&out_a), vec![120; 16]);
+        assert_eq!(sums(&out_a), sums(&out_b));
+        // Either order gives the heap order's virtual times.
+        for (seed, out) in [(3, &out_a), (4, &out_b)] {
+            assert_eq!(
+                out,
+                &doubling_run(EngineMode::Events, seed).1,
+                "seed {seed}"
+            );
         }
-        assert!(sched_on(Vec::new(), Backend::Thread).runq.is_owned());
     }
 
     #[test]

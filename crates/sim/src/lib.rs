@@ -14,10 +14,11 @@
 //!
 //! ## Execution model
 //!
-//! Every simulated MPI rank is an independent execution — a stackful
-//! continuation on a virtual-time event queue
-//! ([`engine::EngineMode::Events`], the default), or an OS thread in the
-//! reference implementation ([`engine::EngineMode::Threads`]) — and
+//! Every simulated MPI rank is an independent execution — a
+//! continuation under one run loop, a stackful fiber taken in
+//! virtual-time order ([`engine::EngineMode::Events`], the default) or
+//! a thread-backed one taken in a seeded scrambled order (the reference
+//! order, [`engine::EngineMode::Threads`]) — and
 //! carries its own *virtual true time* (`RankCtx::now`). Local computation advances that
 //! time explicitly ([`RankCtx::compute`]). A send stamps the message with
 //! an arrival time computed from the sender's current time plus a modeled
@@ -28,8 +29,8 @@
 //! Because every blocking operation is *directed* (the receiver names the
 //! sender) and all randomness is drawn from per-rank deterministic
 //! streams, the simulated timeline is **bit-identical across runs and
-//! across OS scheduling decisions** — the simulation parallelizes over
-//! host cores for free while staying reproducible.
+//! across the order the run loop takes ranks in** — sweeps parallelize
+//! over host cores for free while staying reproducible.
 //!
 //! ## What lives where
 //!

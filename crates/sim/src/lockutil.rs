@@ -32,18 +32,16 @@
 //! # Run-scoped locks
 //!
 //! The per-run state of a cluster run — every mailbox queue
-//! (`engine.mailbox`) and the event scheduler's ready state
-//! (`events.sched`) — sits behind [`RunLock`], which is an
-//! [`OrderedMutex`] when the run resolved to `EngineMode::Threads` and
-//! a checked borrow flag when it resolved to `EngineMode::Events`,
-//! where one rank slice executes at a time and a mutex would only ever
-//! be taken uncontended. Same names, same levels, same call sites: the
-//! arm is chosen once, when the run's state is built.
+//! (`engine.mailbox`), the collective rendezvous slots
+//! (`engine.rendezvous`) and the scheduler's ready state
+//! (`events.sched`) — sits behind [`RunLock`], a checked borrow flag:
+//! a run executes one rank slice at a time, so a mutex would only ever
+//! be taken uncontended. The locks that still cross threads — the
+//! thread backend's `events.cont` handshake, the `events.stacks` pool,
+//! `engine.panics` and the sweep executor's slots — stay mutexes.
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-use crate::EngineMode;
 
 /// Locks `m`, treating a poisoned mutex as locked normally.
 pub fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -211,47 +209,21 @@ impl<T> Drop for OrderedGuard<'_, T> {
 /// A lock over state that belongs to one cluster run, with a place in
 /// the hierarchy like any [`OrderedMutex`] (see the module docs).
 ///
-/// Under `EngineMode::Threads` ranks are OS threads and this *is* an
-/// `OrderedMutex`. Under `EngineMode::Events` the run executes one rank
-/// slice at a time, so exclusion is already given and the lock only
-/// checks it: `acquire` sets a flag, the guard's drop clears it (also
-/// on unwind), and an `acquire` that finds the flag set panics naming
-/// the lock, in every build — the bug a mutex would have turned into a
-/// self-deadlock.
+/// A run executes one rank slice at a time, so exclusion is already
+/// given and the lock only checks it: `acquire` sets a flag, the
+/// guard's drop clears it (also on unwind), and an `acquire` that finds
+/// the flag set panics naming the lock, in every build — the bug a
+/// mutex would have turned into a self-deadlock.
 pub(crate) struct RunLock<T> {
-    arm: Arm<T>,
-}
-
-enum Arm<T> {
-    Shared(OrderedMutex<T>),
-    Owned(Owned<T>),
-}
-
-struct Owned<T> {
     name: &'static str,
     level: u32,
     busy: Cell<bool>,
     value: UnsafeCell<T>,
 }
 
-impl<T> Owned<T> {
-    /// The failure of an `acquire` that found a guard alive; out of line
-    /// so the acquire that succeeds stays a test and a store.
-    #[cold]
-    #[inline(never)]
-    fn reentered(&self) -> ! {
-        panic!(
-            "run lock `{}` (level {}) acquired while a guard of it is alive: an events run has \
-             one owner per lock at a time (see DESIGN.md \u{a7}12)",
-            self.name, self.level
-        );
-    }
-}
-
-// SAFETY: the `Shared` arm is an `OrderedMutex<T>`, `Sync` for `T: Send`
-// on its own. The `Owned` arm (`busy`, `value`) is touched from more
-// than one OS thread only under the thread-backed continuation backend,
-// and `RunLock::new`'s contract makes every two accesses ordered by a
+// SAFETY: `busy` and `value` are touched from more than one OS thread
+// only under the thread-backed continuation backend, and
+// `RunLock::new`'s contract makes every two accesses ordered by a
 // happens-before edge with no guard alive across it — so there is never
 // a concurrent access to `busy`, nor two live references into `value`,
 // and `T: Send` lets the value be used from whichever thread holds the
@@ -259,80 +231,65 @@ impl<T> Owned<T> {
 unsafe impl<T: Send> Sync for RunLock<T> {}
 
 impl<T> RunLock<T> {
-    /// Wraps `value` for a run that resolved to `mode`, registered at
-    /// `level` under `name` (both must match the `// lock-order:`
-    /// annotation, as for [`OrderedMutex::new`]).
+    /// Wraps `value`, registered at `level` under `name` (both must
+    /// match the `// lock-order:` annotation, as for
+    /// [`OrderedMutex::new`]).
     ///
     /// # Safety
-    /// With `EngineMode::Events` the caller must guarantee what the
-    /// events run loop provides (`events` module docs): any two uses of
-    /// the lock — an `acquire`, any access through its guard, the
-    /// guard's drop — are ordered by happens-before, and no guard is
-    /// alive across a switch to another thread of execution. One rank
-    /// slice runs at a time, on the loop's thread under the fiber
-    /// backend and behind the `events.cont` mutex/condvar handoff under
-    /// the thread backend, and no guard is held across
-    /// `cont::suspend_current` (the xtask concurrency pass enforces
-    /// it). `EngineMode::Threads` has no requirement.
+    /// The caller must guarantee what the run loop provides (`events`
+    /// module docs): any two uses of the lock — an `acquire`, any access
+    /// through its guard, the guard's drop — are ordered by
+    /// happens-before, and no guard is alive across a switch to another
+    /// thread of execution. One rank slice runs at a time, on the loop's
+    /// thread under the fiber backend and behind the `events.cont`
+    /// mutex/condvar handoff under the thread backend, and no guard is
+    /// held across `cont::suspend_current` (the xtask concurrency pass
+    /// enforces it).
     // SAFETY: the single-owner condition is the caller's contract (above).
-    pub(crate) unsafe fn new(mode: EngineMode, name: &'static str, level: u32, value: T) -> Self {
-        let arm = match mode {
-            EngineMode::Threads => Arm::Shared(OrderedMutex::new(name, level, value)),
-            EngineMode::Events => Arm::Owned(Owned {
-                name,
-                level,
-                busy: Cell::new(false),
-                value: UnsafeCell::new(value),
-            }),
-        };
-        RunLock { arm }
+    pub(crate) unsafe fn new(name: &'static str, level: u32, value: T) -> Self {
+        RunLock {
+            name,
+            level,
+            busy: Cell::new(false),
+            value: UnsafeCell::new(value),
+        }
     }
 
-    /// Whether this is the borrow-flag arm of an `Events` run.
-    #[cfg(test)]
-    pub(crate) fn is_owned(&self) -> bool {
-        matches!(self.arm, Arm::Owned(_))
+    /// The failure of an `acquire` that found a guard alive; out of line
+    /// so the acquire that succeeds stays a test and a store.
+    #[cold]
+    #[inline(never)]
+    fn reentered(&self) -> ! {
+        panic!(
+            "run lock `{}` (level {}) acquired while a guard of it is alive: a run has one \
+             owner per lock at a time (see DESIGN.md \u{a7}12)",
+            self.name, self.level
+        );
     }
 
-    /// Acquires the lock; the hierarchy is checked in debug builds on
-    /// both arms.
+    /// Acquires the lock; the hierarchy is checked in debug builds.
     ///
     /// # Panics
-    /// On the `Events` arm, if a guard of this lock is still alive.
+    /// If a guard of this lock is still alive.
     #[inline]
     pub(crate) fn acquire(&self) -> RunGuard<'_, T> {
-        let arm = match &self.arm {
-            Arm::Shared(m) => GuardArm::Shared(m.acquire()),
-            Arm::Owned(o) => {
-                if o.busy.get() {
-                    o.reentered();
-                }
-                #[cfg(debug_assertions)]
-                held::check_and_push(o.level, o.name);
-                o.busy.set(true);
-                GuardArm::Owned(OwnedGuard { lock: o })
-            }
-        };
-        RunGuard { arm }
+        if self.busy.get() {
+            self.reentered();
+        }
+        #[cfg(debug_assertions)]
+        held::check_and_push(self.level, self.name);
+        self.busy.set(true);
+        RunGuard { lock: self }
     }
 }
 
-/// Guard returned by [`RunLock::acquire`].
+/// Guard returned by [`RunLock::acquire`]: holds the lock's `busy`
+/// flag and clears it on drop.
 pub(crate) struct RunGuard<'a, T> {
-    arm: GuardArm<'a, T>,
+    lock: &'a RunLock<T>,
 }
 
-enum GuardArm<'a, T> {
-    Shared(OrderedGuard<'a, T>),
-    Owned(OwnedGuard<'a, T>),
-}
-
-/// Holds an [`Owned`] lock's `busy` flag; clears it on drop.
-struct OwnedGuard<'a, T> {
-    lock: &'a Owned<T>,
-}
-
-impl<T> Drop for OwnedGuard<'_, T> {
+impl<T> Drop for RunGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
         held::pop(self.lock.level, self.lock.name);
@@ -340,51 +297,24 @@ impl<T> Drop for OwnedGuard<'_, T> {
     }
 }
 
-impl<'a, T> RunGuard<'a, T> {
-    /// [`OrderedGuard::wait`] for the rank threads of the reference
-    /// engine.
-    ///
-    /// # Panics
-    /// On the `Events` arm: nothing could ever notify the caller, whose
-    /// thread is the only one the run has.
-    pub(crate) fn wait(self, cv: &Condvar) -> RunGuard<'a, T> {
-        match self.arm {
-            GuardArm::Shared(g) => RunGuard {
-                arm: GuardArm::Shared(g.wait(cv)),
-            },
-            GuardArm::Owned(g) => panic!(
-                "condvar wait on run lock `{}`: blocking on a condvar is for EngineMode::Threads \
-                 only, an events run parks the continuation instead",
-                g.lock.name
-            ),
-        }
-    }
-}
-
 impl<T> std::ops::Deref for RunGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        match &self.arm {
-            GuardArm::Shared(g) => g,
-            // SAFETY: this guard holds the `busy` flag, so it is the
-            // only guard of the lock, and by `RunLock::new`'s contract
-            // no other thread of execution touches the value while it
-            // lives; the reference borrows the guard.
-            GuardArm::Owned(g) => unsafe { &*g.lock.value.get() },
-        }
+        // SAFETY: this guard holds the `busy` flag, so it is the only
+        // guard of the lock, and by `RunLock::new`'s contract no other
+        // thread of execution touches the value while it lives; the
+        // reference borrows the guard.
+        unsafe { &*self.lock.value.get() }
     }
 }
 
 impl<T> std::ops::DerefMut for RunGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        match &mut self.arm {
-            GuardArm::Shared(g) => g,
-            // SAFETY: as in `deref`; `&mut self` makes this the only
-            // reference derived from the only guard.
-            GuardArm::Owned(g) => unsafe { &mut *g.lock.value.get() },
-        }
+        // SAFETY: as in `deref`; `&mut self` makes this the only
+        // reference derived from the only guard.
+        unsafe { &mut *self.lock.value.get() }
     }
 }
 
@@ -504,28 +434,14 @@ mod tests {
             .expect("panic payload is a message")
     }
 
-    fn run_lock<T>(mode: EngineMode, name: &'static str, level: u32, value: T) -> RunLock<T> {
-        // SAFETY: every test below uses its `Events`-arm lock from one
-        // thread only.
-        unsafe { RunLock::new(mode, name, level, value) }
-    }
-
-    #[test]
-    fn run_lock_arm_follows_the_engine_mode() {
-        let owned = run_lock(EngineMode::Events, "test.run-owned", 1, 1u32);
-        let shared = run_lock(EngineMode::Threads, "test.run-shared", 2, 2u32);
-        assert!(owned.is_owned() && !shared.is_owned());
-        // Same surface on both arms, including re-acquire after release.
-        for lock in [&owned, &shared] {
-            *lock.acquire() += 10;
-            *lock.acquire() += 10;
-        }
-        assert_eq!((*owned.acquire(), *shared.acquire()), (21, 22));
+    fn run_lock<T>(name: &'static str, level: u32, value: T) -> RunLock<T> {
+        // SAFETY: every test below uses its lock from one thread only.
+        unsafe { RunLock::new(name, level, value) }
     }
 
     #[test]
     fn owned_reentry_panics_naming_the_lock_in_every_build() {
-        let m = run_lock(EngineMode::Events, "test.owned-reentry", 3, 0u32);
+        let m = run_lock("test.owned-reentry", 3, 0u32);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = m.acquire();
             let _again = m.acquire();
@@ -540,7 +456,7 @@ mod tests {
     fn owned_flag_is_cleared_when_an_unwind_drops_the_guard() {
         // A panicking rank's `poison_from` walks every mailbox,
         // including one whose guard the unwind has just dropped.
-        let m = run_lock(EngineMode::Events, "test.owned-unwind", 3, 5u32);
+        let m = run_lock("test.owned-unwind", 3, 5u32);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut g = m.acquire();
             *g += 1;
@@ -557,58 +473,24 @@ mod tests {
         assert_eq!(*m.acquire(), 6);
     }
 
-    #[test]
-    fn owned_arm_refuses_a_condvar_wait() {
-        let m = run_lock(EngineMode::Events, "test.owned-wait", 3, ());
-        let cv = Condvar::new();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = m.acquire().wait(&cv);
-        }))
-        .expect_err("nothing could ever notify an events-run waiter");
-        let msg = panic_text(err);
-        assert!(msg.contains("test.owned-wait"), "{msg}");
-        assert!(msg.contains("EngineMode::Threads only"), "{msg}");
-        drop(m.acquire()); // the refused guard released the flag
-    }
-
-    #[test]
-    fn shared_arm_waits_like_an_ordered_mutex() {
-        let m = Arc::new(run_lock(EngineMode::Threads, "test.run-wait", 1, false));
-        let cv = Arc::new(Condvar::new());
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let t = std::thread::spawn(move || {
-            let mut g = m2.acquire();
-            while !*g {
-                g = g.wait(&cv2);
-            }
-            *g = false;
-        });
-        *m.acquire() = true;
-        cv.notify_one();
-        t.join().expect("waiter must observe the flag");
-        assert!(!*m.acquire());
-    }
-
     #[cfg(debug_assertions)]
     #[test]
-    fn both_run_lock_arms_keep_the_hierarchy_check() {
-        for mode in [EngineMode::Events, EngineMode::Threads] {
-            let low = run_lock(mode, "test.run-inv-low", 1, ());
-            let high = run_lock(mode, "test.run-inv-high", 2, ());
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _outer = high.acquire();
-                let _inner = low.acquire();
-            }))
-            .expect_err("inverted acquisition must panic in debug builds");
-            let msg = panic_text(err);
-            assert!(msg.contains("lock-order violation"), "{mode:?}: {msg}");
-            assert!(
-                msg.contains("test.run-inv-low") && msg.contains("test.run-inv-high"),
-                "{mode:?}: {msg}"
-            );
-            // Nothing leaked: the right order still works afterwards.
-            let _a = low.acquire();
-            let _b = high.acquire();
-        }
+    fn run_lock_keeps_the_hierarchy_check() {
+        let low = run_lock("test.run-inv-low", 1, ());
+        let high = run_lock("test.run-inv-high", 2, ());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _outer = high.acquire();
+            let _inner = low.acquire();
+        }))
+        .expect_err("inverted acquisition must panic in debug builds");
+        let msg = panic_text(err);
+        assert!(msg.contains("lock-order violation"), "{msg}");
+        assert!(
+            msg.contains("test.run-inv-low") && msg.contains("test.run-inv-high"),
+            "{msg}"
+        );
+        // Nothing leaked: the right order still works afterwards.
+        let _a = low.acquire();
+        let _b = high.acquire();
     }
 }

@@ -165,6 +165,11 @@ pub mod label {
         debug_assert!(kind < 1 << 12, "fault kind field is 12 bits");
         0x6000_0000_0000_0000 | (kind << 48) | rank as u64
     }
+    /// The run scheduler's scrambled pick order (`EngineMode::Threads`).
+    /// A run in heap order never draws from it.
+    pub fn sched_scramble() -> u64 {
+        0x7000_0000_0000_0000
+    }
 }
 
 /// Samples a standard normal deviate via Box–Muller.
@@ -218,6 +223,7 @@ mod tests {
         assert_ne!(label::rank_net(3), label::rank_clock_noise(3));
         assert_ne!(label::rank_net(3), label::node_oscillator(3));
         assert_ne!(label::rank_timesource(3), label::rank_workload(3));
+        assert_ne!(label::sched_scramble(), label::rank_net(0));
     }
 
     #[test]

@@ -11,58 +11,31 @@
 //!
 //! - [`WaitGraph::begin_wait`] / [`WaitGraph::end_wait`] bracket the
 //!   *parked* portions of one logical receive (`RankCtx::pull_match`):
-//!   the engine clears the edge — under the waiter's mailbox lock — at
-//!   the moment it takes any envelope, and re-registers it if the
-//!   envelope did not match. Probes take that same lock, so a probe
-//!   that sees a registered edge is never looking at a rank that has a
-//!   just-taken envelope in hand.
-//! - Each time a rank is about to park — by suspending its
-//!   continuation, or on its mailbox condvar under the reference
-//!   engine — it runs [`WaitGraph::find_candidate`] (the events engine
-//!   skips it while the awaited rank is not parked: the cycle, if any,
-//!   closes when that rank parks and probes). A candidate cycle is
-//!   **not** proof: edges are registered before messages in flight are
-//!   drained, so two ranks mid-ping-pong transiently form a 2-cycle.
+//!   the engine clears the edge at the moment it takes any envelope,
+//!   and re-registers it if the envelope did not match. So a registered
+//!   edge never belongs to a rank with a just-taken envelope in hand.
+//! - Each time a rank is about to park, and the rank it awaits is
+//!   parked too, it runs [`WaitGraph::find_candidate`] (a cycle through
+//!   a rank that still runs closes when that rank parks and probes). A
+//!   candidate cycle is **not** proof: a member may be queued to run,
+//!   woken by the very message its edge names, which still sits in its
+//!   mailbox.
 //! - The engine therefore confirms via [`WaitGraph::confirm`], probing
-//!   every member under its mailbox lock: the edge must still be
-//!   registered *and* no queued envelope may match it or be poison (a
-//!   parked events-engine rank's mailbox may hold envelopes it does not
+//!   every member's mailbox: no queued envelope may match its edge or
+//!   be poison (a parked rank's mailbox may hold envelopes it does not
 //!   wait for, since only the awaited delivery wakes it).
 //!
-//! ## Why one probe pass is not enough (the ABA edge)
+//! One walk is exact. The run executes one rank slice at a time and the
+//! probe runs inside the prober's slice, so no edge is registered,
+//! cleared or satisfied while it walks: the confirmed edges coexist, at
+//! one instant, with no satisfying message anywhere — a genuine
+//! deadlock.
 //!
-//! Edges are compared by value `(src, tag)`, and a ping-pong loop
-//! re-registers *byte-identical* edges every iteration: the reference
-//! consumes ping `i`, sends the reply, and only then begins waiting for
-//! ping `i+1` — so the send that satisfies its peer's wait happens
-//! *before* its next wait begins. Non-simultaneous probes can therefore
-//! stitch edges from different iterations into a "cycle" that never
-//! coexisted. To rule this out, every `begin_wait` bumps a per-rank
-//! monotone generation counter, and confirmation runs the verification
-//! walk **twice**: each walk checks every edge (registered + no match
-//! queued, under the lock) and sums the generations it saw. Equal sums of
-//! monotone counters mean each generation was unchanged, i.e. each edge
-//! was continuously registered over an interval spanning both of its
-//! probes — and all those intervals contain the instant between the two
-//! walks. A matching message present at that instant would either still
-//! be in the queue at the second probe (refuted by the match check)
-//! or have been consumed (refuted by the generation or `IDLE` check). So
-//! a double-confirmed cycle is a set of simultaneously blocked ranks
-//! with no satisfying message anywhere: a genuine deadlock.
-//!
-//! The slots are packed `(src, tag)` atomics: registration and the
-//! common no-cycle probe are a handful of atomic ops, keeping the
+//! The slots are packed `(src, tag)` words: registration and the common
+//! no-cycle probe are a handful of loads and stores, keeping the
 //! blocking-receive path allocation-free (see `tests/alloc_free.rs`).
-//!
-//! ## Place in the lock hierarchy
-//!
-//! The graph itself owns no mutex: all slot and generation traffic is
-//! Acquire/Release atomics (never `Relaxed` — every load is paired
-//! with a release store it must observe, so the `concurrency` lint's
-//! `// atomics:` justifications are not needed here). Confirmation
-//! probes run under the *probed rank's* mailbox lock
-//! (`engine.mailbox`, level 10), one lock at a time while the caller
-//! holds none — see DESIGN.md §12.
+//! They are Acquire/Release atomics because the thread backend runs
+//! bodies on threads of their own, one at a time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,10 +83,7 @@ pub struct WaitEdge {
 pub struct WaitGraph {
     slots: Vec<AtomicU64>,
     /// Per-rank registration generation, bumped on every `begin_wait`
-    /// (by its rank alone).
-    /// Lets [`WaitGraph::confirm`] distinguish an edge that stayed
-    /// registered from a byte-identical edge re-registered by a later
-    /// receive iteration (the ABA case of ping-pong loops).
+    /// (by its rank alone), so a fire names exactly one wait.
     gens: Vec<AtomicU64>,
     /// Per-rank fired flag, stamped with the *generation* of the wait a
     /// confirmed deadline cycle resolved. Generation-stamping makes the
@@ -141,8 +111,7 @@ impl WaitGraph {
         debug_assert_ne!(src, me, "self-waits are not modeled");
         // Single writer: only rank `me` ever stores `gens[me]`, so a
         // load and a Release store are the whole bump, with no atomic
-        // read-modify-write on the receive path. `confirm` reads it with
-        // Acquire from other ranks' threads under the reference engine.
+        // read-modify-write on the receive path.
         let gen = self.gens[me].load(Ordering::Acquire) + 1;
         self.gens[me].store(gen, Ordering::Release);
         self.slots[me].store(pack(src, tag, deadline), Ordering::Release);
@@ -156,7 +125,7 @@ impl WaitGraph {
     pub fn fire_deadline_members(&self, cycle: &[WaitEdge]) -> usize {
         let mut n = 0;
         for e in cycle.iter().filter(|e| e.deadline) {
-            // The cycle is double-confirmed, hence frozen: the member's
+            // The cycle is confirmed, hence frozen: the member's
             // generation cannot advance until we fire it.
             let gen = self.gens[e.waiter].load(Ordering::Acquire);
             self.fired[e.waiter].store(gen, Ordering::Release);
@@ -196,8 +165,7 @@ impl WaitGraph {
     /// Floyd cycle search over the wait-for chain starting at `me`.
     /// Returns a rank that lies *on* a candidate cycle (`me` itself may
     /// only lead into it), or `None` if the chain terminates. Performs
-    /// no allocation; bounded by the rank count even if slots mutate
-    /// concurrently.
+    /// no allocation; bounded by the rank count.
     pub fn find_candidate(&self, me: Rank) -> Option<Rank> {
         let next = |r: Rank| self.waiting_on(r).map(|(s, _)| s);
         let mut slow = me;
@@ -213,94 +181,52 @@ impl WaitGraph {
         None
     }
 
-    /// Walks the candidate cycle through `anchor`, re-reading each edge
-    /// and verifying it with `edge_holds` (the engine probes: edge still
-    /// registered *and* no match queued for it, under its lock). The
-    /// walk runs **twice**; generations must match between the walks
-    /// (see the module docs for why a single pass is unsound for
-    /// value-identical re-registered edges). If the verified edges close
-    /// back on `anchor` within the rank count both times, the confirmed
-    /// cycle is returned in wait order; any refuted or vanished edge, or
-    /// a generation change between the walks, aborts with `None`.
+    /// Walks the candidate cycle through `anchor`, verifying each edge
+    /// with `edge_holds` (the engine's probe: no match or poison queued
+    /// for it). If every edge holds and the chain closes back on
+    /// `anchor` within the rank count, the confirmed cycle is returned
+    /// in wait order; any refuted or missing edge aborts with `None`.
+    /// One walk suffices because nothing runs while it does (module
+    /// docs).
     ///
-    /// A spurious abort is harmless: in a genuine deadlock nothing
-    /// mutates, so the walk verifies deterministically when the last
-    /// cycle member re-runs detection before parking.
-    ///
-    /// Only called on a candidate, and the collect pass runs only after
-    /// both walks verified, so the returned `Vec` is the first
-    /// allocation on this path and precedes an engine panic or the
+    /// The walk is allocation-free; only a confirmed cycle is
+    /// collected, and the returned `Vec` precedes an engine panic or the
     /// firing of deadline members.
     pub fn confirm(
         &self,
         anchor: Rank,
         mut edge_holds: impl FnMut(WaitEdge) -> bool,
     ) -> Option<Vec<WaitEdge>> {
-        // Two allocation-free verification walks. Generations are
-        // monotone, so equal sums mean every edge's generation was
-        // unchanged — each edge was continuously registered across an
-        // interval containing the instant between the walks, i.e. the
-        // whole cycle coexisted.
-        let first = self.verify_walk(anchor, &mut edge_holds)?;
-        let second = self.verify_walk(anchor, &mut edge_holds)?;
-        if first != second {
-            return None;
-        }
-        // Collect pass. A genuine deadlock cannot make progress, but
-        // under the reference engine another rank may have confirmed
-        // this same cycle, fired its deadline members and let them move
-        // on since the second walk. So the pass must read the very edges
-        // the walks verified: the same length and generations. Each
-        // edge is read before its generation, which `begin_wait` stores
-        // first, so a re-registered edge is never paired with the old
-        // generation.
-        let (len, gen_sum) = second;
-        let mut cycle = Vec::with_capacity(len);
-        let mut sum = 0u64;
-        let mut w = anchor;
-        for _ in 0..len {
-            let (src, tag, deadline) = self.waiting_full(w)?;
-            sum = sum.wrapping_add(self.gens[w].load(Ordering::Acquire));
-            cycle.push(WaitEdge {
-                waiter: w,
-                src,
-                tag,
-                deadline,
-            });
-            w = src;
-        }
-        (w == anchor && sum == gen_sum).then_some(cycle)
-    }
-
-    /// One allocation-free verification walk from `anchor`: every edge
-    /// must satisfy `edge_holds` and the chain must close back on
-    /// `anchor` within the rank count. Returns the cycle length and the
-    /// sum of the per-edge generations observed.
-    fn verify_walk(
-        &self,
-        anchor: Rank,
-        edge_holds: &mut impl FnMut(WaitEdge) -> bool,
-    ) -> Option<(usize, u64)> {
-        let mut r = anchor;
-        let mut gen_sum = 0u64;
-        for step in 0..self.slots.len() {
-            let gen = self.gens[r].load(Ordering::Acquire);
+        let edge = |r: Rank| {
             let (src, tag, deadline) = self.waiting_full(r)?;
-            if !edge_holds(WaitEdge {
+            Some(WaitEdge {
                 waiter: r,
                 src,
                 tag,
                 deadline,
-            }) {
+            })
+        };
+        let mut len = 0;
+        let mut r = anchor;
+        loop {
+            let e = edge(r).filter(|&e| edge_holds(e))?;
+            len += 1;
+            r = e.src;
+            if r == anchor {
+                break;
+            }
+            if len == self.slots.len() {
                 return None;
             }
-            gen_sum = gen_sum.wrapping_add(gen);
-            r = src;
-            if r == anchor {
-                return Some((step + 1, gen_sum));
-            }
         }
-        None
+        let mut cycle = Vec::with_capacity(len);
+        let mut r = anchor;
+        for _ in 0..len {
+            let e = edge(r)?;
+            cycle.push(e);
+            r = e.src;
+        }
+        Some(cycle)
     }
 
     /// Renders a confirmed cycle as a diagnosis, e.g.
@@ -376,60 +302,6 @@ mod tests {
         assert_eq!(cycle.len(), 2);
         let ranks: Vec<Rank> = cycle.iter().map(|e| e.waiter).collect();
         assert!(ranks.contains(&1) && ranks.contains(&2) && !ranks.contains(&0));
-    }
-
-    #[test]
-    fn identical_reregistered_edge_is_not_confirmed() {
-        // ABA: between the two verification walks rank 1 completes its
-        // receive and re-registers a byte-identical edge (as ping-pong
-        // loops do every iteration). The cycle never coexisted, so
-        // confirmation must abort even though every single probe sees a
-        // registered edge with the expected value.
-        let g = WaitGraph::new(2);
-        g.begin_wait(0, 1, 5, false);
-        g.begin_wait(1, 0, 5, false);
-        let anchor = g.find_candidate(0).expect("2-cycle candidate");
-        let mut probes = 0;
-        let refuted = g.confirm(anchor, |e| {
-            probes += 1;
-            if probes == 2 {
-                // First walk just probed both edges; simulate rank 1's
-                // receive completing and re-blocking on the same pair.
-                g.end_wait(e.waiter);
-                g.begin_wait(e.waiter, e.src, e.tag, false);
-            }
-            true
-        });
-        assert_eq!(refuted, None, "re-registered edge must refute the cycle");
-        // A stable cycle still confirms.
-        assert!(g.confirm(anchor, |_| true).is_some());
-    }
-
-    #[test]
-    fn cycle_that_moved_on_after_confirmation_is_not_collected() {
-        // Rank 0's deadline wait on 1 and rank 1's wait on 0 are
-        // confirmed. Before the collect pass, another detector fires
-        // rank 0, which times out and waits on 1 again without a
-        // deadline. The plain cycle now in the graph was never
-        // verified, so it must not be reported as a deadlock.
-        let g = WaitGraph::new(2);
-        g.begin_wait(0, 1, 5, true);
-        g.begin_wait(1, 0, 6, false);
-        let anchor = g.find_candidate(0).expect("2-cycle candidate");
-        let mut probes = 0;
-        let collected = g.confirm(anchor, |_| {
-            probes += 1;
-            if probes == 4 {
-                // The last probe of the second walk.
-                g.end_wait(0);
-                g.begin_wait(0, 1, 7, false);
-            }
-            true
-        });
-        assert_eq!(collected, None, "the moved-on cycle was collected");
-        // The cycle as it stands now still confirms.
-        let cycle = g.confirm(anchor, |_| true).expect("a stable cycle");
-        assert!(cycle.iter().all(|e| !e.deadline));
     }
 
     #[test]

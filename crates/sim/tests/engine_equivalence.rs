@@ -1,9 +1,11 @@
-//! Differential oracle: the engine (`EngineMode::Events`) and the
-//! thread-per-rank reference (`EngineMode::Threads`) must be
-//! indistinguishable in every artifact — results, `RunOutcome`s, chrome
-//! traces, summary JSON — for the same cluster and seed. Any divergence
-//! here means the event executor leaked host scheduling into virtual
-//! time.
+//! Differential oracle: the engine (`EngineMode::Events`: fibers, heap
+//! order, matched-wake handoff) and the reference order
+//! (`EngineMode::Threads`: thread-backed ranks, a seeded scrambled pick,
+//! no handoff) must be indistinguishable in every artifact — results,
+//! `RunOutcome`s, chrome traces, summary JSON — for the same cluster and
+//! seed. Any divergence here means the order ranks took turns in leaked
+//! into virtual time. Both are deterministic, so a divergence replays
+//! from the seed.
 //!
 //! Matrix: p ∈ {2, 8, 32, 256} × seeds (direct and from inside
 //! concurrent sweep jobs), with observability on and off, plus a

@@ -13,7 +13,7 @@
 //!   annotations must parse, and one hierarchy name must map to one
 //!   level everywhere (constructor literals
 //!   `OrderedMutex::new("name", N, ..)` and the run-scoped
-//!   `RunLock::new(mode, "name", N, ..)` are cross-checked too);
+//!   `RunLock::new("name", N, ..)` are cross-checked too);
 //! - **lock order** (`concurrency/lock-order`,
 //!   `concurrency/unknown-lock`) — a brace-scoped walk over guard
 //!   bindings (`lock_ignore_poison(..)` / `.acquire()`) flags nested
@@ -23,10 +23,9 @@
 //!   be held across a park point (`.wait(`, `park`, `recv_batch`); the
 //!   one sanctioned shape is the consumed-guard condvar wait
 //!   (`g = g.wait(&cv)`) with no other guard held. A `RunLock` guard
-//!   is a guard like any other here, whichever arm the run's engine
-//!   picked: the single-owner arm of an events run is only sound
-//!   because nothing holds it across `cont::suspend_current` or
-//!   `cont::switch_to`;
+//!   is a guard like any other here: the single-owner lock of a run is
+//!   only sound because nothing holds it across `cont::suspend_current`
+//!   or `cont::switch_to`;
 //! - **atomics** (`concurrency/relaxed-atomic`) — every
 //!   `Ordering::Relaxed` in library code of the concurrency-sensitive
 //!   crates needs an `// atomics:` comment explaining why relaxed
@@ -325,7 +324,7 @@ fn decl_ident(code_line: &str) -> Option<String> {
 
 /// Constructor literals must agree with the registry:
 /// `OrderedMutex::new("name", N, ..)` and
-/// `RunLock::new(mode, "name", N, ..)` are the runtime half of the same
+/// `RunLock::new("name", N, ..)` are the runtime half of the same
 /// declaration, and silent drift between the two would make the
 /// runtime validator enforce a different hierarchy than the lint.
 fn check_ctor_literals(
@@ -334,10 +333,11 @@ fn check_ctor_literals(
     by_name: &BTreeMap<&str, u32>,
     out: &mut Vec<Finding>,
 ) {
-    // Constructor type and how many arguments precede the name.
-    const CTORS: [(&str, usize); 2] = [("OrderedMutex", 0), ("RunLock", 1)];
     for i in 0..scan.toks.len() {
-        let Some(&(ty, skip)) = CTORS.iter().find(|(ty, _)| scan.is(i, ty)) else {
+        let Some(&ty) = ["OrderedMutex", "RunLock"]
+            .iter()
+            .find(|&&ty| scan.is(i, ty))
+        else {
             continue;
         };
         let ln = scan.toks[i].line;
@@ -353,8 +353,8 @@ fn check_ctor_literals(
             let r = args.get(at).filter(|r| r.len() == 1)?;
             (scan.toks[r.start].kind == Kind::Lit).then(|| scan.text(r.start))
         };
-        let name = lit(skip).and_then(|t| t.strip_prefix('"')?.strip_suffix('"'));
-        let level = lit(skip + 1).and_then(|t| {
+        let name = lit(0).and_then(|t| t.strip_prefix('"')?.strip_suffix('"'));
+        let level = lit(1).and_then(|t| {
             let digits = t.find(|c: char| !c.is_ascii_digit()).unwrap_or(t.len());
             t[..digits].parse::<u32>().ok()
         });

@@ -217,30 +217,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 #[test]
 fn a_member_that_never_enters_fails_the_run_naming_the_collective() {
-    // Pinned to the events engine: on the reference engine the same
-    // program hangs (it has no scheduler to see the stall).
-    let cluster = cluster(8, 45)
-        .to_builder()
-        .engine(EngineMode::Events)
-        .build();
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(|ctx| {
-            let mut comm = Comm::world(ctx);
-            if ctx.rank() != 3 {
-                comm.allreduce_f64(ctx, 1.0, ReduceOp::F64Sum);
-            }
-        })
-    }))
-    .expect_err("a collective a member never enters must fail the run");
-    let msg = panic_message(payload);
-    assert!(msg.contains("run stalled"), "{msg}");
-    assert!(
-        msg.contains(
-            "waiting in the collective on tag 0x10000 among 8 ranks (lowest 0): 7 entered, \
-             and rank 3, which has not, already finished"
-        ),
-        "{msg}"
-    );
+    for mode in [EngineMode::Events, EngineMode::Threads] {
+        let cluster = cluster(8, 45).to_builder().engine(mode).build();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            cluster.run(|ctx| {
+                let mut comm = Comm::world(ctx);
+                if ctx.rank() != 3 {
+                    comm.allreduce_f64(ctx, 1.0, ReduceOp::F64Sum);
+                }
+            })
+        }))
+        .expect_err("a collective a member never enters must fail the run");
+        let msg = panic_message(payload);
+        assert!(msg.contains("run stalled"), "{mode:?}: {msg}");
+        assert!(
+            msg.contains(
+                "waiting in the collective on tag 0x10000 among 8 ranks (lowest 0): 7 entered, \
+                 and rank 3, which has not, already finished"
+            ),
+            "{mode:?}: {msg}"
+        );
+    }
 }
 
 #[test]
@@ -259,28 +256,33 @@ fn a_mismatched_allreduce_payload_still_names_the_mismatch() {
 
 #[test]
 fn mixed_receive_timeouts_run_on_messages_and_time_out_as_before() {
-    // Ranks 0 and 2 have a receive-timeout policy, 1 and 3 do not, and
-    // rank 3 enters late. Recursive doubling: 2 times out waiting on 3,
-    // then 0 on 2; 1 and 3 complete.
-    let body = |ctx: &mut RankCtx| {
-        if ctx.rank().is_multiple_of(2) {
-            ctx.set_recv_timeout(Some(secs(20e-6)));
-        }
-        if ctx.rank() == 3 {
-            ctx.compute(secs(1e-3));
-        }
-        let mut comm = Comm::world(ctx);
-        let x = comm.allreduce_f64(ctx, ctx.rank() as f64, ReduceOp::F64Sum);
-        (x, ctx.now(), ctx.counters())
-    };
-    let plain = cluster(4, 47);
-    let batched = plain.run_outcome(body);
-    let messages = on_messages(&plain).run_outcome(body);
-    assert_eq!(batched, messages);
-    let timed_out: Vec<usize> = (0..4)
-        .filter(|&r| batched.ranks[r].timed_out().is_some())
-        .collect();
-    assert_eq!(timed_out, [0, 2], "{batched:?}");
+    // The ranks of one parity have a receive-timeout policy, the others
+    // do not, and rank 3 enters late. Even: 0 enters first and marks
+    // the slot before anyone parks; recursive doubling then has 2 time
+    // out waiting on 3, and 0 on 2, while 1 and 3 complete. Odd: 0
+    // enters first and parks, and the first timed member to enter
+    // releases it to messages.
+    for (parity, want) in [(0, vec![0, 2]), (1, vec![1])] {
+        let body = |ctx: &mut RankCtx| {
+            if ctx.rank() % 2 == parity {
+                ctx.set_recv_timeout(Some(secs(20e-6)));
+            }
+            if ctx.rank() == 3 {
+                ctx.compute(secs(1e-3));
+            }
+            let mut comm = Comm::world(ctx);
+            let x = comm.allreduce_f64(ctx, ctx.rank() as f64, ReduceOp::F64Sum);
+            (x, ctx.now(), ctx.counters())
+        };
+        let plain = cluster(4, 47);
+        let batched = plain.run_outcome(body);
+        let messages = on_messages(&plain).run_outcome(body);
+        assert_eq!(batched, messages, "timed parity {parity}");
+        let timed_out: Vec<usize> = (0..4)
+            .filter(|&r| batched.ranks[r].timed_out().is_some())
+            .collect();
+        assert_eq!(timed_out, want, "timed parity {parity}: {batched:?}");
+    }
 }
 
 /// Rank `w` waits, with a deadline, for a message rank `s` sends only

@@ -172,17 +172,23 @@ fn cycle_is_diagnosed_while_a_non_matching_batch_is_in_flight() {
     );
 }
 
-/// Runs `body` on the events engine (pinned: the reference engine has
-/// no scheduler that could see a stall and hangs on these programs),
-/// expects the run to fail on the caller, checks that the same cluster
-/// still serves a clean run, and returns the failure message.
+/// Runs `body` on each engine mode, expects every run to fail on the
+/// caller with the same message, checks that the same cluster still
+/// serves a clean run, and returns the failure message.
 fn stall_message(cluster: &Cluster, body: impl Fn(&mut RankCtx) + Sync) -> String {
-    let cluster = cluster.to_builder().engine(EngineMode::Events).build();
-    let payload = catch_unwind(AssertUnwindSafe(|| cluster.run(&body)))
-        .expect_err("a stalled run must panic on the caller, not hang");
-    let ranks: Vec<usize> = (0..cluster.topology().total_cores()).collect();
-    assert_eq!(cluster.run(|ctx| ctx.rank()), ranks, "clean run afterwards");
-    panic_message(payload)
+    let msgs: Vec<String> = [EngineMode::Events, EngineMode::Threads]
+        .into_iter()
+        .map(|mode| {
+            let cluster = cluster.to_builder().engine(mode).build();
+            let payload = catch_unwind(AssertUnwindSafe(|| cluster.run(&body)))
+                .expect_err("a stalled run must panic on the caller, not hang");
+            let ranks: Vec<usize> = (0..cluster.topology().total_cores()).collect();
+            assert_eq!(cluster.run(|ctx| ctx.rank()), ranks, "clean run afterwards");
+            panic_message(payload)
+        })
+        .collect();
+    assert_eq!(msgs[0], msgs[1], "both modes name the same parked ranks");
+    msgs[0].clone()
 }
 
 #[test]

@@ -292,14 +292,14 @@ fn run_lock_is_registered_and_never_held_across_a_suspension() {
     // The run-scoped lock is a registered lock like any mutex: its
     // constructor literal is checked against the registry, and its
     // guard may not live across a continuation suspension — that is
-    // what makes the single-owner arm of an events run sound.
+    // what makes the single-owner lock of a run sound.
     let flagged = "\
 struct Mailbox {
     q: RunLock<u32>, // lock-order: fix.mailbox level=10
     stray: RunLock<u32>,
 }
-fn mk(mode: EngineMode) -> RunLock<u32> {
-    RunLock::new(mode, \"fix.mailbox\", 11, 0)
+fn mk() -> RunLock<u32> {
+    RunLock::new(\"fix.mailbox\", 11, 0)
 }
 fn bad(mb: &Mailbox) {
     let q = mb.q.acquire();
@@ -324,8 +324,8 @@ struct Mailbox {
     q: RunLock<u32>, // lock-order: fix.mailbox level=10
     cv: Condvar,     // lock-order: fix.mailbox
 }
-fn mk(mode: EngineMode) -> RunLock<u32> {
-    RunLock::new(mode, \"fix.mailbox\", 10, 0)
+fn mk() -> RunLock<u32> {
+    RunLock::new(\"fix.mailbox\", 10, 0)
 }
 fn good(mb: &Mailbox) {
     let mut q = mb.q.acquire();
