@@ -13,6 +13,7 @@ use super::rendezvous::{Arrival, Group, Member, Step, StepProgram};
 #[cfg(doc)]
 use super::run::Cluster;
 use super::timing::{Delivery, Law, Leg, Route, Timing};
+use crate::events;
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
 use crate::msg::{Envelope, Payload, PendingBuf, ACK_BIT};
 use crate::net::NetworkModel;
@@ -395,8 +396,8 @@ impl RankCtx {
     /// Delivers every held (fault-reordered) envelope directly to its
     /// destination mailbox, in hold order. Called at every blocking
     /// point and at body end — a rank never parks or finishes holding
-    /// undelivered messages, which keeps both the deadlock detector's
-    /// and the deadline receives' "nothing in flight" reasoning valid.
+    /// undelivered messages, which keeps both the drain pass's and the
+    /// deadline receives' "nothing in flight" reasoning valid.
     pub(crate) fn flush_reorder_holds(&mut self) {
         for (dst, env) in self.reorder_hold.drain(..) {
             self.net.send(dst, env);
@@ -559,7 +560,7 @@ impl RankCtx {
         let mut table = self.net.rendezvous.acquire();
         let arrival = table.arrive(&self.law, group, me, tag, timed, member);
         drop(table);
-        let (id, on) = match arrival {
+        let id = match arrival {
             Arrival::Resolved {
                 wake,
                 back,
@@ -568,7 +569,7 @@ impl RankCtx {
                 self.net.release_all(&wake);
                 return self.take_back(back, on_messages);
             }
-            Arrival::Wait { id, on } => (id, on),
+            Arrival::Wait { id } => id,
         };
         loop {
             // A peer's poison means the run is failing (the collective
@@ -585,7 +586,7 @@ impl RankCtx {
                     self.rank
                 );
             }
-            self.net.park_collective(self.rank, on, tag, now);
+            self.net.events.park(events::time_key(now.seconds()), None);
             let mut table = self.net.rendezvous.acquire();
             let claim = table.claim(id, me);
             drop(table);
@@ -736,18 +737,14 @@ impl RankCtx {
             // blocked on (src, tag). Publish the wait edge before
             // touching the mailbox: it is cleared when a batch is
             // drained, so "edge registered" always implies this rank
-            // holds no envelope in hand — the invariant the deadlock
-            // detector's probes rely on. The generation bump on
-            // re-registration is what lets the detector prove that a
-            // confirmed cycle's edges all coexisted.
-            let wait_gen = self
-                .net
+            // holds no envelope in hand.
+            self.net
                 .waits
                 .begin_wait(self.rank, src, tag, deadline.is_some());
             match self.net.recv_batch(
                 self.rank,
                 src,
-                deadline.map(|_| wait_gen),
+                deadline.is_some(),
                 self.timing.now,
                 &mut self.ring,
             ) {

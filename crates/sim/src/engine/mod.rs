@@ -575,4 +575,178 @@ mod tests {
             &bytes[..4]
         );
     }
+
+    /// A linear barrier: every member reports to member 0, which then
+    /// releases them all.
+    struct LinearBarrier {
+        me: usize,
+        n: usize,
+        step: usize,
+    }
+
+    impl StepProgram for LinearBarrier {
+        fn next(&mut self, _: Option<crate::msg::Payload>) -> Step<'_> {
+            let (k, others) = (self.step, self.n - 1);
+            self.step += 1;
+            match (self.me, k) {
+                (0, k) if k < others => Step::Recv(k + 1),
+                (0, k) if k < 2 * others => Step::Send(k - others + 1, &[]),
+                (0, _) | (_, 2..) => Step::Done,
+                (_, 0) => Step::Send(0, &[]),
+                (_, _) => Step::Recv(0),
+            }
+        }
+    }
+
+    /// Heap order, then 16 scrambled orders of streams other than the
+    /// master seed's.
+    fn every_order() -> impl Iterator<Item = crate::events::Order> {
+        use crate::events::Order;
+        use crate::rngx::{label, Pcg64};
+        let scrambled =
+            (0..16).map(|s| Order::Scrambled(Pcg64::stream(s, label::sched_scramble())));
+        std::iter::once(Order::Heap).chain(scrambled)
+    }
+
+    /// Rank 2 receives, with a deadline or not, what rank 4 sends after
+    /// a barrier that rank 2 has not entered: a wait cycle through the
+    /// members parked in the rendezvous, which entered in pick order.
+    fn receive_before_a_barrier(ctx: &mut RankCtx, deadline: bool) -> Option<TimeoutReason> {
+        let (me, n) = (ctx.rank(), ctx.size());
+        let mut timeout = None;
+        if me == 2 && deadline {
+            timeout = ctx
+                .recv_within(4, 0x55, secs(50e-6))
+                .err()
+                .map(|t| t.reason);
+        } else if me == 2 {
+            ctx.recv(4, 0x55);
+        }
+        let group = ctx.world_group();
+        ctx.collective(&group, me, 0x1_0000, LinearBarrier { me, n, step: 0 });
+        if me == 4 {
+            ctx.send(2, 0x55, &[1]);
+        }
+        timeout
+    }
+
+    /// Runs `body` on `cluster` in [`every_order`], with timeouts as
+    /// per-rank outcomes; asserts every order gives the heap order's
+    /// outcome, and returns it.
+    fn outcome_in_every_order<R, F>(cluster: &Cluster, body: F) -> Vec<Result<R, RecvTimeout>>
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: Fn(&mut RankCtx) -> R + Sync,
+    {
+        outcome::silence_recv_timeout_panic_hook();
+        let body = |ctx: &mut RankCtx| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))).map_err(|p| {
+                *p.downcast::<RecvTimeout>()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+        };
+        let backend = crate::cont::Backend::from_env();
+        let mut outs =
+            every_order().map(|order| match cluster.run_settled((backend, order), &body) {
+                (Ok((out, _)), _) => out,
+                (Err(p), _) => std::panic::resume_unwind(p),
+            });
+        let heap = outs.next().expect("heap order");
+        for (stream, out) in outs.enumerate() {
+            assert_eq!(out, heap, "scramble stream {stream}");
+        }
+        heap
+    }
+
+    #[test]
+    fn timeout_reasons_and_times_do_not_depend_on_the_pick_order() {
+        use crate::fault::{LinkSel, Window};
+        fn reason<T>(out: &Result<T, RecvTimeout>) -> Option<TimeoutReason> {
+            out.as_ref().err().map(|t| t.reason)
+        }
+        let pair = |plan| {
+            crate::machines::testbed(1, 2)
+                .cluster(11)
+                .to_builder()
+                .faults(plan)
+                .build()
+        };
+        // Each rank waits, with a deadline, for the other.
+        let out = outcome_in_every_order(&pair(FaultPlan::new()), |ctx| {
+            let _ = ctx.recv_deadline(1 - ctx.rank(), 6, SimTime::from_secs(1.5))?;
+            Ok::<_, RecvTimeout>(ctx.now())
+        });
+        let cycle = Some(TimeoutReason::WaitCycle);
+        assert!(
+            out.iter()
+                .all(|o| o.as_ref().is_ok_and(|o| reason(o) == cycle)),
+            "{out:?}"
+        );
+        // Each rank queues a stale message, then waits for an ack that
+        // never comes.
+        let out = outcome_in_every_order(&pair(FaultPlan::new()), |ctx| {
+            ctx.set_recv_timeout(Some(secs(0.5)));
+            let peer = 1 - ctx.rank();
+            ctx.send_t(peer, 3, 0.5f64);
+            ctx.ssend_t(peer, 4, 1.5f64);
+        });
+        assert!(out.iter().all(|o| reason(o) == cycle), "{out:?}");
+        let p5 = crate::machines::testbed(5, 1).cluster(48);
+        let out =
+            outcome_in_every_order(&p5, |ctx| (receive_before_a_barrier(ctx, true), ctx.now()));
+        assert_eq!(out[2].as_ref().map(|o| o.0), Ok(cycle), "{out:?}");
+        // The lossy ping-pong: after the first loss every trip is a
+        // deadline 2-cycle, until one side runs out of trips.
+        let lossy = pair(FaultPlan::new().drop_messages(LinkSel::any(), 0.05, Window::all()))
+            .to_builder()
+            .seed(7)
+            .build();
+        let out = outcome_in_every_order(&lossy, |ctx| {
+            let mut trips = Vec::new();
+            for i in 0..500 {
+                let got = if ctx.rank() == 0 {
+                    ctx.send(1, i, &[0u8; 8]);
+                    ctx.recv_within(1, i, secs(1e-3))
+                } else {
+                    let got = ctx.recv_within(0, i, secs(1e-3));
+                    if got.is_ok() {
+                        ctx.send(0, i, &[0u8; 8]);
+                    }
+                    got
+                };
+                trips.push((got.err().map(|t| t.reason), ctx.now()));
+            }
+            trips
+        });
+        let timed_out = |r: usize| {
+            out[r]
+                .as_ref()
+                .unwrap()
+                .iter()
+                .filter(|t| t.0.is_some())
+                .count()
+        };
+        assert!(timed_out(0) > 400 && timed_out(1) > 400, "{out:?}");
+    }
+
+    #[test]
+    fn a_receive_cycle_through_a_rendezvous_is_diagnosed_alike_in_every_order() {
+        // The cycle names the member that has not entered, whichever
+        // entered first.
+        let cluster = crate::machines::testbed(5, 1).cluster(48);
+        let body = |ctx: &mut RankCtx| receive_before_a_barrier(ctx, false);
+        let backend = crate::cont::Backend::from_env();
+        for (i, order) in every_order().enumerate() {
+            let run = std::panic::AssertUnwindSafe(|| cluster.run_settled((backend, order), &body));
+            let payload = std::panic::catch_unwind(run).expect_err("a receive cycle fails the run");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(
+                    "deadlock detected: rank 2 waiting on (src 4, tag 85) -> rank 4 waiting on \
+                     (src 2, tag 65536) -> rank 2"
+                ),
+                "order {i} of every_order()"
+            );
+        }
+    }
 }

@@ -11,7 +11,7 @@ use crate::events::{self, EventSched};
 use crate::lockutil::RunLock;
 use crate::msg::{Envelope, Payload};
 use crate::timebase::Span;
-use crate::waitgraph::WaitGraph;
+use crate::waitgraph::{WaitEdge, WaitGraph};
 use crate::{Rank, SimTime, Tag};
 
 /// Minimal spacing enforced between consecutive arrivals on the same
@@ -53,11 +53,11 @@ pub(super) struct RunNet {
     /// parked deadline waiters observe sender completion. Benign runs
     /// keep the single wake-all.
     wake_done: AtomicBool,
-    /// Each rank's wait record: the wait-for-graph deadlock detector,
-    /// whose edge also tells [`RunNet::send`] which delivery a parked
-    /// rank waits for. A receive registers its edge here
-    /// (`RankCtx::pull_match`), and so does a member parked in a
-    /// collective rendezvous (`RunNet::park_collective`).
+    /// Each rank's wait-for edge, registered by a receive before it
+    /// parks (`RankCtx::pull_match_deadline`), and for a member parked
+    /// in a collective rendezvous by the drain pass. It tells
+    /// [`RunNet::send`] which delivery a parked rank waits for, and the
+    /// drain pass ([`RunNet::drained`]) where the wait cycles are.
     pub(super) waits: WaitGraph,
     /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
     /// run that never forms a world communicator does not pay for it.
@@ -78,8 +78,8 @@ pub(super) enum BatchWait {
     /// The awaited sender finished without a matching send (deadline
     /// receives only).
     SenderDone,
-    /// A confirmed wait cycle fired this deadline wait (see
-    /// [`WaitGraph::fire_deadline_members`]).
+    /// A drain found this deadline wait on a wait cycle and fired it
+    /// ([`RunNet::drained`]).
     DeadlineFired,
 }
 
@@ -121,28 +121,13 @@ impl RunNet {
     }
 
     /// Releases every rank in `ranks` from the rendezvous it is parked
-    /// in, now resolved: clears the wait edge it registered and wakes
-    /// it. One slice runs at a time, so no probe sees an edge between
-    /// the resolution and its clearing.
+    /// in, now resolved: clears the wait edge a drain may have given it
+    /// and wakes it.
     pub(super) fn release_all(&self, ranks: &[Rank]) {
         for &rank in ranks {
             self.waits.end_wait(rank);
             self.events.wake(rank);
         }
-    }
-
-    /// Parks rank `me`, whose virtual time is `now`, in the rendezvous
-    /// of the collective on `tag` until a member releases it. Until
-    /// then `me` waits on `on`, a member that has not entered: the edge
-    /// is registered and probed as a receive's is (`recv_batch`), so a
-    /// wait cycle through the collective is diagnosed, or fires its
-    /// deadline members, as on messages.
-    pub(super) fn park_collective(&self, me: Rank, on: Rank, tag: Tag, now: SimTime) {
-        self.waits.begin_wait(me, on, tag, false);
-        if self.events.is_parked(on) {
-            self.detect_deadlock(me);
-        }
-        self.events.park(events::time_key(now.seconds()), None);
     }
 
     /// The rank whose poison sits in `me`'s mailbox, if any.
@@ -153,18 +138,64 @@ impl RunNet {
             .map(|env| env.src)
     }
 
-    /// What parked rank `rank` is waiting for, worded for the event
-    /// scheduler's stall report.
-    pub(super) fn describe_wait(&self, rank: Rank) -> String {
+    /// The run loop's drain pass (`events::drive`): no rank is ready,
+    /// so every unfinished rank is one of the `parked` (ascending), and
+    /// none holds an envelope that could release it, since
+    /// [`RunNet::send`] wakes a parked rank for its awaited `(src, tag)`
+    /// and for poison. Fires the deadline waits on every wait cycle and
+    /// returns their ranks, ascending, for the loop to queue. Fails the
+    /// run instead if a cycle has no deadline wait (the first such
+    /// cycle, from its lowest rank) or if there is no cycle at all (a
+    /// stall, naming every parked rank).
+    pub(super) fn drained(&self, parked: &[Rank]) -> Result<Vec<Rank>, String> {
+        // A rendezvous member's edge is only known now: which members
+        // had entered when it parked depends on the pick order.
+        for (member, on, tag) in self.rendezvous.acquire().gathering() {
+            self.waits.begin_wait(member, on, tag, false);
+        }
+        let cycles = self.waits.cycles(parked);
+        if let Some(cycle) = cycles.iter().find(|c| c.iter().all(|e| !e.deadline)) {
+            return Err(format!("deadlock detected: {}", WaitGraph::describe(cycle)));
+        }
+        let mut fired: Vec<Rank> = cycles
+            .iter()
+            .flatten()
+            .filter(|e| e.deadline)
+            .map(|e| e.waiter)
+            .collect();
+        if fired.is_empty() {
+            let waits: Vec<String> = parked
+                .iter()
+                .map(|&r| format!("rank {r} {}", self.describe_wait(r)))
+                .collect();
+            return Err(format!(
+                "run stalled: no rank is ready, {} of {} finished and nothing can wake the {} \
+                 parked: {}",
+                self.boxes.len() - parked.len(),
+                self.boxes.len(),
+                parked.len(),
+                waits.join("; ")
+            ));
+        }
+        fired.sort_unstable();
+        for &r in &fired {
+            self.waits.fire(r);
+        }
+        Ok(fired)
+    }
+
+    /// What parked rank `rank` is waiting for, worded for the stall
+    /// report.
+    fn describe_wait(&self, rank: Rank) -> String {
         let finished = |r: Rank| self.done[r].load(Ordering::SeqCst);
         if let Some(wait) = self.rendezvous.acquire().describe(rank, finished) {
             return wait;
         }
-        let (src, tag) = self
+        let WaitEdge { src, tag, .. } = self
             .waits
-            .waiting_on(rank)
+            .edge(rank)
             .expect("a parked rank has a registered wait edge");
-        let state = if self.done[src].load(Ordering::SeqCst) {
+        let state = if finished(src) {
             "already finished"
         } else {
             "has not finished"
@@ -182,50 +213,6 @@ impl RunNet {
         }
     }
 
-    /// Runs cycle detection from `me`'s wait edge; called each time a
-    /// rank is about to park. A candidate cycle is confirmed by probing
-    /// every member's mailbox: no queued envelope may match its edge or
-    /// be poison (a parked rank's mailbox may hold envelopes it does not
-    /// wait for: only the awaited delivery wakes it, see
-    /// [`RunNet::send`]). Edges are cleared when a batch is drained, so
-    /// a passing probe means the member is genuinely parked, or queued
-    /// behind a wake it does not need, with nothing that could release
-    /// it. No other rank runs during the probe, so one walk sees the
-    /// whole cycle at one instant ([`WaitGraph::confirm`]). The caller
-    /// must hold no mailbox guard.
-    fn detect_deadlock(&self, me: Rank) {
-        let wg = &self.waits;
-        let Some(anchor) = wg.find_candidate(me) else {
-            return;
-        };
-        let confirmed = wg.confirm(anchor, |e| {
-            !self.boxes[e.waiter]
-                .q
-                .acquire()
-                .iter()
-                .any(|env| (env.src == e.src && env.tag == e.tag) || env.tag == POISON_TAG)
-        });
-        if let Some(cycle) = confirmed {
-            // A confirmed cycle with deadline members is not a bug: it
-            // is message loss showing up as mutual waits. Fire every
-            // deadline member (each resolves as a timeout at its own
-            // deadline) and wake them. The cycle is frozen, so which rank
-            // runs this is host-dependent but the fired set — and hence
-            // the virtual timeline — is not. A cycle with *zero*
-            // deadline members keeps the exact legacy diagnosis.
-            if wg.fire_deadline_members(&cycle) > 0 {
-                for e in cycle.iter().filter(|e| e.deadline) {
-                    self.events.wake(e.waiter);
-                }
-                return;
-            }
-            panic!(
-                "deadlock detected: {} (diagnosed by rank {me})",
-                WaitGraph::describe(&cycle)
-            );
-        }
-    }
-
     /// Delivers `env` to `dst`'s mailbox. A parked `dst` is woken only
     /// by what can release it — the `(src, tag)` its wait edge names, a
     /// matched wake, or poison — so any other envelope waits in the
@@ -233,7 +220,10 @@ impl RunNet {
     /// `events`).
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let awaited = self.waits.waiting_on(dst) == Some((env.src, env.tag));
+        let awaited = self
+            .waits
+            .edge(dst)
+            .is_some_and(|e| (e.src, e.tag) == (env.src, env.tag));
         let poison = env.tag == POISON_TAG;
         self.boxes[dst].q.acquire().push_back(env);
         if awaited {
@@ -247,19 +237,12 @@ impl RunNet {
     /// mailbox with the receiver-local `ring`, which must be empty,
     /// under one lock acquisition and returns [`BatchWait::Got`]. Returns
     /// [`BatchWait::PeersGone`] when every other rank has finished and
-    /// nothing is queued, so no message can ever arrive. Deadline
-    /// receives (`deadline = Some(wait_gen)`, from `WaitGraph::begin_wait`)
-    /// observe two additional resolutions — the awaited sender finished
-    /// ([`BatchWait::SenderDone`]) or a confirmed wait cycle fired this
-    /// wait ([`BatchWait::DeadlineFired`]); both checks are gated on
-    /// `deadline` so plain receives keep the legacy behavior exactly.
-    ///
-    /// An empty mailbox parks the rank's continuation after one
-    /// cycle-detection probe, run only while `src` is parked too: a
-    /// cycle through a rank that still runs is found when that rank
-    /// parks. The wait edge published by the caller stays registered
-    /// while parked, which is what lets *other* ranks' probes see a
-    /// cycle through it.
+    /// nothing is queued, so no message can ever arrive. A `deadline`
+    /// receive has two more resolutions: a drain fired its wait
+    /// ([`BatchWait::DeadlineFired`]), or the awaited sender finished
+    /// ([`BatchWait::SenderDone`]). An empty mailbox parks the rank's
+    /// continuation with the wait edge the caller published still
+    /// registered; every resume re-checks all of the above.
     ///
     /// The batching is host-side only: whether messages are found one
     /// per lock or many per lock changes nothing about virtual time
@@ -268,75 +251,46 @@ impl RunNet {
         &self,
         me: Rank,
         src: Rank,
-        deadline: Option<u64>,
+        deadline: bool,
         now: SimTime,
         ring: &mut VecDeque<Envelope>,
     ) -> BatchWait {
-        let mb = &self.boxes[me];
-        let mut q = mb.q.acquire();
-        // Whether this park attempt already ran cycle detection. Reset
-        // on every wakeup, so each park is preceded by exactly one probe.
-        let mut probed = false;
         loop {
-            if let Some(wait_gen) = deadline {
-                // Fired-cycle check FIRST: every member of a confirmed
-                // cycle is stamped before any member is woken, while
-                // the mailbox, `alive` and `done[src]` only change after
-                // a fired peer resumed. Confirmation proved that nothing
-                // queued then matched, and the awaited rank was parked
-                // in the cycle, so a fired wait resolves as a timeout
-                // whatever is queued since; consulting the mailbox or
-                // the flags first would let the pick order choose
-                // between WaitCycle, a late match and SenderFinished for
-                // the same simulated state.
-                if self.waits.deadline_fired(me, wait_gen) {
-                    self.waits.end_wait(me);
-                    return BatchWait::DeadlineFired;
-                }
+            // Fired first: a drain fires a wait only when nothing queued
+            // could release it, and a fired peer that resumes before this
+            // rank may send the awaited message or finish. Consulting the
+            // mailbox or `done[src]` first would let the pick order choose
+            // the resolution.
+            if deadline && self.waits.take_fired(me) {
+                return BatchWait::DeadlineFired;
             }
+            let mut q = self.boxes[me].q.acquire();
             if !q.is_empty() {
                 debug_assert!(ring.is_empty(), "the ring is drained before a batch wait");
                 std::mem::swap(&mut *q, ring);
-                // Clear the wait edge with the batch taken: "edge
-                // registered" always means this rank holds no envelope
-                // in hand, which the detector's probes rely on. The
-                // caller re-registers when its ring runs dry without a
+                // The caller re-registers if its ring runs dry without a
                 // match.
                 self.waits.end_wait(me);
                 return BatchWait::Got;
             }
+            drop(q);
             if self.alive.load(Ordering::Acquire) <= 1 {
                 return BatchWait::PeersGone;
             }
             // The sender's body delivered every message before setting
             // `done`: seeing the flag with an empty queue proves no
             // match is coming.
-            if deadline.is_some() && self.done[src].load(Ordering::SeqCst) {
+            if deadline && self.done[src].load(Ordering::SeqCst) {
                 self.waits.end_wait(me);
                 return BatchWait::SenderDone;
             }
-            drop(q);
-            if probed {
-                // Park the continuation, keyed on this rank's current
-                // virtual time, and yield — to the run loop, or straight
-                // to `src` if it is the handoff. No wake can arrive
-                // between the checks above and the park: one rank runs
-                // at a time, so no sender executes before this rank is
-                // recorded as parked (see the `events` module docs). On
-                // resume, re-check every resolution.
-                self.events.park(events::time_key(now.seconds()), Some(src));
-                probed = false;
-            } else {
-                // About to park: check whether this wait closes a cycle.
-                // Detection probes other mailboxes, so our own guard is
-                // dropped first. Then loop back instead of parking
-                // directly: the probe may have fired this very wait.
-                if self.events.is_parked(src) {
-                    self.detect_deadlock(me);
-                }
-                probed = true;
-            }
-            q = mb.q.acquire();
+            // Park the continuation, keyed on this rank's current
+            // virtual time, and yield — to the run loop, or straight to
+            // `src` if it is the handoff. No wake can arrive between the
+            // checks above and the park: one rank runs at a time, so no
+            // sender executes before this rank is recorded as parked
+            // (see the `events` module docs).
+            self.events.park(events::time_key(now.seconds()), Some(src));
         }
     }
 

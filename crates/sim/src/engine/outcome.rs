@@ -16,8 +16,9 @@ pub enum TimeoutReason {
     /// The awaited sender's closure finished (or it crashed) without a
     /// matching send ever being posted.
     SenderFinished,
-    /// This wait was a member of a confirmed wait-for cycle containing
-    /// deadline receives — message loss manifesting as mutual waits.
+    /// This wait was on a wait-for cycle containing deadline receives,
+    /// found when the run drained — message loss showing up as mutual
+    /// waits.
     WaitCycle,
 }
 

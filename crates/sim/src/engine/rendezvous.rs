@@ -14,11 +14,12 @@
 //! slot that learns a member has a receive-timeout policy releases
 //! every member to the message path instead, exactly.
 //!
-//! A parked member waits on a member that had not entered when it
-//! parked, and registers that wait in the run's wait-for graph, so a
-//! wait cycle through a collective is still detected: diagnosed, or
+//! When the run drains, each parked member waits on the lowest member
+//! that has not entered ([`Rendezvous::gathering`]), so a wait cycle
+//! through a collective is found as one on messages is: diagnosed, or
 //! fired when it holds deadline receives. These edges point only at
-//! later entrants, so they close no cycle among the members alone.
+//! members that have not entered, so they close no cycle among the
+//! parked members alone.
 //!
 //! The slot is named by the wire tag plus the group's lowest global
 //! rank: the sibling communicators of one split share a context id, and
@@ -156,9 +157,8 @@ pub(super) enum Arrival {
         back: Member,
         on_messages: bool,
     },
-    /// Park until slot `id` resolves, waiting on `on`, a member that
-    /// has not entered.
-    Wait { id: usize, on: Rank },
+    /// Park until slot `id` resolves.
+    Wait { id: usize },
 }
 
 /// The run's rendezvous slots, and the evaluator's buffers, kept from
@@ -228,8 +228,7 @@ impl Rendezvous {
             while slot.members[slot.missing].is_some() {
                 slot.missing += 1;
             }
-            let on = slot.group.ranks[slot.missing];
-            return Arrival::Wait { id, on };
+            return Arrival::Wait { id };
         }
         self.evaluator.run(law, &slot.group, tag, &mut slot.members);
         slot.state = SlotState::Evaluated;
@@ -265,6 +264,24 @@ impl Rendezvous {
         if self.slots[&id].drained() {
             self.slots.remove(&id);
         }
+    }
+
+    /// Every member parked in a gathering slot, as `(its rank, the
+    /// rank of the lowest member that has not entered, the slot's tag)`:
+    /// the wait-for edges of the members at a drain. Which members had
+    /// entered when one parked depends on the pick order; which have not
+    /// by the drain does not.
+    pub(super) fn gathering(&self) -> impl Iterator<Item = (Rank, Rank, Tag)> + '_ {
+        let gathering = self
+            .slots
+            .values()
+            .filter(|s| s.state == SlotState::Gathering);
+        gathering.flat_map(|slot| {
+            let on = slot.group.ranks[slot.missing];
+            (0..slot.members.len())
+                .filter(|&i| slot.members[i].is_some())
+                .map(move |i| (slot.group.ranks[i], on, slot.tag))
+        })
     }
 
     /// What `rank` waits for, if it is parked in a gathering slot,

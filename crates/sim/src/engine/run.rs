@@ -417,7 +417,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (run, stats) = self.run_settled(backend, f);
+        let (run, stats) = self.run_settled(self.pick_order(backend), f);
         match run {
             Ok((out, log)) => (out, log, stats),
             Err(chosen) => {
@@ -429,12 +429,25 @@ impl Cluster {
         }
     }
 
-    /// [`Cluster::run_counted`] that hands back the root-cause panic of
-    /// a failed run instead of re-throwing it, so the counters of a
-    /// failed run can be read too.
+    /// The continuation backend and pick order of a run on `backend`
+    /// under [`Cluster::engine_mode`]: heap order on `backend`, or the
+    /// reference order, drawn from the master seed, on threads.
+    pub(crate) fn pick_order(&self, backend: Backend) -> (Backend, Order) {
+        match self.engine_mode() {
+            EngineMode::Events => (backend, Order::Heap),
+            EngineMode::Threads => (
+                Backend::Thread,
+                Order::Scrambled(rngx::stream_rng(self.seed, label::sched_scramble())),
+            ),
+        }
+    }
+
+    /// [`Cluster::run_counted`] in the caller's `(backend, order)`, that
+    /// hands back the root-cause panic of a failed run instead of
+    /// re-throwing it, so the counters of a failed run can be read too.
     pub(crate) fn run_settled<R, F>(
         &self,
-        backend: Backend,
+        (backend, order): (Backend, Order),
         f: &F,
     ) -> (std::thread::Result<(Vec<R>, TraceLog)>, RunStats)
     where
@@ -442,14 +455,7 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let size = self.topology.total_cores();
-        let sched = match self.engine_mode() {
-            EngineMode::Events => EventSched::new(size, backend, Order::Heap),
-            EngineMode::Threads => EventSched::new(
-                size,
-                Backend::Thread,
-                Order::Scrambled(rngx::stream_rng(self.seed, label::sched_scramble())),
-            ),
-        };
+        let sched = EventSched::new(size, backend, order);
         // SAFETY: the only thing that ever executes a rank body (and
         // with it every use of `net`) is `events::drive` on this
         // scheduler below, one slice at a time.
@@ -515,8 +521,9 @@ impl Cluster {
 
         // `events::drive` is the completion barrier: it returns only
         // after every rank body has run to completion. Its one other
-        // exit is the stall panic, after which no body runs again.
-        let stats = events::drive(&net.events, &body, &|rank| net.describe_wait(rank));
+        // exit is the deadlock or stall panic of its drain pass, after
+        // which no body runs again.
+        let stats = events::drive(&net.events, &body, &|parked| net.drained(parked));
 
         let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
         if !panics.is_empty() {

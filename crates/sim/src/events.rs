@@ -53,8 +53,8 @@
 //!     same slices. In every other case (R parked on someone else, R
 //!     finished, a later matched wake displaced S from the slot) S
 //!     moves to the heap under the key it parked with, exactly as a
-//!     plain wake would have queued it. Completion, poison and
-//!     deadline-fire wakes never match.
+//!     plain wake would have queued it. Completion and poison wakes
+//!     never match, and a fired deadline wait is queued by the loop.
 //! - **The reference order** (`EngineMode::Threads`, on the thread
 //!   backend): the next rank is drawn uniformly from every woken or
 //!   unstarted rank, from the run's `sched_scramble` stream, and no
@@ -74,32 +74,30 @@
 //! slice ends) or bound to re-check its mailbox before it parks (a
 //! no-op). A woken receiver re-checks its mailbox on every resume.
 //!
-//! **Only the awaited delivery wakes.** Since the wait edge is
-//! registered before a rank parks and stays until it next drains its
-//! mailbox, `RunNet::send` knows exactly which delivery a parked rank
-//! waits for, and wakes it for that `(src, tag)` or for poison only:
-//! any other envelope waits in the mailbox, unseen, until the rank
-//! drains it for its own reasons — it could not have released the
-//! rank anyway. Completion and deadline-fire wakes are flags, not
-//! deliveries, and still wake. Two rules keep this safe. A cycle probe
-//! runs only when the awaited rank is itself parked: a cycle through a
-//! rank that still runs is found when that rank parks, by its own
-//! probe. And deadlock confirmation asks whether a queued envelope
-//! matches the edge or is poison, not whether the mailbox is empty — a
-//! parked rank's mailbox may hold envelopes it does not wait for, and
-//! counting those as hope would refute a real cycle and stall the run.
+//! **Only the awaited delivery wakes.** The wait edge is registered
+//! before a rank parks and stays until it next drains its mailbox, so
+//! `RunNet::send` wakes a parked rank for that `(src, tag)` or for
+//! poison only: any other envelope waits in the mailbox, unseen, until
+//! the rank drains it for its own reasons. Completion and a
+//! collective's release are not deliveries, and still wake.
 //!
 //! The same fact — one slice at a time, each ordered after the last by
 //! the loop itself or by the thread backend's mutex/condvar handoff — is
 //! why the run's mailboxes and this scheduler's ready state sit behind
 //! [`RunLock`], a checked flag, and the message path takes no mutex.
 //!
-//! # Stalls are diagnosed
+//! # Deadlocks and stalls are found when the loop drains
 //!
 //! Only an executing rank can wake a parked one, so an empty ready
-//! queue with unfinished ranks can never make progress again. The loop
-//! fails such a run with a panic naming every parked rank
-//! ([`EventSched::stall_report`]) instead of waiting, in either order.
+//! queue with unfinished ranks is the one state in which a deadlock is
+//! proven, and the same in either order: receives are directed, so
+//! every order drains to the same parked ranks with the same wait
+//! edges, none of them holding an envelope that could release it. The
+//! loop then runs one O(p) pass over those edges (`RunNet::drained`):
+//! it fires the deadline waits on every wait cycle, in ascending rank
+//! order, and queues them, or fails the run with a panic naming a
+//! cycle without one (`deadlock detected`) or, with no cycle, every
+//! parked rank (`run stalled`). A run that completes never drains.
 
 #[cfg(test)]
 use std::cell::Cell;
@@ -341,15 +339,9 @@ impl EventSched {
         unsafe { cont::switch_to(key, target) };
     }
 
-    /// Whether `rank` is parked: a wait on it can only close a cycle
-    /// then (a queued or executing rank has yet to park and probe).
-    pub(crate) fn is_parked(&self, rank: usize) -> bool {
-        self.runq.acquire().parked[rank].is_some()
-    }
-
     /// Wake hook called by `RunNet` after a state change a parked
     /// receiver waits on (the awaited delivery, poison, rank
-    /// completion, deadline-cycle firing). Always safe to over-call:
+    /// completion, a collective's release). Always safe to over-call:
     /// waking a rank that is not parked is a no-op, and a woken
     /// receiver simply re-checks its mailbox.
     pub(crate) fn wake(&self, rank: usize) {
@@ -378,31 +370,11 @@ impl EventSched {
             st.ready.push(key, rank);
         }
     }
-
-    /// The failure message of a stalled run (see module docs);
-    /// `describe_wait(rank)` words what a parked rank waits for, which
-    /// only the engine knows. Reachable by a receive from a rank that
-    /// finished without sending while other ranks are alive (no cycle to
-    /// detect, and not `PeersGone` either).
-    fn stall_report(
-        &self,
-        st: &ReadyState,
-        finished: usize,
-        describe_wait: &dyn Fn(usize) -> String,
-    ) -> String {
-        let parked: Vec<String> = (0..self.n)
-            .filter(|&r| st.parked[r].is_some())
-            .map(|r| format!("rank {r} {}", describe_wait(r)))
-            .collect();
-        format!(
-            "run stalled: no rank is ready, {finished} of {} finished and nothing can wake the \
-             {} parked: {}",
-            self.n,
-            parked.len(),
-            parked.join("; ")
-        )
-    }
 }
+
+/// What the drain pass of [`drive`] decides: the parked ranks to queue
+/// again, or the run's failure message.
+pub(crate) type Drained = Result<Vec<usize>, String>;
 
 /// Runs the scheduler to completion on the calling thread, starting
 /// each rank as `body(rank)`: take the handed-off rank or else the next
@@ -414,20 +386,23 @@ impl EventSched {
 /// panic that escaped a rank body, if any (engine bodies catch rank
 /// panics themselves, so that is a bug trap, not a normal path); the
 /// queue is still drained first, so ranks that can finish do.
-/// `describe_wait` words what a parked rank waits for, for the stall
-/// report.
+///
+/// When no rank is ready and some are unfinished, `drained` gets the
+/// parked ranks, ascending, and returns the ones to queue again, each
+/// under the key it parked with, or the run's failure message (module
+/// docs). It must not wake a rank itself: the ready state is held.
 ///
 /// # Panics
-/// Panics with [`EventSched::stall_report`] if the run stalls. The
-/// parked continuations are then dropped without ever being resumed
-/// again: a fiber's stack is freed without unwinding and a thread-backed
-/// rank's OS thread stays blocked until process exit, so whatever the
-/// parked bodies own leaks. A stalled program is a bug to fix, not a
-/// state to recover memory from.
+/// Panics with `drained`'s message. The parked continuations are then
+/// dropped without ever being resumed again: a fiber's stack is freed
+/// without unwinding and a thread-backed rank's OS thread stays blocked
+/// until process exit, so whatever the parked bodies own leaks. A
+/// deadlocked or stalled program is a bug to fix, not a state to
+/// recover memory from.
 pub(crate) fn drive(
     sched: &EventSched,
     body: &(dyn Fn(usize) + Sync),
-    describe_wait: &dyn Fn(usize) -> String,
+    drained: &dyn Fn(&[usize]) -> Drained,
 ) -> RunStats {
     let mut starter = Starter::new(sched.backend);
     // The continuation of each rank that has parked at least once and
@@ -444,7 +419,12 @@ pub(crate) fn drive(
             if first_panic.is_some() {
                 break;
             }
-            panic!("{}", sched.stall_report(&st, finished, describe_wait));
+            let parked: Vec<usize> = (0..sched.n).filter(|&r| st.parked[r].is_some()).collect();
+            for rank in drained(&parked).unwrap_or_else(|msg| panic!("{msg}")) {
+                let key = st.parked[rank].take().expect("a fired rank is parked");
+                st.ready.push(key, rank);
+            }
+            continue;
         };
         st.current = rank;
         st.stats.slices += 1;
@@ -546,7 +526,7 @@ mod tests {
     /// Drives a scheduler whose ranks park outside any receive (they
     /// name no awaited rank, so no handoffs).
     fn drive_bare(sched: &EventSched, body: &(dyn Fn(usize) + Sync)) {
-        drive(sched, body, &|_| String::new());
+        drive(sched, body, &|_| Err("stalled".to_string()));
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -834,7 +814,7 @@ mod tests {
             me as u32 * 10
         };
         let (returns, recycled) = (counter_now(&LOOP_RETURNS), recycled_stacks());
-        let (run, stats) = events_cluster(1).run_settled(backend, &body);
+        let (run, stats) = events_cluster(1).run_settled((backend, Order::Heap), &body);
         let run = run.map(|(out, _)| out).map_err(|p| {
             p.downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -1102,20 +1082,17 @@ mod tests {
     }
 
     #[test]
-    fn detector_heavy_program_runs_identically_on_both_backends() {
-        // Ranks 0 and 1 ping-pong 1,000 trips: a park whose awaited
-        // rank is parked too runs the detector's probe, and any other
-        // skips it, since that rank still has to park. Then ranks 0..3
-        // close a genuine 3-cycle (rank 2 has been parked on rank 0 all
-        // along).
-        // The rank that parks last diagnoses it; here each rank catches
-        // a diagnosis and releases its waiter, so the run ends and its
-        // counters can be compared.
-        fn run(backend: Backend) -> (Vec<Option<String>>, RunStats) {
+    fn a_cycle_behind_a_ping_pong_fails_the_run_once_in_every_order() {
+        // Ranks 0 and 1 ping-pong 1,000 trips while rank 2 is parked on
+        // rank 0 all along, then close a genuine 3-cycle with it. The
+        // run drains once, at its end, and fails with that cycle from
+        // its lowest rank: the same message on every backend and in
+        // every pick order.
+        fn diagnosis(backend: Backend, order: Order) -> String {
             let body = |ctx: &mut crate::RankCtx| {
                 let me = ctx.rank();
                 if me > 2 {
-                    return None;
+                    return;
                 }
                 if me < 2 {
                     for trip in 0..1000u32 {
@@ -1128,37 +1105,30 @@ mod tests {
                         }
                     }
                 }
-                let (src, waiter) = ((me + 1) % 3, (me + 2) % 3);
-                let recv = std::panic::AssertUnwindSafe(|| ctx.recv_t::<u32>(src, 11 + me as u32));
-                let diagnosis = std::panic::catch_unwind(recv).err().map(|payload| {
-                    payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .expect("the diagnosis is a formatted message")
-                });
-                ctx.send_t::<u32>(waiter, 11 + waiter as u32, 0);
-                diagnosis
+                ctx.recv_t::<u32>((me + 1) % 3, 11 + me as u32);
             };
-            let (out, _, stats) = events_cluster(1).run_counted(backend, &body);
-            (out, stats)
+            let run = std::panic::AssertUnwindSafe(|| {
+                events_cluster(1).run_settled((backend, order), &body)
+            });
+            let payload = std::panic::catch_unwind(run).expect_err("a receive cycle fails the run");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("the diagnosis is a formatted message")
         }
-        let backends = test_backends();
-        let (out, stats) = run(backends[0]);
-        let diagnoses: Vec<&String> = out.iter().flatten().collect();
-        assert_eq!(diagnoses.len(), 1, "one rank closes the cycle: {out:?}");
-        let msg = diagnoses[0];
-        assert!(msg.contains("deadlock detected"), "{msg}");
-        for needle in [
-            "rank 0 waiting on (src 1, tag 11)",
-            "rank 1 waiting on (src 2, tag 12)",
-            "rank 2 waiting on (src 0, tag 13)",
-        ] {
-            assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
+        let want = "deadlock detected: rank 0 waiting on (src 1, tag 11) -> rank 1 waiting on \
+                    (src 2, tag 12) -> rank 2 waiting on (src 0, tag 13) -> rank 0";
+        for backend in test_backends() {
+            assert_eq!(diagnosis(backend, Order::Heap), want, "{backend:?} backend");
         }
-        assert!(stats.handoffs >= 1990, "{stats:?}");
-        for &backend in &backends[1..] {
-            let other = run(backend);
-            assert_eq!((&out, stats), (&other.0, other.1), "{backend:?} backend");
+        for stream in 0..4 {
+            let order =
+                Order::Scrambled(Pcg64::stream(stream, crate::rngx::label::sched_scramble()));
+            assert_eq!(
+                diagnosis(Backend::Thread, order),
+                want,
+                "scramble stream {stream}"
+            );
         }
     }
 

@@ -77,7 +77,7 @@ pub mod noise;
 pub mod rngx;
 pub mod timebase;
 pub mod topology;
-pub mod waitgraph;
+mod waitgraph;
 pub mod wire;
 
 pub use clockspec::ClockSpec;

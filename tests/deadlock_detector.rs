@@ -1,9 +1,9 @@
-//! The wait-for-graph deadlock detector: a genuine receive cycle must
-//! fail fast with the full cycle named in the panic, and the detector
-//! must never fire on deadlock-free workloads (it is always on, so all
-//! other integration tests double as no-false-positive checks — the
-//! pipeline test here is the densest communication pattern exercised
-//! explicitly).
+//! Deadlock detection: a genuine receive cycle must fail the run with
+//! the full cycle named in the panic, byte-identical on both engine
+//! modes, and the detector must never fire on deadlock-free workloads
+//! (it is always on, so all other integration tests double as
+//! no-false-positive checks — the pipeline test here is the densest
+//! communication pattern exercised explicitly).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -20,87 +20,84 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .expect("rank panics carry a string payload")
 }
 
+/// Runs `body` on each engine mode, expects every run to fail on the
+/// caller with byte-identical messages, checks that the same cluster
+/// still serves a clean run, and returns the failure message.
+fn failure_message(cluster: &Cluster, body: impl Fn(&mut RankCtx) + Sync) -> String {
+    let msgs: Vec<String> = [EngineMode::Events, EngineMode::Threads]
+        .into_iter()
+        .map(|mode| {
+            let cluster = cluster.to_builder().engine(mode).build();
+            let payload = catch_unwind(AssertUnwindSafe(|| cluster.run(&body)))
+                .expect_err("a deadlocked or stalled run must panic on the caller, not hang");
+            let ranks: Vec<usize> = (0..cluster.topology().total_cores()).collect();
+            assert_eq!(cluster.run(|ctx| ctx.rank()), ranks, "clean run afterwards");
+            panic_message(payload)
+        })
+        .collect();
+    assert_eq!(msgs[0], msgs[1], "both modes fail with the same message");
+    msgs[0].clone()
+}
+
 #[test]
 fn three_rank_receive_cycle_is_diagnosed() {
-    let cluster = machines::testbed(3, 1).cluster(11);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(|ctx| {
-            // 0 waits on 1, 1 waits on 2, 2 waits on 0: a genuine cycle
-            // that would hang forever without the detector.
-            let _ = match ctx.rank() {
-                0 => ctx.recv(1, 11),
-                1 => ctx.recv(2, 12),
-                _ => ctx.recv(0, 13),
-            };
-        });
-    }))
-    .expect_err("a receive cycle must panic, not hang");
-    let msg = panic_message(payload);
-    assert!(msg.contains("deadlock detected"), "{msg}");
+    let msg = failure_message(&machines::testbed(3, 1).cluster(11), |ctx| {
+        // 0 waits on 1, 1 waits on 2, 2 waits on 0: a genuine cycle
+        // that would hang forever without the detector.
+        let _ = match ctx.rank() {
+            0 => ctx.recv(1, 11),
+            1 => ctx.recv(2, 12),
+            _ => ctx.recv(0, 13),
+        };
+    });
     // The diagnosis names every edge of the cycle with rank, source and
-    // tag.
-    for needle in [
-        "rank 0 waiting on (src 1, tag 11)",
-        "rank 1 waiting on (src 2, tag 12)",
-        "rank 2 waiting on (src 0, tag 13)",
-    ] {
-        assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
-    }
+    // tag, from the cycle's lowest rank.
+    assert_eq!(
+        msg,
+        "deadlock detected: rank 0 waiting on (src 1, tag 11) -> rank 1 waiting on (src 2, tag \
+         12) -> rank 2 waiting on (src 0, tag 13) -> rank 0"
+    );
 }
 
 #[test]
 fn two_rank_mutual_receive_is_diagnosed() {
-    let cluster = machines::testbed(2, 1).cluster(12);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(|ctx| {
-            let peer = 1 - ctx.rank();
-            // Both ranks receive first: the classic head-to-head
-            // deadlock.
-            let _ = ctx.recv(peer, 42);
-        });
-    }))
-    .expect_err("mutual receive must panic, not hang");
-    let msg = panic_message(payload);
-    assert!(msg.contains("deadlock detected"), "{msg}");
-    assert!(
-        msg.contains("rank 0 waiting on (src 1, tag 42)")
-            && msg.contains("rank 1 waiting on (src 0, tag 42)"),
-        "{msg}"
+    let msg = failure_message(&machines::testbed(2, 1).cluster(12), |ctx| {
+        let peer = 1 - ctx.rank();
+        // Both ranks receive first: the classic head-to-head deadlock.
+        let _ = ctx.recv(peer, 42);
+    });
+    assert_eq!(
+        msg,
+        "deadlock detected: rank 0 waiting on (src 1, tag 42) -> rank 1 waiting on (src 0, tag \
+         42) -> rank 0"
     );
 }
 
 #[test]
 fn cycle_after_hot_spin_budget_is_still_diagnosed() {
-    // The detector only runs when a rank is about to park. Warm both
-    // ranks with a burst of successful receives (wait edges registered
-    // and cleared 64 times over), then enter a genuine cycle: both must
-    // park and the cycle must still be named — not missed because of
-    // stale edge state.
-    let cluster = machines::testbed(2, 1).cluster(13);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(|ctx| {
-            let peer = 1 - ctx.rank();
-            // A ping-pong phase in which every receive succeeds.
-            for i in 0..64u32 {
-                if ctx.rank() == 0 {
-                    ctx.send_t(peer, 7, i);
-                    let _: u32 = ctx.recv_t(peer, 7);
-                } else {
-                    let _: u32 = ctx.recv_t(peer, 7);
-                    ctx.send_t(peer, 7, i);
-                }
+    // Warm both ranks with a burst of successful receives (wait edges
+    // registered and cleared 64 times over), then enter a genuine
+    // cycle: both must park and the cycle must still be named — not
+    // missed because of stale edge state.
+    let msg = failure_message(&machines::testbed(2, 1).cluster(13), |ctx| {
+        let peer = 1 - ctx.rank();
+        // A ping-pong phase in which every receive succeeds.
+        for i in 0..64u32 {
+            if ctx.rank() == 0 {
+                ctx.send_t(peer, 7, i);
+                let _: u32 = ctx.recv_t(peer, 7);
+            } else {
+                let _: u32 = ctx.recv_t(peer, 7);
+                ctx.send_t(peer, 7, i);
             }
-            // Now both ranks receive head-to-head: a real deadlock.
-            let _ = ctx.recv(peer, 77);
-        });
-    }))
-    .expect_err("cycle after a hot ping-pong phase must panic, not hang");
-    let msg = panic_message(payload);
-    assert!(msg.contains("deadlock detected"), "{msg}");
-    assert!(
-        msg.contains("rank 0 waiting on (src 1, tag 77)")
-            && msg.contains("rank 1 waiting on (src 0, tag 77)"),
-        "{msg}"
+        }
+        // Now both ranks receive head-to-head: a real deadlock.
+        let _ = ctx.recv(peer, 77);
+    });
+    assert_eq!(
+        msg,
+        "deadlock detected: rank 0 waiting on (src 1, tag 77) -> rank 1 waiting on (src 0, tag \
+         77) -> rank 0"
     );
 }
 
@@ -147,48 +144,21 @@ fn cycle_is_diagnosed_while_a_non_matching_batch_is_in_flight() {
     // Batched delivery edge case: rank 0 sends rank 1 a message that
     // does NOT match what rank 1 is receiving on, then both ranks block
     // head-to-head. Rank 1 drains the batch (which clears its wait
-    // edge under the mailbox lock), buffers the non-matching envelope
-    // to pending, and must re-register its edge before parking again —
-    // otherwise the detector would either miss the cycle or report a
-    // stale generation.
-    let cluster = machines::testbed(2, 1).cluster(14);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        cluster.run(|ctx| {
-            let peer = 1 - ctx.rank();
-            if ctx.rank() == 0 {
-                // Staged, flushed on the way into the blocking receive.
-                ctx.send_t(peer, 5, 1.0f64);
-            }
-            let _ = ctx.recv(peer, 99);
-        });
-    }))
-    .expect_err("cycle behind a non-matching batch must panic, not hang");
-    let msg = panic_message(payload);
-    assert!(msg.contains("deadlock detected"), "{msg}");
-    assert!(
-        msg.contains("rank 0 waiting on (src 1, tag 99)")
-            && msg.contains("rank 1 waiting on (src 0, tag 99)"),
-        "{msg}"
+    // edge), buffers the non-matching envelope to pending, and must
+    // re-register its edge before parking again — otherwise the drain
+    // would miss the cycle and report a stall.
+    let msg = failure_message(&machines::testbed(2, 1).cluster(14), |ctx| {
+        let peer = 1 - ctx.rank();
+        if ctx.rank() == 0 {
+            ctx.send_t(peer, 5, 1.0f64);
+        }
+        let _ = ctx.recv(peer, 99);
+    });
+    assert_eq!(
+        msg,
+        "deadlock detected: rank 0 waiting on (src 1, tag 99) -> rank 1 waiting on (src 0, tag \
+         99) -> rank 0"
     );
-}
-
-/// Runs `body` on each engine mode, expects every run to fail on the
-/// caller with the same message, checks that the same cluster still
-/// serves a clean run, and returns the failure message.
-fn stall_message(cluster: &Cluster, body: impl Fn(&mut RankCtx) + Sync) -> String {
-    let msgs: Vec<String> = [EngineMode::Events, EngineMode::Threads]
-        .into_iter()
-        .map(|mode| {
-            let cluster = cluster.to_builder().engine(mode).build();
-            let payload = catch_unwind(AssertUnwindSafe(|| cluster.run(&body)))
-                .expect_err("a stalled run must panic on the caller, not hang");
-            let ranks: Vec<usize> = (0..cluster.topology().total_cores()).collect();
-            assert_eq!(cluster.run(|ctx| ctx.rank()), ranks, "clean run afterwards");
-            panic_message(payload)
-        })
-        .collect();
-    assert_eq!(msgs[0], msgs[1], "both modes name the same parked ranks");
-    msgs[0].clone()
 }
 
 #[test]
@@ -196,7 +166,7 @@ fn non_cycle_stall_on_a_finished_sender_is_diagnosed() {
     // Rank 0 returns at once, rank 1 waits for it and rank 2 waits for
     // rank 1: no cycle for the wait graph, and two ranks alive, so
     // `PeersGone` never fires either. Only the scheduler sees it.
-    let msg = stall_message(&machines::testbed(3, 1).cluster(15), |ctx| {
+    let msg = failure_message(&machines::testbed(3, 1).cluster(15), |ctx| {
         match ctx.rank() {
             0 => {}
             r => {
