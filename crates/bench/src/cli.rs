@@ -6,13 +6,13 @@
 //! message, so typos do not silently run the default configuration.
 
 use std::any::type_name;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::str::FromStr;
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
     flags: Vec<String>,
     allowed: Vec<&'static str>,
 }
@@ -22,7 +22,7 @@ impl Args {
     /// keys named in `allowed` (space-separated).
     pub fn parse<I: IntoIterator<Item = String>>(iter: I, allowed: &'static str) -> Self {
         let allowed: Vec<&'static str> = allowed.split_whitespace().collect();
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut flags = Vec::new();
         let mut it = iter.into_iter().peekable();
         while let Some(arg) = it.next() {
@@ -34,11 +34,11 @@ impl Args {
                 allowed.contains(&key.as_str()),
                 "unknown flag --{key}; allowed: {allowed:?}"
             );
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    values.insert(key, it.next().unwrap());
+            match it.next_if(|next| !next.starts_with("--")) {
+                Some(value) => {
+                    values.insert(key, value);
                 }
-                _ => flags.push(key),
+                None => flags.push(key),
             }
         }
         Self {

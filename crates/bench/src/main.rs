@@ -6,6 +6,8 @@
 //! cargo run --release -p hcs-experiments -- fig5 --runs 2 --csv out/fig5.csv
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use hcs_experiments::*;

@@ -3,11 +3,17 @@
 //! are identical whatever `jobs` setting executed it, and identical to
 //! a direct run on the reference engine.
 
+// The concurrency test below times the host on purpose: it bounds a
+// jobs=4 sweep's wall time against jobs=1. Virtual time cannot show
+// that, so the wall-clock bans of `crates/clippy.toml` do not apply.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use hcs_bench::sweep::SweepExecutor;
 use hcs_clock::Span;
 use hcs_experiments::hier_experiment::{
     fig4_configs, run_hier_experiment, write_hier_csv, HierRow,
 };
+use hcs_sim::lockutil::lock_ignore_poison;
 use hcs_sim::{machines, secs, EngineMode, RankCtx};
 use std::sync::{Mutex, MutexGuard};
 
@@ -22,7 +28,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Holds [`SERIAL`] for one test; a sibling's panic leaves the lock
 /// poisoned, which says nothing about this test, so it is ignored.
 fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    lock_ignore_poison(&SERIAL)
 }
 
 fn rows_with_jobs(jobs: usize) -> Vec<HierRow> {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # hcs-bench — MPI benchmarking schemes, suite emulations and tracing
 //!

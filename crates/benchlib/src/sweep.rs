@@ -47,10 +47,11 @@ pub fn run_seed(seed0: u64, index: u64) -> u64 {
 }
 
 /// Host cores available to this process.
+// The one host-introspection site of the workspace (banned elsewhere
+// by `crates/clippy.toml`): host parallelism may inform *scheduling*
+// here, never simulated results.
+#[allow(clippy::disallowed_methods)]
 fn host_cores() -> usize {
-    // This is the blessed host-introspection site of the workspace
-    // (xtask lint `determinism/host-parallelism`): host parallelism
-    // may inform *scheduling* here, never simulated results.
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

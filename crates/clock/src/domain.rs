@@ -23,10 +23,11 @@
 //!   estimator inputs ("one clock's global frame is the next model's
 //!   client frame").
 //! - `raw_seconds` / `from_raw_seconds` expose the underlying `f64` for
-//!   wire encoding and oracle math. The `clockdomain` xtask lint bans
-//!   anonymous extraction (`.0`, `as f64`, `f64::from`) outside this
-//!   module, so every frame-erasing site in the workspace is one of
-//!   these named calls.
+//!   wire encoding and oracle math. The fields are private and no
+//!   conversion into `f64` exists, so anonymous extraction (`.0`,
+//!   `as f64`, `f64::from`) does not compile outside this module, and
+//!   every frame-erasing site in the workspace is one of these named
+//!   calls.
 //!
 //! All types are `#[repr(transparent)]` over `f64` with `#[inline]`
 //! operators: the generated code is bit-identical to the raw-`f64`

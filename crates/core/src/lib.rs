@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # hcs-core — the clock synchronization algorithms of CLUSTER'18
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # hcs-mpi — an MPI-like communication layer over `hcs-sim`
 //!

@@ -207,8 +207,6 @@ pub(crate) fn current_fiber() -> Option<FiberRef> {
 ///
 /// # Panics
 /// Panics if the caller is not a fiber.
-// SAFETY: the liveness and parked state of `next` are the caller's
-// contract (above); the body only touches the two switch cores.
 pub(crate) unsafe fn switch_to(key: u64, next: FiberRef) {
     let next = next.core;
     #[cfg(target_arch = "x86_64")]
@@ -292,8 +290,6 @@ impl Starter {
     /// [`Slice::Parked`] result carries, until that continuation
     /// finishes or is dropped without being resumed again: the
     /// continuation is `'static` but holds `f`.
-    // SAFETY: the lifetime of `f`'s borrows is the caller's contract
-    // (above); nothing else here extends them.
     pub(crate) unsafe fn start<'a, F: FnOnce() + Send + 'a>(&mut self, f: F) -> Slice {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
@@ -496,10 +492,13 @@ mod fiber {
     /// Only the System V callee-saved GP registers travel across the
     /// switch (rbx, rbp, r12–r15); everything else is caller-saved at
     /// this call boundary, so the compiler preserves what it needs.
-    // SAFETY: callers must pass a `to` stack that was either saved by
-    // this function or laid out by `HotFiber::run`; the asm body
-    // touches only the stack and callee-saved registers, exactly the
-    // contract a naked `extern "C"` boundary exposes.
+    ///
+    /// # Safety
+    ///
+    /// Callers must pass a `to` stack that was either saved by this
+    /// function or laid out by `HotFiber::run`; the asm body touches
+    /// only the stack and callee-saved registers, exactly the contract
+    /// a naked `extern "C"` boundary exposes.
     #[unsafe(naked)]
     pub(super) unsafe extern "C" fn switch_stack(_save: *mut *mut u8, _to: *mut u8) {
         naked_asm!(
@@ -527,10 +526,13 @@ mod fiber {
     /// and argument to the entry per the C ABI with a 16-byte-aligned
     /// stack. The entry, `hot_entry::<F>`, is monomorphized per body
     /// type, hence the indirection through `r13`.
-    // SAFETY: only ever entered via an initial frame built by
-    // `HotFiber::run` (rbx = core, r12 = arg, r13 = a never-returning
-    // `extern "C" fn(core, arg)`), so the `ud2` after the call is
-    // unreachable by construction.
+    ///
+    /// # Safety
+    ///
+    /// Only ever entered via an initial frame built by `HotFiber::run`
+    /// (rbx = core, r12 = arg, r13 = a never-returning
+    /// `extern "C" fn(core, arg)`), so the `ud2` after the call is
+    /// unreachable by construction.
     #[unsafe(naked)]
     unsafe extern "C" fn trampoline() {
         naked_asm!(
@@ -713,10 +715,13 @@ mod fiber {
     /// Runs the body on the fiber it was started on. Never returns: the
     /// final switch publishes `finished` first, so whoever activated
     /// the fiber last can trust the flag and never resumes it again.
-    // SAFETY: called exactly once per start, from `trampoline`, with
-    // the pointers planted by `HotFiber::run`; `slot` holds the closure
-    // until this takes it (strict handoff — the run loop is suspended in
-    // `switch_stack` for the whole window, keeping its frame alive).
+    ///
+    /// # Safety
+    ///
+    /// Called exactly once per start, from `trampoline`, with the
+    /// pointers planted by `HotFiber::run`; `slot` holds the closure
+    /// until this takes it (strict handoff — the run loop is suspended
+    /// in `switch_stack` for the whole window, keeping its frame alive).
     unsafe extern "C" fn hot_entry<F: FnOnce()>(core: *mut ContCore, slot: *mut Option<F>) -> ! {
         // SAFETY: `slot` points into the suspended run loop's `run` frame
         // and is armed with `Some` right before the switch; taken here
@@ -743,8 +748,6 @@ mod fiber {
         /// # Safety
         /// As for [`super::Starter::start`]: `f`'s borrows must outlive
         /// the continuation a parked result carries.
-        // SAFETY: the lifetime of `f`'s borrows is the caller's
-        // contract (above); the frame and switch are justified below.
         pub(super) unsafe fn run<F: FnOnce() + Send>(&mut self, f: F) -> Slice {
             let core = self.core.get_or_insert_with(|| {
                 Box::new(ContCore {

@@ -92,8 +92,6 @@ impl RunNet {
     /// (one slice at a time): the mailboxes and rendezvous slots are
     /// single-owner [`RunLock`]s, and this is their constructor's
     /// contract.
-    // SAFETY: the one-slice-at-a-time condition is the caller's contract
-    // (above).
     pub(super) unsafe fn new(size: usize, wake_on_done: bool, events: EventSched) -> Self {
         Self {
             boxes: (0..size)

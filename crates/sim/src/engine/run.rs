@@ -591,13 +591,12 @@ impl<T> OutSlot<T> {
     /// # Safety
     /// The caller must be the slot's unique writer, and all reads must
     /// be ordered after this call by a synchronization barrier.
-    // SAFETY: uniqueness and ordering are the caller's contract (above).
     unsafe fn put(&self, v: T) {
         // SAFETY: uniqueness and ordering are the caller's contract.
-        unsafe { *self.0.get() = Some(v) }; // xtask-allow: clockdomain (slot cell, not a time newtype)
+        unsafe { *self.0.get() = Some(v) };
     }
 
     fn into_inner(self) -> Option<T> {
-        self.0.into_inner() // xtask-allow: clockdomain (slot cell, not a time newtype)
+        self.0.into_inner()
     }
 }

@@ -44,6 +44,9 @@ use std::cell::{Cell, UnsafeCell};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Locks `m`, treating a poisoned mutex as locked normally.
+// The one raw `Mutex::lock` of the workspace (banned elsewhere by
+// `crates/clippy.toml`): every other acquisition routes through here.
+#[allow(clippy::disallowed_methods)]
 pub fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -87,12 +90,11 @@ mod held {
 
 /// A mutex with a place in the simulator's declared lock hierarchy.
 ///
-/// `acquire` is the only way in (deliberately not named `lock`, so the
-/// `concurrency/raw-lock` lint can ban bare `.lock()` call sites
-/// outside this module). In debug builds it panics — naming both locks
-/// — if the calling thread already holds a lock of an equal or higher
-/// level; in release builds it is exactly a poison-transparent
-/// `Mutex::lock`.
+/// `acquire` is the only way in (`crates/clippy.toml` bans
+/// `Mutex::lock` outside [`lock_ignore_poison`]). In debug builds it
+/// panics — naming both locks — if the calling thread already holds a
+/// lock of an equal or higher level; in release builds it is exactly a
+/// poison-transparent `Mutex::lock`.
 pub struct OrderedMutex<T> {
     name: &'static str,
     level: u32,
@@ -245,7 +247,6 @@ impl<T> RunLock<T> {
     /// mutex/condvar handoff under the thread backend, and no guard is
     /// held across `cont::suspend_current` (the xtask concurrency pass
     /// enforces it).
-    // SAFETY: the single-owner condition is the caller's contract (above).
     pub(crate) unsafe fn new(name: &'static str, level: u32, value: T) -> Self {
         RunLock {
             name,

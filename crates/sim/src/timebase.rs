@@ -22,8 +22,9 @@
 //! `SimTime + SimTime` and no cross-domain arithmetic; the `clockdomain`
 //! xtask pass keeps public signatures from eroding back to bare `f64`.
 //!
-//! This module (together with `hcs-clock::domain`) is the blessed home
-//! of raw-value access — the `clockdomain` lint exempts it.
+//! This module (together with `hcs-clock::domain`) is the one home of
+//! raw-value access: the fields are private, and the `clockdomain` lint
+//! exempts it.
 
 use std::fmt;
 use std::iter::Sum;

@@ -1,5 +1,5 @@
-//! Concurrency-discipline lints: lock registry, lock-order walk,
-//! atomics justification and the raw-lock ban.
+//! Concurrency-discipline lints: lock registry, lock-order walk and
+//! atomics justification.
 //!
 //! The simulator's hang-freedom argument (DESIGN.md §12) rests on a
 //! declared lock hierarchy: every `Mutex`/`Condvar` in `crates/sim`
@@ -29,26 +29,22 @@
 //! - **atomics** (`concurrency/relaxed-atomic`) — every
 //!   `Ordering::Relaxed` in library code of the concurrency-sensitive
 //!   crates needs an `// atomics:` comment explaining why relaxed
-//!   ordering is sound, same-line or in the comment block above
-//!   (modeled on the `SAFETY:` lint);
-//! - **raw locks** (`concurrency/raw-lock`) — bare `.lock()` is banned
-//!   in library code; all lock sites go through
-//!   `lockutil::lock_ignore_poison` or `OrderedMutex::acquire`, which
-//!   is what makes the guard walk (and the runtime validator) see
-//!   every acquisition.
+//!   ordering is sound, same-line or in the comment block above.
 //!
-//! The walk reads acquisitions, bindings and brace scopes off the
-//! scanner's token tree but is still linear (no CFG): a guard is
-//! considered held from its acquisition until its binding is
-//! `drop(..)`ed or its brace scope closes, and `else`-branch drops are
-//! treated as if they happened on the straight-line path. That is
-//! precise enough for the idioms `crates/sim` actually uses; genuinely
-//! special sites carry a per-line `// xtask-allow: concurrency`.
+//! The walk sees every acquisition because `crates/clippy.toml` bans
+//! `Mutex::lock` outside `lockutil::lock_ignore_poison`. It reads
+//! acquisitions, bindings and brace scopes off the scanner's token tree
+//! but is still linear (no CFG): a guard is considered held from its
+//! acquisition until its binding is `drop(..)`ed or its brace scope
+//! closes, and `else`-branch drops are treated as if they happened on
+//! the straight-line path. That is precise enough for the idioms
+//! `crates/sim` actually uses; genuinely special sites carry a per-line
+//! `// xtask-allow: concurrency`.
 
 use std::collections::BTreeMap;
 
 use crate::scanner::{annotation_above, has_word, is_ident_byte, scan, FileScan, Kind};
-use crate::{Finding, Level};
+use crate::Finding;
 
 /// Per-line escape hatch: suppresses every concurrency finding on the
 /// line it appears on (state tracking still sees the line).
@@ -83,7 +79,6 @@ fn finding(path: &str, ln: usize, lint: &'static str, msg: String) -> Finding {
         path: path.to_string(),
         line: ln + 1,
         lint,
-        level: Level::Error,
         msg,
     }
 }
@@ -658,27 +653,6 @@ pub fn atomics(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
             "concurrency/relaxed-atomic",
             "`Ordering::Relaxed` without an `// atomics:` justification; explain why relaxed \
              ordering is sound here (or use Acquire/Release)"
-                .to_string(),
-        ));
-    }
-}
-
-/// Bare `.lock()` in library code bypasses both poison transparency
-/// and the hierarchy bookkeeping; everything goes through `lockutil`.
-pub fn raw_lock(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
-    if blessed(path) {
-        return;
-    }
-    for (ln, line) in scan.code.iter().enumerate() {
-        if scan.is_test[ln] || allowed(scan, ln) || !line.contains(".lock(") {
-            continue;
-        }
-        out.push(finding(
-            path,
-            ln,
-            "concurrency/raw-lock",
-            "bare `.lock()` call: use `lockutil::lock_ignore_poison` or `OrderedMutex::acquire` \
-             so poison handling and the lock hierarchy stay enforced"
                 .to_string(),
         ));
     }

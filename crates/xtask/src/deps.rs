@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::{Finding, Level};
+use crate::Finding;
 
 /// Checks every manifest's dependency sections against the set of
 /// workspace member package names. `manifests` holds
@@ -35,7 +35,6 @@ pub fn check_deps(manifests: &[(String, String)]) -> Vec<Finding> {
                     path: path.clone(),
                     line: ln + 1,
                     lint: "deps/freeze",
-                    level: Level::Error,
                     msg: format!(
                         "`{key}` in [{section}] is not a workspace member: the workspace is frozen std-only (offline builds); vendor the code in-tree or revisit the freeze deliberately"
                     ),

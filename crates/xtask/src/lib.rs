@@ -1,37 +1,32 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # xtask — in-tree static analysis for the hcs workspace
 //!
-//! `cargo run -p xtask -- check` parses every workspace `.rs` source
-//! (no rustc, no external parser — a small scanner that builds one
-//! token tree per file, see [`scanner`]) and enforces the repo
-//! invariants the paper reproduction depends on:
+//! `cargo run -p xtask -- check` enforces the repo invariants that
+//! rustc and clippy cannot hold. It reads the manifests and every `.rs`
+//! file under `crates/*/src` with a small scanner that builds one token
+//! tree per file (see [`scanner`]), and runs:
 //!
-//! - **clock domains** — `crates/{sim,core,clock,mpi}` library code may
-//!   not pass times or durations as bare `f64`/`u64` (vocabulary-named
-//!   parameters, fields, and returns must use the `LocalTime` /
-//!   `GlobalTime` / `SimTime` / `Span` newtypes) nor unwrap a domain
-//!   value anonymously (`.0`, `f64::from(..)`, `as f64`); see
+//! - **clock domains** — `crates/{sim,core,clock,mpi,obs}` library code
+//!   may not pass times or durations as bare `f64`/`u64`
+//!   (vocabulary-named parameters, fields and returns must use the
+//!   `LocalTime` / `GlobalTime` / `SimTime` / `Span` newtypes); see
 //!   [`clockdomain`];
-//! - **determinism** — `crates/{sim,core,clock,mpi}` library code may
-//!   not read wall clocks (`Instant`, `SystemTime`), use randomly
-//!   seeded hashers (`HashMap`, `HashSet`, `RandomState`) or ambient
-//!   randomness: simulated runs must be bit-identical given a seed;
-//! - **unsafe hygiene** — every `unsafe` carries a `// SAFETY:` comment;
 //! - **dependency freeze** — every `Cargo.toml` dependency is another
-//!   workspace member (the workspace builds offline, std-only);
+//!   workspace member (the workspace builds offline, std-only); see
+//!   [`deps`];
 //! - **concurrency discipline** — every `Mutex`/`Condvar` in
 //!   `crates/sim` is registered in the lock hierarchy
 //!   (`// lock-order: <name> level=<N>`); a guard-scope walk flags
 //!   acquisitions whose levels do not strictly increase, unknown
 //!   locks, and guards held across park points; every
-//!   `Ordering::Relaxed` carries an `// atomics:` justification; bare
-//!   `.lock()` is banned outside `lockutil`; see [`concurrency`];
-//! - **style** (warning level) — no bare `unwrap()` in library code of
-//!   `crates/{sim,core,clock,mpi}`.
+//!   `Ordering::Relaxed` carries an `// atomics:` justification; see
+//!   [`concurrency`].
 //!
-//! The wire contract (distinct user tags below the collective range,
-//! one payload type per tag) is not a pass: rustc checks it through
+//! The determinism, unsafe, unwrap and raw-lock bans are clippy's:
+//! `crates/clippy.toml` and the `[workspace.lints.clippy]` table of the
+//! root manifest (DESIGN.md §7). The wire contract is rustc's, through
 //! `hcs_mpi::tags`.
 //!
 //! The passes are exposed as a library so `tests/xtask_lints.rs` can
@@ -41,55 +36,42 @@
 pub mod clockdomain;
 pub mod concurrency;
 pub mod deps;
-pub mod lints;
 pub mod scanner;
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Severity of a finding: errors fail `xtask check`, warnings only do
-/// so under `--deny-warnings`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Hard invariant violation.
-    Error,
-    /// Style/robustness advisory.
-    Warning,
-}
-
-impl fmt::Display for Level {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Level::Error => write!(f, "error"),
-            Level::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// One lint finding.
+/// One lint finding. Every finding is an error: it fails `xtask check`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable lint identifier (e.g. `determinism/default-hasher`).
+    /// Stable lint identifier (e.g. `concurrency/lock-order`).
     pub lint: &'static str,
-    /// Severity.
-    pub level: Level,
     /// Human-readable explanation.
     pub msg: String,
 }
 
 impl fmt::Display for Finding {
+    /// `path:line: error [lint] message`, the row shape
+    /// `.github/problem-matchers/xtask.json` parses.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}] {}",
-            self.path, self.line, self.level, self.lint, self.msg
+            "{}:{}: error [{}] {}",
+            self.path, self.line, self.lint, self.msg
         )
     }
+}
+
+/// Is `path` under `crates/<c>/src/` for some `c` in `crates`?
+fn in_crate_src(path: &str, crates: &[&str]) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once("/src/"))
+        .is_some_and(|(c, _)| crates.contains(&c))
 }
 
 /// One run of every pass: the per-file findings so far plus the files
@@ -101,11 +83,16 @@ struct Passes {
 }
 
 impl Passes {
-    /// Runs the per-file passes over one source and keeps what the
-    /// lock-hierarchy pass needs from it.
+    /// Runs the per-file passes that apply to `rel` over one source and
+    /// keeps what the lock-hierarchy pass needs from it.
     fn file(&mut self, rel: &str, source: &str) {
         let scan = scanner::scan(source);
-        self.findings.extend(lints::lint_file(rel, &scan));
+        if in_crate_src(rel, clockdomain::CRATES) {
+            clockdomain::clockdomain(rel, &scan, &mut self.findings);
+        }
+        if in_crate_src(rel, concurrency::ATOMICS_CRATES) {
+            concurrency::atomics(rel, &scan, &mut self.findings);
+        }
         if concurrency::in_lock_scope(rel) {
             self.lock_files.push((rel.to_string(), scan));
         }
@@ -117,7 +104,8 @@ impl Passes {
         self.findings
             .extend(concurrency::check_locks(&self.lock_files));
         self.findings.extend(deps::check_deps(manifests));
-        sort_findings(&mut self.findings);
+        self.findings
+            .sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
         self.findings
     }
 }
@@ -140,18 +128,25 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
 }
 
 /// Runs the full check over the workspace rooted at `root`: the
-/// per-file passes over every `.rs` source in path order, then the
-/// cross-file ones. An unreadable source is an `io/unreadable` error: it
-/// would otherwise silently exempt itself from every pass.
+/// per-file passes over every `.rs` source under `crates/*/src` in path
+/// order, then the cross-file ones over those and the root and crate
+/// manifests. An unreadable source is an `io/unreadable` error: it would
+/// otherwise silently exempt itself from every pass.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
+    let crates = crate_dirs(root);
     let mut manifests = Vec::new();
-    for path in manifest_paths(root) {
+    for path in std::iter::once(root.to_path_buf())
+        .chain(crates.iter().cloned())
+        .map(|dir| dir.join("Cargo.toml"))
+    {
         if let Ok(text) = fs::read_to_string(&path) {
             manifests.push((rel_path(root, &path), text));
         }
     }
     let mut rs_files = Vec::new();
-    collect_rs_files(root, &mut rs_files);
+    for dir in &crates {
+        collect_rs_files(&dir.join("src"), &mut rs_files);
+    }
     rs_files.sort();
     let mut passes = Passes::default();
     for path in &rs_files {
@@ -162,16 +157,11 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
                 path: rel,
                 line: 1,
                 lint: "io/unreadable",
-                level: Level::Error,
                 msg: format!("cannot read source: {e}"),
             }),
         }
     }
     passes.finish(&manifests)
-}
-
-fn sort_findings(findings: &mut [Finding]) {
-    findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -181,9 +171,18 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Directories never scanned: build artifacts, VCS metadata, generated
-/// experiment outputs.
-const SKIP_DIRS: &[&str] = &["target", ".git", "results"];
+/// Every `crates/*` directory holding a `Cargo.toml`, sorted.
+fn crate_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .collect();
+    out.sort();
+    out
+}
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -191,31 +190,12 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
         if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
-                collect_rs_files(&path, out);
-            }
-        } else if name.ends_with(".rs") {
+            collect_rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
-}
-
-/// Root manifest plus every `crates/*/Cargo.toml`.
-fn manifest_paths(root: &Path) -> Vec<PathBuf> {
-    let mut out = vec![root.join("Cargo.toml")];
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        for entry in entries.flatten() {
-            let m = entry.path().join("Cargo.toml");
-            if m.is_file() {
-                out.push(m);
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 /// The workspace root, derived from this crate's manifest directory

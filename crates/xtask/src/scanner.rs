@@ -107,7 +107,7 @@ pub fn has_word(line: &str, word: &str) -> bool {
 /// Finds `marker` on line `ln` itself or in the contiguous run of
 /// comment / attribute lines directly above it, returning the trimmed
 /// text after the marker. This is the shared lookup for justification
-/// comments (`SAFETY:`, `lock-order:`, `atomics:`): an annotation
+/// comments (`lock-order:`, `atomics:`): an annotation
 /// belongs to the first non-comment line below it.
 pub fn annotation_above<'a>(scan: &'a FileScan, ln: usize, marker: &str) -> Option<&'a str> {
     if let Some(pos) = scan.raw[ln].find(marker) {

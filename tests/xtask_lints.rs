@@ -1,84 +1,19 @@
-//! The `xtask check` static-analysis passes: seeded fixture violations
-//! must each be caught (including clock-domain newtype erosion), and
-//! the real workspace must pass clean (the same invariant CI enforces
-//! via `cargo run -p xtask -- check`).
+//! The repo's static contracts. The `xtask check` passes must catch
+//! each seeded fixture violation (clock-domain erosion, the dependency
+//! freeze, the lock hierarchy), and the real workspace must pass clean
+//! (the same invariant CI enforces via `cargo run -p xtask -- check`).
+//! The determinism, unsafe, unwrap and raw-lock bans are clippy's:
+//! the tests at the end run clippy over `crates/lintfixture`, one seeded
+//! violation per ban, and pin what it reports.
 
-use xtask::{lint_sources, Level};
+use std::path::Path;
+use std::process::Command;
+use std::sync::OnceLock;
+
+use xtask::lint_sources;
 
 fn lint_ids(findings: &[xtask::Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.lint).collect()
-}
-
-#[test]
-fn wall_clock_read_in_sim_is_an_error() {
-    let findings = lint_sources(&[(
-        "crates/sim/src/engine/net.rs",
-        "use std::time::Instant;\nfn now() -> Instant { Instant::now() }\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"determinism/wall-clock"),
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // The first finding points at the offending line.
-    assert_eq!(findings[0].line, 1, "{findings:?}");
-}
-
-#[test]
-fn default_hasher_in_deterministic_crate_is_an_error() {
-    let findings = lint_sources(&[(
-        "crates/core/src/offset.rs",
-        "use std::collections::HashMap;\npub struct S { m: HashMap<u32, f64> }\n",
-    )]);
-    let ids = lint_ids(&findings);
-    assert!(ids.contains(&"determinism/default-hasher"), "{findings:?}");
-    // Same source outside the deterministic crates is fine (benchlib
-    // may hash freely as long as no simulated output depends on it).
-    let ok = lint_sources(&[(
-        "crates/benchlib/src/stats.rs",
-        "use std::collections::HashMap;\npub struct S { m: HashMap<u32, f64> }\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn fault_module_is_in_the_determinism_lint_set() {
-    // The fault interpreter sits on the message delivery path; ambient
-    // randomness or wall-clock reads there would break the replay
-    // contract (same seed + plan => byte-identical faulted timeline),
-    // so crates/sim/src/fault.rs must be covered by the determinism
-    // lints like the rest of the sim crate.
-    let findings = lint_sources(&[(
-        "crates/sim/src/fault.rs",
-        "pub fn draw() -> f64 { rand::thread_rng().gen() }\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"determinism/ambient-randomness"),
-        "{findings:?}"
-    );
-    let findings = lint_sources(&[(
-        "crates/sim/src/fault.rs",
-        "use std::time::Instant;\nfn t() -> Instant { Instant::now() }\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"determinism/wall-clock"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn safety_less_unsafe_is_an_error_anywhere() {
-    let findings = lint_sources(&[(
-        "crates/benchlib/src/trace.rs",
-        "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["unsafe/safety-comment"]);
-    // A SAFETY comment in the contiguous block above satisfies it.
-    let ok = lint_sources(&[(
-        "crates/benchlib/src/trace.rs",
-        "// SAFETY: caller guarantees `p` is valid for reads.\npub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
 }
 
 #[test]
@@ -88,46 +23,6 @@ fn external_dependency_is_an_error() {
         "[package]\nname = \"hcs-sim\"\n\n[dependencies]\nrand = \"0.8\"\n",
     )]);
     assert!(lint_ids(&findings).contains(&"deps/freeze"), "{findings:?}");
-}
-
-#[test]
-fn host_parallelism_outside_sweep_is_an_error() {
-    // Concurrency budgets must flow through SweepExecutor; any other
-    // src file consulting the host's core count is an error.
-    let findings = lint_sources(&[(
-        "crates/bench/src/hier.rs",
-        "fn jobs() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"determinism/host-parallelism"),
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.level == Level::Error));
-    // That includes the event scheduler: a run executes on one thread.
-    let events = lint_sources(&[(
-        "crates/sim/src/events.rs",
-        "fn workers() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
-    )]);
-    assert!(
-        lint_ids(&events).contains(&"determinism/host-parallelism"),
-        "{events:?}"
-    );
-    // The sweep executor itself is the single blessed call site.
-    let ok = lint_sources(&[(
-        "crates/benchlib/src/sweep.rs",
-        "fn auto() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn bare_unwrap_in_library_code_is_a_warning() {
-    let findings = lint_sources(&[(
-        "crates/clock/src/global.rs",
-        "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["style/unwrap"]);
-    assert!(findings.iter().all(|f| f.level == Level::Warning));
 }
 
 #[test]
@@ -171,35 +66,6 @@ fn bare_time_field_and_return_are_errors() {
 }
 
 #[test]
-fn raw_domain_extraction_is_an_error() {
-    // Anonymous unwrapping of a newtype: `.0` access and `as f64` on a
-    // domain-typed line (outside crates/clock/src/domain.rs and
-    // crates/sim/src/timebase.rs, which define the types).
-    let findings = lint_sources(&[(
-        "crates/mpi/src/bcast.rs",
-        "pub fn leak(x: GlobalTime) -> Vec<u8> {\n    let raw = x.0;\n    raw.to_le_bytes().to_vec()\n}\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"clockdomain/raw-extraction"),
-        "{findings:?}"
-    );
-    let findings = lint_sources(&[(
-        "crates/sim/src/engine/net.rs",
-        "pub fn cast(x: Span) -> usize { x as f64 as usize }\n",
-    )]);
-    assert!(
-        lint_ids(&findings).contains(&"clockdomain/raw-extraction"),
-        "{findings:?}"
-    );
-    // The same extraction inside the defining module is fine.
-    let ok = lint_sources(&[(
-        "crates/clock/src/domain.rs",
-        "impl GlobalTime {\n    pub const fn raw_seconds(self) -> f64 {\n        self.0\n    }\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
 fn xtask_allow_comment_silences_clockdomain() {
     let ok = lint_sources(&[(
         "crates/sim/src/net.rs",
@@ -238,7 +104,6 @@ impl Pair {
     let findings = lint_sources(&[("crates/sim/src/events.rs", src)]);
     assert_eq!(lint_ids(&findings), vec!["concurrency/lock-order"]);
     assert_eq!(findings[0].line, 12, "{findings:?}");
-    assert!(findings.iter().all(|f| f.level == Level::Error));
 }
 
 #[test]
@@ -371,16 +236,6 @@ pub fn bump(c: &AtomicUsize) -> usize {
 }
 
 #[test]
-fn bare_lock_call_is_an_error_outside_lockutil() {
-    let src = "pub fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().expect(\"poisoned\") }\n";
-    let findings = lint_sources(&[("crates/benchlib/src/stats.rs", src)]);
-    assert_eq!(lint_ids(&findings), vec!["concurrency/raw-lock"]);
-    // lockutil itself is the blessed definition site for lock helpers.
-    let ok = lint_sources(&[("crates/sim/src/lockutil.rs", src)]);
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
 fn concurrency_findings_render_in_matcher_shape() {
     // Text shape: `path:line: level [lint] message`, what
     // .github/problem-matchers/xtask.json parses into PR annotations.
@@ -397,38 +252,15 @@ fn concurrency_findings_render_in_matcher_shape() {
 }
 
 #[test]
-fn determinism_findings_render_in_matcher_shape() {
-    // Every pass's findings flow through the same CI problem matcher:
-    // one `path:line: level [lint] message` row each.
-    let findings = lint_sources(&[(
-        "crates/sim/src/engine/net.rs",
-        "fn f() {\n    let t = std::time::Instant::now();\n}\n",
-    )]);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let row = findings[0].to_string();
-    assert!(
-        row.starts_with("crates/sim/src/engine/net.rs:2: error [determinism/wall-clock] "),
-        "{row}"
-    );
-}
-
-#[test]
 fn cfg_test_on_a_braceless_item_covers_only_that_item() {
     // `#[cfg(test)]` on a `use` ends at its `;`: the library fn below
     // is linted like any other.
     let findings = lint_sources(&[(
         "crates/sim/src/clocks.rs",
-        "#[cfg(test)]\nuse std::sync::Arc;\npub fn lib_now() -> u64 {\n    let x: Option<u64> = Instant::now().elapsed().as_secs().checked_add(1);\n    x.unwrap()\n}\n",
+        "#[cfg(test)]\nuse std::sync::Arc;\npub fn lib_now() -> u64 {\n    0\n}\n",
     )]);
-    assert_eq!(
-        lint_ids(&findings),
-        vec![
-            "clockdomain/bare-time",
-            "determinism/wall-clock",
-            "style/unwrap"
-        ],
-        "{findings:?}"
-    );
+    assert_eq!(lint_ids(&findings), vec!["clockdomain/bare-time"]);
+    assert_eq!(findings[0].line, 3, "{findings:?}");
 }
 
 /// `n` numbered filler lines in the shape `{indent}a{i}{tail}`.
@@ -450,8 +282,8 @@ fn long_signature_returning_bare_time_is_an_error() {
 
 #[test]
 fn real_workspace_passes_clean() {
-    // The self-check CI runs: no errors and no warnings anywhere in the
-    // tree. If this fails, `cargo run -p xtask -- check` prints the
+    // The self-check CI runs: no findings anywhere in the tree. If this
+    // fails, `cargo run -p xtask -- check` prints the
     // same findings with file:line locations.
     let findings = xtask::check_workspace(&xtask::workspace_root());
     assert!(
@@ -463,4 +295,200 @@ fn real_workspace_passes_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+// The clippy-held bans. `crates/lintfixture` reads the real
+// `crates/clippy.toml` and inherits the real `[workspace.lints.clippy]`
+// table; its violations compile only under its `violations` feature.
+// The JSON levels are clippy's own: CI's `-D warnings` turns every
+// warning into an error, and the table denies undocumented unsafe.
+
+const FIXTURE: &str = "crates/lintfixture/src/violations.rs";
+
+/// Every finding clippy must report on the fixture, as `(line, lint)`.
+const EXPECTED: &[(usize, &str)] = &[
+    (8, "disallowed_types"),            // HashMap
+    (9, "disallowed_types"),            // HashSet
+    (10, "disallowed_types"),           // RandomState
+    (15, "disallowed_types"),           // Instant
+    (16, "disallowed_types"),           // SystemTime
+    (17, "disallowed_methods"),         // Instant::now
+    (17, "disallowed_types"),           // the `Instant` of that path
+    (18, "disallowed_methods"),         // SystemTime::now
+    (18, "disallowed_types"),           // the `SystemTime` of that path
+    (23, "disallowed_methods"),         // available_parallelism
+    (28, "disallowed_methods"),         // Mutex::lock
+    (34, "undocumented_unsafe_blocks"), // unsafe block
+    (40, "undocumented_unsafe_blocks"), // unsafe impl
+    (50, "missing_safety_doc"),         // private unsafe fn
+    (56, "unwrap_used"),                // unwrap in library code
+    (70, "disallowed_methods"),         // Instant::now in a #[test]
+    (70, "disallowed_types"),           // (its unwrap at 71 is allowed)
+];
+
+/// One clippy finding on the fixture.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct ClippyFinding {
+    file: String,
+    line: usize,
+    /// Lint name without the `clippy::` prefix.
+    lint: String,
+    /// `warning` or `error`.
+    level: String,
+}
+
+/// Runs clippy once over the fixture, every target, in its own target
+/// directory, and returns its findings sorted.
+fn clippy_fixture() -> &'static [ClippyFinding] {
+    static RUN: OnceLock<Vec<ClippyFinding>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let target = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-fixture");
+        let out = Command::new(env!("CARGO"))
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(["clippy", "--quiet", "-p", "lint-fixture"])
+            .args(["--features", "violations", "--all-targets", "--keep-going"])
+            .arg("--message-format=json")
+            .arg("--target-dir")
+            .arg(&target)
+            .output()
+            .expect("cargo clippy runs");
+        let stdout = String::from_utf8(out.stdout).expect("cargo writes UTF-8 JSON");
+        let mut findings: Vec<ClippyFinding> = stdout
+            .lines()
+            .filter(|msg| scalars(msg, "reason").first() == Some(&"compiler-message"))
+            .filter_map(|msg| {
+                Some(ClippyFinding {
+                    file: scalars(msg, "file_name").first()?.to_string(),
+                    line: scalars(msg, "line_start").first()?.parse().ok()?,
+                    // The children's codes are `null`.
+                    lint: scalars(msg, "code")
+                        .into_iter()
+                        .find(|&c| c != "null")?
+                        .trim_start_matches("clippy::")
+                        .to_string(),
+                    // The children's levels are `note` and `help`.
+                    level: scalars(msg, "level")
+                        .into_iter()
+                        .find(|&l| l == "warning" || l == "error")?
+                        .to_string(),
+                })
+            })
+            .collect();
+        assert!(
+            !findings.is_empty(),
+            "clippy reported nothing; is the clippy component installed?\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        findings.sort();
+        findings.dedup();
+        findings
+    })
+}
+
+/// The scalar value of every `"key":` in one line of cargo's JSON, in
+/// order, strings without their quotes; object and array values are
+/// skipped. A quote inside a JSON string is escaped, so the pattern
+/// only ever matches the structure. A message lists its children (notes
+/// and help, with no spans for these lints) before its own fields.
+fn scalars<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
+    json.split(&format!("\"{key}\":"))
+        .skip(1)
+        .filter_map(|rest| match rest.strip_prefix('"') {
+            Some(string) => string.split('"').next(),
+            None if rest.starts_with(['{', '[']) => None,
+            None => rest.split([',', '}', ']']).next(),
+        })
+        .collect()
+}
+
+/// The level clippy reports `lint` at on fixture line `line`.
+fn level_at(line: usize, lint: &str) -> Option<&'static str> {
+    clippy_fixture()
+        .iter()
+        .find(|f| f.file == FIXTURE && f.line == line && f.lint == lint)
+        .map(|f| f.level.as_str())
+}
+
+#[test]
+fn clippy_fixture_fires_exactly_the_seeded_lints() {
+    // Exactly the seeded set, and nothing anywhere else: not the
+    // documented unsafe block, not the unwrap inside the #[test], and
+    // not `busy_wait_until(deadline: f64)`, which only xtask's
+    // `clockdomain/bare-time` catches (`bare_time_parameter_is_an_error`).
+    let got: Vec<(&str, usize, &str)> = clippy_fixture()
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.lint.as_str()))
+        .collect();
+    let want: Vec<(&str, usize, &str)> = EXPECTED
+        .iter()
+        .map(|&(line, lint)| (FIXTURE, line, lint))
+        .collect();
+    assert_eq!(got, want, "{:#?}", clippy_fixture());
+}
+
+#[test]
+fn default_hasher_in_deterministic_crate_is_an_error() {
+    // Every crate under `crates/` reads the bans, the fixture included.
+    for line in [8, 9, 10] {
+        assert_eq!(level_at(line, "disallowed_types"), Some("warning"));
+    }
+}
+
+#[test]
+fn wall_clock_read_is_an_error() {
+    for line in [15, 16, 17, 18] {
+        assert_eq!(level_at(line, "disallowed_types"), Some("warning"));
+    }
+    for line in [17, 18] {
+        assert_eq!(level_at(line, "disallowed_methods"), Some("warning"));
+    }
+    // Test code is not exempt: a test that times the host says why in
+    // a file-level `#![allow]` (`crates/bench/tests/sweep_determinism.rs`).
+    assert_eq!(level_at(70, "disallowed_methods"), Some("warning"));
+}
+
+#[test]
+fn host_parallelism_outside_sweep_is_an_error() {
+    // `hcs_bench::sweep::host_cores` carries the one `#[allow]`.
+    assert_eq!(level_at(23, "disallowed_methods"), Some("warning"));
+}
+
+#[test]
+fn bare_lock_call_is_an_error_outside_lockutil() {
+    // `hcs_sim::lockutil::lock_ignore_poison` carries the one `#[allow]`.
+    assert_eq!(level_at(28, "disallowed_methods"), Some("warning"));
+}
+
+#[test]
+fn safety_less_unsafe_is_an_error_anywhere() {
+    // Denied by the workspace table, so an error even without
+    // `-D warnings`; the root package carries the same line.
+    assert_eq!(level_at(34, "undocumented_unsafe_blocks"), Some("error"));
+    assert_eq!(level_at(40, "undocumented_unsafe_blocks"), Some("error"));
+    // An `unsafe fn` states its contract in a `# Safety` doc section,
+    // private ones too.
+    assert_eq!(level_at(50, "missing_safety_doc"), Some("warning"));
+}
+
+#[test]
+fn bare_unwrap_in_library_code_is_a_warning() {
+    assert_eq!(level_at(56, "unwrap_used"), Some("warning"));
+    assert_eq!(level_at(71, "unwrap_used"), None);
+}
+
+#[test]
+fn every_member_inherits_the_lint_table() {
+    // `[workspace.lints]` reaches only the members that opt in; one that
+    // did not would escape the unsafe and unwrap rules unnoticed.
+    let crates = xtask::workspace_root().join("crates");
+    for entry in std::fs::read_dir(crates).expect("crates/ is readable") {
+        let manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            assert!(
+                text.contains("\n[lints]\nworkspace = true\n"),
+                "{} does not inherit [workspace.lints]",
+                manifest.display()
+            );
+        }
+    }
 }
