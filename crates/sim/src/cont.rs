@@ -57,9 +57,9 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use crate::lockutil::OrderedMutex;
+use crate::lockutil::lock_ignore_poison;
 
 /// Stack size of every rank body's host stack: fiber stacks and
 /// thread-backed continuations.
@@ -360,19 +360,18 @@ enum ThreadPhase {
 
 /// State shared between the executor side and the coroutine thread.
 struct ThreadShared {
-    // lock-order: events.cont level=5
-    phase: OrderedMutex<ThreadPhase>,
-    cv: Condvar, // lock-order: events.cont
+    phase: Mutex<ThreadPhase>,
+    cv: Condvar,
 }
 
 impl ThreadShared {
     /// Body side: publish `Suspended` and wait to be set `Running`.
     fn suspend(&self, key: u64) {
-        let mut ph = self.phase.acquire();
+        let mut ph = lock_ignore_poison(&self.phase);
         *ph = ThreadPhase::Suspended(key);
         self.cv.notify_all();
         while matches!(*ph, ThreadPhase::Suspended(_)) {
-            ph = ph.wait(&self.cv);
+            ph = self.cv.wait(ph).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -388,7 +387,7 @@ impl ThreadCont {
     /// waits for its first slice to end.
     fn start(entry: Entry) -> Slice {
         let shared = Arc::new(ThreadShared {
-            phase: OrderedMutex::new("events.cont", 5, ThreadPhase::Running),
+            phase: Mutex::new(ThreadPhase::Running),
             cv: Condvar::new(),
         });
         let their = Arc::clone(&shared);
@@ -399,7 +398,7 @@ impl ThreadCont {
                 CURRENT.with(|c| c.set(Some(Current::Thread(Arc::as_ptr(&their)))));
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry));
                 CURRENT.with(|c| c.set(None));
-                let mut ph = their.phase.acquire();
+                let mut ph = lock_ignore_poison(&their.phase);
                 *ph = ThreadPhase::Finished(result.err());
                 their.cv.notify_all();
             })
@@ -414,7 +413,7 @@ impl ThreadCont {
     /// Executor side: wakes the parked body, then waits for its slice
     /// to end.
     fn resume(self) -> Slice {
-        *self.shared.phase.acquire() = ThreadPhase::Running;
+        *lock_ignore_poison(&self.shared.phase) = ThreadPhase::Running;
         self.shared.cv.notify_all();
         self.wait()
     }
@@ -422,9 +421,13 @@ impl ThreadCont {
     /// Waits for the running body to suspend or finish. A finished
     /// body's thread is joined as `self` drops.
     fn wait(self) -> Slice {
-        let mut ph = self.shared.phase.acquire();
+        let mut ph = lock_ignore_poison(&self.shared.phase);
         while matches!(*ph, ThreadPhase::Running) {
-            ph = ph.wait(&self.shared.cv);
+            ph = self
+                .shared
+                .cv
+                .wait(ph)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         let parked = match &mut *ph {
             ThreadPhase::Suspended(key) => Ok(*key),
@@ -448,7 +451,10 @@ impl Drop for ThreadCont {
         // stays blocked in its handoff wait, is never resumed, and
         // process exit reaps it (one leaked thread and stack per
         // parked rank of a stalled run).
-        let finished = matches!(*self.shared.phase.acquire(), ThreadPhase::Finished(_));
+        let finished = matches!(
+            *lock_ignore_poison(&self.shared.phase),
+            ThreadPhase::Finished(_)
+        );
         if let Some(h) = self.handle.take() {
             if finished {
                 let _ = h.join();
@@ -465,9 +471,10 @@ impl Drop for ThreadCont {
 mod fiber {
     use std::any::Any;
     use std::arch::naked_asm;
+    use std::sync::Mutex;
 
     use super::{ContState, Current, Slice, CURRENT, RANK_STACK_BYTES};
-    use crate::lockutil::OrderedMutex;
+    use crate::lockutil::lock_ignore_poison;
 
     /// Shared switch state of one fiber. Boxed so its address is stable
     /// while both sides hold raw pointers to it.
@@ -614,15 +621,13 @@ mod fiber {
     /// (and total stack memory) stays proportional to the peak number
     /// of simultaneously-suspended ranks. Capped so a pathological run
     /// cannot pin unbounded memory.
-    // lock-order: events.stacks level=6
-    static STACK_POOL: OrderedMutex<Vec<RawStack>> =
-        OrderedMutex::new("events.stacks", 6, Vec::new());
+    static STACK_POOL: Mutex<Vec<RawStack>> = Mutex::new(Vec::new());
 
     /// Free-list cap: 256 stacks × 256 KiB = 64 MiB worst case.
     const STACK_POOL_MAX: usize = 256;
 
     fn stack_get() -> RawStack {
-        let recycled = STACK_POOL.acquire().pop();
+        let recycled = lock_ignore_poison(&STACK_POOL).pop();
         match recycled {
             Some(s) => {
                 #[cfg(debug_assertions)]
@@ -638,7 +643,7 @@ mod fiber {
         s.check_canary();
         #[cfg(test)]
         RECYCLED.with(|n| n.set(n.get() + 1));
-        let mut pool = STACK_POOL.acquire();
+        let mut pool = lock_ignore_poison(&STACK_POOL);
         if pool.len() < STACK_POOL_MAX {
             pool.push(s);
         }

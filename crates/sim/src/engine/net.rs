@@ -32,7 +32,7 @@ pub(super) const POISON_TAG: Tag = u32::MAX;
 /// consumer loads and its neighbour's producer stores.
 #[repr(align(128))]
 struct Mailbox {
-    q: RunLock<VecDeque<Envelope>>, // lock-order: engine.mailbox level=10
+    q: RunLock<VecDeque<Envelope>>,
 }
 
 /// Per-run communication state shared by all rank contexts: one mailbox
@@ -65,7 +65,6 @@ pub(super) struct RunNet {
     /// The run's scheduler: parks and wakes its ranks.
     pub(super) events: EventSched,
     /// The run's collective rendezvous slots (`RankCtx::collective`).
-    // lock-order: engine.rendezvous level=20
     pub(super) rendezvous: RunLock<Rendezvous>,
 }
 
@@ -98,7 +97,7 @@ impl RunNet {
                 .map(|_| Mailbox {
                     // SAFETY: the caller's contract is `RunLock::new`'s;
                     // `recv_batch` drops its guard before it parks.
-                    q: unsafe { RunLock::new("engine.mailbox", 10, VecDeque::new()) },
+                    q: unsafe { RunLock::new("engine.mailbox", VecDeque::new()) },
                 })
                 .collect(),
             alive: AtomicUsize::new(size),
@@ -109,7 +108,7 @@ impl RunNet {
             events,
             // SAFETY: as for the mailboxes; `RankCtx::rendezvous` drops
             // its guard before it parks.
-            rendezvous: unsafe { RunLock::new("engine.rendezvous", 20, Rendezvous::default()) },
+            rendezvous: unsafe { RunLock::new("engine.rendezvous", Rendezvous::default()) },
         }
     }
 

@@ -470,8 +470,7 @@ impl Cluster {
         } else {
             Vec::new()
         };
-        let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = // lock-order: engine.panics level=32
-            Mutex::new(Vec::new());
+        let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
 
         // The per-rank body, one closure for the whole run, so seeding
         // allocates nothing per rank. It must never unwind: panics from

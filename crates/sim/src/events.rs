@@ -266,7 +266,6 @@ thread_local! {
 /// — the loop between slices, the executing rank's hook calls during
 /// one — so its lock is a [`RunLock`]: a checked flag, not a mutex.
 pub(crate) struct EventSched {
-    // lock-order: events.sched level=15
     runq: RunLock<ReadyState>,
     n: usize,
     /// Continuation backend of the run's ranks.
@@ -291,11 +290,11 @@ impl EventSched {
             // while a rank executes, and by `requeue` and `park`, which
             // only the rank executing reaches (through `RunNet`).
             // Slices run one at a time — on the loop's thread under the
-            // fiber backend, behind the `events.cont` mutex/condvar
-            // handoff under the thread backend — so all uses are
+            // fiber backend, behind the mutex/condvar handshake of
+            // `cont.rs` under the thread backend — so all uses are
             // ordered by happens-before, and no guard lives across a
             // `suspend_current` or `switch_to` (module docs).
-            runq: unsafe { RunLock::new("events.sched", 15, ready) },
+            runq: unsafe { RunLock::new("events.sched", ready) },
             n,
             backend,
         }
@@ -443,7 +442,7 @@ pub(crate) fn drive(
         // A chain of direct switches ends on the rank current now; the
         // rank the loop ran parked on its way, and that park is on
         // record. (Settling the last one may return its stack to the
-        // pool, whose lock ranks below this one: no guard meanwhile.)
+        // pool.)
         let last = sched.runq.acquire().current;
         if last != rank {
             let Slice::Parked { cont, .. } = slice else {
@@ -493,10 +492,10 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use crate::cont::tests::{recycled_stacks, test_backends};
-    use crate::lockutil::OrderedMutex;
+    use crate::lockutil::lock_ignore_poison;
     use crate::EngineMode;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// One rank's test body.
     type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -509,13 +508,10 @@ mod tests {
 
     fn sched_on(jobs: Vec<Job>, backend: Backend) -> (Arc<EventSched>, impl Fn(usize) + Sync) {
         let n = jobs.len();
-        let cells: Vec<OrderedMutex<Option<Job>>> = jobs
-            .into_iter()
-            .map(|j| OrderedMutex::new("events.test-jobs", 92, Some(j)))
-            .collect();
+        let cells: Vec<Mutex<Option<Job>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let body = move |rank: usize| {
-            let job = cells[rank]
-                .acquire()
+            let job = lock_ignore_poison(&cells[rank])
                 .take()
                 .expect("each rank runs exactly once");
             job();
@@ -560,8 +556,7 @@ mod tests {
         // Job 0 parks once; job 1 wakes it through the scheduler. The
         // executor must deliver the wake even though job 1 runs (and
         // wakes) while job 0 may still be publishing its park.
-        let sched0: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
-            Arc::new(OrderedMutex::new("events.sched-test-slot", 90, None));
+        let sched0: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
         let hits = Arc::new(AtomicUsize::new(0));
         let s0 = Arc::clone(&sched0);
         let h0 = Arc::clone(&hits);
@@ -572,13 +567,15 @@ mod tests {
                 h0.fetch_add(1, Ordering::SeqCst);
             }),
             Box::new(move || {
-                let sched = s0.acquire().clone().expect("installed before drive");
+                let sched = lock_ignore_poison(&s0)
+                    .clone()
+                    .expect("installed before drive");
                 sched.wake(0);
                 h1.fetch_add(1, Ordering::SeqCst);
             }),
         ];
         let (sched, body) = sched_from_jobs(jobs);
-        *sched0.acquire() = Some(Arc::clone(&sched));
+        *lock_ignore_poison(&sched0) = Some(Arc::clone(&sched));
         drive_bare(&sched, &body);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
@@ -588,32 +585,33 @@ mod tests {
         // Ranks 0..4 seed at key 0 and run in rank order;
         // each parks at a key that *reverses* the rank order. Rank 4
         // then wakes everyone — the drain must follow the keys.
-        let order = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
-        let slot: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
-            Arc::new(OrderedMutex::new("events.test-slot", 90, None));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let slot: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
         let n = 4usize;
         let mut jobs: Vec<Job> = (0..n)
             .map(|r| {
                 let order = Arc::clone(&order);
                 let job: Job = Box::new(move || {
-                    order.acquire().push(("start", r));
+                    lock_ignore_poison(&order).push(("start", r));
                     crate::cont::suspend_current(time_key((n - r) as f64));
-                    order.acquire().push(("end", r));
+                    lock_ignore_poison(&order).push(("end", r));
                 });
                 job
             })
             .collect();
         let waker = Arc::clone(&slot);
         jobs.push(Box::new(move || {
-            let sched = waker.acquire().clone().expect("installed before the run");
+            let sched = lock_ignore_poison(&waker)
+                .clone()
+                .expect("installed before the run");
             for rank in 0..n {
                 sched.wake(rank);
             }
         }));
         let (sched, body) = sched_from_jobs(jobs);
-        *slot.acquire() = Some(Arc::clone(&sched));
+        *lock_ignore_poison(&slot) = Some(Arc::clone(&sched));
         drive_bare(&sched, &body);
-        let got = order.acquire().clone();
+        let got = lock_ignore_poison(&order).clone();
         let starts: Vec<usize> = got
             .iter()
             .filter(|(w, _)| *w == "start")
@@ -635,19 +633,20 @@ mod tests {
         // wakes them all again. The logged host order must not depend
         // on the run or on the continuation backend.
         fn logged_order(backend: Backend) -> Vec<(usize, usize)> {
-            let log = Arc::new(OrderedMutex::new("events.test-order", 91, Vec::new()));
-            let slot: Arc<OrderedMutex<Option<Arc<EventSched>>>> =
-                Arc::new(OrderedMutex::new("events.test-slot", 90, None));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let slot: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
             let n = 6usize;
-            let sched_of = |slot: &OrderedMutex<Option<Arc<EventSched>>>| {
-                slot.acquire().clone().expect("installed before the run")
+            let sched_of = |slot: &Mutex<Option<Arc<EventSched>>>| {
+                lock_ignore_poison(slot)
+                    .clone()
+                    .expect("installed before the run")
             };
             let mut jobs: Vec<Job> = (0..n)
                 .map(|r| {
                     let (log, slot) = (Arc::clone(&log), Arc::clone(&slot));
                     let job: Job = Box::new(move || {
                         for slice in 0..3 {
-                            log.acquire().push((r, slice));
+                            lock_ignore_poison(&log).push((r, slice));
                             if slice < 2 {
                                 // Keys interleave the ranks differently
                                 // in each round; woken, a rank wakes the
@@ -665,7 +664,7 @@ mod tests {
             jobs.push(Box::new(move || {
                 let sched = sched_of(&dslot);
                 for round in 0..2 {
-                    dlog.acquire().push((n, round));
+                    lock_ignore_poison(&dlog).push((n, round));
                     (0..n).for_each(|rank| sched.wake(rank));
                     if round == 0 {
                         crate::cont::suspend_current(time_key(100.0));
@@ -673,11 +672,11 @@ mod tests {
                 }
             }));
             let (sched, body) = sched_on(jobs, backend);
-            *slot.acquire() = Some(Arc::clone(&sched));
+            *lock_ignore_poison(&slot) = Some(Arc::clone(&sched));
             drive_bare(&sched, &body);
             // Break the slot → scheduler → body → slot cycle.
-            *slot.acquire() = None;
-            let order = log.acquire().clone();
+            *lock_ignore_poison(&slot) = None;
+            let order = lock_ignore_poison(&log).clone();
             order
         }
         let backends = test_backends();
@@ -709,7 +708,7 @@ mod tests {
         backend: Backend,
     ) -> (Vec<u32>, RunStats) {
         const TRIPS: u32 = 1000;
-        let order = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let order = Mutex::new(Vec::new());
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
             if me > 1 {
@@ -717,7 +716,7 @@ mod tests {
                 return;
             }
             for trip in 0..TRIPS {
-                order.acquire().push(trip << 1 | me as u32);
+                lock_ignore_poison(&order).push(trip << 1 | me as u32);
                 if me == 0 {
                     ctx.send_t::<u32>(1, 5, trip);
                     assert_eq!(ctx.recv_t::<u32>(1, 6), trip);
@@ -728,7 +727,7 @@ mod tests {
             }
         };
         let (_, _, stats) = cluster.run_counted(backend, &body);
-        let order = std::mem::take(&mut *order.acquire());
+        let order = std::mem::take(&mut *lock_ignore_poison(&order));
         (order, stats)
     }
 
@@ -776,7 +775,7 @@ mod tests {
     /// their last receive got.
     fn chain_run(backend: Backend, end: ChainEnd) -> ChainRun {
         const TRIPS: u32 = 500;
-        let log = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let log = Mutex::new(Vec::new());
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
             let last_recv = |ctx: &mut crate::RankCtx, tag| {
@@ -787,7 +786,7 @@ mod tests {
                     Ok(v) => format!("rank {me} got {v}"),
                     Err(p) => format!("rank {me}: {}", p.downcast_ref::<String>().unwrap()),
                 };
-                log.acquire().push(entry);
+                lock_ignore_poison(&log).push(entry);
             };
             match me {
                 0 => {
@@ -820,7 +819,7 @@ mod tests {
                 .map(|s| s.to_string())
                 .expect("the root cause panics with a literal")
         });
-        let log = std::mem::take(&mut *log.acquire());
+        let log = std::mem::take(&mut *lock_ignore_poison(&log));
         let returns = counter_now(&LOOP_RETURNS) - returns;
         (run, log, stats, returns, recycled_stacks() - recycled)
     }
@@ -924,7 +923,7 @@ mod tests {
         // on rank 2: no handoff, rank 0 comes back through the heap.
         // Rank 2 delivers exactly what rank 1 is parked on, then
         // finishes: no handoff either. Ranks 3..32 are bystanders.
-        let order = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let order = Mutex::new(Vec::new());
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
             match me {
@@ -939,7 +938,7 @@ mod tests {
                 }
                 _ => return,
             };
-            order.acquire().push(me);
+            lock_ignore_poison(&order).push(me);
         };
         let (_, _, stats) = events_cluster(4).run_counted(Backend::from_env(), &body);
         // 32 first slices plus one resume each for ranks 0 and 1.
@@ -952,7 +951,7 @@ mod tests {
         );
         // Heap order as ever: rank 0 parked at key₀ with a lower rank
         // than the seed cursor, so it resumes before rank 2 starts.
-        assert_eq!(*order.acquire(), vec![0, 2, 1]);
+        assert_eq!(*lock_ignore_poison(&order), vec![0, 2, 1]);
     }
 
     #[test]
@@ -1037,12 +1036,12 @@ mod tests {
             .to_builder()
             .engine(mode)
             .build();
-        let log = OrderedMutex::new("events.test-order", 91, Vec::new());
+        let log = Mutex::new(Vec::new());
         let body = |ctx: &mut crate::RankCtx| {
             let me = ctx.rank();
             let mut acc = me as u64;
             for k in 0..4 {
-                log.acquire().push(me);
+                lock_ignore_poison(&log).push(me);
                 let partner = me ^ (1 << k);
                 ctx.send_t::<u64>(partner, k, acc);
                 acc += ctx.recv_t::<u64>(partner, k);
@@ -1050,7 +1049,7 @@ mod tests {
             (acc, ctx.now())
         };
         let (out, _, stats) = cluster.run_counted(Backend::Thread, &body);
-        let log = std::mem::take(&mut *log.acquire());
+        let log = std::mem::take(&mut *lock_ignore_poison(&log));
         (log, out, stats)
     }
 

@@ -86,7 +86,7 @@ pub use engine::{
     RunOutcome, Step, StepProgram, TimeoutReason,
 };
 pub use fault::{FaultPlan, LinkSel, RankSel, Window};
-pub use lockutil::{lock_ignore_poison, OrderedGuard, OrderedMutex};
+pub use lockutil::lock_ignore_poison;
 pub use machines::MachineSpec;
 pub use net::{Jitter, LevelLatency, NetworkModel};
 pub use noise::NoiseSpec;

@@ -16,11 +16,9 @@
 //! - **dependency freeze** — every `Cargo.toml` dependency is another
 //!   workspace member (the workspace builds offline, std-only); see
 //!   [`deps`];
-//! - **concurrency discipline** — every `Mutex`/`Condvar` in
-//!   `crates/sim` is registered in the lock hierarchy
-//!   (`// lock-order: <name> level=<N>`); a guard-scope walk flags
-//!   acquisitions whose levels do not strictly increase, unknown
-//!   locks, and guards held across park points; every
+//! - **concurrency discipline** — a guard-scope walk over
+//!   `crates/sim` flags a mutex taken while another mutex's guard is
+//!   live and a guard held across a park point; every
 //!   `Ordering::Relaxed` carries an `// atomics:` justification; see
 //!   [`concurrency`].
 //!
@@ -74,62 +72,47 @@ fn in_crate_src(path: &str, crates: &[&str]) -> bool {
         .is_some_and(|(c, _)| crates.contains(&c))
 }
 
-/// One run of every pass: the per-file findings so far plus the files
-/// the cross-file lock-hierarchy pass reads.
-#[derive(Default)]
-struct Passes {
-    findings: Vec<Finding>,
-    lock_files: Vec<(String, scanner::FileScan)>,
+/// Runs the per-file passes that apply to `rel` over one source.
+fn lint_file(rel: &str, source: &str, out: &mut Vec<Finding>) {
+    let scan = scanner::scan(source);
+    if in_crate_src(rel, clockdomain::CRATES) {
+        clockdomain::clockdomain(rel, &scan, out);
+    }
+    if in_crate_src(rel, concurrency::ATOMICS_CRATES) {
+        concurrency::atomics(rel, &scan, out);
+    }
+    if concurrency::in_lock_scope(rel) {
+        concurrency::guards(rel, &scan, out);
+    }
 }
 
-impl Passes {
-    /// Runs the per-file passes that apply to `rel` over one source and
-    /// keeps what the lock-hierarchy pass needs from it.
-    fn file(&mut self, rel: &str, source: &str) {
-        let scan = scanner::scan(source);
-        if in_crate_src(rel, clockdomain::CRATES) {
-            clockdomain::clockdomain(rel, &scan, &mut self.findings);
-        }
-        if in_crate_src(rel, concurrency::ATOMICS_CRATES) {
-            concurrency::atomics(rel, &scan, &mut self.findings);
-        }
-        if concurrency::in_lock_scope(rel) {
-            self.lock_files.push((rel.to_string(), scan));
-        }
-    }
-
-    /// Runs the lock-hierarchy pass plus the dependency freeze over
-    /// `manifests` and returns every finding, sorted.
-    fn finish(mut self, manifests: &[(String, String)]) -> Vec<Finding> {
-        self.findings
-            .extend(concurrency::check_locks(&self.lock_files));
-        self.findings.extend(deps::check_deps(manifests));
-        self.findings
-            .sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-        self.findings
-    }
+/// Adds the dependency freeze over `manifests` to `findings` and
+/// returns them all, sorted.
+fn finish(mut findings: Vec<Finding>, manifests: &[(String, String)]) -> Vec<Finding> {
+    findings.extend(deps::check_deps(manifests));
+    findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
+    findings
 }
 
 /// Runs every lint over in-memory `(path, source)` pairs: the per-file
-/// passes plus the cross-file ones. Manifest paths (`Cargo.toml`) go
-/// through the dependency-freeze pass. This is the entry point used by
-/// fixture tests.
+/// passes over sources, the dependency freeze over manifest paths
+/// (`Cargo.toml`). This is the entry point used by fixture tests.
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
-    let mut passes = Passes::default();
+    let mut findings = Vec::new();
     let mut manifests = Vec::new();
     for &(path, source) in files {
         if path.ends_with("Cargo.toml") {
             manifests.push((path.to_string(), source.to_string()));
         } else {
-            passes.file(path, source);
+            lint_file(path, source, &mut findings);
         }
     }
-    passes.finish(&manifests)
+    finish(findings, &manifests)
 }
 
 /// Runs the full check over the workspace rooted at `root`: the
 /// per-file passes over every `.rs` source under `crates/*/src` in path
-/// order, then the cross-file ones over those and the root and crate
+/// order, then the dependency freeze over the root and crate
 /// manifests. An unreadable source is an `io/unreadable` error: it would
 /// otherwise silently exempt itself from every pass.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
@@ -148,12 +131,12 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
         collect_rs_files(&dir.join("src"), &mut rs_files);
     }
     rs_files.sort();
-    let mut passes = Passes::default();
+    let mut findings = Vec::new();
     for path in &rs_files {
         let rel = rel_path(root, path);
         match fs::read_to_string(path) {
-            Ok(source) => passes.file(&rel, &source),
-            Err(e) => passes.findings.push(Finding {
+            Ok(source) => lint_file(&rel, &source, &mut findings),
+            Err(e) => findings.push(Finding {
                 path: rel,
                 line: 1,
                 lint: "io/unreadable",
@@ -161,7 +144,7 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
             }),
         }
     }
-    passes.finish(&manifests)
+    finish(findings, &manifests)
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

@@ -1,6 +1,6 @@
 //! The repo's static contracts. The `xtask check` passes must catch
 //! each seeded fixture violation (clock-domain erosion, the dependency
-//! freeze, the lock hierarchy), and the real workspace must pass clean
+//! freeze, the concurrency rules), and the real workspace must pass clean
 //! (the same invariant CI enforces via `cargo run -p xtask -- check`).
 //! The determinism, unsafe, unwrap and raw-lock bans are clippy's:
 //! the tests at the end run clippy over `crates/lintfixture`, one seeded
@@ -83,45 +83,31 @@ fn xtask_allow_comment_silences_clockdomain() {
 
 #[test]
 fn inverted_lock_acquisition_is_an_error() {
-    // Two registered locks acquired against their declared levels: the
-    // lock-order walk flags the inverted pair at the second acquisition.
+    // Mutexes are leaves: taking one while another's guard is live is
+    // flagged at the second acquisition, in either order.
     let src = "\
-struct Pair {
-    first: Mutex<u32>,  // lock-order: fix.first level=10
-    second: Mutex<u32>, // lock-order: fix.second level=20
-}
 impl Pair {
-    fn good(&self) {
+    fn increasing(&self) {
         let a = lock_ignore_poison(&self.first);
         let b = lock_ignore_poison(&self.second);
     }
-    fn bad(&self) {
+    fn inverted(&self) {
         let b = lock_ignore_poison(&self.second);
+        let a = lock_ignore_poison(&self.first);
+    }
+    fn sequential(&self) {
+        *lock_ignore_poison(&self.second) += 1;
         let a = lock_ignore_poison(&self.first);
     }
 }
 ";
     let findings = lint_sources(&[("crates/sim/src/events.rs", src)]);
-    assert_eq!(lint_ids(&findings), vec!["concurrency/lock-order"]);
-    assert_eq!(findings[0].line, 12, "{findings:?}");
-}
-
-#[test]
-fn unregistered_mutex_in_sim_is_an_error() {
-    // Every Mutex/Condvar in crates/sim must carry a lock-order
-    // registration; an anonymous one is flagged at its declaration.
-    let findings = lint_sources(&[(
-        "crates/sim/src/engine/net.rs",
-        "struct S {\n    m: Mutex<u32>,\n}\n",
-    )]);
-    assert_eq!(lint_ids(&findings), vec!["concurrency/unregistered-lock"]);
-    assert_eq!(findings[0].line, 2, "{findings:?}");
-    // The same declaration outside the lock scope (benchlib) is fine.
-    let ok = lint_sources(&[(
-        "crates/benchlib/src/stats.rs",
-        "struct S {\n    m: Mutex<u32>,\n}\n",
-    )]);
-    assert!(ok.is_empty(), "{ok:?}");
+    assert_eq!(
+        lint_ids(&findings),
+        vec!["concurrency/lock-order", "concurrency/lock-order"]
+    );
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![4, 8], "{findings:?}");
 }
 
 #[test]
@@ -129,17 +115,13 @@ fn guard_held_across_blocking_is_an_error() {
     // Holding a guard over a park point wedges every thread queued on
     // that lock; the consumed-guard Condvar wait is the sanctioned form.
     let src = "\
-struct S {
-    m: Mutex<u32>, // lock-order: fix.m level=10
-    cv: Condvar,   // lock-order: fix.m
-}
 fn bad(s: &S) {
     let g = lock_ignore_poison(&s.m);
     std::thread::park();
 }
 fn good(s: &S) {
     let mut g = lock_ignore_poison(&s.m);
-    g = g.wait(&s.cv);
+    g = s.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
     drop(g);
     std::thread::park();
 }
@@ -149,52 +131,39 @@ fn good(s: &S) {
         lint_ids(&findings),
         vec!["concurrency/guard-across-blocking"]
     );
-    assert_eq!(findings[0].line, 7, "{findings:?}");
+    assert_eq!(findings[0].line, 3, "{findings:?}");
 }
 
 #[test]
-fn run_lock_is_registered_and_never_held_across_a_suspension() {
-    // The run-scoped lock is a registered lock like any mutex: its
-    // constructor literal is checked against the registry, and its
-    // guard may not live across a continuation suspension — that is
-    // what makes the single-owner lock of a run sound.
+fn run_lock_is_never_held_across_a_suspension() {
+    // A run lock's guard may not live across a continuation suspension:
+    // that is what makes the single-owner lock of a run sound. Not even
+    // the consumed-guard shape a condvar wait gets is exempt.
     let flagged = "\
-struct Mailbox {
-    q: RunLock<u32>, // lock-order: fix.mailbox level=10
-    stray: RunLock<u32>,
-}
-fn mk() -> RunLock<u32> {
-    RunLock::new(\"fix.mailbox\", 11, 0)
-}
 fn bad(mb: &Mailbox) {
     let q = mb.q.acquire();
     crate::cont::suspend_current(*q as u64);
+}
+fn consumed(mb: &Mailbox) {
+    let mut q = mb.q.acquire();
+    q = crate::cont::suspend_current(q);
 }
 ";
     let findings = lint_sources(&[("crates/sim/src/engine/net.rs", flagged)]);
     assert_eq!(
         lint_ids(&findings),
         vec![
-            "concurrency/unregistered-lock",
-            "concurrency/conflicting-level",
+            "concurrency/guard-across-blocking",
             "concurrency/guard-across-blocking"
         ],
         "{findings:?}"
     );
     let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![3, 6, 10], "{findings:?}");
+    assert_eq!(lines, vec![3, 7], "{findings:?}");
 
     let clean = "\
-struct Mailbox {
-    q: RunLock<u32>, // lock-order: fix.mailbox level=10
-    cv: Condvar,     // lock-order: fix.mailbox
-}
-fn mk() -> RunLock<u32> {
-    RunLock::new(\"fix.mailbox\", 10, 0)
-}
 fn good(mb: &Mailbox) {
-    let mut q = mb.q.acquire();
-    q = q.wait(&mb.cv);
+    let q = mb.q.acquire();
     drop(q);
     crate::cont::suspend_current(0);
 }
@@ -241,12 +210,14 @@ fn concurrency_findings_render_in_matcher_shape() {
     // .github/problem-matchers/xtask.json parses into PR annotations.
     let findings = lint_sources(&[(
         "crates/sim/src/engine/net.rs",
-        "struct S {\n    m: Mutex<u32>,\n}\n",
+        "fn f(mb: &Mailbox) {\n    let q = mb.q.acquire();\n    crate::cont::suspend_current(0);\n}\n",
     )]);
     assert_eq!(findings.len(), 1);
     let row = findings[0].to_string();
     assert!(
-        row.starts_with("crates/sim/src/engine/net.rs:2: error [concurrency/unregistered-lock] "),
+        row.starts_with(
+            "crates/sim/src/engine/net.rs:3: error [concurrency/guard-across-blocking] "
+        ),
         "{row}"
     );
 }
