@@ -6,9 +6,8 @@
 //! *imbalance* characteristics differ wildly, which is exactly the
 //! paper's point about barrier-based benchmarking.
 
-use hcs_sim::RankCtx;
+use hcs_sim::{RankCtx, Schedule};
 
-use crate::steps::Steps;
 use crate::Comm;
 
 /// Which barrier algorithm to run (Open MPI `coll_tuned_barrier_algorithm`).
@@ -73,23 +72,24 @@ impl Comm {
             return;
         }
         let (r, p) = (self.rank(), self.size());
-        let mut steps = Steps::new(Vec::new(), p);
+        let s = &mut self.sched;
+        s.start(&[], None);
         match alg {
-            BarrierAlgorithm::Linear => linear(&mut steps, r, p),
-            BarrierAlgorithm::DoubleRing => double_ring(&mut steps, r, p),
-            BarrierAlgorithm::RecursiveDoubling => recursive_doubling(&mut steps, r, p),
-            BarrierAlgorithm::Bruck => bruck(&mut steps, r, p),
-            BarrierAlgorithm::Tree => tree(&mut steps, r, p),
+            BarrierAlgorithm::Linear => linear(s, r, p),
+            BarrierAlgorithm::DoubleRing => double_ring(s, r, p),
+            BarrierAlgorithm::RecursiveDoubling => recursive_doubling(s, r, p),
+            BarrierAlgorithm::Bruck => bruck(s, r, p),
+            BarrierAlgorithm::Tree => tree(s, r, p),
         }
         ctx.set_active_peers(alg.nic_concurrency(self.node_peers()));
-        self.run_steps(ctx, steps);
+        self.run_sched(ctx);
         ctx.set_active_peers(1);
     }
 }
 
 // Every barrier step moves an empty token.
 
-fn linear(s: &mut Steps, r: usize, p: usize) {
+fn linear(s: &mut Schedule, r: usize, p: usize) {
     if r == 0 {
         for src in 1..p {
             s.recv_drop(src);
@@ -103,7 +103,7 @@ fn linear(s: &mut Steps, r: usize, p: usize) {
     }
 }
 
-fn double_ring(s: &mut Steps, r: usize, p: usize) {
+fn double_ring(s: &mut Schedule, r: usize, p: usize) {
     let left = (r + p - 1) % p;
     let right = (r + 1) % p;
     if r == 0 {
@@ -121,7 +121,7 @@ fn double_ring(s: &mut Steps, r: usize, p: usize) {
     }
 }
 
-fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
+fn recursive_doubling(s: &mut Schedule, r: usize, p: usize) {
     let mut m = 1usize;
     while m * 2 <= p {
         m *= 2;
@@ -146,7 +146,7 @@ fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
     }
 }
 
-fn bruck(s: &mut Steps, r: usize, p: usize) {
+fn bruck(s: &mut Schedule, r: usize, p: usize) {
     let mut dist = 1usize;
     while dist < p {
         s.send((r + dist) % p);
@@ -155,7 +155,7 @@ fn bruck(s: &mut Steps, r: usize, p: usize) {
     }
 }
 
-fn tree(s: &mut Steps, r: usize, p: usize) {
+fn tree(s: &mut Schedule, r: usize, p: usize) {
     // Binomial fan-in.
     let mut mask = 1usize;
     while mask < p {

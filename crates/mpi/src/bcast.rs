@@ -1,8 +1,7 @@
 //! Binomial-tree `MPI_Bcast`.
 
-use hcs_sim::{RankCtx, Wire};
+use hcs_sim::{RankCtx, Schedule, Wire};
 
-use crate::steps::Steps;
 use crate::Comm;
 
 impl Comm {
@@ -12,22 +11,29 @@ impl Comm {
     /// Unlike MPI, receivers need not know the payload size in advance —
     /// the engine delivers whole messages.
     pub fn bcast(&mut self, ctx: &mut RankCtx, root: usize, data: &[u8]) -> Vec<u8> {
-        assert!(root < self.size(), "bcast root {root} out of range");
-        if self.size() <= 1 {
-            return data.to_vec();
-        }
-        let mut steps = Steps::new(data.to_vec(), self.size());
-        binomial_bcast(&mut steps, self.rank(), self.size(), root);
-        // Binomial tree: at most one rank per node is crossing the NIC
-        // at a time, so no contention term applies.
-        self.run_steps(ctx, steps).buf
+        self.bcast_in_place(ctx, root, data).to_vec()
     }
 
     /// Broadcasts one `f64` from `root` (used by the Round-Time scheme
     /// to distribute start timestamps).
     pub fn bcast_f64(&mut self, ctx: &mut RankCtx, root: usize, x: f64) -> f64 {
-        let out = self.bcast(ctx, root, x.to_wire().as_ref());
-        f64::from_wire(&out)
+        f64::from_wire(self.bcast_in_place(ctx, root, x.to_wire().as_ref()))
+    }
+
+    /// [`Comm::bcast`], returning the received copy where it lies: in
+    /// this member's schedule, shared with every member that received
+    /// the same payload (the root gets its input back).
+    pub(crate) fn bcast_in_place(&mut self, ctx: &mut RankCtx, root: usize, data: &[u8]) -> &[u8] {
+        assert!(root < self.size(), "bcast root {root} out of range");
+        let (r, p) = (self.rank(), self.size());
+        self.sched.start(data, None);
+        if p > 1 {
+            binomial_bcast(&mut self.sched, r, p, root);
+            // Binomial tree: at most one rank per node is crossing the
+            // NIC at a time, so no contention term applies.
+            self.run_sched(ctx);
+        }
+        self.sched.data()
     }
 
     /// Broadcasts a clock reading from `root`. As with
@@ -46,9 +52,17 @@ impl Comm {
 /// Binomial tree rooted at `root`: receive from the parent at the
 /// lowest set bit of the virtual rank, then forward to the children at
 /// every lower bit.
-fn binomial_bcast(s: &mut Steps, r: usize, p: usize, root: usize) {
-    let vr = (r + p - root) % p; // virtual rank: root becomes 0
-    let unvirt = |v: usize| (v + root) % p;
+fn binomial_bcast(s: &mut Schedule, r: usize, p: usize, root: usize) {
+    // Virtual ranks put the root at 0: `(r - root) mod p`, and back,
+    // each by one conditional subtraction (`r`, `v`, `root` < `p`).
+    let vr = if r >= root { r - root } else { r + p - root };
+    let unvirt = |v: usize| {
+        if v + root >= p {
+            v + root - p
+        } else {
+            v + root
+        }
+    };
 
     // Climb until the bit where we receive from our parent.
     let mut mask = 1usize;

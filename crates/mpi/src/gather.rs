@@ -1,39 +1,55 @@
 //! `MPI_Gather`, `MPI_Scatter` and `allgather`.
 //!
 //! Linear (rooted) implementations: the paper's algorithms use scatter
-//! exactly once per synchronization (HCA2's model distribution) and
-//! gather/allgather only for communicator creation, so their asymptotic
-//! cost is irrelevant next to the ping-pong phases; linear variants keep
-//! the code obviously correct. Payload sizes are tiny (tens of bytes).
+//! once per synchronization (HCA2's model distribution) and gather and
+//! allgather for communicator creation. The allgather is a gather at
+//! member 0 plus a bcast of the packed records, so every member reads
+//! all `p` records: `O(p²)` host work over the members, and on a large
+//! world communicator the dominant cost of a split (two H2HCA splits
+//! were ≈ 93 % of an 8,192-rank sync while each member still copied the
+//! records out). The packed buffer is therefore shared by reference
+//! (`Comm::allgather_in_place`), and `split` reads its records in place
+//! instead of copying them per member.
 
+use hcs_sim::msg::Payload;
 use hcs_sim::RankCtx;
 
-use crate::steps::Steps;
 use crate::Comm;
 
 impl Comm {
     /// Gathers every member's `data` at `root`; returns `Some(vec)` (in
     /// communicator rank order) at the root and `None` elsewhere.
     pub fn gather(&mut self, ctx: &mut RankCtx, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        assert!(root < self.size(), "gather root {root} out of range");
-        let mut steps = Steps::new(data.to_vec(), self.size());
-        let at_root = self.rank() == root;
+        let at_root = self.gather_in_place(ctx, root, data);
+        let parts = self.sched.parts_mut();
+        at_root.then(|| {
+            let mut out: Vec<Vec<u8>> = parts.iter().map(|p| p.to_vec()).collect();
+            out[root] = data.to_vec();
+            out
+        })
+    }
+
+    /// [`Comm::gather`], leaving the contributions where they lie: in
+    /// this member's schedule's parts at the root (whose own part is
+    /// empty). Returns whether this member is the root.
+    fn gather_in_place(&mut self, ctx: &mut RankCtx, root: usize, data: &[u8]) -> bool {
+        let p = self.size();
+        assert!(root < p, "gather root {root} out of range");
+        let at_root = self.my_pos == root;
+        let s = &mut self.sched;
+        s.start(data, None);
         if at_root {
-            steps.parts = vec![Vec::new(); self.size()];
-            for r in (0..self.size()).filter(|&r| r != root) {
-                steps.recv_part(r, r);
+            s.parts_mut().resize(p, Payload::empty());
+            for r in (0..p).filter(|&r| r != root) {
+                s.recv_part(r, r);
             }
         } else {
-            steps.send(root);
+            s.send(root);
         }
         // Linear gather: every rank posts its message at once — full
         // per-node NIC concurrency.
-        let steps = self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps));
-        at_root.then(|| {
-            let mut out = steps.parts;
-            out[root] = steps.buf;
-            out
-        })
+        self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
+        at_root
     }
 
     /// Scatters one buffer per member from `root` (which must pass
@@ -46,61 +62,117 @@ impl Comm {
         root: usize,
         chunks: Option<&[Vec<u8>]>,
     ) -> Vec<u8> {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        let mut steps = Steps::new(Vec::new(), self.size());
-        if self.rank() == root {
+        let p = self.size();
+        assert!(root < p, "scatter root {root} out of range");
+        let at_root = self.my_pos == root;
+        let s = &mut self.sched;
+        if at_root {
             let chunks = chunks.expect("scatter root must supply chunks");
-            assert_eq!(
-                chunks.len(),
-                self.size(),
-                "scatter needs one chunk per member"
-            );
-            steps.buf = chunks[root].clone();
-            steps.parts = chunks.to_vec();
-            for r in (0..self.size()).filter(|&r| r != root) {
-                steps.send_part(r, r);
+            assert_eq!(chunks.len(), p, "scatter needs one chunk per member");
+            s.start(&chunks[root], None);
+            let parts = chunks.iter().map(|c| Payload::from_slice(c));
+            s.parts_mut().extend(parts);
+            for r in (0..p).filter(|&r| r != root) {
+                s.send_part(r, r);
             }
         } else {
-            steps.recv_replace(root);
+            s.start(&[], None);
+            s.recv_replace(root);
         }
         // Linear scatter: only the root sends (sequentially) — no
         // concurrent senders per node.
-        self.run_steps(ctx, steps).buf
+        self.run_sched(ctx);
+        self.sched.data().to_vec()
     }
 
     /// Every member contributes `data`; every member receives all
     /// contributions in communicator rank order (gather at 0 + bcast of
     /// the length-prefixed concatenation).
     pub fn allgather(&mut self, ctx: &mut RankCtx, data: &[u8]) -> Vec<Vec<u8>> {
-        let gathered = self.gather(ctx, 0, data);
-        let packed = match gathered {
-            Some(parts) => {
-                let mut buf = Vec::new();
-                for p in &parts {
-                    buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(p);
-                }
-                buf
+        self.allgather_in_place(ctx, data);
+        records(self.sched.data(), self.size())
+            .map(<[u8]>::to_vec)
+            .collect()
+    }
+
+    /// [`Comm::allgather`], leaving the length-prefixed concatenation
+    /// where it lies: in this member's schedule, shared with every
+    /// member. Read it with [`records`] or [`fixed_records`].
+    pub(crate) fn allgather_in_place(&mut self, ctx: &mut RankCtx, data: &[u8]) {
+        let mut packed = Vec::new();
+        if self.gather_in_place(ctx, 0, data) {
+            let parts = self.sched.parts_mut();
+            let len = parts.iter().map(|p| PREFIX + p.len()).sum::<usize>() + data.len();
+            packed.reserve_exact(len);
+            for (i, part) in parts.iter().enumerate() {
+                let part = if i == 0 { data } else { part };
+                packed.extend_from_slice(&len_prefix(part.len()));
+                packed.extend_from_slice(part);
             }
-            None => Vec::new(),
-        };
-        let packed = self.bcast(ctx, 0, &packed);
-        unpack(&packed, self.size())
+        }
+        self.bcast_in_place(ctx, 0, &packed);
     }
 }
 
-fn unpack(buf: &[u8], n: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(n);
+/// Bytes of the length prefix before each record of an allgather's
+/// packed buffer.
+const PREFIX: usize = 4;
+
+fn len_prefix(len: usize) -> [u8; PREFIX] {
+    u32::try_from(len)
+        .expect("an allgather record fits in 32 bits")
+        .to_le_bytes()
+}
+
+/// The `n` records of an allgather's length-prefixed concatenation, in
+/// member order.
+///
+/// # Panics
+/// Panics (as the iteration reaches it) on a truncated buffer, and at
+/// the end on trailing bytes.
+fn records(packed: &[u8], n: usize) -> impl Iterator<Item = &[u8]> {
     let mut off = 0usize;
-    for _ in 0..n {
-        let len =
-            u32::from_le_bytes(buf[off..off + 4].try_into().expect("truncated allgather")) as usize;
-        off += 4;
-        out.push(buf[off..off + len].to_vec());
-        off += len;
-    }
-    assert_eq!(off, buf.len(), "trailing bytes in allgather payload");
-    out
+    (0..n).map(move |i| {
+        let len = u32::from_le_bytes(
+            packed[off..off + PREFIX]
+                .try_into()
+                .expect("truncated allgather"),
+        ) as usize;
+        let rec = &packed[off + PREFIX..off + PREFIX + len];
+        off += PREFIX + len;
+        if i + 1 == n {
+            assert_eq!(off, packed.len(), "trailing bytes in allgather payload");
+        }
+        rec
+    })
+}
+
+/// The `n` records of an allgather whose every contribution was `len`
+/// bytes, in member order, read at a fixed stride (so from either end).
+///
+/// # Panics
+/// Panics if the buffer is not `n` records' length (and, in debug
+/// builds, if a record is not `len` bytes).
+pub(crate) fn fixed_records(
+    packed: &[u8],
+    n: usize,
+    len: usize,
+) -> impl DoubleEndedIterator<Item = &[u8]> + ExactSizeIterator {
+    assert_eq!(
+        packed.len(),
+        n * (PREFIX + len),
+        "an allgather of {len}-byte records"
+    );
+    packed.chunks_exact(PREFIX + len).map(move |rec| {
+        // Every member reads all `n` records, so the per-record check is
+        // a debug one; the length check above holds in release.
+        debug_assert_eq!(
+            rec[..PREFIX],
+            len_prefix(len),
+            "an allgather of {len}-byte records"
+        );
+        &rec[PREFIX..]
+    })
 }
 
 #[cfg(test)]

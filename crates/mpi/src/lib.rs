@@ -31,7 +31,6 @@ mod bcast;
 mod gather;
 mod reduce;
 mod split;
-mod steps;
 mod tag;
 
 pub use alltoall::AlltoallAlgorithm;
@@ -41,7 +40,7 @@ pub use tag::{tags, Bytes, Tag};
 
 use hcs_clock::GlobalTime;
 use hcs_sim::msg::Payload;
-use hcs_sim::{Group, Rank, RankCtx, Wire};
+use hcs_sim::{Group, Rank, RankCtx, Schedule, Wire};
 use tag::{RawTag, COLL_BIT};
 
 /// Bit position where the context id starts inside a tag.
@@ -71,6 +70,10 @@ pub struct Comm {
     /// (including itself) — declared as NIC contention peers during
     /// collectives.
     node_peers: usize,
+    /// This member's schedule of the last collective, kept so the next
+    /// one reuses its capacity; its working buffer holds that
+    /// collective's result.
+    sched: Schedule,
 }
 
 impl Comm {
@@ -85,10 +88,11 @@ impl Comm {
             seq: 0,
             split_count: 0,
             node_peers,
+            sched: Schedule::new(),
         }
     }
 
-    fn from_members(ctx: &RankCtx, members: Vec<Rank>, ctx_id: u32) -> Self {
+    fn from_members(ctx: &RankCtx, members: std::sync::Arc<[Rank]>, ctx_id: u32) -> Self {
         let me = ctx.rank();
         let my_pos = members
             .iter()
@@ -100,12 +104,13 @@ impl Comm {
             .filter(|&&r| ctx.topology().node_of(r) == my_node)
             .count();
         Self {
-            group: Group::new(members.into()),
+            group: Group::new(members),
             my_pos,
             ctx_id,
             seq: 0,
             split_count: 0,
             node_peers,
+            sched: Schedule::new(),
         }
     }
 
@@ -188,6 +193,15 @@ impl Comm {
     /// Receives a value of the tag's payload type.
     pub fn recv_t<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag<T>) -> T {
         T::from_wire(ctx.recv(self.global_rank(src), self.user_tag(tag)).as_ref())
+    }
+
+    /// Walks this member's schedule in `self.sched`, built by one
+    /// collective's algorithm, on a fresh internal tag; `self.sched`
+    /// then holds the result.
+    fn run_sched(&mut self, ctx: &mut RankCtx) {
+        let tag = self.next_coll_tag();
+        let sched = std::mem::take(&mut self.sched);
+        self.sched = ctx.collective(&self.group, self.my_pos, tag, sched);
     }
 
     /// Runs `body` with the NIC-contention peer count declared (used by

@@ -5,9 +5,8 @@
 //! harness uses [`ReduceOp::ByteMax`] because it is valid at *any*
 //! message size — the paper's Figs. 7 and 9 sweep sizes from 4 B up.
 
-use hcs_sim::{RankCtx, Wire};
+use hcs_sim::{Fold, RankCtx, Schedule, Wire};
 
-use crate::steps::Steps;
 use crate::Comm;
 
 /// Element-wise reduction operator.
@@ -39,6 +38,7 @@ impl ReduceOp {
     ///
     /// # Panics
     /// Panics on length mismatch or misaligned payloads.
+    #[inline]
     pub fn fold(&self, acc: &mut [u8], other: &[u8]) {
         assert_eq!(acc.len(), other.len(), "allreduce payload length mismatch");
         match self {
@@ -77,6 +77,18 @@ impl ReduceOp {
             }
         }
     }
+
+    /// [`ReduceOp::fold`] of this operator as a plain function, for a
+    /// collective's schedule.
+    fn folder(self) -> Fold {
+        match self {
+            ReduceOp::ByteMax => |acc, other| ReduceOp::ByteMax.fold(acc, other),
+            ReduceOp::F64Sum => |acc, other| ReduceOp::F64Sum.fold(acc, other),
+            ReduceOp::F64Min => |acc, other| ReduceOp::F64Min.fold(acc, other),
+            ReduceOp::F64Max => |acc, other| ReduceOp::F64Max.fold(acc, other),
+            ReduceOp::F64LOr => |acc, other| ReduceOp::F64LOr.fold(acc, other),
+        }
+    }
 }
 
 /// Which `MPI_Allreduce` algorithm to run.
@@ -102,8 +114,8 @@ impl Comm {
     /// Allreduce of a single `f64` (the paper's Round-Time scheme
     /// allreduces its `invalid` / `out_of_time` flags this way).
     pub fn allreduce_f64(&mut self, ctx: &mut RankCtx, x: f64, op: ReduceOp) -> f64 {
-        let out = self.allreduce(ctx, x.to_wire().as_ref(), op);
-        f64::from_wire(&out)
+        let alg = AllreduceAlgorithm::RecursiveDoubling;
+        f64::from_wire(self.allreduce_in_place(ctx, x.to_wire().as_ref(), op, alg))
     }
 
     /// Allreduce with an explicit algorithm choice.
@@ -114,23 +126,35 @@ impl Comm {
         op: ReduceOp,
         alg: AllreduceAlgorithm,
     ) -> Vec<u8> {
+        self.allreduce_in_place(ctx, data, op, alg).to_vec()
+    }
+
+    /// [`Comm::allreduce_alg`], returning the result where it lies: in
+    /// this member's schedule.
+    fn allreduce_in_place(
+        &mut self,
+        ctx: &mut RankCtx,
+        data: &[u8],
+        op: ReduceOp,
+        alg: AllreduceAlgorithm,
+    ) -> &[u8] {
         assert_eq!(
             data.len() % op.alignment(),
             0,
             "payload not aligned for {op:?}"
         );
-        if self.size() <= 1 {
-            return data.to_vec();
-        }
         let (r, p) = (self.rank(), self.size());
-        let mut steps = Steps::reducing(data.to_vec(), p, op);
-        match alg {
-            AllreduceAlgorithm::RecursiveDoubling => recursive_doubling(&mut steps, r, p),
-            AllreduceAlgorithm::ReduceBcast => reduce_bcast(&mut steps, r, p),
-            AllreduceAlgorithm::Ring => ring(&mut steps, r, p, op),
+        let s = &mut self.sched;
+        s.start(data, Some(op.folder()));
+        if p > 1 {
+            match alg {
+                AllreduceAlgorithm::RecursiveDoubling => recursive_doubling(s, r, p),
+                AllreduceAlgorithm::ReduceBcast => reduce_bcast(s, r, p),
+                AllreduceAlgorithm::Ring => ring(s, r, p, op),
+            }
+            self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
         }
-        self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps))
-            .buf
+        self.sched.data()
     }
 }
 
@@ -157,20 +181,21 @@ impl Comm {
         let p = self.size();
         let vr = (self.rank() + p - root) % p;
         let unvirt = |v: usize| (v + root) % p;
-        let mut steps = Steps::reducing(data.to_vec(), p, op);
+        let s = &mut self.sched;
+        s.start(data, Some(op.folder()));
         let mut mask = 1usize;
         let mut sent = false;
         while mask < p && !sent {
             if vr & mask != 0 {
-                steps.send(unvirt(vr - mask));
+                s.send(unvirt(vr - mask));
                 sent = true;
             } else if vr + mask < p {
-                steps.recv_fold(unvirt(vr + mask));
+                s.recv_fold(unvirt(vr + mask));
             }
             mask <<= 1;
         }
-        let steps = self.with_contention(ctx, |comm, ctx| comm.run_steps(ctx, steps));
-        (!sent).then_some(steps.buf)
+        self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
+        (!sent).then(|| self.sched.data().to_vec())
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`): rank `r` receives the
@@ -213,7 +238,7 @@ impl Comm {
 /// Recursive doubling over the largest power of two `m <= p`; the
 /// `p - m` extra ranks fold into a low partner first and get the result
 /// from it last.
-fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
+fn recursive_doubling(s: &mut Schedule, r: usize, p: usize) {
     let mut m = 1usize;
     while m * 2 <= p {
         m *= 2;
@@ -239,7 +264,7 @@ fn recursive_doubling(s: &mut Steps, r: usize, p: usize) {
 }
 
 /// Binomial reduce to rank 0, then binomial broadcast of the result.
-fn reduce_bcast(s: &mut Steps, r: usize, p: usize) {
+fn reduce_bcast(s: &mut Schedule, r: usize, p: usize) {
     // Binomial fan-in reduction to rank 0.
     let mut mask = 1usize;
     while mask < p {
@@ -266,9 +291,9 @@ fn reduce_bcast(s: &mut Steps, r: usize, p: usize) {
 }
 
 /// Chunked ring: reduce-scatter, then allgather of the reduced chunks.
-fn ring(s: &mut Steps, r: usize, p: usize, op: ReduceOp) {
+fn ring(s: &mut Schedule, r: usize, p: usize, op: ReduceOp) {
     let align = op.alignment();
-    let elems = s.buf.len() / align;
+    let elems = s.data().len() / align;
     if elems == 0 {
         // Nothing to chunk; degenerate to recursive doubling semantics
         // via a simple reduce+bcast on the empty payload.

@@ -8,11 +8,39 @@
 
 use hcs_sim::RankCtx;
 
+use crate::gather::fixed_records;
 use crate::{Comm, CTX_MAX};
 
 /// Number of child-context slots per communicator (context ids form a
 /// base-8 path down the split tree).
 const CTX_FANOUT: u32 = 8;
+
+/// Bytes of one member's record of a split's allgather.
+const RECORD: usize = 17;
+
+/// One member's `(color_present, color, key)` record of a split's
+/// allgather.
+fn record(color: Option<u64>, key: u64) -> [u8; RECORD] {
+    let mut rec = [0u8; RECORD];
+    rec[0] = color.is_some() as u8;
+    rec[1..9].copy_from_slice(&color.unwrap_or(0).to_le_bytes());
+    rec[9..17].copy_from_slice(&key.to_le_bytes());
+    rec
+}
+
+/// Every member's color (`None` for `MPI_UNDEFINED`) and key, in member
+/// order, read in place from the allgather's packed buffer.
+fn records(
+    packed: &[u8],
+    n: usize,
+) -> impl DoubleEndedIterator<Item = (Option<u64>, u64)> + ExactSizeIterator + '_ {
+    fixed_records(packed, n, RECORD).map(|rec| {
+        let word = |at: usize| {
+            u64::from_le_bytes(rec[at..at + 8].try_into().expect("17-byte split record"))
+        };
+        ((rec[0] != 0).then(|| word(1)), word(9))
+    })
+}
 
 impl Comm {
     /// Splits this communicator: members passing the same `Some(color)`
@@ -21,37 +49,37 @@ impl Comm {
     ///
     /// All members must call this (collective).
     pub fn split(&mut self, ctx: &mut RankCtx, color: Option<u64>, key: u64) -> Option<Comm> {
-        // Agree on the child context id before communicating.
+        let child_ctx = self.next_child_ctx();
+        self.allgather_in_place(ctx, &record(color, key));
+        // A member without a color gets no communicator.
+        color?;
+        let all = self.sched.data();
+        let mine = || {
+            records(all, self.size())
+                .enumerate()
+                .filter(|(_, (c, _))| *c == color)
+        };
+        // Counted first, so the list is one allocation of its final size.
+        let mut members: Vec<(u64, usize)> = Vec::with_capacity(mine().count());
+        members.extend(mine().map(|(old_rank, (_, k))| (k, old_rank)));
+        members.sort_unstable();
+        let globals = members
+            .iter()
+            .map(|&(_, old)| self.global_rank(old))
+            .collect();
+        Some(Comm::from_members(ctx, globals, child_ctx))
+    }
+
+    /// The context id of the next child communicator: every member
+    /// agrees on it before communicating.
+    fn next_child_ctx(&mut self) -> u32 {
         self.split_count += 1;
         let child_ctx = self.ctx_id * CTX_FANOUT + self.split_count;
         assert!(
             child_ctx <= CTX_MAX && self.split_count < CTX_FANOUT,
             "communicator split tree exhausted the context-id space"
         );
-
-        // Allgather (color_present, color, key).
-        let mut mine = Vec::with_capacity(17);
-        mine.push(color.is_some() as u8);
-        mine.extend_from_slice(&color.unwrap_or(0).to_le_bytes());
-        mine.extend_from_slice(&key.to_le_bytes());
-        let all = self.allgather(ctx, &mine);
-
-        let my_color = color?;
-        let mut members: Vec<(u64, usize)> = Vec::new();
-        for (old_rank, rec) in all.iter().enumerate() {
-            let present = rec[0] != 0;
-            let c = u64::from_le_bytes(rec[1..9].try_into().expect("17-byte split record"));
-            let k = u64::from_le_bytes(rec[9..17].try_into().expect("17-byte split record"));
-            if present && c == my_color {
-                members.push((k, old_rank));
-            }
-        }
-        members.sort_unstable();
-        let globals: Vec<usize> = members
-            .iter()
-            .map(|&(_, old)| self.global_rank(old))
-            .collect();
-        Some(Comm::from_members(ctx, globals, child_ctx))
+        child_ctx
     }
 
     /// `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`: one communicator per
@@ -73,22 +101,39 @@ impl Comm {
     /// `group` (as computed by `group_of`) joins; everyone else gets
     /// `None`. Used for the inter-node and inter-socket levels of the
     /// hierarchical schemes.
+    ///
+    /// Each member computes only its own group: the split's allgather
+    /// carries it as the record's color, and the members read the
+    /// leaders off the records. The records are as large as those of
+    /// [`Comm::split`] with a leader's color, so the messages, and the
+    /// virtual time they take, are the same.
     pub fn split_leaders(
         &mut self,
         ctx: &mut RankCtx,
         group_of: impl Fn(&RankCtx, usize) -> u64,
     ) -> Option<Comm> {
         let my_group = group_of(ctx, ctx.rank());
-        // Am I the lowest comm rank of my group?
-        let mut is_leader = true;
-        for r in 0..self.rank() {
-            if group_of(ctx, self.global_rank(r)) == my_group {
-                is_leader = false;
-                break;
+        let child_ctx = self.next_child_ctx();
+        let me = self.rank();
+        self.allgather_in_place(ctx, &record(Some(my_group), me as u64));
+        let all = self.sched.data();
+        let groups =
+            || records(all, self.size()).map(|(g, _)| g.expect("every member names its group"));
+        // Am I the lowest comm rank of my group? (Searched downward: a
+        // group's members are usually adjacent.)
+        if groups().take(me).rev().any(|g| g == my_group) {
+            return None;
+        }
+        // The leaders: each group's first member, in comm rank order.
+        let mut seen: Vec<u64> = Vec::new();
+        let mut leaders = Vec::new();
+        for (r, g) in groups().enumerate() {
+            if let Err(at) = seen.binary_search(&g) {
+                seen.insert(at, g);
+                leaders.push(self.global_rank(r));
             }
         }
-        let color = if is_leader { Some(0) } else { None };
-        self.split(ctx, color, self.rank() as u64)
+        Some(Comm::from_members(ctx, leaders.into(), child_ctx))
     }
 
     /// Leaders-of-nodes communicator (inter-node level of H2HCA).

@@ -9,9 +9,10 @@ use hcs_obs::{ClockReadings, ObsSpec, RankRecorder};
 
 use super::net::{BatchWait, RunNet, POISON_TAG};
 use super::outcome::{RecvTimeout, TimeoutReason};
-use super::rendezvous::{Arrival, Group, Member, Step, StepProgram};
+use super::rendezvous::{Arrival, Group, Member};
 #[cfg(doc)]
 use super::run::Cluster;
+use super::schedule::{Op, Schedule};
 use super::timing::{Delivery, Law, Leg, Route, Timing};
 use crate::events;
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
@@ -343,7 +344,7 @@ impl RankCtx {
     /// # Panics
     /// Panics on self-sends, out-of-range destinations and reserved tags.
     pub fn send(&mut self, dst: Rank, tag: Tag, payload: &[u8]) {
-        self.post(dst, tag, payload, false);
+        self.post(dst, tag, Payload::from_slice(payload), false);
     }
 
     /// Synchronous send (`MPI_Ssend` semantics): completes only once the
@@ -352,7 +353,7 @@ impl RankCtx {
     /// Under [`RankCtx::set_recv_timeout`] the ack wait times out like
     /// any receive (a dropped data message never gets acked).
     pub fn ssend(&mut self, dst: Rank, tag: Tag, payload: &[u8]) {
-        self.post(dst, tag, payload, true);
+        self.post(dst, tag, Payload::from_slice(payload), true);
         // Wait for the ack; its arrival time carries the completion time.
         let deadline = self.recv_timeout.map(|s| self.timing.now + s);
         match self.pull_match_deadline(dst, tag | ACK_BIT, deadline) {
@@ -363,13 +364,14 @@ impl RankCtx {
         }
     }
 
-    fn post(&mut self, dst: Rank, tag: Tag, payload: &[u8], needs_ack: bool) {
+    fn post(&mut self, dst: Rank, tag: Tag, payload: Payload, needs_ack: bool) {
         assert!(
             dst < self.size,
             "send to out-of-range rank {dst} (size {})",
             self.size
         );
         assert_eq!(tag & ACK_BIT, 0, "tag {tag:#x} uses the reserved ACK bit");
+        let bytes = payload.len();
         let post = Post {
             me: self.rank,
             dst,
@@ -382,15 +384,8 @@ impl RankCtx {
             reorder_hold: &mut self.reorder_hold,
             decision: FaultDecision::CLEAN,
         };
-        self.timing.send(
-            &self.law,
-            self.rank,
-            dst,
-            tag,
-            payload.len(),
-            Leg::Data,
-            post,
-        );
+        self.timing
+            .send(&self.law, self.rank, dst, tag, bytes, Leg::Data, post);
     }
 
     /// Delivers every held (fault-reordered) envelope directly to its
@@ -493,93 +488,93 @@ impl RankCtx {
         Ok(env.payload)
     }
 
-    /// Runs member `me`'s part of a collective among `group` under
-    /// `tag` and returns `program` once it is [`Step::Done`]; its state
-    /// then holds this member's result.
+    /// Walks member `me`'s schedule of a collective among `group` under
+    /// `tag` and returns it finished: its working buffer then holds this
+    /// member's result.
     ///
     /// With an empty fault plan the members meet in one rendezvous,
-    /// where the last to enter evaluates every member's steps with the
+    /// where the last to enter walks every member's schedule with the
     /// message path's timing law (module docs of `rendezvous`); if any
     /// member has a receive-timeout policy, and in every run with a
-    /// fault plan, each member takes its steps on messages. Virtual
+    /// fault plan, each member walks its schedule on messages. Virtual
     /// time, counters, recorded events and results are identical either
     /// way.
     ///
     /// # Panics
     /// Panics if `group` does not hold this rank at index `me`.
-    pub fn collective<P: StepProgram>(
+    pub fn collective(
         &mut self,
         group: &Group,
         me: usize,
         tag: Tag,
-        mut program: P,
-    ) -> P {
+        mut sched: Schedule,
+    ) -> Schedule {
         assert_eq!(
             group.ranks()[me],
             self.rank,
             "collective member {me} is not this rank"
         );
         if group.len() > 1 && self.faults.is_none() {
-            let (back, on_messages) = self.rendezvous(group, me, tag, Box::new(program));
-            let back: Box<dyn std::any::Any> = back;
-            program = *back
-                .downcast::<P>()
-                .expect("a rendezvous hands back the program it was given");
+            let on_messages;
+            (sched, on_messages) = self.rendezvous(group, me, tag, sched);
             if !on_messages {
-                return program;
+                return sched;
             }
         }
-        let mut got = None;
-        loop {
-            match program.next(got.take()) {
-                Step::Send(to, data) => self.send(group.ranks()[to], tag, data),
-                Step::Recv(from) => got = Some(self.recv(group.ranks()[from], tag)),
-                Step::Done => return program,
+        for k in 0..sched.ops().len() {
+            match sched.ops()[k] {
+                Op::Send(to, src) => {
+                    let payload = sched.payload(src);
+                    self.post(group.ranks()[to as usize], tag, payload, false);
+                }
+                Op::Recv(from, sink) => {
+                    let got = self.recv(group.ranks()[from as usize], tag);
+                    sched.absorb(sink, got);
+                }
             }
         }
+        sched
     }
 
     /// Enters the rendezvous of the collective on `tag` among `group`:
-    /// moves this rank's timing state and `program` into the slot and
+    /// moves this rank's timing state and `sched` into the slot and
     /// parks until the last member has evaluated them, or evaluates
-    /// them itself. Returns the program with whether it must still run
-    /// on messages (a member has a receive-timeout policy).
+    /// them itself. Returns the schedule with whether it must still be
+    /// walked on messages (a member has a receive-timeout policy).
     fn rendezvous(
         &mut self,
         group: &Group,
         me: usize,
         tag: Tag,
-        program: Box<dyn StepProgram>,
-    ) -> (Box<dyn StepProgram>, bool) {
+        sched: Schedule,
+    ) -> (Schedule, bool) {
         let timed = self.recv_timeout.is_some();
         let now = self.timing.now;
         let member = Member {
             timing: std::mem::replace(&mut self.timing, Timing::vacant()),
-            program,
+            sched,
         };
         let mut table = self.net.rendezvous.acquire();
-        let arrival = table.arrive(&self.law, group, me, tag, timed, member);
-        drop(table);
-        let id = match arrival {
-            Arrival::Resolved {
-                wake,
-                back,
-                on_messages,
-            } => {
-                self.net.release_all(&wake);
+        let id = match table.arrive(&self.law, group, me, tag, timed, member) {
+            Arrival::Resolved { back, on_messages } => {
+                self.net.release_all(table.woken());
+                drop(table);
                 return self.take_back(back, on_messages);
             }
             Arrival::Wait { id } => id,
         };
+        drop(table);
         loop {
             // A peer's poison means the run is failing (the collective
             // can never complete, or its evaluation panicked), as on
             // messages.
-            let poisoned = self.ring.iter().find(|env| env.tag == POISON_TAG);
-            if let Some(src) = poisoned
-                .map(|env| env.src)
-                .or_else(|| self.net.poisoned(self.rank))
-            {
+            let poisoned = || {
+                let in_ring = self.ring.iter().find(|env| env.tag == POISON_TAG);
+                in_ring
+                    .map(|env| env.src)
+                    .or_else(|| self.net.poisoned(self.rank))
+            };
+            if let Some(src) = self.net.poison_sent().then(poisoned).flatten() {
                 panic!(
                     "rank {}: peer rank {src} panicked while this rank was waiting in the \
                      collective on tag {tag:#x}",
@@ -598,10 +593,10 @@ impl RankCtx {
     }
 
     /// Restores the timing state a rendezvous handed back and returns
-    /// the program.
-    fn take_back(&mut self, member: Member, on_messages: bool) -> (Box<dyn StepProgram>, bool) {
+    /// the schedule.
+    fn take_back(&mut self, member: Member, on_messages: bool) -> (Schedule, bool) {
         self.timing = member.timing;
-        (member.program, on_messages)
+        (member.sched, on_messages)
     }
 
     /// Sends a typed value over the [`Wire`] encoding.
@@ -628,7 +623,7 @@ impl RankCtx {
             me: self.rank,
             dst,
             tag: ack_tag,
-            payload: &[],
+            payload: Payload::empty(),
             needs_ack: false,
             leg: Leg::Ack,
             faults: &mut self.faults,
@@ -786,7 +781,7 @@ struct Post<'a> {
     me: Rank,
     dst: Rank,
     tag: Tag,
-    payload: &'a [u8],
+    payload: Payload,
     needs_ack: bool,
     leg: Leg,
     faults: &'a mut Option<FaultState>,
@@ -845,6 +840,10 @@ impl Delivery for Post<'_> {
                 }
             }
         }
+        let dup = match self.decision.duplicate {
+            Some(extra) if !dropped => Some((extra, self.payload.clone())),
+            _ => None,
+        };
         let env = Envelope {
             src: self.me,
             tag: self.tag,
@@ -855,7 +854,7 @@ impl Delivery for Post<'_> {
             payload: if dropped {
                 Payload::empty()
             } else {
-                Payload::from_slice(self.payload)
+                self.payload
             },
         };
         if self.leg == Leg::Ack {
@@ -880,7 +879,7 @@ impl Delivery for Post<'_> {
             // same destination was waiting to be overtaken by.
             release_holds_for(self.reorder_hold, self.net, self.dst);
         }
-        if let (Some(extra), false) = (self.decision.duplicate, dropped) {
+        if let Some((extra, payload)) = dup {
             t.note("fault/duplicate");
             let dup = Envelope {
                 src: self.me,
@@ -889,7 +888,7 @@ impl Delivery for Post<'_> {
                 arrival: arrival + extra,
                 needs_ack: false,
                 dropped: false,
-                payload: Payload::from_slice(self.payload),
+                payload,
             };
             // The copy trails its primary wherever that went; it is not
             // a posted message (counters untouched, no watermark).

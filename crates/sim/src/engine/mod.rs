@@ -24,7 +24,8 @@
 //!
 //! The code follows its seams: `net` (mailboxes and the per-run
 //! park/wake protocol over the scheduler in `events`), `timing` (the timing law of one message),
-//! `ctx` ([`RankCtx`]), `rendezvous` (collectives evaluated in one
+//! `ctx` ([`RankCtx`]), `schedule` (a collective member's ops as
+//! plain data), `rendezvous` (collectives evaluated in one
 //! rendezvous), `run` ([`Cluster`], its builder and the run driver) and
 //! `outcome` (timeout and per-rank outcome types).
 
@@ -33,12 +34,14 @@ mod net;
 mod outcome;
 mod rendezvous;
 mod run;
+mod schedule;
 mod timing;
 
 pub use ctx::{RankCtx, TrafficCounters};
 pub use outcome::{RankOutcome, RecvTimeout, RunOutcome, TimeoutReason};
-pub use rendezvous::{Group, Step, StepProgram};
+pub use rendezvous::Group;
 pub use run::{Cluster, ClusterBuilder, EngineMode, EnvSpec};
+pub use schedule::{Fold, Schedule};
 
 #[cfg(test)]
 mod tests {
@@ -578,24 +581,17 @@ mod tests {
 
     /// A linear barrier: every member reports to member 0, which then
     /// releases them all.
-    struct LinearBarrier {
-        me: usize,
-        n: usize,
-        step: usize,
-    }
-
-    impl StepProgram for LinearBarrier {
-        fn next(&mut self, _: Option<crate::msg::Payload>) -> Step<'_> {
-            let (k, others) = (self.step, self.n - 1);
-            self.step += 1;
-            match (self.me, k) {
-                (0, k) if k < others => Step::Recv(k + 1),
-                (0, k) if k < 2 * others => Step::Send(k - others + 1, &[]),
-                (0, _) | (_, 2..) => Step::Done,
-                (_, 0) => Step::Send(0, &[]),
-                (_, _) => Step::Recv(0),
-            }
+    fn linear_barrier(me: usize, n: usize) -> Schedule {
+        let mut s = Schedule::new();
+        s.start(&[], None);
+        if me == 0 {
+            (1..n).for_each(|from| s.recv_drop(from));
+            (1..n).for_each(|to| s.send(to));
+        } else {
+            s.send(0);
+            s.recv_drop(0);
         }
+        s
     }
 
     /// Heap order, then 16 scrambled orders of streams other than the
@@ -623,7 +619,7 @@ mod tests {
             ctx.recv(4, 0x55);
         }
         let group = ctx.world_group();
-        ctx.collective(&group, me, 0x1_0000, LinearBarrier { me, n, step: 0 });
+        ctx.collective(&group, me, 0x1_0000, linear_barrier(me, n));
         if me == 4 {
             ctx.send(2, 0x55, &[1]);
         }

@@ -53,6 +53,8 @@ pub(super) struct RunNet {
     /// parked deadline waiters observe sender completion. Benign runs
     /// keep the single wake-all.
     wake_done: AtomicBool,
+    /// Whether any rank has poisoned the mailboxes ([`RunNet::poison_from`]).
+    poison_sent: AtomicBool,
     /// Each rank's wait-for edge, registered by a receive before it
     /// parks (`RankCtx::pull_match_deadline`), and for a member parked
     /// in a collective rendezvous by the drain pass. It tells
@@ -103,6 +105,7 @@ impl RunNet {
             alive: AtomicUsize::new(size),
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
             wake_done: AtomicBool::new(wake_on_done),
+            poison_sent: AtomicBool::new(false),
             waits: WaitGraph::new(size),
             world: OnceLock::new(),
             events,
@@ -125,6 +128,12 @@ impl RunNet {
             self.waits.end_wait(rank);
             self.events.wake(rank);
         }
+    }
+
+    /// Whether any rank has poisoned the mailboxes: without that, no
+    /// mailbox or delivery ring holds a poison.
+    pub(super) fn poison_sent(&self) -> bool {
+        self.poison_sent.load(Ordering::Acquire)
     }
 
     /// The rank whose poison sits in `me`'s mailbox, if any.
@@ -317,6 +326,7 @@ impl RunNet {
     /// anyone): poisons every mailbox so their receives fail fast
     /// instead of deadlocking the run.
     pub(super) fn poison_from(&self, src: Rank) {
+        self.poison_sent.store(true, Ordering::Release);
         for dst in 0..self.boxes.len() {
             if dst != src {
                 self.send(

@@ -1,14 +1,14 @@
 //! Collectives in one rendezvous.
 //!
-//! A collective's members each run a [`StepProgram`]: their message
-//! steps in program order. Its virtual-time outcome is a pure function
-//! of each member's state at entry — every send's arrival is fixed by
-//! the sender's stream and FIFO clamp, every receive does
+//! A collective's members each bring a [`Schedule`]: their message ops
+//! in program order. Its virtual-time outcome is a pure function of
+//! each member's state at entry — every send's arrival is fixed by the
+//! sender's stream and FIFO clamp, every receive does
 //! `now = max(now, arrival) + recv_overhead` — so the members need not
 //! take turns message by message. With an empty fault plan each member
-//! moves its [`Timing`] and its program into a per-run slot and parks
-//! once, whichever [`crate::EngineMode`] runs it; the last member to enter
-//! evaluates every member's steps in dependency order (`Evaluator`)
+//! moves its [`Timing`] and its schedule into a per-run slot and parks
+//! once, whichever [`crate::EngineMode`] runs it; the last member to
+//! enter walks every member's ops in dependency order (`Evaluator`)
 //! with the same timing law the message path applies, hands each member
 //! its state back and wakes them. Parking costs no virtual time, so a
 //! slot that learns a member has a receive-timeout policy releases
@@ -23,41 +23,16 @@
 //!
 //! The slot is named by the wire tag plus the group's lowest global
 //! rank: the sibling communicators of one split share a context id, and
-//! with it their tags.
+//! with it their tags. Slots, the evaluator's buffers and the list of
+//! members to wake keep their capacity from one collective to the next,
+//! so a steady-state rendezvous allocates nothing.
 
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use super::schedule::{Op, Schedule};
 use super::timing::{Delivery, Law, Leg, Timing};
 use crate::msg::Payload;
 use crate::{Rank, SimTime, Tag};
-
-/// One step of a member's [`StepProgram`].
-#[derive(Debug)]
-pub enum Step<'a> {
-    /// Send `data` to the member at this index of the group.
-    Send(usize, &'a [u8]),
-    /// Receive the next message from the member at this index.
-    Recv(usize),
-    /// The program is finished.
-    Done,
-}
-
-/// One member's part of a collective, as the message steps it takes in
-/// program order. The same program runs on the message path
-/// (`RankCtx::send` / `RankCtx::recv` step by step) or inside a
-/// rendezvous, with identical results; see [`crate::RankCtx::collective`].
-///
-/// Which steps a program takes may depend on the data it received (the
-/// evaluator follows whatever it asks for), but a program must not
-/// touch anything but its own state: in a rendezvous it runs on another
-/// member's stack.
-pub trait StepProgram: Any + Send {
-    /// The next step. `got` is the payload the previous step received
-    /// when that was a [`Step::Recv`], and `None` otherwise.
-    fn next(&mut self, got: Option<Payload>) -> Step<'_>;
-}
 
 /// The members of a collective in member order, and the lowest of their
 /// global ranks.
@@ -99,21 +74,23 @@ impl Group {
 }
 
 /// What a member moves into a slot: the state the timing law changes,
-/// and its program.
+/// and its schedule.
 pub(super) struct Member {
     pub(super) timing: Timing,
-    pub(super) program: Box<dyn StepProgram>,
+    pub(super) sched: Schedule,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SlotState {
+    /// No collective: the slot waits for reuse.
+    Free,
     /// Members are still entering (or the evaluation panicked; the
     /// poison of the failing rank then releases the parked members).
     Gathering,
     /// Every member's state is back in the slot, evaluated.
     Evaluated,
-    /// A member has a receive-timeout policy: every member runs its
-    /// program on messages.
+    /// A member has a receive-timeout policy: every member walks its
+    /// schedule on messages.
     Messages,
 }
 
@@ -137,26 +114,21 @@ impl Slot {
         self.entered == self.group.len() && self.held == 0
     }
 
-    /// The ranks of the members whose state sits here (they are
-    /// parked), except `me`.
-    fn parked_except(&self, me: usize) -> Vec<Rank> {
-        (0..self.members.len())
-            .filter(|&i| i != me && self.members[i].is_some())
-            .map(|i| self.group.ranks[i])
-            .collect()
+    /// Puts the ranks of the members whose state sits here (they are
+    /// parked), except `me`, into `wake`.
+    fn parked_except(&self, me: usize, wake: &mut Vec<Rank>) {
+        wake.clear();
+        let parked = (0..self.members.len()).filter(|&i| i != me && self.members[i].is_some());
+        wake.extend(parked.map(|i| self.group.ranks[i]));
     }
 }
 
 /// What entering a rendezvous asks of the member.
 pub(super) enum Arrival {
-    /// Wake the members in `wake`, then carry on with the state `back`:
-    /// evaluated, or still to run on messages (`on_messages`, for the
-    /// woken members too).
-    Resolved {
-        wake: Vec<Rank>,
-        back: Member,
-        on_messages: bool,
-    },
+    /// Wake the members in [`Rendezvous::woken`], then carry on with
+    /// the state `back`: evaluated, or still to walk on messages
+    /// (`on_messages`, for the woken members too).
+    Resolved { back: Member, on_messages: bool },
     /// Park until slot `id` resolves.
     Wait { id: usize },
 }
@@ -165,15 +137,18 @@ pub(super) enum Arrival {
 /// one collective to the next.
 #[derive(Default)]
 pub(super) struct Rendezvous {
-    /// Slots still gathering members, by (wire tag, lowest member).
-    open: BTreeMap<(Tag, Rank), usize>,
-    /// Every slot some member still has business with, by id. The key
-    /// alone cannot name a slot: the last member may enter the next
-    /// collective on the same tag before the others took their state
-    /// back.
-    slots: BTreeMap<usize, Slot>,
-    /// The id of the next slot.
-    next_id: usize,
+    /// Slots still gathering members, as (wire tag, lowest member) and
+    /// slot id, sorted.
+    open: Vec<((Tag, Rank), usize)>,
+    /// The slots by id: every one some member still has business with,
+    /// and free ones. The key alone cannot name a slot: the last member
+    /// may enter the next collective on the same tag before the others
+    /// took their state back.
+    slots: Vec<Slot>,
+    /// Ids of the free slots.
+    free: Vec<usize>,
+    /// The members the last resolving arrival asks to wake.
+    wake: Vec<Rank>,
     evaluator: Evaluator,
 }
 
@@ -191,33 +166,29 @@ impl Rendezvous {
         member: Member,
     ) -> Arrival {
         let key = (tag, group.lowest);
-        let id = *self.open.entry(key).or_insert_with(|| {
-            let id = self.next_id;
-            self.next_id += 1;
-            let slot = Slot {
-                group: group.clone(),
-                tag,
-                entered: 0,
-                state: SlotState::Gathering,
-                members: (0..group.len()).map(|_| None).collect(),
-                held: 0,
-                missing: 0,
-            };
-            self.slots.insert(id, slot);
-            id
-        });
-        let slot = self.slots.get_mut(&id).expect("an open slot exists");
+        let id = match self.open.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => self.open[at].1,
+            Err(at) => {
+                let id = self.open_slot(group, tag);
+                self.open.insert(at, (key, id));
+                id
+            }
+        };
+        let slot = &mut self.slots[id];
         slot.entered += 1;
         let last = slot.entered == slot.group.len();
         if last {
-            self.open.remove(&key);
+            let at = self
+                .open
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .expect("a gathering slot is open");
+            self.open.remove(at);
         }
         if timed || slot.state == SlotState::Messages {
             slot.state = SlotState::Messages;
-            let wake = slot.parked_except(me);
-            self.remove_if_drained(id);
+            slot.parked_except(me, &mut self.wake);
+            self.free_if_drained(id);
             return Arrival::Resolved {
-                wake,
                 back: member,
                 on_messages: true,
             };
@@ -233,36 +204,70 @@ impl Rendezvous {
         self.evaluator.run(law, &slot.group, tag, &mut slot.members);
         slot.state = SlotState::Evaluated;
         let back = slot.members[me].take().expect("the last member's state");
+        slot.parked_except(me, &mut self.wake);
         Arrival::Resolved {
-            wake: slot.parked_except(me),
             back,
             on_messages: false,
         }
     }
 
-    /// Member `me` of slot `id`, woken, takes its state back if the slot
-    /// is resolved: evaluated, or to run on messages (`true`).
-    pub(super) fn claim(&mut self, id: usize, me: usize) -> Option<(Member, bool)> {
-        let slot = self
+    /// The members the last [`Arrival::Resolved`] asks to wake.
+    pub(super) fn woken(&self) -> &[Rank] {
+        &self.wake
+    }
+
+    /// A gathering slot for the collective on `tag` among `group`: a
+    /// free one, reset, or a new one.
+    fn open_slot(&mut self, group: &Group, tag: Tag) -> usize {
+        let id = self.free.pop().unwrap_or(self.slots.len());
+        // A free slot's members were all taken back: only the capacity
+        // is kept.
+        let mut members = self
             .slots
-            .get_mut(&id)
-            .expect("a parked member's slot exists");
+            .get_mut(id)
+            .map_or_else(Vec::new, |s| std::mem::take(&mut s.members));
+        members.clear();
+        members.resize_with(group.len(), || None);
+        let slot = Slot {
+            group: group.clone(),
+            tag,
+            entered: 0,
+            state: SlotState::Gathering,
+            members,
+            held: 0,
+            missing: 0,
+        };
+        if id == self.slots.len() {
+            self.slots.push(slot);
+        } else {
+            self.slots[id] = slot;
+        }
+        id
+    }
+
+    /// Member `me` of slot `id`, woken, takes its state back if the slot
+    /// is resolved: evaluated, or to walk on messages (`true`).
+    pub(super) fn claim(&mut self, id: usize, me: usize) -> Option<(Member, bool)> {
+        let slot = &mut self.slots[id];
         let on_messages = match slot.state {
             SlotState::Gathering => return None,
             SlotState::Evaluated => false,
             SlotState::Messages => true,
+            SlotState::Free => unreachable!("a parked member's slot is in use"),
         };
         let member = slot.members[me]
             .take()
             .expect("a parked member's state sits in its slot");
         slot.held -= 1;
-        self.remove_if_drained(id);
+        self.free_if_drained(id);
         Some((member, on_messages))
     }
 
-    fn remove_if_drained(&mut self, id: usize) {
-        if self.slots[&id].drained() {
-            self.slots.remove(&id);
+    fn free_if_drained(&mut self, id: usize) {
+        let slot = &mut self.slots[id];
+        if slot.drained() {
+            slot.state = SlotState::Free;
+            self.free.push(id);
         }
     }
 
@@ -274,7 +279,7 @@ impl Rendezvous {
     pub(super) fn gathering(&self) -> impl Iterator<Item = (Rank, Rank, Tag)> + '_ {
         let gathering = self
             .slots
-            .values()
+            .iter()
             .filter(|s| s.state == SlotState::Gathering);
         gathering.flat_map(|slot| {
             let on = slot.group.ranks[slot.missing];
@@ -288,7 +293,7 @@ impl Rendezvous {
     /// worded for the event scheduler's stall report; `finished(r)`
     /// says whether rank `r`'s body returned.
     pub(super) fn describe(&self, rank: Rank, finished: impl Fn(Rank) -> bool) -> Option<String> {
-        self.slots.values().find_map(|slot| {
+        self.slots.iter().find_map(|slot| {
             let me = slot.group.ranks.iter().position(|&r| r == rank)?;
             if slot.state != SlotState::Gathering || slot.members[me].is_none() {
                 return None;
@@ -314,111 +319,144 @@ impl Rendezvous {
 /// A message of one collective, delivered to a member's inbox and not
 /// yet received.
 struct Msg {
-    from: usize,
+    from: u32,
     arrival: SimTime,
     payload: Payload,
 }
 
-/// The evaluator's [`Delivery`]: the destination member's inbox.
-struct Inbox<'a> {
-    queue: &'a mut VecDeque<Msg>,
-    from: usize,
-    data: &'a [u8],
-}
+/// The evaluator's [`Delivery`]: it only needs the arrival, and hands
+/// the message on itself.
+struct Arrives<'a>(&'a mut SimTime);
 
-impl Delivery for Inbox<'_> {
+impl Delivery for Arrives<'_> {
     fn deliver(self, _t: &mut Timing, arrival: SimTime) {
-        self.queue.push_back(Msg {
-            from: self.from,
-            arrival,
-            payload: Payload::from_slice(self.data),
-        });
+        *self.0 = arrival;
     }
 }
+
+/// No pending receive.
+const NOT_WAITING: u32 = u32::MAX;
 
 /// The collective evaluator and its per-member buffers (emptied by
 /// every evaluation that completes, their capacity kept).
 #[derive(Default)]
 struct Evaluator {
     /// Each member's delivered, unreceived messages, in delivery order.
-    inbox: Vec<VecDeque<Msg>>,
-    /// The source each member's pending receive waits on.
-    waiting: Vec<Option<usize>>,
+    inbox: Vec<Vec<Msg>>,
+    /// Each member's next op.
+    pc: Vec<usize>,
+    /// The member each member's pending receive waits on, or
+    /// [`NOT_WAITING`].
+    waiting: Vec<u32>,
     /// Runnable members, taken last-in first-out: a member a send
     /// unblocks runs next, which keeps inboxes short.
     ready: Vec<usize>,
-    queued: Vec<bool>,
 }
 
 impl Evaluator {
-    /// Runs every member's program of the collective on `tag` among
-    /// `group` to completion, in dependency order, applying the timing
-    /// law to each member's own state. Each member's steps happen in its
+    /// Walks every member's schedule of the collective on `tag` among
+    /// `group` to its end, in dependency order, applying the timing law
+    /// to each member's own state. Each member's ops happen in its
     /// program order, and a receive takes the earliest unreceived
     /// message from its source (the channel is FIFO), so the result is
     /// the message path's, whatever order the members are taken in.
     ///
+    /// Members whose first op is a receive start first, and block; the
+    /// others start in member order. A send to a member that waits on
+    /// the sender is received at once, so a tree's or a rooted linear
+    /// collective's messages never wait in an inbox, and a pairwise
+    /// exchange leaves one of its two messages there.
+    ///
     /// # Panics
-    /// Panics if the programs wait on each other with messages missing
-    /// (they do not describe one collective), or if a program panics.
+    /// Panics if the schedules wait on each other with messages missing
+    /// (they do not describe one collective), or if a fold panics.
     fn run(&mut self, law: &Law, group: &Group, tag: Tag, members: &mut [Option<Member>]) {
         let ranks = &group.ranks;
         let n = members.len();
         if self.inbox.len() < n {
-            self.inbox.resize_with(n, VecDeque::new);
+            self.inbox.resize_with(n, Vec::new);
         }
+        self.pc.clear();
+        self.pc.resize(n, 0);
         self.waiting.clear();
-        self.waiting.resize(n, None);
-        self.queued.clear();
-        self.queued.resize(n, true);
+        self.waiting.resize(n, NOT_WAITING);
+        let starts_with_recv = |m: &Option<Member>| {
+            matches!(
+                m.as_ref().map(|m| m.sched.ops().first()),
+                Some(Some(Op::Recv(..)))
+            )
+        };
         self.ready.clear();
-        self.ready.extend((0..n).rev());
+        let senders = (0..n).rev().filter(|&m| !starts_with_recv(&members[m]));
+        self.ready.extend(senders);
+        let receivers = (0..n).filter(|&m| starts_with_recv(&members[m]));
+        self.ready.extend(receivers);
         let mut finished = 0;
         while let Some(m) = self.ready.pop() {
-            self.queued[m] = false;
-            let Member { timing, program } = members[m].as_mut().expect("every member entered");
-            let mut got = None;
+            let mut pc = self.pc[m];
             loop {
-                if let Some(from) = self.waiting[m] {
-                    let inbox = &mut self.inbox[m];
-                    let Some(at) = inbox.iter().position(|msg| msg.from == from) else {
-                        break;
-                    };
-                    let msg = inbox.remove(at).expect("a found message");
-                    self.waiting[m] = None;
-                    let bytes = msg.payload.len();
-                    timing.recv(law, ranks[from], tag, msg.arrival, bytes, Leg::Data);
-                    got = Some(msg.payload);
-                }
-                match program.next(got.take()) {
-                    Step::Send(to, data) => {
-                        let via = Inbox {
-                            queue: &mut self.inbox[to],
-                            from: m,
-                            data,
-                        };
-                        timing.send(law, ranks[m], ranks[to], tag, data.len(), Leg::Data, via);
-                        if self.waiting[to] == Some(m) && !self.queued[to] {
-                            self.queued[to] = true;
+                let me = members[m].as_mut().expect("every member entered");
+                let Some(&op) = me.sched.ops().get(pc) else {
+                    finished += 1;
+                    break;
+                };
+                match op {
+                    Op::Send(to, src) => {
+                        let to = to as usize;
+                        let payload = me.sched.payload(src);
+                        let bytes = payload.len();
+                        let (from, dst) = (ranks[m], ranks[to]);
+                        let mut arrival = SimTime::ZERO;
+                        let via = Arrives(&mut arrival);
+                        me.timing.send(law, from, dst, tag, bytes, Leg::Data, via);
+                        if self.waiting[to] == m as u32 {
+                            // `to` waits for exactly this message: it
+                            // receives it now and runs on from its next op.
+                            let rx = members[to].as_mut().expect("every member entered");
+                            let Op::Recv(_, sink) = rx.sched.ops()[self.pc[to]] else {
+                                unreachable!("a waiting member is at a receive")
+                            };
+                            rx.timing.recv(law, from, tag, arrival, bytes, Leg::Data);
+                            rx.sched.absorb(sink, payload);
+                            self.pc[to] += 1;
+                            self.waiting[to] = NOT_WAITING;
                             self.ready.push(to);
+                        } else {
+                            let from = m as u32;
+                            self.inbox[to].push(Msg {
+                                from,
+                                arrival,
+                                payload,
+                            });
                         }
                     }
-                    Step::Recv(from) => self.waiting[m] = Some(from),
-                    Step::Done => {
-                        finished += 1;
-                        break;
+                    Op::Recv(from, sink) => {
+                        let inbox = &mut self.inbox[m];
+                        let Some(at) = inbox.iter().position(|msg| msg.from == from) else {
+                            self.waiting[m] = from;
+                            break;
+                        };
+                        let msg = inbox.remove(at);
+                        let bytes = msg.payload.len();
+                        let src = ranks[from as usize];
+                        me.timing.recv(law, src, tag, msg.arrival, bytes, Leg::Data);
+                        me.sched.absorb(sink, msg.payload);
                     }
                 }
+                pc += 1;
             }
+            self.pc[m] = pc;
         }
         if finished < n {
             let stuck: Vec<String> = (0..n)
-                .filter_map(|m| {
-                    self.waiting[m].map(|from| format!("rank {} on rank {}", ranks[m], ranks[from]))
+                .filter(|&m| self.waiting[m] != NOT_WAITING)
+                .map(|m| {
+                    let from = self.waiting[m] as usize;
+                    format!("rank {} on rank {}", ranks[m], ranks[from])
                 })
                 .collect();
             panic!(
-                "collective on tag {tag:#x}: the members' programs wait on each other with no \
+                "collective on tag {tag:#x}: the members' schedules wait on each other with no \
                  message in flight ({})",
                 stuck.join(", ")
             );

@@ -43,8 +43,8 @@
 //! - [`machines`] — the three machine profiles of the paper's Table I,
 //! - [`engine`] — the run driver, mailboxes and the [`engine::Cluster`]
 //!   entry point (built via [`engine::ClusterBuilder`]), and
-//!   [`RankCtx::collective`], which runs a collective's per-member
-//!   [`StepProgram`]s on messages or evaluates them in one rendezvous,
+//!   [`RankCtx::collective`], which walks a collective's per-member
+//!   [`Schedule`]s on messages or evaluates them in one rendezvous,
 //!   with the same timing law either way,
 //! - [`fault`] — seeded fault injection: a pure-data [`FaultPlan`]
 //!   (drops, duplication, reordering, latency scaling, partitions, rank
@@ -82,8 +82,8 @@ pub mod wire;
 
 pub use clockspec::ClockSpec;
 pub use engine::{
-    Cluster, ClusterBuilder, EngineMode, EnvSpec, Group, RankCtx, RankOutcome, RecvTimeout,
-    RunOutcome, Step, StepProgram, TimeoutReason,
+    Cluster, ClusterBuilder, EngineMode, EnvSpec, Fold, Group, RankCtx, RankOutcome, RecvTimeout,
+    RunOutcome, Schedule, TimeoutReason,
 };
 pub use fault::{FaultPlan, LinkSel, RankSel, Window};
 pub use lockutil::lock_ignore_poison;

@@ -1,8 +1,8 @@
 //! The small-message hot path must not allocate.
 //!
 //! A counting global allocator wraps `System`; after a warm-up phase
-//! (mailbox ring buffers reach their high-water capacity, the pool
-//! spawns its workers) the steady-state ping-pong loop — send with
+//! (mailbox ring buffers and the run loop's ready queue reach their
+//! high-water capacity) the steady-state ping-pong loop — send with
 //! inline payload, latency sampling, FIFO clamp, mailbox push/pop,
 //! receive — must perform exactly zero heap allocations.
 //!
@@ -76,8 +76,10 @@ fn steady_state_small_messages_do_not_allocate() {
         for i in 0..512u32 {
             trip(ctx, i);
         }
-        // Only rank threads are runnable here (the caller is parked in
-        // the latch), so every counted allocation comes from this loop.
+        // The one run loop takes the ranks a slice at a time, so while
+        // a rank has the counter armed only rank slices and the loop's
+        // own park/wake steps run: every counted allocation comes from
+        // this ping-pong.
         TRACKING.store(true, Ordering::SeqCst);
         for i in 0..2048u32 {
             trip(ctx, i);
