@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::sweep::{run_cluster_sweep, run_seed, SweepExecutor};
     pub use crate::trace::{gantt_rows, per_rank_events, TraceEvent};
     pub use crate::tuner::{
-        measure_candidate, tune_allreduce, tune_alltoall, CandidateResult, TuneScheme, TuningResult,
+        measure_candidate, tune_allreduce, CandidateResult, TuneScheme, TuningResult,
     };
     pub use crate::workloads::{
         amg_proxy, halo_proxy, AmgProxyConfig, HaloProxyConfig, AMG_SPAN, HALO_SPAN,

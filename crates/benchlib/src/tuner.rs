@@ -10,7 +10,7 @@
 //! under Round-Time, and compare the selections.
 
 use hcs_clock::{Clock, Span};
-use hcs_mpi::{AllreduceAlgorithm, AlltoallAlgorithm, BarrierAlgorithm, Comm, ReduceOp};
+use hcs_mpi::{AllreduceAlgorithm, BarrierAlgorithm, Comm, ReduceOp};
 use hcs_sim::RankCtx;
 
 use crate::schemes::{
@@ -154,44 +154,6 @@ pub fn tune_allreduce(
     (comm.rank() == 0).then_some(out)
 }
 
-/// Tunes `MPI_Alltoall` (Bruck vs pairwise) analogously. Collective.
-pub fn tune_alltoall(
-    ctx: &mut RankCtx,
-    comm: &mut Comm,
-    g_clk: &mut dyn Clock,
-    scheme: TuneScheme,
-    msizes: &[usize],
-) -> Option<Vec<TuningResult>> {
-    let candidates = [
-        ("bruck", AlltoallAlgorithm::Bruck),
-        ("pairwise", AlltoallAlgorithm::Pairwise),
-    ];
-    let mut out = Vec::with_capacity(msizes.len());
-    for &msize in msizes {
-        let mut results = Vec::new();
-        for (name, alg) in candidates {
-            let p = comm.size();
-            let blocks: Vec<Vec<u8>> = (0..p).map(|_| vec![0u8; msize]).collect();
-            let mut op = |ctx: &mut RankCtx, comm: &mut Comm| {
-                let _ = comm.alltoall(ctx, &blocks, alg);
-            };
-            if let Some(lat) = measure_candidate(ctx, comm, g_clk, scheme, &mut op) {
-                results.push(CandidateResult {
-                    name: name.to_string(),
-                    latency_s: lat,
-                });
-            }
-        }
-        if comm.rank() == 0 {
-            out.push(TuningResult {
-                msize,
-                candidates: results,
-            });
-        }
-    }
-    (comm.rank() == 0).then_some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,29 +225,6 @@ mod tests {
             .latency_s;
         let ring = table.iter().find(|c| c.name == "ring").unwrap().latency_s;
         assert!(rd < ring, "rec. doubling {rd:.3e} vs ring {ring:.3e}");
-    }
-
-    #[test]
-    fn alltoall_tuner_runs() {
-        let cluster = testbed(4, 1).cluster(5);
-        let res = cluster.run(|ctx| {
-            let clk = LocalClock::new(ctx, TimeSource::MpiWtime);
-            let mut comm = Comm::world(ctx);
-            let mut sync = Hca3::skampi(20, 5);
-            let mut g = sync.sync_clocks(ctx, &mut comm, Box::new(clk));
-            tune_alltoall(
-                ctx,
-                &mut comm,
-                g.as_mut(),
-                TuneScheme::RoundTime {
-                    slice_s: hcs_sim::secs(0.05),
-                    max_reps: 30,
-                },
-                &[16],
-            )
-        });
-        let results = res[0].clone().unwrap();
-        assert_eq!(results[0].candidates.len(), 2);
     }
 
     #[test]

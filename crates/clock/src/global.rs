@@ -75,11 +75,6 @@ impl GlobalClockLM {
         self.lm
     }
 
-    /// Mutable access to the model (used by intercept recomputation).
-    pub fn model_mut(&mut self) -> &mut LinearModel {
-        &mut self.lm
-    }
-
     /// Consumes the decorator and returns the wrapped clock.
     pub fn into_inner(self) -> BoxClock {
         self.inner

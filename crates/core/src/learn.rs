@@ -45,12 +45,6 @@ impl LearnParams {
             ..Self::default()
         }
     }
-
-    /// The fit window (time span) these parameters produce, assuming
-    /// `exchange_s` per ping-pong and `pingpongs` exchanges per point.
-    pub fn fit_window_s(&self, pingpongs: usize, exchange_s: Span) -> Span {
-        self.nfitpoints as f64 * (self.spacing_s + pingpongs as f64 * exchange_s)
-    }
 }
 
 /// Learns the linear model of the drift of `p_ref`'s clock relative to

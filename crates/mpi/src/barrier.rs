@@ -81,9 +81,7 @@ impl Comm {
             BarrierAlgorithm::Bruck => bruck(s, r, p),
             BarrierAlgorithm::Tree => tree(s, r, p),
         }
-        ctx.set_active_peers(alg.nic_concurrency(self.node_peers()));
-        self.run_sched(ctx);
-        ctx.set_active_peers(1);
+        self.run_sched(ctx, alg.nic_concurrency(self.node_peers));
     }
 }
 

@@ -31,7 +31,7 @@ impl Comm {
             binomial_bcast(&mut self.sched, r, p, root);
             // Binomial tree: at most one rank per node is crossing the
             // NIC at a time, so no contention term applies.
-            self.run_sched(ctx);
+            self.run_sched(ctx, 1);
         }
         self.sched.data()
     }

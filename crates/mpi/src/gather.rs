@@ -48,7 +48,7 @@ impl Comm {
         }
         // Linear gather: every rank posts its message at once — full
         // per-node NIC concurrency.
-        self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
+        self.run_sched(ctx, self.node_peers);
         at_root
     }
 
@@ -81,7 +81,7 @@ impl Comm {
         }
         // Linear scatter: only the root sends (sequentially) — no
         // concurrent senders per node.
-        self.run_sched(ctx);
+        self.run_sched(ctx, 1);
         self.sched.data().to_vec()
     }
 

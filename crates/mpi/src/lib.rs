@@ -24,8 +24,16 @@
 //! per-communicator context id plus a per-call sequence number keep
 //! concurrent communicators and back-to-back collectives from matching
 //! each other's messages.
+//!
+//! ## One definition per collective
+//!
+//! Every collective records this member's ops into a
+//! [`hcs_sim::Schedule`] and hands it to [`RankCtx::collective`], which
+//! walks all members' schedules in one rendezvous, or on messages in a
+//! fault or timeout run. No collective has message code of its own:
+//! the only raw sends and receives here are `Comm`'s point-to-point
+//! wrappers.
 
-mod alltoall;
 mod barrier;
 mod bcast;
 mod gather;
@@ -33,7 +41,6 @@ mod reduce;
 mod split;
 mod tag;
 
-pub use alltoall::AlltoallAlgorithm;
 pub use barrier::BarrierAlgorithm;
 pub use reduce::{AllreduceAlgorithm, ReduceOp};
 pub use tag::{tags, Bytes, Tag};
@@ -196,25 +203,15 @@ impl Comm {
     }
 
     /// Walks this member's schedule in `self.sched`, built by one
-    /// collective's algorithm, on a fresh internal tag; `self.sched`
-    /// then holds the result.
-    fn run_sched(&mut self, ctx: &mut RankCtx) {
+    /// collective's algorithm, on a fresh internal tag, with `peers`
+    /// members of this node declared as NIC-contention peers;
+    /// `self.sched` then holds the result.
+    fn run_sched(&mut self, ctx: &mut RankCtx, peers: usize) {
         let tag = self.next_coll_tag();
         let sched = std::mem::take(&mut self.sched);
+        ctx.set_active_peers(peers);
         self.sched = ctx.collective(&self.group, self.my_pos, tag, sched);
-    }
-
-    /// Runs `body` with the NIC-contention peer count declared (used by
-    /// every collective implementation).
-    fn with_contention<T>(
-        &mut self,
-        ctx: &mut RankCtx,
-        body: impl FnOnce(&mut Self, &mut RankCtx) -> T,
-    ) -> T {
-        ctx.set_active_peers(self.node_peers);
-        let out = body(self, ctx);
         ctx.set_active_peers(1);
-        out
     }
 }
 

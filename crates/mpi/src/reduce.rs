@@ -152,13 +152,11 @@ impl Comm {
                 AllreduceAlgorithm::ReduceBcast => reduce_bcast(s, r, p),
                 AllreduceAlgorithm::Ring => ring(s, r, p, op),
             }
-            self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
+            self.run_sched(ctx, self.node_peers);
         }
         self.sched.data()
     }
-}
 
-impl Comm {
     /// Rooted reduction (`MPI_Reduce`): binomial fan-in to `root`.
     /// Returns `Some(result)` at the root, `None` elsewhere.
     pub fn reduce(
@@ -194,44 +192,8 @@ impl Comm {
             }
             mask <<= 1;
         }
-        self.with_contention(ctx, |comm, ctx| comm.run_sched(ctx));
+        self.run_sched(ctx, self.node_peers);
         (!sent).then(|| self.sched.data().to_vec())
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`): rank `r` receives the
-    /// reduction of ranks `0..=r`, via the classic log-round
-    /// shift-and-fold schedule.
-    pub fn scan(&mut self, ctx: &mut RankCtx, data: &[u8], op: ReduceOp) -> Vec<u8> {
-        assert_eq!(
-            data.len() % op.alignment(),
-            0,
-            "payload not aligned for {op:?}"
-        );
-        if self.size() <= 1 {
-            return data.to_vec();
-        }
-        let tag = self.next_coll_tag();
-        self.with_contention(ctx, |comm, ctx| {
-            let p = comm.size();
-            let r = comm.rank();
-            // Hillis–Steele: after round `d` the accumulator covers the
-            // inclusive range [r − 2d + 1, r] (clipped at 0). Sending
-            // happens before folding, so the partner receives the
-            // pre-fold prefix it needs.
-            let mut acc = data.to_vec();
-            let mut dist = 1usize;
-            while dist < p {
-                if r + dist < p {
-                    ctx.send(comm.global_rank(r + dist), tag, &acc);
-                }
-                if r >= dist {
-                    let incoming = ctx.recv(comm.global_rank(r - dist), tag);
-                    op.fold(&mut acc, &incoming);
-                }
-                dist <<= 1;
-            }
-            acc
-        })
     }
 }
 
@@ -454,37 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_computes_inclusive_prefixes() {
-        for p in [2usize, 3, 5, 8] {
-            let cluster = testbed(p, 1).cluster(31 + p as u64);
-            let res = cluster.run(|ctx| {
-                let mut comm = Comm::world(ctx);
-                let payload = ((comm.rank() + 1) as f64).to_le_bytes();
-                let out = comm.scan(ctx, &payload, ReduceOp::F64Sum);
-                f64::from_le_bytes(out.try_into().unwrap())
-            });
-            for (r, &v) in res.iter().enumerate() {
-                let want: f64 = (1..=r + 1).map(|x| x as f64).sum();
-                assert_eq!(v, want, "p={p} rank {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_with_max_is_running_max() {
-        let cluster = testbed(4, 1).cluster(40);
-        let vals = [7.0f64, 3.0, 9.0, 1.0];
-        let res = cluster.run(move |ctx| {
-            let mut comm = Comm::world(ctx);
-            let payload = vals[comm.rank()].to_le_bytes();
-            let out = comm.scan(ctx, &payload, ReduceOp::F64Max);
-            f64::from_le_bytes(out.try_into().unwrap())
-        });
-        assert_eq!(res, vec![7.0, 7.0, 9.0, 9.0]);
-    }
-
-    #[test]
-    fn singleton_reduce_and_scan() {
+    fn singleton_reduce() {
         let cluster = testbed(1, 1).cluster(41);
         cluster.run(|ctx| {
             let mut comm = Comm::world(ctx);
@@ -493,7 +425,6 @@ mod tests {
                 comm.reduce(ctx, 0, &x, ReduceOp::F64Sum).unwrap(),
                 x.to_vec()
             );
-            assert_eq!(comm.scan(ctx, &x, ReduceOp::F64Sum), x.to_vec());
         });
     }
 

@@ -219,71 +219,6 @@ fn flatten_roundtrips_arbitrary_chains() {
 }
 
 #[test]
-fn alltoall_algorithms_agree_and_are_correct() {
-    use hierarchical_clock_sync::mpi::AlltoallAlgorithm;
-    let mut rng = case_rng(9);
-    for _ in 0..12 {
-        let nodes = 1 + (rng.next_u64() % 3) as usize;
-        let cores = 1 + (rng.next_u64() % 3) as usize;
-        let block_len = 1 + (rng.next_u64() % 15) as usize;
-        let seed = rng.next_u64() % 500;
-        let cluster = machines::testbed(nodes, cores).cluster(seed);
-        let p = nodes * cores;
-        let results = cluster.run(move |ctx| {
-            let mut comm = Comm::world(ctx);
-            let blocks: Vec<Vec<u8>> = (0..p)
-                .map(|d| {
-                    (0..block_len)
-                        .map(|i| (comm.rank() * 31 + d * 7 + i) as u8)
-                        .collect()
-                })
-                .collect();
-            let a = comm.alltoall(ctx, &blocks, AlltoallAlgorithm::Bruck);
-            let b = comm.alltoall(ctx, &blocks, AlltoallAlgorithm::Pairwise);
-            (a, b)
-        });
-        for (me, (bruck, pairwise)) in results.iter().enumerate() {
-            assert_eq!(bruck, pairwise, "rank {}", me);
-            for (s, block) in bruck.iter().enumerate() {
-                let want: Vec<u8> = (0..block_len)
-                    .map(|i| (s * 31 + me * 7 + i) as u8)
-                    .collect();
-                assert_eq!(block, &want, "rank {} block from {}", me, s);
-            }
-        }
-    }
-}
-
-#[test]
-fn scan_matches_sequential_prefix() {
-    let mut rng = case_rng(10);
-    for _ in 0..12 {
-        let p = 2 + (rng.next_u64() % 8) as usize;
-        let values: Vec<f64> = (0..10).map(|_| rng.range(-100.0, 100.0)).collect();
-        let seed = rng.next_u64() % 500;
-        let cluster = machines::testbed(p, 1).cluster(seed);
-        let vals = values.clone();
-        let results = cluster.run(move |ctx| {
-            let mut comm = Comm::world(ctx);
-            let x = vals[comm.rank() % vals.len()];
-            let out = comm.scan(ctx, &x.to_le_bytes(), ReduceOp::F64Sum);
-            f64::from_le_bytes(out.try_into().unwrap())
-        });
-        let mut acc = 0.0;
-        for (r, &got) in results.iter().enumerate() {
-            acc += values[r % values.len()];
-            assert!(
-                (got - acc).abs() < 1e-9 * (1.0 + acc.abs()),
-                "rank {}: {} vs {}",
-                r,
-                got,
-                acc
-            );
-        }
-    }
-}
-
-#[test]
 fn reduce_equals_allreduce_at_root() {
     let mut rng = case_rng(11);
     for _ in 0..12 {
