@@ -2,12 +2,11 @@
 //! send/receive paths (fault interpretation, matching, deadline
 //! receives) and the observability hooks.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use hcs_obs::{ClockReadings, ObsSpec, RankRecorder};
 
-use super::net::{BatchWait, RunNet, POISON_TAG};
+use super::net::RunNet;
 use super::outcome::{RecvTimeout, TimeoutReason};
 use super::rendezvous::{Arrival, Group, Member};
 #[cfg(doc)]
@@ -16,7 +15,7 @@ use super::schedule::{Op, Schedule};
 use super::timing::{Delivery, Law, Leg, Route, Timing};
 use crate::events;
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
-use crate::msg::{Envelope, Payload, PendingBuf, ACK_BIT};
+use crate::msg::{Envelope, Payload, ACK_BIT};
 use crate::net::NetworkModel;
 use crate::rngx::{self, label, Pcg64};
 use crate::timebase::Span;
@@ -38,8 +37,8 @@ pub struct TrafficCounters {
     pub sent_inter_node: u64,
 }
 
-/// The per-rank execution context: virtual clock, mailbox and network
-/// access. Handed to the rank closure by [`Cluster::run`].
+/// The per-rank execution context: virtual clock and network access.
+/// Handed to the rank closure by [`Cluster::run`].
 pub struct RankCtx {
     rank: Rank,
     size: usize,
@@ -50,14 +49,6 @@ pub struct RankCtx {
     timing: Timing,
     clock: Arc<ClockSpec>,
     net: Arc<RunNet>,
-    /// Out-of-order buffer: messages pulled from the mailbox that did
-    /// not match the receive in progress, bucketed by source rank so a
-    /// match never scans other senders' messages (see [`PendingBuf`]).
-    pending: PendingBuf,
-    /// Receiver-local delivery ring: [`RunNet::recv_batch`] swaps the
-    /// whole mailbox in here under one lock acquisition, and the
-    /// matching loop consumes it lock-free in delivery order.
-    ring: VecDeque<Envelope>,
     /// Fault-injection state (`None` on the benign fast path: zero
     /// loads, zero draws, timelines bit-identical to pre-fault builds).
     faults: Option<FaultState>,
@@ -118,8 +109,6 @@ impl RankCtx {
             timing: Timing::new(obs_spec.recorder(rank as u32)),
             clock,
             net,
-            pending: PendingBuf::default(),
-            ring: VecDeque::new(),
             faults: FaultState::new(fault_plan, master_seed, rank),
             reorder_hold: Vec::new(),
             recv_timeout: None,
@@ -143,10 +132,10 @@ impl RankCtx {
         self.timing.clamp_heap_bytes()
     }
 
-    /// Heap bytes held by this rank's out-of-order pending buffer.
+    /// Heap bytes held by this rank's inbox.
     #[cfg(test)]
-    pub(crate) fn pending_heap_bytes(&self) -> usize {
-        self.pending.heap_bytes()
+    pub(crate) fn inbox_heap_bytes(&self) -> usize {
+        self.net.inbox_heap_bytes(self.rank)
     }
 
     /// Declares that `n` ranks of this node (including this one) are
@@ -360,7 +349,9 @@ impl RankCtx {
             Ok(env) => self
                 .timing
                 .recv(&self.law, dst, env.tag, env.arrival, 0, Leg::Ack),
-            Err(t) => std::panic::panic_any(t),
+            Err((at, reason)) => {
+                std::panic::panic_any(self.recv_timeout_err(dst, tag | ACK_BIT, at, reason))
+            }
         }
     }
 
@@ -389,7 +380,7 @@ impl RankCtx {
     }
 
     /// Delivers every held (fault-reordered) envelope directly to its
-    /// destination mailbox, in hold order. Called at every blocking
+    /// destination's inbox, in hold order. Called at every blocking
     /// point and at body end — a rank never parks or finishes holding
     /// undelivered messages, which keeps both the drain pass's and the
     /// deadline receives' "nothing in flight" reasoning valid.
@@ -471,7 +462,10 @@ impl RankCtx {
     ) -> Result<Payload, RecvTimeout> {
         assert!(src < self.size, "recv from out-of-range rank {src}");
         assert_ne!(src, self.rank, "self-receives are not modeled");
-        let env = self.pull_match_deadline(src, tag, deadline)?;
+        let env = match self.pull_match_deadline(src, tag, deadline) {
+            Ok(env) => env,
+            Err((at, reason)) => return Err(self.recv_timeout_err(src, tag, at, reason)),
+        };
         self.timing.recv(
             &self.law,
             env.src,
@@ -565,16 +559,10 @@ impl RankCtx {
         };
         drop(table);
         loop {
-            // A peer's poison means the run is failing (the collective
+            // A peer's panic means the run is failing (the collective
             // can never complete, or its evaluation panicked), as on
             // messages.
-            let poisoned = || {
-                let in_ring = self.ring.iter().find(|env| env.tag == POISON_TAG);
-                in_ring
-                    .map(|env| env.src)
-                    .or_else(|| self.net.poisoned(self.rank))
-            };
-            if let Some(src) = self.net.poison_sent().then(poisoned).flatten() {
+            if let Some(src) = self.net.poisoned_by() {
                 panic!(
                     "rank {}: peer rank {src} panicked while this rank was waiting in the \
                      collective on tag {tag:#x}",
@@ -585,7 +573,7 @@ impl RankCtx {
             let mut table = self.net.rendezvous.acquire();
             let claim = table.claim(id, me);
             drop(table);
-            // Otherwise woken by something else (a poison, a completion).
+            // Otherwise woken by something else (a panic, a completion).
             if let Some((member, on_messages)) = claim {
                 return self.take_back(member, on_messages);
             }
@@ -657,126 +645,29 @@ impl RankCtx {
         }
     }
 
+    /// The match of a receive of `tag` from `src`, or the instant and
+    /// reason of the timeout it resolved as ([`RunNet::match_or_park`]).
+    /// The caller builds the [`RecvTimeout`]: moving the envelope
+    /// through one more enum on its way cost a strict ping-pong ≈ 8 %
+    /// per message, in store-forwarding stalls of the copies.
     fn pull_match_deadline(
         &mut self,
         src: Rank,
         tag: Tag,
         deadline: Option<SimTime>,
-    ) -> Result<Envelope, RecvTimeout> {
+    ) -> Result<Envelope, (SimTime, TimeoutReason)> {
         // A receive may block; everything this rank has held back must
-        // be in its peers' mailboxes first, or two ranks could deadlock
+        // be in its peers' inboxes first, or two ranks could deadlock
         // on messages neither has delivered.
         self.flush_reorder_holds();
-        if deadline.is_some() {
-            // Arm completion wakeups so a parked deadline wait observes
-            // its sender finishing (see `RunNet::enable_done_wakeups`).
-            self.net.enable_done_wakeups();
-        }
-        // Buffered match first. Peek the metadata before consuming: a
-        // tombstone is consumed (it proves loss), but a *late* live
-        // message stays buffered for a later receive.
-        if let Some((arrival, dropped)) = self.pending.meta(src, tag) {
-            if dropped {
-                let env = self.pending.take(src, tag).expect("peeked envelope");
-                let at = deadline.unwrap_or(env.arrival);
-                return Err(self.recv_timeout_err(src, tag, at, TimeoutReason::MessageLost));
-            }
-            match deadline {
-                Some(dl) if arrival > dl => {
-                    return Err(self.recv_timeout_err(src, tag, dl, TimeoutReason::DeadlinePassed));
-                }
-                _ => {
-                    return Ok(self.pending.take(src, tag).expect("peeked envelope"));
-                }
-            }
-        }
-        loop {
-            // Drain the receiver-local ring first: these envelopes were
-            // already taken out of the mailbox in one batch, and the
-            // wait edge was cleared (under the mailbox lock) when that
-            // batch was drained.
-            while let Some(env) = self.ring.pop_front() {
-                if env.tag == POISON_TAG {
-                    panic!(
-                        "rank {}: peer rank {} panicked while this rank was receiving (src {src}, tag {tag})",
-                        self.rank, env.src
-                    );
-                }
-                if env.src == src && env.tag == tag {
-                    if env.dropped {
-                        let at = deadline.unwrap_or(env.arrival);
-                        return Err(self.recv_timeout_err(
-                            src,
-                            tag,
-                            at,
-                            TimeoutReason::MessageLost,
-                        ));
-                    }
-                    if let Some(dl) = deadline {
-                        if env.arrival > dl {
-                            // Late, not lost: keep it for a later receive.
-                            self.pending.push(env);
-                            return Err(self.recv_timeout_err(
-                                src,
-                                tag,
-                                dl,
-                                TimeoutReason::DeadlinePassed,
-                            ));
-                        }
-                    }
-                    return Ok(env);
-                }
-                self.pending.push(env);
-            }
-            // Ring exhausted — this receive is (still) logically
-            // blocked on (src, tag). Publish the wait edge before
-            // touching the mailbox: it is cleared when a batch is
-            // drained, so "edge registered" always implies this rank
-            // holds no envelope in hand.
-            self.net
-                .waits
-                .begin_wait(self.rank, src, tag, deadline.is_some());
-            match self.net.recv_batch(
-                self.rank,
-                src,
-                deadline.is_some(),
-                self.timing.now,
-                &mut self.ring,
-            ) {
-                BatchWait::Got => {}
-                BatchWait::PeersGone => {
-                    if let Some(dl) = deadline {
-                        // Every peer (so in particular `src`) finished:
-                        // same resolution as SenderDone, so which of the
-                        // two host-side checks fires first is invisible.
-                        return Err(self.recv_timeout_err(
-                            src,
-                            tag,
-                            dl,
-                            TimeoutReason::SenderFinished,
-                        ));
-                    }
-                    panic!(
-                        "rank {}: all peers gone while receiving (src {src}, tag {tag})",
-                        self.rank
-                    );
-                }
-                BatchWait::SenderDone => {
-                    let dl = deadline.expect("SenderDone only on deadline receives");
-                    return Err(self.recv_timeout_err(src, tag, dl, TimeoutReason::SenderFinished));
-                }
-                BatchWait::DeadlineFired => {
-                    let dl = deadline.expect("DeadlineFired only on deadline receives");
-                    return Err(self.recv_timeout_err(src, tag, dl, TimeoutReason::WaitCycle));
-                }
-            }
-        }
+        self.net
+            .match_or_park(self.rank, src, tag, deadline, self.timing.now)
     }
 }
 
 /// The message path's delivery of one post: the fault plan's verdict at
-/// the delivery boundary, then the destination's mailbox (or the
-/// reorder hold).
+/// the delivery boundary, then the destination's inbox (or the reorder
+/// hold).
 struct Post<'a> {
     me: Rank,
     dst: Rank,

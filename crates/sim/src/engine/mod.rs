@@ -17,17 +17,19 @@
 //!
 //! The small-message send path performs **zero heap allocations per
 //! message**: payloads up to [`crate::msg::INLINE_PAYLOAD`] bytes are
-//! stored inline in the envelope, mailboxes are reusable ring buffers,
-//! and the per-send FIFO clamp is a sorted vector of the partners a
-//! rank actually messages, hit in O(1) by consecutive sends to one
-//! partner, instead of a hash map or a table sized by the cluster.
+//! stored inline in the envelope, each rank's inbox keeps one ring per
+//! source it hears from and reuses its capacity, and the per-send FIFO
+//! clamp is a sorted vector of the partners a rank actually messages,
+//! hit in O(1) by consecutive sends to one partner, instead of a hash
+//! map or a table sized by the cluster.
 //!
-//! The code follows its seams: `net` (mailboxes and the per-run
-//! park/wake protocol over the scheduler in `events`), `timing` (the timing law of one message),
-//! `ctx` ([`RankCtx`]), `schedule` (a collective member's ops as
-//! plain data), `rendezvous` (collectives evaluated in one
-//! rendezvous), `run` ([`Cluster`], its builder and the run driver) and
-//! `outcome` (timeout and per-rank outcome types).
+//! The code follows its seams: `net` (one inbox per rank, which a send
+//! pushes into and a receive matches in, and the per-run park/wake
+//! protocol over the scheduler in `events`), `timing` (the timing law
+//! of one message), `ctx` ([`RankCtx`]), `schedule` (a collective
+//! member's ops as plain data), `rendezvous` (collectives evaluated in
+//! one rendezvous), `run` ([`Cluster`], its builder and the run driver)
+//! and `outcome` (timeout and per-rank outcome types).
 
 mod ctx;
 mod net;
@@ -570,7 +572,7 @@ mod tests {
             ctx.send_t::<u32>(peer, 3, 9);
             assert_eq!(ctx.recv_t::<u32>(peer, 3), 9);
             assert_eq!(ctx.recv_t::<u32>(peer, 4), 8);
-            ctx.pending_heap_bytes()
+            ctx.inbox_heap_bytes()
         });
         assert!(
             bytes.iter().all(|&b| 0 < b && b < 64 * p),

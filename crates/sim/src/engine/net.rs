@@ -1,15 +1,15 @@
-//! Per-run communication state: one [`Mailbox`] per rank behind
-//! [`RunNet`], the park/wake and completion-notification protocol over
-//! the run's scheduler, and the per-destination FIFO clamp.
+//! Per-run communication state: each rank's inbox, wait-for edge and
+//! completion flag behind [`RunNet`]'s one single-owner lock, the
+//! park/wake and completion-notification protocol over the run's
+//! scheduler, and the per-destination FIFO clamp.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use super::outcome::TimeoutReason;
 use super::rendezvous::Rendezvous;
 use crate::events::{self, EventSched};
 use crate::lockutil::RunLock;
-use crate::msg::{Envelope, Payload};
+use crate::msg::{Envelope, PendingBuf};
 use crate::timebase::Span;
 use crate::waitgraph::{WaitEdge, WaitGraph};
 use crate::{Rank, SimTime, Tag};
@@ -18,49 +18,38 @@ use crate::{Rank, SimTime, Tag};
 /// (src → dst) channel, to model MPI's non-overtaking guarantee.
 pub(super) const FIFO_EPS: Span = Span::from_secs(1e-12);
 
-/// Tag of the poison message broadcast by a panicking rank so that
-/// peers blocked in receives fail fast instead of deadlocking.
-pub(super) const POISON_TAG: Tag = u32::MAX;
-
-/// One rank's incoming-message queue: a reusable ring buffer behind the
-/// run's single-owner lock. Unlike a linked-list channel, pushing a
-/// message allocates nothing once the buffer has reached its high-water
-/// capacity.
-///
-/// Aligned to two cache lines so adjacent ranks' mailboxes in the
-/// `RunNet::boxes` vector never false-share a line between one rank's
-/// consumer loads and its neighbour's producer stores.
-#[repr(align(128))]
-struct Mailbox {
-    q: RunLock<VecDeque<Envelope>>,
-}
-
-/// Per-run communication state shared by all rank contexts: one mailbox
-/// per rank plus a live-rank count used to detect "everyone else
-/// finished" instead of relying on channel disconnection.
-pub(super) struct RunNet {
-    boxes: Vec<Mailbox>,
-    alive: AtomicUsize,
-    /// Per-rank "this rank's closure returned (or aborted)" flags. A
-    /// finished rank can never send again — its body delivered every
-    /// held-back message *before* the flag was set — so "no match
-    /// queued + sender done + no buffered match" is deterministic proof
-    /// that a deadline receive can only resolve as a timeout.
-    done: Vec<AtomicBool>,
-    /// Whether `rank_done` must wake *every* unfinished rank (not just
-    /// when the run collapses to one live rank): armed when the fault
-    /// plan is non-empty or any rank registers a deadline receive, so
-    /// parked deadline waiters observe sender completion. Benign runs
-    /// keep the single wake-all.
-    wake_done: AtomicBool,
-    /// Whether any rank has poisoned the mailboxes ([`RunNet::poison_from`]).
-    poison_sent: AtomicBool,
+/// What a run's ranks share about messages: one inbox per rank, which
+/// a send pushes into and a receive matches in, and what a receive
+/// needs to know when it finds no match.
+struct Inboxes {
+    /// Each rank's delivered, not yet received messages.
+    inbox: Vec<PendingBuf>,
     /// Each rank's wait-for edge, registered by a receive before it
-    /// parks (`RankCtx::pull_match_deadline`), and for a member parked
-    /// in a collective rendezvous by the drain pass. It tells
+    /// parks ([`RunNet::match_or_park`]), and for a member parked in a
+    /// collective rendezvous by the drain pass. It tells
     /// [`RunNet::send`] which delivery a parked rank waits for, and the
     /// drain pass ([`RunNet::drained`]) where the wait cycles are.
-    pub(super) waits: WaitGraph,
+    waits: WaitGraph,
+    /// Per-rank "this rank's closure returned (or aborted)" flags. A
+    /// finished rank can never send again — its body delivered every
+    /// held-back message *before* the flag was set — so "sender done +
+    /// no buffered match" is deterministic proof that a deadline
+    /// receive can only resolve as a timeout.
+    done: Vec<bool>,
+    /// Whether `rank_done` wakes every unfinished rank, so parked
+    /// deadline waiters observe sender completion: armed when the fault
+    /// plan is non-empty or any rank registers a deadline receive.
+    wake_done: bool,
+    /// The first rank whose body panicked, if any: a receive with no
+    /// match buffered, or a member waiting in a rendezvous, then fails
+    /// fast instead of deadlocking the run.
+    poisoned_by: Option<Rank>,
+}
+
+/// Per-run communication state shared by all rank contexts.
+pub(super) struct RunNet {
+    size: usize,
+    state: RunLock<Inboxes>,
     /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
     /// run that never forms a world communicator does not pay for it.
     world: OnceLock<Arc<[Rank]>>,
@@ -70,46 +59,31 @@ pub(super) struct RunNet {
     pub(super) rendezvous: RunLock<Rendezvous>,
 }
 
-/// Outcome of one [`RunNet::recv_batch`] park/drain cycle.
-pub(super) enum BatchWait {
-    /// The mailbox had (or received) envelopes; they are in the ring.
-    Got,
-    /// Every other rank finished and nothing is queued.
-    PeersGone,
-    /// The awaited sender finished without a matching send (deadline
-    /// receives only).
-    SenderDone,
-    /// A drain found this deadline wait on a wait cycle and fired it
-    /// ([`RunNet::drained`]).
-    DeadlineFired,
-}
-
 impl RunNet {
     /// The communication state of one run of `size` ranks, scheduled by
     /// `events`.
     ///
     /// # Safety
     /// Every rank body must execute under `events::drive` on `events`
-    /// (one slice at a time): the mailboxes and rendezvous slots are
+    /// (one slice at a time): the inboxes and rendezvous slots are
     /// single-owner [`RunLock`]s, and this is their constructor's
     /// contract.
     pub(super) unsafe fn new(size: usize, wake_on_done: bool, events: EventSched) -> Self {
-        Self {
-            boxes: (0..size)
-                .map(|_| Mailbox {
-                    // SAFETY: the caller's contract is `RunLock::new`'s;
-                    // `recv_batch` drops its guard before it parks.
-                    q: unsafe { RunLock::new("engine.mailbox", VecDeque::new()) },
-                })
-                .collect(),
-            alive: AtomicUsize::new(size),
-            done: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            wake_done: AtomicBool::new(wake_on_done),
-            poison_sent: AtomicBool::new(false),
+        let inboxes = Inboxes {
+            inbox: (0..size).map(|_| PendingBuf::default()).collect(),
             waits: WaitGraph::new(size),
+            done: vec![false; size],
+            wake_done: wake_on_done,
+            poisoned_by: None,
+        };
+        Self {
+            size,
+            // SAFETY: the caller's contract is `RunLock::new`'s;
+            // `match_or_park` drops its guard before it parks.
+            state: unsafe { RunLock::new("engine.inbox", inboxes) },
             world: OnceLock::new(),
             events,
-            // SAFETY: as for the mailboxes; `RankCtx::rendezvous` drops
+            // SAFETY: as for the inboxes; `RankCtx::rendezvous` drops
             // its guard before it parks.
             rendezvous: unsafe { RunLock::new("engine.rendezvous", Rendezvous::default()) },
         }
@@ -117,49 +91,42 @@ impl RunNet {
 
     /// Every rank of the run in order, shared by all of them.
     pub(super) fn world_ranks(&self) -> Arc<[Rank]> {
-        Arc::clone(self.world.get_or_init(|| (0..self.boxes.len()).collect()))
+        Arc::clone(self.world.get_or_init(|| (0..self.size).collect()))
     }
 
     /// Releases every rank in `ranks` from the rendezvous it is parked
     /// in, now resolved: clears the wait edge a drain may have given it
     /// and wakes it.
     pub(super) fn release_all(&self, ranks: &[Rank]) {
+        let mut st = self.state.acquire();
         for &rank in ranks {
-            self.waits.end_wait(rank);
+            st.waits.end_wait(rank);
             self.events.wake(rank);
         }
     }
 
-    /// Whether any rank has poisoned the mailboxes: without that, no
-    /// mailbox or delivery ring holds a poison.
-    pub(super) fn poison_sent(&self) -> bool {
-        self.poison_sent.load(Ordering::Acquire)
-    }
-
-    /// The rank whose poison sits in `me`'s mailbox, if any.
-    pub(super) fn poisoned(&self, me: Rank) -> Option<Rank> {
-        let q = self.boxes[me].q.acquire();
-        q.iter()
-            .find(|env| env.tag == POISON_TAG)
-            .map(|env| env.src)
+    /// The first rank whose body panicked, if any.
+    pub(super) fn poisoned_by(&self) -> Option<Rank> {
+        self.state.acquire().poisoned_by
     }
 
     /// The run loop's drain pass (`events::drive`): no rank is ready,
     /// so every unfinished rank is one of the `parked` (ascending), and
-    /// none holds an envelope that could release it, since
-    /// [`RunNet::send`] wakes a parked rank for its awaited `(src, tag)`
-    /// and for poison. Fires the deadline waits on every wait cycle and
-    /// returns their ranks, ascending, for the loop to queue. Fails the
-    /// run instead if a cycle has no deadline wait (the first such
-    /// cycle, from its lowest rank) or if there is no cycle at all (a
-    /// stall, naming every parked rank).
+    /// none has a match buffered, since [`RunNet::send`] wakes a parked
+    /// rank for its awaited `(src, tag)` and a panic wakes them all.
+    /// Fires the deadline waits on every wait cycle and returns their
+    /// ranks, ascending, for the loop to queue. Fails the run instead if
+    /// a cycle has no deadline wait (the first such cycle, from its
+    /// lowest rank) or if there is no cycle at all (a stall, naming
+    /// every parked rank).
     pub(super) fn drained(&self, parked: &[Rank]) -> Result<Vec<Rank>, String> {
+        let mut st = self.state.acquire();
         // A rendezvous member's edge is only known now: which members
         // had entered when it parked depends on the pick order.
         for (member, on, tag) in self.rendezvous.acquire().gathering() {
-            self.waits.begin_wait(member, on, tag, false);
+            st.waits.begin_wait(member, on, tag, false);
         }
-        let cycles = self.waits.cycles(parked);
+        let cycles = st.waits.cycles(parked);
         if let Some(cycle) = cycles.iter().find(|c| c.iter().all(|e| !e.deadline)) {
             return Err(format!("deadlock detected: {}", WaitGraph::describe(cycle)));
         }
@@ -172,32 +139,32 @@ impl RunNet {
         if fired.is_empty() {
             let waits: Vec<String> = parked
                 .iter()
-                .map(|&r| format!("rank {r} {}", self.describe_wait(r)))
+                .map(|&r| format!("rank {r} {}", self.describe_wait(&st, r)))
                 .collect();
             return Err(format!(
                 "run stalled: no rank is ready, {} of {} finished and nothing can wake the {} \
                  parked: {}",
-                self.boxes.len() - parked.len(),
-                self.boxes.len(),
+                self.size - parked.len(),
+                self.size,
                 parked.len(),
                 waits.join("; ")
             ));
         }
         fired.sort_unstable();
         for &r in &fired {
-            self.waits.fire(r);
+            st.waits.fire(r);
         }
         Ok(fired)
     }
 
     /// What parked rank `rank` is waiting for, worded for the stall
     /// report.
-    fn describe_wait(&self, rank: Rank) -> String {
-        let finished = |r: Rank| self.done[r].load(Ordering::SeqCst);
+    fn describe_wait(&self, st: &Inboxes, rank: Rank) -> String {
+        let finished = |r: Rank| st.done[r];
         if let Some(wait) = self.rendezvous.acquire().describe(rank, finished) {
             return wait;
         }
-        let WaitEdge { src, tag, .. } = self
+        let WaitEdge { src, tag, .. } = st
             .waits
             .edge(rank)
             .expect("a parked rank has a registered wait edge");
@@ -209,87 +176,92 @@ impl RunNet {
         format!("waiting on (src {src}, tag {tag}), and rank {src} {state}")
     }
 
-    /// Arms per-rank completion wakeups (idempotent). Called the first
-    /// time any rank registers a deadline receive, before it checks
-    /// `done[src]`; a finishing rank stores `done` before it loads this
-    /// flag in [`RunNet::rank_done`], so the wakeup is never lost.
+    /// Arms per-rank completion wakeups (idempotent), so a rank parked
+    /// in a deadline wait observes its sender finishing.
     pub(super) fn enable_done_wakeups(&self) {
-        if !self.wake_done.load(Ordering::SeqCst) {
-            self.wake_done.store(true, Ordering::SeqCst);
-        }
+        self.state.acquire().wake_done = true;
     }
 
-    /// Delivers `env` to `dst`'s mailbox. A parked `dst` is woken only
-    /// by what can release it — the `(src, tag)` its wait edge names, a
-    /// matched wake, or poison — so any other envelope waits in the
-    /// mailbox until `dst` drains it for its own reasons (module docs of
-    /// `events`).
+    /// Delivers `env` to `dst`'s inbox. A parked `dst` is woken only by
+    /// the `(src, tag)` its wait edge names, so any other envelope waits
+    /// in the inbox until `dst` receives it for its own reasons (module
+    /// docs of `events`).
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let awaited = self
+        let mut st = self.state.acquire();
+        let awaited = st
             .waits
             .edge(dst)
             .is_some_and(|e| (e.src, e.tag) == (env.src, env.tag));
-        let poison = env.tag == POISON_TAG;
-        self.boxes[dst].q.acquire().push_back(env);
+        st.inbox[dst].push(env);
+        drop(st);
         if awaited {
             self.events.wake_matched(dst);
-        } else if poison {
-            self.events.wake(dst);
         }
     }
 
-    /// Blocking receive of *everything* queued: swaps the whole
-    /// mailbox with the receiver-local `ring`, which must be empty,
-    /// under one lock acquisition and returns [`BatchWait::Got`]. Returns
-    /// [`BatchWait::PeersGone`] when every other rank has finished and
-    /// nothing is queued, so no message can ever arrive. A `deadline`
-    /// receive has two more resolutions: a drain fired its wait
-    /// ([`BatchWait::DeadlineFired`]), or the awaited sender finished
-    /// ([`BatchWait::SenderDone`]). An empty mailbox parks the rank's
-    /// continuation with the wait edge the caller published still
-    /// registered; every resume re-checks all of the above.
+    /// A receive by `me` of `tag` from `src`: takes the oldest buffered
+    /// match, or registers the wait edge and parks the rank's
+    /// continuation until the match is delivered, re-checking on every
+    /// resume. A buffered tombstone resolves as lost and is consumed; a
+    /// live match that arrives after `deadline` resolves as passed and
+    /// stays buffered for a later receive. A `deadline` receive with no
+    /// match buffered also resolves when a drain fired its wait or when
+    /// `src` has finished. Each resolution but a match is returned as
+    /// the instant and reason of the timeout.
     ///
-    /// The batching is host-side only: whether messages are found one
-    /// per lock or many per lock changes nothing about virtual time
-    /// (arrivals were fixed at send time).
-    pub(super) fn recv_batch(
+    /// # Panics
+    /// If a peer's body panicked and no match is buffered.
+    pub(super) fn match_or_park(
         &self,
         me: Rank,
         src: Rank,
-        deadline: bool,
+        tag: Tag,
+        deadline: Option<SimTime>,
         now: SimTime,
-        ring: &mut VecDeque<Envelope>,
-    ) -> BatchWait {
+    ) -> Result<Envelope, (SimTime, TimeoutReason)> {
         loop {
-            // Fired first: a drain fires a wait only when nothing queued
-            // could release it, and a fired peer that resumes before this
-            // rank may send the awaited message or finish. Consulting the
-            // mailbox or `done[src]` first would let the pick order choose
-            // the resolution.
-            if deadline && self.waits.take_fired(me) {
-                return BatchWait::DeadlineFired;
+            let mut guard = self.state.acquire();
+            let st = &mut *guard;
+            if let Some(dl) = deadline {
+                st.wake_done = true;
+                // Fired first: a drain fires a wait only when nothing
+                // buffered could release it, and a fired peer that
+                // resumes before this rank may send the awaited message
+                // or finish. Consulting the inbox or `done[src]` first
+                // would let the pick order choose the resolution.
+                if st.waits.take_fired(me) {
+                    return Err((dl, TimeoutReason::WaitCycle));
+                }
             }
-            let mut q = self.boxes[me].q.acquire();
-            if !q.is_empty() {
-                debug_assert!(ring.is_empty(), "the ring is drained before a batch wait");
-                std::mem::swap(&mut *q, ring);
-                // The caller re-registers if its ring runs dry without a
-                // match.
-                self.waits.end_wait(me);
-                return BatchWait::Got;
+            st.waits.end_wait(me);
+            let inbox = &mut st.inbox[me];
+            if let Some(at) = inbox.find(src, tag) {
+                let env = inbox.get(at);
+                if env.dropped {
+                    let lost_at = deadline.unwrap_or(env.arrival);
+                    inbox.remove(at);
+                    return Err((lost_at, TimeoutReason::MessageLost));
+                }
+                // A live match past the deadline is late, not lost: it
+                // stays buffered for a later receive.
+                if let Some(dl) = deadline.filter(|&dl| env.arrival > dl) {
+                    return Err((dl, TimeoutReason::DeadlinePassed));
+                }
+                return Ok(inbox.remove(at));
             }
-            drop(q);
-            if self.alive.load(Ordering::Acquire) <= 1 {
-                return BatchWait::PeersGone;
+            if let Some(peer) = st.poisoned_by {
+                drop(guard);
+                peer_panicked(me, peer, src, tag);
             }
             // The sender's body delivered every message before setting
-            // `done`: seeing the flag with an empty queue proves no
+            // `done`: seeing the flag with no match buffered proves no
             // match is coming.
-            if deadline && self.done[src].load(Ordering::SeqCst) {
-                self.waits.end_wait(me);
-                return BatchWait::SenderDone;
+            if let Some(dl) = deadline.filter(|_| st.done[src]) {
+                return Err((dl, TimeoutReason::SenderFinished));
             }
+            st.waits.begin_wait(me, src, tag, deadline.is_some());
+            drop(guard);
             // Park the continuation, keyed on this rank's current
             // virtual time, and yield — to the run loop, or straight to
             // `src` if it is the handoff. No wake can arrive between the
@@ -300,50 +272,47 @@ impl RunNet {
         }
     }
 
-    /// Marks one rank as finished. When only one rank remains — or when
-    /// completion wakeups are armed (fault injection / deadline
-    /// receives) — every unfinished rank is woken so a blocked receiver
-    /// can observe that its peer is gone.
+    /// Marks one rank as finished. When completion wakeups are armed
+    /// (fault injection / deadline receives), every unfinished rank is
+    /// woken so a parked deadline receiver can observe that its sender
+    /// is gone.
     pub(super) fn rank_done(&self, rank: Rank) {
-        self.done[rank].store(true, Ordering::SeqCst);
-        let last_pair = self.alive.fetch_sub(1, Ordering::AcqRel) == 2;
-        if last_pair || self.wake_done.load(Ordering::SeqCst) {
-            for dst in 0..self.boxes.len() {
-                // A done rank's body has returned — it can never be
-                // blocked in a receive again, so its wake would be pure
-                // overhead. (`done` is only ever set *after* a rank's
-                // last receive, so a skipped rank provably has no waiter
-                // to lose.)
-                if dst == rank || self.done[dst].load(Ordering::SeqCst) {
-                    continue;
-                }
+        let mut st = self.state.acquire();
+        st.done[rank] = true;
+        if st.wake_done {
+            // A done rank's body has returned: it can never be blocked
+            // in a receive again, so its wake would be pure overhead.
+            for dst in (0..self.size).filter(|&dst| !st.done[dst]) {
                 self.events.wake(dst);
             }
         }
     }
 
-    /// Unblocks peers waiting for messages from a panicking rank (or
-    /// anyone): poisons every mailbox so their receives fail fast
-    /// instead of deadlocking the run.
+    /// Records that `src`'s body panicked and wakes every other rank, so
+    /// that peers blocked in receives or rendezvous fail fast instead of
+    /// deadlocking the run.
     pub(super) fn poison_from(&self, src: Rank) {
-        self.poison_sent.store(true, Ordering::Release);
-        for dst in 0..self.boxes.len() {
-            if dst != src {
-                self.send(
-                    dst,
-                    Envelope {
-                        src,
-                        tag: POISON_TAG,
-                        send_time: SimTime::ZERO,
-                        arrival: SimTime::ZERO,
-                        needs_ack: false,
-                        dropped: false,
-                        payload: Payload::empty(),
-                    },
-                );
-            }
+        self.state.acquire().poisoned_by.get_or_insert(src);
+        for dst in (0..self.size).filter(|&dst| dst != src) {
+            self.events.wake(dst);
         }
     }
+
+    /// Bytes of heap held by `rank`'s inbox.
+    #[cfg(test)]
+    pub(super) fn inbox_heap_bytes(&self, rank: Rank) -> usize {
+        self.state.acquire().inbox[rank].heap_bytes()
+    }
+}
+
+/// The failure of a receive by `me` from `src` on `tag` that found no
+/// match after `peer`'s body panicked; out of line, off the receive path.
+#[cold]
+#[inline(never)]
+fn peer_panicked(me: Rank, peer: Rank, src: Rank, tag: Tag) -> ! {
+    panic!(
+        "rank {me}: peer rank {peer} panicked while this rank was receiving (src {src}, tag {tag})"
+    )
 }
 
 /// Per-destination FIFO clamp (last scheduled arrival per dst), sized by

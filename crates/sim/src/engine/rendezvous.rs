@@ -85,7 +85,8 @@ enum SlotState {
     /// No collective: the slot waits for reuse.
     Free,
     /// Members are still entering (or the evaluation panicked; the
-    /// poison of the failing rank then releases the parked members).
+    /// failing rank's wake-up of every rank then releases the parked
+    /// members).
     Gathering,
     /// Every member's state is back in the slot, evaluated.
     Evaluated,

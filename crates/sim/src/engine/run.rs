@@ -390,7 +390,7 @@ impl Cluster {
     {
         silence_recv_timeout_panic_hook();
         // Catch the RecvTimeout unwind *inside* the rank body, so
-        // `run_settled` sees a completed rank (no poison broadcast, no
+        // `run_settled` sees a completed rank (no poisoned run, no
         // rank-level panic bookkeeping): message loss stays a per-rank
         // outcome, not a run-level failure.
         let g = |ctx: &mut RankCtx| {
@@ -527,7 +527,7 @@ impl Cluster {
         let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
         if !panics.is_empty() {
             // Prefer the root-cause panic over the "peer panicked"
-            // consequence panics triggered by the poison broadcast, and
+            // consequence panics triggered by `RunNet::poison_from`, and
             // over timeout unwinds (a genuine bug on one rank routinely
             // times out its peers' deadline receives).
             let is_consequence = |p: &Box<dyn std::any::Any + Send>| {

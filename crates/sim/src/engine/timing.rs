@@ -50,7 +50,7 @@ pub(super) enum Route {
 }
 
 /// Where a send goes once [`Timing::send`] has timed it: the message
-/// path's mailboxes behind its fault interpreter, or a collective
+/// path's inboxes behind its fault interpreter, or a collective
 /// evaluator's inboxes.
 pub(super) trait Delivery {
     /// May rewrite the sampled latency and route the message past the

@@ -39,7 +39,7 @@
 //!     slot* instead of the heap. When rank R then parks on the rank S
 //!     in the slot — R answered S and now waits for S's reply — S runs
 //!     next and the heap is bypassed: the two sides of a ping-pong run
-//!     back to back on hot stacks and mailboxes instead of taking turns
+//!     back to back on hot stacks and inboxes instead of taking turns
 //!     with every other live conversation. On the fiber backend R's
 //!     park ([`EventSched::park`]) records itself (key, one slice, one
 //!     handoff) and switches straight to S's stack, which inherits the
@@ -53,8 +53,9 @@
 //!     same slices. In every other case (R parked on someone else, R
 //!     finished, a later matched wake displaced S from the slot) S
 //!     moves to the heap under the key it parked with, exactly as a
-//!     plain wake would have queued it. Completion and poison wakes
-//!     never match, and a fired deadline wait is queued by the loop.
+//!     plain wake would have queued it. Completion wakes and a
+//!     panicking rank's wake of every rank never match, and a fired
+//!     deadline wait is queued by the loop.
 //! - **The reference order** (`EngineMode::Threads`, on the thread
 //!   backend): the next rank is drawn uniformly from every woken or
 //!   unstarted rank, from the run's `sched_scramble` stream, and no
@@ -65,26 +66,27 @@
 //!
 //! # Wakes are never lost, by construction
 //!
-//! A rank checks its mailbox, records its wait and parks, and nothing
+//! A rank checks its inbox, records its wait and parks, and nothing
 //! else executes in between: on the fiber backend all of it happens on
 //! the loop's thread, and the thread backend's strict handoff keeps the
 //! loop blocked in `resume` while the body runs. So every `wake` finds
 //! its target either parked (and queues it, in the ready queue or in
 //! the handoff slot, which the next park or the loop empties before the
-//! slice ends) or bound to re-check its mailbox before it parks (a
-//! no-op). A woken receiver re-checks its mailbox on every resume.
+//! slice ends) or bound to re-check its inbox before it parks (a
+//! no-op). A woken receiver re-checks its inbox on every resume.
 //!
 //! **Only the awaited delivery wakes.** The wait edge is registered
-//! before a rank parks and stays until it next drains its mailbox, so
-//! `RunNet::send` wakes a parked rank for that `(src, tag)` or for
-//! poison only: any other envelope waits in the mailbox, unseen, until
-//! the rank drains it for its own reasons. Completion and a
-//! collective's release are not deliveries, and still wake.
+//! before a rank parks and stays until it resumes, so `RunNet::send`
+//! wakes a parked rank for that `(src, tag)` only: any other envelope
+//! waits in the inbox, unseen, until the rank receives it for its own
+//! reasons. Completion, a panicking rank and a collective's release
+//! are not deliveries, and still wake.
 //!
 //! The same fact — one slice at a time, each ordered after the last by
 //! the loop itself or by the thread backend's mutex/condvar handoff — is
-//! why the run's mailboxes and this scheduler's ready state sit behind
-//! [`RunLock`], a checked flag, and the message path takes no mutex.
+//! why the run's inboxes and this scheduler's ready state sit behind
+//! [`RunLock`], a checked flag, and the message path takes no mutex and
+//! no atomic.
 //!
 //! # Deadlocks and stalls are found when the loop drains
 //!
@@ -339,10 +341,10 @@ impl EventSched {
     }
 
     /// Wake hook called by `RunNet` after a state change a parked
-    /// receiver waits on (the awaited delivery, poison, rank
+    /// receiver waits on (the awaited delivery, a peer's panic, rank
     /// completion, a collective's release). Always safe to over-call:
     /// waking a rank that is not parked is a no-op, and a woken
-    /// receiver simply re-checks its mailbox.
+    /// receiver simply re-checks its inbox.
     pub(crate) fn wake(&self, rank: usize) {
         self.requeue(rank, false);
     }

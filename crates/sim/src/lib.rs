@@ -41,7 +41,7 @@
 //! - [`clockspec`] — numeric parameters of the per-node oscillators
 //!   (interpreted by the `hcs-clock` crate),
 //! - [`machines`] — the three machine profiles of the paper's Table I,
-//! - [`engine`] — the run driver, mailboxes and the [`engine::Cluster`]
+//! - [`engine`] — the run driver, per-rank inboxes and the [`engine::Cluster`]
 //!   entry point (built via [`engine::ClusterBuilder`]), and
 //!   [`RankCtx::collective`], which walks a collective's per-member
 //!   [`Schedule`]s on messages or evaluates them in one rendezvous,

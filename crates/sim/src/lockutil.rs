@@ -10,10 +10,10 @@
 //!
 //! # Two kinds of lock (DESIGN.md §12)
 //!
-//! The per-run state of a cluster run — every mailbox queue
-//! (`engine.mailbox`), the collective rendezvous slots
-//! (`engine.rendezvous`) and the scheduler's ready state
-//! (`events.sched`) — sits behind [`RunLock`], a checked borrow flag:
+//! The per-run state of a cluster run — the ranks' inboxes, wait
+//! edges and completion flags (`engine.inbox`), the collective
+//! rendezvous slots (`engine.rendezvous`) and the scheduler's ready
+//! state (`events.sched`) — sits behind [`RunLock`], a checked borrow flag:
 //! a run executes one rank slice at a time, so a mutex would only ever
 //! be taken uncontended. What still crosses threads — the thread
 //! backend's handshake, the fiber stack pool, a run's panic sink and
@@ -186,8 +186,8 @@ mod tests {
 
     #[test]
     fn owned_flag_is_cleared_when_an_unwind_drops_the_guard() {
-        // A panicking rank's `poison_from` walks every mailbox,
-        // including one whose guard the unwind has just dropped.
+        // A rank that panics with a guard alive must leave the lock
+        // usable for the peers that still run.
         let m = run_lock("test.owned-unwind", 5u32);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut g = m.acquire();

@@ -3,20 +3,11 @@
 //! waits on the lowest member that has not entered, so the relation is
 //! a partial function `rank → (src, tag)` and a deadlock is a cycle of
 //! it, searched for only when the run drains ([`WaitGraph::cycles`]).
-//! A slot is one packed word: a wait is one store, with no allocation
-//! (`tests/alloc_free.rs`), and an atomic, for thread-backed ranks.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A slot is a plain value next to its rank's inbox, under the run's
+//! single-owner lock (`engine::net`): a wait is one store, with no
+//! allocation (`tests/alloc_free.rs`).
 
 use crate::{Rank, Tag};
-
-/// Sentinels above every packed edge: the rank is not blocked in a
-/// receive, or a drain fired its deadline wait (a timeout to resolve).
-const IDLE: u64 = u64::MAX;
-const FIRED: u64 = u64::MAX - 1;
-
-/// The wait has a deadline: a cycle through it fires it, not a panic.
-const DEADLINE_BIT: u64 = 1 << 63; // xtask-allow: clockdomain (packed-slot bit flag, not a timestamp)
 
 /// One wait-for edge: `waiter` is blocked until `src` sends `tag`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,55 +18,68 @@ pub(crate) struct WaitEdge {
     pub(crate) deadline: bool,
 }
 
+/// What one rank's slot holds.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Not blocked in a receive.
+    Idle,
+    /// Blocked until `src` sends `tag`; a cycle through a `deadline`
+    /// wait fires it, not a panic.
+    Waiting { src: Rank, tag: Tag, deadline: bool },
+    /// A drain fired the deadline wait: a timeout to resolve.
+    Fired,
+}
+
 /// The per-run wait-for graph: one slot per rank.
 pub(crate) struct WaitGraph {
-    slots: Vec<AtomicU64>,
+    slots: Vec<Slot>,
 }
 
 impl WaitGraph {
     /// A graph for `size` ranks, all idle.
     pub(crate) fn new(size: usize) -> Self {
         Self {
-            slots: (0..size).map(|_| AtomicU64::new(IDLE)).collect(),
+            slots: vec![Slot::Idle; size],
         }
     }
 
     /// Registers that `me` starts blocking until `src` sends `tag`.
     #[inline]
-    pub(crate) fn begin_wait(&self, me: Rank, src: Rank, tag: Tag, deadline: bool) {
-        debug_assert!(src != me && src < 1 << 30, "a 30-bit peer");
-        let flag = if deadline { DEADLINE_BIT } else { 0 };
-        self.slots[me].store(((src as u64) << 32) | tag as u64 | flag, Ordering::Release);
+    pub(crate) fn begin_wait(&mut self, me: Rank, src: Rank, tag: Tag, deadline: bool) {
+        debug_assert!(src != me, "a wait on a peer");
+        self.slots[me] = Slot::Waiting { src, tag, deadline };
     }
 
     /// Clears `me`'s wait edge.
     #[inline]
-    pub(crate) fn end_wait(&self, me: Rank) {
-        self.slots[me].store(IDLE, Ordering::Release);
+    pub(crate) fn end_wait(&mut self, me: Rank) {
+        self.slots[me] = Slot::Idle;
     }
 
     /// What `waiter` is currently blocked on, if anything.
     #[inline]
     pub(crate) fn edge(&self, waiter: Rank) -> Option<WaitEdge> {
-        let v = self.slots[waiter].load(Ordering::Acquire);
-        (v < FIRED).then_some(WaitEdge {
-            waiter,
-            src: ((v >> 32) & 0x3FFF_FFFF) as Rank,
-            tag: v as u32,
-            deadline: v & DEADLINE_BIT != 0,
-        })
+        match self.slots[waiter] {
+            Slot::Waiting { src, tag, deadline } => Some(WaitEdge {
+                waiter,
+                src,
+                tag,
+                deadline,
+            }),
+            Slot::Idle | Slot::Fired => None,
+        }
     }
 
     /// Fires `r`'s parked deadline wait.
-    pub(crate) fn fire(&self, r: Rank) {
+    pub(crate) fn fire(&mut self, r: Rank) {
         debug_assert!(self.edge(r).is_some_and(|e| e.deadline), "a deadline wait");
-        self.slots[r].store(FIRED, Ordering::Release);
+        self.slots[r] = Slot::Fired;
     }
 
     /// Whether a drain fired `me`'s wait, which this clears.
     #[inline]
-    pub(crate) fn take_fired(&self, me: Rank) -> bool {
-        let fired = self.slots[me].load(Ordering::Acquire) == FIRED;
+    pub(crate) fn take_fired(&mut self, me: Rank) -> bool {
+        let fired = matches!(self.slots[me], Slot::Fired);
         if fired {
             self.end_wait(me);
         }
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn cycles_are_found_once_from_their_lowest_rank_and_fired_once() {
         // 0 -> 3 -> 1 -> 3 and 2 -> 4 -> 2; 5 -> 6, which is not parked.
-        let g = WaitGraph::new(7);
+        let mut g = WaitGraph::new(7);
         for (me, src) in [(0, 3), (3, 1), (1, 3), (2, 4), (4, 2), (5, 6)] {
             g.begin_wait(me, src, 10 + me as Tag, me == 4);
         }

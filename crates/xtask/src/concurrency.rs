@@ -13,7 +13,7 @@
 //!   guard is live. With no mutex nested in another, no two can wait
 //!   on each other;
 //! - **blocking** (`concurrency/guard-across-blocking`) — no guard may
-//!   be held across a park point (`.wait(`, `park`, `recv_batch`); the
+//!   be held across a park point (`.wait(`, `park`, `match_or_park`); the
 //!   one sanctioned shape is the consumed-guard condvar wait
 //!   (`g = cv.wait(g)`) with no other guard held. A `RunLock` guard
 //!   is a guard like any other here: the single-owner lock of a run is
@@ -157,7 +157,7 @@ pub fn guards(path: &str, scan: &FileScan, out: &mut Vec<Finding>) {
 fn check_blocking(path: &str, ln: usize, line: &str, held: &[&Acq], out: &mut Vec<Finding>) {
     let wait = line.contains(".wait(");
     let park = has_word(line, "park");
-    let recv = has_word(line, "recv_batch");
+    let recv = has_word(line, "match_or_park");
     let susp = has_word(line, "suspend_current") || has_word(line, "switch_to");
     if !wait && !park && !recv && !susp {
         return;

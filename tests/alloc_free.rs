@@ -3,12 +3,17 @@
 //! A counting global allocator wraps `System` and counts while the
 //! calling thread has a rank armed in a const-initialised thread-local.
 //! Only rank bodies arm it, so an allocation on any other host thread
-//! (the test harness, a sibling run) is never counted. After a warm-up
-//! phase (mailbox ring buffers and the run loop's ready queue reach
+//! (the test harness, a sibling run) is never counted. On fibers both
+//! ranks and the run loop between their slices share one host thread
+//! and so one flag; the counted window is therefore fenced by a barrier
+//! at each end, as in `tests/alloc_collectives.rs`: it opens once both
+//! ranks are through their warm-up and closes once both are through
+//! their last trip, so every trip of both ranks is counted. After a
+//! warm-up phase (the inbox rings and the run loop's ready queue reach
 //! their high-water capacity) the steady-state ping-pong loop — send
-//! with inline payload, latency sampling, FIFO clamp, mailbox push/pop,
-//! receive — must perform exactly zero heap allocations, on fibers and
-//! on thread-backed continuations alike.
+//! with inline payload, latency sampling, FIFO clamp, inbox push and
+//! match, receive — must perform exactly zero heap allocations, on
+//! fibers and on thread-backed continuations alike.
 //!
 //! This file intentionally contains a single test: the counter is
 //! process-global, and a sibling test allocating concurrently would
@@ -24,9 +29,7 @@ use hierarchical_clock_sync::sim::EngineMode;
 struct CountingAlloc;
 
 thread_local! {
-    /// Armed by a rank body for its counted loop. On fibers both ranks
-    /// and the run loop share one host thread, so counting there runs
-    /// from the first rank's arming to the first rank's disarming.
+    /// Armed by a rank body for its counted loop (module docs).
     static TRACKING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -67,6 +70,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Sets the counting flag once both ranks are through the barrier.
+fn fence(ctx: &mut RankCtx, comm: &mut Comm, tracking: bool) {
+    comm.barrier(ctx, BarrierAlgorithm::Tree);
+    TRACKING.set(tracking);
+}
+
 #[test]
 fn steady_state_small_messages_do_not_allocate() {
     for mode in [EngineMode::Events, EngineMode::Threads] {
@@ -80,6 +89,7 @@ fn steady_state_small_messages_do_not_allocate() {
             .observability(ObsSpec::off())
             .build();
         cluster.run(|ctx| {
+            let mut comm = Comm::world(ctx);
             let peer = 1 - ctx.rank();
             let trip = |ctx: &mut RankCtx, i: u32| {
                 if ctx.rank() == 0 {
@@ -90,17 +100,20 @@ fn steady_state_small_messages_do_not_allocate() {
                     ctx.send_t(peer, i & 0x7, v + 1.0);
                 }
             };
-            // Warm-up: grow mailbox rings to their high-water capacity.
+            // Warm-up: grow the inbox rings to their high-water capacity,
+            // and the rendezvous buffers the closing barrier uses to
+            // theirs (one barrier leaves one of them short on fibers).
             for i in 0..512u32 {
                 trip(ctx, i);
             }
+            comm.barrier(ctx, BarrierAlgorithm::Tree);
             // On fibers the run loop's own park/wake steps between the
             // rank slices are counted too; on threads only the ranks are.
-            TRACKING.set(true);
+            fence(ctx, &mut comm, true);
             for i in 0..2048u32 {
                 trip(ctx, i);
             }
-            TRACKING.set(false);
+            fence(ctx, &mut comm, false);
         });
         let n = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(

@@ -140,12 +140,11 @@ fn full_sync_and_round_time_pipeline_has_no_false_positives() {
 }
 
 #[test]
-fn cycle_is_diagnosed_while_a_non_matching_batch_is_in_flight() {
-    // Batched delivery edge case: rank 0 sends rank 1 a message that
-    // does NOT match what rank 1 is receiving on, then both ranks block
-    // head-to-head. Rank 1 drains the batch (which clears its wait
-    // edge), buffers the non-matching envelope to pending, and must
-    // re-register its edge before parking again — otherwise the drain
+fn cycle_is_diagnosed_while_a_non_matching_message_is_buffered() {
+    // Rank 0 sends rank 1 a message that does NOT match what rank 1 is
+    // receiving on, then both ranks block head-to-head. The message
+    // waits in rank 1's inbox without waking it, and rank 1 must still
+    // be parked with its wait edge registered — otherwise the drain
     // would miss the cycle and report a stall.
     let msg = failure_message(&machines::testbed(2, 1).cluster(14), |ctx| {
         let peer = 1 - ctx.rank();
@@ -164,8 +163,7 @@ fn cycle_is_diagnosed_while_a_non_matching_batch_is_in_flight() {
 #[test]
 fn non_cycle_stall_on_a_finished_sender_is_diagnosed() {
     // Rank 0 returns at once, rank 1 waits for it and rank 2 waits for
-    // rank 1: no cycle for the wait graph, and two ranks alive, so
-    // `PeersGone` never fires either. Only the scheduler sees it.
+    // rank 1: no cycle for the wait graph. Only the scheduler sees it.
     let msg = failure_message(&machines::testbed(3, 1).cluster(15), |ctx| {
         match ctx.rank() {
             0 => {}
@@ -181,4 +179,21 @@ fn non_cycle_stall_on_a_finished_sender_is_diagnosed() {
     ] {
         assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
     }
+}
+
+#[test]
+fn plain_receive_from_a_finished_rank_is_a_stall() {
+    // Rank 0 returns at once and rank 1, the only rank left, waits for
+    // it with a plain receive: the drain pass reports the stall, on
+    // both pick orders.
+    let msg = failure_message(&machines::testbed(2, 1).cluster(16), |ctx| {
+        if ctx.rank() == 1 {
+            let _: f64 = ctx.recv_t(0, 7);
+        }
+    });
+    assert_eq!(
+        msg,
+        "run stalled: no rank is ready, 1 of 2 finished and nothing can wake the 1 parked: rank \
+         1 waiting on (src 0, tag 7), and rank 0 already finished"
+    );
 }

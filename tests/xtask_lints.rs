@@ -135,6 +135,30 @@ fn good(s: &S) {
 }
 
 #[test]
+fn guard_held_across_a_receive_that_may_park_is_an_error() {
+    // `RunNet::match_or_park` parks the calling rank when no match is
+    // buffered, so no guard may be live across a call to it.
+    let src = "\
+fn bad(net: &RunNet) {
+    let slots = net.rendezvous.acquire();
+    let env = net.match_or_park(me, src, tag, None, now);
+}
+fn good(net: &RunNet) {
+    let slots = net.rendezvous.acquire();
+    drop(slots);
+    let env = net.match_or_park(me, src, tag, None, now);
+}
+";
+    let findings = lint_sources(&[("crates/sim/src/engine/ctx.rs", src)]);
+    assert_eq!(
+        lint_ids(&findings),
+        vec!["concurrency/guard-across-blocking"],
+        "{findings:?}"
+    );
+    assert_eq!(findings[0].line, 3, "{findings:?}");
+}
+
+#[test]
 fn run_lock_is_never_held_across_a_suspension() {
     // A run lock's guard may not live across a continuation suspension:
     // that is what makes the single-owner lock of a run sound. Not even
