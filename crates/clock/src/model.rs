@@ -179,6 +179,7 @@ pub fn fit_linear_model(xs: &[LocalTime], ys: &[Span]) -> LinearFit {
 mod tests {
     use super::*;
     use crate::domain::secs;
+    use hcs_sim::detmath;
 
     fn lt(x: f64) -> LocalTime {
         LocalTime::from_raw_seconds(x)
@@ -288,7 +289,7 @@ mod tests {
             .iter()
             .map(|x| {
                 let x = x.raw_seconds();
-                secs(1e-6 * x + 1e-4 * ((x * 12.9898).sin() * 43758.5453).fract())
+                secs(1e-6 * x + 1e-4 * (detmath::sin(x * 12.9898) * 43758.5453).fract())
             })
             .collect();
         let fit = fit_linear_model(&xs, &ys);

@@ -13,7 +13,13 @@
 //! This matches the paper's empirical findings (Fig. 2 and §III-C2 /
 //! Doleschal et al.): over a 10 s window drift is almost perfectly linear
 //! (R² > 0.9), while over 500 s the wander terms curve it visibly.
+//!
+//! The wander terms take their `sin` and `cos` from
+//! [`hcs_sim::detmath`], so a clock reading is the same bits on every
+//! host; both terms are inlined into a read, which evaluates them side
+//! by side.
 
+use hcs_sim::detmath;
 use hcs_sim::rngx::{self, label};
 use hcs_sim::{ClockSpec, SimTime};
 
@@ -53,7 +59,7 @@ impl Wander {
             amp,
             period,
             phase,
-            cos_phase: phase.cos(),
+            cos_phase: detmath::cos(phase),
             scale: amp * period / TAU,
         }
     }
@@ -61,14 +67,16 @@ impl Wander {
     /// The term's frequency error at true time `t`.
     fn rate(&self, t: SimTime) -> f64 {
         let t = t.seconds();
-        self.amp * (TAU * t / self.period + self.phase).sin()
+        self.amp * detmath::sin(TAU * t / self.period + self.phase)
     }
 
-    /// The term's integral over `[0, t]`.
+    /// The term's integral over `[0, t]`. Inlined, so a clock read
+    /// evaluates its two wander terms side by side.
+    #[inline(always)]
     fn displacement(&self, t: SimTime) -> f64 {
         let t = t.seconds();
         if self.amp != 0.0 {
-            self.scale * (self.cos_phase - (TAU * t / self.period + self.phase).cos())
+            self.scale * (self.cos_phase - detmath::cos(TAU * t / self.period + self.phase))
         } else {
             0.0
         }
@@ -174,7 +182,8 @@ mod tests {
         let t = t.seconds();
         let term = |w: &Wander| {
             if w.amp != 0.0 {
-                w.amp * w.period / TAU * (w.phase.cos() - (TAU * t / w.period + w.phase).cos())
+                w.amp * w.period / TAU
+                    * (detmath::cos(w.phase) - detmath::cos(TAU * t / w.period + w.phase))
             } else {
                 0.0
             }

@@ -7,6 +7,7 @@
 //! microsecond resolution, millisecond-scale NTP-disciplined offsets,
 //! shared by all cores of a node).
 
+use hcs_sim::detmath;
 use hcs_sim::rngx::{self, label, Pcg64};
 use hcs_sim::{RankCtx, SimTime, Span};
 
@@ -44,6 +45,10 @@ pub struct LocalClock {
     read_noise_sd: f64,
     read_cost: Span,
     noise_rng: Pcg64,
+    /// The read-out noise of the next reading. Drawn one read ahead, so
+    /// the draw's latency stays off the reading's own dependency chain;
+    /// the stream and its order are the same (one draw per read).
+    next_noise: f64,
     /// Monotonicity guard: readings never decrease.
     last_reading: f64,
 }
@@ -78,13 +83,17 @@ impl LocalClock {
             TimeSource::WallCoarse => (wall_node_off, spec.wall_resolution_s.seconds().max(0.0)),
         };
         let instance = ctx.fresh_label();
+        let read_noise_sd = spec.read_noise_s.seconds();
+        let mut noise_rng = rngx::stream_rng(seed, label::rank_clock_noise(rank) ^ instance);
+        let next_noise = draw_noise(&mut noise_rng, read_noise_sd);
         Self {
             oscillator,
             offset,
             resolution,
-            read_noise_sd: spec.read_noise_s.seconds(),
+            read_noise_sd,
             read_cost: spec.read_cost_s,
-            noise_rng: rngx::stream_rng(seed, label::rank_clock_noise(rank) ^ instance),
+            noise_rng,
+            next_noise,
             last_reading: f64::NEG_INFINITY,
         }
     }
@@ -99,6 +108,7 @@ impl LocalClock {
             read_noise_sd: 0.0,
             read_cost: Span::ZERO,
             noise_rng: rngx::stream_rng(seed, 0),
+            next_noise: 0.0,
             last_reading: f64::NEG_INFINITY,
         }
     }
@@ -110,10 +120,20 @@ impl LocalClock {
 
     fn quantize(&self, x: f64) -> f64 {
         if self.resolution > 0.0 {
-            (x / self.resolution).floor() * self.resolution
+            detmath::floor(x / self.resolution) * self.resolution
         } else {
             x
         }
+    }
+}
+
+/// One read-out noise draw, or zero for a noiseless clock (which never
+/// draws).
+fn draw_noise(rng: &mut Pcg64, sd: f64) -> f64 {
+    if sd > 0.0 {
+        rngx::normal_with(rng, 0.0, sd)
+    } else {
+        0.0
     }
 }
 
@@ -123,7 +143,8 @@ impl Clock for LocalClock {
         let t = ctx.now();
         let mut reading = self.offset + self.oscillator.elapsed(t);
         if self.read_noise_sd > 0.0 {
-            reading += rngx::normal_with(&mut self.noise_rng, 0.0, self.read_noise_sd);
+            reading += self.next_noise;
+            self.next_noise = draw_noise(&mut self.noise_rng, self.read_noise_sd);
         }
         reading = self.quantize(reading);
         if reading < self.last_reading {

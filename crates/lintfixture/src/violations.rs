@@ -63,6 +63,16 @@ pub fn busy_wait_until(deadline: f64) -> f64 {
     deadline
 }
 
+/// The host libm's transcendental functions, owned by `detmath`.
+pub fn host_libm(x: f64) -> [f64; 4] {
+    [
+        x.sin(), // disallowed_methods
+        x.cos(), // disallowed_methods
+        x.exp(), // disallowed_methods
+        x.ln(),  // disallowed_methods
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -64,13 +64,31 @@ pub(super) trait Delivery {
     fn deliver(self, t: &mut Timing, arrival: SimTime);
 }
 
+/// A rank's message-jitter stream and the standard normal deviate of
+/// its next message's jitter, drawn as soon as the previous message's
+/// draws are done. The stream's order is unchanged; the Box–Muller draw
+/// just leaves the send's dependency chain (a receive waits on the
+/// arrival time it feeds).
+struct NetStream {
+    rng: Pcg64,
+    next_z: f64,
+}
+
+impl NetStream {
+    fn new(law: &Law, me: Rank) -> Self {
+        let mut rng = rngx::stream_rng(law.master_seed, label::rank_net(me));
+        let next_z = rngx::normal(&mut rng);
+        Self { rng, next_z }
+    }
+}
+
 /// The per-rank state the timing law changes.
 pub(super) struct Timing {
     pub(super) now: SimTime,
     /// Per-rank message-jitter stream, materialized on first send: most
     /// ranks of a large run never send, and first use derives the exact
     /// same seeded stream construction would have.
-    net_rng: Option<Pcg64>,
+    net: Option<NetStream>,
     /// FIFO clamp: last arrival time scheduled to each destination.
     last_arrival_to: DstClamp,
     pub(super) counters: TrafficCounters,
@@ -88,7 +106,7 @@ impl Timing {
     pub(super) fn new(obs: Recorder) -> Self {
         Timing {
             now: SimTime::ZERO,
-            net_rng: None,
+            net: None,
             last_arrival_to: DstClamp::new(),
             counters: TrafficCounters::default(),
             active_peers: 1,
@@ -140,11 +158,12 @@ impl Timing {
         assert_ne!(dst, me, "self-sends are not modeled");
         self.now += law.network.send_overhead_s;
         let level = law.topology.level(me, dst);
-        let rng = self
-            .net_rng
-            .get_or_insert_with(|| rngx::stream_rng(law.master_seed, label::rank_net(me)));
-        let mut lat = law.network.sample_latency(rng, level, me, dst, bytes);
-        lat += self.contention_delay(law, me, level);
+        let net = self.net.get_or_insert_with(|| NetStream::new(law, me));
+        let mut lat =
+            law.network
+                .sample_latency_after(net.next_z, &mut net.rng, level, me, dst, bytes);
+        lat += contention_delay(law, self.active_peers, level, &mut net.rng);
+        net.next_z = rngx::normal(&mut net.rng);
         let arrival = match via.route(self, &mut lat) {
             Route::Clamped => self.last_arrival_to.clamp_and_update(dst, self.now + lat),
             Route::Overtaking(extra) => self.now + lat + extra,
@@ -189,17 +208,15 @@ impl Timing {
             }
         }
     }
+}
 
-    /// Statistical NIC queueing delay for inter-node messages while
-    /// multiple node peers are communicating (LogGP-style gap model).
-    fn contention_delay(&mut self, law: &Law, me: Rank, level: Level) -> Span {
-        let gap = law.network.nic_gap_s;
-        if level != Level::InterNode || self.active_peers <= 1 || gap <= Span::ZERO {
-            return Span::ZERO;
-        }
-        let rng = self
-            .net_rng
-            .get_or_insert_with(|| rngx::stream_rng(law.master_seed, label::rank_net(me)));
-        gap * rng.range(0.0, (self.active_peers - 1) as f64)
+/// Statistical NIC queueing delay for inter-node messages while
+/// multiple node peers (`active_peers` in all) are communicating
+/// (LogGP-style gap model).
+fn contention_delay(law: &Law, active_peers: usize, level: Level, rng: &mut Pcg64) -> Span {
+    let gap = law.network.nic_gap_s;
+    if level != Level::InterNode || active_peers <= 1 || gap <= Span::ZERO {
+        return Span::ZERO;
     }
+    gap * rng.range(0.0, (active_peers - 1) as f64)
 }

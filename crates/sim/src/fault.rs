@@ -46,6 +46,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::detmath;
 use crate::rngx::{label, stream_rng, Pcg64};
 use crate::timebase::{SimTime, Span};
 use crate::Rank;
@@ -434,7 +435,7 @@ impl FaultPlan {
                     c.factor
                 } else {
                     let phase = (t - c.phase_anchor()).seconds() / c.period.seconds();
-                    c.factor * (1.0 + c.amp * (std::f64::consts::TAU * phase).sin())
+                    c.factor * (1.0 + c.amp * detmath::sin(std::f64::consts::TAU * phase))
                 };
                 scale *= f.max(0.0);
             }

@@ -51,7 +51,9 @@
 //!   crashes) interpreted deterministically at the delivery boundary;
 //!   grouped with network and noise into [`engine::EnvSpec`],
 //! - [`wire`] — typed little-endian encoding for small fixed payloads,
-//! - [`rngx`] — seed derivation and distribution sampling helpers.
+//! - [`rngx`] — seed derivation and distribution sampling helpers,
+//! - [`detmath`] — the timing law's own `ln`, `exp`, `sin`, `cos` and
+//!   `floor`, the same bits on every host.
 //!
 //! ## Observability
 //!
@@ -66,6 +68,7 @@
 
 pub mod clockspec;
 mod cont;
+pub mod detmath;
 pub mod engine;
 mod events;
 pub mod fault;

@@ -12,6 +12,7 @@
 //! All durations are typed as [`Span`] (seconds); the `_s` field-name
 //! suffix is kept so the profile literals still read as seconds.
 
+use crate::detmath;
 use crate::rngx::{self, Pcg64};
 use crate::timebase::Span;
 use crate::topology::Level;
@@ -42,11 +43,19 @@ impl Jitter {
 
     /// Draws a non-negative jitter sample.
     pub fn sample(&self, rng: &mut Pcg64) -> Span {
+        // The body's normal deviate comes first, even when jitter is
+        // disabled, which keeps the stream aligned.
+        let z = rngx::normal(rng);
+        self.sample_after(z, rng)
+    }
+
+    /// The jitter sample whose body's standard normal deviate `z` was
+    /// already drawn from `rng`: `median * exp(sigma * z)`, plus the
+    /// spike drawn from `rng` now.
+    pub(crate) fn sample_after(&self, z: f64, rng: &mut Pcg64) -> Span {
         let mut j = if self.median_s > Span::ZERO {
-            Span::from_secs(rngx::lognormal(rng, self.median_s.seconds(), self.sigma))
+            Span::from_secs(self.median_s.seconds() * detmath::exp(self.sigma * z))
         } else {
-            // Keep the RNG stream aligned even when jitter is disabled.
-            let _ = rngx::normal(rng);
             Span::ZERO
         };
         if self.spike_prob > 0.0 && rng.next_f64() < self.spike_prob {
@@ -147,9 +156,24 @@ impl NetworkModel {
         dst: usize,
         bytes: usize,
     ) -> Span {
+        let z = rngx::normal(rng);
+        self.sample_latency_after(z, rng, level, src, dst, bytes)
+    }
+
+    /// [`NetworkModel::sample_latency`] with the jitter's normal deviate
+    /// `z` already drawn from `rng`.
+    pub(crate) fn sample_latency_after(
+        &self,
+        z: f64,
+        rng: &mut Pcg64,
+        level: Level,
+        src: usize,
+        dst: usize,
+        bytes: usize,
+    ) -> Span {
         let p = self.level(level);
         let base = p.base_s * (1.0 + self.link_skew(src, dst));
-        base + p.per_byte_s * bytes as f64 + p.jitter.sample(rng)
+        base + p.per_byte_s * bytes as f64 + p.jitter.sample_after(z, rng)
     }
 }
 

@@ -12,6 +12,12 @@
 //! stream-cipher block), which matters because the per-message jitter
 //! sample sits on the engine's hot send path — and it keeps the
 //! simulator free of external crates, so the workspace builds offline.
+//!
+//! The distributions evaluate their `ln`, `cos` and `exp` with
+//! [`crate::detmath`], not the host libm, so a draw is the same bits on
+//! every host and costs no call through the dynamic linker.
+
+use crate::detmath;
 
 /// SplitMix64 step — the canonical 64-bit mixer, used to derive
 /// independent sub-seeds from a master seed and a stream label.
@@ -177,11 +183,11 @@ pub mod label {
 /// The polar rejection variant is avoided so the *number* of RNG draws
 /// per sample is constant (two), which keeps streams aligned and
 /// reproducible.
-#[inline]
+#[inline(always)]
 pub fn normal(rng: &mut Pcg64) -> f64 {
     let u1 = rng.next_open01();
     let u2 = rng.next_f64();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    (-2.0 * detmath::ln(u1)).sqrt() * detmath::cos(std::f64::consts::TAU * u2)
 }
 
 /// Samples `N(mean, sd)`.
@@ -194,13 +200,13 @@ pub fn normal_with(rng: &mut Pcg64, mean: f64, sd: f64) -> f64 {
 /// `median * exp(sigma * z)`, `z ~ N(0,1)`.
 #[inline]
 pub fn lognormal(rng: &mut Pcg64, median: f64, sigma: f64) -> f64 {
-    median * (sigma * normal(rng)).exp()
+    median * detmath::exp(sigma * normal(rng))
 }
 
 /// Samples an exponential deviate with the given mean.
 #[inline]
 pub fn exponential(rng: &mut Pcg64, mean: f64) -> f64 {
-    -mean * rng.next_open01().ln()
+    -mean * detmath::ln(rng.next_open01())
 }
 
 #[cfg(test)]

@@ -317,8 +317,12 @@ const EXPECTED: &[(usize, &str)] = &[
     (40, "undocumented_unsafe_blocks"), // unsafe impl
     (50, "missing_safety_doc"),         // private unsafe fn
     (56, "unwrap_used"),                // unwrap in library code
-    (70, "disallowed_methods"),         // Instant::now in a #[test]
-    (70, "disallowed_types"),           // (its unwrap at 71 is allowed)
+    (69, "disallowed_methods"),         // f64::sin
+    (70, "disallowed_methods"),         // f64::cos
+    (71, "disallowed_methods"),         // f64::exp
+    (72, "disallowed_methods"),         // f64::ln
+    (80, "disallowed_methods"),         // Instant::now in a #[test]
+    (80, "disallowed_types"),           // (its unwrap at 81 is allowed)
 ];
 
 /// One clippy finding on the fixture.
@@ -439,13 +443,21 @@ fn wall_clock_read_is_an_error() {
     }
     // Test code is not exempt: a test that times the host says why in
     // a file-level `#![allow]` (`crates/bench/tests/sweep_determinism.rs`).
-    assert_eq!(level_at(70, "disallowed_methods"), Some("warning"));
+    assert_eq!(level_at(80, "disallowed_methods"), Some("warning"));
 }
 
 #[test]
 fn host_parallelism_outside_sweep_is_an_error() {
     // `hcs_bench::sweep::host_cores` carries the one `#[allow]`.
     assert_eq!(level_at(23, "disallowed_methods"), Some("warning"));
+}
+
+#[test]
+fn host_libm_transcendentals_are_an_error() {
+    // `hcs_sim::detmath` owns `sin`, `cos`, `exp` and `ln`.
+    for line in [69, 70, 71, 72] {
+        assert_eq!(level_at(line, "disallowed_methods"), Some("warning"));
+    }
 }
 
 #[test]
@@ -468,7 +480,7 @@ fn safety_less_unsafe_is_an_error_anywhere() {
 #[test]
 fn bare_unwrap_in_library_code_is_a_warning() {
     assert_eq!(level_at(56, "unwrap_used"), Some("warning"));
-    assert_eq!(level_at(71, "unwrap_used"), None);
+    assert_eq!(level_at(81, "unwrap_used"), None);
 }
 
 #[test]
