@@ -11,6 +11,8 @@
 //! Duration-valued parameters are typed as [`Span`]; ppm-valued ones
 //! stay dimensionless `f64`.
 
+#![forbid(unsafe_code)]
+
 use crate::timebase::{secs, Span};
 
 /// Oscillator and time-source parameters for one machine.

@@ -40,6 +40,8 @@
 //! The constants and tables are in `tables.rs`, printed by
 //! `gen_tables.py` (mpmath; minimax fits by a Remez exchange).
 
+#![forbid(unsafe_code)]
+
 // Generated: kept in the script's layout, one table row per line.
 #[rustfmt::skip]
 mod tables;

@@ -2,18 +2,19 @@
 //! send/receive paths (fault interpretation, matching, deadline
 //! receives) and the observability hooks.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use hcs_obs::{ClockReadings, ObsSpec, RankRecorder};
 
 use super::net::RunNet;
 use super::outcome::{RecvTimeout, TimeoutReason};
-use super::rendezvous::{Arrival, Group, Member};
+use super::rendezvous::{Group, Member};
 #[cfg(doc)]
 use super::run::Cluster;
 use super::schedule::{Op, Schedule};
 use super::timing::{Delivery, Law, Leg, Route, Timing};
-use crate::events;
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultVerdict};
 use crate::msg::{Envelope, Payload, ACK_BIT};
 use crate::net::NetworkModel;
@@ -443,9 +444,6 @@ impl RankCtx {
     /// [`RecvTimeout`] on failure. Pair with [`Cluster::run_outcome`] to
     /// turn those unwinds into per-rank outcomes.
     pub fn set_recv_timeout(&mut self, timeout: Option<Span>) {
-        if timeout.is_some() {
-            self.net.enable_done_wakeups();
-        }
         self.recv_timeout = timeout;
     }
 
@@ -509,8 +507,15 @@ impl RankCtx {
             "collective member {me} is not this rank"
         );
         if group.len() > 1 && self.faults.is_none() {
-            let on_messages;
-            (sched, on_messages) = self.rendezvous(group, me, tag, sched);
+            // Move this rank's timing state and schedule into the slot,
+            // and take them back evaluated, or to walk on messages.
+            let timing = std::mem::replace(&mut self.timing, Timing::vacant());
+            let timed = self.recv_timeout.is_some();
+            let member = Member { timing, sched };
+            let (back, on_messages) = self
+                .net
+                .rendezvous(&self.law, group, me, tag, timed, member);
+            (self.timing, sched) = (back.timing, back.sched);
             if !on_messages {
                 return sched;
             }
@@ -528,63 +533,6 @@ impl RankCtx {
             }
         }
         sched
-    }
-
-    /// Enters the rendezvous of the collective on `tag` among `group`:
-    /// moves this rank's timing state and `sched` into the slot and
-    /// parks until the last member has evaluated them, or evaluates
-    /// them itself. Returns the schedule with whether it must still be
-    /// walked on messages (a member has a receive-timeout policy).
-    fn rendezvous(
-        &mut self,
-        group: &Group,
-        me: usize,
-        tag: Tag,
-        sched: Schedule,
-    ) -> (Schedule, bool) {
-        let timed = self.recv_timeout.is_some();
-        let now = self.timing.now;
-        let member = Member {
-            timing: std::mem::replace(&mut self.timing, Timing::vacant()),
-            sched,
-        };
-        let mut table = self.net.rendezvous.acquire();
-        let id = match table.arrive(&self.law, group, me, tag, timed, member) {
-            Arrival::Resolved { back, on_messages } => {
-                self.net.release_all(table.woken());
-                drop(table);
-                return self.take_back(back, on_messages);
-            }
-            Arrival::Wait { id } => id,
-        };
-        drop(table);
-        loop {
-            // A peer's panic means the run is failing (the collective
-            // can never complete, or its evaluation panicked), as on
-            // messages.
-            if let Some(src) = self.net.poisoned_by() {
-                panic!(
-                    "rank {}: peer rank {src} panicked while this rank was waiting in the \
-                     collective on tag {tag:#x}",
-                    self.rank
-                );
-            }
-            self.net.events.park(events::time_key(now.seconds()), None);
-            let mut table = self.net.rendezvous.acquire();
-            let claim = table.claim(id, me);
-            drop(table);
-            // Otherwise woken by something else (a panic, a completion).
-            if let Some((member, on_messages)) = claim {
-                return self.take_back(member, on_messages);
-            }
-        }
-    }
-
-    /// Restores the timing state a rendezvous handed back and returns
-    /// the schedule.
-    fn take_back(&mut self, member: Member, on_messages: bool) -> (Schedule, bool) {
-        self.timing = member.timing;
-        (member.sched, on_messages)
     }
 
     /// Sends a typed value over the [`Wire`] encoding.

@@ -23,13 +23,15 @@
 //! hit in O(1) by consecutive sends to one partner, instead of a hash
 //! map or a table sized by the cluster.
 //!
-//! The code follows its seams: `net` (one inbox per rank, which a send
-//! pushes into and a receive matches in, and the per-run park/wake
-//! protocol over the scheduler in `events`), `timing` (the timing law
-//! of one message), `ctx` ([`RankCtx`]), `schedule` (a collective
-//! member's ops as plain data), `rendezvous` (collectives evaluated in
-//! one rendezvous), `run` ([`Cluster`], its builder and the run driver)
-//! and `outcome` (timeout and per-rank outcome types).
+//! The code follows its seams: `net` (a run's shared state — one inbox
+//! per rank, which a send pushes into and a receive matches in, the
+//! rendezvous slots and the scheduler's ready state — behind the run's
+//! one lock, and the park/wake protocol over the scheduler in
+//! `events`), `timing` (the timing law of one message), `ctx`
+//! ([`RankCtx`]), `schedule` (a collective member's ops as plain data),
+//! `rendezvous` (collectives evaluated in one rendezvous), `run`
+//! ([`Cluster`], its builder and the run driver, which builds the
+//! run's lock) and `outcome` (timeout and per-rank outcome types).
 
 mod ctx;
 mod net;
@@ -725,6 +727,38 @@ mod tests {
                 .count()
         };
         assert!(timed_out(0) > 400 && timed_out(1) > 400, "{out:?}");
+    }
+
+    #[test]
+    fn a_deadline_wait_on_a_finished_sender_resumes_once_at_the_drain() {
+        // Ranks 0 and 1 wait, with a deadline, for rank 7, which
+        // finishes last without sending; ranks 2..7 finish in between.
+        // No rank's completion wakes a parked one: the drain queues the
+        // two waits, which resolve at their deadline.
+        let cluster = crate::machines::testbed(1, 8)
+            .cluster(3)
+            .to_builder()
+            .engine(EngineMode::Events)
+            .build();
+        let body = |ctx: &mut RankCtx| match ctx.rank() {
+            0 | 1 => ctx.recv_within(7, 4, secs(1e-3)).err(),
+            _ => None,
+        };
+        let (out, _, stats) = cluster.run_counted(crate::cont::Backend::from_env(), &body);
+        for timeout in &out[..2] {
+            let t = timeout.as_ref().expect("the receive times out");
+            assert_eq!(t.reason, TimeoutReason::SenderFinished, "{t:?}");
+            assert_eq!(t.at, SimTime::from_secs(1e-3), "{t:?}");
+        }
+        assert!(out[2..].iter().all(Option::is_none));
+        // 8 first slices and one resume of each waiter.
+        assert_eq!(
+            stats,
+            crate::events::RunStats {
+                slices: 10,
+                handoffs: 0
+            }
+        );
     }
 
     #[test]

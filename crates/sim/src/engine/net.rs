@@ -1,13 +1,18 @@
-//! Per-run communication state: each rank's inbox, wait-for edge and
-//! completion flag behind [`RunNet`]'s one single-owner lock, the
-//! park/wake and completion-notification protocol over the run's
-//! scheduler, and the per-destination FIFO clamp.
+//! A run's shared state — each rank's inbox, wait-for edge and
+//! completion flag, the collective rendezvous slots and the scheduler's
+//! ready state — as one value behind [`RunNet`]'s one single-owner
+//! lock (a run executes one rank slice at a time); the park/wake
+//! protocol over it, where a rank drops its guard before it parks; and
+//! the per-destination FIFO clamp.
+
+#![forbid(unsafe_code)]
 
 use std::sync::{Arc, OnceLock};
 
 use super::outcome::TimeoutReason;
-use super::rendezvous::Rendezvous;
-use crate::events::{self, EventSched};
+use super::rendezvous::{Arrival, Group, Member, Rendezvous};
+use super::timing::Law;
+use crate::events::{self, Drained, EventSched, RunStats};
 use crate::lockutil::RunLock;
 use crate::msg::{Envelope, PendingBuf};
 use crate::timebase::Span;
@@ -18,17 +23,15 @@ use crate::{Rank, SimTime, Tag};
 /// (src → dst) channel, to model MPI's non-overtaking guarantee.
 pub(super) const FIFO_EPS: Span = Span::from_secs(1e-12);
 
-/// What a run's ranks share about messages: one inbox per rank, which
-/// a send pushes into and a receive matches in, and what a receive
-/// needs to know when it finds no match.
-struct Inboxes {
+/// Everything a run's ranks and its run loop share.
+pub(super) struct RunState {
     /// Each rank's delivered, not yet received messages.
     inbox: Vec<PendingBuf>,
     /// Each rank's wait-for edge, registered by a receive before it
     /// parks ([`RunNet::match_or_park`]), and for a member parked in a
     /// collective rendezvous by the drain pass. It tells
     /// [`RunNet::send`] which delivery a parked rank waits for, and the
-    /// drain pass ([`RunNet::drained`]) where the wait cycles are.
+    /// drain pass ([`RunState::drained`]) where the wait cycles are.
     waits: WaitGraph,
     /// Per-rank "this rank's closure returned (or aborted)" flags. A
     /// finished rank can never send again — its body delivered every
@@ -36,97 +39,57 @@ struct Inboxes {
     /// no buffered match" is deterministic proof that a deadline
     /// receive can only resolve as a timeout.
     done: Vec<bool>,
-    /// Whether `rank_done` wakes every unfinished rank, so parked
-    /// deadline waiters observe sender completion: armed when the fault
-    /// plan is non-empty or any rank registers a deadline receive.
-    wake_done: bool,
     /// The first rank whose body panicked, if any: a receive with no
     /// match buffered, or a member waiting in a rendezvous, then fails
     /// fast instead of deadlocking the run.
     poisoned_by: Option<Rank>,
+    /// The collective rendezvous slots (`RankCtx::collective`).
+    rendezvous: Rendezvous,
+    /// The scheduler's ready state: parks and wakes the ranks.
+    sched: EventSched,
 }
 
-/// Per-run communication state shared by all rank contexts.
-pub(super) struct RunNet {
-    size: usize,
-    state: RunLock<Inboxes>,
-    /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
-    /// run that never forms a world communicator does not pay for it.
-    world: OnceLock<Arc<[Rank]>>,
-    /// The run's scheduler: parks and wakes its ranks.
-    pub(super) events: EventSched,
-    /// The run's collective rendezvous slots (`RankCtx::collective`).
-    pub(super) rendezvous: RunLock<Rendezvous>,
-}
-
-impl RunNet {
-    /// The communication state of one run of `size` ranks, scheduled by
-    /// `events`.
-    ///
-    /// # Safety
-    /// Every rank body must execute under `events::drive` on `events`
-    /// (one slice at a time): the inboxes and rendezvous slots are
-    /// single-owner [`RunLock`]s, and this is their constructor's
-    /// contract.
-    pub(super) unsafe fn new(size: usize, wake_on_done: bool, events: EventSched) -> Self {
-        let inboxes = Inboxes {
+impl RunState {
+    /// The state of one run of `size` ranks, scheduled by `sched`.
+    pub(super) fn new(size: usize, sched: EventSched) -> Self {
+        RunState {
             inbox: (0..size).map(|_| PendingBuf::default()).collect(),
             waits: WaitGraph::new(size),
             done: vec![false; size],
-            wake_done: wake_on_done,
             poisoned_by: None,
-        };
-        Self {
-            size,
-            // SAFETY: the caller's contract is `RunLock::new`'s;
-            // `match_or_park` drops its guard before it parks.
-            state: unsafe { RunLock::new("engine.inbox", inboxes) },
-            world: OnceLock::new(),
-            events,
-            // SAFETY: as for the inboxes; `RankCtx::rendezvous` drops
-            // its guard before it parks.
-            rendezvous: unsafe { RunLock::new("engine.rendezvous", Rendezvous::default()) },
+            rendezvous: Rendezvous::default(),
+            sched,
         }
-    }
-
-    /// Every rank of the run in order, shared by all of them.
-    pub(super) fn world_ranks(&self) -> Arc<[Rank]> {
-        Arc::clone(self.world.get_or_init(|| (0..self.size).collect()))
-    }
-
-    /// Releases every rank in `ranks` from the rendezvous it is parked
-    /// in, now resolved: clears the wait edge a drain may have given it
-    /// and wakes it.
-    pub(super) fn release_all(&self, ranks: &[Rank]) {
-        let mut st = self.state.acquire();
-        for &rank in ranks {
-            st.waits.end_wait(rank);
-            self.events.wake(rank);
-        }
-    }
-
-    /// The first rank whose body panicked, if any.
-    pub(super) fn poisoned_by(&self) -> Option<Rank> {
-        self.state.acquire().poisoned_by
     }
 
     /// The run loop's drain pass (`events::drive`): no rank is ready,
     /// so every unfinished rank is one of the `parked` (ascending), and
     /// none has a match buffered, since [`RunNet::send`] wakes a parked
     /// rank for its awaited `(src, tag)` and a panic wakes them all.
-    /// Fires the deadline waits on every wait cycle and returns their
-    /// ranks, ascending, for the loop to queue. Fails the run instead if
-    /// a cycle has no deadline wait (the first such cycle, from its
-    /// lowest rank) or if there is no cycle at all (a stall, naming
-    /// every parked rank).
-    pub(super) fn drained(&self, parked: &[Rank]) -> Result<Vec<Rank>, String> {
-        let mut st = self.state.acquire();
+    ///
+    /// First returns, ascending, the deadline waits whose sender has
+    /// finished, for the loop to queue: each resolves as
+    /// `SenderFinished` when it resumes, and may then release others,
+    /// so no cycle is fired that such a resolution would break. With
+    /// none, fires the deadline waits on every wait cycle and returns
+    /// their ranks, ascending. Fails the run instead if a cycle has no
+    /// deadline wait (the first such cycle, from its lowest rank) or if
+    /// there is no cycle at all (a stall, naming every parked rank).
+    fn drained(&mut self, parked: &[Rank]) -> Drained {
+        let sender_finished = |&r: &Rank| {
+            let edge = self.waits.edge(r);
+            edge.is_some_and(|e| e.deadline && self.done[e.src])
+        };
+        let resolved: Vec<Rank> = parked.iter().copied().filter(sender_finished).collect();
+        if !resolved.is_empty() {
+            return Ok(resolved);
+        }
         // A rendezvous member's edge is only known now: which members
         // had entered when it parked depends on the pick order.
-        for (member, on, tag) in self.rendezvous.acquire().gathering() {
-            st.waits.begin_wait(member, on, tag, false);
+        for (member, on, tag) in self.rendezvous.gathering() {
+            self.waits.begin_wait(member, on, tag, false);
         }
-        let cycles = st.waits.cycles(parked);
+        let cycles = self.waits.cycles(parked);
         if let Some(cycle) = cycles.iter().find(|c| c.iter().all(|e| !e.deadline)) {
             return Err(format!("deadlock detected: {}", WaitGraph::describe(cycle)));
         }
@@ -137,34 +100,35 @@ impl RunNet {
             .map(|e| e.waiter)
             .collect();
         if fired.is_empty() {
+            let size = self.done.len();
             let waits: Vec<String> = parked
                 .iter()
-                .map(|&r| format!("rank {r} {}", self.describe_wait(&st, r)))
+                .map(|&r| format!("rank {r} {}", self.describe_wait(r)))
                 .collect();
             return Err(format!(
                 "run stalled: no rank is ready, {} of {} finished and nothing can wake the {} \
                  parked: {}",
-                self.size - parked.len(),
-                self.size,
+                size - parked.len(),
+                size,
                 parked.len(),
                 waits.join("; ")
             ));
         }
         fired.sort_unstable();
         for &r in &fired {
-            st.waits.fire(r);
+            self.waits.fire(r);
         }
         Ok(fired)
     }
 
     /// What parked rank `rank` is waiting for, worded for the stall
     /// report.
-    fn describe_wait(&self, st: &Inboxes, rank: Rank) -> String {
-        let finished = |r: Rank| st.done[r];
-        if let Some(wait) = self.rendezvous.acquire().describe(rank, finished) {
+    fn describe_wait(&self, rank: Rank) -> String {
+        let finished = |r: Rank| self.done[r];
+        if let Some(wait) = self.rendezvous.describe(rank, finished) {
             return wait;
         }
-        let WaitEdge { src, tag, .. } = st
+        let WaitEdge { src, tag, .. } = self
             .waits
             .edge(rank)
             .expect("a parked rank has a registered wait edge");
@@ -175,11 +139,37 @@ impl RunNet {
         };
         format!("waiting on (src {src}, tag {tag}), and rank {src} {state}")
     }
+}
 
-    /// Arms per-rank completion wakeups (idempotent), so a rank parked
-    /// in a deadline wait observes its sender finishing.
-    pub(super) fn enable_done_wakeups(&self) {
-        self.state.acquire().wake_done = true;
+/// A run's shared state behind its one lock, and what every rank
+/// context reaches it through.
+pub(super) struct RunNet {
+    size: usize,
+    state: RunLock<RunState>,
+    /// `0..size`, for [`RunNet::world_ranks`]; built on first use, so a
+    /// run that never forms a world communicator does not pay for it.
+    world: OnceLock<Arc<[Rank]>>,
+}
+
+impl RunNet {
+    /// The view of one run of `size` ranks over its `state`.
+    pub(super) fn new(size: usize, state: RunLock<RunState>) -> Self {
+        Self {
+            size,
+            state,
+            world: OnceLock::new(),
+        }
+    }
+
+    /// Runs every rank as `body(rank)` to completion under the run
+    /// loop ([`events::drive`]), and returns its counters.
+    pub(super) fn drive(&self, body: &(dyn Fn(usize) + Sync)) -> RunStats {
+        events::drive(&self.state, |st| &mut st.sched, body, RunState::drained)
+    }
+
+    /// Every rank of the run in order, shared by all of them.
+    pub(super) fn world_ranks(&self) -> Arc<[Rank]> {
+        Arc::clone(self.world.get_or_init(|| (0..self.size).collect()))
     }
 
     /// Delivers `env` to `dst`'s inbox. A parked `dst` is woken only by
@@ -188,15 +178,15 @@ impl RunNet {
     /// docs of `events`).
     #[inline]
     pub(super) fn send(&self, dst: Rank, env: Envelope) {
-        let mut st = self.state.acquire();
+        let mut guard = self.state.acquire();
+        let st = &mut *guard;
         let awaited = st
             .waits
             .edge(dst)
             .is_some_and(|e| (e.src, e.tag) == (env.src, env.tag));
         st.inbox[dst].push(env);
-        drop(st);
         if awaited {
-            self.events.wake_matched(dst);
+            st.sched.wake_matched(dst);
         }
     }
 
@@ -206,9 +196,10 @@ impl RunNet {
     /// resume. A buffered tombstone resolves as lost and is consumed; a
     /// live match that arrives after `deadline` resolves as passed and
     /// stays buffered for a later receive. A `deadline` receive with no
-    /// match buffered also resolves when a drain fired its wait or when
-    /// `src` has finished. Each resolution but a match is returned as
-    /// the instant and reason of the timeout.
+    /// match buffered also resolves when `src` has finished (found at
+    /// once, or by a drain, which queues it) or when a drain fired its
+    /// wait. Each resolution but a match is returned as the instant and
+    /// reason of the timeout.
     ///
     /// # Panics
     /// If a peer's body panicked and no match is buffered.
@@ -224,7 +215,6 @@ impl RunNet {
             let mut guard = self.state.acquire();
             let st = &mut *guard;
             if let Some(dl) = deadline {
-                st.wake_done = true;
                 // Fired first: a drain fires a wait only when nothing
                 // buffered could release it, and a fired peer that
                 // resumes before this rank may send the awaited message
@@ -261,40 +251,84 @@ impl RunNet {
                 return Err((dl, TimeoutReason::SenderFinished));
             }
             st.waits.begin_wait(me, src, tag, deadline.is_some());
-            drop(guard);
             // Park the continuation, keyed on this rank's current
             // virtual time, and yield — to the run loop, or straight to
             // `src` if it is the handoff. No wake can arrive between the
             // checks above and the park: one rank runs at a time, so no
             // sender executes before this rank is recorded as parked
             // (see the `events` module docs).
-            self.events.park(events::time_key(now.seconds()), Some(src));
+            let parking = st.sched.parking(events::time_key(now.seconds()), Some(src));
+            drop(guard);
+            parking.park();
         }
     }
 
-    /// Marks one rank as finished. When completion wakeups are armed
-    /// (fault injection / deadline receives), every unfinished rank is
-    /// woken so a parked deadline receiver can observe that its sender
-    /// is gone.
-    pub(super) fn rank_done(&self, rank: Rank) {
-        let mut st = self.state.acquire();
-        st.done[rank] = true;
-        if st.wake_done {
-            // A done rank's body has returned: it can never be blocked
-            // in a receive again, so its wake would be pure overhead.
-            for dst in (0..self.size).filter(|&dst| !st.done[dst]) {
-                self.events.wake(dst);
+    /// Member `me` of `group` enters the rendezvous of the collective
+    /// on `tag` with its `member` state (`timed`: it has a
+    /// receive-timeout policy), and parks until the last member has
+    /// evaluated the collective — or is that member, and ends its
+    /// peers' waits and wakes them under the guard it evaluated them
+    /// under. Returns the state handed back, and whether the schedule
+    /// must still be walked on messages.
+    ///
+    /// # Panics
+    /// If a peer's body panicked while this member waits.
+    pub(super) fn rendezvous(
+        &self,
+        law: &Law,
+        group: &Group,
+        me: usize,
+        tag: Tag,
+        timed: bool,
+        member: Member,
+    ) -> (Member, bool) {
+        let key = events::time_key(member.timing.now.seconds());
+        let mut guard = self.state.acquire();
+        let st = &mut *guard;
+        let id = match st.rendezvous.arrive(law, group, me, tag, timed, member) {
+            Arrival::Resolved { back, on_messages } => {
+                for &rank in st.rendezvous.woken() {
+                    // Clear the wait edge a drain may have given it.
+                    st.waits.end_wait(rank);
+                    st.sched.wake(rank);
+                }
+                return (back, on_messages);
+            }
+            Arrival::Wait { id } => id,
+        };
+        loop {
+            // A peer's panic means the run is failing (the collective
+            // can never complete, or its evaluation panicked), as on
+            // messages.
+            if let Some(peer) = guard.poisoned_by {
+                drop(guard);
+                peer_panicked_in_collective(group.ranks()[me], peer, tag);
+            }
+            let parking = guard.sched.parking(key, None);
+            drop(guard);
+            parking.park();
+            guard = self.state.acquire();
+            // Otherwise woken by a peer's panic.
+            if let Some(claim) = guard.rendezvous.claim(id, me) {
+                return claim;
             }
         }
+    }
+
+    /// Marks one rank as finished. A deadline wait on it is resolved
+    /// by the drain pass ([`RunState::drained`]), not by a wake here.
+    pub(super) fn rank_done(&self, rank: Rank) {
+        self.state.acquire().done[rank] = true;
     }
 
     /// Records that `src`'s body panicked and wakes every other rank, so
     /// that peers blocked in receives or rendezvous fail fast instead of
     /// deadlocking the run.
     pub(super) fn poison_from(&self, src: Rank) {
-        self.state.acquire().poisoned_by.get_or_insert(src);
+        let mut st = self.state.acquire();
+        st.poisoned_by.get_or_insert(src);
         for dst in (0..self.size).filter(|&dst| dst != src) {
-            self.events.wake(dst);
+            st.sched.wake(dst);
         }
     }
 
@@ -312,6 +346,17 @@ impl RunNet {
 fn peer_panicked(me: Rank, peer: Rank, src: Rank, tag: Tag) -> ! {
     panic!(
         "rank {me}: peer rank {peer} panicked while this rank was receiving (src {src}, tag {tag})"
+    )
+}
+
+/// The failure of rank `me`, waiting in the collective on `tag`, after
+/// `peer`'s body panicked; out of line, off the rendezvous path.
+#[cold]
+#[inline(never)]
+fn peer_panicked_in_collective(me: Rank, peer: Rank, tag: Tag) -> ! {
+    panic!(
+        "rank {me}: peer rank {peer} panicked while this rank was waiting in the collective on \
+         tag {tag:#x}"
     )
 }
 

@@ -1,6 +1,8 @@
 //! What a fault-tolerant run returns: per-rank outcomes and the typed
 //! receive-timeout record.
 
+#![forbid(unsafe_code)]
+
 #[cfg(doc)]
 use super::{ctx::RankCtx, run::Cluster};
 use crate::{Rank, SimTime, Tag};

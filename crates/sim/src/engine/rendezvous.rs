@@ -25,7 +25,11 @@
 //! rank: the sibling communicators of one split share a context id, and
 //! with it their tags. Slots, the evaluator's buffers and the list of
 //! members to wake keep their capacity from one collective to the next,
-//! so a steady-state rendezvous allocates nothing.
+//! and the free list has room for every slot once the slot is made, so
+//! a rendezvous allocates nothing from a run's second collective on.
+//! The slots are a field of the run's one state value (`engine::net`).
+
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
@@ -240,6 +244,9 @@ impl Rendezvous {
         };
         if id == self.slots.len() {
             self.slots.push(slot);
+            // Room for every id, so the claim that frees a slot never
+            // allocates.
+            self.free.reserve(self.slots.len() - self.free.len());
         } else {
             self.slots[id] = slot;
         }

@@ -1,18 +1,19 @@
 //! [`Cluster`] and its builder, engine selection, and the run driver
 //! that executes one body per rank and collects results, traces and
-//! panics.
+//! panics: it builds the run's one `RunLock`, the engine's one
+//! `unsafe` site, and collects the outputs in one `Mutex`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use hcs_obs::{ObsSpec, RankRecorder, TraceLog};
 
 use super::ctx::RankCtx;
-use super::net::RunNet;
+use super::net::{RunNet, RunState};
 use super::outcome::{silence_recv_timeout_panic_hook, RankOutcome, RecvTimeout, RunOutcome};
 use crate::cont::Backend;
-use crate::events::{self, EventSched, Order, RunStats};
+use crate::events::{EventSched, Order, RunStats};
 use crate::fault::FaultPlan;
-use crate::lockutil::lock_ignore_poison;
+use crate::lockutil::{lock_ignore_poison, RunLock};
 use crate::net::NetworkModel;
 use crate::rngx::{self, label};
 use crate::topology::Topology;
@@ -455,22 +456,25 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let size = self.topology.total_cores();
-        let sched = EventSched::new(size, backend, order);
+        let state = RunState::new(size, EventSched::new(size, backend, order));
         // SAFETY: the only thing that ever executes a rank body (and
-        // with it every use of `net`) is `events::drive` on this
-        // scheduler below, one slice at a time.
-        let net = Arc::new(unsafe { RunNet::new(size, !self.faults.is_empty(), sched) });
-        // Single-writer slots (no lock): rank r's body writes slot r
-        // exactly once, and this frame reads them only after the
-        // engine's completion barrier. The recorder vector is empty
-        // when observability is off — no body ever indexes it then.
-        let results: Vec<OutSlot<R>> = (0..size).map(|_| OutSlot::new()).collect();
-        let recorders: Vec<OutSlot<RankRecorder>> = if self.obs.records() {
-            (0..size).map(|_| OutSlot::new()).collect()
-        } else {
-            Vec::new()
-        };
-        let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
+        // with it every use of the lock, through `net`) is
+        // `events::drive` in `RunNet::drive` below, one slice at a time,
+        // and no guard lives across a park (`RunNet`) or a slice.
+        let state = unsafe { RunLock::new("engine.run", state) };
+        let net = Arc::new(RunNet::new(size, state));
+        // What the rank bodies hand back, each into its own slot. The
+        // recorder vector is empty when observability is off — no body
+        // ever indexes it then.
+        let outputs = Mutex::new(Outputs {
+            results: (0..size).map(|_| None).collect(),
+            recorders: if self.obs.records() {
+                (0..size).map(|_| None).collect()
+            } else {
+                Vec::new()
+            },
+            panics: Vec::new(),
+        });
 
         // The per-rank body, one closure for the whole run, so seeding
         // allocates nothing per rank. It must never unwind: panics from
@@ -497,34 +501,32 @@ impl Cluster {
             ctx.flush_reorder_holds();
             match result {
                 Ok(out) => {
-                    // SAFETY: this body is rank `rank`'s unique
-                    // execution; nothing else writes these slots, and
-                    // the caller reads them only after the completion
-                    // barrier (`events::drive`).
-                    unsafe { results[rank].put(out) };
+                    let mut outputs = lock_ignore_poison(&outputs);
+                    outputs.results[rank] = Some(out);
+                    // Only yields a recorder when obs is enabled.
                     if let Some(rec) = ctx.take_recorder() {
-                        // SAFETY: as above (single writer, read after
-                        // the barrier); non-empty because
-                        // `take_recorder()` only yields a recorder when
-                        // obs is enabled.
-                        unsafe { recorders[rank].put(rec) };
+                        outputs.recorders[rank] = Some(rec);
                     }
                 }
                 Err(payload) => {
                     net.poison_from(rank);
-                    lock_ignore_poison(&panics).push(payload);
+                    lock_ignore_poison(&outputs).panics.push(payload);
                 }
             }
             net.rank_done(rank);
         };
 
-        // `events::drive` is the completion barrier: it returns only
+        // `RunNet::drive` is the completion barrier: it returns only
         // after every rank body has run to completion. Its one other
         // exit is the deadlock or stall panic of its drain pass, after
         // which no body runs again.
-        let stats = events::drive(&net.events, &body, &|parked| net.drained(parked));
+        let stats = net.drive(&body);
 
-        let mut panics = std::mem::take(&mut *lock_ignore_poison(&panics));
+        let Outputs {
+            results,
+            recorders,
+            mut panics,
+        } = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
         if !panics.is_empty() {
             // Prefer the root-cause panic over the "peer panicked"
             // consequence panics triggered by `RunNet::poison_from`, and
@@ -549,53 +551,21 @@ impl Cluster {
         let out: Vec<R> = results
             .into_iter()
             .enumerate()
-            .map(|(rank, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| panic!("rank {rank} produced no result"))
-            })
+            .map(|(rank, out)| out.unwrap_or_else(|| panic!("rank {rank} produced no result")))
             .collect();
 
         // Merge in rank order (the iteration order of the slot vector),
         // so the log is deterministic regardless of host scheduling.
-        let log = TraceLog::new(
-            recorders
-                .into_iter()
-                .filter_map(OutSlot::into_inner)
-                .collect(),
-        );
+        let log = TraceLog::new(recorders.into_iter().flatten().collect());
         (Ok((out, log)), stats)
     }
 }
 
-/// One rank's output slot: interior-mutable without a lock. Sound
-/// because every slot has exactly one writer (rank r's body, which runs
-/// exactly once) and the run's caller reads only after the engine's
-/// completion barrier — there is never a concurrent reader or a second
-/// writer to exclude, so a mutex would buy nothing but p lock rounds
-/// per run.
-struct OutSlot<T>(std::cell::UnsafeCell<Option<T>>);
-
-// SAFETY: see the type docs — disjoint single-writer slots, with every
-// read ordered strictly after the writers by the engine's completion
-// barrier (`events::drive`).
-unsafe impl<T: Send> Sync for OutSlot<T> {}
-
-impl<T> OutSlot<T> {
-    fn new() -> Self {
-        OutSlot(std::cell::UnsafeCell::new(None))
-    }
-
-    /// Stores the value.
-    ///
-    /// # Safety
-    /// The caller must be the slot's unique writer, and all reads must
-    /// be ordered after this call by a synchronization barrier.
-    unsafe fn put(&self, v: T) {
-        // SAFETY: uniqueness and ordering are the caller's contract.
-        unsafe { *self.0.get() = Some(v) };
-    }
-
-    fn into_inner(self) -> Option<T> {
-        self.0.into_inner()
-    }
+/// What a run's rank bodies hand back: each rank's result and recorder
+/// in its own slot, and the panics that escaped them. Written once per
+/// rank body, as it ends, and read after the run loop returns.
+struct Outputs<R> {
+    results: Vec<Option<R>>,
+    recorders: Vec<Option<RankRecorder>>,
+    panics: Vec<Box<dyn std::any::Any + Send>>,
 }

@@ -9,6 +9,8 @@
 //! member's ops at once; either way the schedule comes back holding
 //! the member's result.
 
+#![forbid(unsafe_code)]
+
 use crate::msg::{Payload, INLINE_PAYLOAD};
 
 /// The reduction of a schedule's fold receives: folds the second

@@ -8,6 +8,8 @@
 //! a collective to a rendezvous moves that struct into the slot and
 //! takes it back afterwards: the state is moved, never shared.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use hcs_obs::{ObsSpec, Recorder};

@@ -41,8 +41,8 @@
 //!     next and the heap is bypassed: the two sides of a ping-pong run
 //!     back to back on hot stacks and inboxes instead of taking turns
 //!     with every other live conversation. On the fiber backend R's
-//!     park ([`EventSched::park`]) records itself (key, one slice, one
-//!     handoff) and switches straight to S's stack, which inherits the
+//!     park ([`EventSched::parking`]) records itself (key, one slice,
+//!     one handoff) and switches straight to S's stack, which inherits the
 //!     loop's return context (`cont::switch_to`): a ping-pong leg is
 //!     one stack switch, and [`drive`] gets the thread back only when a
 //!     slice ends some other way — then it settles whichever rank the
@@ -53,9 +53,9 @@
 //!     same slices. In every other case (R parked on someone else, R
 //!     finished, a later matched wake displaced S from the slot) S
 //!     moves to the heap under the key it parked with, exactly as a
-//!     plain wake would have queued it. Completion wakes and a
-//!     panicking rank's wake of every rank never match, and a fired
-//!     deadline wait is queued by the loop.
+//!     plain wake would have queued it. A panicking rank's wake of
+//!     every rank never matches, and a deadline wait that a drain
+//!     resolves is queued by the loop.
 //! - **The reference order** (`EngineMode::Threads`, on the thread
 //!   backend): the next rank is drawn uniformly from every woken or
 //!   unstarted rank, from the run's `sched_scramble` stream, and no
@@ -79,14 +79,18 @@
 //! before a rank parks and stays until it resumes, so `RunNet::send`
 //! wakes a parked rank for that `(src, tag)` only: any other envelope
 //! waits in the inbox, unseen, until the rank receives it for its own
-//! reasons. Completion, a panicking rank and a collective's release
-//! are not deliveries, and still wake.
+//! reasons. A panicking rank and a collective's release are not
+//! deliveries, and still wake; a rank that finishes wakes no one.
 //!
 //! The same fact — one slice at a time, each ordered after the last by
 //! the loop itself or by the thread backend's mutex/condvar handoff — is
-//! why the run's inboxes and this scheduler's ready state sit behind
-//! [`RunLock`], a checked flag, and the message path takes no mutex and
-//! no atomic.
+//! why a run's whole shared state (its inboxes, rendezvous slots and
+//! this scheduler's ready state, [`EventSched`]) is one value behind one
+//! [`RunLock`], a checked flag: the message path takes no mutex and no
+//! atomic, and a send pushes and requeues under one guard. This module
+//! holds the policy as plain data; [`drive`] reaches it through a
+//! projection of the run's value, and the engine's hooks through the
+//! guard they already hold.
 //!
 //! # Deadlocks and stalls are found when the loop drains
 //!
@@ -95,11 +99,14 @@
 //! proven, and the same in either order: receives are directed, so
 //! every order drains to the same parked ranks with the same wait
 //! edges, none of them holding an envelope that could release it. The
-//! loop then runs one O(p) pass over those edges (`RunNet::drained`):
-//! it fires the deadline waits on every wait cycle, in ascending rank
-//! order, and queues them, or fails the run with a panic naming a
-//! cycle without one (`deadlock detected`) or, with no cycle, every
-//! parked rank (`run stalled`). A run that completes never drains.
+//! loop then runs one O(p) pass over those edges (`RunState::drained`
+//! in `engine::net`). It first queues the deadline waits whose sender
+//! has finished, in ascending rank order; each resolves as
+//! `SenderFinished` when it resumes. With none, it fires the deadline waits on every wait cycle, in
+//! ascending rank order, and queues them, or fails the run with a panic
+//! naming a cycle without one (`deadlock detected`) or, with no cycle,
+//! every parked rank (`run stalled`). A run that completes never
+//! drains.
 
 #[cfg(test)]
 use std::cell::Cell;
@@ -228,9 +235,21 @@ impl Ready {
     }
 }
 
-/// What the `RunNet` wake hooks, the parking rank and the run loop
-/// share.
-struct ReadyState {
+#[cfg(test)]
+thread_local! {
+    /// How many times a [`drive`] on this thread got the thread back
+    /// from a rank: once per slice it started, however many direct
+    /// switches that slice's chain made.
+    static LOOP_RETURNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The per-run event scheduler's ready state: what the wake hooks, the
+/// parking rank and [`drive`] share. Plain data, in the run's one state
+/// value behind the run's one [`RunLock`] (module docs).
+pub(crate) struct EventSched {
+    n: usize,
+    /// Continuation backend of the run's ranks.
+    backend: Backend,
     /// The virtual-time key each rank is parked with; `None` while the
     /// rank is queued, executing or finished, where `wake` is a no-op.
     parked: Vec<Option<u64>>,
@@ -247,7 +266,7 @@ struct ReadyState {
     /// the one the last direct switch moved to.
     current: usize,
     /// Whom the rank that last returned to the loop by parking waits
-    /// for; set by [`EventSched::park`], taken by the loop.
+    /// for; set by [`EventSched::parking`], taken by the loop.
     parked_on: Option<usize>,
     /// The ranks ready to run.
     ready: Ready,
@@ -255,30 +274,13 @@ struct ReadyState {
     stats: RunStats,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// How many times a [`drive`] on this thread got the thread back
-    /// from a rank: once per slice it started, however many direct
-    /// switches that slice's chain made.
-    static LOOP_RETURNS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The per-run event scheduler: the ready state behind the `wake` and
-/// `park` hooks and [`drive`]. The ready state has one owner at a time
-/// — the loop between slices, the executing rank's hook calls during
-/// one — so its lock is a [`RunLock`]: a checked flag, not a mutex.
-pub(crate) struct EventSched {
-    runq: RunLock<ReadyState>,
-    n: usize,
-    /// Continuation backend of the run's ranks.
-    backend: Backend,
-}
-
 impl EventSched {
     /// Seeds `n` ranks, all ready at virtual time zero, on `backend`,
     /// to be picked in `order`.
     pub(crate) fn new(n: usize, backend: Backend, order: Order) -> Self {
-        let ready = ReadyState {
+        EventSched {
+            n,
+            backend,
             parked: vec![None; n],
             fibers: vec![None; n],
             handoff: None,
@@ -286,66 +288,47 @@ impl EventSched {
             parked_on: None,
             ready: Ready::new(n, order),
             stats: RunStats::default(),
-        };
-        EventSched {
-            // SAFETY: `runq` is used by `drive`, which holds no guard
-            // while a rank executes, and by `requeue` and `park`, which
-            // only the rank executing reaches (through `RunNet`).
-            // Slices run one at a time — on the loop's thread under the
-            // fiber backend, behind the mutex/condvar handshake of
-            // `cont.rs` under the thread backend — so all uses are
-            // ordered by happens-before, and no guard lives across a
-            // `suspend_current` or `switch_to` (module docs).
-            runq: unsafe { RunLock::new("events.sched", ready) },
-            n,
-            backend,
         }
     }
 
-    /// Parks the calling rank, which waits for a message from
-    /// `awaited` (or, in a collective rendezvous, for no one rank),
-    /// until it is woken, under the virtual-time `key`. If `awaited`
-    /// sits in the handoff slot, this park *is* the handoff (module
-    /// docs): on the fiber backend it is recorded here and the thread
-    /// switches straight to `awaited`'s stack; otherwise the loop takes
-    /// it. The caller must hold no lock guard (see
-    /// `cont::suspend_current`).
-    pub(crate) fn park(&self, key: u64, awaited: Option<usize>) {
-        let mut st = self.runq.acquire();
-        let me = st.current;
+    /// Records that the executing rank parks under the virtual-time
+    /// `key`, waiting for a message from `awaited` (or, in a collective
+    /// rendezvous, for no one rank), and says how it leaves. If
+    /// `awaited` sits in the handoff slot, this park *is* the handoff
+    /// (module docs): on the fiber backend it is recorded here and the
+    /// rank switches straight to `awaited`'s stack; otherwise the loop
+    /// takes it. The caller drops its guard of the run's lock, then
+    /// calls [`Parking::park`].
+    pub(crate) fn parking(&mut self, key: u64, awaited: Option<usize>) -> Parking {
+        let me = self.current;
         let fiber = cont::current_fiber();
-        st.fibers[me] = fiber;
-        let target = match st.handoff {
+        self.fibers[me] = fiber;
+        let target = match self.handoff {
             Some((_, next)) if Some(next) == awaited && fiber.is_some() => {
-                st.fibers[next].map(|target| (next, target))
+                self.fibers[next].map(|target| (next, target))
             }
             _ => None,
         };
         let Some((next, target)) = target else {
-            st.parked_on = awaited;
-            drop(st);
-            cont::suspend_current(key);
-            return;
+            self.parked_on = awaited;
+            return Parking { key, to: None };
         };
-        st.handoff = None;
-        st.parked[me] = Some(key);
-        st.current = next;
-        st.stats.slices += 1;
-        st.stats.handoffs += 1;
-        drop(st);
-        // SAFETY: `target` was recorded by `awaited`'s own park on this
-        // thread, and `awaited` has not run since — a rank leaves the
-        // handoff slot only by being run — so it is a parked fiber whose
-        // continuation the loop still owns; the guard is dropped.
-        unsafe { cont::switch_to(key, target) };
+        self.handoff = None;
+        self.parked[me] = Some(key);
+        self.current = next;
+        self.stats.slices += 1;
+        self.stats.handoffs += 1;
+        Parking {
+            key,
+            to: Some(target),
+        }
     }
 
-    /// Wake hook called by `RunNet` after a state change a parked
-    /// receiver waits on (the awaited delivery, a peer's panic, rank
-    /// completion, a collective's release). Always safe to over-call:
-    /// waking a rank that is not parked is a no-op, and a woken
-    /// receiver simply re-checks its inbox.
-    pub(crate) fn wake(&self, rank: usize) {
+    /// Wake hook for a state change a parked rank waits on (the awaited
+    /// delivery, a peer's panic, a collective's release). Always safe
+    /// to over-call: waking a rank that is not parked is a no-op, and a
+    /// woken receiver simply re-checks its inbox.
+    pub(crate) fn wake(&mut self, rank: usize) {
         self.requeue(rank, false);
     }
 
@@ -353,23 +336,50 @@ impl EventSched {
     /// `rank` is parked on (its wait edge): the rank goes to
     /// the handoff slot instead of the heap. An earlier occupant of the
     /// slot moves to the heap, as a plain wake would have queued it.
-    pub(crate) fn wake_matched(&self, rank: usize) {
+    pub(crate) fn wake_matched(&mut self, rank: usize) {
         self.requeue(rank, true);
     }
 
-    fn requeue(&self, rank: usize, matched: bool) {
-        let mut st = self.runq.acquire();
-        let Some(key) = st.parked[rank].take() else {
+    fn requeue(&mut self, rank: usize, matched: bool) {
+        let Some(key) = self.parked[rank].take() else {
             return;
         };
-        let queued = if matched && matches!(st.ready, Ready::Heap { .. }) {
-            st.handoff.replace((key, rank))
+        let queued = if matched && matches!(self.ready, Ready::Heap { .. }) {
+            self.handoff.replace((key, rank))
         } else {
             Some((key, rank))
         };
         if let Some((key, rank)) = queued {
-            st.ready.push(key, rank);
+            self.ready.push(key, rank);
         }
+    }
+}
+
+/// How a parking rank leaves its slice: decided by
+/// [`EventSched::parking`] under the run's lock, carried out by
+/// [`Parking::park`] once the guard is dropped.
+#[must_use = "the rank parks only when `park` is called"]
+pub(crate) struct Parking {
+    key: u64,
+    /// The handed-off rank's fiber, for a direct switch.
+    to: Option<FiberRef>,
+}
+
+impl Parking {
+    /// Suspends the calling rank — to the loop, or by a direct switch
+    /// to the handed-off rank — until it is woken and resumed. The
+    /// caller must hold no lock guard (see `cont::suspend_current`).
+    pub(crate) fn park(self) {
+        let Some(target) = self.to else {
+            cont::suspend_current(self.key);
+            return;
+        };
+        // SAFETY: `target` was recorded by the handed-off rank's own
+        // park on this thread, and that rank has not run since — a rank
+        // leaves the handoff slot only by being run — so it is a parked
+        // fiber whose continuation the loop still owns; the caller holds
+        // no guard.
+        unsafe { cont::switch_to(self.key, target) };
     }
 }
 
@@ -377,21 +387,21 @@ impl EventSched {
 /// again, or the run's failure message.
 pub(crate) type Drained = Result<Vec<usize>, String>;
 
-/// Runs the scheduler to completion on the calling thread, starting
-/// each rank as `body(rank)`: take the handed-off rank or else the next
-/// in pick order, run it until the thread comes back — the rank, or the
-/// last rank of a chain of direct switches, parked or finished — and
-/// record that outcome: one guard of the ready state per return, never
-/// alive while a rank executes (the lock is the run's single-owner
-/// flag, so that is a check, not a cost). Then re-throws the first
+/// Runs the scheduler of the run state behind `run` (`sched` projects
+/// it onto its [`EventSched`]) to completion on the calling thread,
+/// starting each rank as `body(rank)`: take the handed-off rank or else
+/// the next in pick order, run it until the thread comes back — the
+/// rank, or the last rank of a chain of direct switches, parked or
+/// finished — and record that outcome: one guard of the run state per
+/// return, never alive while a rank executes. Then re-throws the first
 /// panic that escaped a rank body, if any (engine bodies catch rank
 /// panics themselves, so that is a bug trap, not a normal path); the
 /// queue is still drained first, so ranks that can finish do.
 ///
 /// When no rank is ready and some are unfinished, `drained` gets the
-/// parked ranks, ascending, and returns the ones to queue again, each
-/// under the key it parked with, or the run's failure message (module
-/// docs). It must not wake a rank itself: the ready state is held.
+/// run state and the parked ranks, ascending, and returns the ones for
+/// the loop to queue again, each under the key it parked with, or the
+/// run's failure message (module docs).
 ///
 /// # Panics
 /// Panics with `drained`'s message. The parked continuations are then
@@ -400,36 +410,41 @@ pub(crate) type Drained = Result<Vec<usize>, String>;
 /// until process exit, so whatever the parked bodies own leaks. A
 /// deadlocked or stalled program is a bug to fix, not a state to
 /// recover memory from.
-pub(crate) fn drive(
-    sched: &EventSched,
+pub(crate) fn drive<S>(
+    run: &RunLock<S>,
+    sched: fn(&mut S) -> &mut EventSched,
     body: &(dyn Fn(usize) + Sync),
-    drained: &dyn Fn(&[usize]) -> Drained,
+    drained: fn(&mut S, &[usize]) -> Drained,
 ) -> RunStats {
-    let mut starter = Starter::new(sched.backend);
+    let mut state = run.acquire();
+    let st = sched(&mut state);
+    let (n, mut starter) = (st.n, Starter::new(st.backend));
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
     // on the fiber backend their body runs on the starter's hot stack.
-    let mut conts: Vec<Option<Continuation>> = (0..sched.n).map(|_| None).collect();
+    let mut conts: Vec<Option<Continuation>> = (0..n).map(|_| None).collect();
     let mut finished = 0;
     let mut first_panic = None;
     // The rank the last slice handed off to, if any.
     let mut handed: Option<usize> = None;
-    let mut st = sched.runq.acquire();
-    while finished < sched.n {
-        let Some(rank) = handed.take().or_else(|| st.ready.next(sched.n)) else {
+    while finished < n {
+        let st = sched(&mut state);
+        let Some(rank) = handed.take().or_else(|| st.ready.next(n)) else {
             if first_panic.is_some() {
                 break;
             }
-            let parked: Vec<usize> = (0..sched.n).filter(|&r| st.parked[r].is_some()).collect();
-            for rank in drained(&parked).unwrap_or_else(|msg| panic!("{msg}")) {
-                let key = st.parked[rank].take().expect("a fired rank is parked");
+            let parked: Vec<usize> = (0..n).filter(|&r| st.parked[r].is_some()).collect();
+            let queued = drained(&mut state, &parked).unwrap_or_else(|msg| panic!("{msg}"));
+            let st = sched(&mut state);
+            for rank in queued {
+                let key = st.parked[rank].take().expect("a queued rank is parked");
                 st.ready.push(key, rank);
             }
             continue;
         };
         st.current = rank;
         st.stats.slices += 1;
-        drop(st);
+        drop(state);
         let mut slice = match conts[rank].take() {
             Some(cont) => cont.resume(),
             // SAFETY: the body borrows `body` for this call, and every
@@ -441,11 +456,13 @@ pub(crate) fn drive(
         };
         #[cfg(test)]
         LOOP_RETURNS.with(|n| n.set(n.get() + 1));
+        state = run.acquire();
+        let st = sched(&mut state);
         // A chain of direct switches ends on the rank current now; the
         // rank the loop ran parked on its way, and that park is on
         // record. (Settling the last one may return its stack to the
         // pool.)
-        let last = sched.runq.acquire().current;
+        let last = st.current;
         if last != rank {
             let Slice::Parked { cont, .. } = slice else {
                 unreachable!("a rank that switched away is parked");
@@ -456,7 +473,6 @@ pub(crate) fn drive(
                 .expect("a switch target is a parked continuation")
                 .returned();
         }
-        st = sched.runq.acquire();
         match slice {
             Slice::Finished { panic } => {
                 finished += 1;
@@ -482,8 +498,8 @@ pub(crate) fn drive(
             }
         }
     }
-    let stats = st.stats;
-    drop(st);
+    let stats = sched(&mut state).stats;
+    drop(state);
     if let Some(p) = first_panic {
         std::panic::resume_unwind(p);
     }
@@ -502,13 +518,17 @@ mod tests {
     /// One rank's test body.
     type Job = Box<dyn FnOnce() + Send + 'static>;
 
+    /// The run state of the scheduler tests: the ready state alone,
+    /// behind a lock of its own.
+    type Sched = Arc<RunLock<EventSched>>;
+
     /// A heap-order scheduler for one rank per job, and the body that
     /// runs each rank's own job exactly once.
-    fn sched_from_jobs(jobs: Vec<Job>) -> (Arc<EventSched>, impl Fn(usize) + Sync) {
+    fn sched_from_jobs(jobs: Vec<Job>) -> (Sched, impl Fn(usize) + Sync) {
         sched_on(jobs, Backend::from_env())
     }
 
-    fn sched_on(jobs: Vec<Job>, backend: Backend) -> (Arc<EventSched>, impl Fn(usize) + Sync) {
+    fn sched_on(jobs: Vec<Job>, backend: Backend) -> (Sched, impl Fn(usize) + Sync) {
         let n = jobs.len();
         let cells: Vec<Mutex<Option<Job>>> =
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -518,13 +538,16 @@ mod tests {
                 .expect("each rank runs exactly once");
             job();
         };
-        (Arc::new(EventSched::new(n, backend, Order::Heap)), body)
+        let sched = EventSched::new(n, backend, Order::Heap);
+        // SAFETY: only `drive` executes the jobs, one slice at a time,
+        // and no job holds a guard across a park.
+        (Arc::new(unsafe { RunLock::new("test.sched", sched) }), body)
     }
 
     /// Drives a scheduler whose ranks park outside any receive (they
     /// name no awaited rank, so no handoffs).
-    fn drive_bare(sched: &EventSched, body: &(dyn Fn(usize) + Sync)) {
-        drive(sched, body, &|_| Err("stalled".to_string()));
+    fn drive_bare(sched: &RunLock<EventSched>, body: &(dyn Fn(usize) + Sync)) {
+        drive(sched, |s| s, body, |_, _| Err("stalled".to_string()));
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -558,7 +581,7 @@ mod tests {
         // Job 0 parks once; job 1 wakes it through the scheduler. The
         // executor must deliver the wake even though job 1 runs (and
         // wakes) while job 0 may still be publishing its park.
-        let sched0: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
+        let sched0: Arc<Mutex<Option<Sched>>> = Arc::new(Mutex::new(None));
         let hits = Arc::new(AtomicUsize::new(0));
         let s0 = Arc::clone(&sched0);
         let h0 = Arc::clone(&hits);
@@ -572,7 +595,7 @@ mod tests {
                 let sched = lock_ignore_poison(&s0)
                     .clone()
                     .expect("installed before drive");
-                sched.wake(0);
+                sched.acquire().wake(0);
                 h1.fetch_add(1, Ordering::SeqCst);
             }),
         ];
@@ -588,7 +611,7 @@ mod tests {
         // each parks at a key that *reverses* the rank order. Rank 4
         // then wakes everyone — the drain must follow the keys.
         let order = Arc::new(Mutex::new(Vec::new()));
-        let slot: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
+        let slot: Arc<Mutex<Option<Sched>>> = Arc::new(Mutex::new(None));
         let n = 4usize;
         let mut jobs: Vec<Job> = (0..n)
             .map(|r| {
@@ -607,7 +630,7 @@ mod tests {
                 .clone()
                 .expect("installed before the run");
             for rank in 0..n {
-                sched.wake(rank);
+                sched.acquire().wake(rank);
             }
         }));
         let (sched, body) = sched_from_jobs(jobs);
@@ -636,9 +659,9 @@ mod tests {
         // on the run or on the continuation backend.
         fn logged_order(backend: Backend) -> Vec<(usize, usize)> {
             let log = Arc::new(Mutex::new(Vec::new()));
-            let slot: Arc<Mutex<Option<Arc<EventSched>>>> = Arc::new(Mutex::new(None));
+            let slot: Arc<Mutex<Option<Sched>>> = Arc::new(Mutex::new(None));
             let n = 6usize;
-            let sched_of = |slot: &Mutex<Option<Arc<EventSched>>>| {
+            let sched_of = |slot: &Mutex<Option<Sched>>| {
                 lock_ignore_poison(slot)
                     .clone()
                     .expect("installed before the run")
@@ -655,7 +678,7 @@ mod tests {
                                 // driver (a no-op after the first).
                                 let key = ((r * 5 + slice * 3) % n) as f64;
                                 crate::cont::suspend_current(time_key(key));
-                                sched_of(&slot).wake(n);
+                                sched_of(&slot).acquire().wake(n);
                             }
                         }
                     });
@@ -667,7 +690,7 @@ mod tests {
                 let sched = sched_of(&dslot);
                 for round in 0..2 {
                     lock_ignore_poison(&dlog).push((n, round));
-                    (0..n).for_each(|rank| sched.wake(rank));
+                    (0..n).for_each(|rank| sched.acquire().wake(rank));
                     if round == 0 {
                         crate::cont::suspend_current(time_key(100.0));
                     }

@@ -43,6 +43,8 @@
 //! envelopes (`Envelope::dropped`) that carry the same arrival time and
 //! give the receiver deterministic proof of loss (see DESIGN.md §14).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::Arc;
 

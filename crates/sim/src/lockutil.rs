@@ -10,19 +10,18 @@
 //!
 //! # Two kinds of lock (DESIGN.md §12)
 //!
-//! The per-run state of a cluster run — the ranks' inboxes, wait
-//! edges and completion flags (`engine.inbox`), the collective
-//! rendezvous slots (`engine.rendezvous`) and the scheduler's ready
-//! state (`events.sched`) — sits behind [`RunLock`], a checked borrow flag:
-//! a run executes one rank slice at a time, so a mutex would only ever
-//! be taken uncontended. What still crosses threads — the thread
-//! backend's handshake, the fiber stack pool, a run's panic sink and
-//! the sweep executor's slots — sits behind plain `Mutex`es taken
-//! through [`lock_ignore_poison`]. Those mutexes are leaves: none is
-//! taken while another's guard is live, so they cannot deadlock one
-//! another. `cargo run -p xtask -- check` flags a nested acquisition,
-//! and a guard of either kind held across `cont::suspend_current` or
-//! `cont::switch_to`.
+//! The per-run state of a cluster run — the ranks' inboxes, wait edges
+//! and completion flags, the collective rendezvous slots and the
+//! scheduler's ready state — is one value behind one [`RunLock`]
+//! (`engine.run`), a checked borrow flag: a run executes one rank slice
+//! at a time, so a mutex would only ever be taken uncontended. What
+//! still crosses threads — the thread backend's handshake, the fiber
+//! stack pool, a run's outputs and the sweep executor's slots — sits
+//! behind plain `Mutex`es taken through [`lock_ignore_poison`]. Those
+//! mutexes are leaves: none is taken while another's guard is live, so
+//! they cannot deadlock one another. `cargo run -p xtask -- check`
+//! flags a nested acquisition, and a guard of either kind held across
+//! `cont::suspend_current` or `cont::switch_to`.
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::{Mutex, MutexGuard};
@@ -39,7 +38,7 @@ pub fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A lock over state that belongs to one cluster run (see the module
-/// docs).
+/// docs); the engine builds one per run.
 ///
 /// A run executes one rank slice at a time, so exclusion is already
 /// given and the lock only checks it: `acquire` sets a flag, the

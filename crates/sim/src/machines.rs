@@ -12,6 +12,8 @@
 //! values are a model, not a measurement — the reproduction targets the
 //! *shapes* of the paper's figures.
 
+#![forbid(unsafe_code)]
+
 use crate::clockspec::ClockSpec;
 use crate::engine::EnvSpec;
 use crate::net::{Jitter, LevelLatency, NetworkModel};

@@ -12,6 +12,8 @@
 //! All durations are typed as [`Span`] (seconds); the `_s` field-name
 //! suffix is kept so the profile literals still read as seconds.
 
+#![forbid(unsafe_code)]
+
 use crate::detmath;
 use crate::rngx::{self, Pcg64};
 use crate::timebase::Span;

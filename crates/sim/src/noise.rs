@@ -13,6 +13,8 @@
 //! drawn from a dedicated per-rank RNG stream, so runs stay
 //! bit-deterministic.
 
+#![forbid(unsafe_code)]
+
 use crate::timebase::{secs, Span};
 
 /// Parameters of the per-rank OS-noise process.

@@ -17,6 +17,8 @@
 //! [`crate::detmath`], not the host libm, so a draw is the same bits on
 //! every host and costs no call through the dynamic linker.
 
+#![forbid(unsafe_code)]
+
 use crate::detmath;
 
 /// SplitMix64 step — the canonical 64-bit mixer, used to derive

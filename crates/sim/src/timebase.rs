@@ -26,6 +26,8 @@
 //! raw-value access: the fields are private, and the `clockdomain` lint
 //! exempts it.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};

@@ -5,6 +5,8 @@
 //! `r / (sockets * cores)`, socket `(r / cores) % sockets`, core
 //! `r % cores` of that socket.
 
+#![forbid(unsafe_code)]
+
 use crate::Rank;
 
 /// Communication level between two ranks, from closest to farthest.

@@ -7,6 +7,8 @@
 //! single-owner lock (`engine::net`): a wait is one store, with no
 //! allocation (`tests/alloc_free.rs`).
 
+#![forbid(unsafe_code)]
+
 use crate::{Rank, Tag};
 
 /// One wait-for edge: `waiter` is blocked until `src` sends `tag`.

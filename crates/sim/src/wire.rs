@@ -10,6 +10,8 @@
 //! (`hcs-clock`), so even wire crossings go through the named
 //! `raw_seconds`/`from_raw_seconds` accessors.
 
+#![forbid(unsafe_code)]
+
 /// A value with a fixed-size little-endian wire form.
 ///
 /// # Panics

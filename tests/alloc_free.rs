@@ -100,13 +100,12 @@ fn steady_state_small_messages_do_not_allocate() {
                     ctx.send_t(peer, i & 0x7, v + 1.0);
                 }
             };
-            // Warm-up: grow the inbox rings to their high-water capacity,
-            // and the rendezvous buffers the closing barrier uses to
-            // theirs (one barrier leaves one of them short on fibers).
+            // Warm-up: grow the inbox rings to their high-water capacity.
+            // The opening fence's barrier is the run's first collective,
+            // and it leaves the rendezvous buffers at theirs.
             for i in 0..512u32 {
                 trip(ctx, i);
             }
-            comm.barrier(ctx, BarrierAlgorithm::Tree);
             // On fibers the run loop's own park/wake steps between the
             // rank slices are counted too; on threads only the ranks are.
             fence(ctx, &mut comm, true);
