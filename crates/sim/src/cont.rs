@@ -1,15 +1,15 @@
 //! Schedulable rank continuations for the event-driven engine.
 //!
 //! A rank body starts through a [`Starter`] and runs until it finishes
-//! or is *suspended* at a blocking receive; either way the call returns
-//! a [`Slice`]. A suspended body comes back as a [`Continuation`] inside
-//! [`Slice::Parked`], and each [`Continuation::resume`] runs it to the
-//! next such slice. The event scheduler (`events.rs`) drives all bodies
-//! of a run from one loop on the thread that called `Cluster::run*`,
-//! which is what lets a p = 131072 run execute on one OS thread instead
-//! of needing one thread per rank. The run loop never moves a
-//! continuation off the thread that started it; the type is still
-//! `Send` — its state travels with it, as
+//! or *parks* at a blocking receive ([`park`]); either way the call
+//! returns a [`Slice`]. A parked body comes back as a [`Continuation`]
+//! inside [`Slice::Parked`], and each [`Continuation::resume`] runs it
+//! to the next such slice. The event scheduler (`events.rs`) drives all
+//! bodies of a run from one loop on the thread that called
+//! `Cluster::run*`, which is what lets a p = 131072 run execute on one
+//! OS thread instead of needing one thread per rank. The run loop never
+//! moves a continuation off the thread that started it; the type is
+//! still `Send` — its state travels with it, as
 //! `tests::resume_can_migrate_between_threads` checks on both backends.
 //!
 //! Two interchangeable backends implement the suspend/resume contract:
@@ -20,46 +20,46 @@
 //!   swapped, and the counterpart's registers are popped. Every fiber
 //!   starts on the starter's *hot stack*; a body that parks takes that
 //!   stack with it into its continuation, and the starter arms a fresh
-//!   one from a global free list on its next start. So the peak number
-//!   of live stacks tracks the number of *simultaneously suspended*
-//!   ranks, not the rank count.
-//! - **Thread**: one OS thread per started body with a state-machine
-//!   handshake (running / suspended / finished) over a condvar.
-//!   Functionally identical but orders of magnitude slower to create;
-//!   it exists as the portable fallback for non-x86_64 targets and as
-//!   the ThreadSanitizer-compatible mode (TSan cannot follow a
-//!   user-space stack switch without fiber annotations), selected via
-//!   `HCS_EVENT_THREAD_CONT=1`.
+//!   one from its thread's free list on its next start. So the peak
+//!   number of live stacks tracks the number of *simultaneously
+//!   suspended* ranks, not the rank count.
+//! - **Thread**: one OS thread per started body with a handshake over
+//!   two one-slot channels: the executor sends a resume, the body sends
+//!   back how its slice ended. Functionally identical but orders of
+//!   magnitude slower to create; it exists as the portable fallback for
+//!   non-x86_64 targets and as the ThreadSanitizer-compatible mode (TSan
+//!   cannot follow a user-space stack switch without fiber annotations),
+//!   selected via `HCS_EVENT_THREAD_CONT=1`.
 //!
 //! The contract both backends guarantee:
 //!
-//! - A slice runs the body until it finishes or calls
-//!   [`suspend_current`], and reports which of the two happened.
-//! - On the fiber backend a running body may also hand the thread
-//!   straight to another parked fiber ([`switch_to`]), which inherits
-//!   the context to return to. A slice then returns when the *last*
-//!   fiber of that chain finishes or suspends; the body it ran is
+//! - A slice runs the body until it finishes or parks, and reports
+//!   which of the two happened.
+//! - On the fiber backend a parking body may also hand the thread
+//!   straight to another parked fiber (the `to` of [`park`]), which
+//!   inherits the context to return to. A slice then returns when the
+//!   *last* fiber of that chain finishes or suspends; the body it ran is
 //!   parked unless it is that last fiber, and
 //!   [`Continuation::returned`] reports the last one.
 //! - At most one of (executor, body) executes at any instant — a strict
 //!   handoff. The body may therefore use `&mut` state freely across
 //!   suspension points.
-//! - **No lock guard may be held across a suspension point.** The
-//!   guard would stay held while *other ranks run on the same thread*:
-//!   the next rank to take that lock blocks the only thread that could
-//!   ever release it. The xtask concurrency lint treats
-//!   `suspend_current` as a park point and enforces this statically
-//!   (DESIGN.md §15).
+//! - **No guard of the run's lock is alive across a suspension.** It
+//!   would stay alive while *other ranks run*, which is what
+//!   `RunLock`'s contract forbids (DESIGN.md §12). [`park`], the one
+//!   suspension this module offers the crate, takes the guard by value
+//!   and drops it before the body leaves its slice, so rustc holds the
+//!   rule on every path.
 //! - A panic that escapes the body is caught on the continuation's own
 //!   stack, carried back in [`Slice::Finished`], and re-thrown by the
 //!   executor on a real thread (unwinding across the stack-switch
 //!   boundary would be undefined behavior).
 
 use std::any::Any;
-use std::cell::Cell;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::cell::{Cell, OnceCell};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-use crate::lockutil::lock_ignore_poison;
+use crate::lockutil::RunGuard;
 
 /// Stack size of every rank body's host stack: fiber stacks and
 /// thread-backed continuations.
@@ -77,7 +77,7 @@ pub(crate) enum Backend {
     /// Stackful coroutine (x86_64 only; non-x86_64 builds coerce it to
     /// `Thread` in [`Starter::new`]).
     Fiber,
-    /// Dedicated OS thread per continuation with a condvar handshake.
+    /// Dedicated OS thread per continuation with a channel handshake.
     Thread,
 }
 
@@ -115,9 +115,8 @@ pub(crate) enum Slice {
     /// The body returned; any panic it unwound with is carried here.
     /// Its stack or thread is already reaped.
     Finished { panic: Option<Box<dyn Any + Send>> },
-    /// The body called [`suspend_current`] with `key` (the rank's
-    /// virtual-time order key; opaque to this module); `cont` resumes
-    /// it.
+    /// The body parked with `key` (the rank's virtual-time order key;
+    /// opaque to this module); `cont` resumes it.
     Parked { cont: Continuation, key: u64 },
 }
 
@@ -130,13 +129,37 @@ impl Slice {
     }
 }
 
+/// Parks the rank body executing on this thread with `key`: drops
+/// `guard`, the guard of the run's lock the park was decided under,
+/// then ends the body's slice with [`Slice::Parked`] or, given `to`,
+/// suspends it in favor of that parked fiber ([`switch_to`]). Returns
+/// when the body is activated again.
+///
+/// # Safety
+/// `to`, if any, must come from [`current_fiber`] of a body that is
+/// parked now (suspended, not finished), on this thread, and whose
+/// continuation is still alive.
+///
+/// # Panics
+/// Panics if the caller is not running inside a continuation, or is
+/// not a fiber and `to` is given.
+pub(crate) unsafe fn park<T>(guard: RunGuard<'_, T>, key: u64, to: Option<FiberRef>) {
+    drop(guard);
+    match to {
+        None => suspend_current(key),
+        // SAFETY: `next` is a parked, live fiber of this thread (the
+        // contract above), and the guard is gone.
+        Some(next) => unsafe { switch_to(key, next) },
+    }
+}
+
 /// Suspends the continuation currently executing on this thread,
 /// ending its slice with [`Slice::Parked`] and `key`. Returns when the
 /// executor resumes the continuation again.
 ///
 /// # Panics
 /// Panics if the calling code is not running inside a continuation.
-pub(crate) fn suspend_current(key: u64) {
+fn suspend_current(key: u64) {
     match current() {
         #[cfg(target_arch = "x86_64")]
         Current::Fiber(core) => {
@@ -150,13 +173,21 @@ pub(crate) fn suspend_current(key: u64) {
                 fiber::switch_stack(&mut (*core).coro_sp, ret);
             }
         }
-        Current::Thread(shared) => {
-            // SAFETY: the pointer was derived from the Arc held by both
-            // the `ThreadCont` and this coroutine thread's closure, so
-            // it outlives every suspension.
-            let shared = unsafe { &*shared };
-            shared.suspend(key);
-        }
+        Current::Thread => BODY_ENDS.with(|ends| {
+            let ends = ends
+                .get()
+                .expect("a coroutine thread holds its handshake ends");
+            let resumed =
+                ends.ended.send(ThreadSlice::Suspended(key)).is_ok() && ends.resume.recv().is_ok();
+            if !resumed {
+                // The executor dropped this parked continuation (the
+                // stalled-run unwind of `events::drive`): the body
+                // never runs again, and process exit reaps the thread.
+                loop {
+                    std::thread::park();
+                }
+            }
+        }),
     }
 }
 
@@ -189,7 +220,7 @@ pub(crate) fn current_fiber() -> Option<FiberRef> {
     match current() {
         #[cfg(target_arch = "x86_64")]
         Current::Fiber(core) => Some(FiberRef { core }),
-        Current::Thread(_) => None,
+        Current::Thread => None,
     }
 }
 
@@ -201,13 +232,11 @@ pub(crate) fn current_fiber() -> Option<FiberRef> {
 /// activated again, by the executor or by a switch.
 ///
 /// # Safety
-/// `next` must come from [`current_fiber`] of a body that is parked
-/// now (suspended, not finished), on this thread, and whose
-/// continuation is still alive; the caller must hold no lock guard.
+/// As for [`park`]'s `to`.
 ///
 /// # Panics
 /// Panics if the caller is not a fiber.
-pub(crate) unsafe fn switch_to(key: u64, next: FiberRef) {
+unsafe fn switch_to(key: u64, next: FiberRef) {
     let next = next.core;
     #[cfg(target_arch = "x86_64")]
     {
@@ -247,11 +276,13 @@ fn current() -> Current {
 enum Current {
     #[cfg(target_arch = "x86_64")]
     Fiber(*mut fiber::ContCore),
-    Thread(*const ThreadShared),
+    Thread,
 }
 
 thread_local! {
     static CURRENT: Cell<Option<Current>> = const { Cell::new(None) };
+    /// A coroutine thread's ends of its handshake (thread backend).
+    static BODY_ENDS: OnceCell<BodyEnds> = const { OnceCell::new() };
 }
 
 /// Starts fresh rank bodies on one backend. On the fiber backend it
@@ -347,65 +378,62 @@ impl Continuation {
 // Thread backend
 // ---------------------------------------------------------------------
 
-/// Handshake phase of a thread-backed continuation. Exactly one side is
-/// ever out of `wait` at a time.
-enum ThreadPhase {
-    /// The body may run; the executor waits.
-    Running,
-    /// The body called `suspend_current(key)` and waits.
+/// How a thread-backed body's slice ended, sent to the executor.
+enum ThreadSlice {
+    /// The body parked with this key and waits for its resume.
     Suspended(u64),
     /// The body returned; the coroutine thread is exiting.
     Finished(Option<Box<dyn Any + Send>>),
 }
 
-/// State shared between the executor side and the coroutine thread.
-struct ThreadShared {
-    phase: Mutex<ThreadPhase>,
-    cv: Condvar,
+/// The coroutine thread's ends of the handshake. Each channel holds one
+/// message, and each side sends only after it has received the other's
+/// last, so no send blocks and none allocates.
+struct BodyEnds {
+    resume: Receiver<()>,
+    ended: SyncSender<ThreadSlice>,
 }
 
-impl ThreadShared {
-    /// Body side: publish `Suspended` and wait to be set `Running`.
-    fn suspend(&self, key: u64) {
-        let mut ph = lock_ignore_poison(&self.phase);
-        *ph = ThreadPhase::Suspended(key);
-        self.cv.notify_all();
-        while matches!(*ph, ThreadPhase::Suspended(_)) {
-            ph = self.cv.wait(ph).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A continuation backed by a dedicated OS thread (see module docs).
+/// A continuation backed by a dedicated OS thread (see module docs):
+/// the executor's ends of the handshake. Dropping a parked one closes
+/// `resume`, which leaves its body blocked for good (`suspend_current`)
+/// and its thread detached.
 struct ThreadCont {
-    shared: Arc<ThreadShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    resume: SyncSender<()>,
+    ended: Receiver<ThreadSlice>,
+    thread: std::thread::JoinHandle<()>,
 }
 
 impl ThreadCont {
-    /// Spawns the coroutine thread already in the `Running` phase and
+    /// Spawns the coroutine thread, which runs `entry` at once, and
     /// waits for its first slice to end.
     fn start(entry: Entry) -> Slice {
-        let shared = Arc::new(ThreadShared {
-            phase: Mutex::new(ThreadPhase::Running),
-            cv: Condvar::new(),
-        });
-        let their = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let (resume, resume_rx) = sync_channel(1);
+        let (ended_tx, ended) = sync_channel(1);
+        let thread = std::thread::Builder::new()
             .name("hcs-cont".into())
             .stack_size(RANK_STACK_BYTES)
             .spawn(move || {
-                CURRENT.with(|c| c.set(Some(Current::Thread(Arc::as_ptr(&their)))));
+                let ends = BodyEnds {
+                    resume: resume_rx,
+                    ended: ended_tx,
+                };
+                BODY_ENDS.with(|cell| {
+                    cell.get_or_init(|| ends);
+                });
+                CURRENT.set(Some(Current::Thread));
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry));
-                CURRENT.with(|c| c.set(None));
-                let mut ph = lock_ignore_poison(&their.phase);
-                *ph = ThreadPhase::Finished(result.err());
-                their.cv.notify_all();
+                CURRENT.set(None);
+                BODY_ENDS.with(|cell| {
+                    let ends = cell.get().expect("set above");
+                    let _ = ends.ended.send(ThreadSlice::Finished(result.err()));
+                });
             })
             .expect("failed to spawn continuation thread");
         ThreadCont {
-            shared,
-            handle: Some(handle),
+            resume,
+            ended,
+            thread,
         }
         .wait()
     }
@@ -413,51 +441,24 @@ impl ThreadCont {
     /// Executor side: wakes the parked body, then waits for its slice
     /// to end.
     fn resume(self) -> Slice {
-        *lock_ignore_poison(&self.shared.phase) = ThreadPhase::Running;
-        self.shared.cv.notify_all();
+        self.resume
+            .send(())
+            .expect("a parked body waits for its resume");
         self.wait()
     }
 
-    /// Waits for the running body to suspend or finish. A finished
-    /// body's thread is joined as `self` drops.
+    /// Waits for the running body to suspend or finish; a finished
+    /// body's thread is joined.
     fn wait(self) -> Slice {
-        let mut ph = lock_ignore_poison(&self.shared.phase);
-        while matches!(*ph, ThreadPhase::Running) {
-            ph = self
-                .shared
-                .cv
-                .wait(ph)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let parked = match &mut *ph {
-            ThreadPhase::Suspended(key) => Ok(*key),
-            ThreadPhase::Finished(panic) => Err(panic.take()),
-            ThreadPhase::Running => unreachable!("loop exits only on a phase change"),
-        };
-        drop(ph);
-        match parked {
-            Ok(key) => Slice::parked(ContState::Thread(self), key),
-            Err(panic) => Slice::Finished { panic },
-        }
-    }
-}
-
-impl Drop for ThreadCont {
-    fn drop(&mut self) {
-        // Reached in the `Finished` phase on every completed run; the
-        // join is then immediate. Dropping a *suspended* continuation
-        // (the run loop unwinding from a stalled run, `events::drive`)
-        // would block forever here, so detach instead: the rank thread
-        // stays blocked in its handoff wait, is never resumed, and
-        // process exit reaps it (one leaked thread and stack per
-        // parked rank of a stalled run).
-        let finished = matches!(
-            *lock_ignore_poison(&self.shared.phase),
-            ThreadPhase::Finished(_)
-        );
-        if let Some(h) = self.handle.take() {
-            if finished {
-                let _ = h.join();
+        match self
+            .ended
+            .recv()
+            .expect("a body reports how each slice ends")
+        {
+            ThreadSlice::Suspended(key) => Slice::parked(ContState::Thread(self), key),
+            ThreadSlice::Finished(panic) => {
+                let _ = self.thread.join();
+                Slice::Finished { panic }
             }
         }
     }
@@ -471,10 +472,9 @@ impl Drop for ThreadCont {
 mod fiber {
     use std::any::Any;
     use std::arch::naked_asm;
-    use std::sync::Mutex;
+    use std::cell::RefCell;
 
     use super::{ContState, Current, Slice, CURRENT, RANK_STACK_BYTES};
-    use crate::lockutil::lock_ignore_poison;
 
     /// Shared switch state of one fiber. Boxed so its address is stable
     /// while both sides hold raw pointers to it.
@@ -556,11 +556,6 @@ mod fiber {
         base: *mut u8,
     }
 
-    // SAFETY: the block is exclusively owned by whoever holds the
-    // RawStack (a running fiber or the free list); there is no aliasing
-    // to transfer between threads.
-    unsafe impl Send for RawStack {}
-
     /// Recognizable value planted at the stack base (the deep end) in
     /// debug builds; checked on recycle to catch overflows that crossed
     /// the whole block without faulting.
@@ -602,9 +597,7 @@ mod fiber {
 
         /// One-past-the-end of the block (stacks grow down), 16-aligned.
         fn top(&self) -> *mut u8 {
-            // SAFETY: `base + RANK_STACK_BYTES` is the one-past-the-end
-            // pointer of the allocation, which is a valid provenance.
-            unsafe { self.base.add(RANK_STACK_BYTES) }
+            self.base.wrapping_add(RANK_STACK_BYTES)
         }
     }
 
@@ -616,19 +609,22 @@ mod fiber {
         }
     }
 
-    /// Free list of recycled fiber stacks. Because finished fibers
-    /// return their stack here before the next rank starts, the list
-    /// (and total stack memory) stays proportional to the peak number
-    /// of simultaneously-suspended ranks. Capped so a pathological run
-    /// cannot pin unbounded memory.
-    static STACK_POOL: Mutex<Vec<RawStack>> = Mutex::new(Vec::new());
+    thread_local! {
+        /// This thread's free list of recycled fiber stacks. Because
+        /// finished fibers return their stack here before the next rank
+        /// starts, the list (and total stack memory) stays proportional
+        /// to the peak number of simultaneously-suspended ranks of the
+        /// runs on this thread. Capped so a pathological run cannot pin
+        /// unbounded memory; a thread's stacks are freed as it exits.
+        static STACK_POOL: RefCell<Vec<RawStack>> = const { RefCell::new(Vec::new()) };
+    }
 
-    /// Free-list cap: 256 stacks × 256 KiB = 64 MiB worst case.
+    /// Free-list cap per thread: 256 stacks × 256 KiB = 64 MiB worst
+    /// case.
     const STACK_POOL_MAX: usize = 256;
 
     fn stack_get() -> RawStack {
-        let recycled = lock_ignore_poison(&STACK_POOL).pop();
-        match recycled {
+        match STACK_POOL.with_borrow_mut(Vec::pop) {
             Some(s) => {
                 #[cfg(debug_assertions)]
                 s.check_canary();
@@ -643,10 +639,11 @@ mod fiber {
         s.check_canary();
         #[cfg(test)]
         RECYCLED.with(|n| n.set(n.get() + 1));
-        let mut pool = lock_ignore_poison(&STACK_POOL);
-        if pool.len() < STACK_POOL_MAX {
-            pool.push(s);
-        }
+        STACK_POOL.with_borrow_mut(|pool| {
+            if pool.len() < STACK_POOL_MAX {
+                pool.push(s);
+            }
+        });
     }
 
     #[cfg(test)]
@@ -669,8 +666,9 @@ mod fiber {
 
     // SAFETY: the raw pointers inside ContCore are only dereferenced
     // under the strict executor/body handoff — exactly one side is
-    // running at any instant — so moving the owner to another thread
-    // is a plain ownership transfer.
+    // running at any instant — and the stack block is owned by this
+    // continuation alone, so moving the owner to another thread is a
+    // plain ownership transfer.
     unsafe impl Send for FiberCont {}
 
     impl FiberCont {
@@ -708,9 +706,8 @@ mod fiber {
     /// The starter's reusable (stack, core) pair that every fresh body
     /// runs on, armed on first use. A body that finishes leaves both
     /// armed for the next; a body that parks takes both into a
-    /// [`FiberCont`] (the slow path, which already pays lock and heap
-    /// traffic to publish the park), and the next start arms a new
-    /// pair.
+    /// [`FiberCont`] (the slow path, which already pays heap traffic
+    /// to publish the park), and the next start arms a new pair.
     #[derive(Default)]
     pub(super) struct HotFiber {
         core: Option<Box<ContCore>>,
@@ -946,6 +943,21 @@ pub(crate) mod tests {
                 .unwrap();
             assert!(finished(c.resume()).is_none());
         }
+    }
+
+    #[test]
+    fn dropping_a_parked_thread_continuation_leaves_its_body_blocked() {
+        // The stalled-run detach: the executor drops a parked body
+        // without resuming it. The drop returns at once, and the body
+        // neither runs on beside the executor nor exits.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = move || {
+            suspend_current(1);
+            tx.send(()).unwrap();
+        };
+        drop(parked(start(Backend::Thread, body), 1));
+        let after = rx.recv_timeout(std::time::Duration::from_millis(100));
+        assert_eq!(after, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! completion flag, the collective rendezvous slots and the scheduler's
 //! ready state — as one value behind [`RunNet`]'s one single-owner
 //! lock (a run executes one rank slice at a time); the park/wake
-//! protocol over it, where a rank drops its guard before it parks; and
-//! the per-destination FIFO clamp.
+//! protocol over it, where a rank parks by handing its guard to
+//! `events::park`; and the per-destination FIFO clamp.
 
 #![forbid(unsafe_code)]
 
@@ -47,6 +47,12 @@ pub(super) struct RunState {
     rendezvous: Rendezvous,
     /// The scheduler's ready state: parks and wakes the ranks.
     sched: EventSched,
+}
+
+impl AsMut<EventSched> for RunState {
+    fn as_mut(&mut self) -> &mut EventSched {
+        &mut self.sched
+    }
 }
 
 impl RunState {
@@ -164,7 +170,7 @@ impl RunNet {
     /// Runs every rank as `body(rank)` to completion under the run
     /// loop ([`events::drive`]), and returns its counters.
     pub(super) fn drive(&self, body: &(dyn Fn(usize) + Sync)) -> RunStats {
-        events::drive(&self.state, |st| &mut st.sched, body, RunState::drained)
+        events::drive(&self.state, body, RunState::drained)
     }
 
     /// Every rank of the run in order, shared by all of them.
@@ -257,9 +263,7 @@ impl RunNet {
             // checks above and the park: one rank runs at a time, so no
             // sender executes before this rank is recorded as parked
             // (see the `events` module docs).
-            let parking = st.sched.parking(events::time_key(now.seconds()), Some(src));
-            drop(guard);
-            parking.park();
+            events::park(guard, events::time_key(now.seconds()), Some(src));
         }
     }
 
@@ -304,9 +308,7 @@ impl RunNet {
                 drop(guard);
                 peer_panicked_in_collective(group.ranks()[me], peer, tag);
             }
-            let parking = guard.sched.parking(key, None);
-            drop(guard);
-            parking.park();
+            events::park(guard, key, None);
             guard = self.state.acquire();
             // Otherwise woken by a peer's panic.
             if let Some(claim) = guard.rendezvous.claim(id, me) {

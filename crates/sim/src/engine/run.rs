@@ -1,9 +1,10 @@
 //! [`Cluster`] and its builder, engine selection, and the run driver
 //! that executes one body per rank and collects results, traces and
 //! panics: it builds the run's one `RunLock`, the engine's one
-//! `unsafe` site, and collects the outputs in one `Mutex`.
+//! `unsafe` site, and collects the outputs through one channel.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 
 use hcs_obs::{ObsSpec, RankRecorder, TraceLog};
 
@@ -13,7 +14,7 @@ use super::outcome::{silence_recv_timeout_panic_hook, RankOutcome, RecvTimeout, 
 use crate::cont::Backend;
 use crate::events::{EventSched, Order, RunStats};
 use crate::fault::FaultPlan;
-use crate::lockutil::{lock_ignore_poison, RunLock};
+use crate::lockutil::RunLock;
 use crate::net::NetworkModel;
 use crate::rngx::{self, label};
 use crate::topology::Topology;
@@ -463,18 +464,9 @@ impl Cluster {
         // and no guard lives across a park (`RunNet`) or a slice.
         let state = unsafe { RunLock::new("engine.run", state) };
         let net = Arc::new(RunNet::new(size, state));
-        // What the rank bodies hand back, each into its own slot. The
-        // recorder vector is empty when observability is off — no body
-        // ever indexes it then.
-        let outputs = Mutex::new(Outputs {
-            results: (0..size).map(|_| None).collect(),
-            recorders: if self.obs.records() {
-                (0..size).map(|_| None).collect()
-            } else {
-                Vec::new()
-            },
-            panics: Vec::new(),
-        });
+        // What the rank bodies hand back, one message per body; room
+        // for all of them, so no send ever blocks.
+        let (outputs, collected) = sync_channel(size);
 
         // The per-rank body, one closure for the whole run, so seeding
         // allocates nothing per rank. It must never unwind: panics from
@@ -499,20 +491,22 @@ impl Cluster {
             // "done + no match queued = no match coming" proof of
             // deadline receives would be unsound.
             ctx.flush_reorder_holds();
-            match result {
-                Ok(out) => {
-                    let mut outputs = lock_ignore_poison(&outputs);
-                    outputs.results[rank] = Some(out);
-                    // Only yields a recorder when obs is enabled.
-                    if let Some(rec) = ctx.take_recorder() {
-                        outputs.recorders[rank] = Some(rec);
-                    }
-                }
+            let output = match result {
+                Ok(out) => Output::Returned {
+                    rank,
+                    out,
+                    // Only yields a recorder when obs is enabled. Boxed,
+                    // so the channel's p slots stay a few words each.
+                    recorder: ctx.take_recorder().map(Box::new),
+                },
                 Err(payload) => {
                     net.poison_from(rank);
-                    lock_ignore_poison(&outputs).panics.push(payload);
+                    Output::Panicked(payload)
                 }
-            }
+            };
+            outputs
+                .send(output)
+                .expect("the run driver holds the receiver");
             net.rank_done(rank);
         };
 
@@ -522,11 +516,31 @@ impl Cluster {
         // which no body runs again.
         let stats = net.drive(&body);
 
-        let Outputs {
-            results,
-            recorders,
-            mut panics,
-        } = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // Each rank's result and recorder in its own slot; the recorder
+        // vector is empty when observability is off — no body sends one
+        // then.
+        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
+        let mut recorders: Vec<Option<RankRecorder>> = if self.obs.records() {
+            (0..size).map(|_| None).collect()
+        } else {
+            Vec::new()
+        };
+        let mut panics = Vec::new();
+        for output in collected.try_iter() {
+            match output {
+                Output::Returned {
+                    rank,
+                    out,
+                    recorder,
+                } => {
+                    results[rank] = Some(out);
+                    if let Some(rec) = recorder {
+                        recorders[rank] = Some(*rec);
+                    }
+                }
+                Output::Panicked(payload) => panics.push(payload),
+            }
+        }
         if !panics.is_empty() {
             // Prefer the root-cause panic over the "peer panicked"
             // consequence panics triggered by `RunNet::poison_from`, and
@@ -561,11 +575,13 @@ impl Cluster {
     }
 }
 
-/// What a run's rank bodies hand back: each rank's result and recorder
-/// in its own slot, and the panics that escaped them. Written once per
-/// rank body, as it ends, and read after the run loop returns.
-struct Outputs<R> {
-    results: Vec<Option<R>>,
-    recorders: Vec<Option<RankRecorder>>,
-    panics: Vec<Box<dyn std::any::Any + Send>>,
+/// What one rank body hands back as it ends, read after the run loop
+/// returns: its result and recorder, or the panic that escaped it.
+enum Output<R> {
+    Returned {
+        rank: Rank,
+        out: R,
+        recorder: Option<Box<RankRecorder>>,
+    },
+    Panicked(Box<dyn std::any::Any + Send>),
 }

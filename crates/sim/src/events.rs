@@ -41,9 +41,9 @@
 //!     next and the heap is bypassed: the two sides of a ping-pong run
 //!     back to back on hot stacks and inboxes instead of taking turns
 //!     with every other live conversation. On the fiber backend R's
-//!     park ([`EventSched::parking`]) records itself (key, one slice,
-//!     one handoff) and switches straight to S's stack, which inherits the
-//!     loop's return context (`cont::switch_to`): a ping-pong leg is
+//!     park ([`park`]) records itself (key, one slice, one handoff) and
+//!     switches straight to S's stack, which inherits the loop's return
+//!     context (`cont::park`'s `to`): a ping-pong leg is
 //!     one stack switch, and [`drive`] gets the thread back only when a
 //!     slice ends some other way — then it settles whichever rank the
 //!     chain ended on, parked or finished. Every parked fiber is a
@@ -83,14 +83,16 @@
 //! deliveries, and still wake; a rank that finishes wakes no one.
 //!
 //! The same fact — one slice at a time, each ordered after the last by
-//! the loop itself or by the thread backend's mutex/condvar handoff — is
+//! the loop itself or by the thread backend's channel handshake — is
 //! why a run's whole shared state (its inboxes, rendezvous slots and
 //! this scheduler's ready state, [`EventSched`]) is one value behind one
 //! [`RunLock`], a checked flag: the message path takes no mutex and no
 //! atomic, and a send pushes and requeues under one guard. This module
-//! holds the policy as plain data; [`drive`] reaches it through a
-//! projection of the run's value, and the engine's hooks through the
-//! guard they already hold.
+//! holds the policy as plain data; [`drive`] and [`park`] reach it
+//! through the run value's `AsMut<EventSched>`, and the engine's wake
+//! hooks through the guard they already hold. A rank parks only
+//! through [`park`], which consumes the guard, so no guard is alive
+//! while another rank runs.
 //!
 //! # Deadlocks and stalls are found when the loop drains
 //!
@@ -114,7 +116,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::cont::{self, Backend, Continuation, FiberRef, Slice, Starter};
-use crate::lockutil::RunLock;
+use crate::lockutil::{RunGuard, RunLock};
 use crate::rngx::Pcg64;
 
 /// Orders `SimTime` seconds as a totally ordered unsigned key
@@ -266,7 +268,7 @@ pub(crate) struct EventSched {
     /// the one the last direct switch moved to.
     current: usize,
     /// Whom the rank that last returned to the loop by parking waits
-    /// for; set by [`EventSched::parking`], taken by the loop.
+    /// for; set by [`park`], taken by the loop.
     parked_on: Option<usize>,
     /// The ranks ready to run.
     ready: Ready,
@@ -288,39 +290,6 @@ impl EventSched {
             parked_on: None,
             ready: Ready::new(n, order),
             stats: RunStats::default(),
-        }
-    }
-
-    /// Records that the executing rank parks under the virtual-time
-    /// `key`, waiting for a message from `awaited` (or, in a collective
-    /// rendezvous, for no one rank), and says how it leaves. If
-    /// `awaited` sits in the handoff slot, this park *is* the handoff
-    /// (module docs): on the fiber backend it is recorded here and the
-    /// rank switches straight to `awaited`'s stack; otherwise the loop
-    /// takes it. The caller drops its guard of the run's lock, then
-    /// calls [`Parking::park`].
-    pub(crate) fn parking(&mut self, key: u64, awaited: Option<usize>) -> Parking {
-        let me = self.current;
-        let fiber = cont::current_fiber();
-        self.fibers[me] = fiber;
-        let target = match self.handoff {
-            Some((_, next)) if Some(next) == awaited && fiber.is_some() => {
-                self.fibers[next].map(|target| (next, target))
-            }
-            _ => None,
-        };
-        let Some((next, target)) = target else {
-            self.parked_on = awaited;
-            return Parking { key, to: None };
-        };
-        self.handoff = None;
-        self.parked[me] = Some(key);
-        self.current = next;
-        self.stats.slices += 1;
-        self.stats.handoffs += 1;
-        Parking {
-            key,
-            to: Some(target),
         }
     }
 
@@ -355,48 +324,64 @@ impl EventSched {
     }
 }
 
-/// How a parking rank leaves its slice: decided by
-/// [`EventSched::parking`] under the run's lock, carried out by
-/// [`Parking::park`] once the guard is dropped.
-#[must_use = "the rank parks only when `park` is called"]
-pub(crate) struct Parking {
+/// Parks the executing rank under the virtual-time `key`, waiting for
+/// a message from `awaited` (or, in a collective rendezvous, for no one
+/// rank), until it is woken and resumed. `guard` is the caller's guard
+/// of the run's state: the park is recorded under it, and it is gone
+/// before the rank leaves its slice. If `awaited` sits in the handoff
+/// slot, this park *is* the handoff (module docs): on the fiber backend
+/// it is recorded here and the rank switches straight to `awaited`'s
+/// stack; otherwise the loop takes it.
+pub(crate) fn park<S: AsMut<EventSched>>(
+    mut guard: RunGuard<'_, S>,
     key: u64,
-    /// The handed-off rank's fiber, for a direct switch.
-    to: Option<FiberRef>,
-}
-
-impl Parking {
-    /// Suspends the calling rank — to the loop, or by a direct switch
-    /// to the handed-off rank — until it is woken and resumed. The
-    /// caller must hold no lock guard (see `cont::suspend_current`).
-    pub(crate) fn park(self) {
-        let Some(target) = self.to else {
-            cont::suspend_current(self.key);
-            return;
-        };
-        // SAFETY: `target` was recorded by the handed-off rank's own
-        // park on this thread, and that rank has not run since — a rank
-        // leaves the handoff slot only by being run — so it is a parked
-        // fiber whose continuation the loop still owns; the caller holds
-        // no guard.
-        unsafe { cont::switch_to(self.key, target) };
-    }
+    awaited: Option<usize>,
+) {
+    let st = guard.as_mut();
+    let me = st.current;
+    let fiber = cont::current_fiber();
+    st.fibers[me] = fiber;
+    let target = match st.handoff {
+        Some((_, next)) if Some(next) == awaited && fiber.is_some() => {
+            st.fibers[next].map(|target| (next, target))
+        }
+        _ => None,
+    };
+    let to = match target {
+        None => {
+            st.parked_on = awaited;
+            None
+        }
+        Some((next, target)) => {
+            st.handoff = None;
+            st.parked[me] = Some(key);
+            st.current = next;
+            st.stats.slices += 1;
+            st.stats.handoffs += 1;
+            Some(target)
+        }
+    };
+    // SAFETY: `to` was recorded by the handed-off rank's own park on
+    // this thread, and that rank has not run since — a rank leaves the
+    // handoff slot only by being run — so it is a parked fiber whose
+    // continuation the loop still owns.
+    unsafe { cont::park(guard, key, to) };
 }
 
 /// What the drain pass of [`drive`] decides: the parked ranks to queue
 /// again, or the run's failure message.
 pub(crate) type Drained = Result<Vec<usize>, String>;
 
-/// Runs the scheduler of the run state behind `run` (`sched` projects
-/// it onto its [`EventSched`]) to completion on the calling thread,
-/// starting each rank as `body(rank)`: take the handed-off rank or else
-/// the next in pick order, run it until the thread comes back — the
-/// rank, or the last rank of a chain of direct switches, parked or
-/// finished — and record that outcome: one guard of the run state per
-/// return, never alive while a rank executes. Then re-throws the first
-/// panic that escaped a rank body, if any (engine bodies catch rank
-/// panics themselves, so that is a bug trap, not a normal path); the
-/// queue is still drained first, so ranks that can finish do.
+/// Runs the scheduler of the run state behind `run` to completion on
+/// the calling thread, starting each rank as `body(rank)`: take the
+/// handed-off rank or else the next in pick order, run it until the
+/// thread comes back — the rank, or the last rank of a chain of direct
+/// switches, parked or finished — and record that outcome: one guard of
+/// the run state per return, never alive while a rank executes. Then
+/// re-throws the first panic that escaped a rank body, if any (engine
+/// bodies catch rank panics themselves, so that is a bug trap, not a
+/// normal path); the queue is still drained first, so ranks that can
+/// finish do.
 ///
 /// When no rank is ready and some are unfinished, `drained` gets the
 /// run state and the parked ranks, ascending, and returns the ones for
@@ -410,14 +395,13 @@ pub(crate) type Drained = Result<Vec<usize>, String>;
 /// until process exit, so whatever the parked bodies own leaks. A
 /// deadlocked or stalled program is a bug to fix, not a state to
 /// recover memory from.
-pub(crate) fn drive<S>(
+pub(crate) fn drive<S: AsMut<EventSched>>(
     run: &RunLock<S>,
-    sched: fn(&mut S) -> &mut EventSched,
     body: &(dyn Fn(usize) + Sync),
     drained: fn(&mut S, &[usize]) -> Drained,
 ) -> RunStats {
     let mut state = run.acquire();
-    let st = sched(&mut state);
+    let st = state.as_mut();
     let (n, mut starter) = (st.n, Starter::new(st.backend));
     // The continuation of each rank that has parked at least once and
     // is not executing. Ranks that never park never materialize one:
@@ -428,14 +412,14 @@ pub(crate) fn drive<S>(
     // The rank the last slice handed off to, if any.
     let mut handed: Option<usize> = None;
     while finished < n {
-        let st = sched(&mut state);
+        let st = state.as_mut();
         let Some(rank) = handed.take().or_else(|| st.ready.next(n)) else {
             if first_panic.is_some() {
                 break;
             }
             let parked: Vec<usize> = (0..n).filter(|&r| st.parked[r].is_some()).collect();
             let queued = drained(&mut state, &parked).unwrap_or_else(|msg| panic!("{msg}"));
-            let st = sched(&mut state);
+            let st = state.as_mut();
             for rank in queued {
                 let key = st.parked[rank].take().expect("a queued rank is parked");
                 st.ready.push(key, rank);
@@ -457,7 +441,7 @@ pub(crate) fn drive<S>(
         #[cfg(test)]
         LOOP_RETURNS.with(|n| n.set(n.get() + 1));
         state = run.acquire();
-        let st = sched(&mut state);
+        let st = state.as_mut();
         // A chain of direct switches ends on the rank current now; the
         // rank the loop ran parked on its way, and that park is on
         // record. (Settling the last one may return its stack to the
@@ -498,7 +482,7 @@ pub(crate) fn drive<S>(
             }
         }
     }
-    let stats = sched(&mut state).stats;
+    let stats = state.as_mut().stats;
     drop(state);
     if let Some(p) = first_panic {
         std::panic::resume_unwind(p);
@@ -521,6 +505,24 @@ mod tests {
     /// The run state of the scheduler tests: the ready state alone,
     /// behind a lock of its own.
     type Sched = Arc<RunLock<EventSched>>;
+
+    impl AsMut<EventSched> for EventSched {
+        fn as_mut(&mut self) -> &mut EventSched {
+            self
+        }
+    }
+
+    /// Parks the calling test rank under `key`, awaiting no one rank.
+    fn park_on(sched: &Sched, key: f64) {
+        park(sched.acquire(), time_key(key), None);
+    }
+
+    /// The scheduler a test installed in `slot` before its run.
+    fn sched_of(slot: &Mutex<Option<Sched>>) -> Sched {
+        lock_ignore_poison(slot)
+            .clone()
+            .expect("installed before the run")
+    }
 
     /// A heap-order scheduler for one rank per job, and the body that
     /// runs each rank's own job exactly once.
@@ -547,7 +549,7 @@ mod tests {
     /// Drives a scheduler whose ranks park outside any receive (they
     /// name no awaited rank, so no handoffs).
     fn drive_bare(sched: &RunLock<EventSched>, body: &(dyn Fn(usize) + Sync)) {
-        drive(sched, |s| s, body, |_, _| Err("stalled".to_string()));
+        drive(sched, body, |_, _| Err("stalled".to_string()));
     }
 
     fn run_jobs(jobs: Vec<Job>) {
@@ -583,19 +585,16 @@ mod tests {
         // wakes) while job 0 may still be publishing its park.
         let sched0: Arc<Mutex<Option<Sched>>> = Arc::new(Mutex::new(None));
         let hits = Arc::new(AtomicUsize::new(0));
-        let s0 = Arc::clone(&sched0);
+        let (s0, s1) = (Arc::clone(&sched0), Arc::clone(&sched0));
         let h0 = Arc::clone(&hits);
         let h1 = Arc::clone(&hits);
         let jobs: Vec<Job> = vec![
             Box::new(move || {
-                crate::cont::suspend_current(time_key(1.0));
+                park_on(&sched_of(&s0), 1.0);
                 h0.fetch_add(1, Ordering::SeqCst);
             }),
             Box::new(move || {
-                let sched = lock_ignore_poison(&s0)
-                    .clone()
-                    .expect("installed before drive");
-                sched.acquire().wake(0);
+                sched_of(&s1).acquire().wake(0);
                 h1.fetch_add(1, Ordering::SeqCst);
             }),
         ];
@@ -615,10 +614,10 @@ mod tests {
         let n = 4usize;
         let mut jobs: Vec<Job> = (0..n)
             .map(|r| {
-                let order = Arc::clone(&order);
+                let (order, slot) = (Arc::clone(&order), Arc::clone(&slot));
                 let job: Job = Box::new(move || {
                     lock_ignore_poison(&order).push(("start", r));
-                    crate::cont::suspend_current(time_key((n - r) as f64));
+                    park_on(&sched_of(&slot), (n - r) as f64);
                     lock_ignore_poison(&order).push(("end", r));
                 });
                 job
@@ -626,9 +625,7 @@ mod tests {
             .collect();
         let waker = Arc::clone(&slot);
         jobs.push(Box::new(move || {
-            let sched = lock_ignore_poison(&waker)
-                .clone()
-                .expect("installed before the run");
+            let sched = sched_of(&waker);
             for rank in 0..n {
                 sched.acquire().wake(rank);
             }
@@ -661,11 +658,6 @@ mod tests {
             let log = Arc::new(Mutex::new(Vec::new()));
             let slot: Arc<Mutex<Option<Sched>>> = Arc::new(Mutex::new(None));
             let n = 6usize;
-            let sched_of = |slot: &Mutex<Option<Sched>>| {
-                lock_ignore_poison(slot)
-                    .clone()
-                    .expect("installed before the run")
-            };
             let mut jobs: Vec<Job> = (0..n)
                 .map(|r| {
                     let (log, slot) = (Arc::clone(&log), Arc::clone(&slot));
@@ -677,7 +669,7 @@ mod tests {
                                 // in each round; woken, a rank wakes the
                                 // driver (a no-op after the first).
                                 let key = ((r * 5 + slice * 3) % n) as f64;
-                                crate::cont::suspend_current(time_key(key));
+                                park_on(&sched_of(&slot), key);
                                 sched_of(&slot).acquire().wake(n);
                             }
                         }
@@ -692,7 +684,7 @@ mod tests {
                     lock_ignore_poison(&dlog).push((n, round));
                     (0..n).for_each(|rank| sched.acquire().wake(rank));
                     if round == 0 {
-                        crate::cont::suspend_current(time_key(100.0));
+                        park_on(&sched, 100.0);
                     }
                 }
             }));

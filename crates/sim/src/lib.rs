@@ -89,7 +89,6 @@ pub use engine::{
     RunOutcome, Schedule, TimeoutReason,
 };
 pub use fault::{FaultPlan, LinkSel, RankSel, Window};
-pub use lockutil::lock_ignore_poison;
 pub use machines::MachineSpec;
 pub use net::{Jitter, LevelLatency, NetworkModel};
 pub use noise::NoiseSpec;

@@ -1,27 +1,24 @@
-//! Poison-transparent mutex locking and the run-scoped [`RunLock`],
-//! shared by the engine and the sweep executor in `hcs-bench`.
+//! The run-scoped [`RunLock`], and poison-transparent mutex locking
+//! for the sweep executor in `hcs-bench`.
 //!
-//! A rank-body panic is always caught, diagnosed and re-thrown by the
-//! engine's own panic plumbing, so a poisoned mutex carries no
-//! information beyond what that machinery already reports. Every lock
-//! site in the simulator therefore treats poisoning as "locked
-//! normally" instead of double-panicking (which would replace the
-//! root-cause panic with a useless `PoisonError`).
-//!
-//! # Two kinds of lock (DESIGN.md §12)
+//! # One lock per run, no mutex (DESIGN.md §12)
 //!
 //! The per-run state of a cluster run — the ranks' inboxes, wait edges
 //! and completion flags, the collective rendezvous slots and the
 //! scheduler's ready state — is one value behind one [`RunLock`]
 //! (`engine.run`), a checked borrow flag: a run executes one rank slice
 //! at a time, so a mutex would only ever be taken uncontended. What
-//! still crosses threads — the thread backend's handshake, the fiber
-//! stack pool, a run's outputs and the sweep executor's slots — sits
-//! behind plain `Mutex`es taken through [`lock_ignore_poison`]. Those
-//! mutexes are leaves: none is taken while another's guard is live, so
-//! they cannot deadlock one another. `cargo run -p xtask -- check`
-//! flags a nested acquisition, and a guard of either kind held across
-//! `cont::suspend_current` or `cont::switch_to`.
+//! crosses threads in `hcs-sim` — the thread backend's handshake and a
+//! run's outputs — goes through channels, and the fiber stack pool is
+//! per thread, so the crate holds no mutex outside this file and its
+//! tests; `cargo run -p xtask -- check` keeps it so.
+//!
+//! A rank-body panic is always caught, diagnosed and re-thrown by the
+//! engine's own panic plumbing, so a poisoned mutex carries no
+//! information beyond what that machinery already reports.
+//! [`lock_ignore_poison`] therefore treats poisoning as "locked
+//! normally" instead of double-panicking (which would replace the
+//! root-cause panic with a useless `PoisonError`).
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::{Mutex, MutexGuard};
@@ -69,10 +66,10 @@ impl<T> RunLock<T> {
     /// through its guard, the guard's drop — are ordered by
     /// happens-before, and no guard is alive across a switch to another
     /// thread of execution. One rank slice runs at a time, on the loop's
-    /// thread under the fiber backend and behind the mutex/condvar
-    /// handshake of `cont.rs` under the thread backend, and no guard is
-    /// held across `cont::suspend_current` (the xtask concurrency pass
-    /// enforces it).
+    /// thread under the fiber backend and behind the channel handshake
+    /// of `cont.rs` under the thread backend, and a rank parks only
+    /// through `cont::park`, which consumes its guard, so rustc keeps
+    /// every guard dead across a suspension.
     pub(crate) unsafe fn new(name: &'static str, value: T) -> Self {
         RunLock {
             name,

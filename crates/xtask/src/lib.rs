@@ -16,11 +16,9 @@
 //! - **dependency freeze** — every `Cargo.toml` dependency is another
 //!   workspace member (the workspace builds offline, std-only); see
 //!   [`deps`];
-//! - **concurrency discipline** — a guard-scope walk over
-//!   `crates/sim` flags a mutex taken while another mutex's guard is
-//!   live and a guard held across a park point; every
-//!   `Ordering::Relaxed` carries an `// atomics:` justification; see
-//!   [`concurrency`].
+//! - **concurrency discipline** — `crates/sim` names no mutex outside
+//!   `lockutil.rs`, and every `Ordering::Relaxed` carries an
+//!   `// atomics:` justification; see [`concurrency`].
 //!
 //! The determinism, unsafe, unwrap and raw-lock bans are clippy's:
 //! `crates/clippy.toml` and the `[workspace.lints.clippy]` table of the
@@ -47,7 +45,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable lint identifier (e.g. `concurrency/lock-order`).
+    /// Stable lint identifier (e.g. `concurrency/no-mutex`).
     pub lint: &'static str,
     /// Human-readable explanation.
     pub msg: String,
@@ -81,8 +79,8 @@ fn lint_file(rel: &str, source: &str, out: &mut Vec<Finding>) {
     if in_crate_src(rel, concurrency::ATOMICS_CRATES) {
         concurrency::atomics(rel, &scan, out);
     }
-    if concurrency::in_lock_scope(rel) {
-        concurrency::guards(rel, &scan, out);
+    if concurrency::in_mutex_free_scope(rel) {
+        concurrency::no_mutex(rel, &scan, out);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Rust source scanner: one token tree per file.
 //!
-//! Every pass asks its structural questions — where a test region, a
-//! `fn` signature, a call's argument list or a guard's scope begins and
-//! ends — of one tree per file: comments dropped, each
+//! Every pass asks its structural questions — where a test region or a
+//! `fn` signature begins and ends — of one tree per file: comments
+//! dropped, each
 //! literal (string, char, number) a single token, every token tagged
 //! with its line, and each `(` / `[` / `{` linked to its close. The
 //! word-level lints keep a per-line view instead: the source with
@@ -15,8 +15,6 @@
 //! char and byte literals, number literals, and distinguishes lifetimes
 //! (`'a`) from char literals (`'a'`). Only `(`, `[` and `{` are
 //! delimiters.
-
-use std::ops::Range;
 
 /// Token class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +39,6 @@ pub struct Tok {
     /// Opener: index of its close (`toks.len()` when unclosed). Closer:
     /// index of its opener. Anything else: its own index.
     pair: usize,
-    /// Innermost opener enclosing the token.
-    parent: Option<usize>,
 }
 
 /// One scanned source file.
@@ -156,18 +152,6 @@ impl FileScan {
         self.toks[i].pair
     }
 
-    /// Innermost `open` group (`"{"`, `"("` or `"["`) enclosing token `i`.
-    pub fn enclosing(&self, i: usize, open: &str) -> Option<usize> {
-        let mut p = self.toks.get(i)?.parent;
-        while let Some(o) = p {
-            if self.is(o, open) {
-                return Some(o);
-            }
-            p = self.toks[o].parent;
-        }
-        None
-    }
-
     /// The blanked code from token `from` up to (not including) token
     /// `to`, newlines as spaces: the text of a condition, signature or
     /// argument.
@@ -192,45 +176,6 @@ impl FileScan {
             k += 1;
         }
         self.toks.len()
-    }
-
-    /// The comma-separated items of the group opened at `open`, as token
-    /// ranges; a trailing comma adds no empty item.
-    pub fn items(&self, open: usize) -> Vec<Range<usize>> {
-        let close = self.pair(open);
-        let mut out = Vec::new();
-        let mut start = open + 1;
-        let mut k = start;
-        while k < close {
-            match self.text(k) {
-                "(" | "[" | "{" => k = self.pair(k),
-                "," => {
-                    out.push(start..k);
-                    start = k + 1;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if start < close {
-            out.push(start..close);
-        }
-        out
-    }
-
-    /// First token of the statement holding token `i`: the walk back
-    /// stops after a `;`, a block or the opener of the enclosing group.
-    pub fn stmt_start(&self, i: usize) -> usize {
-        let mut k = i;
-        while k > 0 {
-            let p = k - 1;
-            match self.text(p) {
-                ";" | "{" | "}" | "(" | "[" => break,
-                ")" | "]" => k = self.toks[p].pair,
-                _ => k = p,
-            }
-        }
-        k
     }
 
     /// Flags the lines of every item carrying `#[cfg(test)]` or
@@ -318,7 +263,6 @@ fn lex(src: &str) -> (String, Vec<Tok>) {
             start,
             end: i,
             pair: idx,
-            parent: open.last().copied(),
         };
         match &src[start..i] {
             "(" | "[" | "{" => {
@@ -338,7 +282,6 @@ fn lex(src: &str) -> (String, Vec<Tok>) {
                     open.pop();
                     toks[o].pair = idx;
                     tok.pair = o;
-                    tok.parent = toks[o].parent;
                 }
             }
             _ => {}
@@ -600,8 +543,6 @@ let s = 'h'; // char
         assert_eq!(scan.pair(1), 13);
         assert_eq!(scan.pair(4), 8);
         assert_eq!(scan.toks[11].line, 1);
-        assert_eq!(scan.items(1).len(), 3);
-        assert_eq!(scan.enclosing(11, "("), Some(1));
     }
 
     #[test]
