@@ -27,9 +27,9 @@
 //!   two one-slot channels: the executor sends a resume, the body sends
 //!   back how its slice ended. Functionally identical but orders of
 //!   magnitude slower to create; it exists as the portable fallback for
-//!   non-x86_64 targets and as the ThreadSanitizer-compatible mode (TSan
-//!   cannot follow a user-space stack switch without fiber annotations),
-//!   selected via `HCS_EVENT_THREAD_CONT=1`.
+//!   non-x86_64 targets and for the TSan and Miri lanes (neither can
+//!   follow a stack switch), selected via `HCS_EVENT_THREAD_CONT=1`.
+//!   Only this module decides the backend; a pick order never does.
 //!
 //! The contract both backends guarantee:
 //!
@@ -70,8 +70,8 @@ pub(crate) const RANK_STACK_BYTES: usize = 256 * 1024;
 /// The closure a thread-backed continuation runs.
 type Entry = Box<dyn FnOnce() + Send + 'static>;
 
-/// Which suspend/resume mechanism to use (decided once per run by the
-/// event executor; see module docs).
+/// Which suspend/resume mechanism to use, once per run, whatever its
+/// pick order (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Backend {
     /// Stackful coroutine (x86_64 only; non-x86_64 builds coerce it to

@@ -10,10 +10,10 @@
 //!
 //! Rank bodies run as continuations under one run loop: a blocked
 //! receive parks the continuation, never an OS thread. The default
-//! ([`EngineMode::Events`]) runs them as stackful fibers in
-//! virtual-time order; [`EngineMode::Threads`] is the reference order
-//! the differential tests compare against: every rank on a thread of
-//! its own, picked in a seeded scrambled order.
+//! ([`EngineMode::Events`]) picks them in virtual-time order;
+//! [`EngineMode::Threads`] is the reference order the differential
+//! tests compare against, a seeded scrambled pick. Either order runs
+//! on the run's continuation backend (`cont`).
 //!
 //! The small-message send path performs **zero heap allocations per
 //! message**: payloads up to [`crate::msg::INLINE_PAYLOAD`] bytes are
@@ -759,6 +759,27 @@ mod tests {
                 handoffs: 0
             }
         );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_reference_order_runs_on_the_callers_backend() {
+        use crate::cont::{current_fiber, Backend};
+        let cluster = crate::machines::testbed(1, 4)
+            .cluster(9)
+            .to_builder()
+            .engine(EngineMode::Threads)
+            .build();
+        let body = |ctx: &mut RankCtx| {
+            let peer = ctx.rank() ^ 1;
+            ctx.send_t::<u32>(peer, 1, 0);
+            ctx.recv_t::<u32>(peer, 1);
+            current_fiber().is_some()
+        };
+        for backend in crate::cont::tests::test_backends() {
+            let (out, _, _) = cluster.run_counted(backend, &body);
+            assert_eq!(out, [backend == Backend::Fiber; 4], "{backend:?}");
+        }
     }
 
     #[test]

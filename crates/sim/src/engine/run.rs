@@ -61,25 +61,25 @@ impl EnvSpec {
 }
 
 /// The order in which one run loop, on the thread that called
-/// `Cluster::run*`, takes turns among a run's rank bodies. Host-side
-/// only: both modes produce bit-identical virtual timelines, CSV rows
-/// and traces for the same cluster and seed (enforced by the
-/// differential oracle in `tests/engine_equivalence.rs`). In either, a
-/// run in which every unfinished rank is parked panics on the caller,
-/// naming the parked ranks.
+/// `Cluster::run*`, takes turns among a run's rank bodies. It picks only
+/// the order: in either mode the ranks are continuations on the run's
+/// one backend (x86_64 fibers unless `HCS_EVENT_THREAD_CONT` selects
+/// threads), and a blocked `recv` parks the continuation, never an OS
+/// thread. Host-side only: both modes produce bit-identical virtual
+/// timelines, CSV rows and traces for the same cluster and seed
+/// (enforced by the differential oracle in
+/// `tests/engine_equivalence.rs`). In either, a run in which every
+/// unfinished rank is parked panics on the caller, naming the parked
+/// ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// The reference order: every rank body runs on an OS thread of its
-    /// own (thread-backed continuations, one slice at a time), and the
-    /// next rank is drawn uniformly from the ready ones by a stream of
-    /// the master seed, with no handoff between conversation partners.
-    /// Kept as the differential oracle for [`EngineMode::Events`];
-    /// practical up to a few thousand ranks.
+    /// The reference order: the next rank is drawn uniformly from the
+    /// ready ones by a stream of the master seed, with no handoff
+    /// between conversation partners. Kept as the differential oracle
+    /// for [`EngineMode::Events`].
     Threads,
-    /// The engine (default): ranks are stackful continuations driven
-    /// in virtual-time order, with the matched-wake handoff; a blocked
-    /// `recv` parks the continuation instead of an OS thread. Scales to
-    /// p≥131072.
+    /// The engine (default): ranks are driven in virtual-time order,
+    /// with the matched-wake handoff. Scales to p≥131072.
     Events,
 }
 
@@ -235,11 +235,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Pins the execution engine (see [`EngineMode`]). When not set,
+    /// Pins the pick order (see [`EngineMode`]). When not set,
     /// runs consult the `HCS_ENGINE` environment variable at run time
     /// (`events` / `threads`, default events), so whole test suites
     /// can be re-executed in the reference order without code changes.
-    /// Engine choice is host-side only — the virtual timeline is
+    /// The order is host-side only — the virtual timeline is
     /// bit-identical either way.
     #[must_use]
     pub fn engine(mut self, mode: EngineMode) -> Self {
@@ -295,7 +295,7 @@ impl Cluster {
         }
     }
 
-    /// The execution engine this run will use: the builder's explicit
+    /// The pick order this run will use: the builder's explicit
     /// choice if one was made, otherwise the `HCS_ENGINE` environment
     /// variable (`events` or `threads`, ASCII case-insensitive; unset
     /// selects events). Read fresh on every call so a test harness can
@@ -410,8 +410,8 @@ impl Cluster {
     }
 
     /// The run driver behind every `run*` entry point, on an explicit
-    /// continuation `backend` (an [`EngineMode::Threads`] run is always
-    /// thread-backed), additionally returning the scheduler's counters.
+    /// continuation `backend` in the order of [`Cluster::engine_mode`],
+    /// additionally returning the scheduler's counters.
     /// Crate-private until ROADMAP item 4 gives the counters a public
     /// home.
     pub(crate) fn run_counted<R, F>(&self, backend: Backend, f: &F) -> (Vec<R>, TraceLog, RunStats)
@@ -419,7 +419,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (run, stats) = self.run_settled(self.pick_order(backend), f);
+        let (run, stats) = self.run_settled((backend, self.pick_order()), f);
         match run {
             Ok((out, log)) => (out, log, stats),
             Err(chosen) => {
@@ -431,16 +431,14 @@ impl Cluster {
         }
     }
 
-    /// The continuation backend and pick order of a run on `backend`
-    /// under [`Cluster::engine_mode`]: heap order on `backend`, or the
-    /// reference order, drawn from the master seed, on threads.
-    pub(crate) fn pick_order(&self, backend: Backend) -> (Backend, Order) {
+    /// The pick order of a run under [`Cluster::engine_mode`]: heap
+    /// order, or the reference order drawn from the master seed.
+    fn pick_order(&self) -> Order {
         match self.engine_mode() {
-            EngineMode::Events => (backend, Order::Heap),
-            EngineMode::Threads => (
-                Backend::Thread,
-                Order::Scrambled(rngx::stream_rng(self.seed, label::sched_scramble())),
-            ),
+            EngineMode::Events => Order::Heap,
+            EngineMode::Threads => {
+                Order::Scrambled(rngx::stream_rng(self.seed, label::sched_scramble()))
+            }
         }
     }
 

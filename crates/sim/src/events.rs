@@ -56,7 +56,7 @@
 //!     plain wake would have queued it. A panicking rank's wake of
 //!     every rank never matches, and a deadline wait that a drain
 //!     resolves is queued by the loop.
-//! - **The reference order** (`EngineMode::Threads`, on the thread
+//! - **The reference order** (`EngineMode::Threads`, on the same
 //!   backend): the next rank is drawn uniformly from every woken or
 //!   unstarted rank, from the run's `sched_scramble` stream, and no
 //!   wake is ever a handoff. It is the differential oracle for the

@@ -25,11 +25,11 @@
 //!   dedicated streams only,
 //! - the same `(seed, plan)` replays the same faulted timeline on any
 //!   host, run or re-run,
-//! - the interpreter is engine-agnostic: it runs at the delivery
-//!   boundary, below the rank-scheduling layer, so
-//!   `EngineMode::Threads` and `EngineMode::Events` produce
-//!   byte-identical faulted timelines (pinned by
-//!   `tests/engine_equivalence.rs`).
+//! - the interpreter is order-agnostic: it runs at the delivery
+//!   boundary, below the rank-scheduling layer, so both pick orders
+//!   (`EngineMode::Threads` and `EngineMode::Events`), on either
+//!   continuation backend, produce byte-identical faulted timelines
+//!   (pinned by `tests/engine_equivalence.rs`).
 //!
 //! ## Decision order
 //!

@@ -15,10 +15,10 @@
 //! ## Execution model
 //!
 //! Every simulated MPI rank is an independent execution — a
-//! continuation under one run loop, a stackful fiber taken in
-//! virtual-time order ([`engine::EngineMode::Events`], the default) or
-//! a thread-backed one taken in a seeded scrambled order (the reference
-//! order, [`engine::EngineMode::Threads`]) — and
+//! continuation under one run loop (a stackful fiber on x86_64), taken
+//! in virtual-time order ([`engine::EngineMode::Events`], the default)
+//! or in a seeded scrambled order (the reference order,
+//! [`engine::EngineMode::Threads`]) — and
 //! carries its own *virtual true time* (`RankCtx::now`). Local computation advances that
 //! time explicitly ([`RankCtx::compute`]). A send stamps the message with
 //! an arrival time computed from the sender's current time plus a modeled

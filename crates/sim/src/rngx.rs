@@ -173,7 +173,7 @@ pub mod label {
         debug_assert!(kind < 1 << 12, "fault kind field is 12 bits");
         0x6000_0000_0000_0000 | (kind << 48) | rank as u64
     }
-    /// The run scheduler's scrambled pick order (`EngineMode::Threads`).
+    /// The scrambled pick order (`EngineMode::Threads`, on any backend).
     /// A run in heap order never draws from it.
     pub fn sched_scramble() -> u64 {
         0x7000_0000_0000_0000

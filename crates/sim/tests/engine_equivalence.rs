@@ -1,7 +1,7 @@
-//! Differential oracle: the engine (`EngineMode::Events`: fibers, heap
-//! order, matched-wake handoff) and the reference order
-//! (`EngineMode::Threads`: thread-backed ranks, a seeded scrambled pick,
-//! no handoff) must be indistinguishable in every artifact — results,
+//! Differential oracle: the engine (`EngineMode::Events`: heap order,
+//! matched-wake handoff) and the reference order (`EngineMode::Threads`:
+//! a seeded scrambled pick, no handoff), both on the run's continuation
+//! backend, must be indistinguishable in every artifact — results,
 //! `RunOutcome`s, chrome traces, summary JSON — for the same cluster and
 //! seed. Any divergence here means the order ranks took turns in leaked
 //! into virtual time. Both are deterministic, so a divergence replays

@@ -1,7 +1,8 @@
 //! End-to-end observability: a fully-instrumented HCA3 + Round-Time run
 //! must produce the same Chrome trace bytes run, re-run, and in the
-//! reference order of `EngineMode::Threads` (the recorder is part of the
-//! deterministic surface), and the `trace_event` JSON schema is pinned by a golden file.
+//! reference order of `EngineMode::Threads`, a scrambled pick on the same
+//! continuation backend (the recorder is part of the deterministic
+//! surface), and the `trace_event` JSON schema is pinned by a golden file.
 
 use hierarchical_clock_sync::bench::prelude::*;
 use hierarchical_clock_sync::mpi::{tags, ReduceOp};

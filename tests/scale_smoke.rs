@@ -6,15 +6,15 @@
 //! cargo test --release --test scale_smoke -- --ignored
 //! ```
 //!
-//! In release it takes about 0.5 s and peaks at about 120 MB RSS,
-//! ≈ 0.015 MB per simulated rank, measured with `getrusage` on a 2-vCPU
-//! x86_64 host. Before a split's allgather was read in place it took
-//! about 20 s and peaked at about 1.47 GB: every member kept its own
-//! copy of the 8 192 × 21-byte record buffer in the rendezvous slot and
-//! unpacked it into 8 192 `Vec`s. It stays ignored because a debug build
-//! takes about 24 s, and because under `HCS_ENGINE=threads` it would
-//! start one OS thread per rank, 8 192 of them; CI runs it nightly in
-//! release.
+//! In release it takes about 0.7 s in the heap order and 0.8 s in the
+//! reference order (`HCS_ENGINE=threads`) and peaks at about 150 MB RSS
+//! in either, ≈ 0.018 MB per simulated rank, measured with `getrusage`
+//! on a 2-vCPU x86_64 host. Before a split's allgather was read in
+//! place it took about 20 s and peaked at about 1.47 GB: every member
+//! kept its own copy of the 8 192 × 21-byte record buffer in the
+//! rendezvous slot and unpacked it into 8 192 `Vec`s. It stays ignored
+//! because a debug build takes about 24 s; CI runs it nightly in
+//! release, in both pick orders.
 
 use hierarchical_clock_sync::mpi::ReduceOp;
 use hierarchical_clock_sync::prelude::*;
@@ -48,7 +48,7 @@ fn two_thousand_ranks_sync_and_reduce() {
 fn events_engine_runs_131072_ranks() {
     // The `EngineMode::Events` claim "scales to p >= 131072": one
     // 100-trip ping-pong between ranks 0 and 1, every other rank idle.
-    // Pinned to the events engine (the reference would spawn p threads).
+    // Pinned to the events engine, whose claim this is.
     const P: usize = 131_072;
     let cluster = machines::testbed(P / 4, 4)
         .cluster(2)
@@ -77,7 +77,7 @@ fn events_engine_runs_131072_ranks() {
 }
 
 #[test]
-#[ignore = "~0.5 s and ~120 MB in release, ~24 s in debug; HCS_ENGINE=threads would start 8192 OS threads"]
+#[ignore = "~0.7 s and ~150 MB in release, ~24 s in debug"]
 fn titan_large_scale_8192_ranks() {
     let machine = machines::titan().with_shape(512, 1, 16);
     let evals = machine.cluster(1).run(|ctx| {
